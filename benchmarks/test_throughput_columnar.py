@@ -14,7 +14,7 @@ tumbling event-time count -> sink) run three ways —
 Every configuration must produce byte-identical results (the columnar
 path is an optimisation, not a semantics change); the speedup assertions
 pin the claim that amortising per-record overhead across batches is worth
-an order of magnitude on this workload. Rows land in
+close to an order of magnitude on this workload. Rows land in
 ``BENCH_throughput.json`` next to the fast-path section.
 """
 
@@ -33,6 +33,14 @@ from repro.windows.assigners import TumblingEventTimeWindows
 EVENTS = 12000
 WINDOW = 0.05
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_throughput.json")
+
+#: the columnar-vs-seed gate: 0.7 of the measured ratio (9.0-9.9x in six runs
+#: in the dev container), so a regression of about 30 % in the columnar path
+#: fails. The denominator is the per-record dispatch path: a change that makes
+#: that path cheaper lowers the ratio without columnar losing anything (10x
+#: of a measured 14x before the kernel/run-loop cut) — re-derive the gate from
+#: a fresh measurement then, keeping the 0.7.
+MIN_COLUMNAR_SPEEDUP = 6.5
 
 CONFIGS = {
     "seed": dict(chaining_enabled=False, channel_batch_size=1, same_time_bucket=False),
@@ -150,10 +158,11 @@ def test_throughput_columnar(benchmark):
     merge_bench_json(BENCH_PATH, "throughput_columnar", payload)
 
     # Regression gates for the headline claims: batching the whole pipeline
-    # is worth >=10x over the seed path, and strictly beats the per-record
-    # fast path it builds on.
-    assert columnar_speedup >= 10.0, (
-        f"expected >=10x columnar speedup over seed, got {columnar_speedup:.2f}x"
+    # beats the seed path by MIN_COLUMNAR_SPEEDUP, and strictly beats the
+    # per-record fast path it builds on.
+    assert columnar_speedup >= MIN_COLUMNAR_SPEEDUP, (
+        f"expected >={MIN_COLUMNAR_SPEEDUP}x columnar speedup over seed, "
+        f"got {columnar_speedup:.2f}x"
     )
     assert (
         results["columnar"]["records_per_sec"] > results["fastpath"]["records_per_sec"]

@@ -6,20 +6,21 @@ Usage:
         --fresh /tmp/macro_fresh.json [--baseline-section macro_suite_ci] \
         [--fresh-section macro_suite] [--threshold 0.2]
 
-Two gates, per (config, query) cell:
+Per (config, query) cell, one hard gate and one printed warning:
 
-* **correctness** — the deterministic sink digests must match the
+* **correctness** (gate) — the deterministic sink digests must match the
   committed baseline bit-for-bit (same seed + scale ⇒ same outputs,
   whatever machine runs it). Q4's digest hashes libm/numpy float
   results, which may legitimately differ across platforms/BLAS builds,
   so Q4 falls back to output-count equality and a digest *warning*;
-* **throughput** — per-query records/s may not regress more than
-  ``--threshold`` (default 20%) after normalising out machine speed:
-  the per-cell fresh/baseline ratios are divided by their own median,
-  so a uniformly slower CI runner cancels out and only a *relative*
-  slowdown of some query trips the gate.
+* **throughput** (warning only) — a per-query records/s drop of more than
+  ``--threshold`` (default 20%) after dividing the per-cell fresh/baseline
+  ratios by their own median is printed, never failed on: one single-shot
+  wall sample per cell trips on an unmodified tree, a change that speeds
+  up most configs makes the untouched ones look regressed, and a uniform
+  slowdown cancels out entirely. ``python3 -m perf`` is the throughput gate.
 
-Exit codes: 0 clean, 1 regression/digest mismatch, 2 usage/shape error.
+Exit codes: 0 clean, 1 digest mismatch, 2 usage/shape error.
 """
 
 from __future__ import annotations
@@ -110,12 +111,8 @@ def compare(baseline: dict, fresh: dict, threshold: float) -> tuple[list[str], l
                     "counts match)"
                 )
 
-    # Throughput gate, machine-speed normalised.
-    if ratios:
-        machine_factor = median(ratios)
-        if machine_factor <= 0:
-            failures.append(f"degenerate machine factor {machine_factor}")
-            return failures, warnings
+    # Throughput, machine-speed normalised: informational (see module doc).
+    if ratios and (machine_factor := median(ratios)) > 0:
         floor = 1.0 - threshold
         for name, query, base, new in cells:
             base_tput = base["throughput_records_per_wall_sec"]
@@ -125,8 +122,8 @@ def compare(baseline: dict, fresh: dict, threshold: float) -> tuple[list[str], l
                 new["throughput_records_per_wall_sec"] / base_tput
             ) / machine_factor
             if normalised < floor:
-                failures.append(
-                    f"{name}/{query}: throughput regressed to "
+                warnings.append(
+                    f"{name}/{query}: throughput at "
                     f"{normalised:.2f}x of baseline after machine normalisation "
                     f"(floor {floor:.2f}, raw "
                     f"{base_tput:.0f} -> {new['throughput_records_per_wall_sec']:.0f} "
@@ -145,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         "--threshold",
         type=float,
         default=0.2,
-        help="max tolerated per-query normalised throughput regression",
+        help="per-query normalised throughput drop that prints a warning",
     )
     args = parser.parse_args(argv)
 
@@ -167,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"macro regression gate clean: "
         f"baseline {args.baseline}[{args.baseline_section}] vs "
-        f"{args.fresh}[{args.fresh_section}] within {args.threshold:.0%}"
+        f"{args.fresh}[{args.fresh_section}]: every digest equal"
     )
     return 0
 

@@ -17,7 +17,7 @@ strategy surveyed in §2.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 MAX_TIMESTAMP = float("inf")
@@ -63,19 +63,21 @@ class Record(StreamElement):
 
     def with_value(self, value: Any) -> "Record":
         """Copy with a new value (time/key/sign preserved)."""
-        return replace(self, value=value)
+        return Record(value, self.event_time, self.key, self.sign, self.ingest_time, self.trace)
 
     def with_key(self, key: Any) -> "Record":
         """Copy with a new partitioning key."""
-        return replace(self, key=key)
+        return Record(self.value, self.event_time, key, self.sign, self.ingest_time, self.trace)
 
     def with_event_time(self, event_time: float) -> "Record":
         """Copy with a new event time."""
-        return replace(self, event_time=event_time)
+        return Record(self.value, event_time, self.key, self.sign, self.ingest_time, self.trace)
 
     def as_retraction(self) -> "Record":
         """Return the retraction twin of this record (flips the sign)."""
-        return replace(self, sign=-self.sign)
+        return Record(
+            self.value, self.event_time, self.key, -self.sign, self.ingest_time, self.trace
+        )
 
     @property
     def is_retraction(self) -> bool:

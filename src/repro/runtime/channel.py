@@ -11,7 +11,7 @@ credits, and the stall propagates upstream to the sources.
 
 Delivery is *batched*: elements with an identical arrival time coalesce into
 one scheduled kernel event carrying a list (up to ``spec.batch_size``), which
-amortises the per-element closure + heap traffic. Credits are still accounted
+amortises the per-element heap traffic. Credits are still accounted
 per record and FIFO order is preserved, so flow control and ordering
 semantics are byte-identical with batching on or off.
 """
@@ -114,8 +114,8 @@ class PhysicalChannel:
         self._last_delivery = arrival
         self.sent += 1
         self._in_flight += 1
-        # Coalesce same-arrival elements into the open batch: one closure and
-        # one kernel event amortised over the batch. The batch closes when it
+        # Coalesce same-arrival elements into the open batch: one kernel
+        # event amortised over the batch. The batch closes when it
         # fires, fills up, or a later arrival time starts a new one.
         batch = self._open_batch
         if (
@@ -128,8 +128,7 @@ class PhysicalChannel:
         batch = [element]
         self._open_batch = batch
         self._open_batch_arrival = arrival
-        epoch = self.epoch
-        self._kernel.call_at(arrival, lambda: self._deliver_batch(batch, epoch))
+        self._kernel.call_at(arrival, self._deliver_batch, batch, self.epoch)
 
     def _deliver_batch(self, batch: list[StreamElement], epoch: int) -> None:
         if epoch != self.epoch:
@@ -311,7 +310,10 @@ class OutputGate:
 
     @property
     def is_clear(self) -> bool:
-        return all(c.is_clear for c in self.channels)
+        for channel in self.channels:
+            if not channel.is_clear:
+                return False
+        return True
 
     def total_backlog(self) -> int:
         """Parked elements across all channels (pressure metric)."""

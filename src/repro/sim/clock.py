@@ -14,7 +14,10 @@ class VirtualClock:
     """A monotonically non-decreasing simulated clock.
 
     The kernel owns the clock and advances it to the timestamp of each
-    dispatched event. User code reads it via :meth:`now`.
+    dispatched event. User code reads it via :meth:`now`. On its dispatch
+    path the kernel stores ``_now`` directly — heap order already guarantees
+    what :meth:`advance_to` checks — and uses :meth:`advance_to` everywhere
+    else.
     """
 
     def __init__(self, start: float = 0.0) -> None:

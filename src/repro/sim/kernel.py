@@ -38,50 +38,44 @@ import heapq
 import itertools
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import SimulationError
 from repro.sim.clock import VirtualClock
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: namespace tag of the job that scheduled this event (None = untagged)
-    job: str | None = field(default=None, compare=False)
-    #: the job's generation at schedule time; a mismatch with the current
-    #: generation means the job was torn down since — the event is dead
-    gen: int = field(default=0, compare=False)
-    #: True while the event sits in the heap or the same-time bucket (used
-    #: for exact dead-event accounting across cancel/teardown/compaction)
-    in_queue: bool = field(default=True, compare=False)
-
-
 class EventHandle:
-    """Handle returned by :meth:`Kernel.schedule`; allows cancellation."""
+    """One scheduled callback — and the handle the ``call_*`` methods return.
 
-    def __init__(self, event: _ScheduledEvent, kernel: "Kernel | None" = None) -> None:
-        self._event = event
+    The kernel queues it as ``(time, seq, event)``: ``seq`` is unique, so the
+    heap orders entries by comparing a float and an int in C and never asks
+    this class to compare itself. The event is its own cancel handle, so
+    scheduling allocates one object, not an event plus a wrapper.
+    """
+
+    __slots__ = ("_kernel", "time", "seq", "fn", "args", "cancelled", "job", "gen", "in_queue")
+
+    def __init__(
+        self, kernel: "Kernel", time: float, seq: int, fn: Callable[..., None], args: tuple
+    ) -> None:
         self._kernel = kernel
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+        #: namespace tag of the job that scheduled this event (None = untagged)
+        self.job: str | None = None
+        #: the job's generation at schedule time; a mismatch with the current
+        #: generation means the job was torn down since — the event is dead
+        self.gen = 0
+        #: True while the event sits in the heap or the same-time bucket (used
+        #: for exact dead-event accounting across cancel/teardown/compaction)
+        self.in_queue = True
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it on dispatch."""
-        if self._kernel is not None:
-            self._kernel._note_cancel(self._event)
-        else:
-            self._event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._event.time
+        self._kernel._note_cancel(self)
 
 
 class Kernel:
@@ -102,12 +96,19 @@ class Kernel:
         compact_min_dead: int = 256,
     ) -> None:
         self.clock = clock or VirtualClock()
-        self._queue: list[_ScheduledEvent] = []
+        #: the clock's time, mirrored so the dispatch path reads an attribute
+        #: instead of calling ``clock.now()``. Inside ``run()`` the kernel
+        #: moves time and writes it through to the clock; outside, the clock
+        #: is public and may be advanced directly, so ``now()`` and
+        #: ``call_at`` re-read it first
+        self._now = self.clock.now()
+        #: heap of ``(time, seq, event)``; tuples compare in C
+        self._queue: list[tuple[float, int, EventHandle]] = []
         #: FIFO bucket for events scheduled at exactly ``now()`` — the
         #: dominant case for zero-latency local hops. Bucket events skip the
         #: heap entirely; dispatch order is still the global (time, seq)
         #: order, so enabling the bucket is observably identical.
-        self._soon: deque[_ScheduledEvent] = deque()
+        self._soon: deque[EventHandle] = deque()
         self._same_time_bucket = same_time_bucket
         self._seq = itertools.count()
         self._running = False
@@ -125,7 +126,7 @@ class Kernel:
         #: namespace active during dispatch; events scheduled inherit it
         self._current_job: str | None = None
         #: job tag → events parked while the job is suspended (slot sched)
-        self._parked: dict[str, list[_ScheduledEvent]] = {}
+        self._parked: dict[str, list[EventHandle]] = {}
         #: per-base-name counters for unique job tags on this kernel
         self._job_tag_counts: dict[str, int] = {}
         # --- lazy compaction ----------------------------------------------
@@ -143,38 +144,54 @@ class Kernel:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def call_at(self, time: float, action: Callable[[], None]) -> EventHandle:
-        """Schedule ``action`` to run at absolute virtual ``time``."""
-        now = self.clock.now()
-        if time < now - 1e-12:
-            raise SimulationError(
-                f"cannot schedule event at {time} before now={now}"
-            )
-        job = self._current_job
-        gen = self._job_gens.get(job, 0) if job is not None else 0
-        if time <= now:
-            if self._same_time_bucket:
-                event = _ScheduledEvent(now, next(self._seq), action, job=job, gen=gen)
-                self._soon.append(event)
-                if job is not None:
-                    self._live_by_job[job] = self._live_by_job.get(job, 0) + 1
-                return EventHandle(event, self)
-            time = now
-        event = _ScheduledEvent(time, next(self._seq), action, job=job, gen=gen)
-        heapq.heappush(self._queue, event)
-        if job is not None:
-            self._live_by_job[job] = self._live_by_job.get(job, 0) + 1
-        return EventHandle(event, self)
+    def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
+        """Schedule ``fn(*args)`` to run at absolute virtual ``time``.
 
-    def call_after(self, delay: float, action: Callable[[], None]) -> EventHandle:
-        """Schedule ``action`` to run ``delay`` virtual seconds from now."""
+        Passing ``args`` here instead of closing over them saves the caller a
+        closure allocation and the dispatch an extra frame per event.
+        """
+        if not self._running:
+            self._now = self.clock.now()
+        now = self._now
+        if time <= now:
+            if time < now - 1e-12:
+                raise SimulationError(
+                    f"cannot schedule event at {time} before now={now}"
+                )
+            time = now
+        event = EventHandle(self, time, next(self._seq), fn, args)
+        job = self._current_job
+        if job is not None:
+            # Only a tagged event pays for namespace bookkeeping.
+            event.job = job
+            event.gen = self._job_gens.get(job, 0)
+            self._live_by_job[job] = self._live_by_job.get(job, 0) + 1
+        if time == now and self._same_time_bucket:
+            self._soon.append(event)
+        else:
+            heapq.heappush(self._queue, (time, event.seq, event))
+        return event
+
+    def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
+        """Schedule ``fn(*args)`` to run ``delay`` virtual seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self.clock.now() + delay, action)
+        return self.call_at(self.now() + delay, fn, *args)
 
-    def call_soon(self, action: Callable[[], None]) -> EventHandle:
-        """Schedule ``action`` at the current time, after queued same-time events."""
-        return self.call_at(self.clock.now(), action)
+    def call_soon(self, fn: Callable[..., None], *args: Any) -> EventHandle:
+        """Schedule ``fn(*args)`` at the current time, after queued same-time events."""
+        return self.call_at(self.now(), fn, *args)
+
+    def idle_at_now(self) -> bool:
+        """True when nothing else is queued for the current instant.
+
+        A caller about to ``call_soon`` a continuation may then run it inline
+        instead: no event could have been dispatched between the two, so the
+        dispatch order is the one the hop would have produced. Conservative —
+        a cancelled event at the head still counts as queued.
+        """
+        queue = self._queue
+        return not self._soon and (not queue or queue[0][0] > self._now)
 
     # ------------------------------------------------------------------
     # job namespaces
@@ -251,7 +268,7 @@ class Kernel:
         parked = self._parked.pop(job, None)
         if not parked:
             return 0
-        now = self.clock.now()
+        now = self.now()
         replayed = 0
         for event in parked:
             if self._is_dead(event):
@@ -263,7 +280,7 @@ class Kernel:
             if event.time <= now and self._same_time_bucket:
                 self._soon.append(event)
             else:
-                heapq.heappush(self._queue, event)
+                heapq.heappush(self._queue, (event.time, event.seq, event))
             replayed += 1
         return replayed
 
@@ -274,13 +291,13 @@ class Kernel:
     # ------------------------------------------------------------------
     # dead-event accounting & compaction
     # ------------------------------------------------------------------
-    def _is_dead(self, event: _ScheduledEvent) -> bool:
+    def _is_dead(self, event: EventHandle) -> bool:
         if event.cancelled:
             return True
         job = event.job
         return job is not None and event.gen != self._job_gens.get(job, 0)
 
-    def _note_cancel(self, event: _ScheduledEvent) -> None:
+    def _note_cancel(self, event: EventHandle) -> None:
         """Account an individual cancellation exactly once."""
         if event.cancelled:
             return
@@ -308,7 +325,7 @@ class Kernel:
 
         Mutates in place: ``run()`` holds local references to both
         structures, so rebinding them would silently detach the loop."""
-        self._queue[:] = [e for e in self._queue if not self._is_dead(e)]
+        self._queue[:] = [entry for entry in self._queue if not self._is_dead(entry[2])]
         heapq.heapify(self._queue)
         if any(self._is_dead(e) for e in self._soon):
             kept = [e for e in self._soon if not self._is_dead(e)]
@@ -326,22 +343,33 @@ class Kernel:
         Args:
             until: stop once the clock would pass this virtual time. Events
                 at exactly ``until`` are still dispatched.
-            max_events: safety valve against runaway feedback loops.
+            max_events: safety valve against runaway feedback loops; a budget
+                for *this* call, so a job may be driven by repeated ``run()``s.
 
         Returns:
             The virtual time at which the simulation quiesced or stopped.
         """
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run())")
+        clock = self.clock
+        # The clock is public: pick up an advance made since the last run.
+        self._now = clock.now()
         self._running = True
         self._stopped = False
+        # Events dispatch in their own namespace, not in a job_scope() that
+        # happens to surround this call: an untagged event runs untagged.
+        outer_job = self._current_job
+        self._current_job = None
         queue = self._queue
         soon = self._soon
+        heappop = heapq.heappop
+        horizon = float("inf") if until is None else until
+        budget_end = float("inf") if max_events is None else self._dispatched + max_events
         try:
             while queue or soon:
                 if self._stopped:
                     break
-                if max_events is not None and self._dispatched >= max_events:
+                if self._dispatched >= budget_end:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; possible livelock"
                     )
@@ -349,47 +377,62 @@ class Kernel:
                 # hold a same-time event scheduled *earlier* — preserve the
                 # global (time, seq) tie-break by comparing heads.
                 if soon:
-                    head = soon[0]
-                    if queue and queue[0].time <= head.time and queue[0].seq < head.seq:
-                        event = heapq.heappop(queue)
+                    event = soon[0]
+                    if queue and queue[0][0] <= event.time and queue[0][1] < event.seq:
+                        event = heappop(queue)[2]
                     else:
-                        event = soon.popleft()
+                        soon.popleft()
                 else:
-                    event = heapq.heappop(queue)
+                    event = heappop(queue)[2]
                 event.in_queue = False
-                job = event.job
-                if self._is_dead(event):
+                # _is_dead() unrolled, so an untagged event skips the
+                # generation lookup along with the rest of the namespace work.
+                if event.cancelled:
                     self._dead_pending -= 1
                     continue
-                if job is not None and job in self._parked:
-                    # Suspended job: park in arrival order for resume_job.
-                    self._parked[job].append(event)
-                    self._live_by_job[job] = self._live_by_job.get(job, 1) - 1
-                    continue
-                if until is not None and event.time > until:
+                job = event.job
+                if job is not None:
+                    if event.gen != self._job_gens.get(job, 0):
+                        self._dead_pending -= 1
+                        continue
+                    if job in self._parked:
+                        # Suspended job: park in arrival order for resume_job.
+                        self._parked[job].append(event)
+                        self._live_by_job[job] = self._live_by_job.get(job, 1) - 1
+                        continue
+                time = event.time
+                if time > horizon:
                     # Put it back for a later run() call and advance to the horizon.
                     event.in_queue = True
-                    heapq.heappush(queue, event)
-                    self.clock.advance_to(until)
+                    heapq.heappush(queue, (time, event.seq, event))
+                    clock.advance_to(horizon)
+                    self._now = clock.now()
                     break
-                self.clock.advance_to(event.time)
-                if job is not None:
-                    self._live_by_job[job] = self._live_by_job.get(job, 1) - 1
+                if time > self._now:
+                    # Heap order makes this monotone by construction, so the
+                    # clock is written through without its time-travel check.
+                    self._now = clock._now = time
                 self._dispatched += 1
                 if self.dispatch_observer is not None:
-                    self.dispatch_observer(event.time)
+                    self.dispatch_observer(time)
+                if job is None:
+                    event.fn(*event.args)
+                    continue
+                self._live_by_job[job] = self._live_by_job.get(job, 1) - 1
                 previous_job = self._current_job
                 self._current_job = job
                 try:
-                    event.action()
+                    event.fn(*event.args)
                 finally:
                     self._current_job = previous_job
             else:
                 if until is not None:
-                    self.clock.advance_to(until)
+                    clock.advance_to(until)
+                    self._now = clock.now()
         finally:
             self._running = False
-        return self.clock.now()
+            self._current_job = outer_job
+        return self._now
 
     def stop(self) -> None:
         """Request the current :meth:`run` to return after the active event."""
@@ -400,11 +443,13 @@ class Kernel:
     # ------------------------------------------------------------------
     def now(self) -> float:
         """Current virtual time."""
-        return self.clock.now()
+        if not self._running:
+            self._now = self.clock.now()
+        return self._now
 
     @property
     def pending_events(self) -> int:
-        queued = sum(1 for e in self._queue if not self._is_dead(e)) + sum(
+        queued = sum(1 for entry in self._queue if not self._is_dead(entry[2])) + sum(
             1 for e in self._soon if not self._is_dead(e)
         )
         parked = sum(

@@ -196,10 +196,6 @@ class AccessStats:
     reads: int = 0
     writes: int = 0
 
-    def snapshot(self) -> tuple[int, int]:
-        """Current (reads, writes) pair for cost diffing."""
-        return (self.reads, self.writes)
-
 
 class KeyedStateBackend:
     """Storage contract: (descriptor, key) → value, plus snapshot/restore.

@@ -171,3 +171,29 @@ class TestDrainSemantics:
         sink = slow.union(fast).collect()
         env.execute()
         assert len(sink.values()) == 20
+
+
+class TestKernelEventBudget:
+    def test_forward_pipeline_spends_two_kernel_events_per_mailbox_item(self):
+        """deliver → process inline → complete. A reintroduced scheduling hop
+        (three events per item: 1024 here) fails this in a second."""
+        env = StreamExecutionEnvironment(EngineConfig(chaining_enabled=False, channel_batch_size=1))
+        sink = CollectSink("out")
+        env.from_workload(CollectionWorkload(list(range(100)), rate=1000.0), name="src").map(
+            lambda v: v + 1, name="inc"
+        ).filter(lambda v: v % 2 == 0, name="even").map(lambda v: v * 3, name="triple").sink(
+            sink, name="out"
+        )
+        engine = env.build()
+        env.execute()
+        assert len(sink.results) == 50
+        source = engine.tasks["src[0]"]
+        # records and watermarks, plus one end-of-stream per task
+        items = sum(
+            task.metrics.records_in + task.metrics.watermarks_in + 1
+            for task in engine.tasks.values()
+            if task is not source
+        )
+        assert items == 308
+        assert engine.kernel.dispatched_events == 716
+        assert engine.kernel.dispatched_events <= 2 * items + source.emitted

@@ -2,6 +2,8 @@
 kill/recovery, scratch restart, queryable access, metric exposure, and the
 region-coupling recovery guard."""
 
+import hashlib
+
 import pytest
 
 from repro.core.datastream import StreamExecutionEnvironment
@@ -32,12 +34,12 @@ def transfer_body(handle, value):
     return op_id
 
 
-def build_transfer_job(config=None, count=120, parallelism=2, store=None):
+def build_transfer_job(config=None, count=120, parallelism=2, store=None, rate=2000.0):
     env = StreamExecutionEnvironment(config or EngineConfig(), name="txn-integration")
     sink = CollectSink("out")
     store = store or TxnStateStore("accounts", partitions=4)
     (
-        env.from_workload(CollectionWorkload(transfer_ops(count), rate=2000.0), name="src")
+        env.from_workload(CollectionWorkload(transfer_ops(count), rate=rate), name="src")
         .transact(
             transfer_body,
             keys_fn=lambda v: [v[1], v[2]],
@@ -77,6 +79,33 @@ class TestCleanRun:
             assert getattr(task.operator, "txn_gate", None) is store
         env.execute()
         assert store.committed == 10
+
+
+class TestDispatchOrder:
+    def test_ordered_output_and_lock_waits_match_the_hop_per_item_run_loop(self):
+        """A transactional task may not begin its next txn ahead of a
+        sibling's same-instant commit / lock release. The fixture was taken
+        from the run loop that dispatched every mailbox item through a
+        ``call_soon`` hop; inlining that hop unconditionally turns 199 lock
+        waits into 51 here and reorders the sink."""
+        env, store, sink = build_transfer_job(count=200, rate=20000.0)
+        engine = env.build()
+        env.execute()
+        ordered = [(r.value, r.emitted_at) for r in sink.results]
+        assert hashlib.sha256(repr(ordered).encode()).hexdigest() == (
+            "b274ea268d6cafb796a724f19b9e0661320a333bb399ef65ea96604ce0be2b32"
+        )
+        metrics = engine.metrics_snapshot()["metrics"]
+        assert metrics[f"{engine.obs.registry.job}/txn/accounts/0/lock_wait_seconds"] == {
+            "count": 199,
+            "max": 0.00030000000000000165,
+            "mean": 0.0002746231155778901,
+            "min": 0.0001999999999999988,
+            "p50": 0.00030000000000000165,
+            "p95": 0.00030000000000000165,
+            "p99": 0.00030000000000000165,
+        }
+        assert store.committed == 200
 
 
 class TestCheckpointAndRecovery:

@@ -75,6 +75,17 @@ class TestKernelLimits:
         with pytest.raises(SimulationError, match="max_events"):
             kernel.run(max_events=100)
 
+    def test_max_events_is_a_budget_per_run_call(self):
+        """Repeated run() calls (resume-after-kill drivers) each get the full
+        budget; it used to be compared with the lifetime dispatch count."""
+        kernel = Kernel()
+        for i in range(10):
+            kernel.call_at(0.1 * (i + 1), lambda: None)
+        kernel.run(until=0.45, max_events=6)
+        assert kernel.dispatched_events == 4
+        kernel.run(until=2.0, max_events=6)
+        assert kernel.dispatched_events == 10
+
     def test_scheduling_in_the_past_raises(self):
         kernel = Kernel()
         kernel.call_at(5.0, lambda: None)
@@ -141,6 +152,40 @@ class TestVirtualClock:
         assert clock.now() == 1.0
         with pytest.raises(SimulationError):
             clock.advance_to(0.5)
+
+    def test_kernel_follows_a_clock_advanced_between_runs(self):
+        """The clock is the public time source: the kernel's mirror of it
+        must not go stale while no run() is in progress."""
+        clock = VirtualClock()
+        kernel = Kernel(clock)
+        clock.advance_to(5.0)
+        assert kernel.now() == 5.0
+        times = []
+        handle = kernel.call_after(1.0, lambda: times.append((kernel.now(), clock.now())))
+        assert handle.time == 6.0
+        clock.advance_to(5.5)
+        kernel.call_soon(lambda: times.append((kernel.now(), clock.now())))
+        with pytest.raises(SimulationError):
+            kernel.call_at(5.0, lambda: None)
+        kernel.run()
+        assert times == [(5.5, 5.5), (6.0, 6.0)]
+
+    def test_untagged_event_runs_untagged_inside_a_job_scope(self):
+        """run() called inside job_scope('a') must not lend the tag to
+        events that were scheduled without one."""
+        kernel = Kernel()
+        seen = []
+
+        def fire():
+            seen.append(kernel.current_job)
+            kernel.call_soon(lambda: seen.append(kernel.current_job))
+
+        kernel.call_at(1.0, fire)
+        with kernel.job_scope("a"):
+            kernel.run()
+            assert kernel.current_job == "a"
+        assert seen == [None, None]
+        assert kernel.live_events_of("a") == 0
 
 
 class TestSameTimeBucket:
