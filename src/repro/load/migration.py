@@ -440,14 +440,7 @@ class Rescaler:
         if mode == "live":
             # Only the rescaled tasks stall while their state moves.
             for task in engine.node_tasks[node.node_id]:
-                task._busy = True
-                task.metrics.busy_time += transfer
-
-                def release(t=task):
-                    t._busy = False
-                    t._maybe_schedule()
-
-                engine.kernel.call_after(transfer, release)
+                task.stall(transfer)
             return started_at + transfer
         raise LoadManagementError(f"unknown rescale mode {mode!r}")
 

@@ -59,10 +59,12 @@ class PhysicalChannel:
         # Hot-path bindings, hoisted once: the zero-jitter path does no
         # per-element attribute chasing or rng dispatch.
         self._latency = spec.latency
-        self._draw_jitter: Callable[[], float] | None = None
-        if spec.jitter > 0:
-            self._draw_jitter = lambda uniform=rng.uniform, j=spec.jitter: uniform(0.0, j)
+        self._jitter = spec.jitter if spec.jitter > 0 else 0.0
+        self._random = rng.random
         self._batch_size = max(1, spec.batch_size)
+        #: what the receiver is handed as ``via``: this channel when an
+        #: element holds a credit to return, None on an unbounded link
+        self._credit_via = self if spec.capacity is not None else None
         #: the still-appendable delivery batch (same arrival time), if any
         self._open_batch: list[StreamElement] | None = None
         self._open_batch_arrival = -1.0
@@ -79,35 +81,36 @@ class PhysicalChannel:
         self._in_flight = 0
 
     # ------------------------------------------------------------------
-    def send(self, element: StreamElement) -> bool:
+    def send(self, element: StreamElement, from_backlog: bool = False) -> bool:
         """Dispatch an element toward the receiver.
 
         Returns True if it was sent immediately, False if it was parked in
         the sender-side backlog because the channel is out of credits (the
-        caller should block until :meth:`is_clear`).
+        caller should block until :meth:`is_clear`). ``from_backlog`` marks
+        the parked head re-sent by :meth:`return_credit`: it takes the slot
+        that was just freed.
         """
-        if self.credits is None:
-            self._schedule_delivery(element)
-            return True
-        if self.credits > 0 and not self._backlog:
+        if self.credits is not None and not from_backlog:
+            if self.credits <= 0 or self._backlog:
+                self._backlog.append(element)
+                return False
             self.credits -= 1
-            self._schedule_delivery(element)
-            return True
-        self._backlog.append(element)
-        return False
-
-    def _schedule_delivery(self, element: StreamElement) -> None:
         hook = self.fault_hook
-        if hook is not None:
+        if hook is None:
+            self._do_schedule(element, 0.0)
+        else:
             for perturbed, extra_delay in hook.intercept(self, element):
                 self._do_schedule(perturbed, extra_delay)
-            return
-        self._do_schedule(element, 0.0)
+        return True
 
     def _do_schedule(self, element: StreamElement, extra_delay: float) -> None:
+        """Past the fault hook: the one place where arrival time, FIFO clamp
+        and same-arrival coalescing are computed."""
         arrival = self._kernel.now() + self._latency + extra_delay
-        if self._draw_jitter is not None:
-            arrival += self._draw_jitter()
+        if self._jitter:
+            # uniform(0, jitter), drawn as Random.uniform computes it
+            # (a + (b - a) * random() with a = 0.0): the same bits.
+            arrival += self._jitter * self._random()
         # FIFO enforcement: never deliver before what was already scheduled.
         if arrival < self._last_delivery:
             arrival = self._last_delivery
@@ -133,14 +136,19 @@ class PhysicalChannel:
     def _deliver_batch(self, batch: list[StreamElement], epoch: int) -> None:
         if epoch != self.epoch:
             return  # stale in-flight data from before a connection reset
-        self._in_flight -= len(batch)
         if self._open_batch is batch:
             self._open_batch = None
+        count = len(batch)
+        self._in_flight -= count
+        self.delivered += count
         deliver = self.receiver.deliver
         index = self.receiver_channel_index
-        self.delivered += len(batch)
+        via = self._credit_via
+        if count == 1:
+            deliver(index, batch[0], via)
+            return
         for element in batch:
-            deliver(index, element, via=self)
+            deliver(index, element, via)
 
     def inject_out_of_band(self, element: StreamElement, extra_delay: float = 0.0) -> None:
         """Deliver ``element`` outside the credit/FIFO path — a network-level
@@ -184,7 +192,7 @@ class PhysicalChannel:
             return
         if self._backlog:
             # Slot goes straight to the oldest parked element.
-            self._schedule_delivery(self._backlog.popleft())
+            self.send(self._backlog.popleft(), from_backlog=True)
             if not self._backlog and self.sender is not None:
                 self.sender.output_unblocked()
         else:
@@ -234,44 +242,41 @@ class OutputGate:
 
     def targets_for(self, element: StreamElement) -> list[PhysicalChannel]:
         """Channels this element routes to under the gate's partitioning."""
+        channels = self.channels
+        if len(channels) == 1 or self.partitioning is Partitioning.BROADCAST:
+            return channels
         if isinstance(element, RecordBatch):
             # Batches are data, not control: route like records. Callers use
             # emit(), which splits hash-partitioned batches per target; here
-            # the whole batch maps to the single (or round-robin) channel.
-            if self.partitioning is Partitioning.BROADCAST:
-                return self.channels
-            if len(self.channels) == 1:
-                return [self.channels[0]]
+            # the whole batch maps to the round-robin (or first) channel.
             if self.partitioning is Partitioning.REBALANCE:
-                index = self._round_robin % len(self.channels)
+                index = self._round_robin % len(channels)
                 self._round_robin += 1
-                return [self.channels[index]]
-            return [self.channels[0]]
-        if not isinstance(element, Record) or self.partitioning is Partitioning.BROADCAST:
-            return self.channels
-        if len(self.channels) == 1:
-            return [self.channels[0]]
+                return [channels[index]]
+            return [channels[0]]
+        if not isinstance(element, Record):
+            return channels
         if self.partitioning is Partitioning.HASH:
             if self.router is not None:
                 index = self.router.owner_index(element.key)
             else:
-                index = subtask_for_key(element.key, len(self.channels), self._max_parallelism)
-            return [self.channels[index]]
+                index = subtask_for_key(element.key, len(channels), self._max_parallelism)
+            return [channels[index]]
         if self.partitioning is Partitioning.REBALANCE:
-            index = self._round_robin % len(self.channels)
+            index = self._round_robin % len(channels)
             self._round_robin += 1
-            return [self.channels[index]]
+            return [channels[index]]
         # FORWARD with parallelism > 1 is expanded per-subtask at plan time,
         # so a gate only ever holds the single matching channel.
-        return [self.channels[0]]
+        return [channels[0]]
 
     def emit(self, element: StreamElement) -> bool:
         """Send to all chosen channels; False if any channel backlogged."""
-        if (
-            isinstance(element, RecordBatch)
-            and self.partitioning is Partitioning.HASH
-            and len(self.channels) > 1
-        ):
+        channels = self.channels
+        if len(channels) == 1:
+            # Every partitioning maps every element to the only channel.
+            return channels[0].send(element)
+        if isinstance(element, RecordBatch) and self.partitioning is Partitioning.HASH:
             return self._emit_hash_batch(element)
         clear = True
         for channel in self.targets_for(element):
@@ -311,7 +316,7 @@ class OutputGate:
     @property
     def is_clear(self) -> bool:
         for channel in self.channels:
-            if not channel.is_clear:
+            if channel._backlog:
                 return False
         return True
 

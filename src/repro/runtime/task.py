@@ -96,13 +96,19 @@ class _ProcTimer:
     fired: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _MailboxItem:
     channel_index: int
     element: StreamElement | _ProcTimer
-    #: the physical channel that delivered this element; its credit is
-    #: returned when processing completes (None for local injections)
+    #: the credit-bounded channel that delivered this element; its credit is
+    #: returned when processing completes (None for unbounded links and
+    #: local injections: nothing to return)
     via: Any = None
+
+
+#: ``Task._busy_until`` outside a finite elided interval
+_IDLE = float("-inf")
+_EVENT_PENDING = float("inf")
 
 
 class TaskContext(OperatorContext):
@@ -179,11 +185,6 @@ class TaskContext(OperatorContext):
         (models external RPCs, accelerator kernels, etc.)."""
         self._extra_cost += seconds
 
-    def drain_extra_cost(self) -> float:
-        """Return and reset cost added via :meth:`add_cost` (runtime use)."""
-        cost, self._extra_cost = self._extra_cost, 0.0
-        return cost
-
     # --- observability ----------------------------------------------------
     def profile(self, label: str) -> Any:
         """Open a :class:`~repro.obs.profile.ProfileScope` attributing
@@ -257,7 +258,11 @@ class Task:
         self._merger_slots: dict[int, int] = {}
 
         self._mailbox: deque[_MailboxItem] = deque()
-        self._busy = False
+        #: the task is in service through this virtual time (inclusive).
+        #: ``_EVENT_PENDING`` while a kernel event (completion, dispatch hop)
+        #: will end the service and pull the next item; a finite time when
+        #: that event was elided (see _process_next); ``_IDLE`` otherwise
+        self._busy_until = _IDLE
         #: True while a recovery protocol holds the mailbox (see suspend())
         self._suspended = False
         self._output_blocked = False
@@ -404,7 +409,8 @@ class Task:
             if via is not None:
                 via.return_credit()
             return
-        if channel_index in self._feedback_channels and not self.finished and not self.dead:
+        feedback = self._feedback_channels
+        if feedback and channel_index in feedback and not self.finished:
             self._feedback_deliveries += 1
         if self.finished:
             # A retired (scaled-in) task still forwards misrouted records;
@@ -425,7 +431,7 @@ class Task:
             if via is not None:
                 via.return_credit()
             return
-        self._mailbox.append(_MailboxItem(channel_index, element, via=via))
+        self._mailbox.append(_MailboxItem(channel_index, element, via))
         self._maybe_schedule()
 
     def enqueue_local(self, element: StreamElement | _ProcTimer, channel_index: int = -1) -> None:
@@ -445,18 +451,36 @@ class Task:
         self._mailbox.append(_MailboxItem(channel_index, element))
         self._maybe_schedule()
 
+    @property
+    def _busy(self) -> bool:
+        """True while an item is in service — the one definition every
+        reader outside the run loop uses. A tie counts as busy."""
+        return self.kernel.now() <= self._busy_until
+
     def _maybe_schedule(self) -> None:
         if self._suspended or self._txn_hold or self._txn_parked is not None:
             return
-        if self._busy or self._output_blocked or self.dead or self.finished:
+        if self._output_blocked or self.dead or self.finished:
             return
+        busy_until = self._busy_until
+        if busy_until != _IDLE:
+            if busy_until == _EVENT_PENDING:
+                return
+            if self.kernel.now() <= busy_until:
+                if self._mailbox:
+                    # The item in service had its completion event elided,
+                    # and now there is something for it to pull: schedule
+                    # it where it would have been all along.
+                    self._busy_until = _EVENT_PENDING
+                    self.kernel.call_at(busy_until, self._complete, None, self.incarnation)
+                return
         if not self._mailbox:
             if self._reopened:
                 # Reopened straggler backlog drained: finish again.
                 self._reopened = False
                 self._finish_task()
             return
-        self._busy = True
+        self._busy_until = _EVENT_PENDING
         # Process inline rather than through a call_soon hop. The hop moved
         # this task's next process() behind events already queued for this
         # instant. Deliveries and completions of other tasks commute with it:
@@ -477,36 +501,57 @@ class Task:
     def _process_next(self, incarnation: int) -> None:
         if incarnation != self.incarnation or self.dead or self.finished:
             return
-        # Skip elements from inputs blocked by barrier alignment.
+        mailbox = self._mailbox
         item: _MailboxItem | None = None
-        while self._mailbox:
-            candidate = self._mailbox.popleft()
-            if candidate.channel_index in self._blocked_inputs and not isinstance(
-                candidate.element, CheckpointBarrier
-            ):
-                self._align_buffer.append(candidate)
-                continue
-            item = candidate
-            break
+        if not self._blocked_inputs:
+            if mailbox:
+                item = mailbox.popleft()
+        else:
+            # Skip elements from inputs blocked by barrier alignment.
+            while mailbox:
+                candidate = mailbox.popleft()
+                if candidate.channel_index in self._blocked_inputs and not isinstance(
+                    candidate.element, CheckpointBarrier
+                ):
+                    self._align_buffer.append(candidate)
+                    continue
+                item = candidate
+                break
         if item is None:
-            self._busy = False
+            self._busy_until = _IDLE
             return
 
         started = self.kernel.now()
         cost = self._handle_item(item)
         completion = started + cost
         self.metrics.busy_time += cost
-        self.kernel.call_at(completion, self._complete, item, self.incarnation)
+        if (
+            mailbox
+            or item.via is not None
+            or self._pending_output
+            or self._side_pending
+            or self._txn_gate is not None
+            or self._reopened
+            or self._output_blocked
+        ):
+            self.kernel.call_at(completion, self._complete, item.via, self.incarnation)
+        else:
+            # The completion event would flush nothing, return no credit and
+            # find nothing to pull: being busy until ``completion`` is all it
+            # stands for. _maybe_schedule schedules it after all, at this
+            # same time, if something arrives before then.
+            self._busy_until = completion
 
-    def _complete(self, item: _MailboxItem, incarnation: int) -> None:
+    def _complete(self, via: Any, incarnation: int) -> None:
         if incarnation != self.incarnation:
             return
         # Flush buffered outputs now, in order.
-        self._flush_outputs()
+        if self._pending_output or self._side_pending:
+            self._flush_outputs()
         # Return the credit for this element.
-        if item.via is not None:
-            item.via.return_credit()
-        self._busy = False
+        if via is not None:
+            via.return_credit()
+        self._busy_until = _IDLE
         if self._output_blocked:
             self._blocked_since = self.kernel.now()
             return
@@ -535,17 +580,7 @@ class Task:
         timers_fired = 0
         record_units = 0
 
-        if isinstance(element, _ProcTimer):
-            if not element.fired:
-                element.fired = True
-                self._pending_proc_timers.discard(id(element))
-                self.ctx.current_key_value = element.key
-                self.operator.on_processing_timer(
-                    element.timestamp, element.key, element.payload, self.ctx
-                )
-                timers_fired += 1
-                record_units = 1
-        elif isinstance(element, Record):
+        if type(element) is Record or isinstance(element, Record):  # exact type first: no call
             record_units = 1
             if self.reroute is not None and element.key is not None:
                 owner = self.reroute(element.key)
@@ -564,6 +599,16 @@ class Task:
                 self._trace_mark = len(self._pending_output)
             self.ctx.current_key_value = element.key
             self.operator.process(element, self.ctx)
+        elif isinstance(element, _ProcTimer):
+            if not element.fired:
+                element.fired = True
+                self._pending_proc_timers.discard(id(element))
+                self.ctx.current_key_value = element.key
+                self.operator.on_processing_timer(
+                    element.timestamp, element.key, element.payload, self.ctx
+                )
+                timers_fired += 1
+                record_units = 1
         elif isinstance(element, RecordBatch):
             if self._txn_gate is not None:
                 # One record = one transaction: the _txn_hold handshake
@@ -609,22 +654,29 @@ class Task:
         else:
             self.operator.on_element(element, self.ctx)
 
-        reads = stats.reads - reads_before
-        writes = stats.writes - writes_before
-        self.metrics.state_reads += reads
-        self.metrics.state_writes += writes
-        self.metrics.timers_fired += timers_fired
-
+        # Each term is accounted only when there is one: most inputs touch
+        # no state and fire no timer, and x + 0.0 is x.
         cost = 0.0
         if record_units:
             # One unit per record/timer; a batch charges the same per-record
             # model cost in a single multiply.
             cost += self.processing_cost * record_units
-        cost += timers_fired * self.timer_cost
-        state_cost = reads * self.state_backend.read_latency + writes * self.state_backend.write_latency
-        cost += state_cost
-        extra_cost = self.ctx.drain_extra_cost()
-        cost += extra_cost
+        if timers_fired:
+            self.metrics.timers_fired += timers_fired
+            cost += timers_fired * self.timer_cost
+        reads = stats.reads - reads_before
+        writes = stats.writes - writes_before
+        state_cost = 0.0
+        if reads or writes:
+            self.metrics.state_reads += reads
+            self.metrics.state_writes += writes
+            backend = self.state_backend
+            state_cost = reads * backend.read_latency + writes * backend.write_latency
+            cost += state_cost
+        extra_cost = self.ctx._extra_cost
+        if extra_cost:
+            self.ctx._extra_cost = 0.0
+            cost += extra_cost
 
         span = self._active_span
         if span is not None:
@@ -1071,7 +1123,7 @@ class Task:
             return
         self.dead = True
         self.incarnation += 1
-        self._busy = False
+        self._busy_until = _IDLE
         self.release_mailbox_credits()
         self._mailbox.clear()
         self._align_buffer.clear()
@@ -1114,6 +1166,16 @@ class Task:
         """Undo :meth:`suspend` and resume pulling from the mailbox."""
         self._suspended = False
         self._maybe_schedule()
+
+    def stall(self, seconds: float) -> None:
+        """Occupy the task for ``seconds`` of virtual time (the state
+        transfer of a live rescale): the element in service completes,
+        nothing further is pulled from the mailbox until the stall ends —
+        or until that element's completion, whichever is later — and the
+        time is charged to ``busy_time``."""
+        self.metrics.busy_time += seconds
+        self.suspend()
+        self.kernel.call_after(seconds, self.resume_processing)
 
     def release_mailbox_credits(self) -> None:
         """Return the flow-control credits held by queued elements (called
@@ -1326,22 +1388,27 @@ class SourceTask(Task):
         self._pending_event = None
         if event is None:
             return
+        self._emit_record(event.value, event.event_time)
+        self._schedule_next()
+
+    def _emit_record(self, value: Any, event_time: Any) -> None:
+        """Emit one record now (+ the watermark its strategy yields): the
+        scalar emission body shared by the pull loop and :meth:`inject`."""
         now = self.kernel.now()
-        record = Record(value=event.value, event_time=event.event_time, ingest_time=now)
+        record = Record(value=value, event_time=event_time, ingest_time=now)
         tracer = self._tracer
         if tracer is not None and tracer.sample():
             record = replace(record, trace=tracer.begin_root(self.name, now))
-        if event.event_time is not None:
-            self._max_event_time = max(self._max_event_time, event.event_time)
+        if event_time is not None:
+            self._max_event_time = max(self._max_event_time, event_time)
         self.collect_output(record)
         self.metrics.records_in += 1
-        watermark = self.strategy.on_event(event.value, event.event_time, now)
+        watermark = self.strategy.on_event(value, event_time, now)
         if watermark is not None and watermark.timestamp > self._last_watermark:
             self._last_watermark = watermark.timestamp
             self.collect_output(watermark)
         self._emitted += 1
         self._flush_outputs()
-        self._schedule_next()
 
     def _emit_batch(self, events: list) -> None:
         """Emit pulled events as one :class:`RecordBatch` (+ one watermark).
@@ -1391,30 +1458,15 @@ class SourceTask(Task):
 
         The fabric's shared-source hub walks one workload and injects each
         event into every subscribed tenant's source, so N tenants reading
-        the same stream cost one generator pass instead of N. The path
-        mirrors scalar ``_try_emit`` exactly — Record construction, trace
-        sampling, watermark strategy, metrics — so an injected stream is
+        the same stream cost one generator pass instead of N. It emits
+        through the body scalar ``_try_emit`` uses, so an injected stream is
         indistinguishable downstream from a pulled one. Backpressure never
         pushes back on the hub: a blocked tenant's records park in its own
         output buffers until credit returns, stalling nobody else.
         """
         if self.dead or self.finished:
             return
-        now = self.kernel.now()
-        record = Record(value=value, event_time=event_time, ingest_time=now)
-        tracer = self._tracer
-        if tracer is not None and tracer.sample():
-            record = replace(record, trace=tracer.begin_root(self.name, now))
-        if event_time is not None:
-            self._max_event_time = max(self._max_event_time, event_time)
-        self.collect_output(record)
-        self.metrics.records_in += 1
-        watermark = self.strategy.on_event(value, event_time, now)
-        if watermark is not None and watermark.timestamp > self._last_watermark:
-            self._last_watermark = watermark.timestamp
-            self.collect_output(watermark)
-        self._emitted += 1
-        self._flush_outputs()
+        self._emit_record(value, event_time)
 
     def finish_injection(self) -> None:
         """End-of-stream for an injected source (hub workload exhausted)."""

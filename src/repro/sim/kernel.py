@@ -391,16 +391,19 @@ class Kernel:
                     self._dead_pending -= 1
                     continue
                 job = event.job
+                time = event.time
                 if job is not None:
                     if event.gen != self._job_gens.get(job, 0):
                         self._dead_pending -= 1
                         continue
-                    if job in self._parked:
+                    if time <= horizon and job in self._parked:
                         # Suspended job: park in arrival order for resume_job.
+                        # Only an event that is due: one beyond the horizon
+                        # keeps its (time, seq) place in the heap, so a job
+                        # resumed before then loses no order.
                         self._parked[job].append(event)
                         self._live_by_job[job] = self._live_by_job.get(job, 1) - 1
                         continue
-                time = event.time
                 if time > horizon:
                     # Put it back for a later run() call and advance to the horizon.
                     event.in_queue = True

@@ -46,6 +46,10 @@ class InMemoryStateBackend(KeyedStateBackend):
         self._has_ttl = False
 
     def register(self, descriptor: StateDescriptor) -> None:
+        """Declare ``descriptor``. Every access declares lazily, but only
+        the first under a name gets here: for a later one the lines below
+        are no-ops, bar the TTL flag — and the sweeps that flag turns on
+        walk the registered descriptors, which a later one never joins."""
         self._descriptors.setdefault(descriptor.name, descriptor)
         self._data.setdefault(descriptor.name, {})
         self._write_times.setdefault(descriptor.name, {})
@@ -71,7 +75,8 @@ class InMemoryStateBackend(KeyedStateBackend):
         self._write_times[name].pop(key, None)
 
     def get(self, descriptor: StateDescriptor, key: Any) -> Any:
-        self.register(descriptor)
+        if descriptor.name not in self._data:
+            self.register(descriptor)
         self.stats.reads += 1
         if self._expired(descriptor, key):
             self._drop(descriptor.name, key)
@@ -79,7 +84,8 @@ class InMemoryStateBackend(KeyedStateBackend):
         return self._data[descriptor.name].get(key)
 
     def put(self, descriptor: StateDescriptor, key: Any, value: Any) -> None:
-        self.register(descriptor)
+        if descriptor.name not in self._data:
+            self.register(descriptor)
         self.stats.writes += 1
         name = descriptor.name
         if key not in self._data[name]:
@@ -92,12 +98,14 @@ class InMemoryStateBackend(KeyedStateBackend):
             self._write_times[name][key] = self._clock()
 
     def delete(self, descriptor: StateDescriptor, key: Any) -> None:
-        self.register(descriptor)
+        if descriptor.name not in self._data:
+            self.register(descriptor)
         self.stats.writes += 1
         self._drop(descriptor.name, key)
 
     def keys(self, descriptor: StateDescriptor) -> Iterator[Any]:
-        self.register(descriptor)
+        if descriptor.name not in self._data:
+            self.register(descriptor)
         for key in list(self._data[descriptor.name].keys()):
             if self._expired(descriptor, key):
                 self._drop(descriptor.name, key)

@@ -174,19 +174,15 @@ class TestDrainSemantics:
 
 
 class TestKernelEventBudget:
-    def test_forward_pipeline_spends_two_kernel_events_per_mailbox_item(self):
-        """deliver → process inline → complete. A reintroduced scheduling hop
-        (three events per item: 1024 here) fails this in a second."""
+    def _run(self, second_stage):
         env = StreamExecutionEnvironment(EngineConfig(chaining_enabled=False, channel_batch_size=1))
         sink = CollectSink("out")
-        env.from_workload(CollectionWorkload(list(range(100)), rate=1000.0), name="src").map(
-            lambda v: v + 1, name="inc"
-        ).filter(lambda v: v % 2 == 0, name="even").map(lambda v: v * 3, name="triple").sink(
-            sink, name="out"
-        )
+        stream = env.from_workload(
+            CollectionWorkload(list(range(100)), rate=1000.0), name="src"
+        ).map(lambda v: v + 1, name="inc")
+        second_stage(stream).map(lambda v: v * 3, name="triple").sink(sink, name="out")
         engine = env.build()
         env.execute()
-        assert len(sink.results) == 50
         source = engine.tasks["src[0]"]
         # records and watermarks, plus one end-of-stream per task
         items = sum(
@@ -194,6 +190,28 @@ class TestKernelEventBudget:
             for task in engine.tasks.values()
             if task is not source
         )
-        assert items == 308
-        assert engine.kernel.dispatched_events == 716
+        return engine, sink, items, source
+
+    def test_forward_pipeline_spends_two_kernel_events_per_mailbox_item(self):
+        """deliver → process inline → complete, where every stage emits. A
+        reintroduced scheduling hop (three events per item) fails this in a
+        second; only the sink, which has nothing to flush, spends one."""
+        engine, sink, items, source = self._run(lambda s: s.map(lambda v: v, name="same"))
+        assert len(sink.results) == 100
+        assert items == 408
+        # 916 with a completion per item: the sink keeps 2 of its 102 (the last
+        # record, watermark and end-of-stream share an instant), and each
+        # map's end-of-stream, flushed by the finish itself, keeps none
+        assert engine.kernel.dispatched_events == 813
         assert engine.kernel.dispatched_events <= 2 * items + source.emitted
+
+    def test_an_input_that_emits_nothing_spends_one(self):
+        """The same pipeline with a filter second: a dropped record buffers
+        no output, so no completion event stands for it (716 with one)."""
+        engine, sink, items, _source = self._run(
+            lambda s: s.filter(lambda v: v % 2 == 0, name="even")
+        )
+        assert len(sink.results) == 50
+        assert items == 308
+        # the filter's 50 drops, 50 of the sink's 52 inputs, three end-of-streams
+        assert engine.kernel.dispatched_events == 716 - 103

@@ -6,7 +6,7 @@ import bisect
 import itertools
 from contextlib import contextmanager, nullcontext
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Kernel
@@ -174,8 +174,24 @@ class Driver:
         return self.log, sched.now(), sched.dispatched_events
 
 
+#: run(until=0.25) meets a suspended job's 0.5 event: it is beyond the
+#: horizon, so it stays queued ahead of the later-scheduled 0.5 event
+HORIZON_BEFORE_PARKING = [
+    [
+        ("suspend_job", "b"),
+        ("sched", "at", 0.0, None, True, []),
+        ("sched", "at", 0.5, "b", True, []),
+        ("sched", "at", 0.5, None, True, []),
+    ],
+    ("run", 0.25, None),
+    [("resume_job", "b")],
+    ("run", None, None),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(program=PROGRAMS, bucket=st.booleans())
+@example(program=HORIZON_BEFORE_PARKING, bucket=False)
 def test_kernel_matches_reference_scheduler(program, bucket):
     kernel = Kernel(same_time_bucket=bucket, compact_min_dead=2)
     assert Driver(kernel).play(program) == Driver(ReferenceScheduler()).play(program)

@@ -238,6 +238,22 @@ class TestSuspendResume:
         kernel.run()
         assert ran == ["fast", "slow"]
 
+    def test_event_beyond_the_horizon_is_not_parked(self):
+        """run(until=h) must leave a suspended job's later event in the heap:
+        parked, it is replayed with a fresh seq and fires behind an event
+        scheduled after it."""
+        kernel = Kernel(same_time_bucket=False)
+        log = []
+        kernel.suspend_job("b")
+        kernel.call_at(0.0, log.append, 0)
+        with kernel.job_scope("b"):
+            kernel.call_at(0.5, log.append, 1)
+        kernel.call_at(0.5, log.append, 2)
+        kernel.run(until=0.25)
+        kernel.resume_job("b")  # before either 0.5 event is due
+        kernel.run()
+        assert log == [0, 1, 2]
+
     def test_individual_cancel_accounting_survives_suspension_cycle(self):
         kernel = Kernel()
         ran = []
