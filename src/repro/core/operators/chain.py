@@ -74,7 +74,20 @@ class _LinkContext(OperatorContext):
 
     # --- output ---------------------------------------------------------
     def emit(self, element: StreamElement) -> None:
-        self._chain._feed(self._index + 1, element, self._parent)
+        chain = self._chain
+        index = self._index + 1
+        parent = self._parent
+        if type(element) is Record and element.trace is None and index < chain._length:
+            # The record path: what _feed does for an untraced record,
+            # without its type ladder.
+            chain.member_records_in[index] += 1
+            cost = chain._extra_costs[index]
+            if cost:
+                parent.add_cost(cost)
+            parent.current_key_value = element.key
+            chain.operators[index].process(element, chain._links[index])
+        else:
+            chain._feed(index, element, parent)
 
     def emit_watermark(self, timestamp: float) -> None:
         self.emit(Watermark(timestamp))
@@ -241,8 +254,16 @@ class ChainedOperator(Operator):
     # element handling
     # ------------------------------------------------------------------
     def process(self, record: Record, ctx: OperatorContext) -> None:
-        self._bind(ctx)
-        self._feed(0, record, ctx)
+        if self._bound is not ctx:
+            self._bind(ctx)
+        if type(record) is Record and record.trace is None:
+            # Head of the record path (see _LinkContext.emit); the head's
+            # cost is the task's own processing_cost.
+            self.member_records_in[0] += 1
+            ctx.current_key_value = record.key
+            self.operators[0].process(record, self._links[0])
+        else:
+            self._feed(0, record, ctx)
 
     def process_batch(self, batch: RecordBatch, ctx: OperatorContext) -> None:
         self._bind(ctx)

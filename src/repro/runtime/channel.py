@@ -9,11 +9,12 @@ single link reordering. Credit-based flow control (survey §3.3 backpressure)
 is per physical channel: senders block when a receiver stops returning
 credits, and the stall propagates upstream to the sources.
 
-Delivery is *batched*: elements with an identical arrival time coalesce into
-one scheduled kernel event carrying a list (up to ``spec.batch_size``), which
-amortises the per-element heap traffic. Credits are still accounted
-per record and FIFO order is preserved, so flow control and ordering
-semantics are byte-identical with batching on or off.
+Delivery is *batched*: elements of one channel with an identical arrival time
+coalesce into one list (up to ``spec.batch_size``), and lists scheduled back
+to back for one arrival time — by any channels of one job — travel as one
+kernel event, a *flight* (see :func:`_deliver_flight`). Credits are still
+accounted per record and FIFO order is preserved, so flow control and
+ordering semantics are byte-identical with batching on or off.
 """
 
 from __future__ import annotations
@@ -31,6 +32,27 @@ from repro.sim.random import SimRandom
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos.faults import ChannelFaultHook
     from repro.runtime.task import Task
+
+
+def _deliver_flight(entries: "list[tuple[PhysicalChannel, list[StreamElement], int]]") -> None:
+    """One kernel event handing each ``(channel, batch, epoch)`` to its
+    receiver, in the order the batches were scheduled. An entry is only ever
+    appended while the flight is the kernel's most recently scheduled event,
+    so separate events would have held consecutive ``seq`` at this timestamp
+    and dispatched in exactly this order."""
+    for channel, batch, epoch in entries:
+        if epoch != channel.epoch:
+            continue  # stale in-flight data from before a connection reset
+        if channel._open_batch is batch:
+            channel._open_batch = None
+        count = len(batch)
+        channel._in_flight -= count
+        channel.delivered += count
+        deliver = channel.receiver.deliver
+        index = channel.receiver_channel_index
+        via = channel._credit_via
+        for element in batch:
+            deliver(index, element, via)
 
 
 class PhysicalChannel:
@@ -131,24 +153,21 @@ class PhysicalChannel:
         batch = [element]
         self._open_batch = batch
         self._open_batch_arrival = arrival
-        self._kernel.call_at(arrival, self._deliver_batch, batch, self.epoch)
-
-    def _deliver_batch(self, batch: list[StreamElement], epoch: int) -> None:
-        if epoch != self.epoch:
-            return  # stale in-flight data from before a connection reset
-        if self._open_batch is batch:
-            self._open_batch = None
-        count = len(batch)
-        self._in_flight -= count
-        self.delivered += count
-        deliver = self.receiver.deliver
-        index = self.receiver_channel_index
-        via = self._credit_via
-        if count == 1:
-            deliver(index, batch[0], via)
-            return
-        for element in batch:
-            deliver(index, element, via)
+        kernel = self._kernel
+        last = kernel.last_scheduled
+        if (
+            last is not None
+            and last.fn is _deliver_flight
+            and last.time == arrival
+            and last.in_queue  # not yet dispatched, not parked
+            and not last.cancelled
+            and last.job == kernel.current_job  # a flight dies with one job
+        ):
+            # Nothing was scheduled since: this batch would dispatch right
+            # behind the flight's last entry, so it rides along.
+            last.args[0].append((self, batch, self.epoch))
+        else:
+            kernel.call_at(arrival, _deliver_flight, [(self, batch, self.epoch)])
 
     def inject_out_of_band(self, element: StreamElement, extra_delay: float = 0.0) -> None:
         """Deliver ``element`` outside the credit/FIFO path — a network-level

@@ -82,8 +82,6 @@ class EngineConfig:
     #: sample task metrics (queue lengths, utilization) every interval;
     #: required by the elasticity controller
     metrics_interval: float | None = None
-    #: how long after the last source finishes to keep draining (virtual s)
-    drain_grace: float = 0.0
     # --- physical optimisations (fast-path dispatch) ----------------------
     #: fuse adjacent forward-partitioned, same-parallelism logical nodes into
     #: one task (Flink-style operator chaining); records cross fused edges as

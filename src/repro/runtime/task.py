@@ -396,7 +396,8 @@ class Task:
         self._keygroup_counts = None
 
     def deliver(self, channel_index: int, element: StreamElement, via: Any = None) -> None:
-        """Channel callback: enqueue an element (dropped/parked when down)."""
+        """Channel callback: serve the element in place when the task is
+        idle and unheld, else enqueue it (dropped/parked when down)."""
         if self.dead:
             if self.ha_buffer is not None:
                 self.ha_buffer.append(_MailboxItem(channel_index, element))
@@ -431,6 +432,21 @@ class Task:
             if via is not None:
                 via.return_credit()
             return
+        if (
+            self._busy_until != _EVENT_PENDING  # first: a busy task stops here
+            and not self._mailbox
+            and not self._blocked_inputs
+            and not (self._suspended or self._txn_hold or self._output_blocked)
+            and self._txn_parked is None
+            and self._txn_gate is None
+        ):
+            now = self.kernel.now()
+            if now > self._busy_until:
+                # Idle and unheld: _maybe_schedule -> _process_next would pop
+                # this very element inline, so it is served without queueing.
+                self._busy_until = _EVENT_PENDING
+                self._serve(channel_index, element, via, now)
+                return
         self._mailbox.append(_MailboxItem(channel_index, element, via))
         self._maybe_schedule()
 
@@ -520,21 +536,24 @@ class Task:
         if item is None:
             self._busy_until = _IDLE
             return
+        self._serve(item.channel_index, item.element, item.via, self.kernel.now())
 
-        started = self.kernel.now()
-        cost = self._handle_item(item)
+    def _serve(self, channel_index: int, element: Any, via: Any, started: float) -> None:
+        """The one service body: ``deliver`` calls it for an element that
+        finds the task idle, ``_process_next`` for one popped off the mailbox."""
+        cost = self._handle_item(channel_index, element)
         completion = started + cost
         self.metrics.busy_time += cost
         if (
-            mailbox
-            or item.via is not None
+            self._mailbox
+            or via is not None
             or self._pending_output
             or self._side_pending
             or self._txn_gate is not None
             or self._reopened
             or self._output_blocked
         ):
-            self.kernel.call_at(completion, self._complete, item.via, self.incarnation)
+            self.kernel.call_at(completion, self._complete, via, self.incarnation)
         else:
             # The completion event would flush nothing, return no credit and
             # find nothing to pull: being busy until ``completion`` is all it
@@ -560,8 +579,7 @@ class Task:
     # ------------------------------------------------------------------
     # element handling (returns virtual cost)
     # ------------------------------------------------------------------
-    def _handle_item(self, item: _MailboxItem) -> float:
-        element = item.element
+    def _handle_item(self, channel_index: int, element: Any) -> float:
         if type(element) is LatencyMarker:
             # Fast path, hoisted ahead of the state/cost bookkeeping below:
             # markers never touch the operator, state, or timers, so the
@@ -619,7 +637,7 @@ class Task:
                 # teardown). Re-queue the rows, in order, ahead of
                 # everything else queued.
                 for record in reversed(list(element.records())):
-                    self._mailbox.appendleft(_MailboxItem(item.channel_index, record))
+                    self._mailbox.appendleft(_MailboxItem(channel_index, record))
                 return 0.0
             if self.reroute is not None:
                 # Live migration in flight: batch routing predates the new
@@ -639,18 +657,18 @@ class Task:
             self.operator.process_batch(element, self.ctx)
         elif isinstance(element, Watermark):
             self.metrics.watermarks_in += 1
-            timers_fired += self._handle_watermark(item.channel_index, element)
+            timers_fired += self._handle_watermark(channel_index, element)
         elif isinstance(element, Heartbeat):
             # Heartbeats advance progress like per-source watermarks and are
             # also forwarded for operators that want them.
-            timers_fired += self._advance_watermark(item.channel_index, element.timestamp)
+            timers_fired += self._advance_watermark(channel_index, element.timestamp)
             self.operator.on_heartbeat(element, self.ctx)
         elif isinstance(element, Punctuation):
             self.operator.on_punctuation(element, self.ctx)
         elif isinstance(element, CheckpointBarrier):
-            self._handle_barrier(item.channel_index, element)
+            self._handle_barrier(channel_index, element)
         elif isinstance(element, EndOfStream):
-            self._handle_eos(item.channel_index, element)
+            self._handle_eos(channel_index, element)
         else:
             self.operator.on_element(element, self.ctx)
 

@@ -111,6 +111,11 @@ class Kernel:
         self._soon: deque[EventHandle] = deque()
         self._same_time_bucket = same_time_bucket
         self._seq = itertools.count()
+        #: the event queued most recently (by ``call_at`` or ``resume_job``):
+        #: it holds the newest ``seq``, so whatever is scheduled next for its
+        #: time would dispatch right behind it. None once a ``cancel_job`` may
+        #: have condemned it. Read-only for callers (see channel flights)
+        self.last_scheduled: EventHandle | None = None
         self._running = False
         self._stopped = False
         self._dispatched = 0
@@ -159,7 +164,7 @@ class Kernel:
                     f"cannot schedule event at {time} before now={now}"
                 )
             time = now
-        event = EventHandle(self, time, next(self._seq), fn, args)
+        event = self.last_scheduled = EventHandle(self, time, next(self._seq), fn, args)
         job = self._current_job
         if job is not None:
             # Only a tagged event pays for namespace bookkeeping.
@@ -233,6 +238,7 @@ class Kernel:
         parked = self._parked.pop(job, None)
         if parked:
             condemned += len(parked)
+        self.last_scheduled = None
         self.jobs_cancelled += 1
         self._maybe_compact()
         return condemned
@@ -281,6 +287,7 @@ class Kernel:
                 self._soon.append(event)
             else:
                 heapq.heappush(self._queue, (event.time, event.seq, event))
+            self.last_scheduled = event
             replayed += 1
         return replayed
 

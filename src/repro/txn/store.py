@@ -135,6 +135,11 @@ class TxnStateStore:
         self.partitions = partitions
         self.config = config or TxnConfig()
         self._data: list[dict] = [dict() for _ in range(partitions)]
+        #: key -> partition memo: a transaction asks six times per key and
+        #: the answer hashes with blake2b. One int per distinct key asked
+        #: about, beside the value, version and lock the store already keeps
+        #: for it; ``partitions`` never changes after construction
+        self._partition_memo: dict[Any, int] = {}
         self._versions: dict[Any, int] = {}
         self._history: list[CommittedTxn] = []
         self._locks: dict[Any, _Lock] = {}
@@ -155,7 +160,10 @@ class TxnStateStore:
     # ------------------------------------------------------------------
     def partition_of(self, key: Any) -> int:
         """Deterministic, process-independent partition assignment."""
-        return stable_hash(key) % self.partitions
+        part = self._partition_memo.get(key)
+        if part is None:
+            part = self._partition_memo[key] = stable_hash(key) % self.partitions
+        return part
 
     def _now(self) -> float:
         return self._kernel.now() if self._kernel is not None else 0.0
@@ -596,6 +604,7 @@ class TxnStateStore:
         for txn in list(self._active.values()):
             self.abort(txn)
         self._locks.clear()
+        self._partition_memo.clear()
         self._history.clear()
         self._versions = {}
         self._data = [dict() for _ in range(self.partitions)]

@@ -128,9 +128,16 @@ class TestPartitionFilter:
         assert owns("anything")
 
 
+def flight_lists(kernel):
+    """Element values of each list in the flight scheduled last, in order."""
+    return [[e.value for e in batch] for _ch, batch, _epoch in kernel.last_scheduled.args[0]]
+
+
 class TestBatchedDelivery:
-    """Same-arrival-time elements coalesce into one kernel event; FIFO order
-    and per-record credit accounting are unchanged."""
+    """Same-arrival-time elements of one channel coalesce into one list of at
+    most ``batch_size``; FIFO order and per-record credit accounting are
+    unchanged. How many kernel events carry the lists is the flights' business
+    (TestDeliveryFlights): consecutive lists share one."""
 
     def _batched_channel(self, kernel, batch_size, capacity=None, jitter=0.0):
         task = FakeTask()
@@ -161,11 +168,12 @@ class TestBatchedDelivery:
         task, channel = self._batched_channel(kernel, batch_size=2)
         for i in range(5):
             channel.send(Record(value=i))
-        before = kernel.dispatched_events
+        # the knob caps one channel's list: ceil(5/2) = 3 lists (3 kernel
+        # events before flights; consecutive, so now one)
+        assert flight_lists(kernel) == [[0, 1], [2, 3], [4]]
         kernel.run()
-        # ceil(5/2) = 3 delivery events
-        assert kernel.dispatched_events - before == 3
         assert [e.value for _ch, e in task.received] == [0, 1, 2, 3, 4]
+        assert channel.sent == channel.delivered == 5
 
     def test_distinct_arrival_times_do_not_coalesce(self):
         kernel = Kernel()
@@ -193,10 +201,30 @@ class TestBatchedDelivery:
         task, channel = self._batched_channel(kernel, batch_size=1)
         for i in range(4):
             channel.send(Record(value=i))
-        before = kernel.dispatched_events
+        # one element per list, as ever (4 kernel events before flights)
+        assert flight_lists(kernel) == [[0], [1], [2], [3]]
         kernel.run()
-        assert kernel.dispatched_events - before == 4
         assert [e.value for _ch, e in task.received] == [0, 1, 2, 3]
+
+    def test_lists_of_two_channels_keep_their_scheduling_order(self):
+        """What ``batch_size > 1`` changes is the grouping within an instant:
+        a channel's later element joins its open list, ahead of another
+        channel's list scheduled in between — with or without flights."""
+        kernel = Kernel()
+        received = []
+
+        class Logging(FakeTask):
+            def deliver(self, channel_index, element, via=None):
+                received.append(element.value)
+
+        spec = ChannelSpec(latency=1e-4, batch_size=4)
+        a, b = (PhysicalChannel(kernel, spec, Logging(), 0, SimRandom(0, n)) for n in "ab")
+        a.send(Record(value="a1"))
+        b.send(Record(value="b1"))
+        a.send(Record(value="a2"))
+        assert flight_lists(kernel) == [["a1", "a2"], ["b1"]]
+        kernel.run()
+        assert received == ["a1", "a2", "b1"]
 
     def test_control_elements_keep_in_band_position(self):
         kernel = Kernel()
@@ -207,3 +235,141 @@ class TestBatchedDelivery:
         kernel.run()
         kinds = [type(e).__name__ for _ch, e in task.received]
         assert kinds == ["Record", "Watermark", "Record"]
+
+
+class TestDeliveryFlights:
+    """Lists scheduled back to back for one arrival time travel as one kernel
+    event; anything scheduled in between, for any time, starts a new one."""
+
+    def _two(self, kernel, latency=1e-4, **spec):
+        log = []
+
+        class Logging(FakeTask):
+            def __init__(self, name):
+                super().__init__()
+                self.name = name
+
+            def deliver(self, channel_index, element, via=None):
+                log.append((self.name, getattr(element, "value", "wm"), kernel.now()))
+                super().deliver(channel_index, element, via)
+
+        channels = [
+            PhysicalChannel(
+                kernel, ChannelSpec(latency=latency, **spec), Logging(name), 0, SimRandom(0, name)
+            )
+            for name in "ab"
+        ]
+        return log, channels
+
+    def test_consecutive_same_arrival_sends_share_one_event(self):
+        kernel = Kernel()
+        log, (a, b) = self._two(kernel)
+        a.send(Record(value=1))
+        b.send(Record(value=2))
+        a.send(Watermark(3.0))
+        kernel.run()
+        assert kernel.dispatched_events == 1
+        assert [(n, v) for n, v, _t in log] == [("a", 1), ("b", 2), ("a", "wm")]
+
+    def test_an_unrelated_event_between_two_sends_splits_the_flight(self):
+        """Scheduled for the arrival time it would have sat between the two
+        deliveries; scheduled for any other time it still took the ``seq``
+        that made them adjacent."""
+        for when, order in ((1e-4, "axb"), (5e-5, "xab"), (7.0, "abx")):
+            kernel = Kernel()
+            log, (a, b) = self._two(kernel)
+            a.send(Record(value=1))
+            kernel.call_at(when, lambda: log.append(("x", None, kernel.now())))
+            b.send(Record(value=2))
+            kernel.run()
+            assert kernel.dispatched_events == 3
+            assert "".join(n for n, _v, _t in log) == order
+
+    def test_a_different_arrival_time_starts_a_new_flight(self):
+        kernel = Kernel()
+        _log, (a, _b) = self._two(kernel)
+        _log, (slow, _b) = self._two(kernel, latency=2e-4)
+        a.send(Record(value=1))
+        slow.send(Record(value=2))
+        kernel.run()
+        assert kernel.dispatched_events == 2
+
+    def test_reset_of_one_channel_voids_one_entry(self):
+        kernel = Kernel()
+        log, (a, b) = self._two(kernel)
+        a.send(Record(value=1))
+        b.send(Record(value=2))
+        a.send(Record(value=3))
+        a.reset()
+        kernel.run()
+        assert kernel.dispatched_events == 1
+        assert [(n, v) for n, v, _t in log] == [("b", 2)]
+        assert (a.delivered, a.pending, b.delivered, b.pending) == (0, 0, 1, 0)
+
+    def test_a_cancelled_flight_is_not_extended(self):
+        kernel = Kernel()
+        log, (a, b) = self._two(kernel)
+        a.send(Record(value=1))
+        kernel.last_scheduled.cancel()
+        b.send(Record(value=2))
+        kernel.run()
+        assert [(n, v) for n, v, _t in log] == [("b", 2)]
+
+    def test_a_parked_flight_is_not_extended(self):
+        """A suspended job's flight is parked when it comes due — before the
+        clock moves, so a send made then computes the same arrival. It is a
+        new event; the parked one is replayed behind it on resume."""
+        kernel = Kernel()
+        log, (a, b) = self._two(kernel)
+        with kernel.job_scope("job"):
+            a.send(Record(value=1))
+            kernel.suspend_job("job")
+            kernel.run()
+            assert kernel.now() == 0.0 and not kernel.last_scheduled.in_queue
+            b.send(Record(value=2))
+        kernel.resume_job("job")
+        kernel.run()
+        assert [(n, v) for n, v, _t in log] == [("b", 2), ("a", 1)]
+
+    def test_a_flight_belongs_to_one_job(self):
+        kernel = Kernel()
+        log, (a, b) = self._two(kernel)
+        with kernel.job_scope("one"):
+            a.send(Record(value=1))
+        with kernel.job_scope("two"):
+            b.send(Record(value=2))
+        assert kernel.live_events_of("one") == kernel.live_events_of("two") == 1
+        kernel.cancel_job("one")
+        kernel.run()
+        assert [(n, v) for n, v, _t in log] == [("b", 2)]
+
+    def test_a_send_after_its_jobs_teardown_is_a_new_event(self):
+        """``cancel_job`` condemns the queued flight by generation; a send in
+        the same namespace afterwards must not ride in it."""
+        kernel = Kernel()
+        log, (a, b) = self._two(kernel)
+        with kernel.job_scope("job"):
+            a.send(Record(value=1))
+            kernel.cancel_job("job")
+            b.send(Record(value=2))
+        kernel.run()
+        assert [(n, v) for n, v, _t in log] == [("b", 2)]
+
+    def test_a_fault_hook_delay_lands_in_its_own_flight(self):
+        class Delay:
+            def intercept(self, channel, element):
+                return [(element, 1e-3)]
+
+        kernel = Kernel()
+        log, (a, b) = self._two(kernel)
+        b.fault_hook = Delay()
+        a.send(Record(value=1))
+        b.send(Record(value=2))
+        a.send(Record(value=3))
+        kernel.run()
+        assert kernel.dispatched_events == 3
+        assert [(n, v, round(t, 6)) for n, v, t in log] == [
+            ("a", 1, 1e-4),
+            ("a", 3, 1e-4),
+            ("b", 2, 1.1e-3),
+        ]

@@ -201,8 +201,12 @@ class TestKernelEventBudget:
         assert items == 408
         # 916 with a completion per item: the sink keeps 2 of its 102 (the last
         # record, watermark and end-of-stream share an instant), and each
-        # map's end-of-stream, flushed by the finish itself, keeps none
-        assert engine.kernel.dispatched_events == 813
+        # map's end-of-stream, flushed by the finish itself, keeps none: 813
+        # with one delivery event per element. Elements flushed together
+        # share a flight even at batch_size=1: the source's last record,
+        # watermark and end-of-stream travel as one event (-2) and each of
+        # the three stages' final watermark and end-of-stream as one (-3)
+        assert engine.kernel.dispatched_events == 813 - 5 == 808
         assert engine.kernel.dispatched_events <= 2 * items + source.emitted
 
     def test_an_input_that_emits_nothing_spends_one(self):
@@ -213,5 +217,32 @@ class TestKernelEventBudget:
         )
         assert len(sink.results) == 50
         assert items == 308
-        # the filter's 50 drops, 50 of the sink's 52 inputs, three end-of-streams
-        assert engine.kernel.dispatched_events == 716 - 103
+        # the filter's 50 drops, 50 of the sink's 52 inputs, three
+        # end-of-streams: 613 with one delivery event per element; the same
+        # five end-of-job elements as above ride in another's flight: 608
+        assert engine.kernel.dispatched_events == 716 - 103 - 5 == 608
+
+    def test_a_fan_out_spends_one_delivery_event_per_emission(self):
+        """One source, five filter heads, every edge the same latency: the
+        five deliveries of one record are scheduled back to back for one
+        arrival time and travel as one kernel event."""
+        env = StreamExecutionEnvironment(EngineConfig(chaining_enabled=False, channel_batch_size=1))
+        source = env.from_workload(CollectionWorkload(list(range(100)), rate=1000.0), name="src")
+        sinks = [CollectSink(f"out{m}") for m in range(5)]
+        for modulus, sink in enumerate(sinks):
+            source.filter(lambda v, m=modulus: v % 5 == m, name=f"head{modulus}").sink(sink)
+        engine = env.build()
+        env.execute()
+        assert [len(sink.results) for sink in sinks] == [20] * 5
+        heads = [engine.tasks[f"head{m}[0]"] for m in range(5)]
+        assert sum(h.metrics.records_in for h in heads) == 500
+        # 100 source timers, 115 completions (a head's 20 passed records and
+        # its last two inputs, less one where the last record passes; one or
+        # two per sink) and 201 delivery events: one per source emission
+        # carrying all five channels (the last record, watermark and
+        # end-of-stream leave in one flush, so fifteen lists in one event),
+        # one per record a head passes on, and one for the heads' final
+        # watermark and end-of-stream together — the five heads complete at
+        # one instant, back to back, so their flushes share a flight too.
+        # 620 delivery events and 835 in all with one per channel and element.
+        assert engine.kernel.dispatched_events == 100 + 115 + 201 == 416

@@ -1,6 +1,8 @@
 """Differential test: the kernel against its semantics written the slow,
 obvious way — one sorted list keyed by ``(time, seq)``; no heap, no same-time
-bucket, no dead-event accounting, no untagged fast path."""
+bucket, no dead-event accounting, no untagged fast path. ``last_scheduled``
+(what a delivery flight may be appended to) is part of the semantics: the
+event holding the newest ``seq``, or None after a ``cancel_job``."""
 
 import bisect
 import itertools
@@ -15,7 +17,7 @@ from repro.sim import Kernel
 class _RefEvent:
     def __init__(self, time, seq, fn, args, job, gen):
         self.time, self.seq, self.fn, self.args = time, seq, fn, args
-        self.job, self.gen, self.cancelled = job, gen, False
+        self.job, self.gen, self.cancelled, self.in_queue = job, gen, False, True
 
     def cancel(self):
         self.cancelled = True
@@ -25,7 +27,7 @@ class ReferenceScheduler:
     def __init__(self):
         self._now, self._seq, self._events = 0.0, itertools.count(), []
         self.current_job, self._gens, self._parked = None, {}, {}
-        self.dispatched_events = 0
+        self.dispatched_events, self.last_scheduled = 0, None
 
     def now(self):
         return self._now
@@ -44,6 +46,7 @@ class ReferenceScheduler:
         gen = self._gens.get(job, 0)
         event = _RefEvent(max(time, self._now), next(self._seq), fn, args, job, gen)
         self._insert(event)
+        self.last_scheduled = event
         return event
 
     def call_after(self, delay, fn, *args):
@@ -63,6 +66,7 @@ class ReferenceScheduler:
     def cancel_job(self, job):
         self._gens[job] = self._gens.get(job, 0) + 1
         self._parked.pop(job, None)
+        self.last_scheduled = None
 
     def suspend_job(self, job):
         self._parked.setdefault(job, [])
@@ -71,11 +75,14 @@ class ReferenceScheduler:
         for event in self._parked.pop(job, []):
             if not self._dead(event):
                 event.time, event.seq = max(self._now, event.time), next(self._seq)
+                event.in_queue = True
                 self._insert(event)
+                self.last_scheduled = event
 
     def run(self, until=None):
         while self._events and (until is None or self._events[0].time <= until):
             event = self._events.pop(0)
+            event.in_queue = False
             if self._dead(event):
                 continue
             if event.job in self._parked:
@@ -124,9 +131,18 @@ class Driver:
 
     def __init__(self, sched):
         self.sched, self.log, self.handles, self.labels = sched, [], [], itertools.count()
+        self.label_of = {}  # id(handle) -> label; the handles list keeps them alive
+
+    def last(self):
+        """``last_scheduled`` as a flight would test it: which event, at what
+        time, in whose namespace, and whether it can still be appended to."""
+        event = self.sched.last_scheduled
+        if event is None:
+            return None
+        return self.label_of[id(event)], event.time, event.job, event.in_queue and not event.cancelled
 
     def fire(self, label, children):
-        self.log.append((label, self.sched.now(), self.sched.current_job))
+        self.log.append((label, self.sched.now(), self.sched.current_job, self.last()))
         self.execute(children)
 
     def execute(self, ops):
@@ -147,11 +163,14 @@ class Driver:
                     else:
                         handle = sched.call_soon(fn, *args)
                 self.handles.append(handle)
+                self.label_of[id(handle)] = label
             elif op[0] == "cancel":
                 if self.handles:
                     self.handles[op[1] % len(self.handles)].cancel()
+                self.log.append(("cancel", self.last()))
             else:
                 getattr(sched, op[0])(op[1])
+                self.log.append((op[0], self.last()))
 
     def play(self, program):
         sched = self.sched
@@ -160,7 +179,8 @@ class Driver:
                 _, horizon, scope = step
                 with sched.job_scope(scope) if scope is not None else nullcontext():
                     sched.run(until=None if horizon is None else sched.now() + horizon)
-                self.log.append(("ran", sched.now(), sched.dispatched_events))
+                # a run parks what a suspended job has due: in_queue falls
+                self.log.append(("ran", sched.now(), sched.dispatched_events, self.last()))
             else:
                 self.execute(step)
         # Drain: a callback may suspend a job again, so resume until a round
