@@ -90,6 +90,7 @@ class IncrementalSnapshotter(KeyedStateBackend):
         self._next_id += 1
         for name, entries in self._inner.snapshot().items():
             snapshot.entries[name] = dict(entries)
+        self._inner.note_serialized(snapshot.entries)
         self._dirty.clear()
         self._deleted.clear()
         self._last_id = snapshot.snapshot_id
@@ -111,6 +112,7 @@ class IncrementalSnapshotter(KeyedStateBackend):
             if value is None:
                 continue
             snapshot.entries.setdefault(name, {})[key] = descriptor.serde.serialize(value)
+        self._inner.note_serialized(snapshot.entries)  # before the tombstones go in
         for name, key in self._deleted:
             snapshot.entries.setdefault(name, {})[key] = _DELETED
         self._dirty.clear()

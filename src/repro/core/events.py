@@ -17,7 +17,9 @@ strategy surveyed in §2.2.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable
 
 MAX_TIMESTAMP = float("inf")
@@ -34,9 +36,18 @@ class StreamElement:
         return isinstance(self, Record)
 
 
-@dataclass(frozen=True)
-class Record(StreamElement):
-    """A data element.
+_new_row = tuple.__new__
+
+
+class Record(
+    namedtuple(
+        "Record",
+        "value event_time key sign ingest_time trace",
+        defaults=(None, None, 1, None, None),
+    ),
+    StreamElement,
+):
+    """A data element: one immutable, tuple-backed row (one allocation).
 
     Attributes:
         value: the user payload (any Python object; dicts and tuples for the
@@ -50,34 +61,50 @@ class Record(StreamElement):
             sinks use ``now - ingest_time`` as end-to-end latency.
         trace: sampled :class:`~repro.obs.trace.TraceContext` propagated by
             the observability layer (``None`` for unsampled records).
-            Excluded from equality/repr so delivery auditing and logs are
-            unaffected by tracing.
+            Excluded from equality/hash/repr so delivery auditing and logs
+            are unaffected by tracing.
+
+    Copies are made with the ``with_*`` helpers and :meth:`as_retraction`;
+    each builds the new row in one ``tuple.__new__`` call. A record never
+    equals a plain tuple of its fields (DESIGN.md, "Data model").
     """
 
-    value: Any
-    event_time: float | None = None
-    key: Any = None
-    sign: int = 1
-    ingest_time: float | None = None
-    trace: Any = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self[:5] == other[:5]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
+
+    def __repr__(self) -> str:
+        return (
+            f"Record(value={self[0]!r}, event_time={self[1]!r}, key={self[2]!r}, "
+            f"sign={self[3]!r}, ingest_time={self[4]!r})"
+        )
 
     def with_value(self, value: Any) -> "Record":
         """Copy with a new value (time/key/sign preserved)."""
-        return Record(value, self.event_time, self.key, self.sign, self.ingest_time, self.trace)
+        return _new_row(Record, (value, self[1], self[2], self[3], self[4], self[5]))
 
     def with_key(self, key: Any) -> "Record":
         """Copy with a new partitioning key."""
-        return Record(self.value, self.event_time, key, self.sign, self.ingest_time, self.trace)
+        return _new_row(Record, (self[0], self[1], key, self[3], self[4], self[5]))
 
     def with_event_time(self, event_time: float) -> "Record":
         """Copy with a new event time."""
-        return Record(self.value, event_time, self.key, self.sign, self.ingest_time, self.trace)
+        return _new_row(Record, (self[0], event_time, self[2], self[3], self[4], self[5]))
+
+    def with_trace(self, trace: Any) -> "Record":
+        """Copy carrying a (new) sampled trace context."""
+        return _new_row(Record, (self[0], self[1], self[2], self[3], self[4], trace))
 
     def as_retraction(self) -> "Record":
         """Return the retraction twin of this record (flips the sign)."""
-        return Record(
-            self.value, self.event_time, self.key, -self.sign, self.ingest_time, self.trace
-        )
+        return _new_row(Record, (self[0], self[1], self[2], -self[3], self[4], self[5]))
 
     @property
     def is_retraction(self) -> bool:
@@ -135,17 +162,25 @@ class RecordBatch(StreamElement):
     def record_at(self, i: int) -> "Record":
         """The ``i``-th row as a scalar :class:`Record` (field-for-field)."""
         return Record(
-            value=self.values[i],
-            event_time=self.event_times[i] if self.event_times is not None else None,
-            key=self.keys[i] if self.keys is not None else None,
-            sign=self.signs[i] if self.signs is not None else 1,
-            ingest_time=self.ingest_times[i] if self.ingest_times is not None else None,
+            self.values[i],
+            self.event_times[i] if self.event_times is not None else None,
+            self.keys[i] if self.keys is not None else None,
+            self.signs[i] if self.signs is not None else 1,
+            self.ingest_times[i] if self.ingest_times is not None else None,
         )
 
     def records(self):
         """Iterate rows as scalar records (the explode half of the fallback)."""
-        for i in range(len(self.values)):
-            yield self.record_at(i)
+        none = repeat(None)
+        rows = zip(
+            self.values,
+            self.event_times if self.event_times is not None else none,
+            self.keys if self.keys is not None else none,
+            self.signs if self.signs is not None else repeat(1),
+            self.ingest_times if self.ingest_times is not None else none,
+            none,
+        )
+        return map(_new_row, repeat(Record), rows)
 
     def iter_keys(self):
         """Per-row keys (``None`` column expands to ``None`` per row)."""

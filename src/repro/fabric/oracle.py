@@ -17,11 +17,17 @@ import hashlib
 import json
 from typing import Any
 
+from repro.core.events import Record
+
 
 def _canonical(value: Any) -> Any:
     """JSON-stable projection of a sink value (dicts get sorted keys)."""
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(value, Record):
+        # a row nested in a payload digests as its repr (no trace), not as
+        # the six-field sequence its tuple base would flatten to
+        return repr(value)
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     return value

@@ -18,7 +18,7 @@ from repro.core.events import Record, RecordBatch
 from repro.core.operators.base import OperatorContext
 
 
-@dataclass
+@dataclass(slots=True)
 class SinkResult:
     value: Any
     event_time: float | None
@@ -90,12 +90,8 @@ class CollectSink(Sink):
     def write(self, record: Record, ctx: OperatorContext) -> None:
         self.results.append(
             SinkResult(
-                value=record.value,
-                event_time=record.event_time,
-                emitted_at=ctx.processing_time(),
-                ingest_time=record.ingest_time,
-                key=record.key,
-                sign=record.sign,
+                record.value, record.event_time, ctx.processing_time(),
+                record.ingest_time, record.key, record.sign,
             )
         )
 
@@ -110,12 +106,8 @@ class CollectSink(Sink):
         for record in batch.records():
             append(
                 SinkResult(
-                    value=record.value,
-                    event_time=record.event_time,
-                    emitted_at=emitted_at,
-                    ingest_time=record.ingest_time,
-                    key=record.key,
-                    sign=record.sign,
+                    record.value, record.event_time, emitted_at,
+                    record.ingest_time, record.key, record.sign,
                 )
             )
 
@@ -233,12 +225,8 @@ class TransactionalSink(Sink):
     def write(self, record: Record, ctx: OperatorContext) -> None:
         self._open_epoch.buffered.append(
             SinkResult(
-                value=record.value,
-                event_time=record.event_time,
-                emitted_at=ctx.processing_time(),
-                ingest_time=record.ingest_time,
-                key=record.key,
-                sign=record.sign,
+                record.value, record.event_time, ctx.processing_time(),
+                record.ingest_time, record.key, record.sign,
             )
         )
 
@@ -250,12 +238,8 @@ class TransactionalSink(Sink):
         for record in batch.records():
             append(
                 SinkResult(
-                    value=record.value,
-                    event_time=record.event_time,
-                    emitted_at=emitted_at,
-                    ingest_time=record.ingest_time,
-                    key=record.key,
-                    sign=record.sign,
+                    record.value, record.event_time, emitted_at,
+                    record.ingest_time, record.key, record.sign,
                 )
             )
 

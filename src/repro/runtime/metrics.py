@@ -28,6 +28,8 @@ class TaskMetrics:
     blocked_time: float = 0.0
     state_reads: int = 0
     state_writes: int = 0
+    #: records (a batch counts its rows) that arrived while the task was
+    #: dead or were shed; control elements lost with them are not records
     dropped: int = 0
     #: (virtual time, mailbox length) samples — bounded ring buffer; the
     #: elasticity controller only ever looks at a recent window anyway

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.core.events import (
@@ -401,10 +401,13 @@ class Task:
         if self.dead:
             if self.ha_buffer is not None:
                 self.ha_buffer.append(_MailboxItem(channel_index, element))
-            else:
+            elif isinstance(element, Record):
+                self.metrics.dropped += 1
+            elif isinstance(element, RecordBatch):
                 # A batch drops all its rows at once; conservation oracles
-                # count records, not elements.
-                self.metrics.dropped += len(element) if isinstance(element, RecordBatch) else 1
+                # count records, not elements (a lost watermark, marker or
+                # barrier is not a lost record).
+                self.metrics.dropped += len(element)
             # Either way, return the credit so the channel doesn't leak
             # capacity while we are down.
             if via is not None:
@@ -708,7 +711,7 @@ class Task:
             for index in range(self._trace_mark, len(pending)):
                 out = pending[index]
                 if isinstance(out, Record):
-                    pending[index] = replace(out, trace=child)
+                    pending[index] = out.with_trace(child)
         profiler = self._profiler
         if profiler is not None:
             name = self.name
@@ -1416,7 +1419,7 @@ class SourceTask(Task):
         record = Record(value=value, event_time=event_time, ingest_time=now)
         tracer = self._tracer
         if tracer is not None and tracer.sample():
-            record = replace(record, trace=tracer.begin_root(self.name, now))
+            record = record.with_trace(tracer.begin_root(self.name, now))
         if event_time is not None:
             self._max_event_time = max(self._max_event_time, event_time)
         self.collect_output(record)

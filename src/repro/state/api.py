@@ -306,6 +306,13 @@ class KeyedStateBackend:
             len(data) for entries in self.snapshot().values() for data in entries.values()
         )
 
+    def note_serialized(self, entries: dict[str, dict[Any, bytes]]) -> None:
+        """A capture just serialized these live entries (descriptor name →
+        key → bytes, the shape :meth:`snapshot` returns). Backends that
+        cache entry sizes for :meth:`snapshot_bytes` take the lengths, so
+        the sizing query that follows a capture does not serialize the same
+        entries again; the default keeps no cache and ignores them."""
+
     def extract_keys(self, predicate: Callable[[Any], bool]) -> dict[str, dict[Any, bytes]]:
         """Remove and return all state for keys matching ``predicate``
         (live migration: the moving key groups are extracted here and

@@ -143,21 +143,30 @@ class InMemoryStateBackend(KeyedStateBackend):
         return removed
 
     # --- incremental sizing ------------------------------------------------
-    def _flush_sizes(self) -> None:
-        """Serialize entries written since the last sizing query (O(churn))."""
+    def _flush_sizes(self, serialized: dict[str, dict[Any, bytes]] | None = None) -> None:
+        """Size entries written since the last sizing query (O(churn)),
+        from ``serialized`` where a capture already holds their bytes."""
         if self._has_ttl and self._clock is not None:
             self.sweep_expired()
         if not self._size_dirty:
             return
+        nothing: dict[Any, bytes] = {}
         for name, key in self._size_dirty:
             value = self._data.get(name, {}).get(key)
             if value is None:
                 continue  # deleted/expired entries already left the total
-            descriptor = self._descriptors[name]
-            size = len(descriptor.serde.serialize(value))
-            self._sizes[name][key] = size
+            data = serialized.get(name, nothing).get(key) if serialized else None
+            if data is None:
+                data = self._descriptors[name].serde.serialize(value)
+            self._sizes[name][key] = size = len(data)
             self._size_total += size
         self._size_dirty.clear()
+
+    def note_serialized(self, entries: dict[str, dict[Any, bytes]]) -> None:
+        """A capture's bytes are the sizing query's too: flush the size
+        cache from them now, so the :meth:`snapshot_bytes` that follows a
+        capture serializes nothing a second time."""
+        self._flush_sizes(entries)
 
     def total_entries(self) -> int:
         """Live (descriptor, key) pairs, from O(1) incremental accounting."""

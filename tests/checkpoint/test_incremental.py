@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.checkpoint.incremental import IncrementalSnapshotter, restore_chain
+from repro.checkpoint.incremental import _DELETED, IncrementalSnapshotter, restore_chain
+from repro.core.serde import PickleSerde
 from repro.errors import CheckpointError
 from repro.state import InMemoryStateBackend, ValueStateDescriptor
 
@@ -94,3 +95,48 @@ class TestRestoreChain:
         chain = self.build_chain()
         with pytest.raises(CheckpointError, match="broken chain"):
             restore_chain(InMemoryStateBackend(), [chain[0], chain[2]])
+
+
+class _CountingSerde(PickleSerde):
+    def __init__(self):
+        self.serialized = 0
+
+    def serialize(self, value):
+        self.serialized += 1
+        return super().serialize(value)
+
+
+class TestCaptureSerialisesOnce:
+    """The engine sizes the backend right after every capture
+    (``_record_capture_metrics``): the capture hands the entries it
+    serialized to the size cache, so the sizing query serializes nothing
+    again."""
+
+    def test_capture_then_sizing_serializes_each_captured_entry_once(self):
+        serde = _CountingSerde()
+        desc = ValueStateDescriptor("acc", serde=serde)
+        snapshotter = IncrementalSnapshotter(InMemoryStateBackend())
+        snapshotter.register(desc)
+        for capture in range(6):
+            for key in range(capture, capture + 40):
+                snapshotter.put(desc, key, (key, capture, "payload"))
+            snapshotter.delete(desc, capture)
+            before = serde.serialized
+            # captures 0 and 3 rebase, as a full chain segment would
+            delta = snapshotter.full_snapshot() if capture % 3 == 0 else snapshotter.delta_snapshot()
+            size = snapshotter.snapshot_bytes()
+            live = [data for data in delta.entries["acc"].values() if data != _DELETED]
+            assert len(live) >= 39
+            assert serde.serialized - before == len(live)
+            assert size == sum(len(data) for data in snapshotter.snapshot()["acc"].values())
+
+    def test_a_write_after_the_capture_is_sized_again(self):
+        snapshotter = make()
+        snapshotter.put(DESC, "a", "short")
+        snapshotter.delta_snapshot()
+        before = snapshotter.snapshot_bytes()
+        snapshotter.put(DESC, "a", "a much longer value than before")
+        assert snapshotter.snapshot_bytes() > before
+        snapshotter.delta_snapshot()
+        snapshotter.delete(DESC, "a")
+        assert snapshotter.snapshot_bytes() == 0

@@ -6,6 +6,8 @@ records it carries (explode/rebuild round-trips), and every operator's
 exactly what per-record ``process`` calls would."""
 
 from helpers import StubContext
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.events import Record, RecordBatch, Watermark
 from repro.core.operators.base import Operator
@@ -33,6 +35,26 @@ class TestRecordBatchStructure:
         rebuilt = RecordBatch.from_records(list(batch.records()))
         assert list(rebuilt.records()) == list(batch.records())
         assert len(rebuilt) == 4
+
+    @given(
+        st.lists(
+            st.builds(
+                Record,
+                st.integers(),
+                st.none() | st.floats(allow_nan=False),
+                st.none() | st.integers(),
+                st.sampled_from([1, -1]),
+                st.none() | st.floats(allow_nan=False),
+            ),
+            max_size=6,
+        )
+    )
+    def test_explode_is_the_inverse_of_rebuild(self, rows):
+        batch = RecordBatch.from_records(rows)
+        exploded = list(batch.records())
+        assert exploded == rows
+        assert all(type(r) is Record and r.trace is None for r in exploded)
+        assert [batch.record_at(i) for i in range(len(batch))] == rows
 
     def test_from_records_normalises_trivial_columns(self):
         records = [Record(value=i) for i in range(3)]

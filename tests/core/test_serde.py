@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.events import Record
 from repro.core.serde import JsonSerde, PickleSerde
 from repro.errors import SerializationError
 
@@ -57,3 +58,24 @@ class TestJsonSerde:
     def test_output_is_canonical(self):
         serde = JsonSerde()
         assert serde.serialize({"b": 1, "a": 2}) == serde.serialize({"a": 2, "b": 1})
+
+
+class TestRowsAndSerdes:
+    """Tuple-leak audit: what a serde sees when handed a tuple-backed row.
+    No operator stores rows in state (tests/macro pins that), so these pin
+    the surface a user's own state could reach."""
+
+    def test_json_serde_encodes_a_row_as_a_plain_array(self):
+        # json has no hook for tuple subclasses: a row goes out as an array
+        # and comes back as a list (before, a row was a SerializationError).
+        serde = JsonSerde()
+        data = serde.serialize(Record("v", 1.0, "k"))
+        assert data == b'["v",1.0,"k",1,null,null]'
+        assert serde.deserialize(data) == ["v", 1.0, "k", 1, None, None]
+
+    def test_pickle_serde_copies_a_row_as_a_row(self):
+        serde = PickleSerde()
+        row = Record({"a": [1]}, 1.0, "k", -1, 0.5, trace=("t", 1))
+        copy = serde.copy(row)
+        assert type(copy) is Record and copy == row and copy.trace == row.trace
+        assert copy.value is not row.value

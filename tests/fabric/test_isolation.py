@@ -96,3 +96,24 @@ def test_stalled_tenant_does_not_block_others():
     assert result.tenant("hog").state == "failed"
     assert result.tenant("subject").state == "done"
     assert sink_digest(sink) == alone
+
+
+def test_a_row_nested_in_a_payload_digests_as_its_repr():
+    """Tuple-leak audit: a ``Record`` is a tuple, and both ``_canonical`` and
+    ``json.dumps`` flatten tuples — a row inside a sink value would digest
+    as its six fields, sampled trace included. It digests as ``repr`` (what
+    ``default=repr`` produced before rows were tuple-backed)."""
+    from helpers import StubContext
+
+    from repro.core.events import Record
+    from repro.io.sinks import CollectSink
+
+    def digest(payload):
+        sink = CollectSink()
+        sink.write(Record(payload, 1.0), StubContext())
+        return sink_digest(sink)
+
+    row = Record("v", 2.0, "k", -1, 0.5)
+    assert digest({"row": row, "rows": [row]}) == digest({"row": repr(row), "rows": [repr(row)]})
+    assert digest({"row": row}) == digest({"row": row.with_trace(("trace", 7))})
+    assert digest({"row": row}) != digest({"row": tuple(row)})

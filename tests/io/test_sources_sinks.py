@@ -4,8 +4,8 @@ import pytest
 
 from helpers import StubContext
 
-from repro.core.events import Record
-from repro.io.sinks import CollectSink, DedupSink, TransactionalSink, latency_stats
+from repro.core.events import Record, RecordBatch
+from repro.io.sinks import CollectSink, DedupSink, SinkResult, TransactionalSink, latency_stats
 from repro.io.sources import (
     ClickstreamWorkload,
     CollectionWorkload,
@@ -102,6 +102,40 @@ class TestSinks:
         ctx.set_time(1.5)
         sink.write(Record(value="x", ingest_time=1.0), ctx)
         assert sink.latencies() == [0.5]
+
+    def test_sink_result_is_slotted_and_keeps_its_surface(self):
+        result = SinkResult("x", 2.0, 1.5, 1.0, "k", -1)
+        assert not hasattr(result, "__dict__")
+        assert result.latency == 0.5
+        assert SinkResult("x", None, 1.5).latency is None
+        assert result == SinkResult(
+            value="x", event_time=2.0, emitted_at=1.5, ingest_time=1.0, key="k", sign=-1
+        )
+        assert result != SinkResult("x", 2.0, 1.5, 1.0, "k", 1)
+        assert repr(result) == (
+            "SinkResult(value='x', event_time=2.0, emitted_at=1.5, "
+            "ingest_time=1.0, key='k', sign=-1)"
+        )
+
+    @pytest.mark.parametrize("sink_type", [CollectSink, TransactionalSink])
+    def test_every_write_path_copies_the_record_field_for_field(self, sink_type):
+        # The sinks build results positionally: a swapped argument would
+        # still construct, so pin each field through write and write_batch.
+        rows = [
+            Record("a", 2.0, "k", -1, 1.0),
+            Record("b", 3.0, "j", 1, 1.25),
+        ]
+        ctx = StubContext()
+        ctx.set_time(1.5)
+        expected = [SinkResult(r.value, r.event_time, 1.5, r.ingest_time, r.key, r.sign) for r in rows]
+        for write in (
+            lambda sink: [sink.write(r, ctx) for r in rows],
+            lambda sink: sink.write_batch(RecordBatch.from_records(rows), ctx),
+        ):
+            sink = sink_type()
+            write(sink)
+            sink.flush(ctx)
+            assert (sink.results if sink_type is CollectSink else sink.committed) == expected
 
     def test_latency_stats_percentiles(self):
         stats = latency_stats([float(i) for i in range(1, 101)])

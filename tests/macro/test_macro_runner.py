@@ -155,3 +155,19 @@ def test_columnar_batch_respects_txn_hold():
     job.env.build()
     job.env.execute()
     assert len(job.sink_tuples("q5")) == job.store.committed
+
+
+def test_no_row_is_pickled_while_the_macro_job_checkpoints(monkeypatch):
+    """Snapshot bytes are virtual time (they price the persist phase), so a
+    type that is pickled into a snapshot may not change its serialized form.
+    ``Record`` is free to: windows, aggregates, the ML operator and the txn
+    store keep payloads, never rows, in checkpointed state."""
+    from repro.core.events import Record
+
+    def refuse(self, protocol):
+        raise AssertionError("a Record reached a serializer")
+
+    monkeypatch.setattr(Record, "__reduce_ex__", refuse, raising=False)
+    cell = MacroRunner(seed=0, scale=0.1).run_config(ENGINE_CONFIGS["incremental"])
+    assert cell["checkpoints_completed"] > 0
+    assert cell["checkpoint_bytes_total"] > 0

@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.datastream import StreamExecutionEnvironment
-from repro.core.events import CheckpointBarrier, EndOfStream, Record
+from repro.core.events import (
+    CheckpointBarrier,
+    EndOfStream,
+    LatencyMarker,
+    Record,
+    RecordBatch,
+    Watermark,
+)
 from repro.core.graph import ChannelSpec
 from repro.core.keys import field_selector
 from repro.core.operators.base import Operator
@@ -325,6 +332,23 @@ class TestDirectDispatch:
             task.deliver(0, Record(value=1))
             assert task.operator.seen == [] and task.mailbox_size == 0
         assert dead.metrics.dropped == 1
+
+    def test_a_dead_task_counts_lost_records_not_lost_elements(self):
+        """``dropped`` feeds "Records dropped", the conservation oracle and
+        ``FailoverReport.lost_deliveries``: control elements are not records,
+        a batch is all its rows, and every element's credit still returns."""
+        task = _task(Kernel(), _Probe())
+        task.kill()
+        via = mock.Mock()
+        task.deliver(0, Watermark(1.0), via)
+        task.deliver(0, LatencyMarker(emitted_at=0.0, marker_id=1), via)
+        task.deliver(0, Record(value=1), via)
+        assert task.metrics.dropped == 1
+        task.deliver(0, CheckpointBarrier(checkpoint_id=1, timestamp=0.0), via)
+        task.deliver(0, RecordBatch(values=[1, 2, 3]), via)
+        task.deliver(0, EndOfStream(), via)
+        assert task.metrics.dropped == 4
+        assert via.return_credit.call_count == 6
 
 
 # ----------------------------------------------------------------------
