@@ -14,7 +14,7 @@ fixed overhead. Two measurements reproduce the shape:
 import time
 
 import numpy as np
-from conftest import fmt, print_table
+from conftest import best_of, fmt, print_table
 
 from repro.core.datastream import StreamExecutionEnvironment
 from repro.hardware import (
@@ -68,15 +68,25 @@ def pipeline_throughput(batch, use_accelerator):
     return 4096 / makespan
 
 
-def wallclock_rows():
+def wallclock_rows(rounds=5):
+    """Scalar and vectorized wall time, each the fastest of ``rounds``
+    attempts (single-shot timings made the gate below flaky). The sides
+    alternate round by round, so a slow spell of the host hits both."""
     values = [float(i % 13) for i in range(200_000)]
     array = np.array(values)
-    start = time.perf_counter()
-    scalar_window_sums(values, 64)
-    scalar_time = time.perf_counter() - start
-    start = time.perf_counter()
-    vectorized_window_sums(array, 64)
-    vector_time = time.perf_counter() - start
+
+    def timed(window_sums, data):
+        start = time.perf_counter()
+        window_sums(data, 64)
+        return time.perf_counter() - start
+
+    def fastest(seconds):
+        return -seconds
+
+    scalar_time = vector_time = float("inf")
+    for _ in range(rounds):
+        scalar_time = min(scalar_time, best_of(lambda: timed(scalar_window_sums, values), 1, fastest))
+        vector_time = min(vector_time, best_of(lambda: timed(vectorized_window_sums, array), 1, fastest))
     return scalar_time, vector_time
 
 

@@ -10,7 +10,6 @@ from repro.core.operators.basic import (
     ProcessOperator,
     ReduceOperator,
     SinkOperator,
-    StatelessChain,
     UnionOperator,
 )
 from repro.core.operators.chain import ChainedOperator
@@ -27,6 +26,5 @@ __all__ = [
     "ProcessOperator",
     "ReduceOperator",
     "SinkOperator",
-    "StatelessChain",
     "UnionOperator",
 ]

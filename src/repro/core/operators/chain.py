@@ -40,6 +40,14 @@ from repro.core.events import (
     Watermark,
 )
 from repro.core.operators.base import Operator, OperatorContext
+from repro.core.operators.basic import FilterOperator, FlatMapOperator, KeyByOperator, MapOperator
+
+_new_row = tuple.__new__
+
+#: fused-run step kinds, keyed by a member's *exact* type: a subclass may
+#: override ``process`` and keeps it
+_MAP, _FILTER, _FLAT_MAP, _KEY_BY = range(4)
+_FUSABLE = {MapOperator: _MAP, FilterOperator: _FILTER, FlatMapOperator: _FLAT_MAP, KeyByOperator: _KEY_BY}
 
 
 class _LinkContext(OperatorContext):
@@ -56,8 +64,8 @@ class _LinkContext(OperatorContext):
         self._chain = chain
         self._index = index
         self._parent: OperatorContext | None = None
-        #: id(descriptor) -> member-scoped descriptor (stable per operator)
-        self._scoped: dict[int, Any] = {}
+        #: descriptor -> (that descriptor, its member-scoped copy)
+        self._scoped: dict[Any, tuple[Any, Any]] = {}
 
     # --- identity -------------------------------------------------------
     @property
@@ -74,20 +82,10 @@ class _LinkContext(OperatorContext):
 
     # --- output ---------------------------------------------------------
     def emit(self, element: StreamElement) -> None:
-        chain = self._chain
-        index = self._index + 1
-        parent = self._parent
-        if type(element) is Record and element.trace is None and index < chain._length:
-            # The record path: what _feed does for an untraced record,
-            # without its type ladder.
-            chain.member_records_in[index] += 1
-            cost = chain._extra_costs[index]
-            if cost:
-                parent.add_cost(cost)
-            parent.current_key_value = element.key
-            chain.operators[index].process(element, chain._links[index])
+        if type(element) is Record and element[5] is None:  # untraced
+            self._chain._enter(self._index + 1, element, self._parent)
         else:
-            chain._feed(index, element, parent)
+            self._chain._feed(self._index + 1, element, self._parent)
 
     def emit_watermark(self, timestamp: float) -> None:
         self.emit(Watermark(timestamp))
@@ -120,11 +118,14 @@ class _LinkContext(OperatorContext):
         return self._parent.state(self._scope(descriptor))
 
     def _scope(self, descriptor: Any) -> Any:
-        scoped = self._scoped.get(id(descriptor))
-        if scoped is None:
-            scoped = replace(descriptor, name=f"chain{self._index}/{descriptor.name}")
-            self._scoped[id(descriptor)] = scoped
-        return scoped
+        # Keyed on the descriptor's value (class and name: what == means for
+        # descriptors) and checked field by field, never on id(): a freed
+        # descriptor's id is recycled, and its scoped copy would be reused.
+        entry = self._scoped.get(descriptor)
+        if entry is None or (entry[0] is not descriptor and vars(entry[0]) != vars(descriptor)):
+            entry = (descriptor, replace(descriptor, name=f"chain{self._index}/{descriptor.name}"))
+            self._scoped[descriptor] = entry
+        return entry[1]
 
     def operator_state(self, name: str, default: Any = None) -> Any:
         return self._parent.operator_state(f"chain{self._index}/{name}", default)
@@ -145,8 +146,8 @@ class ChainedOperator(Operator):
     """Runs a pipeline of operators fused into one task.
 
     ``extra_costs[i]`` is the virtual CPU charged when a record *enters*
-    member ``i`` — index 0 is normally 0.0 because the head's cost is carried
-    by the owning task's ``processing_cost``.
+    member ``i`` — index 0 is never charged because the head's cost is
+    carried by the owning task's ``processing_cost``.
     """
 
     def __init__(
@@ -162,12 +163,22 @@ class ChainedOperator(Operator):
         self._extra_costs = list(extra_costs) if extra_costs else [0.0] * len(self.operators)
         if len(self._extra_costs) != len(self.operators):
             raise ValueError("extra_costs must match the number of chained operators")
+        self._extra_costs[0] = 0.0
         self._links = [_LinkContext(self, i) for i in range(len(self.operators))]
         self._length = len(self.operators)
         self._bound: OperatorContext | None = None
         #: per-member records entered — published as registry gauges by the
         #: observability layer (resets with the operator on reincarnation)
         self.member_records_in = [0] * self._length
+        #: ``_runs[i]``: the steps from member ``i`` to the end of its fused
+        #: run, or None where member ``i`` is not fusable (and past the tail)
+        self._runs: list[tuple | None] = [None] * (self._length + 1)
+        steps: tuple = ()
+        for index in range(self._length - 1, -1, -1):
+            op = self.operators[index]
+            kind = _FUSABLE.get(type(op))
+            steps = () if kind is None else ((kind, op.fn, self._extra_costs[index], index), *steps)
+            self._runs[index] = steps or None
 
     # ------------------------------------------------------------------
     def _bind(self, ctx: OperatorContext) -> None:
@@ -176,8 +187,50 @@ class ChainedOperator(Operator):
             for link in self._links:
                 link._parent = ctx
 
+    def _enter(self, index: int, record: Record, ctx: OperatorContext) -> None:
+        """An untraced plain ``record`` enters member ``index`` (past the
+        tail: out). The one record path — the head, every link and the end of
+        every fused run come through here — with the effects ``_feed`` has for
+        such a record, member by member, in the same order."""
+        steps = self._runs[index]
+        if steps is not None:
+            # A fused run, in one loop (DESIGN.md, "Fused runs"). Rows are
+            # (value, event_time, key, sign, ingest_time, trace=None here).
+            counts = self.member_records_in
+            for kind, fn, cost, index in steps:
+                counts[index] += 1
+                if cost:
+                    ctx.add_cost(cost)
+                ctx.current_key_value = record[2]
+                if kind == _MAP:
+                    record = _new_row(Record, (fn(record[0]), record[1], record[2], record[3], record[4], None))
+                elif kind == _FILTER:
+                    if not fn(record[0]):
+                        return
+                elif kind == _KEY_BY:
+                    record = _new_row(Record, (record[0], record[1], fn(record[0]), record[3], record[4], None))
+                else:
+                    # flat_map: each output crosses the rest of the chain
+                    # before the next is drawn, as through emit
+                    for value in fn(record[0]):
+                        row = _new_row(Record, (value, record[1], record[2], record[3], record[4], None))
+                        self._enter(index + 1, row, ctx)
+                    return
+            # The run is maximal: the member after it is not fusable.
+            index += 1
+        if index == self._length:
+            ctx.emit(record)
+            return
+        self.member_records_in[index] += 1
+        cost = self._extra_costs[index]
+        if cost:
+            ctx.add_cost(cost)
+        ctx.current_key_value = record[2]
+        self.operators[index].process(record, self._links[index])
+
     def _feed(self, index: int, element: StreamElement, ctx: OperatorContext) -> None:
-        """Push ``element`` into chain member ``index`` (past the tail: out)."""
+        """Push any ``element`` into chain member ``index`` (past the tail:
+        out) — batches, control elements, traced records, subclasses."""
         if index >= self._length:
             ctx.emit(element)
             return
@@ -185,10 +238,9 @@ class ChainedOperator(Operator):
         link = self._links[index]
         if isinstance(element, Record):
             self.member_records_in[index] += 1
-            if index:
-                cost = self._extra_costs[index]
-                if cost:
-                    ctx.add_cost(cost)
+            cost = self._extra_costs[index]
+            if cost:
+                ctx.add_cost(cost)
             if element.trace is not None:
                 # Record a member sub-span under the task's active span so
                 # traces expose the per-operator breakdown inside the fused
@@ -208,12 +260,11 @@ class ChainedOperator(Operator):
         elif isinstance(element, RecordBatch):
             n = len(element)
             self.member_records_in[index] += n
-            if index:
-                cost = self._extra_costs[index]
-                if cost:
-                    # Same per-member charge the scalar path pays, amortised
-                    # into one add_cost call for the whole batch.
-                    ctx.add_cost(cost * n)
+            cost = self._extra_costs[index]
+            if cost:
+                # Same per-member charge the scalar path pays, amortised
+                # into one add_cost call for the whole batch.
+                ctx.add_cost(cost * n)
             op.process_batch(element, link)
         elif isinstance(element, Watermark):
             op.on_watermark(element, link)
@@ -256,12 +307,8 @@ class ChainedOperator(Operator):
     def process(self, record: Record, ctx: OperatorContext) -> None:
         if self._bound is not ctx:
             self._bind(ctx)
-        if type(record) is Record and record.trace is None:
-            # Head of the record path (see _LinkContext.emit); the head's
-            # cost is the task's own processing_cost.
-            self.member_records_in[0] += 1
-            ctx.current_key_value = record.key
-            self.operators[0].process(record, self._links[0])
+        if type(record) is Record and record[5] is None:  # untraced
+            self._enter(0, record, ctx)
         else:
             self._feed(0, record, ctx)
 

@@ -39,7 +39,7 @@ from repro.checkpoint.incremental import IncrementalSnapshotter
 from repro.core.keys import key_group_for
 from repro.core.operators.base import Operator, OperatorContext
 from repro.errors import RuntimeStateError
-from repro.obs.profile import NULL_PROFILE_SCOPE, ProfileScope
+from repro.obs.profile import NULL_PROFILE_SCOPE, Profiler, ProfileScope
 from repro.obs.trace import TraceContext
 from repro.progress.watermarks import WatermarkMerger, WatermarkStrategy
 from repro.runtime.channel import OutputGate
@@ -289,6 +289,8 @@ class Task:
         self._obs: "Observability | None" = None
         self._tracer: Any = None
         self._profiler: Any = None
+        #: this task's flame paths, one per lane the run loop charges
+        self._flame_paths = tuple(f"{name};{lane}" for lane in Profiler.LANES)
         self._active_span: Any = None
         self._trace_mark = 0
 
@@ -714,13 +716,15 @@ class Task:
                     pending[index] = out.with_trace(child)
         profiler = self._profiler
         if profiler is not None:
-            name = self.name
-            if record_units:
-                profiler.charge(f"{name};process", self.processing_cost * record_units)
+            process_path, timers_path, state_path, extra_path = self._flame_paths
+            if record_units and self.processing_cost:
+                profiler.charge(process_path, self.processing_cost * record_units)
             if timers_fired:
-                profiler.charge(f"{name};timers", timers_fired * self.timer_cost)
-            profiler.charge(f"{name};state", state_cost)
-            profiler.charge(f"{name};extra", extra_cost)
+                profiler.charge(timers_path, timers_fired * self.timer_cost)
+            if state_cost:
+                profiler.charge(state_path, state_cost)
+            if extra_cost:
+                profiler.charge(extra_path, extra_cost)
         return cost
 
     def _handle_watermark(self, channel_index: int, watermark: Watermark) -> int:
@@ -1416,7 +1420,7 @@ class SourceTask(Task):
         """Emit one record now (+ the watermark its strategy yields): the
         scalar emission body shared by the pull loop and :meth:`inject`."""
         now = self.kernel.now()
-        record = Record(value=value, event_time=event_time, ingest_time=now)
+        record = Record(value, event_time, None, 1, now)
         tracer = self._tracer
         if tracer is not None and tracer.sample():
             record = record.with_trace(tracer.begin_root(self.name, now))

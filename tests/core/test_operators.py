@@ -11,8 +11,8 @@ from repro.core.operators.basic import (
     MapOperator,
     ProcessOperator,
     ReduceOperator,
-    StatelessChain,
 )
+from repro.core.operators.chain import ChainedOperator
 
 
 class TestMapFilterFlatMap:
@@ -129,10 +129,10 @@ class TestDefaultDispatch:
         assert any(isinstance(e, EndOfStream) for e in ctx.emitted)
 
 
-class TestStatelessChain:
+class TestChainedOperator:
     def test_chains_apply_in_order(self):
         ctx = StubContext()
-        chain = StatelessChain([
+        chain = ChainedOperator([
             MapOperator(lambda v: v + 1),
             FilterOperator(lambda v: v % 2 == 0),
             FlatMapOperator(lambda v: [v, v]),
@@ -145,4 +145,4 @@ class TestStatelessChain:
         import pytest
 
         with pytest.raises(ValueError):
-            StatelessChain([])
+            ChainedOperator([])

@@ -176,6 +176,42 @@ class TestChainedOperatorUnit:
         names = {d.name for d in ctx.backend.descriptors()}
         assert names == {"chain0/count", "chain1/count"}
 
+    def test_a_descriptor_built_per_access_keeps_its_own_name(self):
+        # As the functions bridge does: a new descriptor per state access.
+        # Freed descriptors' ids are recycled, so a cache keyed on id() gave
+        # one name's access the other name's scoped descriptor.
+        class PerAccess(Operator):
+            name = "per-access"
+
+            def process(self, record, ctx):
+                seen = ctx.state(ValueStateDescriptor(record.value, default=0))
+                seen.update(seen.value() + 1)
+                ctx.emit(record.with_value((record.value, seen.value())))
+
+        chain = ChainedOperator([MapOperator(lambda v: v), PerAccess()])
+        ctx = StubContext()
+        chain.open(ctx)
+        for name in ["fn-A", "fn-B"] * 1000:
+            chain.process(Record(value=name, key="k"), ctx)
+        # each name counts its own accesses
+        assert ctx.record_values() == [(name, i) for i in range(1, 1001) for name in ("fn-A", "fn-B")]
+        assert {d.name for d in ctx.backend.descriptors()} == {"chain1/fn-A", "chain1/fn-B"}
+        assert len(chain._links[1]._scoped) == 2  # bounded by distinct descriptors
+
+    def test_same_name_different_default_is_scoped_separately(self):
+        class Defaults(Operator):
+            name = "defaults"
+
+            def process(self, record, ctx):
+                ctx.emit(record.with_value(ctx.state(ValueStateDescriptor("x", default=record.value)).value()))
+
+        chain = ChainedOperator([Defaults()])
+        ctx = StubContext()
+        chain.open(ctx)
+        for value in (1, 2, 2, 1):
+            chain.process(Record(value=value, key="k"), ctx)
+        assert ctx.record_values() == [1, 2, 2, 1]
+
     def test_timer_payloads_route_back_to_registering_member(self):
         chain = ChainedOperator([_CountingOperator("a"), _CountingOperator("b")])
         ctx = StubContext()

@@ -382,6 +382,7 @@ class _Ctx:
 
     def __init__(self):
         self.current_key_value, self.cost, self.out, self.keys = "unset", 0.0, [], []
+        self.traces = []
 
     @property
     def current_key(self):
@@ -393,6 +394,17 @@ class _Ctx:
     def emit(self, element):
         self.out.append(element.value)
         self.keys.append(self.current_key_value)
+        self.traces.append(element.trace)
+
+
+class _Spans:
+    """Tracer stand-in: the member sub-spans a chain records."""
+
+    def __init__(self):
+        self.spans = []
+
+    def record_closed(self, name, trace, parent, now):
+        self.spans.append((name, trace))
 
 
 def _observe(chain, ctx):
@@ -420,16 +432,18 @@ class TestChainRecordPath:
         assert fast_ctx.out == [(2, 2), (4, 1), (6, 0)] and fast_ctx.keys == [2, 1, 0]
 
     def test_a_traced_record_takes_feed(self):
+        # _feed records a sub-span per member entered; the record path has no
+        # span to record. Both hand on the same row, the trace kept.
         chain, ctx = _chain(), _Ctx()
+        ctx.tracer, ctx.active_span_id, ctx.processing_time = _Spans(), None, lambda: 0.0
         chain.open(ctx)
-        fed = []
-        feed = chain._feed
-        chain._feed = lambda index, element, c: (fed.append(index), feed(index, element, c))
-        chain.process(Record(value=1, key="head", trace=TraceContext(1, 1)), ctx)
-        assert fed[0] == 0 and ctx.out == [(2, 2)]
-        fed.clear()
+        trace = TraceContext(1, 1)
+        chain.process(Record(value=1, key="head", trace=trace), ctx)
+        assert ctx.tracer.spans == [("inc", trace), ("key", trace), ("reader", trace), ("even", trace)]
         chain.process(Record(value=1, key="head"), ctx)
-        assert fed == [4]  # only past the tail: out of the chain
+        assert len(ctx.tracer.spans) == 4
+        assert ctx.out == [(2, 2), (2, 2)] and ctx.traces == [trace, None]
+        assert chain.member_records_in == [2, 2, 2, 2] and ctx.cost == 2 * (0.25 + 0.5 + 2.0)
 
     def test_driven_through_a_task_it_charges_what_feed_charges(self):
         def run():
