@@ -1,21 +1,23 @@
 """Incremental checkpointing: snapshot only what changed (survey §3.1).
 
 Full snapshots scale with total state size; incremental snapshots (RocksDB
-SST-upload style) scale with the churn between checkpoints. The
-:class:`IncrementalSnapshotter` wraps any keyed backend, tracks dirty keys,
-and produces deltas; :func:`restore_chain` folds a base + deltas back into a
-backend. Experiment E5 sweeps state size vs. churn to show the crossover.
+SST-upload style) scale with the churn between checkpoints. Change tracking
+is the backend's own (:meth:`KeyedStateBackend.track_changes`): every write
+and delete lands in its change record. The :class:`IncrementalSnapshotter`
+attached to a backend numbers the chain and turns that record into
+:class:`DeltaSnapshot` links; :func:`restore_chain` folds a base + deltas
+back into a backend. Experiment E5 sweeps state size vs. churn to show the
+crossover.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import CheckpointError
-from repro.state.api import KeyedStateBackend, StateDescriptor
-
-_DELETED = b"\x00__deleted__"
+from repro.state.api import TOMBSTONE, KeyedStateBackend, StateDescriptor
 
 
 @dataclass
@@ -25,140 +27,75 @@ class DeltaSnapshot:
     snapshot_id: int
     base_id: int | None  # None = this is a full (base) snapshot
     entries: dict[str, dict[Any, bytes]] = field(default_factory=dict)
+    _size: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def size_bytes(self) -> int:
-        """Serialized size of this snapshot's entries (cost-model input)."""
-        return sum(len(d) + 16 for es in self.entries.values() for d in es.values())
+        """Serialized size of the entries, 16 bytes of framing each (a
+        cost-model input); computed once, as a captured link never changes."""
+        if self._size is None:
+            data = itertools.chain.from_iterable(map(dict.values, self.entries.values()))
+            self._size = sum(map(len, data)) + 16 * self.entry_count()
+        return self._size
 
     def entry_count(self) -> int:
         """Entries carried (puts + tombstones) — the captured churn."""
-        return sum(len(es) for es in self.entries.values())
+        return sum(map(len, self.entries.values()))
 
     @property
     def is_full(self) -> bool:
         return self.base_id is None
 
 
-class IncrementalSnapshotter(KeyedStateBackend):
-    """Backend wrapper that remembers which (descriptor, key) pairs changed.
+#: the backend surface a snapshotter answers for its backend: bound methods
+#: and shared objects, so calling one through the snapshotter is the call
+_BACKEND_SURFACE = """register get put delete keys descriptors handle snapshot restore merge
+clear_all extract_keys total_entries snapshot_bytes stats read_latency write_latency
+survives_task_failure snapshotter""".split()
 
-    Use as the task's backend; call :meth:`delta_snapshot` at each
-    checkpoint and :meth:`full_snapshot` to rebase the chain.
+
+class IncrementalSnapshotter:
+    """The incremental capture chain of one backend.
+
+    Construction attaches it (``backend.track_changes``): the backend then
+    records its own changes and the snapshotter stays off the access path.
+    It numbers the chain and captures links — :meth:`delta_snapshot` at each
+    checkpoint, :meth:`full_snapshot` to rebase. The backend's surface is
+    bound onto it, so it can also stand in for the backend.
     """
 
-    def __init__(self, inner: KeyedStateBackend) -> None:
-        super().__init__()
-        self._inner = inner
-        self._dirty: set[tuple[str, Any]] = set()
-        self._deleted: set[tuple[str, Any]] = set()
-        self._next_id = 1
-        self._last_id: int | None = None
-        self.read_latency = inner.read_latency
-        self.write_latency = inner.write_latency
-        self.survives_task_failure = inner.survives_task_failure
+    def __init__(self, backend: KeyedStateBackend) -> None:
+        self.backend = backend
+        #: id of the most recent capture (None: none yet). Live migration's
+        #: delta-chain handoff (state = chain replay ⊕ live change record) is
+        #: only sound when this matches the chain store's newest link; after a
+        #: recovery it is None, and the handoff falls back to full extraction.
+        self.last_snapshot_id: int | None = None
+        backend.track_changes(self)
+        for name in _BACKEND_SURFACE:
+            setattr(self, name, getattr(backend, name))
 
-    # --- delegation with dirty tracking ---------------------------------
-    def register(self, descriptor: StateDescriptor) -> None:
-        self._inner.register(descriptor)
+    def _link(self, base_id: int | None, entries: dict[str, dict[Any, bytes]]) -> DeltaSnapshot:
+        self.last_snapshot_id = (self.last_snapshot_id or 0) + 1
+        return DeltaSnapshot(self.last_snapshot_id, base_id, entries)
 
-    def get(self, descriptor: StateDescriptor, key: Any) -> Any:
-        self.stats.reads += 1
-        return self._inner.get(descriptor, key)
-
-    def put(self, descriptor: StateDescriptor, key: Any, value: Any) -> None:
-        self.stats.writes += 1
-        self._dirty.add((descriptor.name, key))
-        self._deleted.discard((descriptor.name, key))
-        self._inner.put(descriptor, key, value)
-
-    def delete(self, descriptor: StateDescriptor, key: Any) -> None:
-        self.stats.writes += 1
-        self._dirty.discard((descriptor.name, key))
-        self._deleted.add((descriptor.name, key))
-        self._inner.delete(descriptor, key)
-
-    def keys(self, descriptor: StateDescriptor) -> Iterator[Any]:
-        return self._inner.keys(descriptor)
-
-    def descriptors(self) -> list[StateDescriptor]:
-        return self._inner.descriptors()
-
-    # --- snapshot chain ---------------------------------------------------
     def full_snapshot(self) -> DeltaSnapshot:
-        """A base snapshot containing everything; resets dirty tracking."""
-        snapshot = DeltaSnapshot(snapshot_id=self._next_id, base_id=None)
-        self._next_id += 1
-        for name, entries in self._inner.snapshot().items():
-            snapshot.entries[name] = dict(entries)
-        self._inner.note_serialized(snapshot.entries)
-        self._dirty.clear()
-        self._deleted.clear()
-        self._last_id = snapshot.snapshot_id
-        return snapshot
+        """A base snapshot containing everything; starts a new change record."""
+        return self._link(None, self.backend.capture_all())
 
     def delta_snapshot(self) -> DeltaSnapshot:
-        """Only entries touched since the previous snapshot (falls back to a
+        """Only entries changed since the previous snapshot (falls back to a
         full snapshot if none was taken yet)."""
-        if self._last_id is None:
+        if self.last_snapshot_id is None:
             return self.full_snapshot()
-        snapshot = DeltaSnapshot(snapshot_id=self._next_id, base_id=self._last_id)
-        self._next_id += 1
-        by_name = {d.name: d for d in self._inner.descriptors()}
-        for name, key in self._dirty:
-            descriptor = by_name.get(name)
-            if descriptor is None:
-                continue
-            value = self._inner.get(descriptor, key)
-            if value is None:
-                continue
-            snapshot.entries.setdefault(name, {})[key] = descriptor.serde.serialize(value)
-        self._inner.note_serialized(snapshot.entries)  # before the tombstones go in
-        for name, key in self._deleted:
-            snapshot.entries.setdefault(name, {})[key] = _DELETED
-        self._dirty.clear()
-        self._deleted.clear()
-        self._last_id = snapshot.snapshot_id
-        return snapshot
-
-    # --- sizing / classic snapshots ---------------------------------------
-    def snapshot(self) -> dict[str, dict[Any, bytes]]:
-        """Classic full snapshot, delegated to the inner backend (does not
-        touch dirty tracking — used by standby mirrors and non-chain paths)."""
-        return self._inner.snapshot()
-
-    def total_entries(self) -> int:
-        """Inner backend's live entry count."""
-        return self._inner.total_entries()
-
-    def snapshot_bytes(self) -> int:
-        """Inner backend's serialized snapshot volume."""
-        return self._inner.snapshot_bytes()
-
-    @property
-    def dirty_count(self) -> int:
-        """Entries (puts + deletes) a delta capture would carry right now."""
-        return len(self._dirty) + len(self._deleted)
-
-    @property
-    def last_snapshot_id(self) -> int | None:
-        """Id of the most recent capture (None = nothing captured yet).
-
-        Live migration's delta-chain handoff is only sound when this matches
-        the chain store's newest link for the task: current state = chain
-        replay ⊕ live dirty overlay. After a recovery the backend is fresh
-        (``last_snapshot_id`` is None) while the store may hold newer links,
-        and the handoff must fall back to full extraction.
-        """
-        return self._last_id
+        return self._link(self.last_snapshot_id, self.backend.capture_changes())
 
     def dirty_entries(self) -> tuple[set[tuple[str, Any]], set[tuple[str, Any]]]:
-        """Copies of the (dirty, deleted) ``(descriptor, key)`` sets — the
-        live overlay a delta-chain state handoff must ship synchronously."""
-        return set(self._dirty), set(self._deleted)
-
-    @property
-    def inner(self) -> KeyedStateBackend:
-        return self._inner
+        """The backend's change record as (written, deleted) sets of
+        ``(descriptor, key)`` — the live overlay a delta-chain state handoff
+        must ship synchronously."""
+        changes = self.backend.changes
+        written = {entry for entry, is_write in changes.items() if is_write}
+        return written, changes.keys() - written
 
 
 class TaskChainStore:
@@ -192,15 +129,8 @@ class TaskChainStore:
     def wants_full(self, task_name: str) -> bool:
         """Whether the next capture for ``task_name`` should rebase: no chain
         yet, or the current segment reached ``max_chain_length``."""
-        links = self._links.get(task_name)
-        if not links:
-            return True
-        segment = 0
-        for link in reversed(links):
-            segment += 1
-            if link.is_full:
-                break
-        return segment >= self.max_chain_length
+        segment = self.segment_length(task_name)
+        return segment == 0 or segment >= self.max_chain_length
 
     def append(self, task_name: str, link: DeltaSnapshot, checkpoint_id: int | None) -> None:
         """Record one captured link; ``checkpoint_id=None`` keeps the link
@@ -348,7 +278,7 @@ def restore_chain(target: KeyedStateBackend, chain: list[DeltaSnapshot]) -> int:
                 target.register(descriptor)
                 by_name[name] = descriptor
             for key, data in entries.items():
-                if data == _DELETED:
+                if data == TOMBSTONE:
                     target.delete(descriptor, key)
                 else:
                     target.put(descriptor, key, descriptor.serde.deserialize(data))

@@ -34,7 +34,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Any
 
-from repro.checkpoint.incremental import IncrementalSnapshotter
 from repro.core.events import MAX_TIMESTAMP, EndOfStream, RecordBatch, Watermark
 from repro.core.graph import Partitioning
 from repro.errors import LoadManagementError
@@ -347,18 +346,19 @@ class Rescaler:
                 return not active or router.owner_index(key) != index
 
             backend = task.state_backend
+            snapshotter = backend.snapshotter
             link = store.latest_link(task.name) if store is not None else None
             use_chain = (
                 link is not None
-                and isinstance(backend, IncrementalSnapshotter)
-                and backend.last_snapshot_id == link.snapshot_id
+                and snapshotter is not None
+                and snapshotter.last_snapshot_id == link.snapshot_id
             )
             dirty: set = set()
             deleted: set = set()
             if use_chain:
                 # Overlay must be captured *before* extraction: extracting a
                 # key deletes it, which flips its marker dirty -> deleted.
-                dirty, deleted = backend.dirty_entries()
+                dirty, deleted = snapshotter.dirty_entries()
                 for part in store.chain_to(task.name, link):
                     for name, entries in part.entries.items():
                         for key, data in entries.items():

@@ -203,8 +203,8 @@ class Engine:
         #: open so queryable state and recovery can reach shared stores
         self.txn_stores: dict[str, Any] = {}
         #: incremental checkpoint mode: per-task base + delta snapshot chains
-        #: (None when ``checkpoints.incremental`` is off); task backends are
-        #: wrapped in IncrementalSnapshotters during planning
+        #: (None when ``checkpoints.incremental`` is off); task backends get
+        #: an IncrementalSnapshotter attached during planning
         checkpoint_config = self.config.checkpoints
         self.checkpoint_store: TaskChainStore | None = None
         if checkpoint_config is not None and checkpoint_config.incremental:
@@ -318,17 +318,18 @@ class Engine:
 
     def _resolve_backend_factory(self, node_factory: Callable[[], Any] | None) -> Callable[[], Any]:
         """Resolve a node's backend factory against the config default and,
-        in incremental checkpoint mode, wrap it so every built backend (and
-        every reincarnation) tracks dirty keys for delta captures."""
+        in incremental checkpoint mode, attach a capture chain to every built
+        backend (and every reincarnation's), which then tracks its own
+        changes for delta captures."""
         base_factory = node_factory or self.config.state_backend_factory
         if self.checkpoint_store is None:
             return base_factory
 
         def build() -> Any:
             backend = base_factory()
-            if isinstance(backend, IncrementalSnapshotter):
-                return backend
-            return IncrementalSnapshotter(backend)
+            if backend.snapshotter is None:
+                IncrementalSnapshotter(backend)  # attaches itself
+            return backend
 
         return build
 

@@ -35,7 +35,6 @@ from repro.core.events import (
     StreamElement,
     Watermark,
 )
-from repro.checkpoint.incremental import IncrementalSnapshotter
 from repro.core.keys import key_group_for
 from repro.core.operators.base import Operator, OperatorContext
 from repro.errors import RuntimeStateError
@@ -45,6 +44,7 @@ from repro.progress.watermarks import WatermarkMerger, WatermarkStrategy
 from repro.runtime.channel import OutputGate
 from repro.runtime.metrics import TaskMetrics
 from repro.sim.kernel import Kernel, PeriodicTimer
+from repro.state.api import HANDLE_TYPES, ReducingState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.io.sources import Workload
@@ -66,7 +66,8 @@ class TaskSnapshot:
     checkpoint_id: int
     keyed_state: dict[str, dict[Any, bytes]]
     operator_state: Any
-    timers: list[tuple[float, Any, Any]]
+    #: the event-timer heap array as captured: (timestamp, seq, key, payload)
+    timers: list[tuple[float, int, Any, Any]]
     watermark: float
     source_offset: int | None = None
     taken_at: float = 0.0
@@ -105,6 +106,8 @@ class _MailboxItem:
     #: local injections: nothing to return)
     via: Any = None
 
+
+_new_handle = tuple.__new__
 
 #: ``Task._busy_until`` outside a finite elided interval
 _IDLE = float("-inf")
@@ -171,7 +174,13 @@ class TaskContext(OperatorContext):
         self.current_key_value = key
 
     def state(self, descriptor) -> Any:
-        return self._task.state_backend.handle(descriptor, self.current_key_value)
+        key = self.current_key_value
+        handle_type = HANDLE_TYPES.get(descriptor.kind)
+        if key is None or handle_type is None or handle_type is ReducingState:
+            # the backend's handle() raises the typed refusals (no key,
+            # unknown kind, a reducing state without its reduce_fn)
+            return self._task.state_backend.handle(descriptor, key)
+        return _new_handle(handle_type, (self._task.state_backend, descriptor, key))
 
     def operator_state(self, name: str, default: Any = None) -> Any:
         return self._task.operator_store.get(name, default)
@@ -1010,27 +1019,25 @@ class Task:
     def take_snapshot(self, checkpoint_id: int) -> TaskSnapshot:
         """Capture keyed state, operator state, timers and watermark.
 
-        In incremental mode (engine chain store present, backend wrapped in
-        an :class:`~repro.checkpoint.incremental.IncrementalSnapshotter`) a
-        coordinator capture (``checkpoint_id >= 0``) takes only the delta
-        since the previous capture — or a full snapshot when the chain store
-        asks for a rebase — and charges the O(captured-entries) capture cost
-        to the barrier element via the cost model. Out-of-band captures
+        In incremental mode (engine chain store present, an
+        :class:`~repro.checkpoint.incremental.IncrementalSnapshotter`
+        attached to the backend) a coordinator capture
+        (``checkpoint_id >= 0``) takes only the delta since the previous
+        capture — or a full snapshot when the chain store asks for a rebase —
+        and charges the O(captured-entries) capture cost to the barrier
+        element via the cost model. Out-of-band captures
         (standby mirrors use negative ids) keep the classic full-dict path
-        so they never perturb the chain's dirty tracking.
+        so they never perturb the chain's change record.
         """
         keyed_state: dict[str, dict[Any, bytes]] = {}
         delta = None
         store = self.engine.checkpoint_store if self.engine is not None else None
-        if (
-            checkpoint_id >= 0
-            and store is not None
-            and isinstance(self.state_backend, IncrementalSnapshotter)
-        ):
+        snapshotter = self.state_backend.snapshotter if store is not None else None
+        if checkpoint_id >= 0 and snapshotter is not None:
             if store.wants_full(self.name):
-                delta = self.state_backend.full_snapshot()
+                delta = snapshotter.full_snapshot()
             else:
-                delta = self.state_backend.delta_snapshot()
+                delta = snapshotter.delta_snapshot()
             capture_cost_per_entry = self.engine.config.checkpoints.capture_cost_per_entry
             if capture_cost_per_entry:
                 self.ctx.add_cost(delta.entry_count() * capture_cost_per_entry)
@@ -1041,7 +1048,7 @@ class Task:
             checkpoint_id=checkpoint_id,
             keyed_state=keyed_state,
             operator_state=self.operator.snapshot_state(),
-            timers=[(t, k, p) for (t, _s, k, p) in self._event_timers],
+            timers=self._event_timers.copy(),
             watermark=self.current_watermark,
             taken_at=self.kernel.now(),
             delta=delta,
@@ -1061,8 +1068,10 @@ class Task:
         else:
             self.state_backend.restore(snapshot.keyed_state)
         self.operator.restore_state(snapshot.operator_state)
+        # re-sequenced in heap-array order: timers sharing a timestamp fire
+        # in the order the captured array holds them
         self._event_timers = []
-        for timestamp, key, payload in snapshot.timers:
+        for timestamp, _seq, key, payload in snapshot.timers:
             heapq.heappush(self._event_timers, (timestamp, next(self._timer_seq), key, payload))
         self.current_watermark = snapshot.watermark
         self.metrics.restored_at.append(self.kernel.now())

@@ -51,136 +51,126 @@ class ReducingStateDescriptor(StateDescriptor):
     kind = "reducing"
 
 
-class ValueState:
+#: what a delete ships in an incremental capture (a tombstone entry)
+TOMBSTONE = b"\x00__deleted__"
+
+_new_handle = tuple.__new__
+
+
+class _Handle(tuple):
+    """A typed state handle: one immutable ``(backend, descriptor, key)``
+    row, built in one ``tuple.__new__`` call like
+    :class:`~repro.core.events.Record`. An access is the handle's frame and
+    then the backend's: ``self[0].get(self[1], self[2])``."""
+
+    __slots__ = ()
+
+    def clear(self) -> None:
+        """Delete the key's state."""
+        self[0].delete(self[1], self[2])
+
+
+class ValueState(_Handle):
     """Single value per key."""
 
-    def __init__(self, backend: "KeyedStateBackend", descriptor: ValueStateDescriptor, key: Any) -> None:
-        self._backend = backend
-        self._descriptor = descriptor
-        self._key = key
+    __slots__ = ()
 
     def value(self) -> Any:
         """Current value, or the descriptor default when unset."""
-        stored = self._backend.get(self._descriptor, self._key)
+        stored = self[0].get(self[1], self[2])
         if stored is None:
-            return getattr(self._descriptor, "default", None)
+            return getattr(self[1], "default", None)
         return stored
 
     def update(self, value: Any) -> None:
         """Replace the value."""
-        self._backend.put(self._descriptor, self._key, value)
-
-    def clear(self) -> None:
-        """Delete the value."""
-        self._backend.delete(self._descriptor, self._key)
+        self[0].put(self[1], self[2], value)
 
 
-class ListState:
+class ListState(_Handle):
     """Append-oriented list per key (window buffers, join buffers)."""
 
-    def __init__(self, backend: "KeyedStateBackend", descriptor: ListStateDescriptor, key: Any) -> None:
-        self._backend = backend
-        self._descriptor = descriptor
-        self._key = key
+    __slots__ = ()
 
     def get(self) -> list[Any]:
         """The stored list (empty when unset)."""
-        return self._backend.get(self._descriptor, self._key) or []
+        return self[0].get(self[1], self[2]) or []
 
     def add(self, value: Any) -> None:
         """Append one element."""
-        current = self._backend.get(self._descriptor, self._key)
+        current = self[0].get(self[1], self[2])
         if current is None:
             current = []
         current.append(value)
-        self._backend.put(self._descriptor, self._key, current)
+        self[0].put(self[1], self[2], current)
 
     def update(self, values: list[Any]) -> None:
         """Replace the whole list."""
-        self._backend.put(self._descriptor, self._key, list(values))
-
-    def clear(self) -> None:
-        """Delete the list."""
-        self._backend.delete(self._descriptor, self._key)
+        self[0].put(self[1], self[2], list(values))
 
 
-class MapState:
+class MapState(_Handle):
     """Nested map per key (per-window panes, per-entity attributes)."""
 
-    def __init__(self, backend: "KeyedStateBackend", descriptor: MapStateDescriptor, key: Any) -> None:
-        self._backend = backend
-        self._descriptor = descriptor
-        self._key = key
-
-    def _map(self) -> dict:
-        return self._backend.get(self._descriptor, self._key) or {}
+    __slots__ = ()
 
     def get(self, map_key: Any, default: Any = None) -> Any:
         """Value for ``map_key`` (or ``default``)."""
-        return self._map().get(map_key, default)
+        return (self[0].get(self[1], self[2]) or {}).get(map_key, default)
 
     def put(self, map_key: Any, value: Any) -> None:
         """Set ``map_key`` to ``value``."""
-        current = self._map()
+        backend, descriptor, key = self
+        current = backend.get(descriptor, key) or {}
         current[map_key] = value
-        self._backend.put(self._descriptor, self._key, current)
+        backend.put(descriptor, key, current)
 
     def remove(self, map_key: Any) -> None:
         """Delete ``map_key`` (dropping the map when it empties)."""
-        current = self._map()
+        backend, descriptor, key = self
+        current = backend.get(descriptor, key) or {}
         current.pop(map_key, None)
         if current:
-            self._backend.put(self._descriptor, self._key, current)
+            backend.put(descriptor, key, current)
         else:
-            self._backend.delete(self._descriptor, self._key)
+            backend.delete(descriptor, key)
 
     def contains(self, map_key: Any) -> bool:
         """Whether ``map_key`` is present."""
-        return map_key in self._map()
+        return map_key in (self[0].get(self[1], self[2]) or {})
 
     def items(self) -> list[tuple[Any, Any]]:
         """All (map_key, value) pairs."""
-        return list(self._map().items())
+        return list((self[0].get(self[1], self[2]) or {}).items())
 
     def keys(self) -> list[Any]:
         """All map keys."""
-        return list(self._map().keys())
+        return list(self[0].get(self[1], self[2]) or ())
 
     def is_empty(self) -> bool:
         """Whether the map holds no entries."""
-        return not self._map()
-
-    def clear(self) -> None:
-        """Delete the whole map."""
-        self._backend.delete(self._descriptor, self._key)
+        return not self[0].get(self[1], self[2])
 
 
-class ReducingState:
+class ReducingState(_Handle):
     """Pre-aggregated value per key: ``add`` folds through the reduce fn."""
 
-    def __init__(self, backend: "KeyedStateBackend", descriptor: ReducingStateDescriptor, key: Any) -> None:
-        if descriptor.reduce_fn is None:
-            raise StateError(f"reducing state {descriptor.name!r} lacks a reduce_fn")
-        self._backend = backend
-        self._descriptor = descriptor
-        self._key = key
+    __slots__ = ()
 
     def get(self) -> Any:
         """Current pre-aggregated value (None when unset)."""
-        return self._backend.get(self._descriptor, self._key)
+        return self[0].get(self[1], self[2])
 
     def add(self, value: Any) -> None:
         """Fold one value through the descriptor's reduce function."""
-        current = self._backend.get(self._descriptor, self._key)
-        merged = value if current is None else self._descriptor.reduce_fn(current, value)
-        self._backend.put(self._descriptor, self._key, merged)
-
-    def clear(self) -> None:
-        """Delete the aggregate."""
-        self._backend.delete(self._descriptor, self._key)
+        backend, descriptor, key = self
+        current = backend.get(descriptor, key)
+        merged = value if current is None else descriptor.reduce_fn(current, value)
+        backend.put(descriptor, key, merged)
 
 
-_HANDLE_TYPES = {
+#: handle class per descriptor kind
+HANDLE_TYPES = {
     "value": ValueState,
     "list": ListState,
     "map": MapState,
@@ -188,7 +178,7 @@ _HANDLE_TYPES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessStats:
     """Cumulative backend access counters; the runtime diffs these around
     each element to charge virtual state-access latency (E4)."""
@@ -210,6 +200,11 @@ class KeyedStateBackend:
     write_latency: float = 0.0
     #: whether state survives the loss of the owning task (external storage)
     survives_task_failure: bool = False
+    #: the incremental capture chain attached by :meth:`track_changes`
+    snapshotter: Any = None
+    #: while a chain is attached: ``(descriptor name, key)`` → True for a
+    #: write, False for a delete, since the last capture
+    changes: dict[tuple[str, Any], bool] | None = None
 
     def __init__(self) -> None:
         self.stats = AccessStats()
@@ -243,10 +238,12 @@ class KeyedStateBackend:
                 f"keyed state {descriptor.name!r} accessed without a key; "
                 "did you forget key_by()?"
             )
-        handle_type = _HANDLE_TYPES.get(descriptor.kind)
+        handle_type = HANDLE_TYPES.get(descriptor.kind)
         if handle_type is None:
             raise StateError(f"unknown state kind {descriptor.kind!r}")
-        return handle_type(self, descriptor, key)
+        if handle_type is ReducingState and descriptor.reduce_fn is None:
+            raise StateError(f"reducing state {descriptor.name!r} lacks a reduce_fn")
+        return _new_handle(handle_type, (self, descriptor, key))
 
     # --- snapshots -------------------------------------------------------
     def snapshot(self) -> dict[str, dict[Any, bytes]]:
@@ -312,6 +309,44 @@ class KeyedStateBackend:
         cache entry sizes for :meth:`snapshot_bytes` take the lengths, so
         the sizing query that follows a capture does not serialize the same
         entries again; the default keeps no cache and ignores them."""
+
+    # --- change tracking (incremental captures) ----------------------------
+    def track_changes(self, snapshotter: Any) -> None:
+        """Attach an incremental capture chain: from now on each write,
+        delete and TTL expiry lands in :attr:`changes` as one container
+        operation, and the chain's captures read that record."""
+        self.snapshotter = snapshotter
+        if self.changes is None:
+            self.changes = {}
+
+    def capture_all(self) -> dict[str, dict[Any, bytes]]:
+        """Full snapshot for the attached chain; starts a new change record.
+        A capture is not an access: reads :meth:`snapshot` counts go back."""
+        reads = self.stats.reads
+        entries = self.snapshot()
+        self.stats.reads = reads
+        self.note_serialized(entries)
+        self.changes.clear()
+        return entries
+
+    def capture_changes(self) -> dict[str, dict[Any, bytes]]:
+        """Serialize the change record and start a new one: descriptor name →
+        key → the entry's bytes (left out if it holds no value by now), or
+        :data:`TOMBSTONE` for a delete. Counts no access."""
+        by_name = {d.name: d for d in self.descriptors()}
+        reads = self.stats.reads
+        entries: dict[str, dict[Any, bytes]] = {}
+        for (name, key), written in self.changes.items():
+            if not written:
+                entries.setdefault(name, {})[key] = TOMBSTONE
+                continue
+            descriptor = by_name[name]
+            value = self.get(descriptor, key)
+            if value is not None:
+                entries.setdefault(name, {})[key] = descriptor.serde.serialize(value)
+        self.stats.reads = reads
+        self.changes.clear()
+        return entries
 
     def extract_keys(self, predicate: Callable[[Any], bool]) -> dict[str, dict[Any, bytes]]:
         """Remove and return all state for keys matching ``predicate``

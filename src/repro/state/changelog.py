@@ -107,6 +107,18 @@ class ChangelogStateBackend(KeyedStateBackend):
         """Delegate snapshots to the inner backend (the log is the backup)."""
         return self._inner.snapshot()
 
+    # Every write reaches the inner backend: its change record and its
+    # captures are this backend's.
+    def track_changes(self, snapshotter: Any) -> None:
+        self._inner.track_changes(snapshotter)
+        self.snapshotter, self.changes = snapshotter, self._inner.changes
+
+    def capture_all(self) -> dict[str, dict[Any, bytes]]:
+        return self._inner.capture_all()
+
+    def capture_changes(self) -> dict[str, dict[Any, bytes]]:
+        return self._inner.capture_changes()
+
     def restore(self, snapshot: dict[str, dict[Any, bytes]]) -> None:
         """Replace inner state with a snapshot (no changelog writes)."""
         self._inner.restore(snapshot)

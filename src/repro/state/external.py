@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from repro.state.api import KeyedStateBackend, StateDescriptor
+from repro.state.memory import InMemoryStateBackend
 
 
 class RemoteStore:
@@ -99,11 +100,15 @@ class ExternalStateBackend(KeyedStateBackend):
     def put(self, descriptor: StateDescriptor, key: Any, value: Any) -> None:
         self.register(descriptor)
         self.stats.writes += 1
+        if self.changes is not None:
+            self.changes[(descriptor.name, key)] = True
         self._store.put(self._table(descriptor), key, value)
 
     def delete(self, descriptor: StateDescriptor, key: Any) -> None:
         self.register(descriptor)
         self.stats.writes += 1
+        if self.changes is not None:
+            self.changes[(descriptor.name, key)] = False
         self._store.delete(self._table(descriptor), key)
 
     def keys(self, descriptor: StateDescriptor) -> Iterator[Any]:
@@ -130,45 +135,21 @@ class ExternalStateBackend(KeyedStateBackend):
                     self._store.put(self._table(descriptor), key, descriptor.serde.deserialize(data))
 
 
-class PersistentMemoryBackend(KeyedStateBackend):
+class PersistentMemoryBackend(InMemoryStateBackend):
     """NVRAM-style backend (§4.2 hardware): memory-speed reads, slightly
     slower persistent writes, and — crucially — contents survive task
-    failure without any checkpoint/restore cycle (E15)."""
+    failure without any checkpoint/restore cycle (E15).
+
+    The "device" is this object (module-level storage keyed by backend
+    identity would defeat determinism): the recovery path re-attaches the
+    same backend object to the new task. A full snapshot reads the device
+    entry by entry, each read charged like any other.
+    """
 
     survives_task_failure = True
+    snapshot = KeyedStateBackend.snapshot
 
     def __init__(self, read_latency: float = 0.2e-6, write_latency: float = 1e-6) -> None:
         super().__init__()
         self.read_latency = read_latency
         self.write_latency = write_latency
-        # The "device": module-level dicts keyed by backend identity would
-        # defeat determinism; instead the device is this object, and the
-        # recovery path re-attaches the same backend object to the new task.
-        self._data: dict[str, dict[Any, Any]] = {}
-        self._descriptors: dict[str, StateDescriptor] = {}
-
-    def register(self, descriptor: StateDescriptor) -> None:
-        self._descriptors.setdefault(descriptor.name, descriptor)
-        self._data.setdefault(descriptor.name, {})
-
-    def get(self, descriptor: StateDescriptor, key: Any) -> Any:
-        self.register(descriptor)
-        self.stats.reads += 1
-        return self._data[descriptor.name].get(key)
-
-    def put(self, descriptor: StateDescriptor, key: Any, value: Any) -> None:
-        self.register(descriptor)
-        self.stats.writes += 1
-        self._data[descriptor.name][key] = value
-
-    def delete(self, descriptor: StateDescriptor, key: Any) -> None:
-        self.register(descriptor)
-        self.stats.writes += 1
-        self._data[descriptor.name].pop(key, None)
-
-    def keys(self, descriptor: StateDescriptor) -> Iterator[Any]:
-        self.register(descriptor)
-        return iter(list(self._data[descriptor.name].keys()))
-
-    def descriptors(self) -> list[StateDescriptor]:
-        return list(self._descriptors.values())

@@ -143,6 +143,8 @@ class LSMStateBackend(KeyedStateBackend):
             self._size_total -= cached
         sizes[composite] = self._DIRTY_SIZE
         self._size_dirty.add((descriptor.name, composite))
+        if self.changes is not None:
+            self.changes[(descriptor.name, key)] = True
         self._memtable[composite] = value
         self._key_index[descriptor.name][composite] = key
         if len(self._memtable) >= self._memtable_limit:
@@ -159,6 +161,8 @@ class LSMStateBackend(KeyedStateBackend):
             if cached >= 0:
                 self._size_total -= cached
             self._size_dirty.discard((descriptor.name, composite))
+        if self.changes is not None:
+            self.changes[(descriptor.name, key)] = False
         self._memtable[composite] = _TOMBSTONE
         if len(self._memtable) >= self._memtable_limit:
             self._flush_memtable()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator
 
-from repro.state.api import KeyedStateBackend, StateDescriptor
+from repro.state.api import TOMBSTONE, KeyedStateBackend, StateDescriptor
 
 
 class InMemoryStateBackend(KeyedStateBackend):
@@ -20,10 +20,11 @@ class InMemoryStateBackend(KeyedStateBackend):
     TTLs lazily on read (expired entries are dropped when touched, the same
     lazy policy RocksDB-backed engines use).
 
-    Sizing is maintained incrementally: writes mark entries dirty in O(1)
-    and :meth:`snapshot_bytes` re-serializes only the entries touched since
-    the previous call, so repeated sizing queries on the checkpoint path are
-    O(churn), not O(state).
+    Sizing is maintained incrementally: writes mark entries in the change
+    record in O(1) and :meth:`snapshot_bytes` re-serializes only entries
+    written since they were last sized, so repeated sizing queries on the
+    checkpoint path are O(churn), not O(state). Until a capture chain is
+    attached the record serves sizing alone.
     """
 
     read_latency = 0.0
@@ -38,11 +39,11 @@ class InMemoryStateBackend(KeyedStateBackend):
         self._descriptors: dict[str, StateDescriptor] = {}
         # incremental sizing accounting (satellite of E5's cost model):
         # entry count is exact; serialized sizes are cached per entry and
-        # re-computed lazily for entries written since the last query
+        # computed lazily for entries written since they were last sized
         self._entry_count = 0
         self._size_total = 0
         self._sizes: dict[str, dict[Any, int]] = {}
-        self._size_dirty: set[tuple[str, Any]] = set()
+        self.changes = {}
         self._has_ttl = False
 
     def register(self, descriptor: StateDescriptor) -> None:
@@ -65,50 +66,60 @@ class InMemoryStateBackend(KeyedStateBackend):
             return False
         return self._clock() - written > descriptor.ttl
 
-    def _drop(self, name: str, key: Any) -> None:
-        """Remove one entry, keeping the sizing accounting consistent."""
-        if key in self._data[name]:
-            self._entry_count -= 1
-            self._size_total -= self._sizes[name].pop(key, 0)
-            self._size_dirty.discard((name, key))
-            self._data[name].pop(key, None)
-        self._write_times[name].pop(key, None)
+    def _expire(self, descriptor: StateDescriptor, key: Any) -> None:
+        """Drop an expired entry: a delete the cost model does not charge.
+        It reaches the change record as a delete, so the next delta capture
+        ships its tombstone."""
+        self.delete(descriptor, key)
+        self.stats.writes -= 1
 
     def get(self, descriptor: StateDescriptor, key: Any) -> Any:
         if descriptor.name not in self._data:
             self.register(descriptor)
         self.stats.reads += 1
-        if self._expired(descriptor, key):
-            self._drop(descriptor.name, key)
+        if descriptor.ttl is not None and self._expired(descriptor, key):
+            self._expire(descriptor, key)
             return None
         return self._data[descriptor.name].get(key)
 
     def put(self, descriptor: StateDescriptor, key: Any, value: Any) -> None:
-        if descriptor.name not in self._data:
-            self.register(descriptor)
-        self.stats.writes += 1
         name = descriptor.name
-        if key not in self._data[name]:
-            self._entry_count += 1
-        else:
+        if name not in self._data:
+            self.register(descriptor)
+        data = self._data[name]
+        self.stats.writes += 1
+        if key in data:
             self._size_total -= self._sizes[name].pop(key, 0)
-        self._size_dirty.add((name, key))
-        self._data[name][key] = value
+        else:
+            self._entry_count += 1
+        self.changes[(name, key)] = True
+        data[key] = value
         if self._clock is not None:
             self._write_times[name][key] = self._clock()
 
     def delete(self, descriptor: StateDescriptor, key: Any) -> None:
-        if descriptor.name not in self._data:
+        name = descriptor.name
+        if name not in self._data:
             self.register(descriptor)
+        data = self._data[name]
         self.stats.writes += 1
-        self._drop(descriptor.name, key)
+        if key in data:
+            del data[key]
+            self._entry_count -= 1
+            self._size_total -= self._sizes[name].pop(key, 0)
+        if self._clock is not None:
+            self._write_times[name].pop(key, None)
+        if self.snapshotter is None:
+            self.changes.pop((name, key), None)
+        else:
+            self.changes[(name, key)] = False
 
     def keys(self, descriptor: StateDescriptor) -> Iterator[Any]:
         if descriptor.name not in self._data:
             self.register(descriptor)
         for key in list(self._data[descriptor.name].keys()):
-            if self._expired(descriptor, key):
-                self._drop(descriptor.name, key)
+            if descriptor.ttl is not None and self._expired(descriptor, key):
+                self._expire(descriptor, key)
             else:
                 yield key
 
@@ -123,8 +134,8 @@ class InMemoryStateBackend(KeyedStateBackend):
             name = descriptor.name
             entries = {}
             for key in list(self._data[name].keys()):
-                if self._expired(descriptor, key):
-                    self._drop(name, key)
+                if descriptor.ttl is not None and self._expired(descriptor, key):
+                    self._expire(descriptor, key)
                     continue
                 value = self._data[name].get(key)
                 if value is not None:
@@ -134,33 +145,58 @@ class InMemoryStateBackend(KeyedStateBackend):
 
     def sweep_expired(self) -> int:
         """Eagerly drop all expired entries; returns the count removed."""
+        if not self._has_ttl or self._clock is None:
+            return 0
         removed = 0
         for descriptor in self.descriptors():
             for key in list(self._data[descriptor.name].keys()):
                 if self._expired(descriptor, key):
-                    self._drop(descriptor.name, key)
+                    self._expire(descriptor, key)
                     removed += 1
         return removed
 
+    def capture_changes(self) -> dict[str, dict[Any, bytes]]:
+        """Delta capture by direct dict reads (no access counted, no backend
+        call per entry); each entry serialized here is sized from its bytes."""
+        self.sweep_expired()
+        entries: dict[str, dict[Any, bytes]] = {}
+        for (name, key), written in self.changes.items():
+            data = TOMBSTONE
+            if written:
+                value = self._data[name].get(key)
+                if value is None:
+                    continue
+                data = self._descriptors[name].serde.serialize(value)
+                sizes = self._sizes[name]
+                self._size_total += len(data) - sizes.get(key, 0)
+                sizes[key] = len(data)
+            entries.setdefault(name, {})[key] = data
+        self.changes.clear()
+        return entries
+
     # --- incremental sizing ------------------------------------------------
     def _flush_sizes(self, serialized: dict[str, dict[Any, bytes]] | None = None) -> None:
-        """Size entries written since the last sizing query (O(churn)),
-        from ``serialized`` where a capture already holds their bytes."""
-        if self._has_ttl and self._clock is not None:
-            self.sweep_expired()
-        if not self._size_dirty:
+        """Size entries written since they were last sized (O(churn)), from
+        ``serialized`` where a capture already holds their bytes."""
+        self.sweep_expired()
+        changes = self.changes
+        if not changes:
             return
         nothing: dict[Any, bytes] = {}
-        for name, key in self._size_dirty:
-            value = self._data.get(name, {}).get(key)
+        for (name, key), written in changes.items():
+            sizes = self._sizes[name]
+            if not written or key in sizes:
+                continue  # deleted, or sized since its last write
+            value = self._data[name].get(key)
             if value is None:
-                continue  # deleted/expired entries already left the total
+                continue
             data = serialized.get(name, nothing).get(key) if serialized else None
             if data is None:
                 data = self._descriptors[name].serde.serialize(value)
-            self._sizes[name][key] = size = len(data)
+            sizes[key] = size = len(data)
             self._size_total += size
-        self._size_dirty.clear()
+        if self.snapshotter is None:
+            changes.clear()  # the record serves sizing alone
 
     def note_serialized(self, entries: dict[str, dict[Any, bytes]]) -> None:
         """A capture's bytes are the sizing query's too: flush the size
@@ -170,12 +206,11 @@ class InMemoryStateBackend(KeyedStateBackend):
 
     def total_entries(self) -> int:
         """Live (descriptor, key) pairs, from O(1) incremental accounting."""
-        if self._has_ttl and self._clock is not None:
-            self.sweep_expired()
+        self.sweep_expired()
         return self._entry_count
 
     def snapshot_bytes(self) -> int:
         """Serialized snapshot volume from the incremental size cache: only
-        entries written since the previous call are re-serialized."""
+        entries written since they were last sized are re-serialized."""
         self._flush_sizes()
         return self._size_total

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.checkpoint.incremental import _DELETED, IncrementalSnapshotter, restore_chain
+from repro.checkpoint.incremental import IncrementalSnapshotter, restore_chain
 from repro.core.serde import PickleSerde
 from repro.errors import CheckpointError
 from repro.state import InMemoryStateBackend, ValueStateDescriptor
+from repro.state.api import TOMBSTONE
 
 DESC = ValueStateDescriptor("acc")
 
@@ -56,6 +57,51 @@ class TestDeltaTracking:
         snapshotter.put(DESC, "a", 9)
         delta = snapshotter.delta_snapshot()
         assert list(delta.entries["acc"].keys()) == ["a"]
+
+
+class TestExpiryBetweenCaptures:
+    """An entry the backend expires (TTL) between two captures is deleted
+    state: the delta must carry its tombstone, or a restore resurrects the
+    value the base holds."""
+
+    def setup_method(self):
+        self.clock = {"now": 0.0}
+        self.desc = ValueStateDescriptor("ttl", ttl=1.0)
+        self.snapshotter = IncrementalSnapshotter(
+            InMemoryStateBackend(clock=lambda: self.clock["now"])
+        )
+        self.snapshotter.register(self.desc)
+
+    def restored(self, chain):
+        target = InMemoryStateBackend()
+        target.register(self.desc)
+        restore_chain(target, chain)
+        return target.snapshot()
+
+    def test_an_expiry_on_read_reaches_the_delta(self):
+        snapshotter, desc = self.snapshotter, self.desc
+        snapshotter.put(desc, "k", 1)
+        snapshotter.put(desc, "j", 2)
+        base = snapshotter.full_snapshot()
+        self.clock["now"] = 0.5
+        snapshotter.put(desc, "j", 3)
+        self.clock["now"] = 2.0
+        assert snapshotter.get(desc, "k") is None
+        assert snapshotter.get(desc, "j") is None
+        delta = snapshotter.delta_snapshot()
+        assert delta.entries == {"ttl": {"k": TOMBSTONE, "j": TOMBSTONE}}
+        assert self.restored([base, delta]) == snapshotter.snapshot() == {"ttl": {}}
+
+    def test_an_entry_expiring_untouched_reaches_the_delta(self):
+        snapshotter, desc = self.snapshotter, self.desc
+        snapshotter.put(desc, "k", 1)
+        base = snapshotter.full_snapshot()
+        self.clock["now"] = 0.5
+        snapshotter.put(desc, "j", 2)
+        self.clock["now"] = 1.2  # k expired, j still live
+        delta = snapshotter.delta_snapshot()
+        assert self.restored([base, delta]) == snapshotter.snapshot()
+        assert snapshotter.snapshot()["ttl"].keys() == {"j"}
 
 
 class TestRestoreChain:
@@ -125,7 +171,7 @@ class TestCaptureSerialisesOnce:
             # captures 0 and 3 rebase, as a full chain segment would
             delta = snapshotter.full_snapshot() if capture % 3 == 0 else snapshotter.delta_snapshot()
             size = snapshotter.snapshot_bytes()
-            live = [data for data in delta.entries["acc"].values() if data != _DELETED]
+            live = [data for data in delta.entries["acc"].values() if data != TOMBSTONE]
             assert len(live) >= 39
             assert serde.serialized - before == len(live)
             assert size == sum(len(data) for data in snapshotter.snapshot()["acc"].values())

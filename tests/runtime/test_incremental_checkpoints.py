@@ -1,5 +1,6 @@
-"""Incremental checkpointing wired into the engine: backend wrapping, delta
-records, chain recovery, rebase bounds, and equivalence with full snapshots."""
+"""Incremental checkpointing wired into the engine: change tracking attached
+to backends, delta records, chain recovery, rebase bounds, and equivalence
+with full snapshots."""
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.core.keys import field_selector
 from repro.io.sinks import CollectSink, TransactionalSink
 from repro.io.sources import SensorWorkload
 from repro.runtime.config import CheckpointConfig, EngineConfig
-from repro.state import ValueStateDescriptor
+from repro.state import InMemoryStateBackend, ValueStateDescriptor
 
 
 def keyed_count_env(config, count=400, sink=None):
@@ -33,12 +34,15 @@ def incremental_config(**kwargs):
 
 
 class TestWiring:
-    def test_backends_wrapped_when_incremental(self):
+    def test_backends_track_changes_when_incremental(self):
         env, _sink = keyed_count_env(incremental_config())
         engine = env.build()
         assert engine.checkpoint_store is not None
         for task in engine.tasks_of("count"):
-            assert isinstance(task.state_backend, IncrementalSnapshotter)
+            # the backend itself sits on the access path, not a wrapper
+            assert isinstance(task.state_backend, InMemoryStateBackend)
+            assert isinstance(task.state_backend.snapshotter, IncrementalSnapshotter)
+            assert task.state_backend.snapshotter.backend is task.state_backend
 
     def test_backends_untouched_by_default(self):
         env, _sink = keyed_count_env(
@@ -47,7 +51,7 @@ class TestWiring:
         engine = env.build()
         assert engine.checkpoint_store is None
         for task in engine.tasks_of("count"):
-            assert not isinstance(task.state_backend, IncrementalSnapshotter)
+            assert task.state_backend.snapshotter is None
 
     def test_records_carry_deltas(self):
         env, _sink = keyed_count_env(incremental_config())
@@ -146,7 +150,6 @@ class TestEquivalence:
         for entry, the classic full snapshot a twin full-mode run captured at
         the same checkpoint id."""
         from repro.checkpoint import restore_chain
-        from repro.state import InMemoryStateBackend
 
         def run(incremental):
             config = EngineConfig(

@@ -120,6 +120,39 @@ class TestProcessingTimers:
         env.execute()
         assert fired == sorted(fired)
 
+    def test_restored_timers_fire_in_the_checkpointed_heap_order(self):
+        """A snapshot keeps the timer heap as an array and a restore
+        re-sequences it in array order, so timers sharing a timestamp fire
+        in heap-array order after a recovery, not in registration order."""
+        env = StreamExecutionEnvironment(EngineConfig(checkpoints=CheckpointConfig(interval=0.05)))
+        fired = []
+
+        def handler(record, ctx):
+            ctx.register_event_timer(100.0 + (record.value * 7) % 3, payload=record.value)
+
+        def on_timer(timestamp, key, payload, ctx):
+            fired.append(payload)
+
+        (
+            env.from_workload(CollectionWorkload(list(range(40)), rate=200.0), name="src")
+            .key_by(lambda v: v % 4, name="k")
+            .process(handler, on_timer=on_timer, name="p")
+            .sink(CollectSink("out"))
+        )
+        engine = env.build()
+
+        def fail():
+            engine.kill_task("p[0]")
+            engine.recover_from_checkpoint()
+
+        engine.kernel.call_at(0.13, fail)
+        env.execute(until=30.0)
+        assert fired == [
+            0, 3, 6, 15, 9, 12, 18, 21, 24, 27, 30, 33, 36, 39,
+            13, 1, 4, 10, 7, 16, 19, 22, 25, 28, 31, 34, 37,
+            11, 5, 2, 14, 17, 8, 20, 23, 26, 29, 32, 35, 38,
+        ]
+
 
 class TestChannelFIFO:
     def test_per_channel_order_preserved_despite_jitter(self):
