@@ -32,7 +32,7 @@ from repro.runtime.config import EngineConfig
 EVENTS = 12000
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_latency.json")
 
-FASTPATH = dict(chaining_enabled=True, channel_batch_size=16, same_time_bucket=True)
+FASTPATH = dict(chaining_enabled=True)
 
 #: observability knobs for the latency-measurement runs
 OBS = dict(latency_marker_period=0.002, trace_sample_rate=0.01, profiling_enabled=True)

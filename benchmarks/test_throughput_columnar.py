@@ -4,9 +4,9 @@ The tentpole headline for the columnar transport: the same windowed
 aggregation pipeline (sensor source -> vectorized filter -> key_by ->
 tumbling event-time count -> sink) run three ways —
 
-* ``seed``      — the unoptimised dispatch path (per-element heap events);
-* ``fastpath``  — PR-1's chaining + same-time bucket + batched delivery,
-  still one Python-level dispatch per record;
+* ``seed``      — the unchained dispatch path (one task per logical node);
+* ``fastpath``  — operator chaining, still one Python-level dispatch per
+  record;
 * ``columnar``  — record-batches as the unit of transport *and* compute:
   the source emits :class:`~repro.core.events.RecordBatch`, operators run
   vectorized, the window operator folds whole per-(key, window) groups.
@@ -54,15 +54,9 @@ BASELINE_COLUMNAR_US_PER_RECORD = 4.3
 MAX_COLUMNAR_US_PER_RECORD = BASELINE_COLUMNAR_US_PER_RECORD / 0.7
 
 CONFIGS = {
-    "seed": dict(chaining_enabled=False, channel_batch_size=1, same_time_bucket=False),
-    "fastpath": dict(chaining_enabled=True, channel_batch_size=16, same_time_bucket=True),
-    "columnar": dict(
-        chaining_enabled=True,
-        channel_batch_size=16,
-        same_time_bucket=True,
-        columnar_enabled=True,
-        columnar_batch_size=256,
-    ),
+    "seed": dict(chaining_enabled=False),
+    "fastpath": dict(chaining_enabled=True),
+    "columnar": dict(chaining_enabled=True, columnar_enabled=True, columnar_batch_size=256),
 }
 
 

@@ -1,9 +1,9 @@
 """ChaosRunner: randomized fault exploration with minimal reproducers.
 
-The runner sweeps one scenario across the dispatch flag matrix
-(``chaining_enabled`` x ``channel_batch_size`` x ``same_time_bucket``),
-generating K seeded fault schedules per configuration. Each run is a pure
-function of (scenario, seed, flags, schedule index): the schedule is drawn
+The runner sweeps one scenario across the dispatch matrix (operator
+chaining off and on), generating K seeded fault schedules per
+configuration. Each run is a pure function of (scenario, seed, chaining,
+schedule index): the schedule is drawn
 from a namespaced :class:`~repro.sim.random.SimRandom` against the built
 physical plan, applied deterministically, and judged by an
 :class:`~repro.chaos.oracles.OracleSuite`. Two runs with the same inputs
@@ -32,32 +32,26 @@ from repro.chaos.oracles import (
     SupervisedOutcomeOracle,
     standard_oracles,
 )
-from repro.chaos.scenarios import FlagTriple, Scenario
+from repro.chaos.scenarios import Scenario
 from repro.chaos.schedule import FaultSchedule, generate_schedule
 from repro.sim.random import SimRandom
 from repro.supervision.supervisor import SupervisorConfig
 
-#: the default sweep grid: chaining x batch x bucket
-DEFAULT_MATRIX: tuple[FlagTriple, ...] = tuple(
-    (chaining, batch, bucket)
-    for chaining in (False, True)
-    for batch in (1, 4)
-    for bucket in (False, True)
-)
+#: the default sweep grid: operator chaining off and on
+DEFAULT_MATRIX: tuple[bool, ...] = (False, True)
 
 
-def flags_key(flags: FlagTriple) -> str:
-    """Stable string form of a flag triple (used in RNG namespaces)."""
-    chaining, batch, bucket = flags
-    return f"chain={int(chaining)},batch={batch},bucket={int(bucket)}"
+def flags_key(chaining: bool) -> str:
+    """Stable string form of a matrix cell (used in RNG namespaces)."""
+    return f"chain={int(chaining)}"
 
 
 @dataclass
 class ChaosReport:
-    """Outcome of one (scenario, flags, schedule) execution."""
+    """Outcome of one (scenario, chaining, schedule) execution."""
 
     scenario: str
-    flags: FlagTriple
+    chaining: bool
     schedule: FaultSchedule
     violations: list[OracleViolation]
     injection_log: list[str] = field(default_factory=list)
@@ -94,7 +88,7 @@ class ChaosRunner:
         scenario: Scenario,
         seed: int = 0,
         schedules_per_config: int = 2,
-        matrix: Sequence[FlagTriple] = DEFAULT_MATRIX,
+        matrix: Sequence[bool] = DEFAULT_MATRIX,
         probe_interval: float = 0.01,
         supervised: bool = False,
         supervisor_config_factory: Callable[[], SupervisorConfig] | None = None,
@@ -127,7 +121,7 @@ class ChaosRunner:
     # ------------------------------------------------------------------
     def run_one(
         self,
-        flags: FlagTriple,
+        chaining: bool,
         schedule: FaultSchedule | None = None,
         schedule_index: int = 0,
     ) -> ChaosReport:
@@ -136,7 +130,7 @@ class ChaosRunner:
         With ``schedule=None`` the schedule is generated from the runner
         seed; pass an explicit schedule to replay (or shrink) a prior run.
         """
-        config = self.scenario.make_config(self.seed, flags)
+        config = self.scenario.make_config(self.seed, chaining)
         if self.observability:
             config.latency_marker_period = 0.01
             config.trace_sample_rate = 0.05
@@ -150,7 +144,7 @@ class ChaosRunner:
         if schedule is None:
             rng = SimRandom(
                 self.seed,
-                f"chaos/{self.scenario.name}/{flags_key(flags)}/{schedule_index}",
+                f"chaos/{self.scenario.name}/{flags_key(chaining)}/{schedule_index}",
             )
             schedule = generate_schedule(engine, rng, self.scenario.palette)
         expectation = GuaranteeExpectation.for_run(
@@ -188,7 +182,7 @@ class ChaosRunner:
         violations = suite.finalize(engine)
         return ChaosReport(
             scenario=self.scenario.name,
-            flags=flags,
+            chaining=chaining,
             schedule=schedule,
             violations=list(violations),
             injection_log=list(injector.log),
@@ -202,11 +196,11 @@ class ChaosRunner:
         )
 
     def sweep(self) -> list[ChaosReport]:
-        """Run every (flags, schedule index) cell of the grid."""
+        """Run every (chaining, schedule index) cell of the grid."""
         reports = []
-        for flags in self.matrix:
+        for chaining in self.matrix:
             for index in range(self.schedules_per_config):
-                reports.append(self.run_one(flags, schedule_index=index))
+                reports.append(self.run_one(chaining, schedule_index=index))
         return reports
 
     # ------------------------------------------------------------------
@@ -227,7 +221,7 @@ class ChaosRunner:
             shrinking = False
             for index in range(len(current.schedule)):
                 candidate = self.run_one(
-                    current.flags, schedule=current.schedule.without(index)
+                    current.chaining, schedule=current.schedule.without(index)
                 )
                 if candidate.violated_oracles() & target_oracles:
                     current = candidate
@@ -237,19 +231,18 @@ class ChaosRunner:
 
     # ------------------------------------------------------------------
     def format_reproducer(self, report: ChaosReport) -> str:
-        """Copy-pasteable reproduction: seed, flags, schedule, verdict."""
-        chaining, batch, bucket = report.flags
+        """Copy-pasteable reproduction: seed, chaining, schedule, verdict."""
+        chaining = report.chaining
         lines = [
             f"# chaos reproducer: {report.scenario}",
-            f"# seed={self.seed} chaining_enabled={chaining} "
-            f"channel_batch_size={batch} same_time_bucket={bucket}",
+            f"# seed={self.seed} chaining_enabled={chaining}",
             "# verdict:",
         ]
         lines += [f"#   {line}" for line in report.verdict().splitlines()]
         lines += [
             "schedule = " + report.schedule.format(),
             f"runner = ChaosRunner(scenario, seed={self.seed})",
-            f"report = runner.run_one(({chaining}, {batch}, {bucket}), schedule=schedule)",
+            f"report = runner.run_one({chaining}, schedule=schedule)",
             "assert not report.ok",
         ]
         return "\n".join(lines)

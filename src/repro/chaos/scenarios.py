@@ -53,10 +53,6 @@ class ScenarioRun:
     oracles: list[Any] = field(default_factory=list)
 
 
-#: (chaining_enabled, channel_batch_size, same_time_bucket)
-FlagTriple = tuple[bool, int, bool]
-
-
 @dataclass
 class Scenario:
     name: str
@@ -82,16 +78,13 @@ class Scenario:
     def expectation_level(self) -> GuaranteeLevel:
         return self.expect_level or self.level
 
-    def make_config(self, seed: int, flags: FlagTriple) -> EngineConfig:
-        """Engine config for this scenario's guarantee + one flag triple."""
-        chaining, batch, bucket = flags
+    def make_config(self, seed: int, chaining: bool) -> EngineConfig:
+        """Engine config for this scenario's guarantee, chaining on or off."""
         config = config_for_guarantee(
             self.level,
             checkpoint_interval=self.checkpoint_interval,
             seed=seed,
             chaining_enabled=chaining,
-            channel_batch_size=batch,
-            same_time_bucket=bucket,
             **self.config_overrides,
         )
         if config.checkpoints is not None:

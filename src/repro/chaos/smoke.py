@@ -13,9 +13,8 @@ import os
 import sys
 import time
 
-from repro.chaos.runner import ChaosRunner, flags_key
+from repro.chaos.runner import DEFAULT_MATRIX, ChaosRunner, flags_key
 from repro.chaos.scenarios import (
-    FlagTriple,
     macro_scenarios,
     rescale_scenarios,
     standard_scenarios,
@@ -23,12 +22,9 @@ from repro.chaos.scenarios import (
     txn_scenarios,
 )
 
-#: smoke matrix: the two extreme dispatch configurations — everything off,
-#: everything on — which between them cover both delivery code paths
-SMOKE_MATRIX: tuple[FlagTriple, ...] = (
-    (False, 1, False),
-    (True, 4, True),
-)
+#: smoke matrix: the whole default grid, chaining off and on, which between
+#: them cover both delivery code paths (channel hops and fused calls)
+SMOKE_MATRIX = DEFAULT_MATRIX
 
 
 def _fabric_sweep(args: argparse.Namespace) -> int:
@@ -177,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
                 incremental=args.incremental,
                 columnar=args.columnar,
             )
-            for flags in runner.matrix:
+            for chaining in runner.matrix:
                 for index in range(args.schedules):
                     if time.monotonic() - started > args.budget:
                         print(
@@ -185,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
                             f"({time.monotonic() - started:.1f}s) -- stopping early"
                         )
                         return 1 if failures else 0
-                    report = runner.run_one(flags, schedule_index=index)
+                    report = runner.run_one(chaining, schedule_index=index)
                     cells += 1
                     status = "ok" if report.ok else "VIOLATION"
                     outcome = (
@@ -195,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
                     )
                     line = (
                         f"{status:9s} {mode:10s} {scenario.name:28s} "
-                        f"{flags_key(flags):28s} faults={len(report.schedule)} "
+                        f"{flags_key(chaining):8s} faults={len(report.schedule)} "
                         f"{outcome}"
                     )
                     if supervised and report.recovery.get("incidents"):

@@ -35,10 +35,6 @@ class ChannelSpec:
     latency: float = 1e-4
     jitter: float = 0.0
     capacity: int | None = None
-    #: coalesce up to this many same-arrival-time elements into one scheduled
-    #: delivery event (1 = no batching); FIFO order and per-record credit
-    #: accounting are unchanged, only scheduler traffic is amortised
-    batch_size: int = 1
 
 
 @dataclass

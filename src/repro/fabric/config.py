@@ -28,8 +28,6 @@ class FabricConfig:
             event heap when dead events exceed this fraction of it.
         compact_min_dead: absolute dead-event floor below which the heap
             is never compacted (avoids thrashing on small queues).
-        same_time_bucket: kernel fast path for zero-delay events (see
-            :class:`~repro.sim.kernel.Kernel`).
     """
 
     slots: int = 4
@@ -38,7 +36,6 @@ class FabricConfig:
     max_events: int | None = None
     compact_threshold: float = 0.5
     compact_min_dead: int = 256
-    same_time_bucket: bool = True
 
     def validate(self) -> None:
         """Raise :class:`FabricError` on out-of-range knob values."""

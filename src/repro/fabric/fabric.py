@@ -140,7 +140,6 @@ class JobFabric:
         self.config = config or FabricConfig()
         self.config.validate()
         self.kernel = Kernel(
-            same_time_bucket=self.config.same_time_bucket,
             compact_threshold=self.config.compact_threshold,
             compact_min_dead=self.config.compact_min_dead,
         )

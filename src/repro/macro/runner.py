@@ -50,8 +50,6 @@ class MacroEngineSpec:
     #: ordered digests must match the baseline for every ``ordered`` query
     equivalent: bool
     chaining: bool = False
-    channel_batch_size: int = 1
-    same_time_bucket: bool = False
     columnar: bool = False
     incremental: bool = False
     autoscale: bool = False
@@ -63,8 +61,6 @@ class MacroEngineSpec:
         config = EngineConfig(
             seed=seed,
             chaining_enabled=self.chaining,
-            channel_batch_size=self.channel_batch_size,
-            same_time_bucket=self.same_time_bucket,
             columnar_enabled=self.columnar,
             columnar_batch_size=64,
             checkpoints=CheckpointConfig(interval=0.05, incremental=self.incremental),
@@ -80,8 +76,6 @@ class MacroEngineSpec:
         """Flag dict recorded in the exhibit for this config."""
         return {
             "chaining": self.chaining,
-            "channel_batch_size": self.channel_batch_size,
-            "same_time_bucket": self.same_time_bucket,
             "columnar": self.columnar,
             "incremental_checkpoints": self.incremental,
             "autoscale": self.autoscale,
@@ -96,26 +90,20 @@ ENGINE_CONFIGS: dict[str, MacroEngineSpec] = {
     for spec in (
         MacroEngineSpec(
             name="seed",
-            description="seed-equivalent dispatch: per-record heap events, "
-            "no chaining, full snapshots",
+            description="seed-equivalent dispatch: no chaining, full snapshots",
             equivalent=True,
         ),
         MacroEngineSpec(
             name="fastpath",
-            description="fast-path dispatch: chaining + batched delivery + "
-            "same-time bucket",
+            description="fast-path dispatch: operator chaining",
             equivalent=True,
             chaining=True,
-            channel_batch_size=16,
-            same_time_bucket=True,
         ),
         MacroEngineSpec(
             name="columnar",
             description="fast path + record-batch transport and compute",
             equivalent=True,
             chaining=True,
-            channel_batch_size=16,
-            same_time_bucket=True,
             columnar=True,
         ),
         MacroEngineSpec(
@@ -123,8 +111,6 @@ ENGINE_CONFIGS: dict[str, MacroEngineSpec] = {
             description="fast path + incremental base+delta checkpoints",
             equivalent=True,
             chaining=True,
-            channel_batch_size=16,
-            same_time_bucket=True,
             incremental=True,
         ),
         MacroEngineSpec(
@@ -133,8 +119,6 @@ ENGINE_CONFIGS: dict[str, MacroEngineSpec] = {
             "window stage (flow control + metric sampling on)",
             equivalent=False,
             chaining=True,
-            channel_batch_size=16,
-            same_time_bucket=True,
             autoscale=True,
         ),
         MacroEngineSpec(
@@ -142,8 +126,6 @@ ENGINE_CONFIGS: dict[str, MacroEngineSpec] = {
             description="fast path + S-Store NO-WAIT locking on the Q5 store",
             equivalent=False,
             chaining=True,
-            channel_batch_size=16,
-            same_time_bucket=True,
             txn_locking="nowait",
         ),
     )

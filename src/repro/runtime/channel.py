@@ -10,11 +10,11 @@ is per physical channel: senders block when a receiver stops returning
 credits, and the stall propagates upstream to the sources.
 
 Delivery is *batched*: elements of one channel with an identical arrival time
-coalesce into one list (up to ``spec.batch_size``), and lists scheduled back
-to back for one arrival time — by any channels of one job — travel as one
-kernel event, a *flight* (see :func:`_deliver_flight`). Credits are still
-accounted per record and FIFO order is preserved, so flow control and
-ordering semantics are byte-identical with batching on or off.
+coalesce into one list, and lists scheduled back to back for one arrival
+time — by any channels of one job — travel as one kernel event, a *flight*
+(see :func:`_deliver_flight`). Credits are still accounted per record and
+FIFO order is preserved, so batching changes scheduler traffic, not flow
+control.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class PhysicalChannel:
         self._latency = spec.latency
         self._jitter = spec.jitter if spec.jitter > 0 else 0.0
         self._random = rng.random
-        self._batch_size = max(1, spec.batch_size)
         #: what the receiver is handed as ``via``: this channel when an
         #: element holds a credit to return, None on an unbounded link
         self._credit_via = self if spec.capacity is not None else None
@@ -140,14 +139,10 @@ class PhysicalChannel:
         self.sent += 1
         self._in_flight += 1
         # Coalesce same-arrival elements into the open batch: one kernel
-        # event amortised over the batch. The batch closes when it
-        # fires, fills up, or a later arrival time starts a new one.
+        # event amortised over the batch. The batch closes when it fires or
+        # a later arrival time starts a new one.
         batch = self._open_batch
-        if (
-            batch is not None
-            and self._open_batch_arrival == arrival
-            and len(batch) < self._batch_size
-        ):
+        if batch is not None and self._open_batch_arrival == arrival:
             batch.append(element)
             return
         batch = [element]

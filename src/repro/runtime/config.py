@@ -8,7 +8,7 @@ generation profiles (:mod:`repro.generations`) are thin factories over this.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.graph import ChannelSpec
@@ -69,8 +69,6 @@ class EngineConfig:
     default_processing_cost: float = 2e-5
     #: cost charged per fired timer
     timer_cost: float = 5e-6
-    #: default network model for edges without an explicit ChannelSpec
-    default_channel: ChannelSpec = field(default_factory=lambda: ChannelSpec(latency=1e-4, jitter=2e-5))
     #: per-channel credit capacity applied when an edge doesn't set one and
     #: flow control is enabled
     flow_control: bool = False
@@ -87,12 +85,6 @@ class EngineConfig:
     #: one task (Flink-style operator chaining); records cross fused edges as
     #: plain Python calls with no channel at all
     chaining_enabled: bool = False
-    #: default per-channel delivery batch size applied when an edge's
-    #: ChannelSpec doesn't set one (1 = no batching)
-    channel_batch_size: int = 1
-    #: heap-free FIFO dispatch for events scheduled at exactly now();
-    #: order-preserving, so safe to leave on
-    same_time_bucket: bool = True
     # --- columnar execution ------------------------------------------------
     #: sources emit :class:`~repro.core.events.RecordBatch` columnar batches
     #: instead of per-record elements; batches are the unit of transport
@@ -116,15 +108,9 @@ class EngineConfig:
     profiling_enabled: bool = False
 
     def channel_for(self, spec: ChannelSpec | None) -> ChannelSpec:
-        """Resolve an edge's channel spec against the defaults."""
-        base = spec or self.default_channel
+        """Resolve an edge's channel spec against the flow-control default."""
+        base = spec or ChannelSpec()
         capacity = base.capacity
         if capacity is None and self.flow_control:
             capacity = self.default_channel_capacity
-        batch_size = base.batch_size if base.batch_size > 1 else self.channel_batch_size
-        return ChannelSpec(
-            latency=base.latency,
-            jitter=base.jitter,
-            capacity=capacity,
-            batch_size=batch_size,
-        )
+        return ChannelSpec(latency=base.latency, jitter=base.jitter, capacity=capacity)

@@ -132,9 +132,7 @@ class Engine:
         self.graph = graph
         self.config = config or EngineConfig()
         self.owns_kernel = kernel is None
-        self.kernel = kernel if kernel is not None else Kernel(
-            same_time_bucket=self.config.same_time_bucket
-        )
+        self.kernel = kernel if kernel is not None else Kernel()
         #: this engine's event namespace on the kernel. Sole-tenant engines
         #: use the graph name; on a shared kernel the tag is uniquified so
         #: two tenants submitting the same graph stay isolated.

@@ -107,7 +107,9 @@ class Kernel:
         #: FIFO bucket for events scheduled at exactly ``now()`` — the
         #: dominant case for zero-latency local hops. Bucket events skip the
         #: heap entirely; dispatch order is still the global (time, seq)
-        #: order, so enabling the bucket is observably identical.
+        #: order, so the bucket is observably identical to the heap.
+        #: ``same_time_bucket=False`` keeps the heap-only path as the
+        #: reference the kernel's differential tests compare against.
         self._soon: deque[EventHandle] = deque()
         self._same_time_bucket = same_time_bucket
         self._seq = itertools.count()

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from repro.chaos import ChaosRunner, standard_scenarios, supervised_scenarios
 from repro.chaos.scenarios import keyed_shuffle
+from repro.chaos.smoke import SMOKE_MATRIX
 from repro.runtime.config import GuaranteeLevel
 
-SMOKE_FLAGS = ((False, 1, False), (True, 4, True))
 
 
 def sweep(scenario, supervised):
@@ -20,7 +20,7 @@ def sweep(scenario, supervised):
         scenario,
         seed=5,
         schedules_per_config=1,
-        matrix=SMOKE_FLAGS,
+        matrix=SMOKE_MATRIX,
         supervised=supervised,
         columnar=True,
     )
@@ -32,13 +32,13 @@ class TestColumnarSweep:
         for scenario in standard_scenarios():
             _runner, reports = sweep(scenario, supervised=False)
             for report in reports:
-                assert report.ok, f"{scenario.name} {report.flags}:\n{report.verdict()}"
+                assert report.ok, f"{scenario.name} {report.chaining}:\n{report.verdict()}"
 
     def test_supervised_scenarios_pass_with_batched_transport(self):
         for scenario in supervised_scenarios():
             _runner, reports = sweep(scenario, supervised=True)
             for report in reports:
-                assert report.ok, f"{scenario.name} {report.flags}:\n{report.verdict()}"
+                assert report.ok, f"{scenario.name} {report.chaining}:\n{report.verdict()}"
                 assert report.finished or report.job_failed
 
 
@@ -48,7 +48,7 @@ class TestColumnarDeterminism:
 
         def one_run():
             runner = ChaosRunner(scenario, seed=11, columnar=True)
-            report = runner.run_one((True, 4, True), schedule_index=1)
+            report = runner.run_one(True, schedule_index=1)
             return (
                 report.schedule.format(),
                 tuple(report.injection_log),
@@ -65,5 +65,5 @@ class TestColumnarDeterminism:
         scenario = keyed_shuffle(GuaranteeLevel.AT_LEAST_ONCE)
         for columnar in (False, True):
             runner = ChaosRunner(scenario, seed=13, columnar=columnar)
-            report = runner.run_one((False, 1, False), schedule_index=0)
+            report = runner.run_one(False, schedule_index=0)
             assert report.ok, f"columnar={columnar}:\n{report.verdict()}"

@@ -1,10 +1,10 @@
 """Chaos grid: every pipeline shape holds its guarantee under seeded faults.
 
 Four shapes (forward chain, keyed shuffle, fan-in join, feedback loop) x
-the dispatch flag matrix (chaining x batching x same-time bucket) x K
-seeded fault schedules. Every cell must finish and satisfy the full oracle
-suite: the configured delivery guarantee, watermark monotonicity, credit
-conservation, and checkpoint consistency. A failure message embeds the
+operator chaining off and on x K seeded fault schedules. Every cell must
+finish and satisfy the full oracle suite: the configured delivery
+guarantee, watermark monotonicity, credit conservation, and checkpoint
+consistency. A failure message embeds the
 copy-pasteable reproducer.
 """
 
@@ -19,15 +19,8 @@ from repro.chaos import (
     forward_chain,
     keyed_shuffle,
 )
+from repro.chaos.smoke import SMOKE_MATRIX
 from repro.runtime.config import GuaranteeLevel
-
-#: one cell per dispatch dimension plus the all-on corner
-FLAG_MATRIX = [
-    (False, 1, False),
-    (True, 1, False),
-    (False, 4, True),
-    (True, 4, True),
-]
 
 SCENARIOS = {
     "forward-chain-eo": lambda: forward_chain(GuaranteeLevel.EXACTLY_ONCE),
@@ -40,13 +33,13 @@ SCENARIOS = {
 SCHEDULES_PER_CELL = 2
 
 
-@pytest.mark.parametrize("flags", FLAG_MATRIX, ids=lambda f: f"chain{int(f[0])}-batch{f[1]}-bucket{int(f[2])}")
+@pytest.mark.parametrize("chaining", SMOKE_MATRIX, ids=lambda c: f"chain{int(c)}")
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
-def test_guarantee_holds_under_chaos(scenario_name, flags, chaos_seed):
+def test_guarantee_holds_under_chaos(scenario_name, chaining, chaos_seed):
     scenario = SCENARIOS[scenario_name]()
     runner = ChaosRunner(scenario, seed=chaos_seed)
     for index in range(SCHEDULES_PER_CELL):
-        report = runner.run_one(flags, schedule_index=index)
+        report = runner.run_one(chaining, schedule_index=index)
         assert report.ok and report.finished, (
             f"{scenario.name} violated its guarantee:\n"
             + runner.format_reproducer(runner.shrink(report))
@@ -61,6 +54,6 @@ def test_clean_run_produces_expected_output(chaos_seed):
         scenario = factory()
         runner = ChaosRunner(scenario, seed=chaos_seed)
         report = runner.run_one(
-            (False, 1, False), schedule=FaultSchedule(seed=chaos_seed, faults=[])
+            False, schedule=FaultSchedule(seed=chaos_seed, faults=[])
         )
         assert report.ok and report.finished, (scenario.name, report.verdict())

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from repro.chaos import ChaosRunner, standard_scenarios, supervised_scenarios
 from repro.chaos.scenarios import keyed_shuffle
+from repro.chaos.smoke import SMOKE_MATRIX
 from repro.runtime.config import GuaranteeLevel
 
-SMOKE_FLAGS = ((False, 1, False), (True, 4, True))
 
 
 def sweep(scenario, supervised):
@@ -15,7 +15,7 @@ def sweep(scenario, supervised):
         scenario,
         seed=3,
         schedules_per_config=1,
-        matrix=SMOKE_FLAGS,
+        matrix=SMOKE_MATRIX,
         supervised=supervised,
         incremental=True,
     )
@@ -27,13 +27,13 @@ class TestIncrementalSweep:
         for scenario in standard_scenarios():
             _runner, reports = sweep(scenario, supervised=False)
             for report in reports:
-                assert report.ok, f"{scenario.name} {report.flags}:\n{report.verdict()}"
+                assert report.ok, f"{scenario.name} {report.chaining}:\n{report.verdict()}"
 
     def test_supervised_scenarios_pass_with_chain_recovery(self):
         for scenario in supervised_scenarios():
             _runner, reports = sweep(scenario, supervised=True)
             for report in reports:
-                assert report.ok, f"{scenario.name} {report.flags}:\n{report.verdict()}"
+                assert report.ok, f"{scenario.name} {report.chaining}:\n{report.verdict()}"
                 assert report.finished or report.job_failed
 
 
@@ -43,7 +43,7 @@ class TestIncrementalDeterminism:
 
         def one_run():
             runner = ChaosRunner(scenario, seed=7, incremental=True)
-            report = runner.run_one((True, 4, True), schedule_index=1)
+            report = runner.run_one(True, schedule_index=1)
             return (
                 report.schedule.format(),
                 tuple(report.injection_log),
@@ -58,8 +58,8 @@ class TestIncrementalDeterminism:
         # timeline (different restore volumes) but every verdict must match
         # the full-snapshot run.
         scenario = keyed_shuffle(GuaranteeLevel.AT_LEAST_ONCE)
-        for flags in SMOKE_FLAGS:
-            plain = ChaosRunner(scenario, seed=11).run_one(flags)
-            chained = ChaosRunner(scenario, seed=11, incremental=True).run_one(flags)
+        for chaining in SMOKE_MATRIX:
+            plain = ChaosRunner(scenario, seed=11).run_one(chaining)
+            chained = ChaosRunner(scenario, seed=11, incremental=True).run_one(chaining)
             assert plain.schedule.format() == chained.schedule.format()
             assert plain.verdict() == chained.verdict() == "OK"

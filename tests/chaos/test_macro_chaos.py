@@ -13,8 +13,8 @@ from __future__ import annotations
 from repro.chaos.runner import ChaosRunner
 from repro.chaos.scenarios import macro_mixed
 from repro.chaos.schedule import DELAY, KILL, STALL
+from repro.chaos.smoke import SMOKE_MATRIX
 
-SMOKE_FLAGS = ((False, 1, False), (True, 4, True))
 
 
 def test_macro_suite_survives_fault_schedules():
@@ -22,15 +22,15 @@ def test_macro_suite_survives_fault_schedules():
     assert set(scenario.palette.kinds) == {KILL, DELAY, STALL}
     for seed in (0, 1):
         runner = ChaosRunner(
-            scenario, seed=seed, schedules_per_config=1, matrix=SMOKE_FLAGS
+            scenario, seed=seed, schedules_per_config=1, matrix=SMOKE_MATRIX
         )
         for report in runner.sweep():
             assert report.ok, (
-                f"macro-mixed seed={seed} {report.flags}:\n"
+                f"macro-mixed seed={seed} {report.chaining}:\n"
                 f"{report.schedule.format()}\n{report.verdict()}"
             )
             assert report.finished, (
-                f"macro-mixed seed={seed} {report.flags}: job hung\n"
+                f"macro-mixed seed={seed} {report.chaining}: job hung\n"
                 f"{report.schedule.format()}"
             )
             # The Q5 store registered with the serializability machinery.
@@ -43,9 +43,9 @@ def test_macro_chaos_rerun_is_byte_identical():
             macro_mixed(scale=0.1),
             seed=3,
             schedules_per_config=1,
-            matrix=(SMOKE_FLAGS[0],),
+            matrix=(SMOKE_MATRIX[0],),
         )
-        report = runner.run_one(SMOKE_FLAGS[0], schedule_index=0)
+        report = runner.run_one(SMOKE_MATRIX[0], schedule_index=0)
         return (
             report.schedule.format(),
             tuple(report.injection_log),

@@ -8,10 +8,10 @@ import pytest
 from repro.chaos import ChaosRunner
 from repro.chaos.oracles import MetricInvariantOracle
 from repro.chaos.scenarios import standard_scenarios, supervised_scenarios
+from repro.chaos.smoke import SMOKE_MATRIX
 
-SMOKE_FLAGS = [
-    pytest.param((False, 1, False), id="plain"),
-    pytest.param((True, 4, True), id="chained-batched-bucketed"),
+CHAINING = [
+    pytest.param(chaining, id="chained" if chaining else "plain") for chaining in SMOKE_MATRIX
 ]
 
 
@@ -25,28 +25,28 @@ class TestAcrossChaosMatrix:
     never fires, and turning observability on never changes a verdict."""
 
     @pytest.mark.parametrize("scenario", scenario_params(standard_scenarios()))
-    @pytest.mark.parametrize("flags", SMOKE_FLAGS)
-    def test_default_mode_metrics_stay_sound(self, scenario, flags, chaos_seed):
+    @pytest.mark.parametrize("chaining", CHAINING)
+    def test_default_mode_metrics_stay_sound(self, scenario, chaining, chaos_seed):
         runner = ChaosRunner(scenario, seed=chaos_seed, observability=True)
-        report = runner.run_one(flags, schedule_index=0)
+        report = runner.run_one(chaining, schedule_index=0)
         assert "metric-invariants" not in report.violated_oracles(), report.verdict()
 
     @pytest.mark.parametrize("scenario", scenario_params(supervised_scenarios()))
-    @pytest.mark.parametrize("flags", SMOKE_FLAGS)
-    def test_supervised_mode_metrics_stay_sound(self, scenario, flags, chaos_seed):
+    @pytest.mark.parametrize("chaining", CHAINING)
+    def test_supervised_mode_metrics_stay_sound(self, scenario, chaining, chaos_seed):
         runner = ChaosRunner(
             scenario, seed=chaos_seed, supervised=True, observability=True
         )
-        report = runner.run_one(flags, schedule_index=0)
+        report = runner.run_one(chaining, schedule_index=0)
         assert "metric-invariants" not in report.violated_oracles(), report.verdict()
 
     @pytest.mark.parametrize("scenario", scenario_params(standard_scenarios()))
-    @pytest.mark.parametrize("flags", SMOKE_FLAGS)
-    def test_ci_seed_matrix_passes_with_observability(self, scenario, flags):
+    @pytest.mark.parametrize("chaining", CHAINING)
+    def test_ci_seed_matrix_passes_with_observability(self, scenario, chaining):
         """The pinned CI slice (seed 0, both modes run in chaos_smoke.sh)
         must stay green with markers + tracing in band."""
         report = ChaosRunner(scenario, seed=0, observability=True).run_one(
-            flags, schedule_index=0
+            chaining, schedule_index=0
         )
         assert report.ok, report.verdict()
 
@@ -55,11 +55,11 @@ class TestAcrossChaosMatrix:
         and every shared oracle's verdict match the probe-free run."""
         for scenario in standard_scenarios():
             plain = ChaosRunner(scenario, seed=chaos_seed + 3).run_one(
-                (True, 4, True), schedule_index=0
+                True, schedule_index=0
             )
             probed = ChaosRunner(
                 scenario, seed=chaos_seed + 3, observability=True
-            ).run_one((True, 4, True), schedule_index=0)
+            ).run_one(True, schedule_index=0)
             assert plain.schedule.format() == probed.schedule.format()
             assert plain.injection_log == probed.injection_log
             assert plain.finished == probed.finished

@@ -5,7 +5,7 @@ delivery and conservation oracles must stay green.
 The sweep is the tentpole's proof obligation: a rescale is not a fault, so a
 schedule mixing rescales with recoverable faults must still finish with the
 exactly-once output byte-identical to an unrescaled run, and the whole run
-must replay deterministically from (seed, flags, schedule index).
+must replay deterministically from (seed, chaining, schedule index).
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from repro.chaos import ChaosRunner
 from repro.chaos.scenarios import rescale_scenarios, rescale_shuffle
 from repro.chaos.schedule import RESCALE, FaultSpec, schedule_from_faults
+from repro.chaos.smoke import SMOKE_MATRIX
 
-SMOKE_FLAGS = ((False, 1, False), (True, 4, True))
 
 
 def rescale_only_schedule(targets):
@@ -32,14 +32,14 @@ class TestRescaleSweep:
         for scenario in rescale_scenarios():
             for seed in (0, 1, 2):
                 runner = ChaosRunner(
-                    scenario, seed=seed, schedules_per_config=2, matrix=SMOKE_FLAGS
+                    scenario, seed=seed, schedules_per_config=2, matrix=SMOKE_MATRIX
                 )
                 for report in runner.sweep():
                     assert report.ok, (
-                        f"{scenario.name} seed={seed} {report.flags}:\n{report.verdict()}"
+                        f"{scenario.name} seed={seed} {report.chaining}:\n{report.verdict()}"
                     )
                     assert report.finished, (
-                        f"{scenario.name} seed={seed} {report.flags}: job hung\n"
+                        f"{scenario.name} seed={seed} {report.chaining}: job hung\n"
                         f"{report.schedule.format()}"
                     )
 
@@ -52,11 +52,11 @@ class TestRescaleSweep:
                 scenario,
                 seed=seed,
                 schedules_per_config=2,
-                matrix=SMOKE_FLAGS,
+                matrix=SMOKE_MATRIX,
                 incremental=True,
             )
             for report in runner.sweep():
-                assert report.ok, f"seed={seed} {report.flags}:\n{report.verdict()}"
+                assert report.ok, f"seed={seed} {report.chaining}:\n{report.verdict()}"
                 assert report.finished
 
     def test_schedules_actually_interleave_rescales_with_faults(self):
@@ -68,9 +68,9 @@ class TestRescaleSweep:
         mixed = 0
         for seed in range(6):
             runner = ChaosRunner(scenario, seed=seed, schedules_per_config=2)
-            for flags in SMOKE_FLAGS:
+            for chaining in SMOKE_MATRIX:
                 for index in range(2):
-                    report = runner.run_one(flags, schedule_index=index)
+                    report = runner.run_one(chaining, schedule_index=index)
                     kinds = report.schedule.kinds()
                     kinds_seen |= kinds
                     if RESCALE in kinds and len(kinds) > 1:
@@ -86,14 +86,14 @@ class TestRescaledOutputMatchesUnrescaled:
         # counts — migration moved state, not records).
         scenario = rescale_shuffle()
         runner = ChaosRunner(scenario, seed=0)
-        for flags in SMOKE_FLAGS:
-            clean = runner.run_one(flags, schedule=schedule_from_faults([]))
+        for chaining in SMOKE_MATRIX:
+            clean = runner.run_one(chaining, schedule=schedule_from_faults([]))
             rescaled = runner.run_one(
-                flags,
+                chaining,
                 schedule=rescale_only_schedule([(0.01, 3), (0.04, 1), (0.07, 2)]),
             )
             assert clean.ok and rescaled.ok, (
-                f"{flags}: clean={clean.verdict()} rescaled={rescaled.verdict()}"
+                f"chaining={chaining}: clean={clean.verdict()} rescaled={rescaled.verdict()}"
             )
             assert clean.finished and rescaled.finished
 
@@ -104,7 +104,7 @@ class TestRescaledOutputMatchesUnrescaled:
         scenario = rescale_shuffle()
         runner = ChaosRunner(scenario, seed=1)
         report = runner.run_one(
-            (True, 4, True),
+            True,
             schedule=rescale_only_schedule([(0.001, 3), (0.002, 2)]),
         )
         assert report.ok, report.verdict()
@@ -117,7 +117,7 @@ class TestRescaleDeterminism:
 
         def one_run():
             runner = ChaosRunner(scenario, seed=5, incremental=True)
-            report = runner.run_one((True, 4, True), schedule_index=1)
+            report = runner.run_one(True, schedule_index=1)
             return (
                 report.schedule.format(),
                 tuple(report.injection_log),

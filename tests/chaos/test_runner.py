@@ -12,19 +12,16 @@ from repro.chaos import (
     forward_chain,
     schedule_from_faults,
 )
+from repro.chaos.smoke import SMOKE_MATRIX
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [(False, 1, False), (True, 1, False), (True, 4, True)],
-    ids=["plain", "chained", "chained-batched-bucketed"],
-)
-def test_same_seed_is_byte_identical(flags, chaos_seed):
-    """Two independent runners with the same (scenario, seed, flags, index)
+@pytest.mark.parametrize("chaining", SMOKE_MATRIX, ids=["plain", "chained"])
+def test_same_seed_is_byte_identical(chaining, chaos_seed):
+    """Two independent runners with the same (scenario, seed, chaining, index)
     produce identical schedules, injection logs, and oracle verdicts —
-    including with operator chaining and delivery batching enabled."""
-    first = ChaosRunner(forward_chain(), seed=chaos_seed + 7).run_one(flags, schedule_index=1)
-    second = ChaosRunner(forward_chain(), seed=chaos_seed + 7).run_one(flags, schedule_index=1)
+    including with operator chaining enabled."""
+    first = ChaosRunner(forward_chain(), seed=chaos_seed + 7).run_one(chaining, schedule_index=1)
+    second = ChaosRunner(forward_chain(), seed=chaos_seed + 7).run_one(chaining, schedule_index=1)
     assert first.schedule.format() == second.schedule.format()
     assert first.injection_log == second.injection_log
     assert first.verdict() == second.verdict()
@@ -34,7 +31,7 @@ def test_same_seed_is_byte_identical(flags, chaos_seed):
 def test_different_indices_draw_different_schedules(chaos_seed):
     runner = ChaosRunner(forward_chain(), seed=chaos_seed)
     formats = {
-        runner.run_one((False, 1, False), schedule_index=i).schedule.format()
+        runner.run_one(False, schedule_index=i).schedule.format()
         for i in range(4)
     }
     assert len(formats) > 1, "schedule index must vary the draw"
@@ -44,8 +41,8 @@ def test_schedule_targets_adapt_to_chaining(chaos_seed):
     """Under chaining the forward chain fuses; channel faults must target
     the surviving physical links, not fused (nonexistent) edges."""
     runner = ChaosRunner(forward_chain(), seed=chaos_seed)
-    report = runner.run_one((True, 1, False), schedule_index=0)
-    config = runner.scenario.make_config(chaos_seed, (True, 1, False))
+    report = runner.run_one(True, schedule_index=0)
+    config = runner.scenario.make_config(chaos_seed, True)
     engine = runner.scenario.build(config).engine
     live_channels = {
         f"{ch.sender.name}->{ch.receiver.name}"
@@ -65,7 +62,7 @@ def test_broken_config_is_caught_and_shrunk(chaos_seed):
         broken_at_most_once(),
         seed=chaos_seed + 3,
         schedules_per_config=3,
-        matrix=[(False, 1, False), (True, 4, True)],
+        matrix=SMOKE_MATRIX,
     )
     violating = [r for r in runner.sweep() if not r.ok]
     assert violating, "a kill without checkpoints must lose records"
@@ -83,14 +80,14 @@ def test_printed_reproducer_replays(chaos_seed):
     runner = ChaosRunner(broken_at_most_once(), seed=chaos_seed + 3)
     report = None
     for index in range(6):
-        candidate = runner.run_one((False, 1, False), schedule_index=index)
+        candidate = runner.run_one(False, schedule_index=index)
         if not candidate.ok:
             report = candidate
             break
     assert report is not None
     minimal = runner.shrink(report)
     replay = runner.run_one(
-        minimal.flags,
+        minimal.chaining,
         schedule=schedule_from_faults(list(minimal.schedule.faults), seed=minimal.schedule.seed),
     )
     assert not replay.ok
@@ -99,7 +96,7 @@ def test_printed_reproducer_replays(chaos_seed):
 
 def test_shrink_is_identity_for_clean_runs(chaos_seed):
     runner = ChaosRunner(forward_chain(), seed=chaos_seed)
-    report = runner.run_one((False, 1, False), schedule=FaultSchedule(chaos_seed, []))
+    report = runner.run_one(False, schedule=FaultSchedule(chaos_seed, []))
     assert runner.shrink(report) is report
 
 

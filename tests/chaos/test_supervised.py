@@ -13,10 +13,10 @@ from repro.chaos import (
     schedule_from_faults,
     supervised_scenarios,
 )
+from repro.chaos.smoke import SMOKE_MATRIX
 from repro.runtime.config import GuaranteeLevel
 from repro.supervision import FailureRateRestart, SupervisorConfig
 
-SMOKE_FLAGS = ((False, 1, False), (True, 4, True))
 
 
 class TestSupervisedSweep:
@@ -26,12 +26,12 @@ class TestSupervisedSweep:
                 scenario,
                 seed=2,
                 schedules_per_config=1,
-                matrix=SMOKE_FLAGS,
+                matrix=SMOKE_MATRIX,
                 supervised=True,
             )
             for report in runner.sweep():
                 assert report.ok, (
-                    f"{scenario.name} {report.flags}:\n{report.verdict()}"
+                    f"{scenario.name} {report.chaining}:\n{report.verdict()}"
                 )
                 assert report.finished or report.job_failed
 
@@ -42,7 +42,7 @@ class TestSupervisedSweep:
         schedule = schedule_from_faults(
             [FaultSpec(kind=KILL, target="triple[0]", at=0.03)]
         )
-        report = runner.run_one((False, 1, False), schedule=schedule)
+        report = runner.run_one(False, schedule=schedule)
         assert report.ok, report.verdict()
         assert report.recovery["incidents"] == 1
         assert report.recovery["restarts_by_scope"] == {"region": 1}
@@ -53,7 +53,7 @@ class TestSupervisedSweep:
 
         def one_run():
             runner = ChaosRunner(scenario, seed=5, supervised=True)
-            report = runner.run_one((True, 4, True), schedule_index=1)
+            report = runner.run_one(True, schedule_index=1)
             return (
                 report.schedule.format(),
                 tuple(report.injection_log),
@@ -78,7 +78,7 @@ class TestCleanFailureUnderChaos:
         schedule = schedule_from_faults(
             [FaultSpec(kind=KILL, target="double[0]", at=0.03)]
         )
-        report = runner.run_one((False, 1, False), schedule=schedule)
+        report = runner.run_one(False, schedule=schedule)
         # One kill exceeds a zero-tolerance policy: the job must fail
         # cleanly (recorded reason, no duplicates, no hang) and the
         # supervised-outcome oracle accepts that as a valid end state.
@@ -91,7 +91,7 @@ class TestCleanFailureUnderChaos:
 class TestSupervisedOutcomeOracle:
     def test_hang_is_a_violation(self):
         scenario = forward_chain(GuaranteeLevel.EXACTLY_ONCE)
-        config = scenario.make_config(0, (False, 1, False))
+        config = scenario.make_config(0, False)
         run = scenario.build(config)
         engine = run.engine
         engine.run(until=0.005)  # way before the job can drain
@@ -105,7 +105,7 @@ class TestSupervisedOutcomeOracle:
 
     def test_finished_run_with_full_output_is_clean(self):
         scenario = forward_chain(GuaranteeLevel.EXACTLY_ONCE)
-        config = scenario.make_config(0, (False, 1, False))
+        config = scenario.make_config(0, False)
         run = scenario.build(config)
         engine = run.engine
         engine.run(until=scenario.horizon)

@@ -6,7 +6,7 @@ palette — kills, stalls, delays, lost barriers — and every committed
 history must check out as serializable: commit-order replay reproduces all
 recorded reads and the final state, the conflict graph is acyclic, effects
 are exactly-once, and the invariant holds at every probe. Reruns with the
-same (seed, flags, schedule index) are byte-identical down to the store
+same (seed, chaining, schedule index) are byte-identical down to the store
 digest, and a deliberately mis-deployed variant shrinks to a minimal
 reproducer.
 """
@@ -33,6 +33,7 @@ from repro.chaos.schedule import (
     PaletteConfig,
     schedule_from_faults,
 )
+from repro.chaos.smoke import SMOKE_MATRIX
 from repro.io.sinks import CollectSink
 from repro.io.sources import CollectionWorkload
 from repro.runtime.config import EngineConfig, GuaranteeLevel
@@ -40,7 +41,6 @@ from repro.sim.kernel import Kernel
 from repro.txn.manager import LockMode
 from repro.txn.store import TxnStateStore
 
-SMOKE_FLAGS = ((False, 1, False), (True, 4, True))
 SEEDS = (0, 1, 2, 3, 4)
 
 
@@ -52,15 +52,15 @@ class TestSerializabilitySweep:
             assert KILL in palette_kinds and BARRIER_LOSS in palette_kinds
             for seed in SEEDS:
                 runner = ChaosRunner(
-                    scenario, seed=seed, schedules_per_config=1, matrix=SMOKE_FLAGS
+                    scenario, seed=seed, schedules_per_config=1, matrix=SMOKE_MATRIX
                 )
                 for report in runner.sweep():
                     assert report.ok, (
-                        f"{scenario.name} seed={seed} {report.flags}:\n"
+                        f"{scenario.name} seed={seed} {report.chaining}:\n"
                         f"{report.schedule.format()}\n{report.verdict()}"
                     )
                     assert report.finished, (
-                        f"{scenario.name} seed={seed} {report.flags}: job hung\n"
+                        f"{scenario.name} seed={seed} {report.chaining}: job hung\n"
                         f"{report.schedule.format()}"
                     )
                     assert report.txn_digests, "no transactional store registered"
@@ -69,9 +69,9 @@ class TestSerializabilitySweep:
         for factory in (txn_transfer, txn_hot_account, txn_mixed_readonly):
             def run_once():
                 runner = ChaosRunner(
-                    factory(), seed=7, schedules_per_config=1, matrix=(SMOKE_FLAGS[0],)
+                    factory(), seed=7, schedules_per_config=1, matrix=(SMOKE_MATRIX[0],)
                 )
-                report = runner.run_one(SMOKE_FLAGS[0], schedule_index=0)
+                report = runner.run_one(SMOKE_MATRIX[0], schedule_index=0)
                 return (
                     report.schedule.format(),
                     tuple(report.injection_log),
@@ -129,12 +129,12 @@ class TestShrinking:
 
     def test_violation_shrinks_to_minimal_reproducer(self):
         runner = ChaosRunner(
-            self.broken_txn_scenario(), seed=2, schedules_per_config=2, matrix=SMOKE_FLAGS
+            self.broken_txn_scenario(), seed=2, schedules_per_config=2, matrix=SMOKE_MATRIX
         )
         violating = None
-        for flags in SMOKE_FLAGS:
+        for chaining in SMOKE_MATRIX:
             for index in range(2):
-                report = runner.run_one(flags, schedule_index=index)
+                report = runner.run_one(chaining, schedule_index=index)
                 if not report.ok and any(
                     f.kind == KILL for f in report.schedule.faults
                 ):
@@ -149,7 +149,7 @@ class TestShrinking:
         # 1-minimality: every remaining fault is necessary.
         for index in range(len(minimal.schedule)):
             candidate = runner.run_one(
-                minimal.flags, schedule=minimal.schedule.without(index)
+                minimal.chaining, schedule=minimal.schedule.without(index)
             )
             assert not (candidate.violated_oracles() & violating.violated_oracles())
         reproducer = runner.format_reproducer(minimal)

@@ -16,20 +16,15 @@ COUNT = 300
 RATE = 3000.0
 PERIOD = 0.004
 
-FLAG_COMBOS = [
-    pytest.param(chaining, batch, id=f"chain={chaining}-batch={batch}")
-    for chaining in (False, True)
-    for batch in (1, 8)
-]
+CHAINING = [pytest.param(chaining, id=f"chain={chaining}") for chaining in (False, True)]
 
 GUARANTEES = [GuaranteeLevel.AT_LEAST_ONCE, GuaranteeLevel.EXACTLY_ONCE]
 
 
-def run(level, chaining, batch, seed, marker_period=PERIOD):
+def run(level, chaining, seed, marker_period=PERIOD):
     config = config_for_guarantee(
         level, checkpoint_interval=0.02, seed=seed, chaining_enabled=chaining
     )
-    config.channel_batch_size = batch
     config.latency_marker_period = marker_period
     env = StreamExecutionEnvironment(config, name="props")
     sink = CollectSink("out")
@@ -74,11 +69,9 @@ def source_out_sink_in_dropped(snapshot):
 
 class TestRecordConservation:
     @pytest.mark.parametrize("level", GUARANTEES, ids=lambda l: l.name.lower())
-    @pytest.mark.parametrize("chaining,batch", FLAG_COMBOS)
-    def test_source_out_equals_sink_in_plus_dropped(
-        self, level, chaining, batch, chaos_seed
-    ):
-        engine, sink = run(level, chaining, batch, seed=chaos_seed + 17)
+    @pytest.mark.parametrize("chaining", CHAINING)
+    def test_source_out_equals_sink_in_plus_dropped(self, level, chaining, chaos_seed):
+        engine, sink = run(level, chaining, seed=chaos_seed + 17)
         assert engine.job_finished
         emitted, consumed, dropped = source_out_sink_in_dropped(
             engine.metrics_snapshot()
@@ -92,7 +85,7 @@ class TestRecordConservation:
         """Markers share every channel with records; the conservation sum
         must still balance exactly (markers counted nowhere)."""
         engine, _sink = run(
-            level, chaining=True, batch=8, seed=chaos_seed + 29, marker_period=0.002
+            level, chaining=True, seed=chaos_seed + 29, marker_period=0.002
         )
         emitted, consumed, dropped = source_out_sink_in_dropped(
             engine.metrics_snapshot()
@@ -101,11 +94,9 @@ class TestRecordConservation:
 
 
 class TestMarkerCadence:
-    @pytest.mark.parametrize("chaining,batch", FLAG_COMBOS)
-    def test_marker_count_tracks_period(self, chaining, batch, chaos_seed):
-        engine, _sink = run(
-            GuaranteeLevel.AT_LEAST_ONCE, chaining, batch, seed=chaos_seed + 41
-        )
+    @pytest.mark.parametrize("chaining", CHAINING)
+    def test_marker_count_tracks_period(self, chaining, chaos_seed):
+        engine, _sink = run(GuaranteeLevel.AT_LEAST_ONCE, chaining, seed=chaos_seed + 41)
         metrics = engine.metrics_snapshot()["metrics"]
         emitted = sum(
             value

@@ -134,16 +134,16 @@ def flight_lists(kernel):
 
 
 class TestBatchedDelivery:
-    """Same-arrival-time elements of one channel coalesce into one list of at
-    most ``batch_size``; FIFO order and per-record credit accounting are
-    unchanged. How many kernel events carry the lists is the flights' business
+    """Same-arrival-time elements of one channel coalesce into one list, with
+    no cap; FIFO order and per-record credit accounting are unchanged. How
+    many kernel events carry the lists is the flights' business
     (TestDeliveryFlights): consecutive lists share one."""
 
-    def _batched_channel(self, kernel, batch_size, capacity=None, jitter=0.0):
+    def _batched_channel(self, kernel, capacity=None):
         task = FakeTask()
         channel = PhysicalChannel(
             kernel,
-            ChannelSpec(latency=1e-4, jitter=jitter, capacity=capacity, batch_size=batch_size),
+            ChannelSpec(latency=1e-4, capacity=capacity),
             task,
             receiver_channel_index=0,
             rng=SimRandom(0, "batch"),
@@ -151,33 +151,35 @@ class TestBatchedDelivery:
         return task, channel
 
     def test_same_time_sends_coalesce_into_one_event(self):
+        """Coalescing has no cap: a same-arrival burst of any length is one
+        list and one event. On a 3-credit link the same burst still charges
+        one credit per record, parks the rest, and drains in FIFO order."""
         kernel = Kernel()
-        task, channel = self._batched_channel(kernel, batch_size=8)
-        for i in range(5):
+        task, channel = self._batched_channel(kernel)
+        for i in range(40):
             channel.send(Record(value=i))
+        assert kernel.pending_events == 1
+        assert flight_lists(kernel) == [list(range(40))]
         before = kernel.dispatched_events
         kernel.run()
-        # one delivery event for the whole burst (all five share an arrival)
         assert kernel.dispatched_events - before == 1
-        assert [e.value for _ch, e in task.received] == [0, 1, 2, 3, 4]
-        assert channel.sent == 5
-        assert channel.delivered == 5
+        assert [e.value for _ch, e in task.received] == list(range(40))
+        assert channel.sent == channel.delivered == 40
 
-    def test_batch_size_caps_coalescing(self):
         kernel = Kernel()
-        task, channel = self._batched_channel(kernel, batch_size=2)
-        for i in range(5):
-            channel.send(Record(value=i))
-        # the knob caps one channel's list: ceil(5/2) = 3 lists (3 kernel
-        # events before flights; consecutive, so now one)
-        assert flight_lists(kernel) == [[0, 1], [2, 3], [4]]
+        task, channel = self._batched_channel(kernel, capacity=3)
+        results = [channel.send(Record(value=i)) for i in range(40)]
+        assert results == [True] * 3 + [False] * 37
+        assert (channel.credits, channel.backlog_size) == (0, 37)
+        assert kernel.pending_events == 1
+        assert flight_lists(kernel) == [[0, 1, 2]]
         kernel.run()
-        assert [e.value for _ch, e in task.received] == [0, 1, 2, 3, 4]
-        assert channel.sent == channel.delivered == 5
+        assert [e.value for _ch, e in task.received] == list(range(40))
+        assert (channel.credits, channel.backlog_size) == (3, 0)
 
     def test_distinct_arrival_times_do_not_coalesce(self):
         kernel = Kernel()
-        task, channel = self._batched_channel(kernel, batch_size=8)
+        task, channel = self._batched_channel(kernel)
         channel.send(Record(value="a"))
         kernel.run(until=1.0)
         channel.send(Record(value="b"))
@@ -186,7 +188,7 @@ class TestBatchedDelivery:
 
     def test_credits_accounted_per_record_not_per_batch(self):
         kernel = Kernel()
-        task, channel = self._batched_channel(kernel, batch_size=8, capacity=3)
+        task, channel = self._batched_channel(kernel, capacity=3)
         results = [channel.send(Record(value=i)) for i in range(5)]
         # 3 credits: first three sent, remaining two parked in the backlog
         assert results == [True, True, True, False, False]
@@ -196,20 +198,10 @@ class TestBatchedDelivery:
         assert [e.value for _ch, e in task.received] == [0, 1, 2, 3, 4]
         assert channel.credits == 3
 
-    def test_unbatched_default_unchanged(self):
-        kernel = Kernel()
-        task, channel = self._batched_channel(kernel, batch_size=1)
-        for i in range(4):
-            channel.send(Record(value=i))
-        # one element per list, as ever (4 kernel events before flights)
-        assert flight_lists(kernel) == [[0], [1], [2], [3]]
-        kernel.run()
-        assert [e.value for _ch, e in task.received] == [0, 1, 2, 3]
-
     def test_lists_of_two_channels_keep_their_scheduling_order(self):
-        """What ``batch_size > 1`` changes is the grouping within an instant:
-        a channel's later element joins its open list, ahead of another
-        channel's list scheduled in between — with or without flights."""
+        """Coalescing sets the grouping within an instant: a channel's later
+        element joins its open list, ahead of another channel's list
+        scheduled in between — with or without flights."""
         kernel = Kernel()
         received = []
 
@@ -217,7 +209,7 @@ class TestBatchedDelivery:
             def deliver(self, channel_index, element, via=None):
                 received.append(element.value)
 
-        spec = ChannelSpec(latency=1e-4, batch_size=4)
+        spec = ChannelSpec(latency=1e-4)
         a, b = (PhysicalChannel(kernel, spec, Logging(), 0, SimRandom(0, n)) for n in "ab")
         a.send(Record(value="a1"))
         b.send(Record(value="b1"))
@@ -228,7 +220,7 @@ class TestBatchedDelivery:
 
     def test_control_elements_keep_in_band_position(self):
         kernel = Kernel()
-        task, channel = self._batched_channel(kernel, batch_size=8)
+        task, channel = self._batched_channel(kernel)
         channel.send(Record(value=1))
         channel.send(Watermark(10.0))
         channel.send(Record(value=2))
@@ -269,7 +261,8 @@ class TestDeliveryFlights:
         a.send(Watermark(3.0))
         kernel.run()
         assert kernel.dispatched_events == 1
-        assert [(n, v) for n, v, _t in log] == [("a", 1), ("b", 2), ("a", "wm")]
+        # a's watermark joins a's open list, ahead of b's list
+        assert [(n, v) for n, v, _t in log] == [("a", 1), ("a", "wm"), ("b", 2)]
 
     def test_an_unrelated_event_between_two_sends_splits_the_flight(self):
         """Scheduled for the arrival time it would have sat between the two
@@ -367,7 +360,8 @@ class TestDeliveryFlights:
         b.send(Record(value=2))
         a.send(Record(value=3))
         kernel.run()
-        assert kernel.dispatched_events == 3
+        # a's second record joins a's open list; b's delayed one is its own
+        assert kernel.dispatched_events == 2
         assert [(n, v, round(t, 6)) for n, v, t in log] == [
             ("a", 1, 1e-4),
             ("a", 3, 1e-4),

@@ -30,8 +30,6 @@ def run_pipeline(seed, columnar, chaining, incremental, sliding):
     config = EngineConfig(
         seed=seed,
         chaining_enabled=chaining,
-        channel_batch_size=4 if chaining else 1,
-        same_time_bucket=chaining,
         columnar_enabled=columnar,
         columnar_batch_size=16,
         checkpoints=CheckpointConfig(interval=0.02, incremental=incremental),

@@ -56,7 +56,6 @@ BRANCH = st.tuples(
 PLANS = st.fixed_dictionaries(
     {
         "branches": st.lists(BRANCH, min_size=1, max_size=5),
-        "batch": st.sampled_from((1, 4)),
         "chaining": st.booleans(),
         "jitter": st.sampled_from((0.0, 3e-5)),
         "flow_control": st.booleans(),
@@ -76,7 +75,6 @@ def _run_plan(plan, kernel_class):
         EngineConfig(
             seed=plan["seed"],
             chaining_enabled=plan["chaining"],
-            channel_batch_size=plan["batch"],
             flow_control=plan["flow_control"],
             default_channel_capacity=3,
         )
@@ -144,7 +142,6 @@ def test_the_reference_kernel_never_extends_a_flight():
     dispatch different numbers of events."""
     plan = {
         "branches": [("forward", 1, 1)] * 5,
-        "batch": 1,
         "chaining": False,
         "jitter": 0.0,
         "flow_control": False,

@@ -1,38 +1,29 @@
 """Determinism under the fast-path optimisations.
 
-The three physical optimisations (same-time bucket, batched channel
-delivery, operator chaining) must not make execution nondeterministic:
-the same seed must give byte-identical sink outputs and checkpoint
-snapshots run-to-run, for every combination of the three flags. And the
-optimisations must not change the computed *answers*: every combination
-produces the same sink values as the seed configuration.
+Operator chaining must not make execution nondeterministic: the same seed
+must give byte-identical sink outputs and checkpoint snapshots run-to-run,
+chained or not. The same-time bucket must be observably identical to the
+heap-only reference kernel. And chaining must not change the computed
+*answers*: it produces the same sink values as the unchained configuration.
 """
 
+import functools
 import pickle
+from unittest import mock
 
 import pytest
 
 from repro.core.datastream import StreamExecutionEnvironment
-from repro.core.keys import field_selector
 from repro.io.sinks import CollectSink
 from repro.io.sources import SensorWorkload
 from repro.runtime.config import CheckpointConfig, EngineConfig
-from repro.windows.assigners import TumblingEventTimeWindows
-
-FLAG_COMBOS = [
-    pytest.param(chaining, batch, bucket, id=f"chain={chaining}-batch={batch}-bucket={bucket}")
-    for chaining in (False, True)
-    for batch in (1, 16)
-    for bucket in (False, True)
-]
+from repro.sim import Kernel
 
 
-def build_env(chaining, batch, bucket, seed=23):
+def build_env(chaining, seed=23):
     config = EngineConfig(
         seed=seed,
         chaining_enabled=chaining,
-        channel_batch_size=batch,
-        same_time_bucket=bucket,
         checkpoints=CheckpointConfig(interval=0.05),
     )
     env = StreamExecutionEnvironment(config, name="determinism")
@@ -71,18 +62,18 @@ def snapshot_bytes(engine, normalise_chain=False):
     return record.checkpoint_id, pickle.dumps(entries)
 
 
-def run(chaining, batch, bucket, seed=23):
-    env, sink = build_env(chaining, batch, bucket, seed=seed)
+def run(chaining, seed=23):
+    env, sink = build_env(chaining, seed=seed)
     engine = env.build()
     env.execute()
     return engine, sink
 
 
 class TestRunToRunDeterminism:
-    @pytest.mark.parametrize("chaining,batch,bucket", FLAG_COMBOS)
-    def test_same_seed_is_byte_identical(self, chaining, batch, bucket):
-        engine_a, sink_a = run(chaining, batch, bucket)
-        engine_b, sink_b = run(chaining, batch, bucket)
+    @pytest.mark.parametrize("chaining", [False, True], ids=lambda c: f"chain={c}")
+    def test_same_seed_is_byte_identical(self, chaining):
+        engine_a, sink_a = run(chaining)
+        engine_b, sink_b = run(chaining)
         assert len(sink_a.results) > 0
         assert sink_bytes(sink_a) == sink_bytes(sink_b)
         assert snapshot_bytes(engine_a) == snapshot_bytes(engine_b)
@@ -90,22 +81,26 @@ class TestRunToRunDeterminism:
 
 class TestOptimisationsPreserveSemantics:
     def test_bucket_and_batching_are_observably_identical(self):
-        """With chaining fixed off, the same-time bucket and batching change
-        *when work is dispatched inside a virtual instant*, never what is
-        delivered or when: full output including timestamps matches the
-        all-off baseline."""
-        _, baseline = run(chaining=False, batch=1, bucket=False)
-        for batch in (1, 16):
-            for bucket in (False, True):
-                _, sink = run(chaining=False, batch=batch, bucket=bucket)
-                assert sink_bytes(sink) == sink_bytes(baseline), (batch, bucket)
+        """With chaining fixed off, the same-time bucket and same-arrival
+        batching change *when work is dispatched inside a virtual instant*,
+        never what is delivered or when: full output including timestamps,
+        and the checkpoint, match a run on the heap-only reference kernel,
+        which dispatches every batch and flight as its own heap entry."""
+        engine, sink = run(chaining=False)
+        heap_only = functools.partial(Kernel, same_time_bucket=False)
+        with mock.patch("repro.runtime.engine.Kernel", heap_only):
+            ref_engine, ref = run(chaining=False)
+        assert ref_engine.kernel._same_time_bucket is False
+        assert len(sink.results) > 0
+        assert sink_bytes(sink) == sink_bytes(ref)
+        assert snapshot_bytes(engine) == snapshot_bytes(ref_engine)
 
     def test_chaining_preserves_values_and_state(self):
         """Chaining legitimately removes inter-operator channel latency, so
         timestamps shift — but the computed values and the checkpointed
         state contents must be unchanged."""
-        plain_engine, plain = run(chaining=False, batch=1, bucket=True)
-        fused_engine, fused = run(chaining=True, batch=1, bucket=True)
+        plain_engine, plain = run(chaining=False)
+        fused_engine, fused = run(chaining=True)
         assert fused.values() == plain.values()
         # Checkpoints may be cut at different element boundaries (barrier
         # alignment depends on in-flight latency), so compare the state
@@ -117,13 +112,13 @@ class TestOptimisationsPreserveSemantics:
         assert fused_keys == plain_keys
 
     def test_all_fast_paths_on_same_values_as_all_off(self):
-        _, slow = run(chaining=False, batch=1, bucket=False)
-        _, fast = run(chaining=True, batch=16, bucket=True)
+        _, slow = run(chaining=False)
+        _, fast = run(chaining=True)
         assert fast.values() == slow.values()
         assert len(fast.values()) > 0
 
     @pytest.mark.parametrize("seed", [1, 7, 99])
     def test_seeds_vary_but_each_is_self_consistent(self, seed):
-        _, first = run(chaining=True, batch=16, bucket=True, seed=seed)
-        _, second = run(chaining=True, batch=16, bucket=True, seed=seed)
+        _, first = run(chaining=True, seed=seed)
+        _, second = run(chaining=True, seed=seed)
         assert sink_bytes(first) == sink_bytes(second)

@@ -34,8 +34,6 @@ def run_macro(seed, chaining, columnar, incremental, txn_locking):
         description="equivalence probe",
         equivalent=True,
         chaining=chaining,
-        channel_batch_size=8 if chaining else 1,
-        same_time_bucket=chaining,
         columnar=columnar,
         incremental=incremental,
         txn_locking=txn_locking,

@@ -158,12 +158,13 @@ class TestChannelFIFO:
     def test_per_channel_order_preserved_despite_jitter(self):
         from repro.core.graph import ChannelSpec
 
-        config = EngineConfig(
-            seed=22,
-            default_channel=ChannelSpec(latency=1e-4, jitter=5e-4),  # jitter >> latency
-        )
-        env = StreamExecutionEnvironment(config)
+        env = StreamExecutionEnvironment(EngineConfig(seed=22))
         sink = env.from_collection(range(300), name="src").map(lambda v: v, name="m").collect()
+        for edge in env.graph.edges:
+            edge.channel = ChannelSpec(latency=1e-4, jitter=5e-4)  # jitter >> latency
+        engine = env.build()
+        # the jitter reaches every built link, so the FIFO clamp is exercised
+        assert [ch.spec.jitter for ch in engine.iter_physical_channels()] == [5e-4, 5e-4]
         env.execute()
         assert sink.values() == list(range(300))
 
@@ -208,7 +209,7 @@ class TestDrainSemantics:
 
 class TestKernelEventBudget:
     def _run(self, second_stage):
-        env = StreamExecutionEnvironment(EngineConfig(chaining_enabled=False, channel_batch_size=1))
+        env = StreamExecutionEnvironment(EngineConfig(chaining_enabled=False))
         sink = CollectSink("out")
         stream = env.from_workload(
             CollectionWorkload(list(range(100)), rate=1000.0), name="src"
@@ -235,11 +236,11 @@ class TestKernelEventBudget:
         # 916 with a completion per item: the sink keeps 2 of its 102 (the last
         # record, watermark and end-of-stream share an instant), and each
         # map's end-of-stream, flushed by the finish itself, keeps none: 813
-        # with one delivery event per element. Elements flushed together
-        # share a flight even at batch_size=1: the source's last record,
-        # watermark and end-of-stream travel as one event (-2) and each of
-        # the three stages' final watermark and end-of-stream as one (-3)
-        assert engine.kernel.dispatched_events == 813 - 5 == 808
+        # with one delivery event per element. Same-arrival elements of one
+        # channel share a list: the source's last record, watermark and
+        # end-of-stream travel as one event (-2), and so do each of the three
+        # stages' last record, final watermark and end-of-stream (-6)
+        assert engine.kernel.dispatched_events == 813 - 8 == 805
         assert engine.kernel.dispatched_events <= 2 * items + source.emitted
 
     def test_an_input_that_emits_nothing_spends_one(self):
@@ -252,14 +253,14 @@ class TestKernelEventBudget:
         assert items == 308
         # the filter's 50 drops, 50 of the sink's 52 inputs, three
         # end-of-streams: 613 with one delivery event per element; the same
-        # five end-of-job elements as above ride in another's flight: 608
-        assert engine.kernel.dispatched_events == 716 - 103 - 5 == 608
+        # eight end-of-job elements as above ride in another's list: 605
+        assert engine.kernel.dispatched_events == 716 - 103 - 8 == 605
 
     def test_a_fan_out_spends_one_delivery_event_per_emission(self):
         """One source, five filter heads, every edge the same latency: the
         five deliveries of one record are scheduled back to back for one
         arrival time and travel as one kernel event."""
-        env = StreamExecutionEnvironment(EngineConfig(chaining_enabled=False, channel_batch_size=1))
+        env = StreamExecutionEnvironment(EngineConfig(chaining_enabled=False))
         source = env.from_workload(CollectionWorkload(list(range(100)), rate=1000.0), name="src")
         sinks = [CollectSink(f"out{m}") for m in range(5)]
         for modulus, sink in enumerate(sinks):
