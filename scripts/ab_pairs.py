@@ -9,8 +9,13 @@ in each checkout, alternating which side goes first, and the summary applies
 the rule a claimed gain has to meet (the choosing-metrics guide, section 8):
 the change wins at least nine tenths of the pairs, ties counting for neither,
 and the medians differ by more than the distance between the parent's
-quartiles. Metrics that must repeat exactly (event counts, virtual latencies)
-are compared run by run and every difference is listed. Every run is printed.
+quartiles. Every other host-clock metric gets a verdict against its bound in
+the benchmark's catalogue: ``ok``, ``WORSE`` (the change's median is worse
+than the parent's by more than the bound) or ``unresolved`` (the parent's
+quartile distance is wider than the bound). Metrics that must repeat exactly
+(event counts, virtual latencies) are compared run by run and every
+difference is listed. Every run is printed. The exit status is non-zero when
+an exact metric differs, an operation failed or a metric is ``WORSE``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,11 @@ from perf.metrics import END_TO_END  # noqa: E402 - the benchmark's own catalogu
 #: end-to-end metrics off the host clock (counts, virtual time): bit-identical
 #: between two runs of one tree, so any difference is the change's doing
 EXACT = tuple(name for name, _unit, _better, clock, _bound in END_TO_END if clock != "host")
+HOST = tuple(name for name, _unit, _better, clock, _bound in END_TO_END if clock == "host")
 HIGHER_IS_BETTER = {name for name, _unit, better, _clock, _bound in END_TO_END if better == "higher"}
+#: how much worse than the parent's median a change's median may read, as a
+#: fraction of the parent's median
+BOUNDS = {name: bound for name, _unit, _better, _clock, bound in END_TO_END}
 
 
 def run_once(checkout: str, args: argparse.Namespace, scratch: str) -> dict:
@@ -39,9 +48,13 @@ def run_once(checkout: str, args: argparse.Namespace, scratch: str) -> dict:
         sys.executable, "-m", "perf", "--workload", args.workload, "--seed", str(args.seed),
         "--seconds", str(args.seconds), "--trace", "0", "--json", path,
     ]
+    # perf exits 1 both for a failed output check (JSON written) and for an
+    # uncaught exception (none written): never read a previous run's file
+    if os.path.exists(path):
+        os.remove(path)
     child = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
-    if child.returncode not in (0, 1):
-        sys.exit(f"{checkout}: perf exited with {child.returncode}\n{child.stderr}")
+    if child.returncode not in (0, 1) or not os.path.exists(path):
+        sys.exit(f"{checkout}: perf exited with {child.returncode} without a usable result\n{child.stderr}")
     with open(path) as fh:
         result = json.load(fh)
     return {
@@ -56,6 +69,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def verdict(name: str, parent: list[float], change: list[float]) -> str:
+    """``ok``, ``WORSE`` or ``unresolved`` for one metric's runs on each side."""
+    q1, median, q3 = quartiles(parent)
+    sign = 1.0 if name in HIGHER_IS_BETTER else -1.0
+    loss = sign * (median - statistics.median(change)) / median
+    if loss > BOUNDS[name]:
+        return "WORSE"
+    every_run_better = min(sign * value for value in change) > max(sign * value for value in parent)
+    if (q3 - q1) / median > BOUNDS[name] and not every_run_better:
+        return "unresolved"
+    return "ok"
 
 
 def main() -> int:
@@ -91,12 +117,7 @@ def main() -> int:
     summary = {}
     for side in ("parent", "change"):
         q1, q2, q3 = summary[side] = quartiles([run[args.metric] for run in runs[side]])
-        rss = statistics.median(run["peak_rss_mb"] for run in runs[side])
-        setup = statistics.median(run["setup_s"] for run in runs[side])
-        print(
-            f"  {side:7s}{args.metric} median {q2:.6g}  quartiles {q1:.6g} .. {q3:.6g}  "
-            f"peak_rss_mb median {rss:.1f}  setup_s median {setup:.3f}"
-        )
+        print(f"  {side:7s}{args.metric} median {q2:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
     gaps = [
         sign * (change[args.metric] - parent[args.metric])
         for parent, change in zip(runs["parent"], runs["change"])
@@ -113,21 +134,32 @@ def main() -> int:
     met = wins >= 0.9 * args.pairs and gap > spread
     print(f"  gain rule (wins >= 9/10 and gap > quartile distance): {'met' if met else 'NOT met'}")
 
+    worse = False
+    for name in HOST:
+        if name == args.metric:
+            continue
+        parent_values, change_values = ([run[name] for run in runs[side]] for side in ("parent", "change"))
+        judged = verdict(name, parent_values, change_values)
+        worse |= judged == "WORSE"
+        print(
+            f"  {name}: parent median {statistics.median(parent_values):.6g}, change median "
+            f"{statistics.median(change_values):.6g}, bound {BOUNDS[name]:.0%}: {judged}"
+        )
+
     every_run = runs["parent"] + runs["change"]
-    clean = True
+    exact = True
     for name in EXACT:
         values = sorted({run[name] for run in every_run})
         if len(values) > 1:
-            clean = False
+            exact = False
             print(f"  EXACT METRIC DIFFERS  {name}: {values}")
     failed = sum(run["failed"] for run in every_run)
     if failed:
-        clean = False
         print(f"  FAILED OPERATIONS: {failed}")
-    if clean:
+    elif exact:
         values = ", ".join(f"{name} = {every_run[0][name]!r}" for name in EXACT)
         print(f"  exact metrics identical on all {len(every_run)} runs ({values}); failed = 0")
-    return 0 if clean else 1
+    return 0 if exact and not failed and not worse else 1
 
 
 if __name__ == "__main__":

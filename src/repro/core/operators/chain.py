@@ -22,12 +22,17 @@ Semantics are preserved exactly:
 * per-record virtual CPU cost is charged per member entered, so the cost
   model sees the same work whether or not the plan is fused — only channel
   latency between the members disappears (which is the point).
+
+An untraced plain record crosses the chain through code generated for the
+chain's shape when it is built (DESIGN.md, "Compiled runs").
 """
 
 from __future__ import annotations
 
+import linecache
+import os
 from dataclasses import replace
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.events import (
     CheckpointBarrier,
@@ -42,12 +47,108 @@ from repro.core.events import (
 from repro.core.operators.base import Operator, OperatorContext
 from repro.core.operators.basic import FilterOperator, FlatMapOperator, KeyByOperator, MapOperator
 
-_new_row = tuple.__new__
-
-#: fused-run step kinds, keyed by a member's *exact* type: a subclass may
+#: fusable member kinds, keyed by a member's *exact* type: a subclass may
 #: override ``process`` and keeps it
-_MAP, _FILTER, _FLAT_MAP, _KEY_BY = range(4)
-_FUSABLE = {MapOperator: _MAP, FilterOperator: _FILTER, FlatMapOperator: _FLAT_MAP, KeyByOperator: _KEY_BY}
+_FUSABLE = {MapOperator: "map", FilterOperator: "filter", FlatMapOperator: "flat_map", KeyByOperator: "key_by"}
+
+#: generated code is filed under this package, so profilers attribute it to
+#: the operators and tracebacks show its lines (registered with linecache)
+_SOURCE_DIR = os.path.dirname(os.path.abspath(__file__))
+#: entry-point factory per chain shape; the generated source is a function
+#: of the member kinds alone, so same-shaped chains compile once
+_FACTORIES: dict[tuple, Callable[..., list]] = {}
+
+
+def _charge(member: int, pad: str) -> list[str]:
+    # the head is never charged: its cost is the task's processing_cost
+    return [f"{pad}if c{member}:", f"{pad}    ctx.add_cost(c{member})"] if member else []
+
+
+def _run_end(index: int, kinds: tuple) -> int:
+    """The first member at or after ``index`` that is not fusable (or the
+    chain's length)."""
+    while index < len(kinds) and kinds[index] is not None:
+        index += 1
+    return index
+
+
+def _entry_name(index: int, kinds: tuple) -> str:
+    if index == len(kinds):
+        return "out"
+    if kinds[index] is None:
+        return f"member{index}"
+    return f"run{index}_" + "_".join(kinds[index : _run_end(index, kinds)])
+
+
+def _entry_source(index: int, kinds: tuple) -> list[str]:
+    """The function a plain untraced ``row`` entering member ``index`` runs:
+    out of the chain past the tail, one member's ``process`` where it is not
+    fusable, else the fused run from ``index`` up to the next member that is
+    not — each step with the effects that member's ``process`` and the
+    link's ``emit`` would have, in their order."""
+    head = f"def {_entry_name(index, kinds)}(row, ctx):"
+    if index == len(kinds):
+        return [head, "    ctx.emit(row)"]
+    if kinds[index] is None:
+        return [
+            head,
+            f"    counts[{index}] += 1",
+            *_charge(index, "    "),
+            "    ctx.current_key_value = row[2]",
+            f"    op{index}.process(row, link{index})",
+        ]
+    end = _run_end(index, kinds)
+    lines = [head, "    v0 = row[0]", "    k0 = row[2]"]
+    # The row is (value, event_time, key, sign, ingest_time, trace=None);
+    # only value and key change. A flat_map's outputs are a loop one level
+    # deeper, each starting from its parent's key; a filter drops the row
+    # by leaving its level (return, or continue to the next output).
+    pad, depth, value, key, changed = "    ", 0, "v0", "k0", False
+    for member in range(index, end):
+        kind = kinds[member]
+        lines += [f"{pad}counts[{member}] += 1", *_charge(member, pad), f"{pad}ctx.current_key_value = {key}"]
+        if kind == "map":
+            lines.append(f"{pad}{value} = f{member}({value})")
+            changed = True
+        elif kind == "key_by":
+            key = f"k{depth}"
+            lines.append(f"{pad}{key} = f{member}({value})")
+            changed = True
+        elif kind == "filter":
+            lines += [f"{pad}if not f{member}({value}):", f"{pad}    {'continue' if depth else 'return'}"]
+        else:
+            depth += 1
+            lines.append(f"{pad}for v{depth} in f{member}({value}):")
+            pad, value, changed = pad + "    ", f"v{depth}", True
+    row = f"_new_row(Record, ({value}, row[1], {key}, row[3], row[4], None))" if changed else "row"
+    lines.append(f"{pad}ctx.emit({row})" if end == len(kinds) else f"{pad}member{end}({row}, ctx)")
+    return lines
+
+
+def _factory(kinds: tuple) -> Callable[..., list]:
+    """``make(counts, costs, ops, links)`` for chains of this shape: binds
+    one chain's live counters, costs, members and links as closure cells
+    and returns its entry functions, one per member and one past the tail."""
+    factory = _FACTORIES.get(kinds)
+    if factory is None:
+        lines = ["def make(counts, costs, ops, links):"]
+        for member, kind in enumerate(kinds):
+            if member:
+                lines.append(f"    c{member} = costs[{member}]")
+            if kind is None:
+                lines += [f"    op{member} = ops[{member}]", f"    link{member} = links[{member}]"]
+            else:
+                lines.append(f"    f{member} = ops[{member}].fn")
+        entries = range(len(kinds) + 1)
+        lines += ("    " + line for index in entries for line in _entry_source(index, kinds))
+        lines.append(f"    return [{', '.join(_entry_name(index, kinds) for index in entries)}]\n")
+        source = "\n".join(lines)
+        filename = os.path.join(_SOURCE_DIR, f"<compiled chain {len(_FACTORIES)}>")
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = {"_new_row": tuple.__new__, "Record": Record}
+        exec(compile(source, filename, "exec"), namespace)
+        factory = _FACTORIES[kinds] = namespace["make"]
+    return factory
 
 
 class _LinkContext(OperatorContext):
@@ -58,12 +159,14 @@ class _LinkContext(OperatorContext):
     task's real context.
     """
 
-    __slots__ = ("_chain", "_index", "_parent", "_scoped")
+    __slots__ = ("_chain", "_index", "_parent", "_scoped", "_next")
 
     def __init__(self, chain: "ChainedOperator", index: int) -> None:
         self._chain = chain
         self._index = index
         self._parent: OperatorContext | None = None
+        #: the compiled entry of member ``index + 1`` (set by the chain)
+        self._next: Callable[[Record, OperatorContext], None] | None = None
         #: descriptor -> (that descriptor, its member-scoped copy)
         self._scoped: dict[Any, tuple[Any, Any]] = {}
 
@@ -83,7 +186,7 @@ class _LinkContext(OperatorContext):
     # --- output ---------------------------------------------------------
     def emit(self, element: StreamElement) -> None:
         if type(element) is Record and element[5] is None:  # untraced
-            self._chain._enter(self._index + 1, element, self._parent)
+            self._next(element, self._parent)
         else:
             self._chain._feed(self._index + 1, element, self._parent)
 
@@ -170,15 +273,15 @@ class ChainedOperator(Operator):
         #: per-member records entered — published as registry gauges by the
         #: observability layer (resets with the operator on reincarnation)
         self.member_records_in = [0] * self._length
-        #: ``_runs[i]``: the steps from member ``i`` to the end of its fused
-        #: run, or None where member ``i`` is not fusable (and past the tail)
-        self._runs: list[tuple | None] = [None] * (self._length + 1)
-        steps: tuple = ()
-        for index in range(self._length - 1, -1, -1):
-            op = self.operators[index]
-            kind = _FUSABLE.get(type(op))
-            steps = () if kind is None else ((kind, op.fn, self._extra_costs[index], index), *steps)
-            self._runs[index] = steps or None
+        #: the compiler's input: each member's fusable kind, None where not
+        self._kinds = tuple(_FUSABLE.get(type(op)) for op in self.operators)
+        #: ``_entries[i](row, ctx)``: an untraced plain ``row`` enters member
+        #: ``i`` (past the tail: out) — the one record path, compiled
+        self._entries = _factory(self._kinds)(
+            self.member_records_in, self._extra_costs, self.operators, self._links
+        )
+        for link, entry in zip(self._links, self._entries[1:]):
+            link._next = entry
 
     # ------------------------------------------------------------------
     def _bind(self, ctx: OperatorContext) -> None:
@@ -186,47 +289,6 @@ class ChainedOperator(Operator):
             self._bound = ctx
             for link in self._links:
                 link._parent = ctx
-
-    def _enter(self, index: int, record: Record, ctx: OperatorContext) -> None:
-        """An untraced plain ``record`` enters member ``index`` (past the
-        tail: out). The one record path — the head, every link and the end of
-        every fused run come through here — with the effects ``_feed`` has for
-        such a record, member by member, in the same order."""
-        steps = self._runs[index]
-        if steps is not None:
-            # A fused run, in one loop (DESIGN.md, "Fused runs"). Rows are
-            # (value, event_time, key, sign, ingest_time, trace=None here).
-            counts = self.member_records_in
-            for kind, fn, cost, index in steps:
-                counts[index] += 1
-                if cost:
-                    ctx.add_cost(cost)
-                ctx.current_key_value = record[2]
-                if kind == _MAP:
-                    record = _new_row(Record, (fn(record[0]), record[1], record[2], record[3], record[4], None))
-                elif kind == _FILTER:
-                    if not fn(record[0]):
-                        return
-                elif kind == _KEY_BY:
-                    record = _new_row(Record, (record[0], record[1], fn(record[0]), record[3], record[4], None))
-                else:
-                    # flat_map: each output crosses the rest of the chain
-                    # before the next is drawn, as through emit
-                    for value in fn(record[0]):
-                        row = _new_row(Record, (value, record[1], record[2], record[3], record[4], None))
-                        self._enter(index + 1, row, ctx)
-                    return
-            # The run is maximal: the member after it is not fusable.
-            index += 1
-        if index == self._length:
-            ctx.emit(record)
-            return
-        self.member_records_in[index] += 1
-        cost = self._extra_costs[index]
-        if cost:
-            ctx.add_cost(cost)
-        ctx.current_key_value = record[2]
-        self.operators[index].process(record, self._links[index])
 
     def _feed(self, index: int, element: StreamElement, ctx: OperatorContext) -> None:
         """Push any ``element`` into chain member ``index`` (past the tail:
@@ -308,7 +370,7 @@ class ChainedOperator(Operator):
         if self._bound is not ctx:
             self._bind(ctx)
         if type(record) is Record and record[5] is None:  # untraced
-            self._enter(0, record, ctx)
+            self._entries[0](record, ctx)
         else:
             self._feed(0, record, ctx)
 

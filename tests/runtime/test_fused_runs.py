@@ -1,22 +1,29 @@
-"""Fused runs inside a chain (DESIGN, "Fused runs").
+"""Compiled runs inside a chain (DESIGN, "Compiled runs").
 
-A run of plain map / filter / flat_map / key_by members carries an untraced
-record through one loop instead of member by member. The reference is the
+An untraced record crosses a chain through code generated for the chain's
+shape: a run of plain map / filter / flat_map / key_by members is one
+straight-line function instead of member by member. The reference is the
 member-by-member path that is still in the code: ``_feed`` for every hop,
 selected by patching ``ChainedOperator.process`` and ``_LinkContext.emit``
-(the fused loop is reachable only through those two). Every observable the
-loop could move is compared: outputs with every field, ``member_records_in``,
-each ``add_cost`` argument in order, the key each non-fused member reads,
-the trace sub-spans and, through a task, ``busy_time``.
+(the compiled entries are reachable only through those two). Every
+observable the generated code could move is compared: outputs with every
+field, ``member_records_in``, each ``add_cost`` argument in order, the key
+each non-fused member reads, the trace sub-spans and, through a task,
+``busy_time``.
 """
 
+import os
+import traceback
 from unittest import mock
 
+import pytest
 from helpers import StubContext
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.datastream import StreamExecutionEnvironment
 from repro.core.events import Record, Watermark
+from repro.core.operators import chain as chain_module
 from repro.core.operators.base import Operator
 from repro.core.operators.basic import (
     FilterOperator,
@@ -28,7 +35,9 @@ from repro.core.operators.basic import (
 )
 from repro.core.operators.chain import ChainedOperator, _LinkContext
 from repro.io import CollectSink
+from repro.io.sources import SensorWorkload
 from repro.obs.trace import TraceContext
+from repro.runtime.config import EngineConfig
 from repro.runtime.task import Task
 from repro.sim import Kernel
 from repro.state.memory import InMemoryStateBackend
@@ -73,15 +82,19 @@ def _member(spec, log):
     return _KeyProbe(log)
 
 
+#: flat_map and key_by weighted up, so nested flat_map -> key_by -> flat_map
+#: -> filter shapes (a loop per level, a key per level) occur
 MEMBER = st.tuples(
-    st.sampled_from(("map", "filter", "flat_map", "key_by", "map", "flat_map", "tripling", "probe")),
+    st.sampled_from(
+        ("map", "filter", "flat_map", "key_by", "map", "flat_map", "key_by", "flat_map", "filter", "tripling", "probe")
+    ),
     st.integers(1, 3),
     st.integers(-2, 2),
 )
 CHAINS = st.fixed_dictionaries(
     {
-        "members": st.lists(MEMBER, min_size=1, max_size=5),
-        "costs": st.lists(st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0)), min_size=6, max_size=6),
+        "members": st.lists(MEMBER, min_size=1, max_size=8),
+        "costs": st.lists(st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0)), min_size=10, max_size=10),
         "tail": st.booleans(),  # a keyed aggregate plus a sink, or nothing
         "records": st.lists(
             st.tuples(st.integers(-5, 20), st.sampled_from(("j", "k")), st.booleans()),
@@ -97,7 +110,7 @@ def _build(plan):
     members = [_member(spec, log) for spec in plan["members"]]
     if plan["tail"]:
         members += [ReduceOperator(lambda x, y: x + y, "sum"), SinkOperator(sink)]
-    costs = (plan["costs"] * 2)[: len(members)]
+    costs = plan["costs"][: len(members)]
     return ChainedOperator(members, extra_costs=costs), log, sink
 
 
@@ -175,8 +188,22 @@ def _drive_through_a_task(plan):
     }
 
 
+#: flat_map -> filter -> key_by -> flat_map -> filter, then a key-reading
+#: member; an outer output dropped after its sibling was re-keyed must still
+#: see its parent's key
+NESTED = {
+    "members": [
+        ("flat_map", 1, 1), ("filter", 1, 0), ("key_by", 2, 0), ("flat_map", 1, 2), ("filter", 1, 0), ("probe", 1, 0)
+    ],
+    "costs": [0.0, 0.25, 0.5, 1.0, 0.25, 0.0, 0.5, 0.0, 0.0, 0.0],
+    "tail": True,
+    "records": [(1, "j", False), (5, "k", False), (4, "j", True)],
+}
+
+
 @settings(max_examples=80, deadline=None)
 @given(plan=CHAINS)
+@example(plan=NESTED)
 def test_a_fused_run_matches_member_by_member_feed_driven_directly(plan):
     fused = _drive_directly(plan)
     patch_process, patch_emit = _member_by_member()
@@ -187,6 +214,7 @@ def test_a_fused_run_matches_member_by_member_feed_driven_directly(plan):
 
 @settings(max_examples=80, deadline=None)
 @given(plan=CHAINS)
+@example(plan=NESTED)
 def test_a_fused_run_matches_member_by_member_feed_through_a_task(plan):
     fused = _drive_through_a_task(plan)
     patch_process, patch_emit = _member_by_member()
@@ -209,10 +237,16 @@ class TestRunSelection:
             ],
             extra_costs=[3.0, 0.25, 0.5, 1.0, 2.0, 0.0],
         )
-        runs = [None if steps is None else [step[3] for step in steps] for steps in chain._runs]
-        assert runs == [[0, 1], [1], None, [3, 4], [4], None, None]
+        assert chain._kinds == ("flat_map", "map", None, "filter", "key_by", None)
+        assert [entry.__name__ for entry in chain._entries] == [
+            "run0_flat_map_map", "run1_map", "member2", "run3_filter_key_by", "run4_key_by", "member5", "out"
+        ]
+        ctx = _RecordingContext()
+        chain.open(ctx)
+        chain.process(Record(value=1), ctx)
         # the head's cost is the task's processing_cost, never an extra
-        assert [step[2] for step in chain._runs[0]] == [0.0, 0.25]
+        assert ctx.costs == [0.25, 0.5, 1.0, 2.0] * 2
+        assert [key for _row, key in log] == [0, 0]  # key_by(6 % 2) seen by the probe
 
     def test_a_map_subclass_keeps_its_override(self):
         ctx = _RecordingContext()
@@ -244,3 +278,101 @@ class TestRunSelection:
         assert drawn == [
             ("draw", 0), ("seen", 10), ("draw", 1), ("seen", 20), ("draw", 2), ("seen", 30)
         ]
+
+
+class TestCompiledEntries:
+    def test_same_shaped_chains_share_code_and_keep_their_own_bindings(self):
+        def shaped(a, cost, log):
+            return ChainedOperator(
+                [
+                    MapOperator(lambda v: v + a),
+                    FlatMapOperator(lambda v: [v] * a),
+                    KeyByOperator(lambda v: v * a),
+                    _KeyProbe(log),
+                ],
+                extra_costs=[0.0, cost, 2 * cost, 3 * cost],
+            )
+
+        def drive():
+            logs, runs = ([], []), []
+            # built back to back, driven after both exist
+            chains = [shaped(1, 0.5, logs[0]), shaped(2, 0.25, logs[1])]
+            for chain, log in zip(chains, logs):
+                ctx = _RecordingContext()
+                chain.open(ctx)
+                chain.process(Record(value=1, event_time=5.0, key="k"), ctx)
+                runs.append(([tuple(r) for r in ctx.emitted], list(chain.member_records_in), ctx.costs, log))
+            return chains, runs
+
+        (first, second), compiled = drive()
+        assert [e.__code__ for e in first._entries] == [e.__code__ for e in second._entries]
+        assert compiled == [
+            ([(2, 5.0, 2, 1, None, None)], [1, 1, 1, 1], [0.5, 1.0, 1.5], [((2, 5.0, 2, 1, None, None), 2)]),
+            (
+                [(3, 5.0, 6, 1, None, None)] * 2,
+                [1, 1, 2, 2],
+                [0.25, 0.5, 0.75, 0.5, 0.75],
+                [((3, 5.0, 6, 1, None, None), 6)] * 2,
+            ),
+        ]
+        patch_process, patch_emit = _member_by_member()
+        with patch_process, patch_emit:
+            assert drive()[1] == compiled
+
+    def test_a_raising_udf_leaves_what_feed_leaves(self):
+        def drive():
+            def boom(v):
+                if v == 3:
+                    raise ValueError("boom")
+                return v
+
+            chain = ChainedOperator(
+                [
+                    FlatMapOperator(lambda v: range(v)),
+                    MapOperator(lambda v: v + 1),
+                    KeyByOperator(lambda v: -v),
+                    MapOperator(boom),
+                    FilterOperator(lambda v: v > 0),
+                ],
+                extra_costs=[0.0, 0.25, 0.5, 1.0, 2.0],
+            )
+            ctx = _RecordingContext()
+            chain.open(ctx)
+            with pytest.raises(ValueError) as raised:
+                chain.process(Record(value=5, event_time=5.0, key="k"), ctx)
+            effects = ([tuple(r) for r in ctx.emitted], list(chain.member_records_in), ctx.costs)
+            return effects + (ctx.current_key_value,), raised.value
+
+        compiled, error = drive()
+        assert compiled == (
+            [(1, 5.0, -1, 1, None, None), (2, 5.0, -2, 1, None, None)],
+            [1, 3, 3, 3, 2],
+            [0.25, 0.5, 1.0, 2.0] * 2 + [0.25, 0.5, 1.0],
+            -3,
+        )
+        patch_process, patch_emit = _member_by_member()
+        with patch_process, patch_emit:
+            assert drive()[0] == compiled
+        # the traceback shows the generated line, filed under the operators
+        frame = next(f for f in traceback.extract_tb(error.__traceback__) if f.name.startswith("run0_"))
+        assert frame.name == "run0_flat_map_map_key_by_map_filter"
+        assert frame.line == "v1 = f3(v1)"
+        assert os.path.dirname(frame.filename) == os.path.dirname(os.path.abspath(chain_module.__file__))
+
+    def test_member_gauges_read_live_counts(self):
+        config = EngineConfig(seed=1, chaining_enabled=True)
+        env = StreamExecutionEnvironment(config, name="g")
+        sink = CollectSink("out")
+        (
+            env.from_workload(SensorWorkload(count=60, rate=2000.0, key_count=4, seed=1), name="src")
+            .flat_map(lambda v: [v, v], name="twice")
+            .filter(lambda v: v["seq"] % 3 != 0, name="some")
+            .map(lambda v: v["seq"], name="seq")
+            .sink(sink, name="out")
+        )
+        engine = env.build()
+        env.execute()
+        prefix = "g/twice->some->seq->out/0/chain"
+        names = ("twice", "some", "seq", "out")
+        gauges = [engine.metrics_snapshot()["metrics"][f"{prefix}{i}/{n}/records_in"] for i, n in enumerate(names)]
+        assert gauges == [60, 120, 80, 80] and len(sink.results) == 80
