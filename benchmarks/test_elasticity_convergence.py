@@ -22,7 +22,7 @@ PROFILE = RateFunction.step(base=900.0, peak=2700.0, start=4.0, end=12.0)
 
 def run():
     env = StreamExecutionEnvironment(
-        EngineConfig(seed=6, flow_control=True, metrics_interval=0.1), name="ds2"
+        EngineConfig(seed=6, default_channel_capacity=64), name="ds2"
     )
     sink = CollectSink("out")
     (

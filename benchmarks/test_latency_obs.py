@@ -53,7 +53,7 @@ LATENCY_CONFIGS = {
     # histograms surface what batch accumulation does to end-to-end latency
     # — the flip side of the throughput win in BENCH_throughput.json.
     "markers-columnar": dict(
-        FASTPATH, columnar_enabled=True, columnar_batch_size=256, **OBS
+        FASTPATH, columnar_batch_size=256, **OBS
     ),
 }
 

@@ -57,7 +57,7 @@ def run_shedding():
 
 
 def run_backpressure():
-    env = StreamExecutionEnvironment(EngineConfig(seed=5, flow_control=True), name="bp")
+    env = StreamExecutionEnvironment(EngineConfig(seed=5, default_channel_capacity=64), name="bp")
     sink, _ = build(env)
     env.execute(until=120.0)
     return summarize("backpressure", env, sink, parallelism=1, dropped=0)
@@ -65,7 +65,7 @@ def run_backpressure():
 
 def run_elastic():
     env = StreamExecutionEnvironment(
-        EngineConfig(seed=5, flow_control=True, metrics_interval=0.1), name="elastic"
+        EngineConfig(seed=5, default_channel_capacity=64), name="elastic"
     )
     sink, _ = build(env)
     engine = env.build()

@@ -43,7 +43,7 @@ def model_sweep():
 
 def end_to_end(nvram: bool):
     env = StreamExecutionEnvironment(
-        EngineConfig(seed=10, checkpoints=CheckpointConfig(interval=0.1), flow_control=True),
+        EngineConfig(seed=10, checkpoints=CheckpointConfig(interval=0.1), default_channel_capacity=64),
         name="nvram" if nvram else "dram",
     )
     device = {}

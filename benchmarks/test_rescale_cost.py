@@ -48,8 +48,7 @@ def run_rescale(mode, incremental, checkpoint_interval=0.02):
     env = StreamExecutionEnvironment(
         EngineConfig(
             seed=11,
-            flow_control=True,
-            metrics_interval=0.1,
+            default_channel_capacity=64,
             checkpoints=CheckpointConfig(
                 interval=checkpoint_interval, incremental=incremental
             ),

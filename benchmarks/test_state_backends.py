@@ -31,7 +31,7 @@ def run_backend(name, factory):
     env = StreamExecutionEnvironment(
         # Flow control keeps queues bounded so checkpoint barriers reach the
         # slower backends promptly instead of trailing an unbounded backlog.
-        EngineConfig(seed=3, checkpoints=CheckpointConfig(interval=0.1), flow_control=True),
+        EngineConfig(seed=3, checkpoints=CheckpointConfig(interval=0.1), default_channel_capacity=64),
         name=name,
     )
     sink = CollectSink("out")

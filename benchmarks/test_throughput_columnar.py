@@ -56,7 +56,7 @@ MAX_COLUMNAR_US_PER_RECORD = BASELINE_COLUMNAR_US_PER_RECORD / 0.7
 CONFIGS = {
     "seed": dict(chaining_enabled=False),
     "fastpath": dict(chaining_enabled=True),
-    "columnar": dict(chaining_enabled=True, columnar_enabled=True, columnar_batch_size=256),
+    "columnar": dict(chaining_enabled=True, columnar_batch_size=256),
 }
 
 

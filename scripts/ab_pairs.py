@@ -9,8 +9,8 @@ in each checkout, alternating which side goes first, and the summary applies
 the rule a claimed gain has to meet (the choosing-metrics guide, section 8):
 the change wins at least nine tenths of the pairs, ties counting for neither,
 and the medians differ by more than the distance between the parent's
-quartiles. Every other host-clock metric gets a verdict against its bound in
-the benchmark's catalogue: ``ok``, ``WORSE`` (the change's median is worse
+quartiles. Every host-clock metric, the claimed one included, also gets a
+verdict against its bound in the benchmark's catalogue: ``ok``, ``WORSE`` (the change's median is worse
 than the parent's by more than the bound) or ``unresolved`` (the parent's
 quartile distance is wider than the bound). Metrics that must repeat exactly
 (event counts, virtual latencies) are compared run by run and every
@@ -136,8 +136,6 @@ def main() -> int:
 
     worse = False
     for name in HOST:
-        if name == args.metric:
-            continue
         parent_values, change_values = ([run[name] for run in runs[side]] for side in ("parent", "change"))
         judged = verdict(name, parent_values, change_values)
         worse |= judged == "WORSE"

@@ -137,7 +137,6 @@ class ChaosRunner:
         if self.incremental and config.checkpoints is not None:
             config.checkpoints.incremental = True
         if self.columnar:
-            config.columnar_enabled = True
             config.columnar_batch_size = 32
         run = self.scenario.build(config)
         engine = run.engine
@@ -246,13 +245,3 @@ class ChaosRunner:
             "assert not report.ok",
         ]
         return "\n".join(lines)
-
-    def explore(self) -> tuple[list[ChaosReport], list[str]]:
-        """Full loop: sweep, shrink every violation, format reproducers."""
-        reports = self.sweep()
-        reproducers = []
-        for report in reports:
-            if not report.ok:
-                minimal = self.shrink(report)
-                reproducers.append(self.format_reproducer(minimal))
-        return reports, reproducers

@@ -177,7 +177,7 @@ def keyed_shuffle(level: GuaranteeLevel = GuaranteeLevel.AT_LEAST_ONCE) -> Scena
         level=level,
         build=build,
         palette=PaletteConfig(kinds=kinds, window=0.12, max_magnitude=0.03),
-        config_overrides={"flow_control": True},
+        config_overrides={"default_channel_capacity": 64},
         conserves_records=True,
     )
 
@@ -373,7 +373,7 @@ def rescale_shuffle(level: GuaranteeLevel = GuaranteeLevel.EXACTLY_ONCE) -> Scen
             rescale_targets=("count",),
             rescale_max_parallelism=3,
         ),
-        config_overrides={"flow_control": True},
+        config_overrides={"default_channel_capacity": 64},
         conserves_records=True,
     )
 

@@ -10,7 +10,7 @@ changelog replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import RecoveryError
@@ -124,10 +124,6 @@ class LineageGraph:
         if node.is_source or not node.parents:
             return 1
         return 1 + max(self.lineage_depth(parent) for parent in node.parents)
-
-    @property
-    def cached_batches(self) -> int:
-        return len(self._cache)
 
 
 def stateful_dstream(

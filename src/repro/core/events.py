@@ -114,10 +114,10 @@ class Record(
 class RecordBatch(StreamElement):
     """A columnar run of records travelling as one stream element.
 
-    The columnar execution path (``EngineConfig.columnar_enabled``) moves
-    records through channels and operators as batches: one mailbox item, one
-    credit, one dispatch — with per-record payloads kept in parallel columns
-    so vectorized operators can work on whole arrays. A batch is exactly
+    The columnar execution path (a set ``EngineConfig.columnar_batch_size``)
+    moves records through channels and operators as batches: one mailbox
+    item, one credit, one dispatch — with per-record payloads kept in
+    parallel columns so vectorized operators can work on whole arrays. A batch is exactly
     equivalent to the sequence ``list(batch.records())``; operators without a
     vectorized path explode it record-by-record and rebuild (see
     ``Operator.process_batch``), so any plan still runs.

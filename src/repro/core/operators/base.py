@@ -53,25 +53,6 @@ class OperatorContext:
         """Send an element to all downstream channels."""
         raise NotImplementedError
 
-    def emit_record(
-        self,
-        value: Any,
-        event_time: float | None = None,
-        key: Any = None,
-        sign: int = 1,
-        ingest_time: float | None = None,
-    ) -> None:
-        """Convenience wrapper constructing and emitting a :class:`Record`."""
-        self.emit(
-            Record(
-                value=value,
-                event_time=event_time,
-                key=key,
-                sign=sign,
-                ingest_time=ingest_time,
-            )
-        )
-
     def emit_to(self, tag: str, element: StreamElement) -> None:
         """Send an element to a named side output (late data, errors)."""
         raise NotImplementedError

@@ -11,7 +11,7 @@ host the survey's Cloud-application workloads (E11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from repro.errors import FunctionError
@@ -243,7 +243,3 @@ class StatefulFunctionRuntime:
     def state_of(self, address: Address, default: Any = None) -> Any:
         """Read one address's persisted state (observability/tests)."""
         return FunctionStorage(self.backend_for(address.type), address).get(default)
-
-    @property
-    def pending_messages(self) -> int:
-        return sum(len(m) for m in self._mailboxes.values())

@@ -46,18 +46,18 @@ class GenerationProfile:
     def config(self, seed: int = 0) -> EngineConfig:
         """The engine configuration embodying this era's design choices."""
         if self.key == "gen1":
-            return EngineConfig(seed=seed, flow_control=False, checkpoints=None,
+            return EngineConfig(seed=seed, checkpoints=None,
                                 guarantee=GuaranteeLevel.AT_MOST_ONCE)
         if self.key == "gen2":
             return EngineConfig(
                 seed=seed,
-                flow_control=True,
+                default_channel_capacity=64,
                 checkpoints=CheckpointConfig(interval=0.5, mode=CheckpointMode.ALIGNED),
                 guarantee=GuaranteeLevel.AT_LEAST_ONCE,
             )
         return EngineConfig(
             seed=seed,
-            flow_control=True,
+            default_channel_capacity=64,
             checkpoints=CheckpointConfig(interval=0.5, mode=CheckpointMode.ALIGNED),
             guarantee=GuaranteeLevel.EXACTLY_ONCE,
         )

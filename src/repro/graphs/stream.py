@@ -79,9 +79,5 @@ class DynamicGraph:
                     yield (u, v, w)
 
     @property
-    def node_count(self) -> int:
-        return len(self._adj)
-
-    @property
     def edge_count(self) -> int:
         return sum(len(n) for n in self._adj.values()) // 2

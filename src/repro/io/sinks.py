@@ -299,12 +299,6 @@ class TransactionalSink(Sink):
         """Percentile summary over committed end-to-end latencies."""
         return latency_stats([r.latency for r in self.committed if r.latency is not None])
 
-    def uncommitted_count(self) -> int:
-        """Results buffered in open or sealed-but-unpublished epochs."""
-        return len(self._open_epoch.buffered) + sum(
-            len(e.buffered) for e in self._pending.values()
-        )
-
     def flush(self, ctx: OperatorContext) -> None:
         # Bounded input ended cleanly: every sealed epoch is final (a
         # failure before this point would have cleared them via

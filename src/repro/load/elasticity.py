@@ -16,9 +16,8 @@ experiment E8 measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.graph import Partitioning
 from repro.errors import LoadManagementError
 from repro.runtime.engine import Engine
 from repro.load.migration import Rescaler
@@ -185,12 +184,3 @@ class DS2Controller:
                 self.rescaler.rescale(name, target, mode="live")
                 self.reconfigurations += 1
             demand *= model.selectivity
-
-    # ------------------------------------------------------------------
-    def convergence_summary(self) -> dict[str, int]:
-        """Reconfigurations actually applied per operator."""
-        out: dict[str, int] = {}
-        for decision in self.decisions:
-            if decision.changed:
-                out[decision.operator] = out.get(decision.operator, 0) + 1
-        return out

@@ -36,6 +36,7 @@ from typing import Any
 
 from repro.core.events import MAX_TIMESTAMP, EndOfStream, RecordBatch, Watermark
 from repro.core.graph import Partitioning
+from repro.core.operators.chain import ChainedOperator
 from repro.errors import LoadManagementError
 from repro.load.routing import KeyRouter
 from repro.runtime.engine import Engine
@@ -102,6 +103,11 @@ class Rescaler:
                     f"cannot rescale {node_name!r}: a FORWARD input edge pins "
                     "parallelism (repartition upstream with HASH/REBALANCE)"
                 )
+        if any(isinstance(task.operator, ChainedOperator) for task in tasks):
+            raise LoadManagementError(
+                f"cannot rescale {node_name!r}: its tasks run a fused operator "
+                "chain (build the job with chaining_enabled=False)"
+            )
         # FORWARD *output* edges are tolerated: new subtasks connect with
         # REBALANCE instead (existing 1:1 links keep working).
         self._abort_inflight_checkpoint()
@@ -176,32 +182,6 @@ class Rescaler:
         self.reports.append(report)
         return report
 
-    def unsplit_key_group(self, node_name: str, key_group: int, mode: str = "live") -> RescaleReport:
-        """Collapse a previously split key group back to its range owner."""
-        engine = self.engine
-        node = engine.graph.node_by_name(node_name)
-        self._abort_inflight_checkpoint()
-        started_at = engine.kernel.now()
-        router = self.router_for(node_name)
-        router.unsplit_group(key_group)
-        moved_entries, moved_bytes, chain_bytes, handoff = self._migrate_state(node, router)
-        self._install_reroute(node, router)
-        resumed_at = self._charge_reconfiguration(node, mode, moved_bytes, started_at)
-        report = RescaleReport(
-            node_name=node_name,
-            old_parallelism=node.parallelism,
-            new_parallelism=node.parallelism,
-            moved_entries=moved_entries,
-            moved_bytes=moved_bytes,
-            mode=mode,
-            started_at=started_at,
-            resumed_at=resumed_at,
-            chain_bytes=chain_bytes,
-            handoff=handoff,
-        )
-        self.reports.append(report)
-        return report
-
     # ------------------------------------------------------------------
     def router_for(self, node_name: str) -> KeyRouter:
         """The node's shared :class:`KeyRouter`, created on first use at the
@@ -236,7 +216,7 @@ class Rescaler:
     def _scale_out(self, node, tasks: list[Task], old_p: int, new_p: int) -> None:
         engine = self.engine
         for index in range(old_p, new_p):
-            task = engine._make_task(node, index)
+            task = engine._make_task([node], index)
             engine.node_tasks[node.node_id].append(task)
             engine.tasks[task.name] = task
             task.start()

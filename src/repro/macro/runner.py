@@ -61,15 +61,13 @@ class MacroEngineSpec:
         config = EngineConfig(
             seed=seed,
             chaining_enabled=self.chaining,
-            columnar_enabled=self.columnar,
-            columnar_batch_size=64,
+            columnar_batch_size=64 if self.columnar else None,
             checkpoints=CheckpointConfig(interval=0.05, incremental=self.incremental),
             latency_marker_period=0.02,
             **self.extra,
         )
         if self.autoscale:
-            config.flow_control = True
-            config.metrics_interval = 0.02
+            config.default_channel_capacity = 64
         return config
 
     def flags(self) -> dict[str, Any]:
@@ -116,7 +114,7 @@ ENGINE_CONFIGS: dict[str, MacroEngineSpec] = {
         MacroEngineSpec(
             name="autoscale",
             description="fast path + closed-loop autoscaling on the Q3 "
-            "window stage (flow control + metric sampling on)",
+            "window stage (flow control on)",
             equivalent=False,
             chaining=True,
             autoscale=True,

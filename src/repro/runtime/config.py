@@ -13,6 +13,7 @@ from typing import Callable
 
 from repro.core.graph import ChannelSpec
 from repro.core.keys import DEFAULT_MAX_PARALLELISM
+from repro.errors import GraphError
 from repro.state.api import KeyedStateBackend
 from repro.state.memory import InMemoryStateBackend
 
@@ -69,32 +70,27 @@ class EngineConfig:
     default_processing_cost: float = 2e-5
     #: cost charged per fired timer
     timer_cost: float = 5e-6
-    #: per-channel credit capacity applied when an edge doesn't set one and
-    #: flow control is enabled
-    flow_control: bool = False
-    default_channel_capacity: int = 64
+    #: credit-based flow control: per-channel credit capacity applied when an
+    #: edge doesn't set one (None = unbounded channels, no backpressure)
+    default_channel_capacity: int | None = None
     max_parallelism: int = DEFAULT_MAX_PARALLELISM
     state_backend_factory: Callable[[], KeyedStateBackend] = InMemoryStateBackend
     checkpoints: CheckpointConfig | None = None
     guarantee: GuaranteeLevel = GuaranteeLevel.AT_LEAST_ONCE
-    #: sample task metrics (queue lengths, utilization) every interval;
-    #: required by the elasticity controller
-    metrics_interval: float | None = None
     # --- physical optimisations (fast-path dispatch) ----------------------
     #: fuse adjacent forward-partitioned, same-parallelism logical nodes into
     #: one task (Flink-style operator chaining); records cross fused edges as
     #: plain Python calls with no channel at all
     chaining_enabled: bool = False
     # --- columnar execution ------------------------------------------------
-    #: sources emit :class:`~repro.core.events.RecordBatch` columnar batches
-    #: instead of per-record elements; batches are the unit of transport
-    #: (one channel element, one credit, one dispatch) and of compute
-    #: (vectorized operators; scalar fallback for everything else). Outputs
-    #: are byte-identical to the scalar path on the same seed.
-    columnar_enabled: bool = False
-    #: maximum records per source batch in columnar mode; batches also close
-    #: early at watermarks, markers, barriers, and end of input
-    columnar_batch_size: int = 256
+    #: when set, sources emit :class:`~repro.core.events.RecordBatch`
+    #: columnar batches of up to this many records instead of per-record
+    #: elements (None = per-record); batches are the unit of transport (one
+    #: channel element, one credit, one dispatch) and of compute (vectorized
+    #: operators; scalar fallback for everything else), and close early at
+    #: watermarks, markers, barriers, and end of input. Outputs are
+    #: byte-identical to the per-record path on the same seed.
+    columnar_batch_size: int | None = None
     # --- observability (repro.obs) ----------------------------------------
     #: kernel-time period at which sources emit in-band latency markers
     #: (None = markers off); markers yield per-operator and source→sink
@@ -107,10 +103,18 @@ class EngineConfig:
     #: and hook the kernel dispatch observer
     profiling_enabled: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("default_channel_capacity", "columnar_batch_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1 or None, got {value!r}")
+
     def channel_for(self, spec: ChannelSpec | None) -> ChannelSpec:
         """Resolve an edge's channel spec against the flow-control default."""
         base = spec or ChannelSpec()
         capacity = base.capacity
-        if capacity is None and self.flow_control:
+        if capacity is None:
             capacity = self.default_channel_capacity
+        elif capacity < 1:
+            raise GraphError(f"channel capacity must be >= 1, got {capacity!r}")
         return ChannelSpec(latency=base.latency, jitter=base.jitter, capacity=capacity)

@@ -155,7 +155,6 @@ class Engine:
         self._next_checkpoint_id = 1
         self._pending_checkpoint: CheckpointRecord | None = None
         self._coordinator_timer: PeriodicTimer | None = None
-        self._sampler_timer: PeriodicTimer | None = None
         self.job_finished = False
         #: terminal *clean* failure: a restart policy gave up and the job
         #: was torn down deliberately (distinct from a hang or a crash)
@@ -237,16 +236,12 @@ class Engine:
             for member in group:
                 self._chained_nodes[member.node_id] = group
         for node in order:
-            group = self._chained_nodes.get(node.node_id)
-            if group is not None:
-                if node is not group[0]:
-                    continue  # tasks were created when the head was visited
-                tasks = [self._make_chained_task(group, index) for index in range(node.parallelism)]
-                for member in group:
-                    self.node_tasks[member.node_id] = tasks
-            else:
-                tasks = [self._make_task(node, index) for index in range(node.parallelism)]
-                self.node_tasks[node.node_id] = tasks
+            group = self._chained_nodes.get(node.node_id, [node])
+            if node is not group[0]:
+                continue  # tasks were created when the head was visited
+            tasks = [self._make_task(group, index) for index in range(node.parallelism)]
+            for member in group:
+                self.node_tasks[member.node_id] = tasks
             for task in tasks:
                 self.tasks[task.name] = task
         for edge_index, edge in enumerate(self.graph.edges):
@@ -350,13 +345,40 @@ class Engine:
 
         return build
 
-    def _make_chained_task(self, group: list[LogicalNode], index: int) -> Task:
+    def _make_task(self, group: list[LogicalNode], index: int) -> Task:
+        """Subtask ``index`` of ``group``: a source, a bare operator (a group
+        of one), or the group's operators fused into one chain."""
         head = group[0]
         chain_name = "->".join(member.name for member in group)
         name = f"{chain_name}[{index}]"
-        operator_factory = self._chain_operator_factory(group, chain_name)
+        metrics = self.metrics.for_task(name)
+        if head.is_source:
+            workload = head.options.get("workload")
+            if workload is None:
+                raise GraphError(f"source node {head.name!r} lacks options['workload']")
+            strategy: WatermarkStrategy = head.options.get("watermarks") or NoWatermarks()
+            return SourceTask(
+                self.kernel,
+                name,
+                workload=workload,
+                watermark_strategy=strategy.fresh(),
+                bounded=head.options.get("bounded", True),
+                heartbeat_interval=head.options.get("heartbeat_interval"),
+                metrics=metrics,
+                engine=self,
+                subtask_index=index,
+                parallelism=head.parallelism,
+                batch_records=self.config.columnar_batch_size,
+            )
+        if len(group) == 1:
+            operator_factory = head.new_operator
+        else:
+            operator_factory = self._chain_operator_factory(group, chain_name)
         operator = operator_factory()
+        head_operator = operator.operators[0] if len(group) > 1 else operator
         backend_factory = self._resolve_backend_factory(head.state_backend_factory)
+        self._task_factories[name] = operator_factory
+        self._task_backend_factories[name] = backend_factory
         task = Task(
             self.kernel,
             name,
@@ -364,58 +386,8 @@ class Engine:
             state_backend=backend_factory(),
             subtask_index=index,
             parallelism=head.parallelism,
-            processing_cost=self._node_cost(head, operator.operators[0]),
-            timer_cost=self.config.timer_cost,
-            metrics=self.metrics.for_task(name),
-            engine=self,
-        )
-        if (
-            self.config.checkpoints is not None
-            and self.config.checkpoints.mode is CheckpointMode.UNALIGNED
-        ):
-            task.align_unaligned = True
-        self._task_factories[name] = operator_factory
-        self._task_backend_factories[name] = backend_factory
-        return task
-
-    def _make_task(self, node: LogicalNode, index: int) -> Task:
-        name = f"{node.name}[{index}]"
-        metrics = self.metrics.for_task(name)
-        if node.is_source:
-            workload = node.options.get("workload")
-            if workload is None:
-                raise GraphError(f"source node {node.name!r} lacks options['workload']")
-            strategy: WatermarkStrategy = node.options.get("watermarks") or NoWatermarks()
-            return SourceTask(
-                self.kernel,
-                name,
-                workload=workload,
-                watermark_strategy=strategy.fresh(),
-                bounded=node.options.get("bounded", True),
-                heartbeat_interval=node.options.get("heartbeat_interval"),
-                metrics=metrics,
-                engine=self,
-                subtask_index=index,
-                parallelism=node.parallelism,
-                batch_records=(
-                    self.config.columnar_batch_size if self.config.columnar_enabled else None
-                ),
-            )
-        backend_factory = self._resolve_backend_factory(node.state_backend_factory)
-        self._task_factories[name] = node.new_operator
-        self._task_backend_factories[name] = backend_factory
-        task = Task(
-            self.kernel,
-            name,
-            operator=node.new_operator(),
-            state_backend=backend_factory(),
-            subtask_index=index,
-            parallelism=node.parallelism,
-            processing_cost=(
-                node.processing_cost
-                if node.processing_cost is not None
-                else self.config.default_processing_cost
-            ),
+            # Task prefers a bare operator's own cost over this one
+            processing_cost=self._node_cost(head, head_operator),
             timer_cost=self.config.timer_cost,
             metrics=metrics,
             engine=self,
@@ -488,10 +460,6 @@ class Engine:
                 self._coordinator_timer = PeriodicTimer(
                     self.kernel, self.config.checkpoints.interval, self.trigger_checkpoint
                 )
-            if self.config.metrics_interval is not None:
-                self._sampler_timer = PeriodicTimer(
-                    self.kernel, self.config.metrics_interval, self._sample_metrics
-                )
             for node in order:
                 if node.is_source:
                     for task in self.node_tasks[node.node_id]:
@@ -503,10 +471,6 @@ class Engine:
             self.start()
         self.kernel.run(until=until, max_events=max_events)
         return JobResult(self)
-
-    def run_until_quiescent(self, horizon: float = 1e9) -> JobResult:
-        """Run with a generous horizon (bounded jobs drain on their own)."""
-        return self.run(until=horizon)
 
     # ------------------------------------------------------------------
     # engine callbacks from tasks
@@ -536,13 +500,6 @@ class Engine:
     def _cancel_services(self) -> None:
         if self._coordinator_timer is not None:
             self._coordinator_timer.cancel()
-        if self._sampler_timer is not None:
-            self._sampler_timer.cancel()
-
-    def _sample_metrics(self) -> None:
-        now = self.kernel.now()
-        for task in self.tasks.values():
-            task.metrics.queue_samples.append((now, task.mailbox_size))
 
     # ------------------------------------------------------------------
     # checkpoint coordination
@@ -590,14 +547,23 @@ class Engine:
         are published by the next completed checkpoint."""
         if self._pending_checkpoint is not record or record.complete:
             return
-        self.checkpoints.pop(record.checkpoint_id, None)
-        self._pending_checkpoint = None
-        if self.checkpoint_store is not None:
-            self.checkpoint_store.note_aborted(record.checkpoint_id)
+        self._drop_pending_checkpoint()
         # Release any task still blocked aligning on the abandoned barrier —
         # with a barrier lost in transit the alignment would never resolve.
         for task in self.tasks.values():
             task.cancel_alignment(record.checkpoint_id)
+
+    def _drop_pending_checkpoint(self) -> None:
+        """Forget the in-flight checkpoint, which can never complete: it
+        leaves the checkpoint table and its captured chain links stay
+        interior (never restorable)."""
+        record = self._pending_checkpoint
+        if record is None:
+            return
+        self.checkpoints.pop(record.checkpoint_id, None)
+        self._pending_checkpoint = None
+        if self.checkpoint_store is not None:
+            self.checkpoint_store.note_aborted(record.checkpoint_id)
 
     def on_task_snapshot(self, task: Task, snapshot: TaskSnapshot, source: bool = False) -> None:
         """Task callback: gather a snapshot into the pending checkpoint."""
@@ -711,13 +677,7 @@ class Engine:
         if task is None:
             raise RecoveryError(f"unknown task {task_name!r}")
         task.kill()
-        if self._pending_checkpoint is not None:
-            # In-flight checkpoint can never complete: abort it.
-            aborted_id = self._pending_checkpoint.checkpoint_id
-            self.checkpoints.pop(aborted_id, None)
-            self._pending_checkpoint = None
-            if self.checkpoint_store is not None:
-                self.checkpoint_store.note_aborted(aborted_id)
+        self._drop_pending_checkpoint()
 
     def node_of(self, task: Task) -> LogicalNode:
         """The logical node a task belongs to (the chain head for a task
@@ -1026,12 +986,7 @@ class Engine:
         self.execution_epoch += 1
         self._region_restores.clear()
         self._restore_in_flight = False
-        if self._pending_checkpoint is not None:
-            failed_id = self._pending_checkpoint.checkpoint_id
-            self.checkpoints.pop(failed_id, None)
-            self._pending_checkpoint = None
-            if self.checkpoint_store is not None:
-                self.checkpoint_store.note_aborted(failed_id)
+        self._drop_pending_checkpoint()
         for task in self._planned_tasks():
             if not task.dead and not task.finished:
                 task.kill()
@@ -1041,18 +996,6 @@ class Engine:
         self.metrics.recovery.job_failed_at = self.kernel.now()
         self.metrics.recovery.job_failure_reason = reason
         self._fire_finish_callbacks()
-
-    def shutdown(self) -> int:
-        """Tear the job down: cancel services, kill live tasks, and — on a
-        shared kernel — bulk-cancel the whole event namespace (O(1) in heap
-        size). Returns the number of kernel events condemned."""
-        self._cancel_services()
-        for task in self._planned_tasks():
-            if not task.dead and not task.finished:
-                task.kill()
-        if self.owns_kernel:
-            return 0
-        return self.kernel.cancel_job(self.job_tag)
 
     @_scoped
     def recover_without_replay(self) -> None:

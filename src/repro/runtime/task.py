@@ -402,10 +402,6 @@ class Task:
             self._keygroup_counts = {}
         self._keygroup_maxp = max_parallelism
 
-    def disable_keygroup_tracking(self) -> None:
-        """Stop counting and drop the histogram."""
-        self._keygroup_counts = None
-
     def deliver(self, channel_index: int, element: StreamElement, via: Any = None) -> None:
         """Channel callback: serve the element in place when the task is
         idle and unheld, else enqueue it (dropped/parked when down)."""
@@ -1303,15 +1299,17 @@ class SourceTask(Task):
         self._iterator = iter(workload.events())
         self._emitted = 0
         self._next_arrival = 0.0
-        self._pending_event: Any = None
-        #: virtual time the pulled-but-unemitted event/batch is due
+        #: emit RecordBatch runs of up to this many records (None = one
+        #: record per emission; a size of 1 is per-record too)
+        self._batch_records = (
+            batch_records if batch_records is not None and batch_records > 1 else None
+        )
+        #: the pulled-but-unemitted unit: one event per record, or a list of
+        #: (event, planned_arrival) pairs per batch; excluded from the
+        #: snapshot offset, so a restore re-pulls it deterministically
+        self._pending: Any = None
+        #: virtual time the pending unit is due
         self._pending_due = 0.0
-        #: columnar mode: emit RecordBatch runs of up to this many records
-        #: (None/1 = classic per-record emission)
-        self._batch_records = batch_records
-        #: pulled-but-unemitted (event, planned_arrival) pairs; excluded from
-        #: the snapshot offset, so a restore re-pulls them deterministically
-        self._pending_batch: list | None = None
         self._last_watermark = float("-inf")
         self._periodic: PeriodicTimer | None = None
         self._hb_timer: PeriodicTimer | None = None
@@ -1354,43 +1352,31 @@ class SourceTask(Task):
         self._flush_outputs()
 
     def _schedule_next(self) -> None:
+        """Pull the next emission unit and arm one kernel timer at its due
+        time: one event per record, or up to ``_batch_records`` events whose
+        arrival times accumulate to the last one — the whole batch then
+        travels as a single element. Watermark strategies still observe
+        every event (at emission, so progress never outruns unemitted data),
+        and only the highest resulting watermark follows a batch."""
         if self.dead or self.finished or self.paused:
             return
-        if self._batch_records is not None and self._batch_records > 1:
-            self._schedule_next_batch()
-            return
-        try:
-            event = next(self._iterator)
-        except StopIteration:
-            self._finish()
-            return
-        self._next_arrival = max(self.kernel.now(), self._next_arrival) + event.inter_arrival
-        self._pending_event = event
-        self._pending_due = self._next_arrival
-        self.kernel.call_at(self._next_arrival, self._emit_due, self.incarnation)
-
-    def _schedule_next_batch(self) -> None:
-        """Columnar: pull up to ``_batch_records`` events, accumulate their
-        arrival times, and arm ONE kernel timer at the last arrival — the
-        whole batch then travels as a single element. Watermark strategies
-        still observe every event (at emission, so progress never outruns
-        unemitted data), and only the highest resulting watermark follows
-        the batch."""
-        events: list = []
         arrival = max(self.kernel.now(), self._next_arrival)
         limit = self._batch_records
-        while len(events) < limit:
-            try:
-                event = next(self._iterator)
-            except StopIteration:
-                break
-            arrival += event.inter_arrival
-            events.append((event, arrival))
-        if not events:
+        if limit is None:
+            pending = next(self._iterator, None)
+            if pending is not None:
+                arrival += pending.inter_arrival
+        else:
+            batch = []
+            for event in itertools.islice(self._iterator, limit):
+                arrival += event.inter_arrival
+                batch.append((event, arrival))
+            pending = batch or None
+        if pending is None:
             self._finish()
             return
         self._next_arrival = arrival
-        self._pending_batch = events
+        self._pending = pending
         self._pending_due = arrival
         self.kernel.call_at(arrival, self._emit_due, self.incarnation)
 
@@ -1412,17 +1398,14 @@ class SourceTask(Task):
             if self._blocked_since is None:
                 self._blocked_since = self.kernel.now()
             return
-        if self._pending_batch is not None:
-            events = self._pending_batch
-            self._pending_batch = None
-            self._emit_batch(events)
-            self._schedule_next()
+        pending = self._pending
+        if pending is None:
             return
-        event = self._pending_event
-        self._pending_event = None
-        if event is None:
-            return
-        self._emit_record(event.value, event.event_time)
+        self._pending = None
+        if self._batch_records is None:
+            self._emit_record(pending.value, pending.event_time)
+        else:
+            self._emit_batch(pending)
         self._schedule_next()
 
     def _emit_record(self, value: Any, event_time: Any) -> None:
@@ -1519,7 +1502,7 @@ class SourceTask(Task):
             self._flush_outputs()
             if self._output_blocked:
                 return
-            if self._pending_event is not None or self._pending_batch is not None:
+            if self._pending is not None:
                 self._try_emit()
 
     def _periodic_watermark(self) -> None:
@@ -1566,7 +1549,7 @@ class SourceTask(Task):
         if not self.paused:
             return
         self.paused = False
-        if self._pending_event is not None or self._pending_batch is not None:
+        if self._pending is not None:
             self._try_emit()
         else:
             self._schedule_next()
@@ -1597,8 +1580,7 @@ class SourceTask(Task):
             skipped += 1
         self._emitted = skipped
         self._last_watermark = snapshot.watermark if snapshot is not None else float("-inf")
-        self._pending_event = None
-        self._pending_batch = None
+        self._pending = None
         self._next_arrival = self.kernel.now()
         if snapshot is not None:
             self.metrics.restored_at.append(self.kernel.now())
@@ -1606,8 +1588,7 @@ class SourceTask(Task):
     def kill(self) -> None:
         super().kill()
         self._cancel_timers()
-        self._pending_event = None
-        self._pending_batch = None
+        self._pending = None
 
     def reincarnate(self, operator: Operator | None = None, state_backend: Any = None) -> None:
         self.dead = False

@@ -6,7 +6,7 @@ failures as events on a :class:`Kernel`, so every experiment is reproducible
 and all latencies are measured in virtual time.
 """
 
-from repro.sim.clock import ProcessingTimeService, VirtualClock
+from repro.sim.clock import VirtualClock
 from repro.sim.kernel import EventHandle, Kernel, PeriodicTimer
 from repro.sim.random import SimRandom
 
@@ -14,7 +14,6 @@ __all__ = [
     "EventHandle",
     "Kernel",
     "PeriodicTimer",
-    "ProcessingTimeService",
     "SimRandom",
     "VirtualClock",
 ]

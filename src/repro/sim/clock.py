@@ -44,17 +44,3 @@ class VirtualClock:
     def __repr__(self) -> str:
         return f"VirtualClock(now={self._now:.6f})"
 
-
-class ProcessingTimeService:
-    """Read-only view of the virtual clock handed to operators.
-
-    Operators use it for processing-time semantics (timers, heartbeats,
-    latency stamps) without being able to advance time themselves.
-    """
-
-    def __init__(self, clock: VirtualClock) -> None:
-        self._clock = clock
-
-    def current_processing_time(self) -> float:
-        """Current virtual processing time in seconds."""
-        return self._clock.now()

@@ -10,7 +10,7 @@ from repro.runtime.config import EngineConfig
 
 
 def build(count=1500, rate=3000.0, cost=None, key_skew=0.0, parallelism=2):
-    env = StreamExecutionEnvironment(EngineConfig(flow_control=False))
+    env = StreamExecutionEnvironment(EngineConfig())
     sink = CollectSink("out")
     (
         env.from_workload(

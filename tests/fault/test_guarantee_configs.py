@@ -44,7 +44,7 @@ class TestEndToEnd:
     def run(self, level, sink, recover):
         # Flow control keeps the backlog bounded so checkpoint barriers
         # reach the slow operator promptly.
-        config = config_for_guarantee(level, checkpoint_interval=0.05, seed=31, flow_control=True)
+        config = config_for_guarantee(level, checkpoint_interval=0.05, seed=31, default_channel_capacity=64)
         env = StreamExecutionEnvironment(config)
         (
             env.from_workload(SensorWorkload(count=600, rate=4000.0, key_count=4, seed=131))

@@ -36,14 +36,14 @@ class TestProfiles:
     def test_gen1_config_has_no_fault_tolerance(self):
         config = GEN1.config()
         assert config.checkpoints is None
-        assert not config.flow_control
+        assert config.default_channel_capacity is None
         assert config.guarantee is GuaranteeLevel.AT_MOST_ONCE
 
     def test_gen2_config_scale_out_with_checkpoints(self):
         config = GEN2.config()
         assert config.checkpoints is not None
         assert config.checkpoints.mode is CheckpointMode.ALIGNED
-        assert config.flow_control
+        assert config.default_channel_capacity == 64
 
     def test_gen3_targets_exactly_once(self):
         assert GEN3.config().guarantee is GuaranteeLevel.EXACTLY_ONCE

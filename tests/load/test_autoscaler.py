@@ -22,7 +22,7 @@ from repro.runtime.config import EngineConfig
 
 def build_engine(parallelism=2, count=400):
     env = StreamExecutionEnvironment(
-        EngineConfig(flow_control=True, metrics_interval=0.1), name="unit"
+        EngineConfig(default_channel_capacity=64), name="unit"
     )
     sink = CollectSink("out")
     (

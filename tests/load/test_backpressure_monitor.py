@@ -12,7 +12,7 @@ from repro.runtime.config import EngineConfig
 def build_pipeline(rate, count=2000, cost=1e-3, parallelism=1):
     """Keyed count saturating at ~1/cost rec/s per instance."""
     env = StreamExecutionEnvironment(
-        EngineConfig(flow_control=True, metrics_interval=0.1)
+        EngineConfig(default_channel_capacity=64)
     )
     sink = CollectSink("out")
     (

@@ -11,7 +11,7 @@ from repro.runtime.config import EngineConfig
 
 def build_pipeline(rate, count=6000, cost=1e-3, parallelism=1):
     """A keyed count whose single instance saturates at ~1/cost rec/s."""
-    env = StreamExecutionEnvironment(EngineConfig(flow_control=True, metrics_interval=0.1))
+    env = StreamExecutionEnvironment(EngineConfig(default_channel_capacity=64))
     sink = CollectSink("out")
     # Plenty of keys: DS2's demand model assumes per-subtask load roughly
     # tracks the key-group fraction (its paper notes skew breaks this).

@@ -19,7 +19,7 @@ from repro.runtime.config import EngineConfig
 
 def build(rate, count, cost=1e-3, key_count=512, key_skew=0.0, parallelism=1):
     """A keyed count whose single instance saturates at ~1/cost rec/s."""
-    env = StreamExecutionEnvironment(EngineConfig(flow_control=True, metrics_interval=0.1))
+    env = StreamExecutionEnvironment(EngineConfig(default_channel_capacity=64))
     sink = CollectSink("out")
     (
         env.from_workload(

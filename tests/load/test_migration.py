@@ -6,7 +6,7 @@ from repro.core.datastream import StreamExecutionEnvironment
 from repro.core.keys import field_selector, subtask_for_key
 from repro.errors import LoadManagementError
 from repro.io.sinks import CollectSink
-from repro.io.sources import SensorWorkload
+from repro.io.sources import CollectionWorkload, SensorWorkload
 from repro.load.migration import Rescaler
 from repro.runtime.config import EngineConfig
 
@@ -93,3 +93,25 @@ class TestValidation:
         engine = env.build()
         with pytest.raises(LoadManagementError):
             Rescaler(engine).rescale("count", 0)
+
+    def test_chain_head_rescale_rejected(self):
+        """A chain head's tasks run the whole fused chain, which a new
+        subtask would not: the rescale is refused and the job runs on intact."""
+        env = StreamExecutionEnvironment(EngineConfig(chaining_enabled=True))
+        sink = CollectSink("out")
+        (
+            env.from_workload(CollectionWorkload([(i % 5, 1) for i in range(200)], rate=2000.0))
+            .key_by(lambda v: v[0], parallelism=2)
+            .reduce(lambda a, b: (a[0], a[1] + b[1]), name="count", parallelism=2)
+            .map(lambda v: v, name="same", parallelism=2)
+            .sink(sink, parallelism=2)
+        )
+        engine = env.build()
+        engine.run(until=0.03)
+        with pytest.raises(LoadManagementError, match="fused operator chain"):
+            Rescaler(engine).rescale("count", 3)
+        assert engine.run(until=30.0).finished
+        final: dict = {}
+        for key, count in sink.values():
+            final[key] = max(final.get(key, 0), count)
+        assert final == {key: 40 for key in range(5)}

@@ -147,7 +147,7 @@ class TestChainReplayEquivalence:
 
 
 def _build_timer_pipeline(parallelism=2):
-    env = StreamExecutionEnvironment(EngineConfig(flow_control=True))
+    env = StreamExecutionEnvironment(EngineConfig(default_channel_capacity=64))
     sink = CollectSink("out")
 
     def fn(record, ctx):

@@ -30,7 +30,7 @@ def test_engine_configs_cover_the_axes():
     assert not ENGINE_CONFIGS["autoscale"].equivalent
     assert ENGINE_CONFIGS["txn-nowait"].txn_locking == "nowait"
     config = ENGINE_CONFIGS["autoscale"].engine_config(0)
-    assert config.flow_control and config.metrics_interval is not None
+    assert config.default_channel_capacity == 64
 
 
 @pytest.fixture(scope="module")

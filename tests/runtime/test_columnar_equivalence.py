@@ -1,7 +1,7 @@
 """Columnar execution is an optimisation, not a semantics change.
 
 The property: for any workload seed, running the same windowed pipeline
-with ``columnar_enabled`` on must produce byte-identical sink output —
+with ``columnar_batch_size`` set must produce byte-identical sink output —
 ``(value, event_time, key, sign)`` per result, in order — and identical
 record accounting (every ``records_in`` / ``records_out`` / ``dropped``
 gauge in :meth:`~repro.runtime.engine.Engine.metrics_snapshot`) as the
@@ -30,8 +30,7 @@ def run_pipeline(seed, columnar, chaining, incremental, sliding):
     config = EngineConfig(
         seed=seed,
         chaining_enabled=chaining,
-        columnar_enabled=columnar,
-        columnar_batch_size=16,
+        columnar_batch_size=16 if columnar else None,
         checkpoints=CheckpointConfig(interval=0.02, incremental=incremental),
     )
     env = StreamExecutionEnvironment(config, name="equiv")

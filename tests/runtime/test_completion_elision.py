@@ -15,6 +15,7 @@ from repro.core.events import Record
 from repro.core.graph import ChannelSpec
 from repro.io import CollectSink, CollectionWorkload, SensorWorkload
 from repro.runtime.config import CheckpointConfig, EngineConfig
+from repro.sim.kernel import PeriodicTimer
 from repro.txn.store import TxnStateStore
 
 #: dyadic, so every sum below is exact and same-instant ties are the norm
@@ -53,12 +54,10 @@ def _fanout_job():
     return env, sinks
 
 
-def _saturated_job(flow_control=False):
+def _saturated_job(capacity=None):
     """One task at over 90 % utilisation under Poisson arrivals: most
     deliveries land inside the previous item's busy interval."""
-    env = StreamExecutionEnvironment(
-        EngineConfig(flow_control=flow_control, default_channel_capacity=4)
-    )
+    env = StreamExecutionEnvironment(EngineConfig(default_channel_capacity=capacity))
     sink = CollectSink("out")
     env.from_workload(SensorWorkload(count=600, rate=960.0, seed=5), name="src").sink(
         sink, processing_cost=1e-3
@@ -109,7 +108,7 @@ class TestVirtualTimeDoesNotMove:
     def test_credit_bounded_items_keep_their_completion_event(self):
         """The credit returns at completion time, so nothing is elided: the
         parent's event count exactly."""
-        env, sink = _saturated_job(flow_control=True)
+        env, sink = _saturated_job(capacity=4)
         engine = env.build()
         task = engine.tasks["out[0]"]
         fired = _completions(task)
@@ -205,9 +204,8 @@ def _control_job(offset_cost, **config):
     """Sources ``a`` and ``b`` feed one sink of cost 4u through a union. An
     ``a`` record reaches the sink at t and is busy through t + 4u; its ``b``
     twin follows ``offset_cost + 2u`` later: strictly inside that interval
-    for 1u, at exactly ``busy_until`` for 2u. Metric samples every u land on
-    both, every item."""
-    env = StreamExecutionEnvironment(EngineConfig(metrics_interval=U, **config))
+    for 1u, at exactly ``busy_until`` for 2u."""
+    env = StreamExecutionEnvironment(EngineConfig(**config))
     a = env.from_workload(CollectionWorkload(list(range(48)), rate=1 / GAP), name="a")
     b = env.from_workload(CollectionWorkload(list(range(100, 148)), rate=1 / GAP), name="b")
     sink = CollectSink("out")
@@ -218,17 +216,29 @@ def _control_job(offset_cost, **config):
     return env, sink
 
 
+def _build_sampled(env):
+    """Build the engine and read the sink's mailbox size every u until the
+    job ends: the samples land on both instants, every item."""
+    engine = env.build()
+    task, samples = engine.tasks["out[0]"], []
+    timer = PeriodicTimer(
+        engine.kernel, U, lambda: samples.append((engine.now(), task.mailbox_size))
+    )
+    engine.on_finish_callbacks.append(lambda _engine: timer.cancel())
+    return engine, samples
+
+
 #: the sink is delivered record 8 of ``a`` here, and is busy through +4u
 T8 = 9 * GAP + 2 * LATENCY
 CONTROL_PINS = {
-    "samples-1u": "e986bb0a382359dc50c7f6037e81ac51ff1e5803124dbb773b76e388ece05a58",
+    "samples-1u": "71c4d0a6c2943d5d459d73c49df7147d9c362475f5e08e16b130e867eb015888",
     "suspend@1u-1u": "71ffa23a2f8ff4245f276f2c428a4156473eb27f04f371f91508d26386c56ed4",
     "kill@1u-1u": "4890c6ef6e20c0080f2bb3a1d589af52d2a31207a82636e94211575256b1c1b7",
     "suspend@4u-1u": "4f67fa6ac30b463578f10b86dcf621325e29682fc25145338789fdf2f9a53034",
     "kill@4u-1u": "59430320f5f5848932ea9ea4dab40879e3bf7e532d3f3f9076462fc136533763",
     "barrier@3u-1u": "092a74a7a0f1f37c66b391b2d6c7205853c9fa872ee673daff776925e7ba3dfc",
     "barrier@4u-1u": "092a74a7a0f1f37c66b391b2d6c7205853c9fa872ee673daff776925e7ba3dfc",
-    "samples-2u": "0b56a37c3b059b1dd949dea994a22d68d4ab6e3b671cb2e8b7b14427cc856a6a",
+    "samples-2u": "f9925497b09515f086f044723a82f54a8795677505f4b073ff8f964238586938",
     "suspend@1u-2u": "81a08c7ee7bdef1ca5c8810f0137d6ef9dd281a6dccd4c3d78ca03bfaa7b2866",
     "kill@1u-2u": "eeff0b8035235c4c87ffd55fe122f4ec2f61199352f8a453fd6d4c8bbbbde79b",
     "suspend@4u-2u": "b639ebbee52819a897fa44b6fe439c8b66479e1416fda5034ce009074717e7ff",
@@ -249,15 +259,15 @@ class TestSameInstantControl:
 
     def test_mailbox_samples(self, offset_cost):
         env, sink = _control_job(offset_cost)
-        engine = env.build()
+        engine, samples = _build_sampled(env)
         env.execute()
         assert len(sink.results) == 96
-        self._check("samples", offset_cost, engine, sink)
+        self._check("samples", offset_cost, engine, sink, samples)
 
     @pytest.mark.parametrize("at", [T8 + 1 * U, T8 + 4 * U], ids=["inside", "at-busy-until"])
     def test_suspend_then_resume(self, offset_cost, at):
         env, sink = _control_job(offset_cost)
-        engine = env.build()
+        engine, _samples = _build_sampled(env)
         task = engine.tasks["out[0]"]
         engine.kernel.call_at(at, task.suspend)
         # resumed inside a later elided interval, and at its very end
@@ -271,7 +281,7 @@ class TestSameInstantControl:
         env, sink = _control_job(
             offset_cost, checkpoints=CheckpointConfig(interval=16 * GAP + U)
         )
-        engine = env.build()
+        engine, _samples = _build_sampled(env)
 
         def fail():
             engine.kill_task("out[0]")
@@ -284,7 +294,7 @@ class TestSameInstantControl:
     @pytest.mark.parametrize("at", [T8 + 3 * U, T8 + 4 * U], ids=["inside", "at-busy-until"])
     def test_checkpoint_barrier(self, offset_cost, at):
         env, sink = _control_job(offset_cost, checkpoints=CheckpointConfig(interval=1000.0))
-        engine = env.build()
+        engine, _samples = _build_sampled(env)
         # injected at the sources right behind record 8, three idle hops
         # before the sink (a busy ``delay`` turns "inside" into the tie)
         engine.kernel.call_at(at - 3 * LATENCY, engine.trigger_checkpoint)

@@ -58,7 +58,7 @@ PLANS = st.fixed_dictionaries(
         "branches": st.lists(BRANCH, min_size=1, max_size=5),
         "chaining": st.booleans(),
         "jitter": st.sampled_from((0.0, 3e-5)),
-        "flow_control": st.booleans(),
+        "capacity": st.sampled_from((None, 3)),
         "shared_kernel": st.booleans(),  # True: every event is job-tagged
         "rate": st.sampled_from((4000.0, 40000.0)),
         "seed": st.integers(0, 3),
@@ -75,8 +75,7 @@ def _run_plan(plan, kernel_class):
         EngineConfig(
             seed=plan["seed"],
             chaining_enabled=plan["chaining"],
-            flow_control=plan["flow_control"],
-            default_channel_capacity=3,
+            default_channel_capacity=plan["capacity"],
         )
     )
     source = env.from_workload(
@@ -144,7 +143,7 @@ def test_the_reference_kernel_never_extends_a_flight():
         "branches": [("forward", 1, 1)] * 5,
         "chaining": False,
         "jitter": 0.0,
-        "flow_control": False,
+        "capacity": None,
         "shared_kernel": False,
         "rate": 4000.0,
         "seed": 0,

@@ -14,13 +14,13 @@ from repro.runtime.config import EngineConfig
     seed=st.integers(min_value=0, max_value=10_000),
     parallelism=st.integers(min_value=1, max_value=5),
     key_count=st.sampled_from([1, 3, 16, 64]),
-    flow_control=st.booleans(),
+    capacity=st.sampled_from([None, 64]),
     count=st.sampled_from([50, 300]),
 )
-def test_keyed_count_is_exact_for_any_topology(seed, parallelism, key_count, flow_control, count):
+def test_keyed_count_is_exact_for_any_topology(seed, parallelism, key_count, capacity, count):
     """Property: regardless of seed, parallelism, key skew or flow control,
     a keyed count accounts for every input exactly once (no failures)."""
-    env = StreamExecutionEnvironment(EngineConfig(seed=seed, flow_control=flow_control))
+    env = StreamExecutionEnvironment(EngineConfig(seed=seed, default_channel_capacity=capacity))
     sink = CollectSink("out")
     (
         env.from_workload(SensorWorkload(count=count, rate=5000.0, key_count=key_count, seed=seed))
@@ -62,7 +62,7 @@ def test_same_seed_is_bit_reproducible(seed):
 
 class TestDescribe:
     def test_plan_description_lists_nodes_and_edges(self):
-        env = StreamExecutionEnvironment(EngineConfig(flow_control=True))
+        env = StreamExecutionEnvironment(EngineConfig(default_channel_capacity=64))
         (
             env.from_workload(SensorWorkload(count=10, seed=1), name="sensors")
             .key_by(field_selector("sensor"), parallelism=2)

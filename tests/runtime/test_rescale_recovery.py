@@ -23,8 +23,7 @@ def build(parallelism=2, count=3000, rate=3000.0, interval=0.02, incremental=Fal
     env = StreamExecutionEnvironment(
         EngineConfig(
             seed=4,
-            flow_control=True,
-            metrics_interval=0.1,
+            default_channel_capacity=64,
             checkpoints=CheckpointConfig(
                 interval=interval, incremental=incremental,
                 write_base_cost=write_base_cost,

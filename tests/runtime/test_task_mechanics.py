@@ -192,7 +192,7 @@ class TestChannelFIFO:
 class TestDrainSemantics:
     def test_job_finishes_and_cancels_services(self):
         env = StreamExecutionEnvironment(
-            EngineConfig(checkpoints=CheckpointConfig(interval=0.05), metrics_interval=0.05)
+            EngineConfig(checkpoints=CheckpointConfig(interval=0.05))
         )
         env.from_collection(range(50)).map(lambda v: v).sink(CollectSink("out"))
         result = env.execute()  # no `until`: must quiesce on its own

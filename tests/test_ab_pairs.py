@@ -69,3 +69,20 @@ def test_a_first_run_that_writes_nothing_aborts_with_the_childs_stderr(tmp_path)
 def test_verdict(name, parent, change, expected):
     assert ab_pairs.verdict(name, parent, change) == expected
 
+
+
+def test_a_claimed_metric_that_regressed_past_its_bound_exits_non_zero(monkeypatch, capsys):
+    """The claimed metric is judged like every other host metric: a claim
+    that lost 20 % of its throughput (bound 15 %) is ``WORSE``, not skipped."""
+    base = {name: 1.0 for name, *_rest in ab_pairs.END_TO_END}
+
+    def fake_run(checkout, args, scratch):
+        rate = 100.0 if checkout.endswith("parent") else 80.0
+        return {**base, "norm_records_per_s": rate, "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    monkeypatch.setattr(
+        "sys.argv", ["ab_pairs.py", "/parent", "/change", "--workload", "w", "--seed", "0", "--pairs", "2"]
+    )
+    assert ab_pairs.main() == 1
+    assert "norm_records_per_s: parent median 100, change median 80, bound 15%: WORSE" in capsys.readouterr().out
