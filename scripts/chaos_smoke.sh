@@ -12,7 +12,8 @@
 # none of the three may change any verdict. --rescale swaps in the
 # rescale-chaos grid: live key-group migrations interleaved with the fault
 # palette, under the same oracles. --txn swaps in the transactional grid:
-# multi-partition transfers over shared TxnStateStores, judged by the
+# multi-partition transfers over shared TxnStateStores, each shape under
+# ordered locking and under NO-WAIT, judged by the
 # serializability oracle (serial replay + conflict-graph acyclicity +
 # balance conservation) on top of the standard suite. --macro swaps in
 # the macro-benchmark suite (repro.macro, Q1-Q5 on one interleaved

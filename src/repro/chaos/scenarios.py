@@ -414,6 +414,7 @@ def _build_txn_scenario(
     ops: list[tuple],
     keys_fn: Callable[[Any], Any],
     body: Callable[[Any, Any], Any],
+    locking: str = "ordered",
     partitions: int = 4,
     parallelism: int = 2,
     rate: float = 2000.0,
@@ -424,16 +425,21 @@ def _build_txn_scenario(
     oracle bound to the run's store, and a fault palette that includes kill
     and barrier loss (the two that stress the atomic-cut and unwedge
     paths). DUPLICATE/DROP stay out: exactly-once configs never tolerate
-    them, matching the other exactly-once shapes."""
+    them, matching the other exactly-once shapes. ``locking`` picks the
+    store's discipline; a NO-WAIT shape is named ``<name>-nowait``."""
     from repro.chaos.oracles import SerializabilityOracle
-    from repro.txn.store import TxnStateStore
+    from repro.txn.store import TxnConfig, TxnStateStore
 
     expected = _txn_ops_expected(ops)
+    if locking != "ordered":
+        name = f"{name}-{locking}"
 
     def build(config: EngineConfig) -> ScenarioRun:
         sink, observed = _make_sink(GuaranteeLevel.EXACTLY_ONCE)
         env = StreamExecutionEnvironment(config, name=f"chaos-{name}")
-        store = TxnStateStore(f"{name}-store", partitions=partitions)
+        store = TxnStateStore(
+            f"{name}-store", partitions=partitions, config=TxnConfig(locking=locking)
+        )
         (
             env.from_workload(CollectionWorkload(ops, rate=rate), name="src")
             .transact(
@@ -464,7 +470,7 @@ def _build_txn_scenario(
     )
 
 
-def txn_transfer() -> Scenario:
+def txn_transfer(locking: str = "ordered") -> Scenario:
     """Cross-partition account transfers: every txn read-modify-writes two
     accounts that usually live in different store partitions, so commits pay
     the multi-partition cost and snapshots need the whole-store fence."""
@@ -475,11 +481,11 @@ def txn_transfer() -> Scenario:
         dst = accounts[(i * 5 + 3) % len(accounts)]
         ops.append(("xfer", f"t{i}", src, dst, 1 + (i % 9)))
     return _build_txn_scenario(
-        "txn-transfer", ops, keys_fn=lambda v: [v[2], v[3]], body=_transfer_body
+        "txn-transfer", ops, keys_fn=lambda v: [v[2], v[3]], body=_transfer_body, locking=locking
     )
 
 
-def txn_hot_account() -> Scenario:
+def txn_hot_account(locking: str = "ordered") -> Scenario:
     """Contention shape: every transfer touches one hot account, so X-lock
     queues are always populated — ordered acquisition must stay deadlock-free
     and strict-FIFO fair while kills and lost barriers land mid-queue."""
@@ -490,11 +496,15 @@ def txn_hot_account() -> Scenario:
         src, dst = ("hot", other) if i % 2 == 0 else (other, "hot")
         ops.append(("xfer", f"h{i}", src, dst, 1 + (i % 5)))
     return _build_txn_scenario(
-        "txn-hot-account", ops, keys_fn=lambda v: [v[2], v[3]], body=_transfer_body
+        "txn-hot-account",
+        ops,
+        keys_fn=lambda v: [v[2], v[3]],
+        body=_transfer_body,
+        locking=locking,
     )
 
 
-def txn_mixed_readonly() -> Scenario:
+def txn_mixed_readonly(locking: str = "ordered") -> Scenario:
     """Mixed workload: transfers interleaved with read-only audits that
     S-lock three accounts. Shared grants batch behind exclusive writers;
     the serial replay cross-checks every audited balance against the
@@ -531,14 +541,21 @@ def txn_mixed_readonly() -> Scenario:
             return (tuple(value[2:]), ())  # reads only: shared locks
         return [value[2], value[3]]
 
-    return _build_txn_scenario("txn-mixed-readonly", ops, keys_fn=keys_fn, body=body)
+    return _build_txn_scenario(
+        "txn-mixed-readonly", ops, keys_fn=keys_fn, body=body, locking=locking
+    )
 
 
 def txn_scenarios() -> list[Scenario]:
     """The transactional grid: three shapes of serializable multi-partition
-    transactions over shared state, each judged by the serializability
-    oracle under a palette that includes kill and barrier loss."""
-    return [txn_transfer(), txn_hot_account(), txn_mixed_readonly()]
+    transactions over shared state, each under ordered locking and under
+    NO-WAIT, each judged by the serializability oracle under a palette that
+    includes kill and barrier loss."""
+    return [
+        shape(locking)
+        for locking in ("ordered", "nowait")
+        for shape in (txn_transfer, txn_hot_account, txn_mixed_readonly)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -105,7 +105,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="sweep the transactional scenarios instead of the standard "
         "grid (serializable multi-partition txns over a shared store, "
-        "judged by the serializability oracle under kill/barrier-loss)",
+        "ordered and NO-WAIT, judged by the serializability oracle under "
+        "kill/barrier-loss)",
     )
     parser.add_argument(
         "--columnar",

@@ -3,7 +3,7 @@ and the engine-integrated transactional state store (``TxnStateStore`` +
 ``DataStream.transact``)."""
 
 from repro.txn.manager import LockMode, Transaction, TransactionManager, TxnStatus
-from repro.txn.operator import TransactOperator, TxnHandle
+from repro.txn.operator import TransactOperator
 from repro.txn.saga import SagaExecutor, SagaReport, SagaStep
 from repro.txn.sstore import NonTransactionalOperator, TransactionalOperator
 from repro.txn.store import CommittedTxn, StoreCapture, StoreTxn, TxnConfig, TxnStateStore
@@ -35,7 +35,6 @@ __all__ = [
     "TwoPCResult",
     "TwoPhaseCoordinator",
     "TxnConfig",
-    "TxnHandle",
     "TxnStateStore",
     "TxnStatus",
     "Vote",

@@ -1,10 +1,12 @@
 """The ``transact`` operator: one record = one ACID transaction.
 
-Each incoming record runs ``body(handle, value)`` against the shared
-:class:`~repro.txn.store.TxnStateStore`. Under ordered locking the key set
-is declared up front via ``keys_fn(value) -> (read_keys, write_keys)`` and
-locks are acquired in global order (waiting, never deadlocking); under
-NO-WAIT the body acquires dynamically and retries with backoff on conflict.
+Each incoming record runs ``body(txn, value)`` against the shared
+:class:`~repro.txn.store.TxnStateStore`; the transaction is its own handle
+(``txn.read`` / ``txn.write`` / ``txn.txn_id`` / ``txn.op_id``). Under
+ordered locking the key set is declared up front via ``keys_fn(value)`` and
+the whole transaction — lock plan, waits, body, deferred commit — is one
+:meth:`~repro.txn.store.TxnStateStore.run` call; under NO-WAIT the body
+acquires dynamically and this operator retries with backoff on conflict.
 
 While a transaction is in flight the owner task holds ``_txn_hold``: its
 mailbox (including checkpoint barriers) stays queued, so a barrier can
@@ -19,41 +21,20 @@ from typing import Any, Callable
 
 from repro.core.operators.base import Operator, OperatorContext
 from repro.errors import TransactionAborted, TransactionError
-from repro.txn.manager import TxnStatus
 from repro.txn.store import StoreTxn, TxnStateStore
 
-
-class TxnHandle:
-    """What the transaction body sees: read/write under the open txn."""
-
-    __slots__ = ("_store", "_txn")
-
-    def __init__(self, store: TxnStateStore, txn: StoreTxn) -> None:
-        self._store = store
-        self._txn = txn
-
-    def read(self, key: Any, default: Any = None) -> Any:
-        """Read ``key`` inside the transaction (own writes visible)."""
-        return self._store.txn_read(self._txn, key, default)
-
-    def write(self, key: Any, value: Any) -> None:
-        """Write ``key`` inside the transaction (undone on abort)."""
-        self._store.txn_write(self._txn, key, value)
-
-    @property
-    def txn_id(self) -> int:
-        return self._txn.txn_id
-
-    @property
-    def op_id(self) -> Any:
-        return self._txn.op_id
+#: what may stand for a read or a write set in a ``(reads, writes)`` pair
+_KEY_COLLECTIONS = (set, frozenset, list, tuple)
 
 
-def _normalize_keys(declared: Any) -> tuple:
-    """Accept ``(reads, writes)`` or a bare iterable (all read+write)."""
+def _declared_keys(declared: Any) -> tuple[frozenset, frozenset]:
+    """``keys_fn``'s answer as ``(reads, writes)``. A 2-tuple of key
+    collections is ``(reads, writes)``; anything else — a 2-tuple of plain
+    keys included — is the key set, read and written."""
     if isinstance(declared, tuple) and len(declared) == 2:
         reads, writes = declared
-        return frozenset(reads), frozenset(writes)
+        if isinstance(reads, _KEY_COLLECTIONS) and isinstance(writes, _KEY_COLLECTIONS):
+            return frozenset(reads), frozenset(writes)
     keys = frozenset(declared)
     return keys, keys
 
@@ -64,13 +45,18 @@ class TransactOperator(Operator):
     def __init__(
         self,
         store: TxnStateStore,
-        body: Callable[[TxnHandle, Any], Any],
+        body: Callable[[StoreTxn, Any], Any],
         keys_fn: Callable[[Any], Any] | None = None,
         op_id_fn: Callable[[Any], Any] | None = None,
         name: str = "transact",
     ) -> None:
-        if store.config.locking == "ordered" and keys_fn is None:
+        config = store.config
+        self._ordered = config.locking == "ordered"
+        if self._ordered and keys_fn is None:
             raise TransactionError("ordered locking requires keys_fn to declare the key set")
+        self._execute_cost = config.execute_cost
+        self._max_retries = config.max_retries
+        self._nowait_backoff = config.nowait_backoff
         self.store = store
         self.body = body
         self.keys_fn = keys_fn
@@ -81,6 +67,10 @@ class TransactOperator(Operator):
         self._name = name
         self._task = None
         self._origin = name
+        #: the record in flight and the task incarnation it arrived in: the
+        #: hold admits one transaction per task at a time
+        self._record = None
+        self._incarnation = 0
 
     # ------------------------------------------------------------------
     def open(self, ctx: OperatorContext) -> None:
@@ -90,117 +80,86 @@ class TransactOperator(Operator):
             self._origin = task.name
             self.store.bind_task(task)
 
-    def _op_id(self, value: Any) -> Any:
-        return self.op_id_fn(value) if self.op_id_fn is not None else value
-
     # ------------------------------------------------------------------
     def process(self, record: Any, ctx: OperatorContext) -> None:
-        ctx.add_cost(self.store.config.execute_cost)
+        ctx.add_cost(self._execute_cost)
         task = self._task
         if task is None:
             self._run_sync(record, ctx)
             return
-        op_id = self._op_id(record.value)
+        value = record.value
+        op_id = value if self.op_id_fn is None else self.op_id_fn(value)
         task._txn_hold = True
-        incarnation = task.incarnation
-        if self.store.config.locking == "nowait":
-            self._attempt_nowait(record, task, op_id, 0, incarnation)
-        else:
-            reads, writes = _normalize_keys(self.keys_fn(record.value))
-            txn = self.store.begin(task.name, op_id, declared=(reads, writes))
-            plan = self.store.lock_plan(txn)
-            self._acquire_next(record, task, txn, plan, 0, incarnation)
-
-    # --- ordered path --------------------------------------------------
-    def _acquire_next(self, record, task, txn, plan, index, incarnation) -> None:
-        if txn.status is not TxnStatus.ACTIVE or task.incarnation != incarnation:
-            return  # killed/restored while waiting; the kill cleared the hold
-        while index < len(plan):
-            key, mode = plan[index]
-            cont = lambda i=index: self._acquire_next(  # noqa: E731
-                record, task, txn, plan, i + 1, incarnation
-            )
-            if not self.store.acquire(txn, key, mode, cont):
-                return  # parked strict-FIFO; cont fires on grant
-            index += 1
-        self._execute(record, task, txn, incarnation)
-
-    def _execute(self, record, task, txn, incarnation) -> None:
+        self._record = record
+        self._incarnation = task.incarnation
+        if not self._ordered:
+            self._attempt_nowait(op_id, 0, task.incarnation)
+            return
+        declared = _declared_keys(self.keys_fn(value))
         try:
-            out = self.body(TxnHandle(self.store, txn), record.value)
+            self.store.run(task.name, op_id, declared, self.body, value, self._on_commit)
         except Exception:
-            self.store.abort(txn)
             task._txn_hold = False
             task._maybe_schedule()
             raise
-        self.store.finish_attempt(
-            txn, lambda: self._on_commit(record, task, out, incarnation)
-        )
 
     # --- NO-WAIT path --------------------------------------------------
-    def _attempt_nowait(self, record, task, op_id, tries, incarnation) -> None:
+    def _attempt_nowait(self, op_id: Any, tries: int, incarnation: int) -> None:
+        task = self._task
         if task.incarnation != incarnation or task.dead:
             return
-        txn = self.store.begin(task.name, op_id, declared=None)
+        txn = self.store.begin(task.name, op_id)
         try:
-            out = self.body(TxnHandle(self.store, txn), record.value)
+            out = self.body(txn, self._record.value)
         except TransactionAborted:
             self.store.note_retry()
-            if tries + 1 >= self.store.config.max_retries:
+            if tries + 1 >= self._max_retries:
                 # permanent abort: drop the record, release the hold
                 task._txn_hold = False
                 task._maybe_schedule()
                 return
-            delay = self.store.config.nowait_backoff * (tries + 1)
-            task.kernel.call_after(
-                delay,
-                lambda: self._attempt_nowait(record, task, op_id, tries + 1, incarnation),
-            )
+            delay = self._nowait_backoff * (tries + 1)
+            task.kernel.call_after(delay, self._attempt_nowait, op_id, tries + 1, incarnation)
             return
         except Exception:
             self.store.abort(txn)
             task._txn_hold = False
             task._maybe_schedule()
             raise
-        self.store.finish_attempt(
-            txn, lambda: self._on_commit(record, task, out, incarnation)
-        )
+        self.store.finish_attempt(txn, self._on_commit, out)
 
     # --- commit completion ---------------------------------------------
-    def _on_commit(self, record, task, out, incarnation) -> None:
-        if task.incarnation != incarnation or task.dead:
+    def _on_commit(self, out: Any) -> None:
+        task = self._task
+        if task.incarnation != self._incarnation or task.dead:
             return
         if out is not None:
-            task.collect_output(record.with_value(out))
+            task.collect_output(self._record.with_value(out))
         task._txn_hold = False
         task._flush_outputs()
         task._maybe_schedule()
 
     # --- kernel-less fallback (unit tests drive the operator directly) --
     def _run_sync(self, record, ctx: OperatorContext) -> None:
-        op_id = self._op_id(record.value)
-        if self.store.config.locking == "nowait":
-            tries = 0
-            while True:
-                txn = self.store.begin(self._origin, op_id, declared=None)
+        value = record.value
+        op_id = value if self.op_id_fn is None else self.op_id_fn(value)
+        outs: list = []
+        if self._ordered:
+            declared = _declared_keys(self.keys_fn(value))
+            self.store.run(self._origin, op_id, declared, self.body, value, outs.append)
+        else:
+            for _attempt in range(self._max_retries):
+                txn = self.store.begin(self._origin, op_id)
                 try:
-                    out = self.body(TxnHandle(self.store, txn), record.value)
+                    out = self.body(txn, value)
                 except TransactionAborted:
                     self.store.note_retry()
-                    tries += 1
-                    if tries >= self.store.config.max_retries:
-                        return
                     continue
+                self.store.finish_attempt(txn, outs.append, out)
                 break
-        else:
-            reads, writes = _normalize_keys(self.keys_fn(record.value))
-            txn = self.store.begin(self._origin, op_id, declared=(reads, writes))
-            for key, mode in self.store.lock_plan(txn):
-                self.store.acquire(txn, key, mode, None)
-            out = self.body(TxnHandle(self.store, txn), record.value)
-        self.store.finish_attempt(txn, None)
-        if out is not None:
-            ctx.emit(out)
+        for out in outs:
+            if out is not None:
+                ctx.emit(out)
 
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Any:

@@ -38,7 +38,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.core.keys import stable_hash
@@ -46,16 +47,19 @@ from repro.errors import TransactionAborted, TransactionError
 from repro.txn.manager import LockMode, TxnStatus
 
 _MISSING = object()
+_ACTIVE = TxnStatus.ACTIVE
+_SHARED = LockMode.SHARED
+_EXCLUSIVE = LockMode.EXCLUSIVE
 
 
-@dataclass
+@dataclass(frozen=True)
 class TxnConfig:
     """Knobs for the transactional state store.
 
     ``locking`` picks the discipline (``"ordered"`` | ``"nowait"``); the
     commit costs price the deferred multi-partition commit on the virtual
     clock; ``nowait_backoff`` spaces NO-WAIT retries (linear backoff,
-    ``backoff * attempt``)."""
+    ``backoff * attempt``). Frozen: a store reads it once, at construction."""
 
     locking: str = "ordered"
     execute_cost: float = 5e-5
@@ -68,30 +72,111 @@ class TxnConfig:
     def __post_init__(self) -> None:
         if self.locking not in ("ordered", "nowait"):
             raise TransactionError(f"unknown locking discipline {self.locking!r}")
+        costs = ("execute_cost", "commit_base_cost", "commit_cost_per_partition", "nowait_backoff")
+        for name in costs:
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise TransactionError(f"{name} must be >= 0, got {value!r}")
+        if self.max_retries < 1:
+            raise TransactionError(f"max_retries must be >= 1, got {self.max_retries!r}")
 
 
-@dataclass
 class StoreTxn:
-    """One in-flight transaction against a :class:`TxnStateStore`."""
+    """One in-flight transaction against a :class:`TxnStateStore`, and the
+    handle its body sees: ``read`` / ``write`` / ``txn_id`` / ``op_id``."""
 
-    txn_id: int
-    origin: str
-    op_id: Any
-    started_at: float
-    declared_reads: frozenset | None = None
-    declared_writes: frozenset | None = None
-    status: TxnStatus = TxnStatus.ACTIVE
-    locks: dict = field(default_factory=dict)  # key -> LockMode
-    undo: dict = field(default_factory=dict)  # key -> pre-image (_MISSING = absent)
-    reads: list = field(default_factory=list)  # (key, version, value) external reads
-    read_keys: set = field(default_factory=set)
-    written: set = field(default_factory=set)
-    touched_partitions: set = field(default_factory=set)
-    waiting_on: Any = _MISSING  # key whose wait queue holds this txn
-    wait_started: float = 0.0
+    __slots__ = (
+        "_store",
+        "txn_id",
+        "origin",
+        "op_id",
+        "started_at",
+        "declared_reads",
+        "declared_writes",
+        "status",
+        "locks",
+        "undo",
+        "reads",
+        "touched_partitions",
+        "waiting_on",
+        "wait_started",
+    )
+
+    def __init__(
+        self,
+        store: "TxnStateStore",
+        txn_id: int,
+        origin: str,
+        op_id: Any,
+        started_at: float,
+        declared_reads: frozenset | None = None,
+        declared_writes: frozenset | None = None,
+    ) -> None:
+        self._store = store
+        self.txn_id = txn_id
+        self.origin = origin
+        self.op_id = op_id
+        self.started_at = started_at
+        self.declared_reads = declared_reads
+        self.declared_writes = declared_writes
+        self.status = _ACTIVE
+        self.locks: dict = {}  # key -> LockMode, in acquisition order
+        #: key -> pre-image (_MISSING = absent); its keys are the write set
+        self.undo: dict = {}
+        #: key -> (key, version, value) for external reads, in first-read order
+        self.reads: dict = {}
+        self.touched_partitions: set = set()
+        self.waiting_on: Any = _MISSING  # key whose wait queue holds this txn
+        self.wait_started = 0.0
+
+    def _inactive(self) -> TransactionError:
+        return TransactionError(f"txn {self.txn_id} is {self.status.value}")
+
+    def read(self, key: Any, default: Any = None) -> Any:
+        """Read ``key`` inside the transaction (own writes visible). Ordered
+        locking requires the key to be declared (its lock was taken up
+        front); NO-WAIT acquires it now, aborting on conflict."""
+        if self.status is not _ACTIVE:
+            raise self._inactive()
+        store = self._store
+        if key not in self.locks:
+            if store._ordered:
+                raise TransactionError(
+                    f"txn {self.txn_id}: read of undeclared key {key!r} under ordered locking"
+                )
+            store._acquire_nowait(self, key, store._read_mode)
+        memo = store._partition_memo
+        part = memo[key] if key in memo else store.partition_of(key)
+        self.touched_partitions.add(part)
+        value = store._data[part].get(key, default)
+        if key not in self.undo and key not in self.reads:
+            # External read: any uncommitted writer holds X, so this value
+            # is committed — record (key, version, value) for the oracle.
+            self.reads[key] = (key, store._versions.get(key, 0), value)
+        return value
+
+    def write(self, key: Any, value: Any) -> None:
+        """Write ``key`` inside the transaction (in place, undone on abort)."""
+        if self.status is not _ACTIVE:
+            raise self._inactive()
+        store = self._store
+        if self.locks.get(key) is not _EXCLUSIVE:
+            if store._ordered:
+                raise TransactionError(
+                    f"txn {self.txn_id}: write of undeclared key {key!r} under ordered locking"
+                )
+            store._acquire_nowait(self, key, _EXCLUSIVE)
+        memo = store._partition_memo
+        part = memo[key] if key in memo else store.partition_of(key)
+        self.touched_partitions.add(part)
+        data = store._data[part]
+        undo = self.undo
+        if key not in undo:
+            undo[key] = data.get(key, _MISSING)
+        data[key] = value
 
 
-@dataclass
+@dataclass(slots=True)
 class CommittedTxn:
     """One entry of the committed history log (the oracle's input)."""
 
@@ -117,12 +202,14 @@ class StoreCapture:
     log_len: int
 
 
-class _Lock:
-    __slots__ = ("holders", "waiters")
-
-    def __init__(self) -> None:
-        self.holders: dict[int, LockMode] = {}  # txn_id -> mode
-        self.waiters: deque = deque()  # (txn, mode, continuation)
+def _compatible(holders: dict, txn_id: int, mode: LockMode) -> bool:
+    """May ``txn_id`` hold ``mode`` beside a key's other ``holders``?"""
+    if mode is _SHARED:
+        for holder, held in holders.items():
+            if held is _EXCLUSIVE and holder != txn_id:
+                return False
+        return True
+    return not holders or (len(holders) == 1 and txn_id in holders)
 
 
 class TxnStateStore:
@@ -133,7 +220,12 @@ class TxnStateStore:
             raise TransactionError(f"partitions must be >= 1, got {partitions}")
         self.name = name
         self.partitions = partitions
-        self.config = config or TxnConfig()
+        self.config = config = config or TxnConfig()
+        #: the discipline and commit prices, read once (the config is frozen)
+        self._ordered = config.locking == "ordered"
+        self._read_mode = _SHARED if config.read_locks_shared else _EXCLUSIVE
+        self._commit_base_cost = config.commit_base_cost
+        self._commit_cost_per_partition = config.commit_cost_per_partition
         self._data: list[dict] = [dict() for _ in range(partitions)]
         #: key -> partition memo: a transaction asks six times per key and
         #: the answer hashes with blake2b. One int per distinct key asked
@@ -142,7 +234,11 @@ class TxnStateStore:
         self._partition_memo: dict[Any, int] = {}
         self._versions: dict[Any, int] = {}
         self._history: list[CommittedTxn] = []
-        self._locks: dict[Any, _Lock] = {}
+        #: the lock table: key -> {txn_id: LockMode}, and key -> strict-FIFO
+        #: deque of (txn, mode, continuation). An entry exists only while the
+        #: key has holders (resp. waiters); a key with waiters has holders
+        self._locks: dict[Any, dict[int, LockMode]] = {}
+        self._waiters: dict[Any, deque] = {}
         self._active: dict[int, StoreTxn] = {}
         self._ids = itertools.count(1)
         self._kernel = None
@@ -203,7 +299,83 @@ class TxnStateStore:
         registry.gauge(f"{prefix}/committed_surviving", lambda: len(self._history))
 
     # ------------------------------------------------------------------
-    # transaction lifecycle
+    # ordered transactions: one call
+    # ------------------------------------------------------------------
+    def run(
+        self,
+        origin: str,
+        op_id: Any,
+        declared: tuple[frozenset, frozenset],
+        body: Callable[[StoreTxn, Any], Any],
+        value: Any,
+        done: Callable[[Any], None],
+    ) -> None:
+        """Run one ordered-locking transaction: begin it, take its lock plan
+        (granting inline, parking strict-FIFO at the first key that must
+        wait), run ``body(txn, value)`` and schedule the deferred commit,
+        which calls ``done(out)`` with the body's result. ``declared`` is
+        ``(read_keys, write_keys)`` as frozensets. A kill or restore in any
+        window aborts the transaction, and ``done`` never fires. A body that
+        raises aborts the transaction and the exception propagates."""
+        reads, writes = declared
+        kernel = self._kernel
+        txn = StoreTxn(
+            self,
+            next(self._ids),
+            origin,
+            op_id,
+            kernel.now() if kernel is not None else 0.0,
+            reads,
+            writes,
+        )
+        self._active[txn.txn_id] = txn
+        plan = sorted(writes if reads is writes else reads | writes, key=repr)
+        self._take_locks(txn, plan, 0, body, value, done)
+
+    def _take_locks(
+        self, txn: StoreTxn, plan: list, index: int, body: Callable, value: Any, done: Callable
+    ) -> None:
+        """Acquire ``plan[index:]`` in order, then run the body and schedule
+        the commit. A continuation exists only for a key that must wait: it
+        resumes here, at the next key, once the wait queue grants it."""
+        if txn.status is not _ACTIVE:
+            return  # killed or restored while parked; the kill cleared the hold
+        table = self._locks
+        waiting = self._waiters
+        held = txn.locks
+        writes = txn.declared_writes
+        read_mode = self._read_mode
+        txn_id = txn.txn_id
+        for index in range(index, len(plan)):  # acquire()'s grant rule, inline
+            key = plan[index]
+            mode = _EXCLUSIVE if key in writes else read_mode
+            if key not in table:
+                table[key] = {txn_id: mode}
+            elif key in waiting or not _compatible(table[key], txn_id, mode):
+                resume = partial(self._take_locks, txn, plan, index + 1, body, value, done)
+                self._park(txn, key, mode, resume)
+                return
+            else:
+                table[key][txn_id] = mode
+            held[key] = mode
+        try:
+            out = body(txn, value)
+        except Exception:
+            self.abort(txn)
+            raise
+        self.finish_attempt(txn, done, out)
+
+    def lock_plan(self, txn: StoreTxn) -> list:
+        """Global-order lock plan: keys sorted by ``repr``; writes (and
+        read∩write keys) take X directly — no S→X upgrades, ever."""
+        writes = txn.declared_writes
+        return [
+            (key, _EXCLUSIVE if key in writes else self._read_mode)
+            for key in sorted(txn.declared_reads | writes, key=repr)
+        ]
+
+    # ------------------------------------------------------------------
+    # transaction lifecycle, a step at a time (NO-WAIT, tests)
     # ------------------------------------------------------------------
     def begin(
         self,
@@ -218,115 +390,103 @@ class TxnStateStore:
         if declared is not None:
             reads = frozenset(declared[0])
             writes = frozenset(declared[1])
-        elif self.config.locking == "ordered":
+        elif self._ordered:
             raise TransactionError("ordered locking requires a declared key set")
-        txn = StoreTxn(
-            txn_id=next(self._ids),
-            origin=origin,
-            op_id=op_id,
-            started_at=self._now(),
-            declared_reads=reads,
-            declared_writes=writes,
-        )
+        txn = StoreTxn(self, next(self._ids), origin, op_id, self._now(), reads, writes)
         self._active[txn.txn_id] = txn
         return txn
-
-    def lock_plan(self, txn: StoreTxn) -> list:
-        """Global-order lock plan: keys sorted by ``repr``; writes (and
-        read∩write keys) take X directly — no S→X upgrades, ever."""
-        plan = []
-        for key in sorted(txn.declared_reads | txn.declared_writes, key=repr):
-            if key in txn.declared_writes or not self.config.read_locks_shared:
-                plan.append((key, LockMode.EXCLUSIVE))
-            else:
-                plan.append((key, LockMode.SHARED))
-        return plan
-
-    def _check_active(self, txn: StoreTxn) -> None:
-        if txn.status is not TxnStatus.ACTIVE:
-            raise TransactionError(f"txn {txn.txn_id} is {txn.status.value}")
 
     # ------------------------------------------------------------------
     # locking
     # ------------------------------------------------------------------
-    def _holds_sufficient(self, txn: StoreTxn, key: Any, mode: LockMode) -> bool:
-        mine = txn.locks.get(key)
-        return mine is LockMode.EXCLUSIVE or mine is mode
-
-    def _compatible(self, lock: _Lock, txn: StoreTxn, mode: LockMode) -> bool:
-        others = [m for tid, m in lock.holders.items() if tid != txn.txn_id]
-        if mode is LockMode.SHARED:
-            return not any(m is LockMode.EXCLUSIVE for m in others)
-        return not others
-
     def acquire(
         self, txn: StoreTxn, key: Any, mode: LockMode, cont: Callable[[], None] | None
     ) -> bool:
         """Ordered-locking acquire. Returns True if granted now; otherwise
         enqueues ``(txn, cont)`` strict-FIFO on the key's wait queue and
         returns False — ``cont`` fires (via the kernel) once granted."""
-        self._check_active(txn)
-        if self._holds_sufficient(txn, key, mode):
+        if txn.status is not _ACTIVE:
+            raise txn._inactive()
+        mine = txn.locks.get(key)
+        if mine is _EXCLUSIVE or mine is mode:
             return True
-        lock = self._locks.setdefault(key, _Lock())
-        if not lock.waiters and self._compatible(lock, txn, mode):
-            lock.holders[txn.txn_id] = mode
-            txn.locks[key] = mode
-            return True
-        if cont is None:
-            raise TransactionError(
-                f"txn {txn.txn_id}: lock wait on {key!r} without a kernel continuation"
-            )
-        lock.waiters.append((txn, mode, cont))
+        holders = self._locks.get(key)
+        if holders is None:
+            self._locks[key] = {txn.txn_id: mode}
+        elif key in self._waiters or not _compatible(holders, txn.txn_id, mode):
+            if cont is None:
+                raise TransactionError(
+                    f"txn {txn.txn_id}: lock wait on {key!r} without a kernel continuation"
+                )
+            self._park(txn, key, mode, cont)
+            return False
+        else:
+            holders[txn.txn_id] = mode
+        txn.locks[key] = mode
+        return True
+
+    def _park(self, txn: StoreTxn, key: Any, mode: LockMode, cont: Callable) -> None:
+        waiters = self._waiters.get(key)
+        if waiters is None:
+            waiters = self._waiters[key] = deque()
+        waiters.append((txn, mode, cont))
         txn.waiting_on = key
         txn.wait_started = self._now()
-        return False
 
-    def acquire_nowait(self, txn: StoreTxn, key: Any, mode: LockMode) -> None:
-        """NO-WAIT acquire: a conflict aborts the requester immediately."""
-        self._check_active(txn)
-        if self._holds_sufficient(txn, key, mode):
-            return
-        lock = self._locks.setdefault(key, _Lock())
-        if not self._compatible(lock, txn, mode):
+    def _acquire_nowait(self, txn: StoreTxn, key: Any, mode: LockMode) -> None:
+        """NO-WAIT acquire of a lock ``txn`` does not yet hold strongly
+        enough: a conflict aborts the requester immediately."""
+        holders = self._locks.get(key)
+        if holders is None:
+            self._locks[key] = {txn.txn_id: mode}
+        elif _compatible(holders, txn.txn_id, mode):
+            holders[txn.txn_id] = mode
+        else:
             self.abort(txn)
             raise TransactionAborted(
                 f"txn {txn.txn_id}: {mode.value}-lock conflict on {key!r}"
             )
-        lock.holders[txn.txn_id] = mode
         txn.locks[key] = mode
 
     def _release_locks(self, txn: StoreTxn) -> None:
-        keys = sorted(txn.locks, key=repr)
-        txn.locks = {}
-        for key in keys:
-            lock = self._locks.get(key)
-            if lock is None:
-                continue
-            lock.holders.pop(txn.txn_id, None)
-            self._wake(key, lock)
+        """Release in ``repr`` order. An ordered transaction's locks are
+        already in it: they were taken in plan order."""
+        held = txn.locks
+        table = self._locks
+        waiting = self._waiters
+        txn_id = txn.txn_id
+        for key in held if self._ordered else sorted(held, key=repr):
+            holders = table[key]
+            del holders[txn_id]
+            if key in waiting:
+                self._wake(key, holders, waiting[key])
+            elif not holders:
+                del table[key]
 
-    def _wake(self, key: Any, lock: _Lock) -> None:
+    def _wake(self, key: Any, holders: dict, waiters: deque) -> None:
         """Grant to the wait-queue head (and batch consecutive S waiters)."""
         granted = []
-        while lock.waiters:
-            waiter, mode, cont = lock.waiters[0]
-            if waiter.status is not TxnStatus.ACTIVE:
-                lock.waiters.popleft()
+        while waiters:
+            waiter, mode, cont = waiters[0]
+            if waiter.status is not _ACTIVE:
+                waiters.popleft()
                 continue
-            if not self._compatible(lock, waiter, mode):
+            if not _compatible(holders, waiter.txn_id, mode):
                 break
-            lock.waiters.popleft()
-            lock.holders[waiter.txn_id] = mode
+            waiters.popleft()
+            holders[waiter.txn_id] = mode
             waiter.locks[key] = mode
             waiter.waiting_on = _MISSING
             if self._metrics is not None:
                 self._metrics["lock_wait"].record(self._now() - waiter.wait_started)
             granted.append(cont)
-            if mode is LockMode.EXCLUSIVE:
+            if mode is _EXCLUSIVE:
                 break
-        if not lock.holders and not lock.waiters:
-            self._locks.pop(key, None)
+        if not waiters:
+            del self._waiters[key]
+        if not holders:
+            # no holder left means no waiter left: a free key grants its head
+            del self._locks[key]
         for cont in granted:
             if self._kernel is not None:
                 self._kernel.call_soon(cont)
@@ -334,59 +494,17 @@ class TxnStateStore:
                 cont()
 
     def _dequeue_waiter(self, txn: StoreTxn) -> None:
-        if txn.waiting_on is _MISSING:
+        key = txn.waiting_on
+        if key is _MISSING:
             return
-        lock = self._locks.get(txn.waiting_on)
-        if lock is not None:
-            lock.waiters = deque(
-                (t, m, c) for (t, m, c) in lock.waiters if t.txn_id != txn.txn_id
-            )
-            if not lock.holders and not lock.waiters:
-                self._locks.pop(txn.waiting_on, None)
+        waiters = self._waiters.get(key)
+        if waiters is not None:
+            kept = deque(entry for entry in waiters if entry[0].txn_id != txn.txn_id)
+            if kept:
+                self._waiters[key] = kept
+            else:
+                del self._waiters[key]
         txn.waiting_on = _MISSING
-
-    # ------------------------------------------------------------------
-    # reads / writes
-    # ------------------------------------------------------------------
-    def txn_read(self, txn: StoreTxn, key: Any, default: Any = None) -> Any:
-        """Read under the txn. Ordered mode requires the key to be declared
-        (the lock was acquired up front); NO-WAIT acquires dynamically."""
-        self._check_active(txn)
-        if self.config.locking == "ordered":
-            if not self._holds_sufficient(txn, key, LockMode.SHARED):
-                raise TransactionError(
-                    f"txn {txn.txn_id}: read of undeclared key {key!r} under ordered locking"
-                )
-        else:
-            mode = LockMode.SHARED if self.config.read_locks_shared else LockMode.EXCLUSIVE
-            self.acquire_nowait(txn, key, mode)
-        part = self.partition_of(key)
-        txn.touched_partitions.add(part)
-        value = self._data[part].get(key, default)
-        if key not in txn.written and key not in txn.read_keys:
-            # External read: any uncommitted writer holds X, so this value
-            # is committed — record (key, version, value) for the oracle.
-            txn.read_keys.add(key)
-            txn.reads.append((key, self._versions.get(key, 0), value))
-        return value
-
-    def txn_write(self, txn: StoreTxn, key: Any, value: Any) -> None:
-        """Write under the txn (in place, with undo logging)."""
-        self._check_active(txn)
-        if self.config.locking == "ordered":
-            if txn.locks.get(key) is not LockMode.EXCLUSIVE:
-                raise TransactionError(
-                    f"txn {txn.txn_id}: write of undeclared key {key!r} under ordered locking"
-                )
-        else:
-            self.acquire_nowait(txn, key, LockMode.EXCLUSIVE)
-        part = self.partition_of(key)
-        txn.touched_partitions.add(part)
-        data = self._data[part]
-        if key not in txn.undo:
-            txn.undo[key] = data.get(key, _MISSING)
-        data[key] = value
-        txn.written.add(key)
 
     # ------------------------------------------------------------------
     # commit / abort
@@ -394,46 +512,61 @@ class TxnStateStore:
     def commit_cost(self, txn: StoreTxn) -> float:
         """Virtual seconds a commit costs: base + per extra partition."""
         parts = max(1, len(txn.touched_partitions))
-        return self.config.commit_base_cost + self.config.commit_cost_per_partition * (parts - 1)
+        return self._commit_base_cost + self._commit_cost_per_partition * (parts - 1)
 
-    def finish_attempt(self, txn: StoreTxn, commit_cb: Callable[[], None] | None = None) -> None:
-        """Schedule the deferred commit ``commit_cost`` virtual seconds out.
-        The callback only fires if the txn is still ACTIVE when the commit
-        event runs (a kill/restore in the window aborts it instead)."""
-        self._check_active(txn)
-        if self._kernel is None:
-            self._commit(txn, commit_cb)
-            return
-        self._kernel.call_after(self.commit_cost(txn), lambda: self._commit(txn, commit_cb))
+    def finish_attempt(
+        self, txn: StoreTxn, done: Callable[..., None] | None = None, *args: Any
+    ) -> None:
+        """Schedule the deferred commit ``commit_cost`` virtual seconds out;
+        it calls ``done(*args)``. The commit (and so ``done``) only happens
+        if the txn is still ACTIVE when the commit event runs (a kill or
+        restore in the window aborts it instead)."""
+        if txn.status is not _ACTIVE:
+            raise txn._inactive()
+        kernel = self._kernel
+        if kernel is None:
+            self._commit(txn, done, *args)
+        else:
+            kernel.call_at(kernel.now() + self.commit_cost(txn), self._commit, txn, done, *args)
 
-    def _commit(self, txn: StoreTxn, commit_cb: Callable[[], None] | None) -> None:
-        if txn.status is not TxnStatus.ACTIVE:
+    def _commit(self, txn: StoreTxn, done: Callable[..., None] | None, *args: Any) -> None:
+        if txn.status is not _ACTIVE:
             return  # aborted by a kill or restore while the commit was in flight
+        versions = self._versions
+        data = self._data
+        memo = self._partition_memo
+        undo = txn.undo
         writes = []
-        for key in sorted(txn.written, key=repr):
-            version = self._versions.get(key, 0) + 1
-            self._versions[key] = version
-            writes.append((key, version, self._data[self.partition_of(key)].get(key)))
-        self._history.append(
+        # In repr order: an ordered transaction wrote only keys of its plan,
+        # and took their locks in that order.
+        for key in txn.locks if self._ordered else sorted(undo, key=repr):
+            if key in undo:
+                version = versions.get(key, 0) + 1
+                versions[key] = version
+                writes.append((key, version, data[memo[key]][key]))
+        kernel = self._kernel
+        now = kernel.now() if kernel is not None else 0.0
+        history = self._history
+        history.append(
             CommittedTxn(
-                seq=len(self._history),
-                txn_id=txn.txn_id,
-                op_id=txn.op_id,
-                origin=txn.origin,
-                committed_at=self._now(),
-                reads=tuple(txn.reads),
-                writes=tuple(writes),
+                len(history),
+                txn.txn_id,
+                txn.op_id,
+                txn.origin,
+                now,
+                tuple(txn.reads.values()),
+                tuple(writes),
             )
         )
         txn.status = TxnStatus.COMMITTED
-        self._active.pop(txn.txn_id, None)
+        del self._active[txn.txn_id]
         self.committed += 1
         if self._metrics is not None:
             self._metrics["commits"].inc()
-            self._metrics["commit_latency"].record(self._now() - txn.started_at)
+            self._metrics["commit_latency"].record(now - txn.started_at)
         self._release_locks(txn)
-        if commit_cb is not None:
-            commit_cb()
+        if done is not None:
+            done(*args)
 
     def abort(self, txn: StoreTxn) -> None:
         """Roll back via the undo log, release locks, wake waiters."""
@@ -441,7 +574,7 @@ class TxnStateStore:
             return
         if txn.status is TxnStatus.COMMITTED:
             raise TransactionError(f"cannot abort committed txn {txn.txn_id}")
-        for key, old in reversed(list(txn.undo.items())):
+        for key, old in reversed(txn.undo.items()):
             data = self._data[self.partition_of(key)]
             if old is _MISSING:
                 data.pop(key, None)
@@ -592,6 +725,7 @@ class TxnStateStore:
         for txn in list(self._active.values()):
             self.abort(txn)
         self._locks.clear()
+        self._waiters.clear()
         del self._history[capture.log_len:]
         self._versions = dict(capture.versions)
         self._data = [dict(part) for part in capture.data]
@@ -604,6 +738,7 @@ class TxnStateStore:
         for txn in list(self._active.values()):
             self.abort(txn)
         self._locks.clear()
+        self._waiters.clear()
         self._partition_memo.clear()
         self._history.clear()
         self._versions = {}

@@ -46,7 +46,8 @@ SEEDS = (0, 1, 2, 3, 4)
 
 class TestSerializabilitySweep:
     def test_seeded_sweep_every_history_serializable(self):
-        """3 shapes x full palette x 5 seeds: the acceptance sweep."""
+        """3 shapes x 2 locking disciplines x full palette x 5 seeds: the
+        acceptance sweep."""
         for scenario in txn_scenarios():
             palette_kinds = set(scenario.palette.kinds)
             assert KILL in palette_kinds and BARRIER_LOSS in palette_kinds

@@ -49,7 +49,7 @@ def drive_concurrent(keysets):
                     return  # parked; continuation resumes at i+1
                 index += 1
             for key in sorted(keys, key=repr):
-                store.txn_write(txn, key, store.txn_read(txn, key, 0) + 1)
+                txn.write(key, txn.read(key, 0) + 1)
             store.finish_attempt(txn, lambda: committed.append(op))
 
         acquire_from(0)
@@ -95,7 +95,7 @@ class TestExactRollback:
             seed = store.begin("p", f"seed-{key}", declared=((), (key,)))
             for k, mode in store.lock_plan(seed):
                 store.acquire(seed, k, mode, None)
-            store.txn_write(seed, key, value)
+            seed.write(key, value)
             store.finish_attempt(seed, None)
         before_items = store.committed_items()
         before_digest = store.digest()
@@ -103,8 +103,8 @@ class TestExactRollback:
         for key, mode in store.lock_plan(doomed):
             store.acquire(doomed, key, mode, None)
         for key, value in writes.items():
-            store.txn_write(doomed, key, value)
-            store.txn_write(doomed, key, value + 1)  # overwrite: undo keeps 1st pre-image
+            doomed.write(key, value)
+            doomed.write(key, value + 1)  # overwrite: undo keeps 1st pre-image
         store.abort(doomed)
         assert doomed.status is TxnStatus.ABORTED
         assert store.committed_items() == before_items

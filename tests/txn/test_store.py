@@ -41,8 +41,8 @@ class TestLifecycle:
         txn = store.begin("p0", "op-1", declared=((), ("a", "b")))
         for key, mode in store.lock_plan(txn):
             assert store.acquire(txn, key, mode, None)
-        store.txn_write(txn, "a", 10)
-        store.txn_write(txn, "b", 20)
+        txn.write("a", 10)
+        txn.write("b", 20)
         run_to_completion(store, txn)
         assert txn.status is TxnStatus.COMMITTED
         assert store.committed_get("a") == 10
@@ -58,13 +58,13 @@ class TestLifecycle:
         store = make_store()
         seed = store.begin("p0", "seed", declared=((), ("a",)))
         store.acquire(seed, "a", LockMode.EXCLUSIVE, None)
-        store.txn_write(seed, "a", 1)
+        seed.write("a", 1)
         run_to_completion(store, seed)
         txn = store.begin("p0", "doomed", declared=(("a",), ("a", "b")))
         for key, mode in store.lock_plan(txn):
             store.acquire(txn, key, mode, None)
-        store.txn_write(txn, "a", 99)
-        store.txn_write(txn, "b", 5)
+        txn.write("a", 99)
+        txn.write("b", 5)
         store.abort(txn)
         assert store.committed_get("a") == 1
         assert store.committed_get("b", "absent") == "absent"
@@ -75,9 +75,9 @@ class TestLifecycle:
         txn = store.begin("p0", "op", declared=(("a",), ()))
         store.acquire(txn, "a", LockMode.SHARED, None)
         with pytest.raises(TransactionError):
-            store.txn_read(txn, "zzz")
+            txn.read("zzz")
         with pytest.raises(TransactionError):
-            store.txn_write(txn, "a", 1)  # S lock is not enough to write
+            txn.write("a", 1)  # S lock is not enough to write
 
     def test_begin_requires_declared_keys_under_ordered(self):
         store = make_store()
@@ -112,7 +112,7 @@ class TestWaitQueues:
         second = store.begin("p1", "t2", declared=((), ("k",)))
         granted = store.acquire(second, "k", LockMode.EXCLUSIVE, lambda: fired.append("t2"))
         assert not granted and not fired
-        store.txn_write(first, "k", 1)
+        first.write("k", 1)
         run_to_completion(store, first)  # no kernel: wake runs synchronously
         assert fired == ["t2"]
         assert second.locks["k"] is LockMode.EXCLUSIVE
@@ -127,13 +127,36 @@ class TestWaitQueues:
             assert not store.acquire(reader, "k", LockMode.SHARED, lambda i=i: fired.append(f"r{i}"))
         blocked_writer = store.begin("p0", "w2", declared=((), ("k",)))
         assert not store.acquire(blocked_writer, "k", LockMode.EXCLUSIVE, lambda: fired.append("w2"))
-        store.txn_write(writer, "k", 1)
+        writer.write("k", 1)
         run_to_completion(store, writer)
         # Both S waiters woke together; the X waiter behind them did not.
         assert fired == ["r0", "r1"]
         for reader in readers:
             store.abort(reader)
         assert fired == ["r0", "r1", "w2"]
+
+    def test_shared_request_queues_behind_a_waiting_writer(self):
+        store = make_store()
+        reader = store.begin("p0", "r1", declared=(("k",), ()))
+        assert store.acquire(reader, "k", LockMode.SHARED, None)
+        writer = store.begin("p0", "w", declared=((), ("k",)))
+        assert not store.acquire(writer, "k", LockMode.EXCLUSIVE, lambda: None)
+        late = store.begin("p0", "r2", declared=(("k",), ()))
+        # S would fit beside the S holder, but strict FIFO queues it behind w
+        assert not store.acquire(late, "k", LockMode.SHARED, lambda: None)
+
+    def test_release_wakes_keys_in_plan_order(self):
+        store = make_store()
+        fired = []
+        holder = store.begin("p0", "h", declared=((), ("a", "b")))
+        for key, mode in store.lock_plan(holder):
+            assert store.acquire(holder, key, mode, None)
+        first = store.begin("p0", "on-a", declared=((), ("a",)))
+        second = store.begin("p0", "on-b", declared=((), ("b",)))
+        store.acquire(second, "b", LockMode.EXCLUSIVE, lambda: fired.append("on-b"))
+        store.acquire(first, "a", LockMode.EXCLUSIVE, lambda: fired.append("on-a"))
+        run_to_completion(store, holder)
+        assert fired == ["on-a", "on-b"]  # "a" is released first: repr order
 
     def test_aborted_waiter_is_skipped_on_wake(self):
         store = make_store()
@@ -151,10 +174,10 @@ class TestWaitQueues:
     def test_nowait_conflict_aborts_requester(self):
         store = make_store(locking="nowait")
         holder = store.begin("p0", "h")
-        store.txn_write(holder, "k", 1)
+        holder.write("k", 1)
         loser = store.begin("p0", "l")
         with pytest.raises(TransactionAborted):
-            store.txn_write(loser, "k", 2)
+            loser.write("k", 2)
         assert loser.status is TxnStatus.ABORTED
         assert store.committed_get("k", "absent") == "absent"  # holder uncommitted
 
@@ -167,8 +190,8 @@ class TestDeferredCommit:
         txn = store.begin("p0", "op", declared=((), ("a", "b")))
         for key, mode in store.lock_plan(txn):
             store.acquire(txn, key, mode, None)
-        store.txn_write(txn, "a", 1)  # partitions of "a" and "b" differ or not;
-        store.txn_write(txn, "b", 2)  # cost only depends on the touched count
+        txn.write("a", 1)  # partitions of "a" and "b" differ or not;
+        txn.write("b", 2)  # cost only depends on the touched count
         done = []
         store.finish_attempt(txn, lambda: done.append(kernel.now()))
         assert not done and txn.status is TxnStatus.ACTIVE
@@ -182,7 +205,7 @@ class TestDeferredCommit:
         store._kernel = kernel
         txn = store.begin("p0", "op", declared=((), ("a",)))
         store.acquire(txn, "a", LockMode.EXCLUSIVE, None)
-        store.txn_write(txn, "a", 1)
+        txn.write("a", 1)
         done = []
         store.finish_attempt(txn, lambda: done.append("commit"))
         store.abort(txn)  # a kill lands inside the commit window
@@ -205,7 +228,7 @@ class TestCommittedViews:
         store = make_store()
         txn = store.begin("p0", "op", declared=((), ("a",)))
         store.acquire(txn, "a", LockMode.EXCLUSIVE, None)
-        store.txn_write(txn, "a", 42)
+        txn.write("a", 42)
         assert store.committed_get("a", None) is None
         assert store.committed_items() == {}
         run_to_completion(store, txn)
@@ -222,7 +245,7 @@ class TestFence:
     def commit_one(self, store, key="k", value=1):
         txn = store.begin("p0", f"seed-{key}", declared=((), (key,)))
         store.acquire(txn, key, LockMode.EXCLUSIVE, None)
-        store.txn_write(txn, key, value)
+        txn.write(key, value)
         run_to_completion(store, txn)
 
     def test_round_completes_when_all_live_owners_park(self):
@@ -285,7 +308,7 @@ class TestFence:
         store, a, b = self.two_owner_store()
         mine = store.begin(a.name, "mine", declared=((), ("x",)))
         store.acquire(mine, "x", LockMode.EXCLUSIVE, None)
-        store.txn_write(mine, "x", 1)
+        mine.write("x", 1)
         theirs = store.begin(b.name, "theirs", declared=((), ("y",)))
         store.acquire(theirs, "y", LockMode.EXCLUSIVE, None)
         a.dead = True
@@ -301,7 +324,7 @@ class TestDigestAndReset:
         empty = store.digest()
         txn = store.begin("p0", "op", declared=((), ("a",)))
         store.acquire(txn, "a", LockMode.EXCLUSIVE, None)
-        store.txn_write(txn, "a", 1)
+        txn.write("a", 1)
         run_to_completion(store, txn)
         assert store.digest() != empty
         assert store.digest() == store.digest()
@@ -310,7 +333,7 @@ class TestDigestAndReset:
         store = make_store()
         txn = store.begin("p0", "op", declared=((), ("a",)))
         store.acquire(txn, "a", LockMode.EXCLUSIVE, None)
-        store.txn_write(txn, "a", 1)
+        txn.write("a", 1)
         run_to_completion(store, txn)
         pending = store.begin("p0", "pending", declared=((), ("b",)))
         store.acquire(pending, "b", LockMode.EXCLUSIVE, None)
@@ -319,3 +342,91 @@ class TestDigestAndReset:
         assert store.committed_items() == {}
         assert pending.status is TxnStatus.ABORTED
         assert store.active_count == 0
+
+
+class TestRun:
+    """``TxnStateStore.run``: one call per ordered transaction."""
+
+    def kernel_store(self):
+        kernel = Kernel()
+        store = make_store()
+        store._kernel = kernel
+        return kernel, store
+
+    def test_uncontended_run_commits_after_commit_cost(self):
+        kernel, store = self.kernel_store()
+        done = []
+
+        def body(txn, value):
+            txn.write("a", txn.read("a", 0) + value)
+            return txn.op_id
+
+        keys = frozenset({"a"})
+        store.run("p0", "op-1", (keys, keys), body, 5, lambda out: done.append((kernel.now(), out)))
+        assert not done and store._locks == {"a": {1: LockMode.EXCLUSIVE}}
+        kernel.run()
+        assert done == [(pytest.approx(store.config.commit_base_cost), "op-1")]
+        assert store.committed_items() == {"a": 5}
+        assert store._locks == {} and store._waiters == {}
+
+    def test_shared_request_queues_behind_a_waiting_writer(self):
+        # r1 holds S on k; w waits for X; r2's S would fit beside r1 but
+        # must queue behind w (strict FIFO), so commits land r1, w, r2.
+        kernel, store = self.kernel_store()
+        order = []
+        reads, writes = frozenset({"k"}), frozenset()
+
+        def reader(txn, value):
+            txn.read("k")
+            return value
+
+        def writer(txn, value):
+            txn.write("k", value)
+            return value
+
+        store.run("p0", "r1", (reads, writes), reader, "r1", order.append)
+        store.run("p1", "w", (writes, reads), writer, "w", order.append)
+        store.run("p0", "r2", (reads, writes), reader, "r2", order.append)
+        assert [t.op_id for t, _m, _c in store._waiters["k"]] == ["w", "r2"]
+        kernel.run()
+        assert order == ["r1", "w", "r2"]
+        assert store._locks == {} and store._waiters == {}
+
+    def test_raising_body_aborts_and_propagates(self):
+        kernel, store = self.kernel_store()
+
+        def body(txn, value):
+            txn.write("a", 1)
+            raise ValueError("boom")
+
+        keys = frozenset({"a"})
+        with pytest.raises(ValueError):
+            store.run("p0", "op", (keys, keys), body, None, lambda out: None)
+        assert store.aborted == 1 and store.committed_items() == {}
+        assert store._locks == {}
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("execute_cost", -1e-3),
+            ("commit_base_cost", -1.0),
+            ("commit_cost_per_partition", -1e-4),
+            ("nowait_backoff", -1.0),
+            ("execute_cost", float("nan")),
+            ("max_retries", 0),
+        ],
+    )
+    def test_rejects_out_of_range_values(self, field, value):
+        with pytest.raises(TransactionError, match=field):
+            TxnConfig(**{field: value})
+
+    def test_rejects_unknown_discipline(self):
+        with pytest.raises(TransactionError):
+            TxnConfig(locking="optimistic")
+
+    def test_is_frozen(self):
+        config = TxnConfig()
+        with pytest.raises(AttributeError):
+            config.locking = "nowait"
