@@ -8,7 +8,7 @@ checkpoint consistency), with greedy shrinking of violating schedules to
 minimal copy-pasteable reproducers.
 """
 
-from repro.chaos.faults import ChannelFaultHook, ChaosInjector, default_recovery, full_restart
+from repro.chaos.faults import ChannelFaultHook, ChaosInjector, default_recovery
 from repro.chaos.oracles import (
     CheckpointConsistencyOracle,
     CreditConservationOracle,
@@ -92,7 +92,6 @@ __all__ = [
     "feedback_loop",
     "flags_key",
     "forward_chain",
-    "full_restart",
     "generate_schedule",
     "keyed_shuffle",
     "parallel_slices",

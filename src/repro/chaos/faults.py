@@ -152,16 +152,6 @@ class ChannelFaultHook:
         self._kernel.call_after(max(bound, 1e-6), flush)
 
 
-def full_restart(engine: "Engine") -> None:
-    """Restart the whole job from offset zero — the recovery of a
-    checkpointed job that has no completed checkpoint yet. Transactional
-    sinks discard uncommitted epochs, sources rewind to the beginning, so
-    the replay is loss- and duplicate-free end to end."""
-    if engine.job_finished or engine.job_failed:
-        return
-    engine.restart_from_scratch()
-
-
 def default_recovery(level: GuaranteeLevel) -> Callable[["Engine", FailureEvent], None]:
     """The recovery policy a production job at ``level`` would run."""
 
@@ -173,7 +163,7 @@ def default_recovery(level: GuaranteeLevel) -> Callable[["Engine", FailureEvent]
         elif engine.latest_checkpoint() is not None:
             engine.recover_from_checkpoint()
         else:
-            full_restart(engine)
+            engine.restart_from_scratch()
 
     return recover
 
@@ -273,7 +263,7 @@ class ChaosInjector:
 
         def rescale() -> None:
             engine = self.engine
-            if engine.job_finished or engine.job_failed or engine._restore_in_flight:
+            if engine.job_finished or engine.job_failed or engine.restore_pending:
                 return
             try:
                 node = engine.graph.node_by_name(spec.target)

@@ -97,8 +97,9 @@ def main(argv: list[str] | None = None) -> int:
         "--rescale",
         action="store_true",
         help="sweep the rescale-chaos scenarios instead of the standard "
-        "grid (live rescales interleaved with kills/stalls/lost barriers; "
-        "forces incremental checkpoints so delta-chain handoff is covered)",
+        "grid (live rescales interleaved with kills/stalls/lost barriers, "
+        "under each --mode; forces incremental checkpoints so delta-chain "
+        "handoff is covered)",
     )
     parser.add_argument(
         "--txn",
@@ -137,10 +138,9 @@ def main(argv: list[str] | None = None) -> int:
 
     modes = ("default", "supervised") if args.mode == "both" else (args.mode,)
     if args.rescale:
-        # Rescale sweeps run unsupervised (the fixed per-guarantee recovery
-        # policy) and always with incremental chains: the point is the
-        # delta-chain state handoff under faults.
-        modes = ("default",)
+        # Rescale sweeps always run with incremental chains: the point is the
+        # delta-chain state handoff under faults. Supervised, a failover
+        # region computed before a rescale must escalate, not restore stale.
         args.incremental = True
     if args.txn:
         # Transactional sweeps run unsupervised: a shared store couples

@@ -123,11 +123,7 @@ class ActiveStandby:
         )
 
         def promote() -> None:
-            backend = None
-            if not task.state_backend.survives_task_failure:
-                backend = self.engine.backend_factory_for(task)()
-            task.reincarnate(self.engine.new_operator_for(task), backend)
-            task.restore_snapshot(self._mirror)
+            self.engine.revive(task, self._mirror)
             # Drain deliveries retained during the switchover; stay armed
             # (the replica keeps mirroring for the next failure).
             buffered, task.ha_buffer = task.ha_buffer, []
@@ -182,11 +178,7 @@ class PassiveStandby:
         )
 
         def recover() -> None:
-            backend = None
-            if not task.state_backend.survives_task_failure:
-                backend = self.engine.backend_factory_for(task)()
-            task.reincarnate(self.engine.new_operator_for(task), backend)
-            task.restore_snapshot(snapshot)
+            self.engine.revive(task, snapshot)
             if isinstance(task, SourceTask):
                 task.restart_emission()
             report.lost_deliveries = task.metrics.dropped - dropped_before

@@ -108,10 +108,7 @@ class UpstreamBackup:
         self.upstream_task.suspend()
 
         def rebuild() -> None:
-            backend = None
-            if not task.state_backend.survives_task_failure:
-                backend = self.engine.backend_factory_for(task)()
-            task.reincarnate(self.engine.new_operator_for(task), backend)
+            self.engine.revive(task)
             # Everything retained by now covers all parked in-flights: the
             # suspended upstream emitted at most one completion since the
             # kill, and its records were tapped into the retained queue.

@@ -167,7 +167,7 @@ class AutoscaleController:
         if engine.job_finished or engine.job_failed:
             self.stop()
             return
-        if engine._restore_in_flight:
+        if engine.restore_pending:
             return  # mid-recovery metrics are garbage; skip the round
         self._enable_tracking()  # idempotent; covers subtasks added by scale-out
         now = engine.kernel.now()

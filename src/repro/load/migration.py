@@ -426,30 +426,29 @@ class Rescaler:
 
 
 # ----------------------------------------------------------------------
-def redistribute_after_restore(engine: Engine, record: Any) -> None:
-    """Reconcile a global restore with rescales that happened since the
-    checkpoint was captured (called by ``Engine._do_restore``).
+def redistribute_after_restore(engine: Engine, record: Any, scope: set[str]) -> None:
+    """Reconcile a restore of the tasks ``scope`` with rescales that
+    happened since the checkpoint ``record`` (None: a restart from offset
+    zero) was captured; called by the engine's restart routine.
 
     A checkpoint stores state under the *capture-time* task layout. After a
     scale-out, subtasks added later have no snapshot and come back empty
     while their keys land in the old owners; after a scale-in, retired
     subtasks' snapshots are orphaned (and global recovery killed the retired
     task objects, which would block all future checkpoints). This pass, for
-    every node whose layout has diverged from the plan:
+    every node in the scope whose layout has diverged from the plan:
 
     1. revives retired subtasks as *finished* (orphan snapshots, when the
        record has them, are restored into a fresh backend first), and
     2. runs the standard migration pass so every key and timer moves to the
        owner the node's router assigns it under the current configuration.
     """
-    if not engine.rescaled_nodes:
-        return
     rescaler = Rescaler(engine)
     for node_id in sorted(engine.rescaled_nodes):
         node = engine.graph.nodes[node_id]
         tasks = engine.node_tasks.get(node_id)
-        if not tasks:
-            continue
+        if not tasks or tasks[0].name not in scope:
+            continue  # a closed scope holds all of a rescaled node or none
         planned = {t.name for t in tasks}
         prefix = f"{node.name}["
         for name, task in engine.tasks.items():
@@ -457,9 +456,7 @@ def redistribute_after_restore(engine: Engine, record: Any) -> None:
                 continue
             snapshot = record.snapshots.get(name) if record is not None else None
             if task.dead or snapshot is not None:
-                backend = engine.backend_factory_for(task)()
-                task.reincarnate(engine.new_operator_for(task), backend)
-                task.restore_snapshot(snapshot)
+                engine.revive(task, snapshot, fresh_backend=True)
                 # The subtask stays retired: the migration pass below drains
                 # its restored state into the current owners.
                 task.finished = True

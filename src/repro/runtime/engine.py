@@ -36,6 +36,12 @@ from repro.runtime.task import SourceTask, Task, TaskSnapshot
 from repro.sim.kernel import Kernel, PeriodicTimer
 from repro.sim.random import SimRandom
 
+#: state sources of a restart besides a completed checkpoint: empty state
+#: with sources rewound to the beginning, or (at-most-once) empty state with
+#: sources continuing from where they stopped
+OFFSET_ZERO = "offset-zero"
+NO_REPLAY = "no-replay"
+
 
 @dataclass
 class CheckpointRecord:
@@ -162,18 +168,16 @@ class Engine:
         self.failure_reason: str | None = None
         self._started = False
         self._expected_snapshot_count = 0
-        self._restore_in_flight = False
-        self._restore_resume_at = 0.0
-        #: task name → (token, resume_at) for an in-flight *regional*
-        #: restore; a broader restore clears the map, aborting the pending
-        #: per-region completion callbacks (their token no longer matches)
-        self._region_restores: dict[str, tuple[object, float]] = {}
+        #: task name → (token, resume_at) of the restore pending over it; a
+        #: superseded restore's entries are dropped, so its completion
+        #: callback finds its token gone and does nothing
+        self._restores: dict[str, tuple[object, float]] = {}
         #: task name → sinks its operator (chain) writes; regional recovery
         #: needs to know which sinks a failover region owns exclusively
         self._task_sinks: dict[str, list[Any]] = {}
-        #: bumped by every global restore; a checkpoint whose persistence is
-        #: still in flight when the epoch changes is discarded (the restart
-        #: aborts all pending checkpoints, as real coordinators do)
+        #: bumped by every restart and by fail_job; a checkpoint whose
+        #: persistence is still in flight when the epoch changes is discarded
+        #: (the restart aborts all pending checkpoints, as real coordinators do)
         self.execution_epoch = 0
         #: edge-index → {sender task name → OutputGate}; maintained for
         #: dynamic rewiring (rescaling, dynamic topologies)
@@ -190,10 +194,9 @@ class Engine:
         #: can still be travelling these popped links, and a rescaled node's
         #: EOS drain barrier waits until they land (and get rerouted)
         self.retired_channels: dict[int, list] = {}
-        #: task name → factory rebuilding its operator (chained tasks need
-        #: the whole fused pipeline, not one member) / its state backend
-        self._task_factories: dict[str, Callable[[], Operator]] = {}
-        self._task_backend_factories: dict[str, Callable[[], Any]] = {}
+        #: task name → (operator factory, state-backend factory) a revival
+        #: rebuilds it from; a chained task's operator is the whole chain
+        self._task_factories: dict[str, tuple[Callable[[], Operator], Callable[[], Any]]] = {}
         #: chain member node_id → fused group (head first); heads map too
         self._chained_nodes: dict[int, list[LogicalNode]] = {}
         #: store name → TxnStateStore; transactional operators register on
@@ -222,7 +225,7 @@ class Engine:
         self.obs.install_kernel(self.kernel)
         graph.validate()
         self._build()
-        for task in self._planned_tasks():
+        for task in self.planned_tasks():
             self.obs.attach_task(task)
         self.obs.register_engine(self)
 
@@ -377,8 +380,7 @@ class Engine:
         operator = operator_factory()
         head_operator = operator.operators[0] if len(group) > 1 else operator
         backend_factory = self._resolve_backend_factory(head.state_backend_factory)
-        self._task_factories[name] = operator_factory
-        self._task_backend_factories[name] = backend_factory
+        self._task_factories[name] = (operator_factory, backend_factory)
         task = Task(
             self.kernel,
             name,
@@ -679,30 +681,22 @@ class Engine:
         task.kill()
         self._drop_pending_checkpoint()
 
-    def node_of(self, task: Task) -> LogicalNode:
-        """The logical node a task belongs to (the chain head for a task
-        running a fused :class:`ChainedOperator`)."""
-        for node_id, tasks in self.node_tasks.items():
-            if task in tasks:
-                return self.graph.nodes[node_id]
-        raise RuntimeStateError(f"task {task.name} not in plan")
-
-    def new_operator_for(self, task: Task) -> Operator:
-        """Build a fresh operator for ``task`` — the full fused pipeline when
-        the task runs a chain. Recovery paths must use this instead of
-        ``node_of(task).new_operator()``."""
-        factory = self._task_factories.get(task.name)
-        if factory is not None:
-            return factory()
-        return self.node_of(task).new_operator()
-
-    def backend_factory_for(self, task: Task) -> Callable[[], Any]:
-        """The state-backend factory ``task`` was built with."""
-        factory = self._task_backend_factories.get(task.name)
-        if factory is not None:
-            return factory
-        node = self.node_of(task)
-        return self._resolve_backend_factory(node.state_backend_factory)
+    def revive(
+        self, task: Task, snapshot: TaskSnapshot | None = None, fresh_backend: bool = False
+    ) -> None:
+        """Bring a dead task back as a new incarnation: a fresh operator (the
+        whole fused chain for a chained task) and a fresh state backend
+        unless the old one survives task failure (or ``fresh_backend``),
+        then ``snapshot`` loaded — None means empty state, and for a source
+        a rewind to offset zero."""
+        if isinstance(task, SourceTask):
+            task.reincarnate()
+        else:
+            operator_factory, backend_factory = self._task_factories[task.name]
+            keep = task.state_backend.survives_task_failure and not fresh_backend
+            backend = None if keep else backend_factory()
+            task.reincarnate(operator_factory(), backend)
+        task.restore_snapshot(snapshot)
 
     def restore_latency(self, snapshot_bytes: int) -> float:
         """Virtual time to pull a snapshot from durable storage."""
@@ -740,61 +734,7 @@ class Engine:
         task.state_backend.clear_all()
         restore_chain(task.state_backend, chain)
 
-    @_scoped
-    def recover_from_checkpoint(self, checkpoint_id: int | None = None) -> float:
-        """Global restart from a completed checkpoint (Flink-style).
-
-        Kills every task, restores all state, rewinds sources, and resumes.
-        Returns the virtual time at which processing resumed.
-        """
-        if self.job_finished:
-            raise RuntimeStateError(
-                "job already finished: its results are committed; recovering "
-                "now would re-run the pipeline and duplicate output"
-            )
-        if self.job_failed:
-            raise RuntimeStateError(
-                f"job failed terminally ({self.failure_reason}); no further recovery"
-            )
-        if self._restore_in_flight:
-            # A concurrent failure detection while a restore is already
-            # scheduled: coalesce — restarting the restore would race two
-            # source-emission chains against each other.
-            return self._restore_resume_at
-        record = (
-            self.checkpoints.get(checkpoint_id)
-            if checkpoint_id is not None
-            else self.latest_checkpoint()
-        )
-        if record is None or not record.complete:
-            raise CheckpointError("no completed checkpoint to recover from")
-        self.execution_epoch += 1
-        # A global restore supersedes any pending regional one: the regional
-        # completion callback's token no longer matches and it aborts.
-        self._region_restores.clear()
-        for task in self.tasks.values():
-            if not task.dead:
-                task.kill()
-        # Global restart re-establishes every connection: in-flight elements
-        # from the failed execution must not leak into the restored one (a
-        # stale EndOfStream would finish the job before the replay arrives).
-        for channel in self.iter_physical_channels():
-            channel.reset()
-        restore_delay = self.restore_latency(self.restore_bytes(record))
-        resume_at = self.kernel.now() + restore_delay
-        self._restore_in_flight = True
-        self._restore_resume_at = resume_at
-        epoch = self.execution_epoch
-
-        def do_restore() -> None:
-            if epoch != self.execution_epoch:
-                return  # superseded (e.g. the job was failed terminally)
-            self._do_restore(record)
-
-        self.kernel.call_at(resume_at, do_restore)
-        return resume_at
-
-    def _planned_tasks(self) -> list[Task]:
+    def planned_tasks(self) -> list[Task]:
         """Unique tasks currently in the physical plan, in topological order.
         (With chaining, several logical nodes alias one task list; after a
         scale-in, retired tasks linger in ``self.tasks`` but not here.)"""
@@ -807,111 +747,28 @@ class Engine:
                     planned.append(task)
         return planned
 
-    def planned_tasks(self) -> list[Task]:
-        """Public view of :meth:`_planned_tasks` (region computation,
-        supervision, and other control planes walk the physical plan)."""
-        return self._planned_tasks()
+    @property
+    def restore_pending(self) -> bool:
+        """True while a scheduled restore has not yet brought its tasks back
+        (control loops hold off: mid-recovery metrics are meaningless)."""
+        return bool(self._restores)
 
-    def _restore_tasks(self, tasks: list[Task], record: CheckpointRecord | None) -> None:
-        """Reincarnate ``tasks`` and load their state from ``record`` (None →
-        restart from scratch: empty state, sources rewound to offset zero),
-        then restart emission on the sources among them. Shared by the
-        global, regional and scratch recovery paths."""
-        if record is None and self.txn_stores:
-            # Restart from scratch: sources rewind to offset zero, so shared
-            # transactional stores must also reset — restore_snapshot(None)
-            # never reaches the operator's restore hook.
-            for store in self.txn_stores.values():
-                reset = getattr(store, "reset", None)
-                if reset is not None:
-                    reset()
-        for task in tasks:
-            snapshot = record.snapshots.get(task.name) if record is not None else None
-            if isinstance(task, SourceTask):
-                task.reincarnate()
-                task.restore_snapshot(snapshot)
-            else:
-                backend = None
-                if not task.state_backend.survives_task_failure:
-                    backend = self.backend_factory_for(task)()
-                task.reincarnate(self.new_operator_for(task), backend)
-                task.restore_snapshot(snapshot)
-        for task in tasks:
-            if isinstance(task, SourceTask):
-                task.restart_emission()
+    # -- the restart routine --------------------------------------------
+    def _refuse_if_over(self) -> None:
+        if self.job_finished:
+            raise RuntimeStateError(
+                "job already finished: its results are committed; recovering "
+                "now would re-run the pipeline and duplicate output"
+            )
+        if self.job_failed:
+            raise RuntimeStateError(
+                f"job failed terminally ({self.failure_reason}); no further recovery"
+            )
 
-    def _do_restore(self, record: CheckpointRecord) -> None:
-        self._restore_in_flight = False
-        for sink in self.sinks.values():
-            if isinstance(sink, TransactionalSink):
-                sink.on_recovery()
-        self._restore_tasks(self._planned_tasks(), record)
-        if self.rescaled_nodes:
-            # The checkpoint predates a rescale: its snapshots are keyed by
-            # the capture-time layout, so restored state must be re-homed to
-            # the current owners (and retired tasks revived as finished).
-            # Late import: the engine module must not depend on load/.
-            from repro.load.migration import redistribute_after_restore
-
-            redistribute_after_restore(self, record)
-
-    @_scoped
-    def recover_region(self, task_names: list[str], checkpoint_id: int | None = None) -> float:
-        """Partial (failover-region) restart, Flink FLIP-1 style.
-
-        Restores *only* the named tasks — which must form a union of
-        pipelined-connected failover regions, so every channel adjacent to
-        the set is internal to it — rewinds only the region's sources, and
-        resets only the region's channels. State comes from the latest (or
-        the given) completed *global* checkpoint; because a region is closed
-        under data dependencies, its slice of the snapshot is a consistent
-        cut on its own. Returns the virtual time processing resumes.
-
-        Raises :class:`RecoveryError` when a transactional sink written
-        inside the region is shared with tasks outside it (its uncommitted
-        epochs cannot be partially discarded — escalate to global), and
-        :class:`CheckpointError` when no completed checkpoint exists.
-        """
-        if self.job_finished or self.job_failed:
-            raise RuntimeStateError("job is finished or failed; no regional recovery")
-        if self._restore_in_flight:
-            # A global restore is already pending: it will cover the region.
-            return self._restore_resume_at
-        region = []
-        for name in task_names:
-            task = self.tasks.get(name)
-            if task is None:
-                raise RecoveryError(f"unknown task {name!r} in failover region")
-            region.append(task)
-        region_names = set(task_names)
-        pending = [self._region_restores.get(name) for name in task_names]
-        live = [entry for entry in pending if entry is not None]
-        if live:
-            # Coalesce with the restore already in flight for this region.
-            return max(resume_at for _token, resume_at in live)
-        record = (
-            self.checkpoints.get(checkpoint_id)
-            if checkpoint_id is not None
-            else self.latest_checkpoint()
-        )
-        if record is None or not record.complete:
-            raise CheckpointError("no completed checkpoint to recover from")
-        region_sinks = {
-            id(sink): sink
-            for task in region
-            for sink in self._task_sinks.get(task.name, ())
-        }
-        for name, sinks in self._task_sinks.items():
-            if name in region_names:
-                continue
-            for sink in sinks:
-                if id(sink) in region_sinks and isinstance(sink, TransactionalSink):
-                    raise RecoveryError(
-                        f"transactional sink {sink.name!r} spans the region "
-                        "boundary; its uncommitted epochs cannot be discarded "
-                        "regionally — escalate to global recovery"
-                    )
-        if self.txn_stores and region_names != {t.name for t in self._planned_tasks()}:
+    def _check_scope(self, scope: set[str]) -> None:
+        """Refuse a replaying scope whose slice of a consistent cut is not
+        consistent on its own."""
+        if self.txn_stores and not {t.name for t in self.planned_tasks()} <= scope:
             # A shared transactional store couples every owner (and, through
             # committed effects already emitted downstream, the whole plan):
             # restoring a strict subset would fork the store's history.
@@ -919,36 +776,165 @@ class Engine:
                 "transactional state store couples failover regions — "
                 "escalate to global recovery"
             )
-        # Any restart aborts in-flight checkpoint persistence (the snapshot
-        # being persisted no longer matches a running execution).
-        self.execution_epoch += 1
-        for task in region:
-            if not task.dead:
-                self.kill_task(task.name)
         for channel in self.iter_physical_channels():
-            if channel.receiver.name in region_names or (
-                channel.sender is not None and channel.sender.name in region_names
-            ):
+            sender = channel.sender
+            if sender is not None and (sender.name in scope) != (channel.receiver.name in scope):
+                raise RecoveryError(
+                    f"recovery scope is not closed under the plan's channels "
+                    f"({sender.name} -> {channel.receiver.name} crosses it) — "
+                    "escalate to global recovery"
+                )
+        outside = self._transactional_sinks(set(self._task_sinks) - scope)
+        for key, sink in self._transactional_sinks(scope).items():
+            if key in outside:
+                raise RecoveryError(
+                    f"transactional sink {sink.name!r} spans the region "
+                    "boundary; its uncommitted epochs cannot be discarded "
+                    "regionally — escalate to global recovery"
+                )
+
+    def _transactional_sinks(self, task_names: set[str]) -> dict[int, TransactionalSink]:
+        """The transactional sinks the named tasks write, by identity."""
+        return {
+            id(sink): sink
+            for name, sinks in self._task_sinks.items()
+            if name in task_names
+            for sink in sinks
+            if isinstance(sink, TransactionalSink)
+        }
+
+    def _stop(self, scope: set[str]) -> None:
+        """The stop half of every restart and of fail_job: a new execution
+        epoch (in-flight checkpoint persistence and commit retries of the
+        old one are discarded), the in-flight checkpoint dropped, the scope
+        killed and every channel touching it reset so no stale element
+        reaches a new incarnation."""
+        self.execution_epoch += 1
+        self._drop_pending_checkpoint()
+        for name, task in self.tasks.items():
+            if name in scope:
+                task.kill()
+        for channel in self.iter_physical_channels():
+            sender = channel.sender
+            if channel.receiver.name in scope or (sender is not None and sender.name in scope):
                 channel.reset()
-        region_bytes = self.restore_bytes(record, region_names)
-        resume_at = self.kernel.now() + self.restore_latency(region_bytes)
+
+    def _restart(self, scope: set[str], source: CheckpointRecord | str) -> float:
+        """The one restart routine behind every recovery verb.
+
+        ``scope`` is the set of task names to restart (every task for a
+        global restart); ``source`` is where their state comes from: a
+        completed checkpoint, :data:`OFFSET_ZERO` or :data:`NO_REPLAY`. A
+        scope every task of which a pending restore already covers
+        coalesces into it; otherwise the restores it overlaps are superseded
+        and their tasks join the scope. Returns the virtual time processing
+        resumes.
+        """
+        pending = [self._restores[name] for name in scope if name in self._restores]
+        if pending and len(pending) == len(scope):
+            return max(resume_at for _token, resume_at in pending)
+        if source is not NO_REPLAY:
+            self._check_scope(scope)
+        superseded = {token for token, _resume_at in pending}
+        for name, (token, _resume_at) in list(self._restores.items()):
+            if token in superseded:
+                del self._restores[name]
+                scope.add(name)
+        self._stop(scope)
+        if not isinstance(source, CheckpointRecord):
+            self._revive_scope(scope, source)
+            return self.kernel.now()
+        resume_at = self.kernel.now() + self.restore_latency(self.restore_bytes(source, scope))
         token = object()
-        for name in region_names:
-            self._region_restores[name] = (token, resume_at)
+        for name in scope:
+            self._restores[name] = (token, resume_at)
 
         def finish() -> None:
-            current = self._region_restores.get(next(iter(region_names)))
-            if current is None or current[0] is not token:
-                return  # a broader restore superseded this one
-            for name in region_names:
-                self._region_restores.pop(name, None)
-            for sink in region_sinks.values():
-                if isinstance(sink, TransactionalSink):
-                    sink.on_recovery()
-            self._restore_tasks(region, record)
+            if self._restores.get(next(iter(scope)), (None,))[0] is not token:
+                return  # superseded, or the job was failed terminally
+            for name in scope:
+                del self._restores[name]
+            self._revive_scope(scope, source)
 
         self.kernel.call_at(resume_at, finish)
         return resume_at
+
+    def _revive_scope(self, scope: set[str], source: CheckpointRecord | str) -> None:
+        """The start half: discard the scope's uncommitted sink epochs,
+        revive and restore its planned tasks, restart their sources' emission
+        and re-home the state of any rescaled node among them."""
+        replay = source is not NO_REPLAY
+        record = source if isinstance(source, CheckpointRecord) else None
+        if source is OFFSET_ZERO:
+            # Sources rewind to offset zero, so shared transactional stores
+            # reset too — restoring no snapshot never reaches their hook.
+            for store in self.txn_stores.values():
+                store.reset()
+        if replay:
+            for sink in self._transactional_sinks(scope).values():
+                sink.on_recovery()
+        for channel in self.iter_physical_channels():
+            sender = channel.sender
+            if channel.receiver.name in scope and sender is not None and sender.name not in scope:
+                if sender.finished and not sender.dead:
+                    # Only an open (at-most-once) scope has such a link: the
+                    # reset voided the upstream's in-flight end-of-input and
+                    # it never resends it, so re-inject it for the receiver.
+                    channel.send(Watermark(MAX_TIMESTAMP))
+                    channel.send(EndOfStream(source_id=sender.name))
+        revived = [task for task in self.planned_tasks() if task.name in scope]
+        for task in revived:
+            if not replay and isinstance(task, SourceTask):
+                task.reincarnate()  # at-most-once: continue where it stopped
+                task._next_arrival = self.kernel.now()
+            else:
+                self.revive(task, record.snapshots.get(task.name) if record is not None else None)
+        for task in revived:
+            if isinstance(task, SourceTask):
+                task.restart_emission()
+        if replay and self.rescaled_nodes:
+            # Snapshots are keyed by the capture-time layout: re-home the
+            # restored state of rescaled nodes in the scope to the current
+            # owners. Late import: the engine module must not depend on load/.
+            from repro.load.migration import redistribute_after_restore
+
+            redistribute_after_restore(self, record, scope)
+
+    # -- recovery verbs -------------------------------------------------
+    def recover_from_checkpoint(self, checkpoint_id: int | None = None) -> float:
+        """Global restart from a completed checkpoint (Flink-style): the
+        region of every task, so all state is restored and every source
+        rewound. Returns the virtual time processing resumes."""
+        return self.recover_region(list(self.tasks), checkpoint_id)
+
+    @_scoped
+    def recover_region(self, task_names: list[str], checkpoint_id: int | None = None) -> float:
+        """Partial (failover-region) restart, Flink FLIP-1 style.
+
+        Restores *only* the named tasks from the latest (or the given)
+        completed *global* checkpoint, rewinding only the region's sources
+        and resetting only its channels. The set must be closed under the
+        current plan's channels (a union of failover regions), so its slice
+        of the snapshot is a consistent cut on its own. Returns the virtual
+        time processing resumes.
+
+        Raises :class:`RecoveryError` for an unknown task, a set that is not
+        closed, a transactional sink or txn store shared with tasks outside
+        it (escalate to global), and :class:`CheckpointError` when no
+        completed checkpoint exists.
+        """
+        self._refuse_if_over()
+        for name in task_names:
+            if name not in self.tasks:
+                raise RecoveryError(f"unknown task {name!r} in failover region")
+        record = (
+            self.checkpoints.get(checkpoint_id)
+            if checkpoint_id is not None
+            else self.latest_checkpoint()
+        )
+        if record is None or not record.complete:
+            raise CheckpointError("no completed checkpoint to recover from")
+        return self._restart(set(task_names), record)
 
     @_scoped
     def restart_from_scratch(self) -> float:
@@ -956,88 +942,41 @@ class Engine:
         checkpointed job that has no completed checkpoint yet. Transactional
         sinks discard uncommitted epochs, sources rewind to the beginning,
         so the replay is loss- and duplicate-free end to end. Returns the
-        (current) virtual time processing resumes."""
-        if self.job_finished or self.job_failed:
-            raise RuntimeStateError("job is finished or failed; no restart")
-        self.execution_epoch += 1
-        self._region_restores.clear()
-        for sink in self.sinks.values():
-            if isinstance(sink, TransactionalSink):
-                sink.on_recovery()
-        for task in self._planned_tasks():
-            if not task.dead:
-                self.kill_task(task.name)
-        for channel in self.iter_physical_channels():
-            channel.reset()
-        self._restore_tasks(self._planned_tasks(), None)
-        return self.kernel.now()
-
-    @_scoped
-    def fail_job(self, reason: str) -> None:
-        """Terminal, *clean* job failure: a restart policy gave up. Every
-        task stops, in-flight data is voided, services are cancelled, and
-        the engine refuses further recovery — but committed results stand
-        and the engine records why it died (no hang, no silent wedge)."""
-        if self.job_finished or self.job_failed:
-            return
-        self.job_failed = True
-        self.failure_reason = reason
-        # Invalidate pending restores and in-flight checkpoint persistence.
-        self.execution_epoch += 1
-        self._region_restores.clear()
-        self._restore_in_flight = False
-        self._drop_pending_checkpoint()
-        for task in self._planned_tasks():
-            if not task.dead and not task.finished:
-                task.kill()
-        for channel in self.iter_physical_channels():
-            channel.reset()
-        self._cancel_services()
-        self.metrics.recovery.job_failed_at = self.kernel.now()
-        self.metrics.recovery.job_failure_reason = reason
-        self._fire_finish_callbacks()
+        virtual time processing resumes."""
+        self._refuse_if_over()
+        return self._restart(set(self.tasks), OFFSET_ZERO)
 
     @_scoped
     def recover_without_replay(self) -> None:
         """At-most-once recovery: dead tasks come back empty and sources
-        continue from their *current* position (no rewind).
-
-        Applies the same hygiene as the replaying paths: the restart opens a
-        new execution epoch (in-flight checkpoint persistence from the dead
-        execution must not register) and every channel touching a restarted
-        task is reset, so stale in-flight elements addressed to the dead
-        incarnation are voided — at-most-once tolerates the loss — instead
-        of being delivered to the fresh one. A task that already finished
-        its work before being killed stays finished: reincarnating it would
-        wedge the job waiting for an EndOfStream that never comes again.
-        """
-        dead = [t for t in self._planned_tasks() if t.dead and not t.finished]
-        if not dead:
+        continue from their *current* position (no rewind); in-flight
+        elements on their channels are voided, which at-most-once tolerates.
+        A task that finished its work before being killed stays finished:
+        reincarnating it would wedge the job waiting for an EndOfStream that
+        never comes again."""
+        if self.job_finished or self.job_failed:
             return
-        dead_names = {task.name for task in dead}
-        self.execution_epoch += 1
-        for channel in self.iter_physical_channels():
-            sender = channel.sender
-            if channel.receiver.name in dead_names or (
-                sender is not None and sender.name in dead_names
-            ):
-                channel.reset()
-                if sender is not None and sender.finished and not sender.dead:
-                    # The reset voided this upstream's in-flight end-of-input
-                    # markers and it will never resend them — re-inject so
-                    # the reincarnated receiver can still drain and finish.
-                    channel.send(Watermark(MAX_TIMESTAMP))
-                    channel.send(EndOfStream(source_id=sender.name))
-        for task in dead:
-            if isinstance(task, SourceTask):
-                task.reincarnate()
-                task._next_arrival = self.kernel.now()
-                task.restart_emission()
-            else:
-                backend = None
-                if not task.state_backend.survives_task_failure:
-                    backend = self.backend_factory_for(task)()
-                task.reincarnate(self.new_operator_for(task), backend)
+        dead = {t.name for t in self.planned_tasks() if t.dead and not t.finished}
+        if dead:
+            self._restart(dead, NO_REPLAY)
+
+    @_scoped
+    def fail_job(self, reason: str) -> None:
+        """Terminal, *clean* job failure: a restart policy gave up. Every
+        task stops, in-flight data is voided, pending restores and services
+        are cancelled, and the engine refuses further recovery — but
+        committed results stand and the engine records why it died (no
+        hang, no silent wedge)."""
+        if self.job_finished or self.job_failed:
+            return
+        self.job_failed = True
+        self.failure_reason = reason
+        self._restores.clear()
+        self._stop({name for name, task in self.tasks.items() if not task.finished})
+        self._cancel_services()
+        self.metrics.recovery.job_failed_at = self.kernel.now()
+        self.metrics.recovery.job_failure_reason = reason
+        self._fire_finish_callbacks()
 
     # ------------------------------------------------------------------
     def iter_physical_channels(self) -> list[PhysicalChannel]:
@@ -1084,11 +1023,10 @@ class Engine:
             else:
                 lines.append(f"  {node.name} [{kind}] x{len(tasks)}")
             for edge in self.graph.outputs_of(node.node_id):
+                target = self.graph.nodes[edge.target_id]
                 if self._is_fused_edge(edge):
-                    target = self.graph.nodes[edge.target_id]
                     lines.append(f"    -> {target.name} [chained]")
                     continue
-                target = self.graph.nodes[edge.target_id]
                 spec = self.config.channel_for(edge.channel)
                 feedback = " (feedback)" if edge.is_feedback else ""
                 capacity = spec.capacity if spec.capacity is not None else "unbounded"

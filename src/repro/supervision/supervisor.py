@@ -11,10 +11,12 @@ escalating through the lattice::
       (hot spare)          (FLIP-1 subset)     (full restart)     (clean stop)
 
 Escalation triggers: no armed standby for the task → region; region restore
-impossible (no completed checkpoint, or a transactional sink spans the
-region boundary) or the region's restart budget is spent → global; the
-strategy returns ``None`` (rate exceeded / attempts exhausted) → the job is
-failed *cleanly* via :meth:`~repro.runtime.engine.Engine.fail_job`.
+impossible (no completed checkpoint, a transactional sink spans the region
+boundary, or a live rescale since construction left the region no longer
+closed under the plan's channels) or the region's restart budget is spent
+→ global; the strategy returns ``None`` (rate exceeded / attempts
+exhausted) → the job is failed *cleanly* via
+:meth:`~repro.runtime.engine.Engine.fail_job`.
 
 Correlated failures (a node taking down several subtasks) arrive as events
 sharing a ``group``; the supervisor coalesces them into one incident and one
@@ -235,7 +237,7 @@ class Supervisor:
                 try:
                     resumed_at = engine.recover_region(region_names)
                 except (CheckpointError, RecoveryError):
-                    pass  # no completed checkpoint / sink spans the boundary
+                    pass  # no checkpoint / sink spans it / region not closed
                 else:
                     self._region_budget[key] = used + 1
                     return "region", resumed_at, len(region_names)
