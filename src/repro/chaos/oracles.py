@@ -452,7 +452,7 @@ class MetricInvariantOracle(Oracle):
         consumed = 0
         for task in engine.planned_tasks():
             dropped += task.metrics.dropped
-            if not task.input_channel_count:
+            if not task.inputs.count:
                 emitted += task.metrics.records_out
             elif not task.output_gates:
                 consumed += task.metrics.records_in

@@ -428,7 +428,7 @@ class ChainedOperator(Operator):
                 hook(checkpoint_id)
 
     def on_barrier(self, checkpoint_id: int, ctx: OperatorContext) -> None:
-        """Pre-snapshot hook (see ``Task._snapshot_and_forward``): members
+        """Pre-snapshot hook (see ``Task._release``): members
         flushing buffered work emit through their link so the output still
         traverses the rest of the chain ahead of the barrier."""
         self._bind(ctx)

@@ -117,15 +117,23 @@ class Rescaler:
         router.set_parallelism(new_parallelism)
         if new_parallelism > old_parallelism:
             self._scale_out(node, tasks, old_parallelism, new_parallelism)
-        elif new_parallelism < old_parallelism:
-            self._scale_in(node, tasks, old_parallelism, new_parallelism, router)
+        # Gate every finish (see _group_ready) before any link is retired.
+        self._install_reroute(node, router)
+        held = []  # what retired subtasks still held
+        if new_parallelism < old_parallelism:
+            held = self._scale_in(node, tasks, old_parallelism, new_parallelism)
         self._install_router_on_gates(node, router)
         moved_entries, moved_bytes, chain_bytes, handoff = self._migrate_state(node, router)
-        self._install_reroute(node, router)
+        # The retired backlog goes to its owners once their state has moved.
+        owners = engine.node_tasks[node.node_id]
+        for element in held:
+            for record in element.records() if isinstance(element, RecordBatch) else (element,):
+                key = getattr(record, "key", None)
+                if key is not None:
+                    owners[router.owner_index(key)].enqueue_local(record)
         node.parallelism = new_parallelism
-        for task in engine.node_tasks[node.node_id][:new_parallelism]:
+        for task in owners:
             task.parallelism = new_parallelism
-        engine.rescaled_nodes.add(node.node_id)
         if mode == "stop-restart":
             # The classic savepoint cycle writes out and reads back *all* of
             # the operator's state, not just the keys that change owners.
@@ -165,7 +173,6 @@ class Rescaler:
         self._install_router_on_gates(node, router)
         moved_entries, moved_bytes, chain_bytes, handoff = self._migrate_state(node, router)
         self._install_reroute(node, router)
-        engine.rescaled_nodes.add(node.node_id)
         resumed_at = self._charge_reconfiguration(node, mode, moved_bytes, started_at)
         report = RescaleReport(
             node_name=node_name,
@@ -259,9 +266,9 @@ class Rescaler:
                     task.attach_output(gate)
                     engine.edge_gates.setdefault(edge_index, {})[task.name] = gate
 
-    def _scale_in(
-        self, node, tasks: list[Task], old_p: int, new_p: int, router: KeyRouter
-    ) -> None:
+    def _scale_in(self, node, tasks: list[Task], old_p: int, new_p: int) -> list:
+        """Detach the trailing subtasks and retire them; returns the elements
+        they still held, in order."""
         engine = self.engine
         retired = tasks[new_p:old_p]
         retired_links = engine.retired_channels.setdefault(node.node_id, [])
@@ -281,26 +288,11 @@ class Rescaler:
                     if gate is not None:
                         for channel in gate.channels:
                             channel.receiver.retire_input_channel(channel.receiver_channel_index)
-        survivors = tasks[:new_p]
+        held: list = []
         for task in retired:
-            # Redistribute queued records (mailbox and any barrier-alignment
-            # buffer) before stopping the task; batches route per record.
-            for item in list(task._mailbox) + list(task._align_buffer):
-                element = item.element
-                if isinstance(element, RecordBatch):
-                    for record in element.records():
-                        if record.key is not None:
-                            survivors[router.owner_index(record.key)].enqueue_local(record)
-                    continue
-                key = getattr(element, "key", None)
-                if key is not None:
-                    survivors[router.owner_index(key)].enqueue_local(element)
-            task.release_mailbox_credits()
-            task._mailbox.clear()
-            task._align_buffer = []
-            task.finished = True
-            task.metrics.finished_at = engine.kernel.now()
-        engine.node_tasks[node.node_id] = survivors
+            task.retire(held.append)
+        engine.node_tasks[node.node_id] = tasks[:new_p]
+        return held
 
     # ------------------------------------------------------------------
     def _migrate_state(self, node, router: KeyRouter) -> tuple[int, int, int, str]:
@@ -381,29 +373,22 @@ class Rescaler:
         """Old owners forward in-flight records to the new owners (the
         Megaphone-style correctness piece of live migration). The closure
         resolves the owner *at forward time* through the engine's plan and
-        the shared router, so it stays correct across later rescales."""
+        the shared router, so it stays correct across later rescales. Every
+        task of the node, and every task it sends to, holds its end-of-stream
+        until :func:`_group_ready`, so no straggler can trail a final EOS."""
         engine = self.engine
         node_id = node.node_id
+        engine.rescaled_nodes.add(node_id)
 
         def owner_of(key, engine=engine, node_id=node_id, router=router):
             return engine.node_tasks[node_id][router.owner_index(key)]
 
-        def group_ready(task, engine=engine, node_id=node_id):
-            # No active sibling can still reroute a straggler here, and no
-            # record is still travelling a link retired by a scale-in.
-            for sibling in engine.node_tasks.get(node_id, []):
-                if sibling is not task and not sibling._rescale_quiescent():
-                    return False
-            return all(
-                ch.pending == 0 for ch in engine.retired_channels.get(node_id, ())
-            )
-
-        for task in engine.tasks.values():
-            if task.name.startswith(f"{node.name}["):
-                task.reroute = owner_of
-                # Hold each task's EOS until the whole group quiesces, so no
-                # sibling can reroute a straggler past a final EOS.
-                task.rescale_group_ready = group_ready
+        for task in _group(engine, node_id):
+            task.reroute = owner_of
+            task.rescale_group_ready = _group_ready
+            for gate in task.output_gates:
+                for channel in gate.channels:
+                    channel.receiver.rescale_group_ready = _group_ready
 
     # ------------------------------------------------------------------
     def _charge_reconfiguration(self, node, mode: str, moved_bytes: int, started_at: float) -> float:
@@ -426,6 +411,33 @@ class Rescaler:
 
 
 # ----------------------------------------------------------------------
+def _group(engine: Engine, node_id: int) -> list[Task]:
+    """Every task of a node, retired subtasks included."""
+    prefix = f"{engine.graph.nodes[node_id].name}["
+    return [task for task in engine.tasks.values() if task.name.startswith(prefix)]
+
+
+def _group_ready(task: Task) -> bool:
+    """True when no rescaled node can still send ``task`` anything: for a
+    node it belongs to, its siblings are drained (none can reroute a
+    straggler here); for a node it receives from, every task of the node has
+    finished (a reopened owner re-sends its end-of-stream). Either way
+    nothing travels a link retired into the node, or from the node to it."""
+    engine = task.engine
+    for node_id in engine.rescaled_nodes:
+        group = _group(engine, node_id)
+        links = [c for m in group for g in m.output_gates for c in g.channels if c.receiver is task]
+        if task in group:
+            waiting = [m for m in group if m is not task and not m.drained]
+        elif links:
+            waiting = [m for m in group if not (m.finished or m.dead)]
+        else:
+            continue
+        if waiting or any(c.pending for c in links + engine.retired_channels.get(node_id, [])):
+            return False
+    return True
+
+
 def redistribute_after_restore(engine: Engine, record: Any, scope: set[str]) -> None:
     """Reconcile a restore of the tasks ``scope`` with rescales that
     happened since the checkpoint ``record`` (None: a restart from offset

@@ -394,11 +394,8 @@ class Engine:
             metrics=metrics,
             engine=self,
         )
-        if (
-            self.config.checkpoints is not None
-            and self.config.checkpoints.mode is CheckpointMode.UNALIGNED
-        ):
-            task.align_unaligned = True
+        checkpoints = self.config.checkpoints
+        task.inputs.aligned = checkpoints is None or checkpoints.mode is not CheckpointMode.UNALIGNED
         return task
 
     def _wire_edge(self, edge, edge_index: int) -> None:
@@ -419,7 +416,7 @@ class Engine:
     def make_channel(self, spec, sender, receiver, is_feedback: bool = False) -> PhysicalChannel:
         """Create and register one physical link (also used by dynamic
         rewiring: rescaling and runtime-spawned operators)."""
-        channel_index = receiver.register_input_channel(is_feedback=is_feedback)
+        channel_index = receiver.inputs.register(is_feedback)
         channel = PhysicalChannel(
             self.kernel,
             spec,
@@ -481,7 +478,9 @@ class Engine:
         """Task callback: mark the job finished when every task is done."""
         if self.job_finished:
             return
-        if all(t.finished or t.dead for t in self.tasks.values()):
+        # A dead task is done only if it finished first: else its recovery
+        # is still to come and may replay records.
+        if all(t.finished for t in self.tasks.values()):
             self.job_finished = True
             self._cancel_services()
             self._fire_finish_callbacks()
@@ -515,7 +514,7 @@ class Engine:
             # Previous checkpoint still in flight: skip this trigger (the
             # behaviour of real coordinators under a min-pause policy).
             return None
-        if any(t.dead for t in self.tasks.values()):
+        if any(t.dead and not t.finished for t in self.tasks.values()):
             # A task is down: a snapshot taken now would omit its state and
             # still complete (dead tasks are not in the expected-ack set),
             # registering a checkpoint that is not a consistent global
@@ -674,12 +673,15 @@ class Engine:
     # ------------------------------------------------------------------
     @_scoped
     def kill_task(self, task_name: str) -> None:
-        """Fail-stop one task (aborts any in-flight checkpoint)."""
+        """Fail-stop one task (aborts any in-flight checkpoint unless the
+        task had finished: a finished task takes part in none)."""
         task = self.tasks.get(task_name)
         if task is None:
             raise RecoveryError(f"unknown task {task_name!r}")
+        finished = task.finished
         task.kill()
-        self._drop_pending_checkpoint()
+        if not finished:
+            self._drop_pending_checkpoint()
 
     def revive(
         self, task: Task, snapshot: TaskSnapshot | None = None, fresh_backend: bool = False

@@ -84,8 +84,8 @@ class RecoveryIncident:
     task_name: str
     failed_at: float
     detected_at: float
-    #: recovery granularity actually executed: "standby" | "task" |
-    #: "region" | "global" | "job-failed" ("" while still being handled)
+    #: recovery granularity actually executed: "standby" | "task" | "region"
+    #: | "global" | "job-failed" | "finished" ("" while still being handled)
     scope: str = ""
     strategy: str = ""
     resumed_at: float | None = None

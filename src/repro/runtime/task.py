@@ -21,7 +21,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.events import (
     MAX_TIMESTAMP,
@@ -40,8 +40,9 @@ from repro.core.operators.base import Operator, OperatorContext
 from repro.errors import RuntimeStateError
 from repro.obs.profile import NULL_PROFILE_SCOPE, Profiler, ProfileScope
 from repro.obs.trace import TraceContext
-from repro.progress.watermarks import WatermarkMerger, WatermarkStrategy
+from repro.progress.watermarks import WatermarkStrategy
 from repro.runtime.channel import OutputGate
+from repro.runtime.inputs import TaskInputs
 from repro.runtime.metrics import TaskMetrics
 from repro.sim.kernel import Kernel, PeriodicTimer
 from repro.state.api import HANDLE_TYPES, ReducingState
@@ -253,18 +254,15 @@ class Task:
         self.ctx = TaskContext(self)
         self.operator_store: dict[str, Any] = {}
         self.output_gates: list[OutputGate] = []
-        self.input_channel_count = 0
-        self._feedback_channels: set[int] = set()
-        #: deliveries seen on feedback channels (async-loop quiescence probe)
-        self._feedback_deliveries = 0
-        #: input channels detached by a scale-in; they stay retired through recovery
-        self._retired_channels: set[int] = set()
-        #: True while an end-of-stream drain probe (feedback loop / rescale
-        #: sibling group) is armed
-        self._draining = False
-        self._rescale_draining = False
-        self._merger = WatermarkMerger(0)
-        self._merger_slots: dict[int, int] = {}
+        #: the input protocol: channel lifecycle, watermark merging, alignment
+        self.inputs = TaskInputs()
+        # its two sets, aliased so the per-element checks are one attribute test
+        self._feedback = self.inputs.feedback
+        self._blocked = self.inputs.blocked
+        #: True while the finish decision waits for the mailbox to drain
+        self._settling = False
+        #: True while a drain probe (rescaled group / feedback loop) is armed
+        self._probing = False
 
         self._mailbox: deque[_MailboxItem] = deque()
         #: the task is in service through this virtual time (inclusive).
@@ -284,11 +282,6 @@ class Task:
         self._pending_proc_timers: set[int] = set()
         self._proc_timer_registry: dict[int, _ProcTimer] = {}
 
-        self._eos_channels: set[int] = set()
-        #: channel -> virtual time its EndOfStream was delivered (alignment
-        #: uses this to tell "finished before the barrier was injected" from
-        #: "barrier lost in flight")
-        self._eos_at: dict[int, float] = {}
         self.finished = False
         self.dead = False
         self.incarnation = 0
@@ -303,15 +296,7 @@ class Task:
         self._active_span: Any = None
         self._trace_mark = 0
 
-        # checkpoint alignment
-        self._align_id: int | None = None
-        self._align_seen: set[int] = set()
-        self._align_barrier: CheckpointBarrier | None = None
-        self._align_buffer: list[_MailboxItem] = []
-        self._blocked_inputs: set[int] = set()
         self.last_snapshot: TaskSnapshot | None = None
-        self.align_unaligned = False  # True → at-least-once (no blocking)
-
         self.current_watermark = float("-inf")
 
     # ------------------------------------------------------------------
@@ -321,34 +306,11 @@ class Task:
         """Wire an output gate (one per outgoing logical edge)."""
         self.output_gates.append(gate)
 
-    def register_input_channel(self, is_feedback: bool = False) -> int:
-        """Allocate the next input channel index; returns it."""
-        index = self.input_channel_count
-        self.input_channel_count += 1
-        if is_feedback:
-            self._feedback_channels.add(index)
-        else:
-            slot = self._merger.add_channel(float("-inf"))
-            self._merger_slots[index] = slot
-        return index
-
     def retire_input_channel(self, channel_index: int) -> None:
-        """Detach an input channel (scale-in / dynamic rewiring): it stops
-        gating watermarks and end-of-stream accounting."""
-        if channel_index in self._retired_channels:
-            return
-        self._retired_channels.add(channel_index)
-        slot = self._merger_slots.pop(channel_index, None)
-        if slot is not None:
-            merged = self._merger.retire_channel(slot)
-            if merged is not None and merged > self.current_watermark:
-                self.current_watermark = merged
-                self._fire_event_timers(merged)
-                self.operator.on_watermark(Watermark(merged), self.ctx)
-                self._flush_outputs()
-        self._feedback_channels.discard(channel_index)
-        self._eos_channels.add(channel_index)
-        self._eos_at.setdefault(channel_index, self.kernel.now())
+        """Detach an input channel (scale-in): it closes for good, so it
+        stops gating watermarks, alignment and end-of-stream, also across a
+        revive."""
+        self._close_input(channel_index, retire=True)
 
     def attach_obs(self, obs: "Observability") -> None:
         """Bind the engine's observability bundle; tracer/profiler refs are
@@ -377,15 +339,9 @@ class Task:
     #: path — the cost is one attribute test per record.
     _keygroup_counts: Any = None
     _keygroup_maxp: int = 0
-    #: True while a finished task has been reopened to absorb live-migration
-    #: stragglers (records rerouted to it after it saw end-of-stream); the
-    #: task re-finishes once its mailbox drains again
-    _reopened: bool = False
     #: when set (by live migration), a callable ``(task) -> bool`` that is
-    #: True once no sibling or retired input link of the rescaled node can
-    #: still produce a straggler for this task. A rescaled task holds back
-    #: its end-of-stream until the predicate holds, so downstream never sees
-    #: a final EOS with rerouted records still in flight behind it.
+    #: True once no rescaled node can still send or reroute anything to this
+    #: task; the finish decision waits for it (see _settle)
     rescale_group_ready: Any = None
     #: True while a transactional operator has a txn in flight (execute →
     #: deferred commit): the mailbox — including checkpoint barriers — stays
@@ -420,32 +376,25 @@ class Task:
             if via is not None:
                 via.return_credit()
             return
-        feedback = self._feedback_channels
+        feedback = self._feedback
         if feedback and channel_index in feedback and not self.finished:
-            self._feedback_deliveries += 1
+            self.inputs.feedback_deliveries += 1
         if self.finished:
             # A retired (scaled-in) task still forwards misrouted records;
             # an owner that already finished reopens (enqueue_local) so the
             # straggler is folded into the state that migrated to it.
-            if self.reroute is not None:
-                if isinstance(element, Record) and element.key is not None:
-                    owner = self.reroute(element.key)
+            if self.reroute is not None and isinstance(element, (Record, RecordBatch)):
+                for record in element.records() if isinstance(element, RecordBatch) else (element,):
+                    owner = self.reroute(record.key) if record.key is not None else None
                     if owner is not None:
-                        owner.enqueue_local(element)
-                elif isinstance(element, RecordBatch):
-                    for record in element.records():
-                        if record.key is None:
-                            continue
-                        owner = self.reroute(record.key)
-                        if owner is not None:
-                            owner.enqueue_local(record)
+                        owner.enqueue_local(record)
             if via is not None:
                 via.return_credit()
             return
         if (
             self._busy_until != _EVENT_PENDING  # first: a busy task stops here
             and not self._mailbox
-            and not self._blocked_inputs
+            and not self._blocked
             and not (self._suspended or self._txn_hold or self._output_blocked)
             and self._txn_parked is None
             and self._txn_gate is None
@@ -466,14 +415,13 @@ class Task:
         if self.dead:
             return
         if self.finished:
-            # After a live rescale, a new owner can see end-of-stream before
-            # sibling subtasks finish draining records that now belong to it.
-            # Reopen for those stragglers — the task re-finishes (flushing
-            # and re-forwarding EOS, both idempotent) once it drains again.
+            # After a live rescale, an owner can finish before records that now
+            # belong to it drain elsewhere: reopen for those stragglers (its
+            # finish decision runs again; re-forwarding EOS is idempotent).
             if self.reroute is None or not isinstance(element, (Record, RecordBatch)):
                 return
             self.finished = False
-            self._reopened = True
+            self._settling = True
         self._mailbox.append(_MailboxItem(channel_index, element))
         self._maybe_schedule()
 
@@ -493,18 +441,16 @@ class Task:
             if busy_until == _EVENT_PENDING:
                 return
             if self.kernel.now() <= busy_until:
-                if self._mailbox:
+                if self._mailbox or self._settling:
                     # The item in service had its completion event elided,
-                    # and now there is something for it to pull: schedule
-                    # it where it would have been all along.
+                    # and now there is something for it to pull (or decide):
+                    # schedule it where it would have been all along.
                     self._busy_until = _EVENT_PENDING
                     self.kernel.call_at(busy_until, self._complete, None, self.incarnation)
                 return
         if not self._mailbox:
-            if self._reopened:
-                # Reopened straggler backlog drained: finish again.
-                self._reopened = False
-                self._finish_task()
+            if self._settling:
+                self._settle()  # the mailbox drained
             return
         self._busy_until = _EVENT_PENDING
         # Process inline rather than through a call_soon hop. The hop moved
@@ -529,17 +475,19 @@ class Task:
             return
         mailbox = self._mailbox
         item: _MailboxItem | None = None
-        if not self._blocked_inputs:
+        blocked = self._blocked
+        if not blocked:
             if mailbox:
                 item = mailbox.popleft()
         else:
-            # Skip elements from inputs blocked by barrier alignment.
+            # Hold back elements from inputs blocked by barrier alignment.
+            held = self.inputs.buffer
             while mailbox:
                 candidate = mailbox.popleft()
-                if candidate.channel_index in self._blocked_inputs and not isinstance(
+                if candidate.channel_index in blocked and not isinstance(
                     candidate.element, CheckpointBarrier
                 ):
-                    self._align_buffer.append(candidate)
+                    held.append(candidate)
                     continue
                 item = candidate
                 break
@@ -560,7 +508,7 @@ class Task:
             or self._pending_output
             or self._side_pending
             or self._txn_gate is not None
-            or self._reopened
+            or self._settling
             or self._output_blocked
         ):
             self.kernel.call_at(completion, self._complete, via, self.incarnation)
@@ -667,7 +615,7 @@ class Task:
             self.operator.process_batch(element, self.ctx)
         elif isinstance(element, Watermark):
             self.metrics.watermarks_in += 1
-            timers_fired += self._handle_watermark(channel_index, element)
+            timers_fired += self._advance_watermark(channel_index, element.timestamp)
         elif isinstance(element, Heartbeat):
             # Heartbeats advance progress like per-source watermarks and are
             # also forwarded for operators that want them.
@@ -678,7 +626,7 @@ class Task:
         elif isinstance(element, CheckpointBarrier):
             self._handle_barrier(channel_index, element)
         elif isinstance(element, EndOfStream):
-            self._handle_eos(channel_index, element)
+            self._close_input(channel_index)
         else:
             self.operator.on_element(element, self.ctx)
 
@@ -732,20 +680,11 @@ class Task:
                 profiler.charge(extra_path, extra_cost)
         return cost
 
-    def _handle_watermark(self, channel_index: int, watermark: Watermark) -> int:
-        if channel_index in self._feedback_channels:
-            return 0  # async loops do not carry watermarks
-        return self._advance_watermark(channel_index, watermark.timestamp)
-
     def _advance_watermark(self, channel_index: int, timestamp: float) -> int:
-        slot = self._merger_slots.get(channel_index)
-        if slot is None:
-            # Locally injected (channel -1): treat as a direct advance.
-            merged = timestamp if timestamp > self.current_watermark else None
-        else:
-            merged = self._merger.update(slot, timestamp)
-        if merged is None:
-            return 0
+        merged = self.inputs.advance(channel_index, timestamp, self.current_watermark)
+        return 0 if merged is None else self._watermark_to(merged)
+
+    def _watermark_to(self, merged: float) -> int:
         self.current_watermark = merged
         fired = self._fire_event_timers(merged)
         self.operator.on_watermark(Watermark(merged), self.ctx)
@@ -760,108 +699,77 @@ class Task:
             fired += 1
         return fired
 
-    def _handle_eos(self, channel_index: int, eos: EndOfStream) -> None:
-        if channel_index in self._feedback_channels:
-            return
-        self._eos_channels.add(channel_index)
-        self._eos_at.setdefault(channel_index, self.kernel.now())
-        if (
-            self._align_id is not None
-            and self._align_barrier is not None
-            and self._alignment_covered(self._align_barrier)
-        ):
-            # The channels still owing a barrier just finished instead:
-            # complete the round now rather than wedging on them forever.
-            self._complete_alignment(self._align_barrier)
-        data_channels = self.input_channel_count - len(self._feedback_channels)
-        if len(self._eos_channels) < max(1, data_channels):
-            return
-        if self._feedback_channels:
-            # Async-loop termination: data inputs are done, but records may
-            # still be circulating on the feedback path. Defer the finish
-            # until the loop quiesces (no feedback deliveries and an idle
-            # mailbox across several consecutive probes).
-            self._begin_feedback_drain()
-            return
-        self._request_finish()
+    def _close_input(self, channel_index: int, retire: bool = False) -> None:
+        """An input ended (its EndOfStream, in service) or was retired (a
+        scale-in, outside the run loop): one transition either way."""
+        inputs = self.inputs
+        merged = inputs.close(channel_index, self.kernel.now(), retire)
+        if merged is not None and merged > self.current_watermark:
+            self._watermark_to(merged)
+        pending = inputs.round
+        if pending is not None and inputs.covered(pending):
+            # The channels still owing a barrier closed instead: complete it.
+            self._release(pending)
+        if retire:
+            self._flush_outputs()
+            self._settling = True  # decide once nothing is in service
+            self._maybe_schedule()
+        else:
+            self._settle()
 
-    def _request_finish(self) -> None:
-        """Finish now — or, on a rescaled node, once the sibling group has
-        quiesced (no sibling can still reroute a record here)."""
-        if self.rescale_group_ready is not None:
-            self._begin_rescale_drain()
+    def _settle(self) -> None:
+        """The finish decision: every data input closed, nothing queued, held
+        back by alignment or in service. It runs when an input closes and
+        when the mailbox drains; a drain probe polls it for a rescaled group
+        or a feedback loop, which must also quiesce."""
+        self._settling = False
+        if self.finished or self.dead or self._probing or not self.inputs.exhausted:
+            return
+        # A rescaled node's own tasks (they reroute) decide on the probe's
+        # cadence; a task it sends to finishes at once if the gate holds.
+        ready = self.rescale_group_ready
+        if self._feedback or (ready is not None and (self.reroute is not None or not ready(self))):
+            self._arm_drain_probe()
+        elif self._mailbox or self.inputs.buffer:
+            self._settling = True
         else:
             self._finish_task()
 
-    #: probe interval for the rescale group-quiescence drain
-    _RESCALE_PROBE_INTERVAL = 0.002
-
-    def _rescale_quiescent(self) -> bool:
-        """True when this task can produce no further reroute stragglers:
-        every input channel fully drained (EOS seen) and nothing queued."""
+    @property
+    def drained(self) -> bool:
+        """True once this task can produce nothing more from its inputs:
+        dead, finished, or every data input closed with nothing queued,
+        held back by alignment or in service."""
         if self.dead or self.finished:
             return True
-        data_channels = self.input_channel_count - len(self._feedback_channels)
-        return (
-            len(self._eos_channels) >= max(1, data_channels)
-            and not self._mailbox
-            and not self._busy
-            and not self._align_buffer
-        )
+        return self.inputs.exhausted and not (self._mailbox or self.inputs.buffer or self._busy)
 
-    def _begin_rescale_drain(self) -> None:
-        if self._rescale_draining:
-            return
-        self._rescale_draining = True
+    #: drain probes, (interval, consecutive quiet probes required)
+    _GROUP_PROBE = (0.002, 1)
+    _LOOP_PROBE = (0.05, 3)
+
+    def _arm_drain_probe(self) -> None:
+        self._probing = True
+        interval, rounds = self._LOOP_PROBE if self._feedback else self._GROUP_PROBE
         incarnation = self.incarnation
+        quiet, last = 0, self.inputs.feedback_deliveries
 
         def probe() -> None:
-            if incarnation != self.incarnation or self.dead or self.finished:
-                self._rescale_draining = False
-                return
-            ready = self.rescale_group_ready
-            if (
-                not self._mailbox
-                and not self._busy
-                and not self._align_buffer
-                and (ready is None or ready(self))
-            ):
-                self._rescale_draining = False
-                self._finish_task()
+            nonlocal quiet, last
+            if incarnation != self.incarnation:
+                return  # a kill ended this incarnation (a revive re-arms)
+            count, ready = self.inputs.feedback_deliveries, self.rescale_group_ready
+            still = count == last and self.drained and not self._pending_output
+            quiet = quiet + 1 if still and (ready is None or ready(self)) else 0
+            last = count
+            if self.finished or quiet >= rounds:
+                self._probing = False
+                if not self.finished:
+                    self._finish_task()
             else:
-                self.kernel.call_after(self._RESCALE_PROBE_INTERVAL, probe)
+                self.kernel.call_after(interval, probe)
 
-        self.kernel.call_after(self._RESCALE_PROBE_INTERVAL, probe)
-
-    #: probes and consecutive-quiet-rounds required to declare a loop drained
-    _DRAIN_PROBE_INTERVAL = 0.05
-    _DRAIN_QUIET_ROUNDS = 3
-
-    def _begin_feedback_drain(self) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        self._drain_quiet = 0
-        self._drain_last_count = self._feedback_deliveries
-        incarnation = self.incarnation
-
-        def probe() -> None:
-            if incarnation != self.incarnation or self.dead or self.finished:
-                return
-            current = self._feedback_deliveries
-            idle = not self._mailbox and not self._busy and not self._pending_output
-            if idle and current == self._drain_last_count:
-                self._drain_quiet += 1
-            else:
-                self._drain_quiet = 0
-            self._drain_last_count = current
-            if self._drain_quiet >= self._DRAIN_QUIET_ROUNDS:
-                self._draining = False
-                self._finish_task()
-            else:
-                self.kernel.call_after(self._DRAIN_PROBE_INTERVAL, probe)
-
-        self.kernel.call_after(self._DRAIN_PROBE_INTERVAL, probe)
+        self.kernel.call_after(interval, probe)
 
     def _finish_task(self) -> None:
         # All inputs done: ensure remaining event timers fire, quiesce
@@ -895,104 +803,61 @@ class Task:
     # ------------------------------------------------------------------
     # barriers & snapshots
     # ------------------------------------------------------------------
-    def _alignment_covered(self, barrier: CheckpointBarrier) -> bool:
-        """All data channels accounted for: a barrier arrived, or the
-        channel was already EOS *before the barrier was injected* (a
-        finished upstream — e.g. a subtask retired by a scale-in — can
-        never forward a round triggered after it ended, so waiting on it
-        would wedge the round forever). An EOS arriving *after* injection
-        does not count: a live upstream forwards the barrier ahead of its
-        EOS, so barrier-less EOS there means the barrier was lost in
-        flight and completing would snapshot an inconsistent cut."""
-        data_channels = self.input_channel_count - len(self._feedback_channels)
-        pre_barrier_eos = {
-            channel
-            for channel in self._eos_channels
-            if self._eos_at.get(channel, float("inf")) <= barrier.timestamp
-        }
-        return len(self._align_seen | pre_barrier_eos) >= data_channels
-
     def _handle_barrier(self, channel_index: int, barrier: CheckpointBarrier) -> None:
-        data_channels = self.input_channel_count - len(self._feedback_channels)
-        if data_channels <= 1 or self.align_unaligned:
-            if self._align_id != barrier.checkpoint_id:
-                self._align_id = barrier.checkpoint_id
-                self._align_seen = set()
-            self._align_seen.add(channel_index)
-            if self.align_unaligned and not self._alignment_covered(barrier):
-                self._align_barrier = barrier
+        inputs = self.inputs
+        if channel_index in self._feedback:
+            return  # async loops do not carry barriers
+        pending = inputs.round
+        if pending is not None and pending.checkpoint_id != barrier.checkpoint_id:
+            if barrier.checkpoint_id < pending.checkpoint_id:
+                return  # a stale barrier of an abandoned round
+            # A newer round supersedes one that never completed. What that
+            # round held back precedes this barrier, so it is served first.
+            held = inputs.release()
+            if held:
+                held.append(_MailboxItem(channel_index, barrier))
+                self._mailbox.extendleft(reversed(held))
                 return
-            self._snapshot_and_forward(barrier)
-            self._align_id = None
-            self._align_barrier = None
-            return
-        # Aligned mode with multiple inputs: block this channel until all
-        # barriers arrive.
-        if self._align_id is None or self._align_id != barrier.checkpoint_id:
-            self._align_id = barrier.checkpoint_id
-            self._align_seen = set()
-        self._align_seen.add(channel_index)
-        self._align_barrier = barrier
-        self._blocked_inputs.add(channel_index)
-        if self._alignment_covered(barrier):
-            self._complete_alignment(barrier)
+        if inputs.barrier(channel_index, barrier):
+            self._release(barrier)
 
-    def _complete_alignment(self, barrier: CheckpointBarrier) -> None:
-        self._snapshot_and_forward(barrier)
-        self._blocked_inputs.clear()
-        self._align_id = None
-        self._align_barrier = None
-        # Re-inject buffered elements ahead of the rest of the mailbox.
-        self._mailbox.extendleft(reversed(self._align_buffer))
-        self._align_buffer = []
+    def _release(self, barrier: CheckpointBarrier | None = None) -> None:
+        """End the alignment round: snapshot and forward ``barrier`` when
+        the round completed (None: cancelled), then put what it held back at
+        the head of the mailbox."""
+        if barrier is not None:
+            # Pre-snapshot hook: an operator holding an in-flight micro-batch
+            # flushes it *into this epoch*, ahead of the barrier, so a
+            # restore never replays half a batch.
+            pre = getattr(self.operator, "on_barrier", None)
+            if pre is not None:
+                pre(barrier.checkpoint_id, self.ctx)
+            gate = self._txn_gate
+            if gate is not None:
+                # Shared-store fence: park until every live owner reaches this
+                # barrier; the store then resumes us via txn_resume_snapshot.
+                self._txn_parked = barrier.checkpoint_id
+                gate.request_fence(self, barrier)
+            else:
+                self._capture_and_forward(barrier)
+        self._mailbox.extendleft(reversed(self.inputs.release()))
 
     def cancel_alignment(self, checkpoint_id: int) -> None:
         """Abort a pending barrier alignment (the coordinator gave up on
         ``checkpoint_id``): unblock the inputs and re-inject the buffered
         elements so a lost barrier cannot wedge the task forever."""
         if self._txn_parked == checkpoint_id:
-            # Parked on the shared txn store's fence for this doomed round:
-            # withdraw from it and resume processing. Checked independently
-            # of ``_align_id`` — the single-input barrier path resets the
-            # align id right after parking.
+            # Parked on the txn store's fence for this doomed round: withdraw
+            # and resume (the round itself already ended when we parked).
             self._txn_parked = None
             gate = self._txn_gate
             if gate is not None:
                 gate.cancel_fence(self, checkpoint_id)
             self._maybe_schedule()
-        if self._align_id != checkpoint_id:
-            return
-        self._align_id = None
-        self._align_barrier = None
-        self._blocked_inputs.clear()
-        self._mailbox.extendleft(reversed(self._align_buffer))
-        self._align_buffer = []
-        self._maybe_schedule()
-
-    def _snapshot_and_forward(self, barrier: CheckpointBarrier) -> None:
-        # Pre-snapshot hook: operators holding an in-flight micro-batch
-        # (e.g. MicroBatchAcceleratedOperator) flush it *into this epoch*
-        # before state is captured — the flushed output is buffered ahead of
-        # the barrier, so downstream sees it in the right epoch and a
-        # restore never replays half a batch.
-        pre = getattr(self.operator, "on_barrier", None)
-        if pre is not None:
-            pre(barrier.checkpoint_id, self.ctx)
-        gate = self._txn_gate
-        if gate is not None:
-            # Shared-store fence: park until every live owner of the txn
-            # store reaches this barrier, then the store captures the whole
-            # store once and resumes us via txn_resume_snapshot.
-            self._txn_parked = barrier.checkpoint_id
-            gate.request_fence(self, barrier)
-            return
-        snapshot = self.take_snapshot(barrier.checkpoint_id)
-        hook = getattr(self.operator, "on_checkpoint", None)
-        if hook is not None:
-            hook(barrier.checkpoint_id)
-        if self.engine is not None:
-            self.engine.on_task_snapshot(self, snapshot)
-        self.collect_output(barrier)
+        pending = self.inputs.round
+        if pending is not None and pending.checkpoint_id == checkpoint_id:
+            self._release()
+            self._maybe_schedule()
 
     def txn_resume_snapshot(self, barrier: CheckpointBarrier) -> None:
         """The shared txn store completed its fence round: take this owner's
@@ -1002,6 +867,11 @@ class Task:
         if self.dead or self.finished or self._txn_parked != barrier.checkpoint_id:
             return
         self._txn_parked = None
+        self._capture_and_forward(barrier)
+        self._flush_outputs()
+        self._maybe_schedule()
+
+    def _capture_and_forward(self, barrier: CheckpointBarrier) -> None:
         snapshot = self.take_snapshot(barrier.checkpoint_id)
         hook = getattr(self.operator, "on_checkpoint", None)
         if hook is not None:
@@ -1009,8 +879,6 @@ class Task:
         if self.engine is not None:
             self.engine.on_task_snapshot(self, snapshot)
         self.collect_output(barrier)
-        self._flush_outputs()
-        self._maybe_schedule()
 
     def take_snapshot(self, checkpoint_id: int) -> TaskSnapshot:
         """Capture keyed state, operator state, timers and watermark.
@@ -1132,17 +1000,20 @@ class Task:
 
     def output_unblocked(self) -> None:
         """Called by a channel when its backlog drains."""
-        if not self._output_blocked:
+        if not self._output_blocked or self._unblock():
             self._maybe_schedule()
-            return
-        if self._outputs_clear():
-            self._output_blocked = False
-            if self._blocked_since is not None:
-                self.metrics.blocked_time += self.kernel.now() - self._blocked_since
-                self._blocked_since = None
-            self._flush_outputs()
-            if not self._output_blocked:
-                self._maybe_schedule()
+
+    def _unblock(self) -> bool:
+        """Leave the blocked state if every output is clear, flushing what
+        waited; True when the flush left the task unblocked."""
+        if not self._outputs_clear():
+            return False
+        self._output_blocked = False
+        if self._blocked_since is not None:
+            self.metrics.blocked_time += self.kernel.now() - self._blocked_since
+            self._blocked_since = None
+        self._flush_outputs()
+        return not self._output_blocked
 
     # ------------------------------------------------------------------
     # failure & lifecycle
@@ -1154,12 +1025,7 @@ class Task:
         self.dead = True
         self.incarnation += 1
         self._busy_until = _IDLE
-        self.release_mailbox_credits()
-        self._mailbox.clear()
-        self._align_buffer.clear()
-        self._blocked_inputs.clear()
-        self._align_id = None
-        self._align_barrier = None
+        self._drop_queued()
         self._pending_output.clear()
         self._event_timers.clear()
         self._pending_proc_timers.clear()
@@ -1207,17 +1073,25 @@ class Task:
         self.suspend()
         self.kernel.call_after(seconds, self.resume_processing)
 
-    def release_mailbox_credits(self) -> None:
-        """Return the flow-control credits held by queued elements (called
-        when the mailbox is discarded: kill, scale-in)."""
-        for item in self._mailbox:
+    def _drop_queued(self, hand_off: Callable[[Any], None] | None = None) -> None:
+        """Empty the mailbox and end the alignment round (kill, scale-in):
+        ``hand_off`` gets each element, then its credit returns."""
+        items = [*self._mailbox, *self.inputs.release()]
+        self._mailbox.clear()
+        for item in items:
+            if hand_off is not None:
+                hand_off(item.element)
             if item.via is not None:
                 item.via.return_credit()
-                item.via = None
-        for item in self._align_buffer:
-            if item.via is not None:
-                item.via.return_credit()
-                item.via = None
+
+    def retire(self, hand_off: Callable[[Any], None]) -> None:
+        """Leave the plan (scale-in): hand every element still queued or
+        held back by alignment to ``hand_off`` and finish without an
+        end-of-stream (the receivers retire the links instead). Later
+        deliveries are forwarded through ``reroute``."""
+        self._drop_queued(hand_off)
+        self.finished = True
+        self.metrics.finished_at = self.kernel.now()
 
     def reincarnate(self, operator: Operator, state_backend: "KeyedStateBackend | None" = None) -> None:
         """Bring the task back with a fresh operator (and backend unless the
@@ -1228,21 +1102,9 @@ class Task:
             self.state_backend = state_backend
         self.dead = False
         self.finished = False
-        self._reopened = False
+        self._settling = self._probing = False
         self.metrics.mark_up(self.kernel.now())
-        self._eos_channels.clear()
-        self._eos_at.clear()
-        # Channels retired by a scale-in stay retired through recovery: no
-        # sender exists to ever re-send their end-of-stream.
-        now = self.kernel.now()
-        for channel_index in self._retired_channels:
-            self._eos_channels.add(channel_index)
-            self._eos_at[channel_index] = now
-        self._merger = WatermarkMerger(0)
-        old_slots = sorted(self._merger_slots)
-        self._merger_slots = {}
-        for channel_index in old_slots:
-            self._merger_slots[channel_index] = self._merger.add_channel(float("-inf"))
+        self.inputs.revive(self.kernel.now())
         self.current_watermark = float("-inf")
         self.operator.open(self.ctx)
 
@@ -1322,16 +1184,17 @@ class SourceTask(Task):
     def start(self) -> None:
         self.metrics.started_at = self.kernel.now()
         self._next_arrival = self.kernel.now()
+        self._start_timers()
+        self._schedule_next()
+
+    def _start_timers(self) -> None:
+        """Arm the periodic-watermark, heartbeat and latency-marker timers."""
         if self.strategy.periodic_interval is not None:
             self._periodic = PeriodicTimer(
                 self.kernel, self.strategy.periodic_interval, self._periodic_watermark
             )
         if self.heartbeat_interval is not None:
             self._hb_timer = PeriodicTimer(self.kernel, self.heartbeat_interval, self._emit_heartbeat)
-        self._start_marker_timer()
-        self._schedule_next()
-
-    def _start_marker_timer(self) -> None:
         if self._obs is not None and self._obs.marker_period is not None:
             self._marker_timer = PeriodicTimer(
                 self.kernel, self._obs.marker_period, self._emit_marker
@@ -1492,18 +1355,8 @@ class SourceTask(Task):
         self._finish()
 
     def output_unblocked(self) -> None:
-        if not self._output_blocked:
-            return
-        if self._outputs_clear():
-            self._output_blocked = False
-            if self._blocked_since is not None:
-                self.metrics.blocked_time += self.kernel.now() - self._blocked_since
-                self._blocked_since = None
-            self._flush_outputs()
-            if self._output_blocked:
-                return
-            if self._pending is not None:
-                self._try_emit()
+        if self._output_blocked and self._unblock() and self._pending is not None:
+            self._try_emit()
 
     def _periodic_watermark(self) -> None:
         if self.dead or self.finished:
@@ -1595,13 +1448,7 @@ class SourceTask(Task):
         self.finished = False
         self.metrics.mark_up(self.kernel.now())
         self.strategy = self.strategy.fresh()
-        if self.strategy.periodic_interval is not None:
-            self._periodic = PeriodicTimer(
-                self.kernel, self.strategy.periodic_interval, self._periodic_watermark
-            )
-        if self.heartbeat_interval is not None:
-            self._hb_timer = PeriodicTimer(self.kernel, self.heartbeat_interval, self._emit_heartbeat)
-        self._start_marker_timer()
+        self._start_timers()
 
     def restart_emission(self) -> None:
         """Kick the emission loop after a restore."""

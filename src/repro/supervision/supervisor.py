@@ -118,6 +118,12 @@ class Supervisor:
             event.task_name, failed_at=event.at, detected_at=detected_at
         )
         incident.strategy = self.strategy.name
+        if all(engine.tasks[name].finished for name in self._failed_names(event)):
+            # Every failed task had already finished: its output is complete
+            # and a restore would only replay it. Nothing to recover.
+            incident.scope = "finished"
+            incident.resumed_at = now
+            return
         delay = self.strategy.next_delay(now)
         if delay is None:
             incident.scope = "job-failed"

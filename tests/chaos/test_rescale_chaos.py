@@ -10,11 +10,21 @@ must replay deterministically from (seed, chaining, schedule index).
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.chaos import ChaosRunner
 from repro.chaos.scenarios import rescale_scenarios, rescale_shuffle
-from repro.chaos.schedule import RESCALE, FaultSpec, schedule_from_faults
+from repro.chaos.schedule import (
+    BARRIER_LOSS,
+    KILL,
+    RESCALE,
+    STALL,
+    FaultSpec,
+    schedule_from_faults,
+)
 from repro.chaos.smoke import SMOKE_MATRIX
-
 
 
 def rescale_only_schedule(targets):
@@ -132,3 +142,60 @@ class TestRescaleDeterminism:
         rendered = schedule.format()
         assert "rescale" in rendered
         assert "count=3" in rendered
+
+
+def run_with_rows(schedule, seed, supervised):
+    """Replay a shrunk ``rescale-shuffle`` schedule (chaining on, the smoke
+    sweep's incremental checkpoints); returns the report and the rows the
+    exactly-once sink committed."""
+    scenario = rescale_shuffle()
+    runs = []
+
+    def build(config):
+        runs.append(scenario.build(config))
+        return runs[-1]
+
+    runner = ChaosRunner(
+        dataclasses.replace(scenario, build=build),
+        seed=seed,
+        supervised=supervised,
+        incremental=True,
+    )
+    report = runner.run_one(True, schedule=schedule)
+    return report, runs[-1].observed()
+
+
+class TestShrunkReproducers:
+    """Schedules the ``--rescale`` smoke sweep once failed on, shrunk to the
+    faults that matter."""
+
+    @pytest.mark.parametrize("supervised", [False, True], ids=["default", "supervised"])
+    def test_a_retired_channel_finishes_its_receiver(self, supervised):
+        # The barrier of one checkpoint is lost on count[0]'s link, so the
+        # sink blocks count[1]'s link aligning on it. The rescale aborts that
+        # checkpoint and retires count[1]'s link: the sink must then finish
+        # once what it held back is served, and count[0], which had already
+        # finished, must take count[1]'s backlog and finish again.
+        schedule = schedule_from_faults(
+            [
+                FaultSpec(kind=BARRIER_LOSS, target="count[0]->chaos-out[0]", at=0.0285706),
+                FaultSpec(kind=RESCALE, target="count", at=0.0867379, count=1),
+            ]
+        )
+        report, rows = run_with_rows(schedule, seed=4, supervised=supervised)
+        assert report.finished and report.ok, report.verdict()
+        assert len(rows) == 240
+
+    @pytest.mark.parametrize("supervised", [False, True], ids=["default", "supervised"])
+    def test_a_dead_task_keeps_the_job_running(self, supervised):
+        # The sink is killed after its upstream drained: the job must wait
+        # for its recovery instead of finishing with the sink dead.
+        schedule = schedule_from_faults(
+            [
+                FaultSpec(kind=STALL, target="pair[0]", at=0.0587329, magnitude=0.0259545),
+                FaultSpec(kind=KILL, target="chaos-out[0]", at=0.0850767),
+            ]
+        )
+        report, rows = run_with_rows(schedule, seed=15, supervised=supervised)
+        assert report.finished and report.ok, report.verdict()
+        assert len(rows) == 240

@@ -231,7 +231,7 @@ class _Probe(Operator):
 def _task(kernel, operator, inputs=1):
     task = Task(kernel, "probe[0]", operator, InMemoryStateBackend(), processing_cost=1.0)
     for _ in range(inputs):
-        task.register_input_channel()
+        task.inputs.register()
     task.start()
     return task
 
@@ -298,13 +298,13 @@ class TestDirectDispatch:
         kernel = Kernel()
         task = _task(kernel, _Probe(), inputs=2)
         task.deliver(0, CheckpointBarrier(checkpoint_id=1, timestamp=0.0))
-        assert task._blocked_inputs == {0}
+        assert task.inputs.blocked == {0}
         # long after the barrier's zero-cost service: idle, mailbox empty
         kernel.call_at(5.0, task.deliver, 0, Record(value="behind the barrier"))
         kernel.call_at(5.0, task.deliver, 1, Record(value="ahead of it"))
         kernel.run()
         assert task.operator.seen == ["ahead of it"]
-        assert [item.element.value for item in task._align_buffer] == ["behind the barrier"]
+        assert [item.element.value for item in task.inputs.buffer] == ["behind the barrier"]
 
     def test_a_transactional_task_always_goes_through_the_mailbox(self):
         """Its ``call_soon`` hop when the instant is busy is what keeps the
@@ -446,7 +446,7 @@ class TestChainRecordPath:
             kernel = Kernel()
             chain = _chain()
             task = Task(kernel, "chain[0]", chain, InMemoryStateBackend(), processing_cost=1.0)
-            task.register_input_channel()
+            task.inputs.register()
             task.start()
             for value in self.VALUES:
                 kernel.call_at(10.0 * value, task.deliver, 0, Record(value=value))

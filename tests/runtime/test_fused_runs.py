@@ -172,7 +172,7 @@ def _drive_through_a_task(plan):
     out, costs, add_cost = [], [], task.ctx.add_cost
     task.collect_output = lambda element: out.append(tuple(element))
     task.ctx.add_cost = lambda seconds: (costs.append(seconds), add_cost(seconds))
-    task.register_input_channel()
+    task.inputs.register()
     task.start()
     for index, record in enumerate(_records(plan)):
         kernel.call_at(10.0 * (index + 1), task.deliver, 0, record)

@@ -182,12 +182,12 @@ class TestDrainBarrier:
         engine = build()[0].build()
         task = engine.tasks_of("count")[0]
         # Fresh task: EOS not seen on its inputs yet.
-        assert not task._rescale_quiescent()
+        assert not task.drained
         task.finished = True
-        assert task._rescale_quiescent()
+        assert task.drained
         task.finished = False
         task.dead = True
-        assert task._rescale_quiescent()
+        assert task.drained
 
 
 class TestChannelAccounting:

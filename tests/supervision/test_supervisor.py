@@ -221,3 +221,29 @@ class TestNoCheckpoints:
         assert engine.metrics.recovery.incidents[0].scope == "global"
         counts = value_counts(sink)
         assert all(counts[v * 2] >= 1 for v in range(EVENTS))
+
+
+class TestFinishedTaskFailure:
+    def test_a_task_killed_after_it_finished_needs_no_recovery(self):
+        # The source is done long before the slow map drains its backlog:
+        # killing it then loses nothing, so the job finishes without a
+        # restore (which would only replay what already reached the sink).
+        config = config_for_guarantee(
+            GuaranteeLevel.EXACTLY_ONCE, checkpoint_interval=0.02, seed=11,
+            chaining_enabled=False,
+        )
+        env = StreamExecutionEnvironment(config, name="supervised")
+        sink = CollectSink("out")
+        env.from_workload(
+            CollectionWorkload(list(range(EVENTS)), rate=10000.0), name="src"
+        ).map(lambda v: v * 2, name="double", processing_cost=1e-3).sink(sink, name="out")
+        engine = env.build()
+        injector = FailureInjector(engine, detection_delay=0.005)
+        Supervisor(engine, injector)
+        injector.schedule_kill("src[0]", at=0.05)
+        engine.run(until=30.0)
+        assert engine.job_finished and not engine.job_failed
+        recovery = engine.metrics.recovery
+        assert [incident.scope for incident in recovery.incidents] == ["finished"]
+        assert recovery.restarts_by_scope == {}
+        assert value_counts(sink) == Counter(v * 2 for v in range(EVENTS))
