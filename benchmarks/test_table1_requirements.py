@@ -64,13 +64,15 @@ def probe_programming_models():
 
 
 def probe_transactions():
-    from repro.txn import Participant, TransactionManager, TwoPhaseCoordinator, Decision
+    from repro.txn import Decision, Participant, TwoPhaseCoordinator, TxnConfig, TxnStateStore
 
-    manager = TransactionManager()
-    manager.run(lambda txn: manager.write(txn, "a", 1))
+    store = TxnStateStore("probe", config=TxnConfig(locking="nowait"))
+    txn = store.begin("probe", "op-1")
+    txn.write("a", 1)
+    store.finish_attempt(txn)
     a, b = Participant("a"), Participant("b")
     result = TwoPhaseCoordinator().execute({a: {"x": 1}, b: {"y": 2}})
-    return manager.get("a") == 1 and result.decision is Decision.COMMIT
+    return store.committed_get("a") == 1 and result.decision is Decision.COMMIT
 
 
 def probe_advanced_state_backends():
@@ -135,16 +137,17 @@ def probe_dynamic_topologies():
 
 
 def probe_shared_mutable_state():
-    from repro.txn import TransactionManager
+    from repro.txn import TxnStateStore
 
-    manager = TransactionManager()
+    store = TxnStateStore("shared")
+    keys = frozenset({"shared"})
 
-    def deposit(txn):
-        manager.write(txn, "shared", manager.read(txn, "shared", 0) + 1)
+    def deposit(txn, amount):
+        txn.write("shared", txn.read("shared", 0) + amount)
 
-    for _ in range(50):
-        manager.run(deposit)
-    return manager.get("shared") == 50
+    for op_id in range(50):
+        store.run("probe", op_id, (keys, keys), deposit, 1, None)
+    return store.committed_get("shared") == 50 and store.committed == 50
 
 
 def probe_queryable_state():

@@ -110,7 +110,10 @@ class Rescaler:
             )
         # FORWARD *output* edges are tolerated: new subtasks connect with
         # REBALANCE instead (existing 1:1 links keep working).
-        self._abort_inflight_checkpoint()
+        # A barrier in flight while channels are added or removed can never
+        # align on every (new) task: abort the round instead of wedging it;
+        # the coordinator triggers the next one on schedule.
+        engine.abort_inflight_checkpoint()
         started_at = engine.kernel.now()
         full_state_bytes = sum(t.state_backend.snapshot_bytes() for t in tasks)
         router = self.router_for(node_name)
@@ -166,7 +169,7 @@ class Rescaler:
         node = engine.graph.node_by_name(node_name)
         if node.is_source:
             raise LoadManagementError("cannot split key groups of a source")
-        self._abort_inflight_checkpoint()
+        engine.abort_inflight_checkpoint()  # as in rescale: no barrier spans a reroute
         started_at = engine.kernel.now()
         router = self.router_for(node_name)
         router.split_group(key_group, fanout)
@@ -200,15 +203,6 @@ class Rescaler:
             router = KeyRouter(node.parallelism, engine.config.max_parallelism)
             engine.key_routers[node.node_id] = router
         return router
-
-    def _abort_inflight_checkpoint(self) -> None:
-        """A barrier in flight while channels are added or removed can never
-        align on every (new) task — abort the round instead of wedging it;
-        the coordinator simply triggers the next one on schedule."""
-        engine = self.engine
-        record = engine._pending_checkpoint
-        if record is not None:
-            engine._abort_checkpoint(record)
 
     def _install_router_on_gates(self, node, router: KeyRouter) -> None:
         """Point every upstream gate feeding ``node`` at the shared router so

@@ -532,21 +532,23 @@ class Engine:
         barrier = CheckpointBarrier(checkpoint_id, self.kernel.now())
         for task in self.tasks.values():
             if isinstance(task, SourceTask) and not task.dead and not task.finished:
-                snapshot = task.take_snapshot(checkpoint_id)
-                self.on_task_snapshot(task, snapshot, source=True)
-                task.collect_output(barrier)
+                task._capture_and_forward(barrier)
                 task._flush_outputs()
         timeout = self.config.checkpoints.timeout
         if timeout is not None:
-            self.kernel.call_after(timeout, lambda: self._abort_checkpoint(record))
+            self.kernel.call_after(timeout, self.abort_inflight_checkpoint, checkpoint_id)
         return checkpoint_id
 
-    def _abort_checkpoint(self, record: CheckpointRecord) -> None:
-        """Give up on a checkpoint stuck in flight (lost barrier, stalled
-        task): later snapshots for it are ignored and the coordinator is
-        free to trigger the next round. Sealed sink epochs stay pending and
-        are published by the next completed checkpoint."""
-        if self._pending_checkpoint is not record or record.complete:
+    def abort_inflight_checkpoint(self, checkpoint_id: int | None = None) -> None:
+        """Give up on the checkpoint in flight, if any — and only if it is
+        ``checkpoint_id`` when one is given, as a timeout gives its own
+        round's. Used on a stuck round (lost barrier, stalled task) and
+        before a reconfiguration whose barrier could never align. Later
+        snapshots for it are ignored and the coordinator is free to trigger
+        the next round. Sealed sink epochs stay pending and are published by
+        the next completed checkpoint."""
+        record = self._pending_checkpoint
+        if record is None or checkpoint_id not in (None, record.checkpoint_id):
             return
         self._drop_pending_checkpoint()
         # Release any task still blocked aligning on the abandoned barrier —
@@ -554,19 +556,20 @@ class Engine:
         for task in self.tasks.values():
             task.cancel_alignment(record.checkpoint_id)
 
-    def _drop_pending_checkpoint(self) -> None:
-        """Forget the in-flight checkpoint, which can never complete: it
-        leaves the checkpoint table and its captured chain links stay
-        interior (never restorable)."""
-        record = self._pending_checkpoint
+    def _drop_pending_checkpoint(self, record: CheckpointRecord | None = None) -> None:
+        """Forget an abandoned checkpoint — by default the one in flight —
+        which can never complete: it leaves the checkpoint table and its
+        captured chain links stay interior (never restorable)."""
         if record is None:
-            return
+            record = self._pending_checkpoint
+            if record is None:
+                return
+            self._pending_checkpoint = None
         self.checkpoints.pop(record.checkpoint_id, None)
-        self._pending_checkpoint = None
         if self.checkpoint_store is not None:
             self.checkpoint_store.note_aborted(record.checkpoint_id)
 
-    def on_task_snapshot(self, task: Task, snapshot: TaskSnapshot, source: bool = False) -> None:
+    def on_task_snapshot(self, task: Task, snapshot: TaskSnapshot) -> None:
         """Task callback: gather a snapshot into the pending checkpoint."""
         if snapshot.delta is not None and self.checkpoint_store is not None:
             # Append the captured link unconditionally: the snapshotter's
@@ -578,8 +581,7 @@ class Engine:
                 task.name, snapshot.delta, snapshot.checkpoint_id if live else None
             )
             self._record_capture_metrics(task, snapshot)
-        record = self._pending_checkpoint
-        if record is None or snapshot.checkpoint_id not in self.checkpoints:
+        if self._pending_checkpoint is None or snapshot.checkpoint_id not in self.checkpoints:
             return
         record = self.checkpoints[snapshot.checkpoint_id]
         record.snapshots[task.name] = snapshot
@@ -617,9 +619,7 @@ class Engine:
                 # A restore (or abort) intervened while the snapshot was
                 # persisting: the checkpoint belongs to a dead execution and
                 # must never be registered or commit sink epochs.
-                self.checkpoints.pop(record.checkpoint_id, None)
-                if self.checkpoint_store is not None:
-                    self.checkpoint_store.note_aborted(record.checkpoint_id)
+                self._drop_pending_checkpoint(record)
                 return
             record.completed_at = self.kernel.now()
             self.completed_checkpoints.append(record.checkpoint_id)

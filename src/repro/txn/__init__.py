@@ -1,12 +1,18 @@
-"""Streaming transactions (survey §4.2): 2PL manager, 2PC, sagas, S-Store ops,
-and the engine-integrated transactional state store (``TxnStateStore`` +
-``DataStream.transact``)."""
+"""Streaming transactions (survey §4.2): the engine-integrated transactional
+state store (``TxnStateStore`` + ``DataStream.transact``, ordered 2PL or
+NO-WAIT), the no-isolation baseline operator, 2PC and sagas."""
 
-from repro.txn.manager import LockMode, Transaction, TransactionManager, TxnStatus
-from repro.txn.operator import TransactOperator
+from repro.txn.operator import TransactOperator, UnisolatedOperator
 from repro.txn.saga import SagaExecutor, SagaReport, SagaStep
-from repro.txn.sstore import NonTransactionalOperator, TransactionalOperator
-from repro.txn.store import CommittedTxn, StoreCapture, StoreTxn, TxnConfig, TxnStateStore
+from repro.txn.store import (
+    CommittedTxn,
+    LockMode,
+    StoreCapture,
+    StoreTxn,
+    TxnConfig,
+    TxnStateStore,
+    TxnStatus,
+)
 from repro.txn.twophase import (
     AsyncParticipant,
     Decision,
@@ -21,7 +27,6 @@ __all__ = [
     "CommittedTxn",
     "Decision",
     "LockMode",
-    "NonTransactionalOperator",
     "Participant",
     "SagaExecutor",
     "SagaReport",
@@ -29,13 +34,11 @@ __all__ = [
     "StoreCapture",
     "StoreTxn",
     "TransactOperator",
-    "Transaction",
-    "TransactionManager",
-    "TransactionalOperator",
     "TwoPCResult",
     "TwoPhaseCoordinator",
     "TxnConfig",
     "TxnStateStore",
     "TxnStatus",
+    "UnisolatedOperator",
     "Vote",
 ]

@@ -13,6 +13,10 @@ mailbox (including checkpoint barriers) stays queued, so a barrier can
 never be processed mid-transaction — the "txn never straddles a snapshot"
 half of the atomic-cut argument. The commit callback emits the output
 record out-of-band and releases the hold.
+
+:class:`UnisolatedOperator` is the anomaly baseline experiment E10
+measures against: the same read-modify-write over a plain ``dict``, no
+isolation.
 """
 
 from __future__ import annotations
@@ -74,19 +78,15 @@ class TransactOperator(Operator):
 
     # ------------------------------------------------------------------
     def open(self, ctx: OperatorContext) -> None:
-        task = getattr(ctx, "task", None)
-        if task is not None:
-            self._task = task
-            self._origin = task.name
-            self.store.bind_task(task)
+        task = ctx.task
+        self._task = task
+        self._origin = task.name
+        self.store.bind_task(task)
 
     # ------------------------------------------------------------------
     def process(self, record: Any, ctx: OperatorContext) -> None:
         ctx.add_cost(self._execute_cost)
         task = self._task
-        if task is None:
-            self._run_sync(record, ctx)
-            return
         value = record.value
         op_id = value if self.op_id_fn is None else self.op_id_fn(value)
         task._txn_hold = True
@@ -114,7 +114,9 @@ class TransactOperator(Operator):
         except TransactionAborted:
             self.store.note_retry()
             if tries + 1 >= self._max_retries:
-                # permanent abort: drop the record, release the hold
+                # permanent abort: drop the record (counted, so record
+                # conservation still balances) and release the hold
+                task.metrics.dropped += 1
                 task._txn_hold = False
                 task._maybe_schedule()
                 return
@@ -139,28 +141,6 @@ class TransactOperator(Operator):
         task._flush_outputs()
         task._maybe_schedule()
 
-    # --- kernel-less fallback (unit tests drive the operator directly) --
-    def _run_sync(self, record, ctx: OperatorContext) -> None:
-        value = record.value
-        op_id = value if self.op_id_fn is None else self.op_id_fn(value)
-        outs: list = []
-        if self._ordered:
-            declared = _declared_keys(self.keys_fn(value))
-            self.store.run(self._origin, op_id, declared, self.body, value, outs.append)
-        else:
-            for _attempt in range(self._max_retries):
-                txn = self.store.begin(self._origin, op_id)
-                try:
-                    out = self.body(txn, value)
-                except TransactionAborted:
-                    self.store.note_retry()
-                    continue
-                self.store.finish_attempt(txn, outs.append, out)
-                break
-        for out in outs:
-            if out is not None:
-                ctx.emit(out)
-
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Any:
         return self.store.take_operator_snapshot(self._origin)
@@ -172,3 +152,52 @@ class TransactOperator(Operator):
     @property
     def name(self) -> str:
         return self._name
+
+
+class UnisolatedOperator(Operator):
+    """The anomaly baseline: read-modify-write over a plain shared ``dict``
+    with no isolation.
+
+    ``read_phase(data, value) -> snapshot`` reads and ``write_phase(data,
+    value, snapshot) -> output`` writes. To surface lost updates under the
+    cooperative kernel, a record's write lands only after the *next*
+    record's read — the racy interleaving two unsynchronized workers
+    produce — so two records on one key clobber each other's update.
+    """
+
+    def __init__(
+        self,
+        data: dict,
+        read_phase: Callable[[dict, Any], Any],
+        write_phase: Callable[[dict, Any, Any], Any],
+        attempt_cost: float = 5e-5,
+        name: str = "dirty",
+    ) -> None:
+        self.data = data
+        self.read_phase = read_phase
+        self.write_phase = write_phase
+        self.attempt_cost = attempt_cost
+        self._name = name
+        #: the previous record and the value it read, its write not yet landed
+        self._staged: tuple | None = None
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    def process(self, record: Any, ctx: OperatorContext) -> None:
+        ctx.add_cost(self.attempt_cost)
+        snapshot = self.read_phase(self.data, record.value)
+        self._write_staged(ctx)
+        self._staged = (record, snapshot)
+
+    def flush(self, ctx: OperatorContext) -> None:
+        self._write_staged(ctx)
+
+    def _write_staged(self, ctx: OperatorContext) -> None:
+        if self._staged is not None:
+            record, snapshot = self._staged
+            self._staged = None
+            output = self.write_phase(self.data, record.value, snapshot)
+            if output is not None:
+                ctx.emit(record.with_value(output))

@@ -35,6 +35,7 @@ the chaos serializability oracle replays and checks.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import itertools
 from collections import deque
@@ -44,7 +45,18 @@ from typing import Any, Callable
 
 from repro.core.keys import stable_hash
 from repro.errors import TransactionAborted, TransactionError
-from repro.txn.manager import LockMode, TxnStatus
+
+
+class TxnStatus(enum.Enum):
+    ACTIVE = "active"
+    COMMITTED = "committed"
+    ABORTED = "aborted"
+
+
+class LockMode(enum.Enum):
+    SHARED = "S"
+    EXCLUSIVE = "X"
+
 
 _MISSING = object()
 _ACTIVE = TxnStatus.ACTIVE

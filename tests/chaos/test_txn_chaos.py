@@ -38,8 +38,7 @@ from repro.io.sinks import CollectSink
 from repro.io.sources import CollectionWorkload
 from repro.runtime.config import EngineConfig, GuaranteeLevel
 from repro.sim.kernel import Kernel
-from repro.txn.manager import LockMode
-from repro.txn.store import TxnStateStore
+from repro.txn.store import LockMode, TxnStateStore
 
 SEEDS = (0, 1, 2, 3, 4)
 

@@ -74,11 +74,11 @@ def observe(backend_name, monkeypatch):
     captures = {}
     on_task_snapshot = engine.on_task_snapshot
 
-    def record_capture(task, snapshot, source=False):
+    def record_capture(task, snapshot):
         if task.name in _STATEFUL:
             delta = snapshot.delta
             captures.setdefault(task.name, []).append((delta.entry_count(), delta.size_bytes()))
-        on_task_snapshot(task, snapshot, source)
+        on_task_snapshot(task, snapshot)
 
     engine.on_task_snapshot = record_capture
     take_snapshot = Task.take_snapshot

@@ -69,7 +69,7 @@ def test_abort_is_noop_for_completed_checkpoints():
     completed = list(engine.completed_checkpoints)
     assert completed
     record = engine.checkpoints[completed[0]]
-    engine._abort_checkpoint(record)
+    engine.abort_inflight_checkpoint(record.checkpoint_id)
     assert completed[0] in engine.checkpoints
 
 

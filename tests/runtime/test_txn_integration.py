@@ -1,6 +1,7 @@
 """Engine integration of the transactional state store: checkpoints,
-kill/recovery, scratch restart, queryable access, metric exposure, and the
-region-coupling recovery guard."""
+kill/recovery, scratch restart, queryable access, metric exposure, the
+region-coupling recovery guard, and the no-isolation baseline that loses
+updates."""
 
 import hashlib
 
@@ -12,7 +13,7 @@ from repro.io.sinks import CollectSink
 from repro.io.sources import CollectionWorkload
 from repro.queryable.server import QueryableStateService
 from repro.runtime.config import CheckpointConfig, EngineConfig
-from repro.txn.store import TxnConfig, TxnStateStore
+from repro.txn import TxnConfig, TxnStateStore, UnisolatedOperator
 
 BALANCE = 100
 ACCOUNTS = [f"acct-{i}" for i in range(8)]
@@ -207,22 +208,6 @@ class TestQueryableAndMetrics:
         fragment = service.query_metrics("txn/accounts")
         assert f"{prefix}/commits" in fragment["metrics"]
 
-    def test_transaction_manager_metrics_bind(self):
-        from repro.obs.registry import MetricRegistry
-        from repro.txn.manager import TransactionManager
-
-        registry = MetricRegistry("job")
-        manager = TransactionManager()
-        manager.bind_metrics(registry, "job/txn/lib/0")
-        manager.run(lambda txn: manager.write(txn, "k", 1))
-        txn = manager.begin()
-        manager.write(txn, "k", 2)
-        manager.abort(txn)
-        snapshot = registry.snapshot(0.0)["metrics"]
-        assert snapshot["job/txn/lib/0/commits"] == 1
-        assert snapshot["job/txn/lib/0/aborts"] == 1
-        assert snapshot["job/txn/lib/0/active"] == 0
-
 
 class TestNowaitEngine:
     def test_nowait_converges_under_contention(self):
@@ -247,3 +232,29 @@ class TestNowaitEngine:
         assert store.committed == 60
         assert len({e.op_id for e in store.history}) == 60
         assert_conserved(store)
+
+
+class TestNonTransactionalBaseline:
+    def test_interleaved_read_modify_write_loses_updates(self):
+        balances = {}
+
+        def read_phase(data, value):
+            return data.get(value["account"], 0)
+
+        def write_phase(data, value, snapshot):
+            data[value["account"]] = snapshot + value["amount"]
+            return value["account"]
+
+        env = StreamExecutionEnvironment(EngineConfig())
+        deposits = [{"account": "acct0", "amount": 1} for _ in range(300)]
+        (
+            # One hot account: every operation races with its predecessor.
+            env.from_workload(CollectionWorkload(deposits, rate=5000.0))
+            .apply_operator(
+                lambda: UnisolatedOperator(balances, read_phase, write_phase),
+                name="dirty",
+            )
+            .sink(CollectSink("out"))
+        )
+        env.execute()
+        assert balances["acct0"] < 300  # lost updates: the anomaly the survey motivates

@@ -14,8 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.txn.manager import LockMode
-from repro.txn.store import TxnStateStore
+from repro.txn.store import LockMode, TxnStateStore
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
 KEYS = ("a", "b", "c", "d")

@@ -20,8 +20,7 @@ from repro.io.sinks import CollectSink
 from repro.io.sources import CollectionWorkload
 from repro.runtime.config import EngineConfig
 from repro.sim.kernel import Kernel
-from repro.txn.manager import TxnStatus
-from repro.txn.store import TxnConfig, TxnStateStore
+from repro.txn.store import TxnConfig, TxnStateStore, TxnStatus
 
 KEYS = ["k0", "k1", "k2", "k3", "k4", "k5"]
 

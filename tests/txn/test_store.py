@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import TransactionAborted, TransactionError
 from repro.sim.kernel import Kernel
-from repro.txn.manager import LockMode, TxnStatus
-from repro.txn.store import TxnConfig, TxnStateStore
+from repro.txn.store import LockMode, TxnConfig, TxnStateStore, TxnStatus
 
 
 def make_store(partitions=4, **config):
