@@ -27,6 +27,7 @@ from conftest import fmt, print_table
 
 from repro.core.datastream import StreamExecutionEnvironment
 from repro.io import CollectSink, SensorWorkload
+from repro.obs import Tracer
 from repro.runtime.config import EngineConfig
 
 EVENTS = 12000
@@ -45,6 +46,9 @@ BASELINE_ADDED_US_PER_RECORD = 4.6
 #: the gate. Twice the baseline: a best-of-10 difference of two wall times
 #: still moved between 3.9 and 8.8 µs from one attempt to the next there
 MAX_ADDED_US_PER_RECORD = 2 * BASELINE_ADDED_US_PER_RECORD
+#: host time the non-vacuity case adds to every source record's sampling
+#: draw: about twice the gate, so the gate must trip
+SLOW_HOOK_SECONDS = 20e-6
 
 LATENCY_CONFIGS = {
     "markers-unchained": dict(FASTPATH, chaining_enabled=False, **OBS),
@@ -188,4 +192,25 @@ def test_latency_and_obs_overhead(benchmark):
     assert added_us < MAX_ADDED_US_PER_RECORD, (
         f"observability adds {added_us:.2f} us per record "
         f"(gate {MAX_ADDED_US_PER_RECORD:.2f}, baseline {BASELINE_ADDED_US_PER_RECORD})"
+    )
+
+
+def test_overhead_gate_trips_on_a_slow_sampling_hook(monkeypatch):
+    """Non-vacuity: the gate is a difference of two noisy wall times, so
+    check that it can fail. A busy-wait in ``Tracer.sample``, which runs
+    once per source record only when observability is on, must push the
+    same added-µs computation past ``MAX_ADDED_US_PER_RECORD``."""
+    sample = Tracer.sample
+
+    def slow_sample(self):
+        deadline = time.perf_counter() + SLOW_HOOK_SECONDS
+        while time.perf_counter() < deadline:
+            pass
+        return sample(self)
+
+    monkeypatch.setattr(Tracer, "sample", slow_sample)
+    added_us, _, _ = obs_overhead(rounds=3)
+    assert added_us > MAX_ADDED_US_PER_RECORD, (
+        f"a {SLOW_HOOK_SECONDS * 1e6:.0f} us hook per record measured as "
+        f"{added_us:.2f} us added, under the {MAX_ADDED_US_PER_RECORD:.2f} us gate"
     )

@@ -7,16 +7,17 @@
 # Usage: scripts/chaos_smoke.sh [--seed N] [--schedules K]
 #          [--mode default|supervised|both] [--obs] [--incremental]
 #          [--columnar] [--rescale] [--txn] [--macro] [--fabric]
-# --obs runs with latency markers + tracing on; --incremental checkpoints
-# via base+delta chains; --columnar transports record-batches end to end —
-# none of the three may change any verdict. --rescale swaps in the
-# rescale-chaos grid: live key-group migrations interleaved with the fault
-# palette, under the same oracles. --txn swaps in the transactional grid:
-# multi-partition transfers over shared TxnStateStores, each shape under
-# ordered locking and under NO-WAIT, judged by the
-# serializability oracle (serial replay + conflict-graph acyclicity +
-# balance conservation) on top of the standard suite. --macro swaps in
-# the macro-benchmark suite (repro.macro, Q1-Q5 on one interleaved
+# --obs runs with latency markers + tracing + profiling on, and the
+# metric-invariants oracle also holds every flame path's total monotone;
+# --incremental checkpoints via base+delta chains; --columnar transports
+# record-batches end to end — none of the three may change any verdict.
+# --rescale swaps in the rescale-chaos grid: live key-group migrations
+# interleaved with the fault palette, under the same oracles. --txn swaps
+# in the transactional grid: multi-partition transfers over shared
+# TxnStateStores, each shape under ordered locking and under NO-WAIT,
+# judged by the serializability oracle (serial replay + conflict-graph
+# acyclicity + balance conservation) on top of the standard suite. --macro
+# swaps in the macro-benchmark suite (repro.macro, Q1-Q5 on one interleaved
 # source) under kill/delay/stall, judged against a clean golden run with
 # the serializability oracle armed on the Q5 store. --fabric swaps in the
 # multi-tenant fabric grid: one tenant misbehaves (crash loop, quota

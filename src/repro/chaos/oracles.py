@@ -354,8 +354,9 @@ class MetricInvariantOracle(Oracle):
     counters and busy time never decrease (``TaskMetrics`` objects survive
     reincarnation, so cumulative totals must only grow), channel
     send/delivery counters only grow with ``delivered <= sent`` (resets
-    void in-flight elements but never un-count them), and registry
-    histogram counts only grow.
+    void in-flight elements but never un-count them), registry
+    histogram counts only grow, and no profiler flame path's total
+    shrinks.
 
     At finish, on a 1:1 topology (``conserves_records``) whose schedule
     injected no kill/drop/duplicate, records must be conserved end to end:
@@ -385,6 +386,7 @@ class MetricInvariantOracle(Oracle):
         self._task_last: dict[tuple[str, str], float] = {}
         self._channel_last: dict[tuple[int, str], int] = {}
         self._hist_last: dict[str, int] = {}
+        self._flame_last: dict[str, float] = {}
 
     # -- probes ---------------------------------------------------------
     def probe(self, engine: "Engine") -> list[OracleViolation]:
@@ -437,6 +439,16 @@ class MetricInvariantOracle(Oracle):
                         )
                     )
                 self._hist_last[path] = histogram.count
+            for path, seconds in obs.profiler.flame().items():
+                last = self._flame_last.get(path)
+                if last is not None and seconds < last:
+                    violations.append(
+                        self._violation(
+                            engine,
+                            f"flame path {path} total regressed {last} -> {seconds}",
+                        )
+                    )
+                self._flame_last[path] = seconds
         return violations
 
     # -- finish ---------------------------------------------------------

@@ -106,8 +106,8 @@ class ChaosRunner:
         #: (finish with guarantee upheld, or fail cleanly — never hang)
         self.supervised = supervised
         self.supervisor_config_factory = supervisor_config_factory
-        #: run with latency markers and tracing switched on — the in-band
-        #: observability traffic must never change a verdict (the
+        #: run with latency markers, tracing and profiling switched on — the
+        #: in-band observability traffic must never change a verdict (the
         #: metric-invariant oracle runs either way)
         self.observability = observability
         #: checkpoint via incremental base+delta chains instead of full
@@ -134,6 +134,7 @@ class ChaosRunner:
         if self.observability:
             config.latency_marker_period = 0.01
             config.trace_sample_rate = 0.05
+            config.profiling_enabled = True
         if self.incremental and config.checkpoints is not None:
             config.checkpoints.incremental = True
         if self.columnar:

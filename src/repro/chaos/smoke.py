@@ -84,8 +84,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--obs",
         action="store_true",
-        help="run with latency markers + tracing enabled (in-band probes "
-        "must not change any verdict)",
+        help="run with latency markers + tracing + profiling enabled "
+        "(in-band probes must not change any verdict)",
     )
     parser.add_argument(
         "--incremental",

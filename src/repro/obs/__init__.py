@@ -29,11 +29,9 @@ from repro.obs.registry import Counter, Gauge, Histogram, MetricRegistry, Metric
 from repro.obs.trace import Span, TraceContext, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.events import LatencyMarker
     from repro.runtime.channel import PhysicalChannel
     from repro.runtime.config import EngineConfig
     from repro.runtime.metrics import TaskMetrics
-    from repro.sim.kernel import Kernel
     from repro.sim.random import SimRandom
 
 __all__ = [
@@ -180,35 +178,3 @@ class Observability:
             f"{job}/recovery/0/restarts_by_scope",
             lambda r=recovery: dict(sorted(r.restarts_by_scope.items())),
         )
-
-    def install_kernel(self, kernel: "Kernel") -> None:
-        """Hook the kernel's dispatch observer when profiling is on.
-
-        On a fabric-shared kernel several profiling engines may install;
-        observers chain so earlier hooks keep firing."""
-        if self.profiler.enabled:
-            previous = kernel.dispatch_observer
-            if previous is None:
-                kernel.dispatch_observer = self.profiler.on_dispatch
-            else:
-                mine = self.profiler.on_dispatch
-
-                def chained(time: float, _prev=previous, _mine=mine) -> None:
-                    _prev(time)
-                    _mine(time)
-
-                kernel.dispatch_observer = chained
-
-    # ------------------------------------------------------------------
-    # hot-path entry points (called from Task with obs already non-None)
-    # ------------------------------------------------------------------
-    def record_marker(self, task: Any, marker: "LatencyMarker", now: float) -> None:
-        """A marker reached ``task``: record per-operator (and at a sink,
-        source→sink) latency."""
-        self.latency.on_marker(
-            task.name, task.subtask_index, marker, now, terminal=not task.output_gates
-        )
-
-    def marker_emitted(self, task: Any) -> None:
-        """A source emitted one marker: bump its emission counter."""
-        self.latency.on_emitted(task.name, task.subtask_index)

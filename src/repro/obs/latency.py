@@ -17,12 +17,7 @@ metric snapshots — byte-identical across same-seed runs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.obs.registry import Histogram, MetricRegistry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.events import LatencyMarker
+from repro.obs.registry import Counter, Histogram, MetricRegistry
 
 
 def operator_of(task_name: str) -> str:
@@ -47,29 +42,25 @@ class LatencyTracker:
         return self.registry.scoped(f"{self.job}/{operator_of(task_name)}/{subtask}")
 
     # ------------------------------------------------------------------
-    def on_emitted(self, task_name: str, subtask: int) -> None:
-        """A source emitted one marker (drives the period property test)."""
-        self._scope(task_name, subtask).counter("latency_markers_emitted").inc()
+    def emitted_counter(self, task_name: str, subtask: int) -> Counter:
+        """A source's ``latency_markers_emitted`` counter (drives the period
+        property test); the source binds it on its first marker."""
+        return self._scope(task_name, subtask).counter("latency_markers_emitted")
 
-    def on_marker(
-        self, task_name: str, subtask: int, marker: "LatencyMarker", now: float, terminal: bool
-    ) -> None:
-        """A task received one marker: per-operator histogram, plus the
-        source→sink histogram when the task is terminal (a sink)."""
-        latency = now - marker.emitted_at
-        scope = self._scope(task_name, subtask)
-        scope.histogram("latency_from_source").record(latency)
-        if terminal:
-            source_op = operator_of(marker.source_id)
-            sink_op = operator_of(task_name)
-            key = (source_op, sink_op)
-            histogram = self._e2e.get(key)
-            if histogram is None:
-                histogram = self.registry.histogram(
-                    f"{self.job}/e2e/{source_op}->{sink_op}/latency"
-                )
-                self._e2e[key] = histogram
-            histogram.record(latency)
+    def operator_histogram(self, task_name: str, subtask: int) -> Histogram:
+        """A task's per-operator ``latency_from_source`` histogram; the task
+        binds it on its first marker and records every later one into it."""
+        return self._scope(task_name, subtask).histogram("latency_from_source")
+
+    def record_e2e(self, source_id: str, sink_task: str, latency: float) -> None:
+        """A terminal task (a sink) received a marker: record the
+        source→sink latency."""
+        key = (operator_of(source_id), operator_of(sink_task))
+        histogram = self._e2e.get(key)
+        if histogram is None:
+            histogram = self.registry.histogram(f"{self.job}/e2e/{key[0]}->{key[1]}/latency")
+            self._e2e[key] = histogram
+        histogram.record(latency)
 
     # ------------------------------------------------------------------
     def e2e_histograms(self) -> dict[str, Histogram]:

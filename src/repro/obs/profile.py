@@ -18,15 +18,14 @@ from typing import Any
 class Profiler:
     """Accumulates virtual-seconds by flame path."""
 
-    #: lanes the task runtime charges automatically per element
+    #: lanes the task run loop charges per element; it adds them into
+    #: ``samples`` in place, under :meth:`charge`'s positive-only rule
     LANES = ("process", "timers", "state", "extra")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         #: flame path ("task;lane" or "task;process;label;...") → virtual s
         self.samples: dict[str, float] = {}
-        #: kernel dispatch counts bucketed by whole virtual second
-        self.events_by_second: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def charge(self, path: str, seconds: float) -> None:
@@ -34,11 +33,6 @@ class Profiler:
         if seconds <= 0.0:
             return
         self.samples[path] = self.samples.get(path, 0.0) + seconds
-
-    def on_dispatch(self, time: float) -> None:
-        """Kernel dispatch observer: one tick per event, bucketed."""
-        bucket = int(time)
-        self.events_by_second[bucket] = self.events_by_second.get(bucket, 0) + 1
 
     # ------------------------------------------------------------------
     def flame(self, operator: str | None = None) -> dict[str, float]:

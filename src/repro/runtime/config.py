@@ -100,7 +100,6 @@ class EngineConfig:
     #: off); sampled deterministically from the engine seed
     trace_sample_rate: float = 0.0
     #: attribute the cost model's virtual CPU to flame paths per operator
-    #: and hook the kernel dispatch observer
     profiling_enabled: bool = False
 
     def __post_init__(self) -> None:

@@ -222,7 +222,6 @@ class Engine:
             epoch_fn=lambda: self.execution_epoch,
             registry=registry,
         )
-        self.obs.install_kernel(self.kernel)
         graph.validate()
         self._build()
         for task in self.planned_tasks():

@@ -293,6 +293,9 @@ class Task:
         self._profiler: Any = None
         #: this task's flame paths, one per lane the run loop charges
         self._flame_paths = tuple(f"{name};{lane}" for lane in Profiler.LANES)
+        #: per-operator marker histogram, bound on the first marker (lazy, so
+        #: a task no marker reaches registers nothing)
+        self._marker_histogram: Any = None
         self._active_span: Any = None
         self._trace_mark = 0
 
@@ -545,8 +548,17 @@ class Task:
             # Intercepted before the operator — markers never enter windows
             # or state. Record the per-operator (and, at a sink, the
             # source→sink) latency, then forward in band at zero cost.
-            if self._obs is not None:
-                self._obs.record_marker(self, element, self.kernel.now())
+            obs = self._obs
+            if obs is not None:
+                latency = self.kernel.now() - element.emitted_at
+                histogram = self._marker_histogram
+                if histogram is None:
+                    histogram = self._marker_histogram = obs.latency.operator_histogram(
+                        self.name, self.subtask_index
+                    )
+                histogram.record(latency)
+                if not self.output_gates:
+                    obs.latency.record_e2e(element.source_id, self.name, latency)
             if self.output_gates:
                 self.collect_output(element)
             return 0.0
@@ -669,15 +681,22 @@ class Task:
                     pending[index] = out.with_trace(child)
         profiler = self._profiler
         if profiler is not None:
+            # Profiler.charge per lane, in place: the same positive-only
+            # float additions into the same flame paths, without the calls.
+            samples = profiler.samples
             process_path, timers_path, state_path, extra_path = self._flame_paths
-            if record_units and self.processing_cost:
-                profiler.charge(process_path, self.processing_cost * record_units)
+            if record_units:
+                seconds = self.processing_cost * record_units
+                if seconds > 0.0:
+                    samples[process_path] = samples.get(process_path, 0.0) + seconds
             if timers_fired:
-                profiler.charge(timers_path, timers_fired * self.timer_cost)
-            if state_cost:
-                profiler.charge(state_path, state_cost)
-            if extra_cost:
-                profiler.charge(extra_path, extra_cost)
+                seconds = timers_fired * self.timer_cost
+                if seconds > 0.0:
+                    samples[timers_path] = samples.get(timers_path, 0.0) + seconds
+            if state_cost > 0.0:
+                samples[state_path] = samples.get(state_path, 0.0) + state_cost
+            if extra_cost > 0.0:
+                samples[extra_path] = samples.get(extra_path, 0.0) + extra_cost
         return cost
 
     def _advance_watermark(self, channel_index: int, timestamp: float) -> int:
@@ -1177,6 +1196,9 @@ class SourceTask(Task):
         self._hb_timer: PeriodicTimer | None = None
         self._marker_timer: PeriodicTimer | None = None
         self._marker_seq = itertools.count()
+        #: this source's ``latency_markers_emitted`` counter, bound on the
+        #: first marker
+        self._markers_emitted: Any = None
         self._max_event_time = float("-inf")
         self.paused = False
 
@@ -1210,7 +1232,12 @@ class SourceTask(Task):
             marker_id=next(self._marker_seq),
             source_id=self.name,
         )
-        self._obs.marker_emitted(self)
+        counter = self._markers_emitted
+        if counter is None:
+            counter = self._markers_emitted = self._obs.latency.emitted_counter(
+                self.name, self.subtask_index
+            )
+        counter.inc()
         self.collect_output(marker)
         self._flush_outputs()
 

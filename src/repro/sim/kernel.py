@@ -121,10 +121,6 @@ class Kernel:
         self._running = False
         self._stopped = False
         self._dispatched = 0
-        #: optional observer invoked with the event time after every
-        #: dispatch (profiling); None on the production path — the cost is
-        #: one attribute test per event
-        self.dispatch_observer: Callable[[float], None] | None = None
         # --- job namespaces ------------------------------------------------
         #: job tag → current generation; bumped by cancel_job (O(1) teardown)
         self._job_gens: dict[str, int] = {}
@@ -421,8 +417,6 @@ class Kernel:
                     # clock is written through without its time-travel check.
                     self._now = clock._now = time
                 self._dispatched += 1
-                if self.dispatch_observer is not None:
-                    self.dispatch_observer(time)
                 if job is None:
                     event.fn(*event.args)
                     continue

@@ -29,6 +29,9 @@ class SimRandom:
             f"{seed}/{namespace}".encode("utf-8"), digest_size=8
         ).digest()
         self._rng = random.Random(int.from_bytes(digest, "little"))
+        #: uniform float in [0, 1): the generator's own bound method, so a
+        #: per-record draw (trace sampling, shedding) is one C call
+        self.random = self._rng.random
 
     def fork(self, namespace: str) -> "SimRandom":
         """Create an independent generator for a named component."""
@@ -50,10 +53,6 @@ class SimRandom:
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high]."""
         return self._rng.randint(low, high)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._rng.random()
 
     def choice(self, seq):
         """Uniform choice from a sequence."""

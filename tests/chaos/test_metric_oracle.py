@@ -3,12 +3,15 @@ conservation — checked across the chaos matrix with observability on."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.chaos import ChaosRunner
 from repro.chaos.oracles import MetricInvariantOracle
 from repro.chaos.scenarios import standard_scenarios, supervised_scenarios
 from repro.chaos.smoke import SMOKE_MATRIX
+from repro.obs import MetricRegistry, Profiler
 
 CHAINING = [
     pytest.param(chaining, id="chained" if chaining else "plain") for chaining in SMOKE_MATRIX
@@ -44,7 +47,7 @@ class TestAcrossChaosMatrix:
     @pytest.mark.parametrize("chaining", CHAINING)
     def test_ci_seed_matrix_passes_with_observability(self, scenario, chaining):
         """The pinned CI slice (seed 0, both modes run in chaos_smoke.sh)
-        must stay green with markers + tracing in band."""
+        must stay green with markers + tracing + profiling in band."""
         report = ChaosRunner(scenario, seed=0, observability=True).run_one(
             chaining, schedule_index=0
         )
@@ -111,3 +114,29 @@ class TestOracleUnit:
         violations = oracle.probe(engine)
         assert violations
         assert "records_in" in violations[0].describe()
+
+    def test_detects_a_flame_path_regression(self):
+        class FakeKernel:
+            def now(self):
+                """Fixed probe time."""
+                return 1.0
+
+        class FakeEngine:
+            tasks = {}
+            kernel = FakeKernel()
+            obs = SimpleNamespace(registry=MetricRegistry("job"), profiler=Profiler())
+
+            def iter_physical_channels(self):
+                """No channels in the fake."""
+                return ()
+
+        engine = FakeEngine()
+        engine.obs.profiler.charge("map[0];process", 0.5)
+        oracle = MetricInvariantOracle()
+        assert oracle.probe(engine) == []
+        engine.obs.profiler.charge("map[0];process", 0.25)
+        assert oracle.probe(engine) == []
+        engine.obs.profiler.samples["map[0];process"] = 0.5  # total went backwards
+        violations = oracle.probe(engine)
+        assert violations
+        assert "map[0];process" in violations[0].describe()

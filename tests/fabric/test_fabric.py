@@ -1,11 +1,15 @@
 """JobFabric lifecycle: admission, execution, teardown, queries."""
 
+import sys
+
 import pytest
 from fabric_helpers import keyed_count_env
 
+from repro.core.datastream import StreamExecutionEnvironment
 from repro.errors import FabricError
 from repro.fabric import FabricConfig, JobFabric, sink_digest
-from repro.runtime.config import CheckpointConfig
+from repro.io import CollectSink, SensorWorkload
+from repro.runtime.config import CheckpointConfig, EngineConfig
 from repro.state.api import ValueStateDescriptor
 
 
@@ -52,6 +56,21 @@ class TestExecution:
         assert result.all_finished
         for name, sink in sinks.items():
             assert len(sink.results) == 80, name
+
+    def test_more_profiling_tenants_than_the_recursion_limit_finish(self):
+        # Profiling is per tenant and adds nothing to the shared kernel's
+        # dispatch: a per-tenant hook chained there once nested one frame
+        # per tenant ever submitted and overflowed the stack on the first
+        # event.
+        fabric = JobFabric(FabricConfig(slots=4, quantum=0.02))
+        for i in range(sys.getrecursionlimit() + 50):
+            env = StreamExecutionEnvironment(
+                EngineConfig(seed=i, profiling_enabled=True), name=f"p{i}"
+            )
+            env.from_workload(SensorWorkload(count=3, rate=1000.0, seed=i)).sink(CollectSink("out"))
+            fabric.submit(env)
+        result = fabric.run()
+        assert result.all_finished
 
     def test_teardown_is_bulk_cancel(self):
         fabric = JobFabric(FabricConfig(slots=4))

@@ -140,9 +140,3 @@ class TestProfiler:
         # double count them.
         profiler.charge("map[0];process;lookup", 0.6)
         assert profiler.total("map") == 1.0
-
-    def test_dispatch_observer_buckets_by_virtual_second(self):
-        profiler = Profiler()
-        for time in (0.1, 0.2, 1.7):
-            profiler.on_dispatch(time)
-        assert profiler.events_by_second == {0: 2, 1: 1}
