@@ -62,19 +62,14 @@ class UpstreamBackup:
         self.redeploy_delay = redeploy_delay
         self._retained: list[Record] = []
         self.trimmed = 0
-        self._install_tap()
+        self.upstream_task.set_output_tap(self._tap)
         self._acker = PeriodicTimer(engine.kernel, ack_interval, self._ack)
 
     # ------------------------------------------------------------------
-    def _install_tap(self) -> None:
-        original = self.upstream_task.collect_output
-
-        def tapped(element: StreamElement) -> None:
-            if isinstance(element, Record):
-                self._retained.append(element)
-            original(element)
-
-        self.upstream_task.collect_output = tapped  # type: ignore[method-assign]
+    def _tap(self, element: StreamElement) -> None:
+        """The upstream task's output tap: retain every record it emits."""
+        if isinstance(element, Record):
+            self._retained.append(element)
 
     def _ack(self) -> None:
         """Trim records the downstream can no longer need: their event time

@@ -45,9 +45,7 @@ def _deliver_flight(entries: "list[tuple[PhysicalChannel, list[StreamElement], i
             continue  # stale in-flight data from before a connection reset
         if channel._open_batch is batch:
             channel._open_batch = None
-        count = len(batch)
-        channel._in_flight -= count
-        channel.delivered += count
+        channel.delivered += len(batch)
         deliver = channel.receiver.deliver
         index = channel.receiver_channel_index
         via = channel._credit_via
@@ -68,6 +66,10 @@ class PhysicalChannel:
         sender: "Task | None" = None,
     ) -> None:
         self._kernel = kernel
+        #: the kernel's clock: its ``_now`` is the current virtual time at
+        #: every moment (the kernel writes it through whenever time moves),
+        #: so a send reads the time without a call
+        self._clock = kernel.clock
         self.spec = spec
         self.receiver = receiver
         self.receiver_channel_index = receiver_channel_index
@@ -93,13 +95,28 @@ class PhysicalChannel:
         #: voiding every element still in flight from the previous epoch —
         #: the simulated equivalent of dropping the old TCP connection.
         self.epoch = 0
-        #: optional chaos hook (see repro.chaos.faults): consulted once per
-        #: send and may drop, delay, duplicate, or hold the element. None on
-        #: the production path — the cost is one attribute test per send.
-        self.fault_hook: "ChannelFaultHook | None" = None
-        #: elements scheduled but not yet handed to the receiver (current
-        #: epoch only) — rescale drain barriers wait on this
-        self._in_flight = 0
+        self._fault_hook: "ChannelFaultHook | None" = None
+        #: what a sending task calls per element: ``send``, or straight
+        #: ``_do_schedule`` on an unbounded link without a fault hook, where
+        #: ``send`` would test both and call it (bound by ``fault_hook``)
+        self.transmit: Callable[[StreamElement], bool]
+        self.fault_hook = None
+        #: ``sent - delivered`` when the connection last reset: elements
+        #: that were in flight then were voided, never to be delivered
+        self._voided = 0
+
+    @property
+    def fault_hook(self) -> "ChannelFaultHook | None":
+        """Optional chaos hook (see repro.chaos.faults): consulted once per
+        send and may drop, delay, duplicate, or hold the element. None on the
+        production path. Setting it re-binds :attr:`transmit`."""
+        return self._fault_hook
+
+    @fault_hook.setter
+    def fault_hook(self, hook: "ChannelFaultHook | None") -> None:
+        self._fault_hook = hook
+        direct = hook is None and self.credits is None
+        self.transmit = self._do_schedule if direct else self.send
 
     # ------------------------------------------------------------------
     def send(self, element: StreamElement, from_backlog: bool = False) -> bool:
@@ -116,18 +133,19 @@ class PhysicalChannel:
                 self._backlog.append(element)
                 return False
             self.credits -= 1
-        hook = self.fault_hook
+        hook = self._fault_hook
         if hook is None:
-            self._do_schedule(element, 0.0)
+            self._do_schedule(element)
         else:
             for perturbed, extra_delay in hook.intercept(self, element):
                 self._do_schedule(perturbed, extra_delay)
         return True
 
-    def _do_schedule(self, element: StreamElement, extra_delay: float) -> None:
+    def _do_schedule(self, element: StreamElement, extra_delay: float = 0.0) -> bool:
         """Past the fault hook: the one place where arrival time, FIFO clamp
-        and same-arrival coalescing are computed."""
-        arrival = self._kernel.now() + self._latency + extra_delay
+        and same-arrival coalescing are computed. True (sent, as ``send``
+        reports it), so it can stand in for ``send`` as :attr:`transmit`."""
+        arrival = self._clock._now + self._latency + extra_delay
         if self._jitter:
             # uniform(0, jitter), drawn as Random.uniform computes it
             # (a + (b - a) * random() with a = 0.0): the same bits.
@@ -137,14 +155,13 @@ class PhysicalChannel:
             arrival = self._last_delivery
         self._last_delivery = arrival
         self.sent += 1
-        self._in_flight += 1
         # Coalesce same-arrival elements into the open batch: one kernel
         # event amortised over the batch. The batch closes when it fires or
         # a later arrival time starts a new one.
         batch = self._open_batch
         if batch is not None and self._open_batch_arrival == arrival:
             batch.append(element)
-            return
+            return True
         batch = [element]
         self._open_batch = batch
         self._open_batch_arrival = arrival
@@ -156,13 +173,16 @@ class PhysicalChannel:
             and last.time == arrival
             and last.in_queue  # not yet dispatched, not parked
             and not last.cancelled
-            and last.job == kernel.current_job  # a flight dies with one job
+            # a flight dies with one job (the attribute behind the kernel's
+            # read-only ``current_job`` property, read without the call)
+            and last.job == kernel._current_job
         ):
             # Nothing was scheduled since: this batch would dispatch right
             # behind the flight's last entry, so it rides along.
             last.args[0].append((self, batch, self.epoch))
         else:
             kernel.call_at(arrival, _deliver_flight, [(self, batch, self.epoch)])
+        return True
 
     def inject_out_of_band(self, element: StreamElement, extra_delay: float = 0.0) -> None:
         """Deliver ``element`` outside the credit/FIFO path — a network-level
@@ -190,7 +210,7 @@ class PhysicalChannel:
         had_backlog = bool(self._backlog)
         self.epoch += 1
         self._backlog.clear()
-        self._in_flight = 0
+        self._voided = self.sent - self.delivered
         self.credits = self.spec.capacity
         self._open_batch = None
         self._open_batch_arrival = -1.0
@@ -220,9 +240,10 @@ class PhysicalChannel:
 
     @property
     def pending(self) -> int:
-        """Elements still travelling this link: scheduled in-flight plus the
-        sender-side backlog (rescale drain barriers wait for zero)."""
-        return self._in_flight + len(self._backlog)
+        """Elements still travelling this link: scheduled in the current
+        epoch and not yet handed to the receiver, plus the sender-side
+        backlog (rescale drain barriers wait for zero)."""
+        return self.sent - self.delivered - self._voided + len(self._backlog)
 
     @property
     def is_clear(self) -> bool:
@@ -254,47 +275,36 @@ class OutputGate:
         #: on the production path — the cost is one attribute test per emit
         self.router: Any = None
 
-    def targets_for(self, element: StreamElement) -> list[PhysicalChannel]:
-        """Channels this element routes to under the gate's partitioning."""
-        channels = self.channels
-        if len(channels) == 1 or self.partitioning is Partitioning.BROADCAST:
-            return channels
-        if isinstance(element, RecordBatch):
-            # Batches are data, not control: route like records. Callers use
-            # emit(), which splits hash-partitioned batches per target; here
-            # the whole batch maps to the round-robin (or first) channel.
-            if self.partitioning is Partitioning.REBALANCE:
-                index = self._round_robin % len(channels)
-                self._round_robin += 1
-                return [channels[index]]
-            return [channels[0]]
-        if not isinstance(element, Record):
-            return channels
-        if self.partitioning is Partitioning.HASH:
-            if self.router is not None:
-                index = self.router.owner_index(element.key)
-            else:
-                index = subtask_for_key(element.key, len(channels), self._max_parallelism)
-            return [channels[index]]
-        if self.partitioning is Partitioning.REBALANCE:
-            index = self._round_robin % len(channels)
-            self._round_robin += 1
-            return [channels[index]]
-        # FORWARD with parallelism > 1 is expanded per-subtask at plan time,
-        # so a gate only ever holds the single matching channel.
-        return [channels[0]]
-
     def emit(self, element: StreamElement) -> bool:
-        """Send to all chosen channels; False if any channel backlogged."""
+        """Send ``element`` where the partitioning routes it — a record or a
+        batch to one channel (a hash-partitioned batch split per owner),
+        anything else to every channel — and return False if a channel
+        parked it. (A task transmits on a gate's only channel itself.)"""
         channels = self.channels
-        if len(channels) == 1:
-            # Every partitioning maps every element to the only channel.
-            return channels[0].send(element)
-        if isinstance(element, RecordBatch) and self.partitioning is Partitioning.HASH:
-            return self._emit_hash_batch(element)
+        partitioning = self.partitioning
+        if len(channels) > 1 and partitioning is not Partitioning.BROADCAST:
+            is_record = type(element) is Record or isinstance(element, Record)
+            if is_record or isinstance(element, RecordBatch):
+                if partitioning is Partitioning.HASH:
+                    if not is_record:
+                        return self._emit_hash_batch(element)
+                    router = self.router
+                    if router is not None:
+                        index = router.owner_index(element.key)
+                    else:
+                        index = subtask_for_key(element.key, len(channels), self._max_parallelism)
+                elif partitioning is Partitioning.REBALANCE:
+                    index = self._round_robin % len(channels)
+                    self._round_robin += 1
+                else:
+                    # FORWARD with parallelism > 1 is expanded per-subtask at
+                    # plan time, so a gate only ever holds the single
+                    # matching channel.
+                    index = 0
+                return channels[index].transmit(element)
         clear = True
-        for channel in self.targets_for(element):
-            if not channel.send(element):
+        for channel in channels:
+            if not channel.transmit(element):
                 clear = False
         return clear
 
@@ -323,20 +333,23 @@ class OutputGate:
         for target in sorted(parts):
             rows = parts[target]
             sub = batch if len(rows) == len(batch) else batch.select(rows)
-            if not self.channels[target].send(sub):
+            if not self.channels[target].transmit(sub):
                 clear = False
         return clear
-
-    @property
-    def is_clear(self) -> bool:
-        for channel in self.channels:
-            if channel._backlog:
-                return False
-        return True
 
     def total_backlog(self) -> int:
         """Parked elements across all channels (pressure metric)."""
         return sum(c.backlog_size for c in self.channels)
+
+
+def outputs_clear(gates: list[OutputGate]) -> bool:
+    """True when no channel of any of ``gates`` holds a parked element: the
+    sender may keep producing."""
+    for gate in gates:
+        for channel in gate.channels:
+            if channel._backlog:
+                return False
+    return True
 
 
 def make_partition_filter(

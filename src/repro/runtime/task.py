@@ -41,7 +41,7 @@ from repro.errors import RuntimeStateError
 from repro.obs.profile import NULL_PROFILE_SCOPE, Profiler, ProfileScope
 from repro.obs.trace import TraceContext
 from repro.progress.watermarks import WatermarkStrategy
-from repro.runtime.channel import OutputGate
+from repro.runtime.channel import OutputGate, outputs_clear
 from repro.runtime.inputs import TaskInputs
 from repro.runtime.metrics import TaskMetrics
 from repro.sim.kernel import Kernel, PeriodicTimer
@@ -122,6 +122,9 @@ class TaskContext(OperatorContext):
         self._task = task
         self.current_key_value: Any = None
         self._extra_cost = 0.0
+        #: the current virtual time: the clock's own ``now``, so an operator
+        #: reading it runs no frame of the task
+        self.processing_time: Callable[[], float] = task._clock.now
 
     # --- identity -------------------------------------------------------
     @property
@@ -143,8 +146,8 @@ class TaskContext(OperatorContext):
         return self._task.parallelism
 
     # --- output ---------------------------------------------------------
-    def emit(self, element: StreamElement) -> None:
-        self._task.collect_output(element)
+    #: ``emit`` is bound per instance by the task (see ``Task._bind_emit``)
+    emit: Callable[[StreamElement], None]
 
     def emit_watermark(self, timestamp: float) -> None:
         """Emit a watermark with the given timestamp."""
@@ -154,9 +157,6 @@ class TaskContext(OperatorContext):
         self._task.collect_side_output(tag, element)
 
     # --- time -----------------------------------------------------------
-    def processing_time(self) -> float:
-        return self._task.kernel.now()
-
     def current_watermark(self) -> float:
         return self._task.current_watermark
 
@@ -236,6 +236,10 @@ class Task:
         engine: Any = None,
     ) -> None:
         self.kernel = kernel
+        #: the kernel's clock: its ``_now`` is the current virtual time at
+        #: every moment (the kernel writes it through whenever time moves),
+        #: so the per-element paths read the time without a call
+        self._clock = kernel.clock
         self.name = name
         self.operator = operator
         #: the shared txn store of a transactional operator (None otherwise);
@@ -276,6 +280,10 @@ class Task:
         self._blocked_since: float | None = None
         self._pending_output: deque[StreamElement] = deque()
         self._side_pending: list[tuple[str, StreamElement]] = []
+        #: sees every element buffered for output, ahead of the buffer
+        #: (upstream backup retains records through it; see set_output_tap)
+        self._output_tap: Callable[[StreamElement], None] | None = None
+        self._bind_emit()
 
         self._event_timers: list[tuple[float, int, Any, Any]] = []
         self._timer_seq = itertools.count()
@@ -326,6 +334,7 @@ class Task:
     def start(self) -> None:
         """Record start time and open the operator."""
         self.metrics.started_at = self.kernel.now()
+        self._bind_emit()
         self.operator.open(self.ctx)
 
     # ------------------------------------------------------------------
@@ -394,16 +403,21 @@ class Task:
             if via is not None:
                 via.return_credit()
             return
+        busy_until = self._busy_until
+        if busy_until == _EVENT_PENDING:
+            # In service, its completion (or dispatch hop) pending: that event
+            # pulls this element; _maybe_schedule would return untouched.
+            self._mailbox.append(_MailboxItem(channel_index, element, via))
+            return
         if (
-            self._busy_until != _EVENT_PENDING  # first: a busy task stops here
-            and not self._mailbox
+            not self._mailbox
             and not self._blocked
             and not (self._suspended or self._txn_hold or self._output_blocked)
             and self._txn_parked is None
             and self._txn_gate is None
         ):
-            now = self.kernel.now()
-            if now > self._busy_until:
+            now = self._clock._now
+            if now > busy_until:
                 # Idle and unheld: _maybe_schedule -> _process_next would pop
                 # this very element inline, so it is served without queueing.
                 self._busy_until = _EVENT_PENDING
@@ -435,48 +449,59 @@ class Task:
         return self.kernel.now() <= self._busy_until
 
     def _maybe_schedule(self) -> None:
-        if self._suspended or self._txn_hold or self._txn_parked is not None:
-            return
-        if self._output_blocked or self.dead or self.finished:
-            return
+        """Start the next service if the task is idle (``_process_next``
+        decides); in a service whose completion event was elided, schedule
+        that event once there is something for it to pull or decide."""
         busy_until = self._busy_until
-        if busy_until != _IDLE:
-            if busy_until == _EVENT_PENDING:
-                return
-            if self.kernel.now() <= busy_until:
-                if self._mailbox or self._settling:
-                    # The item in service had its completion event elided,
-                    # and now there is something for it to pull (or decide):
-                    # schedule it where it would have been all along.
-                    self._busy_until = _EVENT_PENDING
-                    self.kernel.call_at(busy_until, self._complete, None, self.incarnation)
-                return
-        if not self._mailbox:
-            if self._settling:
-                self._settle()  # the mailbox drained
-            return
-        self._busy_until = _EVENT_PENDING
-        # Process inline rather than through a call_soon hop. The hop moved
-        # this task's next process() behind events already queued for this
-        # instant. Deliveries and completions of other tasks commute with it:
-        # they append to other mailboxes, and outputs stay buffered until the
-        # completion event either way. Same-instant control events aimed at
-        # *this* task (kill, suspend, a mailbox_size sample) are not covered
-        # by that argument; that no output, digest or chaos verdict moves is
-        # established by the golden, macro and chaos suites. A transactional
-        # task is the measured exception: beginning its next txn ahead of a
-        # sibling's same-instant commit or lock release changes lock-wait
-        # order, so it keeps the hop unless the kernel has nothing else
-        # queued at now (then the orders are identical by construction).
-        if self._txn_gate is not None and not self.kernel.idle_at_now():
-            self.kernel.call_soon(self._process_next, self.incarnation)
-        else:
+        if busy_until == _EVENT_PENDING:
+            return  # that event pulls
+        if busy_until == _IDLE or self._clock._now > busy_until:
             self._process_next(self.incarnation)
+        elif (self._mailbox or self._settling) and not (
+            self._suspended or self._txn_hold or self._txn_parked is not None
+            or self._output_blocked or self.dead or self.finished
+        ):
+            # Schedule the elided completion where it would have been all
+            # along.
+            self._busy_until = _EVENT_PENDING
+            self.kernel.call_at(busy_until, self._complete, None, self.incarnation)
 
     def _process_next(self, incarnation: int) -> None:
+        """Pull the next queued element and serve it. An idle task (after a
+        completion, or from ``_maybe_schedule``) first decides whether it
+        may; the dispatch hop of a transactional task (already marked in
+        service) serves what that decision let through."""
         if incarnation != self.incarnation or self.dead or self.finished:
             return
         mailbox = self._mailbox
+        if self._busy_until != _EVENT_PENDING:
+            if (
+                self._suspended or self._txn_hold or self._txn_parked is not None
+                or self._output_blocked
+            ):
+                return
+            if not mailbox:
+                if self._settling:
+                    self._settle()  # the mailbox drained
+                return
+            self._busy_until = _EVENT_PENDING
+            # Process inline rather than through a call_soon hop. The hop
+            # moved this task's next process() behind events already queued
+            # for this instant. Deliveries and completions of other tasks
+            # commute with it: they append to other mailboxes, and outputs
+            # stay buffered until the completion event either way.
+            # Same-instant control events aimed at *this* task (kill,
+            # suspend, a mailbox_size sample) are not covered by that
+            # argument; that no output, digest or chaos verdict moves is
+            # established by the golden, macro and chaos suites. A
+            # transactional task is the measured exception: beginning its
+            # next txn ahead of a sibling's same-instant commit or lock
+            # release changes lock-wait order, so it keeps the hop unless the
+            # kernel has nothing else queued at now (then the orders are
+            # identical by construction).
+            if self._txn_gate is not None and not self.kernel.idle_at_now():
+                self.kernel.call_soon(self._process_next, incarnation)
+                return
         item: _MailboxItem | None = None
         blocked = self._blocked
         if not blocked:
@@ -497,18 +522,108 @@ class Task:
         if item is None:
             self._busy_until = _IDLE
             return
-        self._serve(item.channel_index, item.element, item.via, self.kernel.now())
+        self._serve(item.channel_index, item.element, item.via, self._clock._now)
 
     def _serve(self, channel_index: int, element: Any, via: Any, started: float) -> None:
         """The one service body: ``deliver`` calls it for an element that
-        finds the task idle, ``_process_next`` for one popped off the mailbox."""
-        cost = self._handle_item(channel_index, element)
+        finds the task idle, ``_process_next`` for one popped off the mailbox.
+        A record is served in this frame; anything else goes through
+        ``_handle_item``. Then the cost is charged and the service ends."""
+        stats = self.state_backend.stats
+        reads_before = stats.reads
+        writes_before = stats.writes
+        ctx = self.ctx
+        metrics = self.metrics
+        if type(element) is Record or isinstance(element, Record):  # exact type first: no call
+            key = element.key
+            reroute = self.reroute
+            if (
+                reroute is not None
+                and key is not None
+                and (owner := reroute(key)) is not None
+                and owner is not self
+            ):
+                # Key ownership moved (live migration): forward the record
+                # instead of processing it against empty state.
+                owner.enqueue_local(element)
+                units = None
+            else:
+                metrics.records_in += 1
+                counts = self._keygroup_counts
+                if counts is not None and key is not None:
+                    group = key_group_for(key, self._keygroup_maxp)
+                    counts[group] = counts.get(group, 0) + 1
+                if element.trace is not None and self._tracer is not None:
+                    self._active_span = self._tracer.begin(self.name, element.trace, started)
+                    self._trace_mark = len(self._pending_output)
+                ctx.current_key_value = key
+                self.operator.process(element, ctx)
+                units = 1
+                timers_fired = 0
+        else:
+            units, timers_fired = self._handle_item(channel_index, element)
+
+        # Each term is accounted only when there is one: most inputs touch
+        # no state and fire no timer, and x + 0.0 is x.
+        cost = 0.0
+        if units is not None:
+            if units:
+                # One unit per record/timer; a batch charges the same
+                # per-record model cost in a single multiply.
+                cost += self.processing_cost * units
+            if timers_fired:
+                metrics.timers_fired += timers_fired
+                cost += timers_fired * self.timer_cost
+            reads = stats.reads - reads_before
+            writes = stats.writes - writes_before
+            state_cost = 0.0
+            if reads or writes:
+                metrics.state_reads += reads
+                metrics.state_writes += writes
+                backend = self.state_backend
+                state_cost = reads * backend.read_latency + writes * backend.write_latency
+                cost += state_cost
+            extra_cost = ctx._extra_cost
+            if extra_cost:
+                ctx._extra_cost = 0.0
+                cost += extra_cost
+            span = self._active_span
+            if span is not None:
+                # Close the span at the element's virtual completion time and
+                # re-stamp the outputs it produced with the child context, so
+                # the trace follows the record through shuffles downstream.
+                self._active_span = None
+                self._tracer.finish(span, started + cost)
+                child = TraceContext(span.trace_id, span.span_id)
+                pending = self._pending_output
+                for index in range(self._trace_mark, len(pending)):
+                    out = pending[index]
+                    if isinstance(out, Record):
+                        pending[index] = out.with_trace(child)
+            profiler = self._profiler
+            if profiler is not None:
+                # Profiler.charge per lane, in place: the same positive-only
+                # float additions into the same flame paths, without the calls.
+                samples = profiler.samples
+                process_path, timers_path, state_path, extra_path = self._flame_paths
+                if units:
+                    seconds = self.processing_cost * units
+                    if seconds > 0.0:
+                        samples[process_path] = samples.get(process_path, 0.0) + seconds
+                if timers_fired:
+                    seconds = timers_fired * self.timer_cost
+                    if seconds > 0.0:
+                        samples[timers_path] = samples.get(timers_path, 0.0) + seconds
+                if state_cost > 0.0:
+                    samples[state_path] = samples.get(state_path, 0.0) + state_cost
+                if extra_cost > 0.0:
+                    samples[extra_path] = samples.get(extra_path, 0.0) + extra_cost
         completion = started + cost
-        self.metrics.busy_time += cost
+        metrics.busy_time += cost
         if (
-            self._mailbox
+            self._pending_output
+            or self._mailbox
             or via is not None
-            or self._pending_output
             or self._side_pending
             or self._txn_gate is not None
             or self._settling
@@ -532,25 +647,26 @@ class Task:
         if via is not None:
             via.return_credit()
         self._busy_until = _IDLE
-        if self._output_blocked:
-            self._blocked_since = self.kernel.now()
-            return
-        self._maybe_schedule()
+        if self._mailbox or self._settling:
+            # Otherwise there is nothing to pull or decide.
+            self._process_next(incarnation)
 
     # ------------------------------------------------------------------
-    # element handling (returns virtual cost)
+    # element handling
     # ------------------------------------------------------------------
-    def _handle_item(self, channel_index: int, element: Any) -> float:
+    def _handle_item(self, channel_index: int, element: Any) -> tuple[int | None, int]:
+        """Handle an element that is not a record (``_serve`` serves those):
+        batches, timers and control elements. Returns ``(units, timers
+        fired)`` for the cost model, ``units`` None when the element is not
+        charged at all."""
         if type(element) is LatencyMarker:
-            # Fast path, hoisted ahead of the state/cost bookkeeping below:
-            # markers never touch the operator, state, or timers, so the
-            # stats snapshot/diff and cost accounting are provably zero.
-            # Intercepted before the operator — markers never enter windows
-            # or state. Record the per-operator (and, at a sink, the
-            # source→sink) latency, then forward in band at zero cost.
+            # Markers never touch the operator, state, or timers, so nothing
+            # is charged. Intercepted before the operator — markers never
+            # enter windows or state. Record the per-operator (and, at a
+            # sink, the source→sink) latency, then forward in band.
             obs = self._obs
             if obs is not None:
-                latency = self.kernel.now() - element.emitted_at
+                latency = self._clock._now - element.emitted_at
                 histogram = self._marker_histogram
                 if histogram is None:
                     histogram = self._marker_histogram = obs.latency.operator_histogram(
@@ -561,33 +677,10 @@ class Task:
                     obs.latency.record_e2e(element.source_id, self.name, latency)
             if self.output_gates:
                 self.collect_output(element)
-            return 0.0
-        stats = self.state_backend.stats
-        reads_before = stats.reads
-        writes_before = stats.writes
+            return None, 0
         timers_fired = 0
         record_units = 0
-
-        if type(element) is Record or isinstance(element, Record):  # exact type first: no call
-            record_units = 1
-            if self.reroute is not None and element.key is not None:
-                owner = self.reroute(element.key)
-                if owner is not None and owner is not self:
-                    # Key ownership moved (live migration): forward the
-                    # element instead of processing it against empty state.
-                    owner.enqueue_local(element)
-                    return 0.0
-            self.metrics.records_in += 1
-            counts = self._keygroup_counts
-            if counts is not None and element.key is not None:
-                group = key_group_for(element.key, self._keygroup_maxp)
-                counts[group] = counts.get(group, 0) + 1
-            if element.trace is not None and self._tracer is not None:
-                self._active_span = self._tracer.begin(self.name, element.trace, self.kernel.now())
-                self._trace_mark = len(self._pending_output)
-            self.ctx.current_key_value = element.key
-            self.operator.process(element, self.ctx)
-        elif isinstance(element, _ProcTimer):
+        if isinstance(element, _ProcTimer):
             if not element.fired:
                 element.fired = True
                 self._pending_proc_timers.discard(id(element))
@@ -608,13 +701,13 @@ class Task:
                 # everything else queued.
                 for record in reversed(list(element.records())):
                     self._mailbox.appendleft(_MailboxItem(channel_index, record))
-                return 0.0
+                return None, 0
             if self.reroute is not None:
                 # Live migration in flight: batch routing predates the new
                 # key ownership, so explode and re-deliver per record.
                 for record in element.records():
                     self.enqueue_local(record)
-                return 0.0
+                return None, 0
             record_units = len(element)
             self.metrics.records_in += record_units
             counts = self._keygroup_counts
@@ -641,63 +734,7 @@ class Task:
             self._close_input(channel_index)
         else:
             self.operator.on_element(element, self.ctx)
-
-        # Each term is accounted only when there is one: most inputs touch
-        # no state and fire no timer, and x + 0.0 is x.
-        cost = 0.0
-        if record_units:
-            # One unit per record/timer; a batch charges the same per-record
-            # model cost in a single multiply.
-            cost += self.processing_cost * record_units
-        if timers_fired:
-            self.metrics.timers_fired += timers_fired
-            cost += timers_fired * self.timer_cost
-        reads = stats.reads - reads_before
-        writes = stats.writes - writes_before
-        state_cost = 0.0
-        if reads or writes:
-            self.metrics.state_reads += reads
-            self.metrics.state_writes += writes
-            backend = self.state_backend
-            state_cost = reads * backend.read_latency + writes * backend.write_latency
-            cost += state_cost
-        extra_cost = self.ctx._extra_cost
-        if extra_cost:
-            self.ctx._extra_cost = 0.0
-            cost += extra_cost
-
-        span = self._active_span
-        if span is not None:
-            # Close the span at the element's virtual completion time and
-            # re-stamp the outputs it produced with the child context, so
-            # the trace follows the record through shuffles downstream.
-            self._active_span = None
-            self._tracer.finish(span, self.kernel.now() + cost)
-            child = TraceContext(span.trace_id, span.span_id)
-            pending = self._pending_output
-            for index in range(self._trace_mark, len(pending)):
-                out = pending[index]
-                if isinstance(out, Record):
-                    pending[index] = out.with_trace(child)
-        profiler = self._profiler
-        if profiler is not None:
-            # Profiler.charge per lane, in place: the same positive-only
-            # float additions into the same flame paths, without the calls.
-            samples = profiler.samples
-            process_path, timers_path, state_path, extra_path = self._flame_paths
-            if record_units:
-                seconds = self.processing_cost * record_units
-                if seconds > 0.0:
-                    samples[process_path] = samples.get(process_path, 0.0) + seconds
-            if timers_fired:
-                seconds = timers_fired * self.timer_cost
-                if seconds > 0.0:
-                    samples[timers_path] = samples.get(timers_path, 0.0) + seconds
-            if state_cost > 0.0:
-                samples[state_path] = samples.get(state_path, 0.0) + state_cost
-            if extra_cost > 0.0:
-                samples[extra_path] = samples.get(extra_path, 0.0) + extra_cost
-        return cost
+        return record_units, timers_fired
 
     def _advance_watermark(self, channel_index: int, timestamp: float) -> int:
         merged = self.inputs.advance(channel_index, timestamp, self.current_watermark)
@@ -984,38 +1021,60 @@ class Task:
     # output path
     # ------------------------------------------------------------------
     def collect_output(self, element: StreamElement) -> None:
-        """Buffer an element for emission at processing completion."""
+        """Buffer an element for emission at processing completion (the
+        output tap sees it first)."""
+        tap = self._output_tap
+        if tap is not None:
+            tap(element)
         self._pending_output.append(element)
+
+    def set_output_tap(self, tap: Callable[[StreamElement], None] | None) -> None:
+        """Install ``tap`` (None removes it): from the next element on, also
+        mid-run, it is handed every element the task buffers for output,
+        ahead of the buffer."""
+        self._output_tap = tap
+        self._bind_emit()
+
+    def _bind_emit(self) -> None:
+        """Point ``ctx.emit`` at the output deque's own ``append`` (no Python
+        frame), or at ``collect_output`` while a tap is installed or it was
+        replaced on the instance before the task started."""
+        collect = self.collect_output
+        plain = getattr(collect, "__func__", None) is Task.collect_output
+        self.ctx.emit = (
+            self._pending_output.append if plain and self._output_tap is None else collect
+        )
 
     def collect_side_output(self, tag: str, element: StreamElement) -> None:
         """Buffer a tagged side-output element."""
         self._side_pending.append((tag, element))
 
     def _flush_outputs(self) -> None:
-        while self._pending_output:
-            element = self._pending_output.popleft()
-            if isinstance(element, Record):
-                self.metrics.records_out += 1
+        pending = self._pending_output
+        gates = self.output_gates
+        metrics = self.metrics
+        while pending:
+            element = pending.popleft()
+            if type(element) is Record or isinstance(element, Record):
+                metrics.records_out += 1
             elif isinstance(element, RecordBatch):
                 # Per-batch accounting: one increment for the whole run.
-                self.metrics.records_out += len(element)
-            clear = True
-            for gate in self.output_gates:
-                if not gate.emit(element):
-                    clear = False
-            if not clear:
-                self._output_blocked = True
-                self._blocked_since = self.kernel.now()
+                metrics.records_out += len(element)
+            for gate in gates:
+                # Every partitioning sends every element to a gate's only
+                # channel: transmit there without the gate's frame.
+                channels = gate.channels
+                sent = channels[0].transmit(element) if len(channels) == 1 else gate.emit(element)
+                if not sent:
+                    # A channel parked it: blocked, from the first such
+                    # element on (a later one leaves the interval open).
+                    self._output_blocked = True
+                    if self._blocked_since is None:
+                        self._blocked_since = self._clock._now
         if self._side_pending and self.engine is not None:
             for tag, element in self._side_pending:
                 self.engine.on_side_output(self.name, tag, element)
             self._side_pending = []
-
-    def _outputs_clear(self) -> bool:
-        for gate in self.output_gates:
-            if not gate.is_clear:
-                return False
-        return True
 
     def output_unblocked(self) -> None:
         """Called by a channel when its backlog drains."""
@@ -1025,7 +1084,7 @@ class Task:
     def _unblock(self) -> bool:
         """Leave the blocked state if every output is clear, flushing what
         waited; True when the flush left the task unblocked."""
-        if not self._outputs_clear():
+        if not outputs_clear(self.output_gates):
             return False
         self._output_blocked = False
         if self._blocked_since is not None:
@@ -1050,6 +1109,7 @@ class Task:
         self._pending_proc_timers.clear()
         self._proc_timer_registry.clear()
         self._output_blocked = False
+        self._blocked_since = None
         self._active_span = None
         self._txn_hold = False
         self._txn_parked = None
@@ -1250,7 +1310,7 @@ class SourceTask(Task):
         and only the highest resulting watermark follows a batch."""
         if self.dead or self.finished or self.paused:
             return
-        arrival = max(self.kernel.now(), self._next_arrival)
+        arrival = max(self._clock._now, self._next_arrival)
         limit = self._batch_records
         if limit is None:
             pending = next(self._iterator, None)
@@ -1271,22 +1331,22 @@ class SourceTask(Task):
         self.kernel.call_at(arrival, self._emit_due, self.incarnation)
 
     def _emit_due(self, incarnation: int) -> None:
-        """Emission timer: void if the source was killed since it was armed."""
-        if incarnation == self.incarnation:
-            self._try_emit()
-
-    def _try_emit(self) -> None:
-        if self.dead or self.finished:
+        """The emission timer, also run when output unblocks or the source
+        resumes: once the pending unit is due and every output is clear, emit
+        it and arm the next. Void if the source was killed since it was
+        armed."""
+        if incarnation != self.incarnation or self.dead or self.finished:
             return
-        if self.kernel.now() + 1e-12 < self._pending_due:
+        now = self._clock._now
+        if now + 1e-12 < self._pending_due:
             # Not due yet (an unblock or stale timer poked us early); the
             # timer scheduled for the due time will deliver it.
             return
-        if self._output_blocked or not self._outputs_clear():
+        if self._output_blocked or not outputs_clear(self.output_gates):
             # Backpressured: wait for output_unblocked() to call us back.
             self._output_blocked = True
             if self._blocked_since is None:
-                self._blocked_since = self.kernel.now()
+                self._blocked_since = now
             return
         pending = self._pending
         if pending is None:
@@ -1301,19 +1361,20 @@ class SourceTask(Task):
     def _emit_record(self, value: Any, event_time: Any) -> None:
         """Emit one record now (+ the watermark its strategy yields): the
         scalar emission body shared by the pull loop and :meth:`inject`."""
-        now = self.kernel.now()
+        now = self._clock._now
         record = Record(value, event_time, None, 1, now)
         tracer = self._tracer
         if tracer is not None and tracer.sample():
             record = record.with_trace(tracer.begin_root(self.name, now))
-        if event_time is not None:
-            self._max_event_time = max(self._max_event_time, event_time)
-        self.collect_output(record)
+        if event_time is not None and event_time > self._max_event_time:
+            self._max_event_time = event_time
+        emit = self.ctx.emit
+        emit(record)
         self.metrics.records_in += 1
         watermark = self.strategy.on_event(value, event_time, now)
         if watermark is not None and watermark.timestamp > self._last_watermark:
             self._last_watermark = watermark.timestamp
-            self.collect_output(watermark)
+            emit(watermark)
         self._emitted += 1
         self._flush_outputs()
 
@@ -1366,7 +1427,7 @@ class SourceTask(Task):
         The fabric's shared-source hub walks one workload and injects each
         event into every subscribed tenant's source, so N tenants reading
         the same stream cost one generator pass instead of N. It emits
-        through the body scalar ``_try_emit`` uses, so an injected stream is
+        through the body the emission timer uses, so an injected stream is
         indistinguishable downstream from a pulled one. Backpressure never
         pushes back on the hub: a blocked tenant's records park in its own
         output buffers until credit returns, stalling nobody else.
@@ -1383,7 +1444,7 @@ class SourceTask(Task):
 
     def output_unblocked(self) -> None:
         if self._output_blocked and self._unblock() and self._pending is not None:
-            self._try_emit()
+            self._emit_due(self.incarnation)
 
     def _periodic_watermark(self) -> None:
         if self.dead or self.finished:
@@ -1430,7 +1491,7 @@ class SourceTask(Task):
             return
         self.paused = False
         if self._pending is not None:
-            self._try_emit()
+            self._emit_due(self.incarnation)
         else:
             self._schedule_next()
 

@@ -1,11 +1,18 @@
 """Task-level mechanics: alignment, timers, watermark merging, FIFO links."""
 
 from repro.core.datastream import StreamExecutionEnvironment, connect_streams
-from repro.core.events import Record
+from repro.core.events import LatencyMarker, Record
+from repro.core.graph import ChannelSpec, Partitioning
 from repro.core.keys import field_selector
+from repro.core.operators.base import Operator
 from repro.io import CollectSink, CollectionWorkload, SensorWorkload
 from repro.progress.watermarks import BoundedOutOfOrderness
+from repro.runtime.channel import OutputGate, PhysicalChannel
 from repro.runtime.config import CheckpointConfig, CheckpointMode, EngineConfig
+from repro.runtime.task import Task
+from repro.sim.kernel import Kernel
+from repro.sim.random import SimRandom
+from repro.state.memory import InMemoryStateBackend
 
 
 class TestBarrierAlignment:
@@ -280,3 +287,34 @@ class TestKernelEventBudget:
         # one instant, back to back, so their flushes share a flight too.
         # 620 delivery events and 835 in all with one per channel and element.
         assert engine.kernel.dispatched_events == 100 + 115 + 201 == 416
+
+
+class TestBlockedTime:
+    def test_a_flush_during_a_stall_does_not_restart_the_blocked_interval(self):
+        """Blocked at t0 = 1, a latency marker flushed into the backlog at
+        t1 = 2, unblocked at t2 = 3: the whole stall, t2 - t0, is blocked
+        time (restarting the interval at the marker counted only t2 - t1)."""
+        kernel = Kernel()
+        receiver = Task(kernel, "recv[0]", Operator(), InMemoryStateBackend(), processing_cost=0.0)
+        sender = Task(kernel, "send[0]", Operator(), InMemoryStateBackend())
+        receiver.inputs.register()
+        channel = PhysicalChannel(
+            kernel, ChannelSpec(latency=0.0, capacity=1), receiver, 0, SimRandom(0), sender=sender
+        )
+        sender.attach_output(OutputGate(Partitioning.FORWARD, [channel], 128))
+        for task in (sender, receiver):
+            task.start()
+        receiver.suspend()  # returns no credit until it resumes
+
+        def flush(element):
+            sender.collect_output(element)
+            sender._flush_outputs()
+
+        kernel.call_at(1.0, flush, Record(1))  # takes the only credit
+        kernel.call_at(1.0, flush, Record(2))  # parked: blocked from t0
+        kernel.call_at(2.0, flush, LatencyMarker(emitted_at=2.0, marker_id=0, source_id="send[0]"))
+        kernel.call_at(3.0, receiver.resume_processing)  # the backlog drains at t2
+        kernel.run()
+        assert not sender.is_backpressured
+        assert receiver.metrics.records_in == 2
+        assert sender.metrics.blocked_time == 2.0
