@@ -12,6 +12,13 @@ metric of the traced run, such as ``txn.commits``. Calls per record and the
 counters are exact; self time is host time, so one traced pair shows where
 time moved, not whether the change is faster (``scripts/ab_pairs.py`` does
 that).
+
+After the tables it lists every per-layer metric of the benchmark's
+catalogue (``perf.metrics.PER_LAYER``) whose clock is ``count`` or
+``virtual`` — state reads and writes, checkpoint and restore bytes, sink
+records … — and that moved, leaving out the ``*.calls_per_record`` and
+``trace.*`` rows, which a frame-count change is meant to move. It exits 1
+when any of them moved: one command for "nothing exact moved".
 """
 
 from __future__ import annotations
@@ -23,8 +30,20 @@ import subprocess
 import sys
 import tempfile
 
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from perf.metrics import PER_LAYER  # noqa: E402 - the benchmark's own catalogue, read only
+
 #: the per-layer statistics, in table order
 STATS = ("calls_per_record", "norm_self_us_per_record", "self_share")
+#: per-layer metrics that repeat exactly for a seed and that a change which
+#: only removes frames must leave alone
+EXACT = tuple(
+    name
+    for name, _unit, _better, clock in PER_LAYER
+    if clock in ("count", "virtual")
+    and not name.endswith(".calls_per_record")
+    and not name.startswith("trace.")
+)
 
 
 def run_traced(checkout: str, workload: str, seed: int, scratch: str) -> dict[str, float]:
@@ -86,6 +105,11 @@ def table(parent: dict[str, float], change: dict[str, float], also: list[str]) -
     return "\n".join(lines)
 
 
+def moved(parent: dict[str, float], change: dict[str, float]) -> list[str]:
+    """The :data:`EXACT` metrics whose value differs between the runs."""
+    return [name for name in EXACT if parent.get(name) != change.get(name)]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
@@ -101,7 +125,16 @@ def main(argv: list[str] | None = None) -> int:
             runs[side] = run_traced(os.path.abspath(getattr(args, side)), args.workload, args.seed, scratch)
     print(f"{args.workload} seed {args.seed}, --trace 1\n")
     print(table(runs["parent"], runs["change"], args.also))
-    return 0
+    changed = moved(runs["parent"], runs["change"])
+    if not changed:
+        print(f"\nno exact per-layer metric moved ({len(EXACT)} compared)")
+        return 0
+    # full values: an exact metric that moved in its fifth digit still moved
+    print("\nexact per-layer metrics that moved:\n")
+    print("| metric | parent | change |\n|---|---|---|")
+    for name in changed:
+        print(f"| {name} | {runs['parent'].get(name, '—')} | {runs['change'].get(name, '—')} |")
+    return 1
 
 
 if __name__ == "__main__":

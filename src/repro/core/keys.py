@@ -51,10 +51,10 @@ def operator_index_for_group(
 def subtask_for_key(
     key: Any, parallelism: int, max_parallelism: int = DEFAULT_MAX_PARALLELISM
 ) -> int:
-    """Route a key to a subtask index via its key group."""
-    return operator_index_for_group(
-        key_group_for(key, max_parallelism), max_parallelism, parallelism
-    )
+    """Route a key to a subtask index via its key group:
+    :func:`operator_index_for_group` of :func:`key_group_for`, in one frame
+    (every hash-partitioned record is routed here)."""
+    return stable_hash(key) % max_parallelism * parallelism // max_parallelism
 
 
 def key_group_range(

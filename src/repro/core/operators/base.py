@@ -95,7 +95,15 @@ class OperatorContext:
 
     def state(self, descriptor: "StateDescriptor") -> Any:
         """Return the keyed state handle for ``descriptor`` under the
-        current key (set by the runtime from the record being processed)."""
+        current key (set by the runtime from the record being processed):
+        one ``(backend, descriptor, key)`` row, typed by the descriptor's
+        kind (see :mod:`repro.state.api`)."""
+        raise NotImplementedError
+
+    def state_keys(self, descriptor: "StateDescriptor") -> list[Any]:
+        """Every key holding state for ``descriptor`` (a list taken now):
+        operators that visit each key's state, such as a window operator
+        flushing at end of input, scope to each with :meth:`set_current_key`."""
         raise NotImplementedError
 
     def operator_state(self, name: str, default: Any = None) -> Any:
@@ -214,6 +222,9 @@ class _BatchCollector(OperatorContext):
 
     def state(self, descriptor: "StateDescriptor") -> Any:
         return self._parent.state(descriptor)
+
+    def state_keys(self, descriptor: "StateDescriptor") -> list[Any]:
+        return self._parent.state_keys(descriptor)
 
     def operator_state(self, name: str, default: Any = None) -> Any:
         return self._parent.operator_state(name, default)

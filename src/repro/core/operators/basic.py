@@ -169,6 +169,9 @@ class ReduceOperator(Operator):
 
     State is a single value per key in the task's state backend, making this
     the smallest example of the survey's "internally managed state" (§3.1).
+    Its descriptor has no default, so it reads and writes the value through
+    the ``(backend, descriptor, key)`` row ``ctx.state`` returns: the one
+    ``get`` and ``put`` that ``ValueState.value``/``update`` would make.
     """
 
     def __init__(self, fn: Callable[[Any, Any], Any], name: str = "reduce") -> None:
@@ -177,15 +180,15 @@ class ReduceOperator(Operator):
         self._descriptor = ValueStateDescriptor(f"{name}-acc")
 
     def process(self, record: Record, ctx: OperatorContext) -> None:
-        state = ctx.state(self._descriptor)
-        current = state.value()
+        backend, descriptor, key = ctx.state(self._descriptor)
+        current = backend.get(descriptor, key)
         if record.is_retraction:
             # Rolling reduce cannot in general invert; retractions are
             # forwarded for downstream consolidation instead.
             ctx.emit(record)
             return
         merged = record.value if current is None else self._fn(current, record.value)
-        state.update(merged)
+        backend.put(descriptor, key, merged)
         ctx.emit(record.with_value(merged))
 
     def process_batch(self, batch: RecordBatch, ctx: OperatorContext) -> None:
@@ -210,12 +213,12 @@ class ReduceOperator(Operator):
         fn = self._fn
         for key, rows in groups.items():
             ctx.set_current_key(key)
-            state = ctx.state(self._descriptor)
-            current = state.value()
+            backend, descriptor, state_key = ctx.state(self._descriptor)
+            current = backend.get(descriptor, state_key)
             for i in rows:
                 current = values[i] if current is None else fn(current, values[i])
                 out[i] = current
-            state.update(current)
+            backend.put(descriptor, state_key, current)
         ctx.emit(batch.with_values(out))
 
     @property
@@ -227,7 +230,9 @@ class AggregatingOperator(Operator):
     """Keyed incremental aggregate with explicit (create, add, result) triple.
 
     Unlike :class:`ReduceOperator` the accumulator type may differ from the
-    input/output types (e.g. ``(sum, count)`` for a mean).
+    input/output types (e.g. ``(sum, count)`` for a mean). Its descriptor
+    has no default either, so state is reached through the backend directly,
+    as in :class:`ReduceOperator`.
     """
 
     def __init__(
@@ -244,12 +249,12 @@ class AggregatingOperator(Operator):
         self._descriptor = ValueStateDescriptor(f"{name}-acc")
 
     def process(self, record: Record, ctx: OperatorContext) -> None:
-        state = ctx.state(self._descriptor)
-        acc = state.value()
+        backend, descriptor, key = ctx.state(self._descriptor)
+        acc = backend.get(descriptor, key)
         if acc is None:
             acc = self._create()
         acc = self._add(acc, record.value)
-        state.update(acc)
+        backend.put(descriptor, key, acc)
         ctx.emit(record.with_value(self._result(acc)))
 
     def process_batch(self, batch: RecordBatch, ctx: OperatorContext) -> None:
@@ -270,14 +275,14 @@ class AggregatingOperator(Operator):
         result = self._result
         for key, rows in groups.items():
             ctx.set_current_key(key)
-            state = ctx.state(self._descriptor)
-            acc = state.value()
+            backend, descriptor, state_key = ctx.state(self._descriptor)
+            acc = backend.get(descriptor, state_key)
             if acc is None:
                 acc = self._create()
             for i in rows:
                 acc = add(acc, values[i])
                 out[i] = result(acc)
-            state.update(acc)
+            backend.put(descriptor, state_key, acc)
         ctx.emit(batch.with_values(out))
 
     @property

@@ -220,6 +220,9 @@ class _LinkContext(OperatorContext):
     def state(self, descriptor: Any) -> Any:
         return self._parent.state(self._scope(descriptor))
 
+    def state_keys(self, descriptor: Any) -> list[Any]:
+        return self._parent.state_keys(self._scope(descriptor))
+
     def _scope(self, descriptor: Any) -> Any:
         # Keyed on the descriptor's value (class and name: what == means for
         # descriptors) and checked field by field, never on id(): a freed

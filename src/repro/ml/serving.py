@@ -122,7 +122,8 @@ class EmbeddedTrainServeOperator(Operator):
         self.total += 1
         if predicted == label:
             self.correct += 1
-        self.model.partial_fit(x, label)
+        # trained on the probability it was just scored with
+        self.model.step(x, label, probability)
         if self.model.samples_seen % self.publish_every == 0:
             self.registry.publish(
                 self.model.clone_weights(), ctx.processing_time(), self.model.samples_seen
@@ -241,7 +242,8 @@ class RPCServingOperator(Operator):
         self.total += 1
         if predicted == label:
             self.correct += 1
-        self.model.partial_fit(x, label)
+        # the server scored with pushed weights; training needs the local ones
+        self.model.step(x, label, self.model.predict_proba(x))
         if now - self._last_push >= self.push_interval:
             self._version += 1
             self.server.push(self.model.clone_weights(), now, self._version)

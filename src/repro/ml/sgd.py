@@ -55,12 +55,17 @@ class OnlineLogisticRegression:
         """Thresholded class prediction."""
         return 1 if self.predict_proba(x) >= threshold else 0
 
-    def partial_fit(self, x: np.ndarray, y: int) -> float:
-        """One SGD step; returns the log-loss before the update."""
-        p = self.predict_proba(x)
+    def step(self, x: np.ndarray, y: int, p: float) -> None:
+        """One SGD step given ``p = predict_proba(x)`` under the current
+        weights (a scorer that already holds it does not score twice)."""
         gradient = (p - y) * x + self.l2 * self.weights
         self.weights -= self.learning_rate * gradient
         self.samples_seen += 1
+
+    def partial_fit(self, x: np.ndarray, y: int) -> float:
+        """One SGD step; returns the log-loss before the update."""
+        p = self.predict_proba(x)
+        self.step(x, y, p)
         eps = 1e-12
         return float(-(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
 

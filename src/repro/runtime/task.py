@@ -161,7 +161,11 @@ class TaskContext(OperatorContext):
         return self._task.current_watermark
 
     def register_event_timer(self, timestamp: float, payload: Any = None) -> None:
-        self._task.register_event_timer(timestamp, self.current_key_value, payload)
+        # Task.register_event_timer's push, in this frame
+        task = self._task
+        heapq.heappush(
+            task._event_timers, (timestamp, next(task._timer_seq), self.current_key_value, payload)
+        )
 
     def register_processing_timer(self, timestamp: float, payload: Any = None) -> None:
         self._task.register_processing_timer(timestamp, self.current_key_value, payload)
@@ -182,6 +186,9 @@ class TaskContext(OperatorContext):
             # unknown kind, a reducing state without its reduce_fn)
             return self._task.state_backend.handle(descriptor, key)
         return _new_handle(handle_type, (self._task.state_backend, descriptor, key))
+
+    def state_keys(self, descriptor) -> list[Any]:
+        return list(self._task.state_backend.keys(descriptor))
 
     def operator_state(self, name: str, default: Any = None) -> Any:
         return self._task.operator_store.get(name, default)

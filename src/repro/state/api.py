@@ -71,7 +71,13 @@ class _Handle(tuple):
 
 
 class ValueState(_Handle):
-    """Single value per key."""
+    """Single value per key.
+
+    ``ReduceOperator`` and ``AggregatingOperator`` (core/operators/basic.py)
+    copy :meth:`value`'s and :meth:`update`'s backend calls inline, without
+    the default fallback, which their default-less descriptors never need;
+    tests/windows/test_backend_access_pin.py pins that access sequence, so
+    a change here must be made there too."""
 
     __slots__ = ()
 
@@ -110,7 +116,13 @@ class ListState(_Handle):
 
 
 class MapState(_Handle):
-    """Nested map per key (per-window panes, per-entity attributes)."""
+    """Nested map per key (per-window panes, per-entity attributes).
+
+    ``WindowOperator.process``, ``process_batch``, ``on_event_timer`` and
+    ``_fire`` (windows/operator.py) copy :meth:`get`'s, :meth:`put`'s and
+    :meth:`remove`'s backend calls inline, in the same order and number;
+    tests/windows/test_backend_access_pin.py pins that access sequence, so
+    a change here must be made there too."""
 
     __slots__ = ()
 

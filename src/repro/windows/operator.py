@@ -25,6 +25,12 @@ from repro.windows.triggers import EventTimeTrigger, Trigger, TriggerResult
 
 LATE_OUTPUT_TAG = "late"
 
+_INF = float("inf")
+_CONTINUE = TriggerResult.CONTINUE
+_FIRE = TriggerResult.FIRE
+_FIRE_AND_PURGE = TriggerResult.FIRE_AND_PURGE
+_new_row = tuple.__new__
+
 
 @dataclass(frozen=True)
 class WindowResult:
@@ -121,7 +127,19 @@ class ProcessWindowFunction(WindowFunction):
 
 
 class WindowOperator(Operator):
-    """Keyed windowing with the full trigger/evictor/lateness lifecycle."""
+    """Keyed windowing with the full trigger/evictor/lateness lifecycle.
+
+    The per-record and per-fire bodies reach the state backend directly:
+    ``ctx.state`` hands back a ``(backend, descriptor, key)`` row, and each
+    body calls ``backend.get/put/delete`` in exactly the order and number
+    the :class:`~repro.state.api.MapState` methods would — an add is a
+    ``get`` (``MapState.get``) then a ``get`` and a ``put``
+    (``MapState.put``); a fire's update is a ``get`` then a ``put``, or a
+    ``delete`` once the map empties (``MapState.remove``) — so access
+    counts, the cost model and change tracking see the same accesses
+    without the handle's frames. The colder paths (session merging,
+    cleanup timers, early timers, punctuations, flush) keep the handle.
+    """
 
     def __init__(
         self,
@@ -146,6 +164,17 @@ class WindowOperator(Operator):
         if evictor is not None and function.incremental:
             raise ValueError("evictors require a buffering (process) window function")
         self.late_drops = 0
+        #: the trigger's per-element hook; None where it is the base one,
+        #: which always answers CONTINUE
+        self._on_element = (
+            None if type(self.trigger).on_element is Trigger.on_element else self.trigger.on_element
+        )
+        #: an :class:`AggregateFunction`'s user callables, called directly;
+        #: ``_result`` is None for other functions (``function.result`` runs)
+        plain = type(function) is AggregateFunction
+        self._create = function._create if plain else function.create
+        self._add = function._add if plain else function.add
+        self._result = function._result if plain else None
         #: static half of the columnar gate: fixed time windows, the plain
         #: watermark trigger, no evictor. (Count/early/punctuation triggers
         #: observe each element, merging windows reorder state — those keep
@@ -163,42 +192,51 @@ class WindowOperator(Operator):
 
     # ------------------------------------------------------------------
     def process(self, record: Record, ctx: OperatorContext) -> None:
-        event_time = record.event_time if record.event_time is not None else ctx.processing_time()
+        value = record.value
+        event_time = record.event_time
+        if event_time is None:
+            event_time = ctx.processing_time()
         watermark = ctx.current_watermark()
-        windows = self.assigner.assign(record.value, event_time)
-        state = ctx.state(self._descriptor)
+        windows = self.assigner.assign(value, event_time)
+        row = ctx.state(self._descriptor)
+        backend, descriptor, key = row
         if self.assigner.is_merging:
-            windows = [self._merge_windows(windows[0], state, ctx)]
+            windows = [self._merge_windows(windows[0], row, ctx)]
+        lateness = self.allowed_lateness
+        incremental = self.function.incremental
         for window in windows:
-            if self._is_expired(window, watermark):
+            end = window.end
+            if end != _INF and watermark >= end + lateness:
                 self.late_drops += 1
                 ctx.emit_to(LATE_OUTPUT_TAG, record)
                 continue
-            entry = state.get(window)
+            entry = (backend.get(descriptor, key) or {}).get(window)
             new_window = entry is None
-            if entry is None:
-                entry = {"acc": self.function.create(), "count": 0, "max_ts": event_time, "last": None}
-            payload = (event_time, record.value) if not self.function.incremental else record.value
-            entry["acc"] = self.function.add(entry["acc"], payload)
-            entry["count"] += 1
-            entry["max_ts"] = max(entry["max_ts"], event_time)
-            state.put(window, entry)
-            if new_window and window.end != float("inf"):
-                ctx.register_event_timer(window.end, ("fire", window))
-                if self.allowed_lateness > 0:
-                    ctx.register_event_timer(window.end + self.allowed_lateness, ("cleanup", window))
+            if new_window:
+                entry = {"acc": self._create(), "count": 0, "max_ts": event_time, "last": None}
+            entry["acc"] = self._add(entry["acc"], value if incremental else (event_time, value))
+            count = entry["count"] = entry["count"] + 1
+            if event_time > entry["max_ts"]:
+                entry["max_ts"] = event_time
+            contents = backend.get(descriptor, key) or {}
+            contents[window] = entry
+            backend.put(descriptor, key, contents)
+            if new_window and end != _INF:
+                ctx.register_event_timer(end, ("fire", window))
+                if lateness > 0:
+                    ctx.register_event_timer(end + lateness, ("cleanup", window))
                 if self.trigger.early_interval is not None:
                     ctx.register_processing_timer(
                         ctx.processing_time() + self.trigger.early_interval, ("early", window)
                     )
-            late_refinement = window.end != float("inf") and watermark >= window.end
-            result = self.trigger.on_element(window, event_time, entry["count"], watermark)
-            if late_refinement and not result.fires:
+            on_element = self._on_element
+            result = _CONTINUE if on_element is None else on_element(window, event_time, count, watermark)
+            if result is _CONTINUE and end != _INF and watermark >= end:
                 # The window already fired; this is an allowed-lateness
                 # update — emit a refinement immediately.
-                result = TriggerResult.FIRE
-            if result.fires:
-                self._fire(window, ctx, purge=result.purges)
+                result = _FIRE
+            if result is not _CONTINUE:
+                self._fire(row, window, ctx, result is _FIRE_AND_PURGE)
 
     def process_batch(self, batch: RecordBatch, ctx: OperatorContext) -> None:
         """Vectorized window accumulation for the common shape.
@@ -245,20 +283,20 @@ class WindowOperator(Operator):
                     groups[group_key] = [window, key, [i]]
                 else:
                     group[2].append(i)
-        function = self.function
-        incremental = function.incremental
-        add = function.add
-        add_batch = getattr(function, "add_batch", None)
+        incremental = self.function.incremental
+        create = self._create
+        add = self._add
+        add_batch = getattr(self.function, "add_batch", None)
         lateness = self.allowed_lateness
         early_interval = self.trigger.early_interval
         for window, key, rows in groups.values():
             ctx.set_current_key(key)
-            state = ctx.state(self._descriptor)
-            entry = state.get(window)
+            backend, descriptor, state_key = ctx.state(self._descriptor)
+            entry = (backend.get(descriptor, state_key) or {}).get(window)
             new_window = entry is None
             if entry is None:
                 entry = {
-                    "acc": function.create(),
+                    "acc": create(),
                     "count": 0,
                     "max_ts": event_times[rows[0]],
                     "last": None,
@@ -279,8 +317,10 @@ class WindowOperator(Operator):
                 if event_times[i] > max_ts:
                     max_ts = event_times[i]
             entry["max_ts"] = max_ts
-            state.put(window, entry)
-            if new_window and window.end != float("inf"):
+            contents = backend.get(descriptor, state_key) or {}
+            contents[window] = entry
+            backend.put(descriptor, state_key, contents)
+            if new_window and window.end != _INF:
                 ctx.register_event_timer(window.end, ("fire", window))
                 if lateness > 0:
                     ctx.register_event_timer(window.end + lateness, ("cleanup", window))
@@ -313,7 +353,7 @@ class WindowOperator(Operator):
                     grew = True
         if not absorbed:
             return new_window
-        acc = self.function.create()
+        acc = self._create()
         count = 0
         max_ts = merged.start
         for window in absorbed:
@@ -328,100 +368,85 @@ class WindowOperator(Operator):
             ctx.register_event_timer(merged.end + self.allowed_lateness, ("cleanup", merged))
         return merged
 
-    def _is_expired(self, window: Any, watermark: float) -> bool:
-        end = getattr(window, "end", float("inf"))
-        if end == float("inf"):
-            return False
-        return watermark >= end + self.allowed_lateness
-
     # ------------------------------------------------------------------
     def on_event_timer(self, timestamp: float, key: Any, payload: Any, ctx: OperatorContext) -> None:
         kind, window = payload
-        state = ctx.state(self._descriptor)
-        entry = state.get(window)
-        if entry is None:
+        row = ctx.state(self._descriptor)
+        backend, descriptor, state_key = row
+        if (backend.get(descriptor, state_key) or {}).get(window) is None:
             return  # merged away or already purged
         if kind == "fire":
-            trigger_result = self.trigger.on_event_time(timestamp, window)
-            if trigger_result.fires:
-                purge = trigger_result.purges and self.allowed_lateness == 0
-                self._fire(window, ctx, purge=purge)
+            result = self.trigger.on_event_time(timestamp, window)
+            if result is not _CONTINUE:
+                self._fire(row, window, ctx, result is _FIRE_AND_PURGE and self.allowed_lateness == 0)
         elif kind == "cleanup":
-            state.remove(window)
+            row.remove(window)
 
     def on_processing_timer(self, timestamp: float, key: Any, payload: Any, ctx: OperatorContext) -> None:
         kind, window = payload
         if kind != "early":
             return
         state = ctx.state(self._descriptor)
-        entry = state.get(window)
-        if entry is None:
+        if state.get(window) is None:
             return
-        if self.trigger.on_early_timer(window).fires:
-            self._fire(window, ctx, purge=False, speculative=True)
+        if self.trigger.on_early_timer(window) is not _CONTINUE:
+            self._fire(state, window, ctx, False)
         if self.trigger.early_interval is not None:
             ctx.register_processing_timer(timestamp + self.trigger.early_interval, ("early", window))
 
     def on_punctuation(self, punctuation: Punctuation, ctx: OperatorContext) -> None:
         """Offer the punctuation to every live window's trigger, then forward it."""
-        backend_keys = self._all_keys(ctx)
         original_key = ctx.current_key
-        for key in backend_keys:
-            ctx.current_key_value = key  # type: ignore[attr-defined]
+        for key in ctx.state_keys(self._descriptor):
+            ctx.set_current_key(key)
             state = ctx.state(self._descriptor)
             for window, _entry in state.items():
                 result = self.trigger.on_punctuation(punctuation, window)
-                if result.fires:
-                    self._fire(window, ctx, purge=result.purges)
-        ctx.current_key_value = original_key  # type: ignore[attr-defined]
+                if result is not _CONTINUE:
+                    self._fire(state, window, ctx, result is _FIRE_AND_PURGE)
+        ctx.set_current_key(original_key)
         ctx.emit(punctuation)
 
-    def _all_keys(self, ctx: OperatorContext) -> list[Any]:
-        task = getattr(ctx, "_task", None)
-        if task is None:
-            return []
-        return list(task.state_backend.keys(self._descriptor))
-
     # ------------------------------------------------------------------
-    def _fire(self, window: Any, ctx: OperatorContext, purge: bool, speculative: bool = False) -> None:
-        state = ctx.state(self._descriptor)
-        entry = state.get(window)
+    def _fire(self, row: Any, window: Any, ctx: OperatorContext, purge: bool) -> None:
+        """Emit ``window``'s result for the key of ``row`` (the state row
+        ``ctx.state`` returned), then purge the window or keep it with the
+        result remembered for a later retraction."""
+        backend, descriptor, key = row
+        entry = (backend.get(descriptor, key) or {}).get(window)
         if entry is None or entry["count"] == 0:
             return
-        key = ctx.current_key
         acc = entry["acc"]
         if self.evictor is not None:
             kept = self.evictor.evict(list(acc), window)
             acc = kept
             entry["acc"] = kept
-        value = self.function.result(key, window, acc)
+        result = self._result
+        value = self.function.result(key, window, acc) if result is None else result(acc)
         start = getattr(window, "start", float("-inf"))
-        end = getattr(window, "end", float("inf"))
-        event_time = end if end != float("inf") else entry["max_ts"]
+        end = getattr(window, "end", _INF)
+        event_time = end if end != _INF else entry["max_ts"]
         output = WindowResult(key, start, end, value) if self.emit_window_results else value
-        retract_previous = self.retract_refinements and entry.get("last") is not None
-        if retract_previous:
-            ctx.emit(
-                Record(
-                    value=entry["last"],
-                    event_time=event_time,
-                    key=key,
-                    sign=-1,
-                )
-            )
-        ctx.emit(Record(value=output, event_time=event_time, key=key))
+        if self.retract_refinements and entry.get("last") is not None:
+            ctx.emit(_new_row(Record, (entry["last"], event_time, key, -1, None, None)))
+        ctx.emit(_new_row(Record, (output, event_time, key, 1, None, None)))
+        contents = backend.get(descriptor, key) or {}
         if purge:
-            state.remove(window)
+            contents.pop(window, None)
         else:
             entry["last"] = output
-            state.put(window, entry)
+            contents[window] = entry
+        if contents:
+            backend.put(descriptor, key, contents)
+        else:
+            backend.delete(descriptor, key)
 
     def flush(self, ctx: OperatorContext) -> None:
         # Bounded input: the MAX watermark has already fired all event
         # timers; anything left has an infinite end (global/count windows).
-        for key in self._all_keys(ctx):
-            ctx.current_key_value = key  # type: ignore[attr-defined]
+        for key in ctx.state_keys(self._descriptor):
+            ctx.set_current_key(key)
             state = ctx.state(self._descriptor)
             for window, entry in state.items():
-                if entry["count"] > 0 and getattr(window, "end", float("inf")) == float("inf"):
-                    self._fire(window, ctx, purge=True)
+                if entry["count"] > 0 and getattr(window, "end", _INF) == _INF:
+                    self._fire(state, window, ctx, True)

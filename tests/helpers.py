@@ -67,6 +67,9 @@ class StubContext(OperatorContext):
     def state(self, descriptor) -> Any:
         return self.backend.handle(descriptor, self.current_key_value)
 
+    def state_keys(self, descriptor) -> list[Any]:
+        return list(self.backend.keys(descriptor))
+
     def operator_state(self, name: str, default: Any = None) -> Any:
         return getattr(self, "_op_state", {}).get(name, default)
 
@@ -77,14 +80,6 @@ class StubContext(OperatorContext):
 
     def add_cost(self, seconds: float) -> None:
         pass
-
-    # expose as _task.state_backend for operators that enumerate keys
-    @property
-    def _task(self) -> Any:
-        class _T:
-            state_backend = self.backend
-
-        return _T()
 
     # --- driving helpers -----------------------------------------------------
     def feed(self, operator: Operator, value: Any, event_time: float | None = None, key: Any = None) -> None:

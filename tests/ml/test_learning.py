@@ -72,6 +72,16 @@ class TestSGD:
         correct = sum(model.predict(x) == int(y) for x, y in zip(xs, ys))
         assert correct / len(ys) > 0.95
 
+    def test_step_on_the_scored_probability_matches_partial_fit(self):
+        xs, ys = make_separable_dataset(500, 4, seed=7, noise=0.2)
+        fitted = OnlineLogisticRegression(4, learning_rate=0.1)
+        stepped = OnlineLogisticRegression(4, learning_rate=0.1)
+        for x, y in zip(xs, ys):
+            fitted.partial_fit(x, int(y))
+            stepped.step(x, int(y), stepped.predict_proba(x))
+            assert np.array_equal(stepped.weights, fitted.weights)
+        assert stepped.samples_seen == fitted.samples_seen == len(ys)
+
     def test_losses_returned(self):
         model = OnlineLogisticRegression(2)
         loss = model.partial_fit(np.array([1.0, 1.0]), 1)

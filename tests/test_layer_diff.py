@@ -58,3 +58,26 @@ def test_a_perf_that_raises_aborts_with_the_childs_stderr(tmp_path):
 def test_a_metric_only_one_side_has_reads_as_a_dash():
     text = layer_diff.table({"new.calls_per_record": 1.0}, {}, [])
     assert "| new | 1 | — | — |" in text
+
+
+def test_an_exact_per_layer_metric_that_moved_is_listed_and_fails(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", _WRITES.replace("TXN_CALLS", "16.8"))
+    change = _checkout(
+        tmp_path / "change",
+        _WRITES.replace("TXN_CALLS", "4.5").replace('"txn.commits": 3600', '"txn.commits": 3601'),
+    )
+    assert layer_diff.main([parent, change, "--workload", "w", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "| txn.commits | 3600 | 3601 |" in out
+    # calls per record moved too, but a frame-count change is meant to move them
+    assert "txn.calls_per_record |" not in out.split("moved:")[1]
+
+
+def test_the_exact_set_is_the_catalogues_count_and_virtual_metrics():
+    assert "state.reads_per_record" in layer_diff.EXACT
+    assert "checkpoint.restore_bytes" in layer_diff.EXACT
+    assert "io.virt_drain_ms" in layer_diff.EXACT
+    assert not any(
+        name.endswith(".calls_per_record") or name.startswith("trace.") for name in layer_diff.EXACT
+    )
+    assert "state.probe.get_us" not in layer_diff.EXACT  # host clock
