@@ -52,7 +52,7 @@ def run_interval(interval):
         per_key[r.key] = max(per_key.get(r.key, 0), r.value)
     return {
         "interval": interval,
-        "checkpoints": len(engine.completed_checkpoints),
+        "checkpoints": len(engine.coordinator.completed),
         "replayed": len(sink.results) - EVENTS,  # duplicate emissions = replayed work
         "counted": sum(per_key.values()),
         "staleness": report["staleness"],

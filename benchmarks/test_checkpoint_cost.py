@@ -94,7 +94,7 @@ def chain_length_sweep(state_size=1600, churn=0.10, checkpoints=32):
     results = []
     for max_chain_length in (1, 2, 4, 8, 16):
         snapshotter = populated_snapshotter(state_size)
-        store = TaskChainStore(max_chain_length=max_chain_length, retained_checkpoints=2)
+        store = TaskChainStore(max_chain_length=max_chain_length)
         captured_bytes = 0
         touched = max(1, int(state_size * churn))
         last_link = None
@@ -106,8 +106,7 @@ def chain_length_sweep(state_size=1600, churn=0.10, checkpoints=32):
                 if store.wants_full("t")
                 else snapshotter.delta_snapshot()
             )
-            store.append("t", link, checkpoint_id)
-            store.note_completed(checkpoint_id)
+            store.append("t", link)
             captured_bytes += link.size_bytes()
             last_link = link
         recovery_bytes = store.chain_bytes("t", last_link)
@@ -155,7 +154,7 @@ def engine_grounding():
         env.execute(until=30.0)
         histogram = engine.obs.registry.histogram("cp/checkpoint/0/persist_seconds")
         return {
-            "checkpoints": len(engine.completed_checkpoints),
+            "checkpoints": len(engine.coordinator.completed),
             "mean_persist_s": histogram.mean if histogram.count else 0.0,
         }
 

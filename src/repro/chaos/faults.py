@@ -37,7 +37,6 @@ from repro.core.events import CheckpointBarrier, Record, RecordBatch, StreamElem
 from repro.errors import RecoveryError
 from repro.fault.injection import FailureEvent, FailureInjector
 from repro.runtime.config import GuaranteeLevel
-from repro.runtime.task import SourceTask
 from repro.supervision.supervisor import Supervisor, SupervisorConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -297,11 +296,7 @@ class ChaosInjector:
             if task is None or task.dead or task.finished:
                 return
             self._log_event(STALL, spec.target, f"suspend {spec.magnitude:.6g}s")
-            if isinstance(task, SourceTask):
-                task.pause()
-                self.engine.kernel.call_after(spec.magnitude, task.resume)
-            else:
-                task.suspend()
-                self.engine.kernel.call_after(spec.magnitude, task.resume_processing)
+            task.suspend()
+            self.engine.kernel.call_after(spec.magnitude, task.resume_processing)
 
         self.engine.kernel.call_at(spec.at, stall)

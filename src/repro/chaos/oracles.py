@@ -144,7 +144,7 @@ class CheckpointConsistencyOracle(Oracle):
     def _check(self, engine: "Engine") -> list[OracleViolation]:
         violations = []
         last_offsets: dict[str, int] = {}
-        for checkpoint_id in engine.completed_checkpoints:
+        for checkpoint_id in engine.coordinator.completed:
             record = engine.checkpoints.get(checkpoint_id)
             if record is None or record.completed_at is None:
                 violations.append(

@@ -1,8 +1,9 @@
 """Checkpointing & recovery mechanisms (survey §3.1/§3.2).
 
-Aligned barrier snapshots live in the runtime
-(:class:`repro.runtime.task.Task` alignment + the engine coordinator);
-this package adds the alternatives the survey compares:
+Aligned barrier snapshots: tasks align barriers in their input protocol
+(:class:`repro.runtime.inputs.TaskInputs`) and capture at them, and one
+:class:`~repro.checkpoint.coordinator.CheckpointCoordinator` per job runs
+the rounds. This package also adds the alternatives the survey compares:
 
 * incremental snapshots — :mod:`repro.checkpoint.incremental`
 * lineage/micro-batch recomputation — :mod:`repro.checkpoint.lineage`

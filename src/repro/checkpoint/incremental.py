@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import CheckpointError
 from repro.state.api import TOMBSTONE, KeyedStateBackend, StateDescriptor
@@ -99,27 +99,21 @@ class IncrementalSnapshotter:
 
 
 class TaskChainStore:
-    """Engine-side store of per-task base + delta snapshot chains.
+    """Per-task base + delta snapshot chains.
 
     Each capture appends one :class:`DeltaSnapshot` link to the owning
-    task's chain — unconditionally, even when the coordinator has already
-    aborted the checkpoint, because the snapshotter's next delta bases on
-    it; *restorability* is governed separately by the checkpoint → link
-    mapping, which is only written for live checkpoints. Restores walk back
-    from a link to the nearest full snapshot; when a segment reaches
-    ``max_chain_length`` the next capture rebases (full snapshot) and links
-    no longer needed by any retained completed checkpoint are compacted
-    away.
+    task's chain — unconditionally, even for a round the coordinator has
+    already given up, because the snapshotter's next delta bases on it.
+    Which links a restore may start from is the coordinator's to say: its
+    round table holds them, and it names the ones still needed when it
+    compacts (:meth:`prune`). Restores walk back from a link to the nearest
+    full snapshot; when a segment reaches ``max_chain_length`` the next
+    capture rebases (full snapshot).
     """
 
-    def __init__(self, max_chain_length: int = 8, retained_checkpoints: int = 2) -> None:
+    def __init__(self, max_chain_length: int = 8) -> None:
         self.max_chain_length = max(1, max_chain_length)
-        self.retained_checkpoints = max(1, retained_checkpoints)
         self._links: dict[str, list[DeltaSnapshot]] = {}
-        #: task name -> checkpoint id -> link index (live checkpoints only)
-        self._index: dict[str, dict[int, int]] = {}
-        self._completed: list[int] = []
-        self._completed_set: set[int] = set()
         #: chain segments restarted with a fresh full snapshot (rebase count)
         self.rebases = 0
         #: links dropped by compaction
@@ -132,86 +126,45 @@ class TaskChainStore:
         segment = self.segment_length(task_name)
         return segment == 0 or segment >= self.max_chain_length
 
-    def append(self, task_name: str, link: DeltaSnapshot, checkpoint_id: int | None) -> None:
-        """Record one captured link; ``checkpoint_id=None`` keeps the link
-        for chain continuity without making it restorable (the coordinator
-        had already given up on the checkpoint when the capture landed)."""
+    def append(self, task_name: str, link: DeltaSnapshot) -> None:
+        """Record one captured link."""
         links = self._links.setdefault(task_name, [])
-        index = self._index.setdefault(task_name, {})
         if link.is_full and links:
             self.rebases += 1
         links.append(link)
-        if checkpoint_id is not None:
-            index[checkpoint_id] = len(links) - 1
-        if link.is_full:
-            self._prune(task_name)
 
-    def note_completed(self, checkpoint_id: int) -> None:
-        """A checkpoint finished persisting: compact chains against the new
-        retained set."""
-        self._completed.append(checkpoint_id)
-        self._completed_set.add(checkpoint_id)
-        for task_name in self._links:
-            self._prune(task_name)
-
-    def note_aborted(self, checkpoint_id: int) -> None:
-        """A checkpoint was abandoned (timeout, kill, epoch change): drop its
-        restorability mapping; its links stay as chain interior."""
-        for index in self._index.values():
-            index.pop(checkpoint_id, None)
-
-    def _prune(self, task_name: str) -> None:
-        """Drop links older than the newest full snapshot that still covers
-        every protected checkpoint (retained completed + in-flight)."""
-        links = self._links[task_name]
-        index = self._index[task_name]
-        protected = set(self._completed[-self.retained_checkpoints :])
-        floor = len(links) - 1
-        for checkpoint_id, link_index in index.items():
-            if checkpoint_id in protected or checkpoint_id not in self._completed_set:
-                floor = min(floor, link_index)
-        cut = 0
-        for position in range(floor, -1, -1):
-            if links[position].is_full:
-                cut = position
-                break
-        if cut == 0:
-            return
-        self.links_pruned += cut
-        self._links[task_name] = links[cut:]
-        self._index[task_name] = {
-            checkpoint_id: link_index - cut
-            for checkpoint_id, link_index in index.items()
-            if link_index >= cut
-        }
+    def prune(
+        self, keep: Callable[[str], list[DeltaSnapshot]], task_name: str | None = None
+    ) -> None:
+        """Compact ``task_name``'s chain (every chain when None): drop the
+        links older than the newest full snapshot that still covers the
+        links ``keep(task_name)`` names and the newest link."""
+        for name in list(self._links) if task_name is None else [task_name]:
+            links = self._links[name]
+            kept = set(map(id, keep(name)))
+            cut = 0
+            for position, link in enumerate(links):  # up to the oldest kept link
+                if link.is_full:
+                    cut = position
+                if id(link) in kept:
+                    break
+            if cut:
+                self.links_pruned += cut
+                self._links[name] = links[cut:]
 
     # --- restore-side ------------------------------------------------------
-    def _chain_ending_at(self, task_name: str, position: int) -> list[DeltaSnapshot]:
-        links = self._links[task_name]
-        for start in range(position, -1, -1):
-            if links[start].is_full:
-                return links[start : position + 1]
-        raise CheckpointError(
-            f"chain for task {task_name!r} lacks a base snapshot (compacted away?)"
-        )
-
-    def chain_for(self, task_name: str, checkpoint_id: int) -> list[DeltaSnapshot]:
-        """Base + deltas reproducing ``task_name``'s state at a checkpoint."""
-        position = self._index.get(task_name, {}).get(checkpoint_id)
-        if position is None:
-            raise CheckpointError(
-                f"no restorable chain link for task {task_name!r} at "
-                f"checkpoint {checkpoint_id} (aborted or compacted away)"
-            )
-        return self._chain_ending_at(task_name, position)
-
     def chain_to(self, task_name: str, link: DeltaSnapshot) -> list[DeltaSnapshot]:
         """Base + deltas ending at a specific captured link (standby restores
         a capture whose checkpoint may never have completed)."""
         links = self._links.get(task_name, [])
-        for position in range(len(links) - 1, -1, -1):
-            if links[position] is link:
-                return self._chain_ending_at(task_name, position)
+        for end in range(len(links) - 1, -1, -1):
+            if links[end] is link:
+                for start in range(end, -1, -1):
+                    if links[start].is_full:
+                        return links[start : end + 1]
+                raise CheckpointError(
+                    f"chain for task {task_name!r} lacks a base snapshot (compacted away?)"
+                )
         raise CheckpointError(
             f"snapshot link for task {task_name!r} is no longer in the chain"
         )
@@ -230,11 +183,8 @@ class TaskChainStore:
     # --- introspection -----------------------------------------------------
     def segment_length(self, task_name: str) -> int:
         """Links in the task's current segment (since the last full)."""
-        links = self._links.get(task_name)
-        if not links:
-            return 0
         segment = 0
-        for link in reversed(links):
+        for link in reversed(self._links.get(task_name, [])):
             segment += 1
             if link.is_full:
                 break

@@ -224,7 +224,7 @@ class JobFabric:
                 )
             # The pull loop must idle (the tap yields nothing and would
             # immediately finish the source); records arrive by injection.
-            task.paused = True
+            task.suspend()
             workload.hub.attach(tenant.engine.job_tag, task)
             tenant.taps.append((workload.hub, task))
 

@@ -107,7 +107,7 @@ class DS2Controller:
         # Tasks currently stalled have an open blocked interval; include it.
         now = self.engine.kernel.now()
         for task in tasks:
-            since = getattr(task, "_blocked_since", None)
+            since = task.blocked_since
             if since is not None:
                 blocked += now - since
         prev = self._last_counts.get(node_name, (0, 0, 0.0, 0.0))

@@ -300,7 +300,7 @@ class Rescaler:
             for t in engine.tasks.values()
             if t not in tasks and t.name.startswith(f"{node.name}[") and t.finished
         ]
-        store = engine.checkpoint_store
+        store = engine.coordinator.store
         moved_entries = 0
         moved_bytes = 0
         chain_bytes = 0
@@ -393,8 +393,8 @@ class Rescaler:
             pause = 2 * transfer  # write out, read back
             for task in engine.tasks.values():
                 if isinstance(task, SourceTask) and not task.finished and not task.dead:
-                    task.pause()
-                    engine.kernel.call_after(pause, task.resume)
+                    task.suspend()
+                    engine.kernel.call_after(pause, task.resume_processing)
             return started_at + pause
         if mode == "live":
             # Only the rescaled tasks stall while their state moves.

@@ -51,7 +51,7 @@ class Shedder(Operator):
         return self._name
 
     def _queue_length(self, ctx: OperatorContext) -> int:
-        task = getattr(ctx, "_task", None)
+        task = getattr(ctx, "task", None)
         if task is None:
             return 0
         if self.pressure_node is not None and task.engine is not None:
@@ -79,7 +79,7 @@ class Shedder(Operator):
         probability = self.drop_probability(self._queue_length(ctx))
         if probability > 0 and self.should_drop(record, probability, ctx):
             self.dropped += 1
-            task = getattr(ctx, "_task", None)
+            task = getattr(ctx, "task", None)
             if task is not None:
                 task.metrics.dropped += 1
             return

@@ -138,7 +138,7 @@ class Observability:
         job = self.job
         self.registry.gauge(
             f"{job}/engine/0/checkpoints_completed",
-            lambda e=engine: len(e.completed_checkpoints),
+            lambda e=engine: len(e.coordinator.completed),
         )
         self.registry.gauge(
             f"{job}/engine/0/execution_epoch", lambda e=engine: e.execution_epoch
@@ -152,9 +152,9 @@ class Observability:
         # Incremental checkpoint internals (chain store present only when
         # ``checkpoints.incremental`` is on). The per-capture histograms
         # (delta_bytes, full_bytes, dirty_keys, capture_seconds,
-        # persist_seconds) are recorded by the engine under the same
-        # ``job/checkpoint/0`` scope as captures happen.
-        store = getattr(engine, "checkpoint_store", None)
+        # persist_seconds) are recorded by the checkpoint coordinator under
+        # the same ``job/checkpoint/0`` scope as captures happen.
+        store = engine.coordinator.store
         if store is not None:
             prefix = f"{job}/checkpoint/0"
             self.registry.gauge(

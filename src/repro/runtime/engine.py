@@ -1,19 +1,22 @@
-"""The execution engine: physical planning, checkpointing, recovery.
+"""The execution engine: physical planning, execution, recovery.
 
 ``Engine`` expands a :class:`~repro.core.graph.StreamGraph` into tasks and
 channels on the DES kernel, runs it, and exposes the control-plane
 primitives the fault-tolerance / load-management packages orchestrate:
 trigger checkpoints, kill tasks, restore from snapshots, rewind sources.
+The checkpoint rounds themselves and their capture format belong to a
+:class:`~repro.checkpoint.coordinator.CheckpointCoordinator`; the engine
+keeps the kernel glue around it: the periodic trigger, the timeout and
+persist timers, the execution epoch and the sink commit with its retries.
 """
 
 from __future__ import annotations
 
 import functools
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.checkpoint.incremental import IncrementalSnapshotter, TaskChainStore, restore_chain
+from repro.checkpoint.coordinator import CheckpointCoordinator, CheckpointRecord
 from repro.core.events import MAX_TIMESTAMP, CheckpointBarrier, EndOfStream, StreamElement, Watermark
 from repro.core.graph import LogicalNode, Partitioning, StreamGraph
 from repro.core.operators.base import Operator
@@ -41,22 +44,6 @@ from repro.sim.random import SimRandom
 #: sources continuing from where they stopped
 OFFSET_ZERO = "offset-zero"
 NO_REPLAY = "no-replay"
-
-
-@dataclass
-class CheckpointRecord:
-    checkpoint_id: int
-    triggered_at: float
-    snapshots: dict[str, TaskSnapshot] = field(default_factory=dict)
-    completed_at: float | None = None
-
-    @property
-    def complete(self) -> bool:
-        return self.completed_at is not None
-
-    def total_bytes(self) -> int:
-        """Snapshot volume across all tasks."""
-        return sum(s.size_bytes() for s in self.snapshots.values())
 
 
 class JobResult:
@@ -156,10 +143,6 @@ class Engine:
         self.node_tasks: dict[int, list[Task]] = {}
         self.sinks: dict[str, Any] = {}
         self.side_outputs: dict[tuple[str, str], list[StreamElement]] = {}
-        self.checkpoints: dict[int, CheckpointRecord] = {}
-        self.completed_checkpoints: list[int] = []
-        self._next_checkpoint_id = 1
-        self._pending_checkpoint: CheckpointRecord | None = None
         self._coordinator_timer: PeriodicTimer | None = None
         self.job_finished = False
         #: terminal *clean* failure: a restart policy gave up and the job
@@ -167,7 +150,6 @@ class Engine:
         self.job_failed = False
         self.failure_reason: str | None = None
         self._started = False
-        self._expected_snapshot_count = 0
         #: task name → (token, resume_at) of the restore pending over it; a
         #: superseded restore's entries are dropped, so its completion
         #: callback finds its token gone and does nothing
@@ -175,9 +157,9 @@ class Engine:
         #: task name → sinks its operator (chain) writes; regional recovery
         #: needs to know which sinks a failover region owns exclusively
         self._task_sinks: dict[str, list[Any]] = {}
-        #: bumped by every restart and by fail_job; a checkpoint whose
-        #: persistence is still in flight when the epoch changes is discarded
-        #: (the restart aborts all pending checkpoints, as real coordinators do)
+        #: bumped by every restart and by fail_job, as the coordinator
+        #: restarts (dropping every round in flight, as real coordinators do);
+        #: sink commit retries of an older epoch are discarded
         self.execution_epoch = 0
         #: edge-index → {sender task name → OutputGate}; maintained for
         #: dynamic rewiring (rescaling, dynamic topologies)
@@ -202,16 +184,6 @@ class Engine:
         #: store name → TxnStateStore; transactional operators register on
         #: open so queryable state and recovery can reach shared stores
         self.txn_stores: dict[str, Any] = {}
-        #: incremental checkpoint mode: per-task base + delta snapshot chains
-        #: (None when ``checkpoints.incremental`` is off); task backends get
-        #: an IncrementalSnapshotter attached during planning
-        checkpoint_config = self.config.checkpoints
-        self.checkpoint_store: TaskChainStore | None = None
-        if checkpoint_config is not None and checkpoint_config.incremental:
-            self.checkpoint_store = TaskChainStore(
-                max_chain_length=checkpoint_config.max_chain_length,
-                retained_checkpoints=checkpoint_config.retained_checkpoints,
-            )
         #: kernel-time observability bundle: metric registry, latency
         #: markers, tracing, profiling (created before _build so tasks and
         #: channels register as they are wired)
@@ -222,6 +194,15 @@ class Engine:
             epoch_fn=lambda: self.execution_epoch,
             registry=registry,
         )
+        #: the checkpoint rounds and capture format (tasks capture and ack
+        #: through it; created before _build so backends get their chains)
+        self.coordinator = CheckpointCoordinator(
+            self.config.checkpoints, self._persist, self.obs.registry, f"{self.job_tag}/checkpoint/0"
+        )
+        #: the coordinator's own round table and queries (the benchmark reads them here)
+        self.checkpoints = self.coordinator.checkpoints
+        self.latest_checkpoint = self.coordinator.latest
+        self.restore_bytes = self.coordinator.restore_bytes
         graph.validate()
         self._build()
         for task in self.planned_tasks():
@@ -311,23 +292,6 @@ class Engine:
         source_group = self._chained_nodes.get(edge.source_id)
         return source_group is not None and source_group is self._chained_nodes.get(edge.target_id)
 
-    def _resolve_backend_factory(self, node_factory: Callable[[], Any] | None) -> Callable[[], Any]:
-        """Resolve a node's backend factory against the config default and,
-        in incremental checkpoint mode, attach a capture chain to every built
-        backend (and every reincarnation's), which then tracks its own
-        changes for delta captures."""
-        base_factory = node_factory or self.config.state_backend_factory
-        if self.checkpoint_store is None:
-            return base_factory
-
-        def build() -> Any:
-            backend = base_factory()
-            if backend.snapshotter is None:
-                IncrementalSnapshotter(backend)  # attaches itself
-            return backend
-
-        return build
-
     def _node_cost(self, node: LogicalNode, operator: Operator) -> float:
         if node.processing_cost is not None:
             return node.processing_cost
@@ -378,7 +342,9 @@ class Engine:
             operator_factory = self._chain_operator_factory(group, chain_name)
         operator = operator_factory()
         head_operator = operator.operators[0] if len(group) > 1 else operator
-        backend_factory = self._resolve_backend_factory(head.state_backend_factory)
+        backend_factory = self.coordinator.backend_factory(
+            head.state_backend_factory or self.config.state_backend_factory
+        )
         self._task_factories[name] = (operator_factory, backend_factory)
         task = Task(
             self.kernel,
@@ -502,41 +468,32 @@ class Engine:
             self._coordinator_timer.cancel()
 
     # ------------------------------------------------------------------
-    # checkpoint coordination
+    # checkpoint coordination (kernel glue around the coordinator)
     # ------------------------------------------------------------------
     @_scoped
     def trigger_checkpoint(self) -> int | None:
-        """Inject barriers at all sources; returns the checkpoint id."""
-        if self.job_finished or self.job_failed:
-            return None
-        if self._pending_checkpoint is not None:
-            # Previous checkpoint still in flight: skip this trigger (the
-            # behaviour of real coordinators under a min-pause policy).
-            return None
-        if any(t.dead and not t.finished for t in self.tasks.values()):
+        """Inject barriers at all sources; returns the checkpoint id (None
+        when declined: job over, a round in flight, or a task down)."""
+        tasks = self.tasks.values()
+        if self.job_finished or self.job_failed or any(t.dead and not t.finished for t in tasks):
             # A task is down: a snapshot taken now would omit its state and
             # still complete (dead tasks are not in the expected-ack set),
             # registering a checkpoint that is not a consistent global
             # state. Real coordinators decline to trigger until the job is
             # fully running again.
             return None
-        checkpoint_id = self._next_checkpoint_id
-        self._next_checkpoint_id += 1
-        record = CheckpointRecord(checkpoint_id, self.kernel.now())
-        self.checkpoints[checkpoint_id] = record
-        self._pending_checkpoint = record
-        self._expected_snapshot_count = sum(
-            1 for t in self.tasks.values() if not t.dead and not t.finished
-        )
-        barrier = CheckpointBarrier(checkpoint_id, self.kernel.now())
-        for task in self.tasks.values():
-            if isinstance(task, SourceTask) and not task.dead and not task.finished:
-                task._capture_and_forward(barrier)
-                task._flush_outputs()
+        live = [t for t in tasks if not t.finished]  # none is down
+        record = self.coordinator.trigger(self.kernel.now(), len(live))
+        if record is None:
+            return None
+        barrier = CheckpointBarrier(record.checkpoint_id, self.kernel.now())
+        for task in live:
+            if isinstance(task, SourceTask):
+                task.inject_barrier(barrier)
         timeout = self.config.checkpoints.timeout
         if timeout is not None:
-            self.kernel.call_after(timeout, self.abort_inflight_checkpoint, checkpoint_id)
-        return checkpoint_id
+            self.kernel.call_after(timeout, self.abort_inflight_checkpoint, record.checkpoint_id)
+        return record.checkpoint_id
 
     def abort_inflight_checkpoint(self, checkpoint_id: int | None = None) -> None:
         """Give up on the checkpoint in flight, if any — and only if it is
@@ -546,90 +503,26 @@ class Engine:
         snapshots for it are ignored and the coordinator is free to trigger
         the next round. Sealed sink epochs stay pending and are published by
         the next completed checkpoint."""
-        record = self._pending_checkpoint
-        if record is None or checkpoint_id not in (None, record.checkpoint_id):
+        aborted = self.coordinator.abort(checkpoint_id)
+        if aborted is None:
             return
-        self._drop_pending_checkpoint()
         # Release any task still blocked aligning on the abandoned barrier —
         # with a barrier lost in transit the alignment would never resolve.
         for task in self.tasks.values():
-            task.cancel_alignment(record.checkpoint_id)
+            task.cancel_alignment(aborted)
 
-    def _drop_pending_checkpoint(self, record: CheckpointRecord | None = None) -> None:
-        """Forget an abandoned checkpoint — by default the one in flight —
-        which can never complete: it leaves the checkpoint table and its
-        captured chain links stay interior (never restorable)."""
-        if record is None:
-            record = self._pending_checkpoint
-            if record is None:
-                return
-            self._pending_checkpoint = None
-        self.checkpoints.pop(record.checkpoint_id, None)
-        if self.checkpoint_store is not None:
-            self.checkpoint_store.note_aborted(record.checkpoint_id)
-
-    def on_task_snapshot(self, task: Task, snapshot: TaskSnapshot) -> None:
-        """Task callback: gather a snapshot into the pending checkpoint."""
-        if snapshot.delta is not None and self.checkpoint_store is not None:
-            # Append the captured link unconditionally: the snapshotter's
-            # next delta bases on it, so even a capture for an
-            # already-aborted checkpoint must stay as chain interior — it
-            # just never becomes restorable (checkpoint id withheld).
-            live = snapshot.checkpoint_id in self.checkpoints
-            self.checkpoint_store.append(
-                task.name, snapshot.delta, snapshot.checkpoint_id if live else None
-            )
-            self._record_capture_metrics(task, snapshot)
-        if self._pending_checkpoint is None or snapshot.checkpoint_id not in self.checkpoints:
-            return
-        record = self.checkpoints[snapshot.checkpoint_id]
-        record.snapshots[task.name] = snapshot
-        if len(record.snapshots) >= self._expected_snapshot_count:
-            self._finalize_checkpoint(record)
-
-    def _record_capture_metrics(self, task: Task, snapshot: TaskSnapshot) -> None:
-        """Publish per-capture checkpoint internals (delta vs would-be-full
-        volume, captured churn, capture cost) to the metric registry."""
-        registry = self.obs.registry
-        prefix = f"{self.job_tag}/checkpoint/0"
-        delta = snapshot.delta
-        registry.histogram(f"{prefix}/delta_bytes").record(delta.size_bytes())
-        registry.histogram(f"{prefix}/dirty_keys").record(delta.entry_count())
-        registry.histogram(f"{prefix}/full_bytes").record(task.state_backend.snapshot_bytes())
-        capture_cost_per_entry = self.config.checkpoints.capture_cost_per_entry
-        registry.histogram(f"{prefix}/capture_seconds").record(
-            delta.entry_count() * capture_cost_per_entry
-        )
-
-    def _finalize_checkpoint(self, record: CheckpointRecord) -> None:
-        cfg = self.config.checkpoints
-        # Two-phase protocol: capture already happened synchronously at each
-        # barrier; the serialization + upload below overlaps processing in
-        # virtual time, priced from what is actually uploaded — the deltas in
-        # incremental mode (record.total_bytes() sums delta sizes then).
-        persist_cost = cfg.write_base_cost + record.total_bytes() * cfg.write_cost_per_byte
-        self.obs.registry.histogram(
-            f"{self.job_tag}/checkpoint/0/persist_seconds"
-        ).record(persist_cost)
-        epoch = self.execution_epoch
+    def _persist(self, record: CheckpointRecord, cost: float) -> None:
+        """Coordinator hook: ``record`` gathered every ack. Its upload
+        overlaps processing for ``cost`` virtual seconds; once it completes,
+        the transactional sinks publish their sealed epochs."""
 
         def complete() -> None:
-            if epoch != self.execution_epoch or record.checkpoint_id not in self.checkpoints:
-                # A restore (or abort) intervened while the snapshot was
-                # persisting: the checkpoint belongs to a dead execution and
-                # must never be registered or commit sink epochs.
-                self._drop_pending_checkpoint(record)
-                return
-            record.completed_at = self.kernel.now()
-            self.completed_checkpoints.append(record.checkpoint_id)
-            if self.checkpoint_store is not None:
-                self.checkpoint_store.note_completed(record.checkpoint_id)
-            for sink in self.sinks.values():
-                if isinstance(sink, TransactionalSink):
-                    self._commit_sink(sink, record.checkpoint_id)
+            if self.coordinator.persisted(record, self.kernel.now()):
+                for sink in self.sinks.values():
+                    if isinstance(sink, TransactionalSink):
+                        self._commit_sink(sink, record.checkpoint_id)
 
-        self.kernel.call_after(persist_cost, complete)
-        self._pending_checkpoint = None
+        self.kernel.call_after(cost, complete)
 
     def _commit_sink(self, sink: TransactionalSink, checkpoint_id: int, attempt: int = 1) -> None:
         """Publish a sink's sealed epochs, retrying transient commit faults.
@@ -661,12 +554,6 @@ class Engine:
             return
         self.metrics.recovery.end_degraded(component, self.kernel.now())
 
-    def latest_checkpoint(self) -> CheckpointRecord | None:
-        """The most recent completed checkpoint record, if any."""
-        if not self.completed_checkpoints:
-            return None
-        return self.checkpoints[self.completed_checkpoints[-1]]
-
     # ------------------------------------------------------------------
     # failure & recovery primitives
     # ------------------------------------------------------------------
@@ -680,7 +567,7 @@ class Engine:
         finished = task.finished
         task.kill()
         if not finished:
-            self._drop_pending_checkpoint()
+            self.coordinator.abort()
 
     def revive(
         self, task: Task, snapshot: TaskSnapshot | None = None, fresh_backend: bool = False
@@ -698,42 +585,6 @@ class Engine:
             backend = None if keep else backend_factory()
             task.reincarnate(operator_factory(), backend)
         task.restore_snapshot(snapshot)
-
-    def restore_latency(self, snapshot_bytes: int) -> float:
-        """Virtual time to pull a snapshot from durable storage."""
-        cfg = self.config.checkpoints
-        if cfg is None:
-            return 0.0
-        return cfg.write_base_cost + snapshot_bytes * cfg.write_cost_per_byte
-
-    def restore_bytes(self, record: CheckpointRecord, task_names: set[str] | None = None) -> int:
-        """Volume a restore must pull for ``record`` (optionally restricted
-        to ``task_names``): full-snapshot sizes classically, the whole
-        base + delta chain per task in incremental mode — which is what
-        makes recovery time grow with chain length until a rebase bounds it.
-        """
-        total = 0
-        for name, snapshot in record.snapshots.items():
-            if task_names is not None and name not in task_names:
-                continue
-            if snapshot.delta is not None and self.checkpoint_store is not None:
-                total += self.checkpoint_store.chain_bytes(name, snapshot.delta)
-            else:
-                total += snapshot.size_bytes()
-        return total
-
-    def restore_task_chain(self, task: Task, snapshot: TaskSnapshot) -> None:
-        """Rebuild ``task``'s keyed state from the base + delta chain ending
-        at ``snapshot``'s captured link. The backend is cleared first so a
-        reused (failure-surviving) backend cannot leak post-checkpoint keys
-        into the restored state."""
-        if self.checkpoint_store is None:
-            raise CheckpointError(
-                "incremental snapshot cannot be restored: engine has no chain store"
-            )
-        chain = self.checkpoint_store.chain_to(task.name, snapshot.delta)
-        task.state_backend.clear_all()
-        restore_chain(task.state_backend, chain)
 
     def planned_tasks(self) -> list[Task]:
         """Unique tasks currently in the physical plan, in topological order.
@@ -811,7 +662,7 @@ class Engine:
         killed and every channel touching it reset so no stale element
         reaches a new incarnation."""
         self.execution_epoch += 1
-        self._drop_pending_checkpoint()
+        self.coordinator.restart()
         for name, task in self.tasks.items():
             if name in scope:
                 task.kill()
@@ -845,7 +696,7 @@ class Engine:
         if not isinstance(source, CheckpointRecord):
             self._revive_scope(scope, source)
             return self.kernel.now()
-        resume_at = self.kernel.now() + self.restore_latency(self.restore_bytes(source, scope))
+        resume_at = self.kernel.now() + self.coordinator.restore_latency(source, scope)
         token = object()
         for name in scope:
             self._restores[name] = (token, resume_at)
@@ -887,7 +738,6 @@ class Engine:
         for task in revived:
             if not replay and isinstance(task, SourceTask):
                 task.reincarnate()  # at-most-once: continue where it stopped
-                task._next_arrival = self.kernel.now()
             else:
                 self.revive(task, record.snapshots.get(task.name) if record is not None else None)
         for task in revived:

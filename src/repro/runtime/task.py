@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.checkpoint.coordinator import CheckpointCoordinator
 from repro.core.events import (
     MAX_TIMESTAMP,
     CheckpointBarrier,
@@ -60,7 +61,7 @@ class TaskSnapshot:
     In incremental checkpoint mode ``keyed_state`` stays empty and ``delta``
     carries the :class:`~repro.checkpoint.incremental.DeltaSnapshot` link
     captured at the barrier; keyed state is then restored by replaying the
-    engine's base + delta chain up to this link.
+    coordinator's base + delta chain up to this link.
     """
 
     task_name: str
@@ -95,7 +96,6 @@ class _ProcTimer:
     timestamp: float
     key: Any
     payload: Any
-    fired: bool = False
 
 
 @dataclass(slots=True)
@@ -261,6 +261,9 @@ class Task:
         self.timer_cost = timer_cost
         self.metrics = metrics or TaskMetrics(task_name=name)
         self.engine = engine
+        #: the engine's checkpoint coordinator: capture format, acks, chain
+        #: restores (a task outside an engine has its own: no rounds)
+        self.coordinator = engine.coordinator if engine else CheckpointCoordinator(None, None)
 
         self.ctx = TaskContext(self)
         self.operator_store: dict[str, Any] = {}
@@ -281,8 +284,8 @@ class Task:
         #: will end the service and pull the next item; a finite time when
         #: that event was elided (see _process_next); ``_IDLE`` otherwise
         self._busy_until = _IDLE
-        #: True while a recovery protocol holds the mailbox (see suspend())
-        self._suspended = False
+        #: holds on the mailbox by recovery protocols, nested (see suspend())
+        self._suspended = 0
         self._output_blocked = False
         self._blocked_since: float | None = None
         self._pending_output: deque[StreamElement] = deque()
@@ -294,8 +297,8 @@ class Task:
 
         self._event_timers: list[tuple[float, int, Any, Any]] = []
         self._timer_seq = itertools.count()
-        self._pending_proc_timers: set[int] = set()
-        self._proc_timer_registry: dict[int, _ProcTimer] = {}
+        #: armed processing-time timers by id, each popped as it fires
+        self._proc_timers: dict[int, _ProcTimer] = {}
 
         self.finished = False
         self.dead = False
@@ -688,9 +691,7 @@ class Task:
         timers_fired = 0
         record_units = 0
         if isinstance(element, _ProcTimer):
-            if not element.fired:
-                element.fired = True
-                self._pending_proc_timers.discard(id(element))
+            if self._proc_timers.pop(id(element), None) is not None:
                 self.ctx.current_key_value = element.key
                 self.operator.on_processing_timer(
                     element.timestamp, element.key, element.payload, self.ctx
@@ -839,18 +840,11 @@ class Task:
         # pending processing-time timers (fired immediately, in timestamp
         # order), flush, forward.
         self._fire_event_timers(MAX_TIMESTAMP)
-        pending = sorted(
-            (self._proc_timer_registry[tid] for tid in self._pending_proc_timers),
-            key=lambda t: t.timestamp,
-        )
-        self._pending_proc_timers.clear()
+        pending = sorted(self._proc_timers.values(), key=lambda t: t.timestamp)
+        self._proc_timers.clear()
         for timer in pending:
-            if timer.fired:
-                continue
-            timer.fired = True
             self.ctx.current_key_value = timer.key
             self.operator.on_processing_timer(timer.timestamp, timer.key, timer.payload, self.ctx)
-        self._proc_timer_registry.clear()
         self.operator.flush(self.ctx)
         self.collect_output(EndOfStream(source_id=self.name))
         self.finished = True
@@ -939,37 +933,24 @@ class Task:
         hook = getattr(self.operator, "on_checkpoint", None)
         if hook is not None:
             hook(barrier.checkpoint_id)
-        if self.engine is not None:
-            self.engine.on_task_snapshot(self, snapshot)
+        self.coordinator.ack(snapshot)
         self.collect_output(barrier)
 
     def take_snapshot(self, checkpoint_id: int) -> TaskSnapshot:
         """Capture keyed state, operator state, timers and watermark.
 
-        In incremental mode (engine chain store present, an
-        :class:`~repro.checkpoint.incremental.IncrementalSnapshotter`
-        attached to the backend) a coordinator capture
-        (``checkpoint_id >= 0``) takes only the delta since the previous
-        capture — or a full snapshot when the chain store asks for a rebase —
-        and charges the O(captured-entries) capture cost to the barrier
-        element via the cost model. Out-of-band captures
-        (standby mirrors use negative ids) keep the classic full-dict path
-        so they never perturb the chain's change record.
+        The coordinator decides how keyed state is captured (see
+        :meth:`~repro.checkpoint.coordinator.CheckpointCoordinator.capture`):
+        a full dict, or in incremental mode a chain link whose
+        O(captured-entries) capture cost is charged to the barrier element
+        via the cost model. Out-of-band captures (standby mirrors use
+        negative ids) always take the full dict.
         """
-        keyed_state: dict[str, dict[Any, bytes]] = {}
-        delta = None
-        store = self.engine.checkpoint_store if self.engine is not None else None
-        snapshotter = self.state_backend.snapshotter if store is not None else None
-        if checkpoint_id >= 0 and snapshotter is not None:
-            if store.wants_full(self.name):
-                delta = snapshotter.full_snapshot()
-            else:
-                delta = snapshotter.delta_snapshot()
-            capture_cost_per_entry = self.engine.config.checkpoints.capture_cost_per_entry
-            if capture_cost_per_entry:
-                self.ctx.add_cost(delta.entry_count() * capture_cost_per_entry)
-        else:
-            keyed_state = self.state_backend.snapshot()
+        keyed_state, delta, cost = self.coordinator.capture(
+            self.name, self.state_backend, checkpoint_id
+        )
+        if cost:
+            self.ctx.add_cost(cost)
         snapshot = TaskSnapshot(
             task_name=self.name,
             checkpoint_id=checkpoint_id,
@@ -988,10 +969,10 @@ class Task:
         operator/backend incarnation."""
         if snapshot is None:
             return
-        if snapshot.delta is not None and self.engine is not None:
-            # Incremental capture: keyed state lives in the engine's
+        if snapshot.delta is not None:
+            # Incremental capture: keyed state lives in the coordinator's
             # base + delta chain, not in the snapshot itself.
-            self.engine.restore_task_chain(self, snapshot)
+            self.coordinator.restore_chain(self.name, self.state_backend, snapshot.delta)
         else:
             self.state_backend.restore(snapshot.keyed_state)
         self.operator.restore_state(snapshot.operator_state)
@@ -1012,13 +993,12 @@ class Task:
 
     def register_processing_timer(self, timestamp: float, key: Any, payload: Any) -> None:
         """Arm a virtual-processing-time timer."""
-        incarnation = self.incarnation
         timer = _ProcTimer(timestamp, key, payload)
-        self._proc_timer_registry[id(timer)] = timer
-        self._pending_proc_timers.add(id(timer))
+        self._proc_timers[id(timer)] = timer
 
         def fire() -> None:
-            if incarnation != self.incarnation or timer.fired:
+            # gone from the registry: it fired at finish, or a kill cleared it
+            if id(timer) not in self._proc_timers:
                 return
             self.enqueue_local(timer)
 
@@ -1113,8 +1093,7 @@ class Task:
         self._drop_queued()
         self._pending_output.clear()
         self._event_timers.clear()
-        self._pending_proc_timers.clear()
-        self._proc_timer_registry.clear()
+        self._proc_timers.clear()
         self._output_blocked = False
         self._blocked_since = None
         self._active_span = None
@@ -1141,12 +1120,15 @@ class Task:
         """Stop pulling from the mailbox (in-flight element completes).
 
         Used by recovery protocols to hold an upstream still while a
-        downstream rebuilds — the effect flow control would have."""
-        self._suspended = True
+        downstream rebuilds — the effect flow control would have. Holds
+        nest: the mailbox stays held until every suspend is resumed. A
+        source holds its emission instead."""
+        self._suspended += 1
 
     def resume_processing(self) -> None:
-        """Undo :meth:`suspend` and resume pulling from the mailbox."""
-        self._suspended = False
+        """Undo one :meth:`suspend`; pulling resumes once none is left."""
+        if self._suspended:
+            self._suspended -= 1
         self._maybe_schedule()
 
     def stall(self, seconds: float) -> None:
@@ -1201,6 +1183,11 @@ class Task:
     @property
     def is_backpressured(self) -> bool:
         return self._output_blocked
+
+    @property
+    def blocked_since(self) -> float | None:
+        """Virtual time the open backpressure interval began (None: none)."""
+        return self._blocked_since
 
     def __repr__(self) -> str:
         return f"Task({self.name!r}, mailbox={len(self._mailbox)}, dead={self.dead})"
@@ -1267,7 +1254,6 @@ class SourceTask(Task):
         #: first marker
         self._markers_emitted: Any = None
         self._max_event_time = float("-inf")
-        self.paused = False
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -1315,7 +1301,7 @@ class SourceTask(Task):
         travels as a single element. Watermark strategies still observe
         every event (at emission, so progress never outruns unemitted data),
         and only the highest resulting watermark follows a batch."""
-        if self.dead or self.finished or self.paused:
+        if self.dead or self.finished or self._suspended:
             return
         arrival = max(self._clock._now, self._next_arrival)
         limit = self._batch_records
@@ -1488,15 +1474,15 @@ class SourceTask(Task):
             self._marker_timer.cancel()
 
     # ------------------------------------------------------------------
-    def pause(self) -> None:
-        """Stop emitting (used by stop-restart reconfiguration)."""
-        self.paused = True
-
-    def resume(self) -> None:
-        """Undo :meth:`pause`; emission continues from the pending event."""
-        if not self.paused:
+    def resume_processing(self) -> None:
+        """Undo one :meth:`suspend` (on a source it holds emission: a
+        stop-restart reconfiguration, a chaos stall, a tap-fed source); once
+        none is left, emission continues from the pending event."""
+        if not self._suspended:
             return
-        self.paused = False
+        self._suspended -= 1
+        if self._suspended:
+            return
         if self._pending is not None:
             self._emit_due(self.incarnation)
         else:
@@ -1519,14 +1505,9 @@ class SourceTask(Task):
     def restore_snapshot(self, snapshot: TaskSnapshot | None) -> None:
         offset = snapshot.source_offset if snapshot is not None else 0
         self._iterator = iter(self.workload.events())
-        skipped = 0
-        while skipped < (offset or 0):
-            try:
-                next(self._iterator)
-            except StopIteration:
-                break
-            skipped += 1
-        self._emitted = skipped
+        self._emitted = 0  # skip the emitted prefix (all of it, if the workload is shorter)
+        for _event in itertools.islice(self._iterator, offset or 0):
+            self._emitted += 1
         self._last_watermark = snapshot.watermark if snapshot is not None else float("-inf")
         self._pending = None
         self._next_arrival = self.kernel.now()
@@ -1539,11 +1520,20 @@ class SourceTask(Task):
         self._pending = None
 
     def reincarnate(self, operator: Operator | None = None, state_backend: Any = None) -> None:
+        """Come back where the source stopped, the next record due from now
+        on (at-most-once continues so; a restore then rewinds the offset)."""
         self.dead = False
         self.finished = False
         self.metrics.mark_up(self.kernel.now())
         self.strategy = self.strategy.fresh()
         self._start_timers()
+        self._next_arrival = self.kernel.now()
+
+    def inject_barrier(self, barrier: CheckpointBarrier) -> None:
+        """The coordinator's trigger: snapshot the offset and send
+        ``barrier`` downstream now."""
+        self._capture_and_forward(barrier)
+        self._flush_outputs()
 
     def restart_emission(self) -> None:
         """Kick the emission loop after a restore."""

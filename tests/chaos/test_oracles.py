@@ -155,7 +155,7 @@ def _record(cid, triggered, completed, offsets):
 def test_checkpoint_oracle_accepts_monotone_offsets():
     oracle = CheckpointConsistencyOracle()
     engine = _engine(
-        completed_checkpoints=[1, 2],
+        coordinator=SimpleNamespace(completed=[1, 2]),
         checkpoints={
             1: _record(1, 0.1, 0.2, {"src[0]": 10}),
             2: _record(2, 0.3, 0.4, {"src[0]": 25}),
@@ -167,7 +167,7 @@ def test_checkpoint_oracle_accepts_monotone_offsets():
 def test_checkpoint_oracle_flags_offset_rewind_and_holes():
     oracle = CheckpointConsistencyOracle()
     engine = _engine(
-        completed_checkpoints=[1, 2, 3],
+        coordinator=SimpleNamespace(completed=[1, 2, 3]),
         checkpoints={
             1: _record(1, 0.1, 0.2, {"src[0]": 25}),
             2: _record(2, 0.3, 0.4, {"src[0]": 10}),  # rewind
@@ -181,5 +181,5 @@ def test_checkpoint_oracle_flags_offset_rewind_and_holes():
 
 def test_checkpoint_oracle_flags_missing_record():
     oracle = CheckpointConsistencyOracle()
-    engine = _engine(completed_checkpoints=[7], checkpoints={})
+    engine = _engine(coordinator=SimpleNamespace(completed=[7]), checkpoints={})
     assert any("no record" in v.message for v in oracle.finish(engine))

@@ -72,15 +72,17 @@ def observe(backend_name, monkeypatch):
     engine = env.build()
 
     captures = {}
-    on_task_snapshot = engine.on_task_snapshot
+    ack = engine.coordinator.ack
 
-    def record_capture(task, snapshot):
-        if task.name in _STATEFUL:
+    def record_capture(snapshot):
+        if snapshot.task_name in _STATEFUL:
             delta = snapshot.delta
-            captures.setdefault(task.name, []).append((delta.entry_count(), delta.size_bytes()))
-        on_task_snapshot(task, snapshot)
+            captures.setdefault(snapshot.task_name, []).append(
+                (delta.entry_count(), delta.size_bytes())
+            )
+        ack(snapshot)
 
-    engine.on_task_snapshot = record_capture
+    engine.coordinator.ack = record_capture
     take_snapshot = Task.take_snapshot
 
     def stats_untouched(task, checkpoint_id):

@@ -193,4 +193,4 @@ class TestCheckpointingTenants:
         result = fabric.run()
         assert result.all_finished
         assert len(sink.results) == 150
-        assert handle.engine.completed_checkpoints
+        assert handle.engine.coordinator.completed

@@ -111,21 +111,18 @@ class TestChainReplayEquivalence:
         backend = IncrementalSnapshotter(InMemoryStateBackend())
         backend.register(descriptor)
         store = TaskChainStore()
-        checkpoint_id = 0
         for op, key, value in ops:
             if op == "put":
                 backend.put(descriptor, key, value)
             elif op == "delete":
                 backend.delete(descriptor, key)
             else:
-                checkpoint_id += 1
                 link = (
                     backend.full_snapshot()
                     if store.wants_full("t")
                     else backend.delta_snapshot()
                 )
-                store.append("t", link, checkpoint_id)
-                store.note_completed(checkpoint_id)
+                store.append("t", link)
 
         replica = IncrementalSnapshotter(InMemoryStateBackend())
         replica.register(descriptor)

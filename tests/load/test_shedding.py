@@ -20,7 +20,7 @@ class PressuredContext(StubContext):
         self.queue_length = queue_length
 
     @property
-    def _task(self):
+    def task(self):
         outer = self
 
         class _T:

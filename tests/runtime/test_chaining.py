@@ -353,7 +353,7 @@ class TestChainedRecovery:
         env, _ = self.windowed_env(chaining=True)
         engine = env.build()
         env.execute()
-        assert engine.completed_checkpoints
+        assert engine.coordinator.completed
         record = engine.latest_checkpoint()
         assert record.complete
         # One snapshot per live task — the fused task snapshots all members.

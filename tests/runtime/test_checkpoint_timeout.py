@@ -41,7 +41,7 @@ def test_lost_barrier_without_timeout_wedges_the_job():
     # cp1 (t=0.02) loses its barrier on the left leg: merge[0] blocks its
     # right input forever and the coordinator never triggers cp2.
     assert not engine.job_finished
-    assert len(engine.completed_checkpoints) == 0
+    assert len(engine.coordinator.completed) == 0
     assert len(sink.results) < 600
 
 
@@ -51,8 +51,8 @@ def test_timeout_aborts_wedged_checkpoint_and_releases_alignment():
     assert engine.job_finished
     assert len(sink.results) == 600
     # The lost-barrier checkpoint never completed, later rounds did.
-    assert 1 not in engine.completed_checkpoints
-    assert engine.completed_checkpoints  # coordinator kept going
+    assert 1 not in engine.coordinator.completed
+    assert engine.coordinator.completed  # coordinator kept going
     assert 1 not in engine.checkpoints  # aborted record dropped
 
 
@@ -66,7 +66,7 @@ def test_abort_is_noop_for_completed_checkpoints():
     engine = env.build()
     engine.run(until=2.0)
     assert engine.job_finished
-    completed = list(engine.completed_checkpoints)
+    completed = list(engine.coordinator.completed)
     assert completed
     record = engine.checkpoints[completed[0]]
     engine.abort_inflight_checkpoint(record.checkpoint_id)

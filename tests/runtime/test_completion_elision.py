@@ -299,7 +299,7 @@ class TestSameInstantControl:
         # before the sink (a busy ``delay`` turns "inside" into the tie)
         engine.kernel.call_at(at - 3 * LATENCY, engine.trigger_checkpoint)
         env.execute()
-        assert engine.completed_checkpoints == [1]
+        assert engine.coordinator.completed == [1]
         assert len(sink.results) == 96
         taken_at = engine.tasks["out[0]"].last_snapshot.taken_at
         assert taken_at >= T8 + 4 * U  # not before record 8 completes

@@ -60,7 +60,7 @@ class TestCheckpoints:
         env, _sink = self.make()
         engine = env.build()
         env.execute()
-        assert engine.completed_checkpoints
+        assert engine.coordinator.completed
         record = engine.latest_checkpoint()
         assert record.complete
         # Every live task snapshotted: source + key_by(2) + count(2) + sink.
@@ -78,7 +78,7 @@ class TestCheckpoints:
         env, _sink = self.make(CheckpointMode.UNALIGNED)
         engine = env.build()
         env.execute()
-        assert engine.completed_checkpoints
+        assert engine.coordinator.completed
 
     def test_recover_without_checkpoint_raises(self):
         env, _sink = keyed_count_env()

@@ -37,7 +37,7 @@ class TestWiring:
     def test_backends_track_changes_when_incremental(self):
         env, _sink = keyed_count_env(incremental_config())
         engine = env.build()
-        assert engine.checkpoint_store is not None
+        assert engine.coordinator.store is not None
         for task in engine.tasks_of("count"):
             # the backend itself sits on the access path, not a wrapper
             assert isinstance(task.state_backend, InMemoryStateBackend)
@@ -49,7 +49,7 @@ class TestWiring:
             EngineConfig(checkpoints=CheckpointConfig(interval=0.05))
         )
         engine = env.build()
-        assert engine.checkpoint_store is None
+        assert engine.coordinator.store is None
         for task in engine.tasks_of("count"):
             assert task.state_backend.snapshotter is None
 
@@ -84,7 +84,7 @@ class TestChainBounds:
         env, _sink = keyed_count_env(incremental_config(max_chain_length=3), count=800)
         engine = env.build()
         env.execute()
-        store = engine.checkpoint_store
+        store = engine.coordinator.store
         assert store.rebases >= 1
         assert store.max_segment_length() <= 3
 
@@ -94,7 +94,7 @@ class TestChainBounds:
         )
         engine = env.build()
         env.execute()
-        store = engine.checkpoint_store
+        store = engine.coordinator.store
         assert store.links_pruned > 0
         for task in engine.tasks_of("count"):
             # never more than one dead segment plus the live one
@@ -170,7 +170,7 @@ class TestEquivalence:
         full_record = full_engine.latest_checkpoint()
         inc_record = inc_engine.latest_checkpoint()
         assert full_record.checkpoint_id == inc_record.checkpoint_id
-        store = inc_engine.checkpoint_store
+        store = inc_engine.coordinator.store
         for task in inc_engine.tasks_of("count"):
             snapshot = inc_record.snapshots[task.name]
             target = InMemoryStateBackend()

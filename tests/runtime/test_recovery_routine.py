@@ -44,7 +44,7 @@ class TestCheckpointInFlight:
         seen = {}
 
         def recover():
-            seen["completed"] = list(engine.completed_checkpoints)
+            seen["completed"] = list(engine.coordinator.completed)
             seen["pending"] = 5 in engine.checkpoints
             engine.recover_from_checkpoint()
 
@@ -53,7 +53,7 @@ class TestCheckpointInFlight:
         assert seen["completed"] == [1, 2, 3, 4]
         assert seen["pending"], "checkpoint 5 was not in flight"
         assert engine.job_finished
-        assert len(engine.completed_checkpoints) > 20
+        assert len(engine.coordinator.completed) > 20
         assert set(r.value for r in sink.results) == set(range(1, ROWS + 1))
 
 

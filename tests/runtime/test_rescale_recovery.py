@@ -65,10 +65,10 @@ class TestCheckpointAbortDuringRescale:
             # Inject the barriers ourselves so the round is deterministically
             # in flight (barriers not yet aligned) when the rescale lands.
             aborted_id = engine.trigger_checkpoint()
-            observed["pending_before"] = engine._pending_checkpoint is not None
+            observed["pending_before"] = engine.coordinator.pending is not None
             rescaler.rescale("count", 4)
             observed["aborted_id"] = aborted_id
-            observed["pending_after"] = engine._pending_checkpoint is not None
+            observed["pending_after"] = engine.coordinator.pending is not None
 
         engine.kernel.call_at(0.06, rescale_mid_checkpoint)
         result = env.execute(until=30.0)
@@ -77,8 +77,8 @@ class TestCheckpointAbortDuringRescale:
         assert observed["pending_before"], "test did not catch a checkpoint in flight"
         assert not observed["pending_after"]
         # The aborted round never completed; later rounds did.
-        assert observed["aborted_id"] not in engine.completed_checkpoints
-        assert any(c > (observed["aborted_id"] or 0) for c in engine.completed_checkpoints)
+        assert observed["aborted_id"] not in engine.coordinator.completed
+        assert any(c > (observed["aborted_id"] or 0) for c in engine.coordinator.completed)
 
 
 class TestRestoreAfterRescale:

@@ -35,7 +35,7 @@ class TestBarrierAlignment:
         env, _sink = self.build_two_input_job(CheckpointMode.ALIGNED)
         engine = env.build()
         env.execute()
-        assert engine.completed_checkpoints
+        assert engine.coordinator.completed
         record = engine.latest_checkpoint()
         # Union + count + sink + both sources all snapshotted.
         assert len(record.snapshots) >= 5
@@ -59,7 +59,7 @@ class TestBarrierAlignment:
         env, _sink = self.build_two_input_job(CheckpointMode.UNALIGNED)
         engine = env.build()
         env.execute()
-        assert engine.completed_checkpoints
+        assert engine.coordinator.completed
 
 
 class TestProcessingTimers:
