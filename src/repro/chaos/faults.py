@@ -36,6 +36,7 @@ from repro.chaos.schedule import (
 from repro.core.events import CheckpointBarrier, Record, RecordBatch, StreamElement
 from repro.errors import RecoveryError
 from repro.fault.injection import FailureEvent, FailureInjector
+from repro.load.migration import Rescaler
 from repro.runtime.config import GuaranteeLevel
 from repro.supervision.supervisor import Supervisor, SupervisorConfig
 
@@ -200,9 +201,6 @@ class ChaosInjector:
         #: dispatch order — compared across runs by the determinism tests
         self.log: list[str] = []
         self._hooks: dict[str, ChannelFaultHook] = {}
-        #: lazily-built Rescaler shared by every RESCALE fault in the
-        #: schedule (keeps one router/report chain per node)
-        self._rescaler = None
 
     # ------------------------------------------------------------------
     def apply(self) -> None:
@@ -276,11 +274,7 @@ class ChaosInjector:
                 # Force a real reconfiguration: same-parallelism rescales
                 # would be no-ops and waste the scheduled slot.
                 target_p += 1
-            from repro.load.migration import Rescaler
-
-            if self._rescaler is None:
-                self._rescaler = Rescaler(engine)
-            report = self._rescaler.rescale(spec.target, target_p, mode="live")
+            report = Rescaler(engine).rescale(spec.target, target_p, mode="live")
             self._log_event(
                 RESCALE,
                 spec.target,

@@ -155,10 +155,11 @@ class AutoscaleController:
         registry.gauge(f"{prefix}/moved_bytes_total", lambda: self.moved_bytes_total)
         registry.gauge(f"{prefix}/chain_bytes_total", lambda: self.chain_bytes_total)
         registry.gauge(f"{prefix}/downtime_total", lambda: self.downtime_total)
-        registry.gauge(
-            f"{prefix}/routing_epoch",
-            lambda: max((r.epoch for r in self.engine.key_routers.values()), default=0),
-        )
+        registry.gauge(f"{prefix}/routing_epoch", self._routing_epoch)
+
+    def _routing_epoch(self) -> int:
+        state = self.engine.rescale_state
+        return 0 if state is None else max((r.epoch for r in state.routers.values()), default=0)
 
     # ------------------------------------------------------------------
     def tick(self) -> None:
@@ -216,10 +217,8 @@ class AutoscaleController:
             return
         totals: dict[int, int] = {}
         for task in tasks:
-            counts = task._keygroup_counts
-            if counts:
-                for group, count in counts.items():
-                    totals[group] = totals.get(group, 0) + count
+            for group, count in task.keygroup_counts.items():
+                totals[group] = totals.get(group, 0) + count
         previous = self._last_group_totals.get(name, {})
         window = {g: c - previous.get(g, 0) for g, c in totals.items()}
         self._last_group_totals[name] = totals

@@ -10,10 +10,10 @@ each key still has exactly one owner — state migration and in-flight
 rerouting stay well-defined.
 
 The router is shared by every consumer of the routing decision — output
-gates, migration predicates, reroute closures, post-recovery redistribution
-— which is what keeps them consistent through a live rescale. Every change
-bumps ``epoch`` so observers (metrics, debugging) can tell reconfigurations
-apart.
+gates, migration predicates, the owner lookup that forwards in-flight
+records, post-recovery redistribution — which is what keeps them
+consistent through a live rescale. Every change bumps ``epoch`` so
+observers (metrics, debugging) can tell reconfigurations apart.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from repro.errors import LoadManagementError
 
 class KeyRouter:
     """Key → subtask-index map: contiguous key-group ranges plus per-group
-    hot splits. One router per rescalable logical node; the engine holds it
-    in ``engine.key_routers[node_id]``."""
+    hot splits. One router per rescaled logical node, held by the engine's
+    :class:`~repro.load.migration.RescaleState` in ``routers[node_id]``."""
 
     def __init__(self, parallelism: int, max_parallelism: int) -> None:
         if parallelism < 1:

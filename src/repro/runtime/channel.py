@@ -271,7 +271,7 @@ class OutputGate:
         self._round_robin = 0
         #: optional :class:`~repro.load.routing.KeyRouter` consulted instead
         #: of plain key-group routing (installed by live rescaling so hash
-        #: routing, migration predicates, and reroute closures agree); None
+        #: routing, migration predicates, and the owner lookup agree); None
         #: on the production path — the cost is one attribute test per emit
         self.router: Any = None
 

@@ -164,18 +164,10 @@ class Engine:
         #: edge-index → {sender task name → OutputGate}; maintained for
         #: dynamic rewiring (rescaling, dynamic topologies)
         self.edge_gates: dict[int, dict[str, OutputGate]] = {}
-        #: node_id → KeyRouter for nodes that have been live-rescaled or
-        #: hot-split; gates, migration, and reroute closures all consult the
-        #: same router so routing stays consistent (see repro.load.routing)
-        self.key_routers: dict[int, Any] = {}
-        #: node_ids whose parallelism has diverged from the plan; global
-        #: restore must redistribute checkpointed state across the *current*
-        #: tasks instead of assuming the checkpoint-time layout
-        self.rescaled_nodes: set[int] = set()
-        #: node_id → channels into subtasks retired by a scale-in; records
-        #: can still be travelling these popped links, and a rescaled node's
-        #: EOS drain barrier waits until they land (and get rerouted)
-        self.retired_channels: dict[int, list] = {}
+        #: the live-rescale part (``RescaleState`` in ``load/migration.py``):
+        #: key routers, rescaled groups, retired links and the finish gate;
+        #: None until the first rescale or hot-group split
+        self.rescale_state: Any = None
         #: task name → (operator factory, state-backend factory) a revival
         #: rebuilds it from; a chained task's operator is the whole chain
         self._task_factories: dict[str, tuple[Callable[[], Operator], Callable[[], Any]]] = {}
@@ -743,13 +735,11 @@ class Engine:
         for task in revived:
             if isinstance(task, SourceTask):
                 task.restart_emission()
-        if replay and self.rescaled_nodes:
+        if replay and self.rescale_state is not None:
             # Snapshots are keyed by the capture-time layout: re-home the
             # restored state of rescaled nodes in the scope to the current
-            # owners. Late import: the engine module must not depend on load/.
-            from repro.load.migration import redistribute_after_restore
-
-            redistribute_after_restore(self, record, scope)
+            # owners.
+            self.rescale_state.restore(self, record, scope)
 
     # -- recovery verbs -------------------------------------------------
     def recover_from_checkpoint(self, checkpoint_id: int | None = None) -> float:

@@ -353,18 +353,17 @@ class Task:
     #: when set (by an active-standby manager), deliveries during downtime
     #: are parked here instead of dropped — the hot replica "received" them
     ha_buffer: list | None = None
-    #: when set (by live migration), maps a key to its owning Task so
-    #: in-flight records routed under the old partitioning are forwarded
-    reroute: Any = None
+    #: when set (by a live rescale), the rescale part this task's node, or
+    #: a node it receives from, belongs to (``RescaleState`` in
+    #: ``load/migration.py``): a member forwards records whose key moved
+    #: (``owner``, ``reroutes``), and the finish decision waits for its gate
+    #: (``ready``; see _settle)
+    rescale_state: Any = None
     #: when set (by the autoscaler's hot-key detector), counts processed
     #: records per key group: {key_group: count}. None on the production
     #: path — the cost is one attribute test per record.
     _keygroup_counts: Any = None
     _keygroup_maxp: int = 0
-    #: when set (by live migration), a callable ``(task) -> bool`` that is
-    #: True once no rescaled node can still send or reroute anything to this
-    #: task; the finish decision waits for it (see _settle)
-    rescale_group_ready: Any = None
     #: True while a transactional operator has a txn in flight (execute →
     #: deferred commit): the mailbox — including checkpoint barriers — stays
     #: queued, so a barrier can never be processed mid-transaction
@@ -379,6 +378,12 @@ class Task:
         if self._keygroup_counts is None:
             self._keygroup_counts = {}
         self._keygroup_maxp = max_parallelism
+
+    @property
+    def keygroup_counts(self) -> dict[int, int]:
+        """Records processed per key group since tracking began (empty when
+        not tracking); see :meth:`enable_keygroup_tracking`."""
+        return self._keygroup_counts or {}
 
     def deliver(self, channel_index: int, element: StreamElement, via: Any = None) -> None:
         """Channel callback: serve the element in place when the task is
@@ -405,9 +410,10 @@ class Task:
             # A retired (scaled-in) task still forwards misrouted records;
             # an owner that already finished reopens (enqueue_local) so the
             # straggler is folded into the state that migrated to it.
-            if self.reroute is not None and isinstance(element, (Record, RecordBatch)):
+            rescale = self.rescale_state
+            if rescale is not None and isinstance(element, (Record, RecordBatch)):
                 for record in element.records() if isinstance(element, RecordBatch) else (element,):
-                    owner = self.reroute(record.key) if record.key is not None else None
+                    owner = rescale.owner(self, record.key) if record.key is not None else None
                     if owner is not None:
                         owner.enqueue_local(record)
             if via is not None:
@@ -445,7 +451,12 @@ class Task:
             # After a live rescale, an owner can finish before records that now
             # belong to it drain elsewhere: reopen for those stragglers (its
             # finish decision runs again; re-forwarding EOS is idempotent).
-            if self.reroute is None or not isinstance(element, (Record, RecordBatch)):
+            rescale = self.rescale_state
+            if (
+                rescale is None
+                or not rescale.reroutes(self)
+                or not isinstance(element, (Record, RecordBatch))
+            ):
                 return
             self.finished = False
             self._settling = True
@@ -546,11 +557,11 @@ class Task:
         metrics = self.metrics
         if type(element) is Record or isinstance(element, Record):  # exact type first: no call
             key = element.key
-            reroute = self.reroute
+            rescale = self.rescale_state
             if (
-                reroute is not None
+                rescale is not None
                 and key is not None
-                and (owner := reroute(key)) is not None
+                and (owner := rescale.owner(self, key)) is not None
                 and owner is not self
             ):
                 # Key ownership moved (live migration): forward the record
@@ -710,7 +721,7 @@ class Task:
                 for record in reversed(list(element.records())):
                     self._mailbox.appendleft(_MailboxItem(channel_index, record))
                 return None, 0
-            if self.reroute is not None:
+            if self.rescale_state is not None and self.rescale_state.reroutes(self):
                 # Live migration in flight: batch routing predates the new
                 # key ownership, so explode and re-deliver per record.
                 for record in element.records():
@@ -791,8 +802,10 @@ class Task:
             return
         # A rescaled node's own tasks (they reroute) decide on the probe's
         # cadence; a task it sends to finishes at once if the gate holds.
-        ready = self.rescale_group_ready
-        if self._feedback or (ready is not None and (self.reroute is not None or not ready(self))):
+        rescale = self.rescale_state
+        if self._feedback or (
+            rescale is not None and (rescale.reroutes(self) or not rescale.ready(self))
+        ):
             self._arm_drain_probe()
         elif self._mailbox or self.inputs.buffer:
             self._settling = True
@@ -822,9 +835,9 @@ class Task:
             nonlocal quiet, last
             if incarnation != self.incarnation:
                 return  # a kill ended this incarnation (a revive re-arms)
-            count, ready = self.inputs.feedback_deliveries, self.rescale_group_ready
+            count, rescale = self.inputs.feedback_deliveries, self.rescale_state
             still = count == last and self.drained and not self._pending_output
-            quiet = quiet + 1 if still and (ready is None or ready(self)) else 0
+            quiet = quiet + 1 if still and (rescale is None or rescale.ready(self)) else 0
             last = count
             if self.finished or quiet >= rounds:
                 self._probing = False
@@ -991,6 +1004,20 @@ class Task:
         """Arm an event-time timer (fires when the watermark passes)."""
         heapq.heappush(self._event_timers, (timestamp, next(self._timer_seq), key, payload))
 
+    def extract_event_timers(self, predicate: Callable[[Any], bool]) -> list[tuple[float, Any, Any]]:
+        """Remove and return, as ``(timestamp, key, payload)`` in heap order,
+        the pending event-time timers whose key matches ``predicate`` (live
+        migration: timers follow their keys); timers without a key stay."""
+        moving, kept = [], []
+        for timestamp, seq, key, payload in self._event_timers:
+            if key is not None and predicate(key):
+                moving.append((timestamp, key, payload))
+            else:
+                kept.append((timestamp, seq, key, payload))
+        heapq.heapify(kept)
+        self._event_timers = kept
+        return moving
+
     def register_processing_timer(self, timestamp: float, key: Any, payload: Any) -> None:
         """Arm a virtual-processing-time timer."""
         timer = _ProcTimer(timestamp, key, payload)
@@ -1156,7 +1183,7 @@ class Task:
         """Leave the plan (scale-in): hand every element still queued or
         held back by alignment to ``hand_off`` and finish without an
         end-of-stream (the receivers retire the links instead). Later
-        deliveries are forwarded through ``reroute``."""
+        deliveries are forwarded to their owners (``rescale_state``)."""
         self._drop_queued(hand_off)
         self.finished = True
         self.metrics.finished_at = self.kernel.now()

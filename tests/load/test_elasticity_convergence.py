@@ -105,8 +105,7 @@ class TestSkewedConvergence:
             hot_group_threshold=0.35, min_window_records=50, warmup=2.0,
         )
         assert controller.hot_splits >= 1, "skewed load never triggered a hot-group split"
-        node_id = engine.graph.node_by_name("count").node_id
-        router = engine.key_routers[node_id]
+        router = controller.rescaler.router_for("count")
         assert router.splits, "split was not installed on the router"
         # Bounded actuation: scale-ups plus splits stay a short sequence.
         assert controller.rescales + controller.hot_splits <= 5, (
@@ -129,14 +128,13 @@ class TestSkewedConvergence:
         if not controller.actions:
             return  # covered by the test above; nothing to measure here
         split = controller.actions[0]
-        node_id = engine.graph.node_by_name("count").node_id
-        router = engine.key_routers[node_id]
+        router = controller.rescaler.router_for("count")
         fanout = router.split_fanout(split.key_group)
         assert fanout is not None and fanout >= 2
         # The hot group's records ended up on more than one subtask.
         holders = {
             index
-            for index, task in enumerate(engine.node_tasks[node_id])
-            if task._keygroup_counts and task._keygroup_counts.get(split.key_group)
+            for index, task in enumerate(engine.tasks_of("count"))
+            if task.keygroup_counts.get(split.key_group)
         }
         assert len(holders) >= 2, f"hot group still pinned to {holders}"

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core.datastream import StreamExecutionEnvironment
-from repro.core.keys import field_selector, subtask_for_key
+from repro.core.keys import field_selector, key_group_for, subtask_for_key
 from repro.errors import LoadManagementError
 from repro.io.sinks import CollectSink
 from repro.io.sources import CollectionWorkload, SensorWorkload
 from repro.load.migration import Rescaler
-from repro.runtime.config import EngineConfig
+from repro.runtime.config import CheckpointConfig, EngineConfig
 
 
 def build(parallelism=2, count=2000, rate=4000.0):
@@ -93,6 +93,57 @@ class TestValidation:
         engine = env.build()
         with pytest.raises(LoadManagementError):
             Rescaler(engine).rescale("count", 0)
+
+    def test_chain_head_split_rejected(self):
+        """A hot-group split on a fused chain is refused like a rescale: the
+        records still queued for a moved key would otherwise meet the old
+        owner's emptied state. The job runs on intact."""
+        env = StreamExecutionEnvironment(
+            EngineConfig(chaining_enabled=True, default_processing_cost=1e-4)
+        )
+        sink = CollectSink("out")
+        (
+            env.from_workload(SensorWorkload(count=4000, rate=40000.0, key_count=64, seed=5))
+            .key_by(field_selector("sensor"), parallelism=2)
+            .aggregate(create=lambda: 0, add=lambda a, _v: a + 1, name="count", parallelism=2)
+            .map(lambda v: v, name="m", parallelism=2)
+            .sink(sink, parallelism=1)
+        )
+        engine = env.build()
+        engine.run(until=0.03)
+        group = key_group_for("s32", engine.config.max_parallelism)
+        with pytest.raises(LoadManagementError, match="fused operator chain"):
+            Rescaler(engine).split_key_group("count", group, 2)
+        assert engine.run(until=30.0).finished
+        final: dict = {}
+        for result in sink.results:
+            final[result.key] = max(final.get(result.key, 0), result.value)
+        assert sum(final.values()) == 4000
+
+    @pytest.mark.parametrize("verb", ["rescale", "split_key_group"])
+    def test_unknown_mode_rejected_before_any_change(self, verb):
+        env = StreamExecutionEnvironment(EngineConfig(checkpoints=CheckpointConfig(interval=100.0)))
+        (
+            env.from_workload(SensorWorkload(count=2000, rate=4000.0, key_count=16, seed=5))
+            .key_by(field_selector("sensor"), parallelism=2)
+            .aggregate(create=lambda: 0, add=lambda a, _v: a + 1, name="count", parallelism=2)
+            .sink(CollectSink("out"), parallelism=1)
+        )
+        engine = env.build()
+        engine.run(until=0.1)
+        rescaler = Rescaler(engine)
+        epoch = rescaler.router_for("count").epoch
+        engine.trigger_checkpoint()
+        pending = engine.coordinator.pending
+        assert pending is not None
+        args = (4,) if verb == "rescale" else (3, 2)
+        with pytest.raises(LoadManagementError, match="unknown rescale mode"):
+            getattr(rescaler, verb)("count", *args, mode="bogus")
+        assert engine.graph.node_by_name("count").parallelism == 2
+        assert len(engine.tasks_of("count")) == 2
+        assert rescaler.router_for("count").epoch == epoch
+        assert engine.coordinator.pending is pending
+        assert rescaler.reports == []
 
     def test_chain_head_rescale_rejected(self):
         """A chain head's tasks run the whole fused chain, which a new

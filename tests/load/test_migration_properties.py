@@ -172,11 +172,15 @@ class TestTimersFollowKeys:
 
         def rescale_and_audit():
             rescaler.rescale("holder", new_parallelism)
-            node_id = engine.graph.node_by_name("holder").node_id
-            router = engine.key_routers[node_id]
-            for index, task in enumerate(engine.node_tasks[node_id]):
-                for _ts, _seq, key, _payload in task._event_timers:
+            router = rescaler.router_for("holder")
+            for index, task in enumerate(engine.tasks_of("holder")):
+
+                def audit(key, index=index):
+                    # sees every pending keyed timer and takes none
                     placements.append((index, key, router.owner_index(key)))
+                    return False
+
+                task.extract_event_timers(audit)
 
         # Audit synchronously at rescale time: the far-future timers are all
         # still pending here (they fire in bulk at job finish).

@@ -44,6 +44,23 @@ def build(parallelism=2, count=3000, rate=3000.0, interval=0.02, incremental=Fal
     return env, sink
 
 
+class GateUntil:
+    """A stand-in rescale part that forwards nothing and holds every finish
+    it is asked about until virtual time ``at``."""
+
+    def __init__(self, engine, at):
+        self.engine, self.at = engine, at
+
+    def owner(self, task, key):
+        return None
+
+    def reroutes(self, task):
+        return False
+
+    def ready(self, task):
+        return self.engine.kernel.now() >= self.at
+
+
 def assert_conserved(sink, expected):
     per_key = {}
     for r in sink.results:
@@ -150,7 +167,7 @@ class TestDrainBarrier:
 
         def install():
             for task in engine.tasks_of("count"):
-                task.rescale_group_ready = lambda _t: engine.kernel.now() >= 1.0
+                task.rescale_state = GateUntil(engine, 1.0)
 
         engine.kernel.call_at(0.01, install)
         result = env.execute(until=30.0)
@@ -167,7 +184,7 @@ class TestDrainBarrier:
 
         def install():
             for task in engine.tasks_of("count"):
-                task.rescale_group_ready = lambda _t: True
+                task.rescale_state = GateUntil(engine, 0.0)
 
         engine.kernel.call_at(0.01, install)
         result = env.execute(until=30.0)
@@ -206,6 +223,6 @@ class TestChannelAccounting:
         assert_conserved(sink, 3000)
         for channel in engine.iter_physical_channels():
             assert channel.pending == 0, f"{channel} still has bytes in flight"
-        for channels in engine.retired_channels.values():
-            for channel in channels:
+        for links in engine.rescale_state.retired.values():
+            for channel in links:
                 assert channel.pending == 0

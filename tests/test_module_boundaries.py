@@ -24,8 +24,6 @@ TASK_CLASSES = ("Task", "SourceTask", "TaskContext")
 #: module (relative to src/repro) -> task-private names it may touch
 ALLOWED = {
     "txn/operator.py": {"_txn_hold", "_maybe_schedule", "_flush_outputs"},
-    "load/autoscaler.py": {"_keygroup_counts"},
-    "load/migration.py": {"_event_timers"},
     "obs/profile.py": {"_extra_cost"},
 }
 
