@@ -90,11 +90,11 @@ class ProfileScope:
             stack = []
             self._owner_ctx._profile_stack = stack
         stack.append(self._label)
-        self._baseline = self._owner_ctx._extra_cost
+        self._baseline = self._owner_ctx.extra_cost
         return self
 
     def __exit__(self, *exc: Any) -> bool:
-        delta = self._owner_ctx._extra_cost - self._baseline
+        delta = self._owner_ctx.extra_cost - self._baseline
         stack = self._owner_ctx._profile_stack
         path = ";".join([self._task_name, "process", *stack])
         stack.pop()

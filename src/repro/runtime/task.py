@@ -121,7 +121,8 @@ class TaskContext(OperatorContext):
     def __init__(self, task: "Task") -> None:
         self._task = task
         self.current_key_value: Any = None
-        self._extra_cost = 0.0
+        #: what ``add_cost`` charged so far to the element in service
+        self.extra_cost = 0.0
         #: the current virtual time: the clock's own ``now``, so an operator
         #: reading it runs no frame of the task
         self.processing_time: Callable[[], float] = task._clock.now
@@ -200,7 +201,7 @@ class TaskContext(OperatorContext):
     def add_cost(self, seconds: float) -> None:
         """Charge extra virtual processing time for the current element
         (models external RPCs, accelerator kernels, etc.)."""
-        self._extra_cost += seconds
+        self.extra_cost += seconds
 
     # --- observability ----------------------------------------------------
     def profile(self, label: str) -> Any:
@@ -364,13 +365,6 @@ class Task:
     #: path — the cost is one attribute test per record.
     _keygroup_counts: Any = None
     _keygroup_maxp: int = 0
-    #: True while a transactional operator has a txn in flight (execute →
-    #: deferred commit): the mailbox — including checkpoint barriers — stays
-    #: queued, so a barrier can never be processed mid-transaction
-    _txn_hold: bool = False
-    #: checkpoint id this task is parked on awaiting the shared txn store's
-    #: whole-store fence capture (None when not parked)
-    _txn_parked: Any = None
 
     def enable_keygroup_tracking(self, max_parallelism: int) -> None:
         """Start counting processed records per key group (hot-key skew
@@ -428,8 +422,7 @@ class Task:
         if (
             not self._mailbox
             and not self._blocked
-            and not (self._suspended or self._txn_hold or self._output_blocked)
-            and self._txn_parked is None
+            and not (self._suspended or self._output_blocked)
             and self._txn_gate is None
         ):
             now = self._clock._now
@@ -479,8 +472,7 @@ class Task:
         if busy_until == _IDLE or self._clock._now > busy_until:
             self._process_next(self.incarnation)
         elif (self._mailbox or self._settling) and not (
-            self._suspended or self._txn_hold or self._txn_parked is not None
-            or self._output_blocked or self.dead or self.finished
+            self._suspended or self._output_blocked or self.dead or self.finished
         ):
             # Schedule the elided completion where it would have been all
             # along.
@@ -496,10 +488,7 @@ class Task:
             return
         mailbox = self._mailbox
         if self._busy_until != _EVENT_PENDING:
-            if (
-                self._suspended or self._txn_hold or self._txn_parked is not None
-                or self._output_blocked
-            ):
+            if self._suspended or self._output_blocked:
                 return
             if not mailbox:
                 if self._settling:
@@ -604,9 +593,9 @@ class Task:
                 backend = self.state_backend
                 state_cost = reads * backend.read_latency + writes * backend.write_latency
                 cost += state_cost
-            extra_cost = ctx._extra_cost
+            extra_cost = ctx.extra_cost
             if extra_cost:
-                ctx._extra_cost = 0.0
+                ctx.extra_cost = 0.0
                 cost += extra_cost
             span = self._active_span
             if span is not None:
@@ -663,7 +652,7 @@ class Task:
             return
         # Flush buffered outputs now, in order.
         if self._pending_output or self._side_pending:
-            self._flush_outputs()
+            self.flush_outputs()
         # Return the credit for this element.
         if via is not None:
             via.return_credit()
@@ -711,7 +700,7 @@ class Task:
                 record_units = 1
         elif isinstance(element, RecordBatch):
             if self._txn_gate is not None:
-                # One record = one transaction: the _txn_hold handshake
+                # One record = one transaction: the store's drain hold
                 # pauses the mailbox *between* records, which a batch
                 # processed as one element would bypass — its deferred
                 # commits would overlap and the first to land would release
@@ -786,7 +775,7 @@ class Task:
             # The channels still owing a barrier closed instead: complete it.
             self._release(pending)
         if retire:
-            self._flush_outputs()
+            self.flush_outputs()
             self._settling = True  # decide once nothing is in service
             self._maybe_schedule()
         else:
@@ -862,7 +851,7 @@ class Task:
         self.collect_output(EndOfStream(source_id=self.name))
         self.finished = True
         self.metrics.finished_at = self.kernel.now()
-        self._flush_outputs()
+        self.flush_outputs()
         gate = self._txn_gate
         if gate is not None:
             # Fence rounds no longer wait on a drained owner.
@@ -904,9 +893,8 @@ class Task:
                 pre(barrier.checkpoint_id, self.ctx)
             gate = self._txn_gate
             if gate is not None:
-                # Shared-store fence: park until every live owner reaches this
-                # barrier; the store then resumes us via txn_resume_snapshot.
-                self._txn_parked = barrier.checkpoint_id
+                # Shared-store fence: park (a hold) until every live owner
+                # reaches this barrier; the store then injects it here.
                 gate.request_fence(self, barrier)
             else:
                 self._capture_and_forward(barrier)
@@ -916,30 +904,20 @@ class Task:
         """Abort a pending barrier alignment (the coordinator gave up on
         ``checkpoint_id``): unblock the inputs and re-inject the buffered
         elements so a lost barrier cannot wedge the task forever."""
-        if self._txn_parked == checkpoint_id:
-            # Parked on the txn store's fence for this doomed round: withdraw
-            # and resume (the round itself already ended when we parked).
-            self._txn_parked = None
-            gate = self._txn_gate
-            if gate is not None:
-                gate.cancel_fence(self, checkpoint_id)
-            self._maybe_schedule()
+        gate = self._txn_gate
+        if gate is not None:
+            # A park on the txn store's fence for this round is withdrawn.
+            gate.cancel_fence(self, checkpoint_id)
         pending = self.inputs.round
         if pending is not None and pending.checkpoint_id == checkpoint_id:
             self._release()
             self._maybe_schedule()
 
-    def txn_resume_snapshot(self, barrier: CheckpointBarrier) -> None:
-        """The shared txn store completed its fence round: take this owner's
-        snapshot (the staged whole-store capture), forward the barrier, and
-        resume the mailbox. No-op if the park was cancelled or the task died
-        while the resume event was in flight."""
-        if self.dead or self.finished or self._txn_parked != barrier.checkpoint_id:
-            return
-        self._txn_parked = None
+    def inject_barrier(self, barrier: CheckpointBarrier) -> None:
+        """Snapshot and send ``barrier`` downstream now: a source's trigger
+        from the coordinator, a txn owner's completed fence round."""
         self._capture_and_forward(barrier)
-        self._flush_outputs()
-        self._maybe_schedule()
+        self.flush_outputs()
 
     def _capture_and_forward(self, barrier: CheckpointBarrier) -> None:
         snapshot = self.take_snapshot(barrier.checkpoint_id)
@@ -1063,7 +1041,8 @@ class Task:
         """Buffer a tagged side-output element."""
         self._side_pending.append((tag, element))
 
-    def _flush_outputs(self) -> None:
+    def flush_outputs(self) -> None:
+        """Send every buffered output element downstream now, in order."""
         pending = self._pending_output
         gates = self.output_gates
         metrics = self.metrics
@@ -1104,7 +1083,7 @@ class Task:
         if self._blocked_since is not None:
             self.metrics.blocked_time += self.kernel.now() - self._blocked_since
             self._blocked_since = None
-        self._flush_outputs()
+        self.flush_outputs()
         return not self._output_blocked
 
     # ------------------------------------------------------------------
@@ -1124,14 +1103,11 @@ class Task:
         self._output_blocked = False
         self._blocked_since = None
         self._active_span = None
-        self._txn_hold = False
-        self._txn_parked = None
         gate = self._txn_gate
         if gate is not None:
-            # Abort this origin's in-flight txns and unwedge any fence round
-            # waiting on us — the engine clears the pending checkpoint on a
-            # kill without cancelling alignment, so parked siblings would
-            # otherwise hang forever.
+            # The store drops its holds on us, aborts our in-flight txns and
+            # unwedges any fence round waiting on us (the engine clears the
+            # pending checkpoint on a kill without cancelling alignment).
             gate.on_task_killed(self)
         # A dead task has no watermark: leaving the old value visible makes
         # the (killed -> reincarnated) window look like a watermark rewind
@@ -1147,7 +1123,8 @@ class Task:
         """Stop pulling from the mailbox (in-flight element completes).
 
         Used by recovery protocols to hold an upstream still while a
-        downstream rebuilds — the effect flow control would have. Holds
+        downstream rebuilds (the effect flow control would have), and by a
+        transactional store: a transaction in flight, a fence park. Holds
         nest: the mailbox stays held until every suspend is resumed. A
         source holds its emission instead."""
         self._suspended += 1
@@ -1319,7 +1296,7 @@ class SourceTask(Task):
             )
         counter.inc()
         self.collect_output(marker)
-        self._flush_outputs()
+        self.flush_outputs()
 
     def _schedule_next(self) -> None:
         """Pull the next emission unit and arm one kernel timer at its due
@@ -1396,7 +1373,7 @@ class SourceTask(Task):
             self._last_watermark = watermark.timestamp
             emit(watermark)
         self._emitted += 1
-        self._flush_outputs()
+        self.flush_outputs()
 
     def _emit_batch(self, events: list) -> None:
         """Emit pulled events as one :class:`RecordBatch` (+ one watermark).
@@ -1439,7 +1416,7 @@ class SourceTask(Task):
             self._last_watermark = watermark.timestamp
             self.collect_output(watermark)
         self._emitted += n
-        self._flush_outputs()
+        self.flush_outputs()
 
     def inject(self, value: Any, event_time: Any = None) -> None:
         """Push one record into this source from outside its pull loop.
@@ -1473,21 +1450,21 @@ class SourceTask(Task):
         if watermark is not None and watermark.timestamp > self._last_watermark:
             self._last_watermark = watermark.timestamp
             self.collect_output(watermark)
-            self._flush_outputs()
+            self.flush_outputs()
 
     def _emit_heartbeat(self) -> None:
         if self.dead or self.finished:
             return
         timestamp = self._max_event_time if self._max_event_time > float("-inf") else self.kernel.now()
         self.collect_output(Heartbeat(source_id=self.name, timestamp=timestamp))
-        self._flush_outputs()
+        self.flush_outputs()
 
     def _finish(self) -> None:
         self.finished = True
         self.metrics.finished_at = self.kernel.now()
         self.collect_output(Watermark(MAX_TIMESTAMP))
         self.collect_output(EndOfStream(source_id=self.name))
-        self._flush_outputs()
+        self.flush_outputs()
         self._cancel_timers()
         if self.engine is not None:
             self.engine.on_task_finished(self)
@@ -1555,12 +1532,6 @@ class SourceTask(Task):
         self.strategy = self.strategy.fresh()
         self._start_timers()
         self._next_arrival = self.kernel.now()
-
-    def inject_barrier(self, barrier: CheckpointBarrier) -> None:
-        """The coordinator's trigger: snapshot the offset and send
-        ``barrier`` downstream now."""
-        self._capture_and_forward(barrier)
-        self._flush_outputs()
 
     def restart_emission(self) -> None:
         """Kick the emission loop after a restore."""

@@ -8,11 +8,11 @@ the whole transaction — lock plan, waits, body, deferred commit — is one
 :meth:`~repro.txn.store.TxnStateStore.run` call; under NO-WAIT the body
 acquires dynamically and this operator retries with backoff on conflict.
 
-While a transaction is in flight the owner task holds ``_txn_hold``: its
-mailbox (including checkpoint barriers) stays queued, so a barrier can
-never be processed mid-transaction — the "txn never straddles a snapshot"
-half of the atomic-cut argument. The commit callback emits the output
-record out-of-band and releases the hold.
+While a transaction is in flight the store holds the owner task
+(``TxnStateStore.hold``): its mailbox (including checkpoint barriers) stays
+queued, so a barrier can never be processed mid-transaction — the "txn
+never straddles a snapshot" half of the atomic-cut argument. The commit
+callback emits the output record out-of-band and releases the hold.
 
 :class:`UnisolatedOperator` is the anomaly baseline experiment E10
 measures against: the same read-modify-write over a plain ``dict``, no
@@ -89,19 +89,15 @@ class TransactOperator(Operator):
         task = self._task
         value = record.value
         op_id = value if self.op_id_fn is None else self.op_id_fn(value)
-        task._txn_hold = True
         self._record = record
         self._incarnation = task.incarnation
         if not self._ordered:
+            self.store.hold(task.name)
             self._attempt_nowait(op_id, 0, task.incarnation)
             return
         declared = _declared_keys(self.keys_fn(value))
-        try:
-            self.store.run(task.name, op_id, declared, self.body, value, self._on_commit)
-        except Exception:
-            task._txn_hold = False
-            task._maybe_schedule()
-            raise
+        self.store.hold(task.name)
+        self.store.run(task.name, op_id, declared, self.body, value, self._on_commit)
 
     # --- NO-WAIT path --------------------------------------------------
     def _attempt_nowait(self, op_id: Any, tries: int, incarnation: int) -> None:
@@ -117,16 +113,14 @@ class TransactOperator(Operator):
                 # permanent abort: drop the record (counted, so record
                 # conservation still balances) and release the hold
                 task.metrics.dropped += 1
-                task._txn_hold = False
-                task._maybe_schedule()
+                self.store.release(task.name)
                 return
             delay = self._nowait_backoff * (tries + 1)
             task.kernel.call_after(delay, self._attempt_nowait, op_id, tries + 1, incarnation)
             return
         except Exception:
             self.store.abort(txn)
-            task._txn_hold = False
-            task._maybe_schedule()
+            self.store.release(task.name)
             raise
         self.store.finish_attempt(txn, self._on_commit, out)
 
@@ -137,9 +131,8 @@ class TransactOperator(Operator):
             return
         if out is not None:
             task.collect_output(self._record.with_value(out))
-        task._txn_hold = False
-        task._flush_outputs()
-        task._maybe_schedule()
+        task.flush_outputs()
+        self.store.release(task.name)
 
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Any:

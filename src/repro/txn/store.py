@@ -18,16 +18,20 @@ modelling the 2PC round-trips a multi-partition commit would need. The
 window between execute and commit is where real interleavings (and hence
 serializability hazards) appear in the simulation.
 
-Checkpoint interaction — a transaction never straddles a snapshot:
+Checkpoint interaction — a transaction never straddles a snapshot. The
+store holds owners with the task's nesting ``suspend`` and drops exactly
+its own holds when an owner dies:
 
-* *drain*: an owner task holds ``_txn_hold`` while a transaction is in
-  flight, so the barrier cannot be popped from its mailbox mid-txn;
-* *fence*: each owner parks on the barrier (``request_fence``); when every
-  live owner has parked, one **whole-store capture** is taken at a single
-  kernel instant and shared by reference into every owner's snapshot, then
-  owners resume (snapshot + barrier forward) in deterministic order. Any
-  one surviving owner's snapshot restores the whole store, closing the
-  finished-owner / killed-owner partition holes.
+* *drain*: an owner is held while its transaction is in flight (``hold``
+  / ``release``), so the barrier cannot be popped from its mailbox mid-txn;
+* *fence*: each owner parks (a hold) on the barrier (``request_fence``);
+  when every live owner has parked, one **whole-store capture** is taken
+  at a single kernel instant and shared by reference into every owner's
+  snapshot, then owners resume (``inject_barrier``, then the hold is
+  released) in deterministic order; a resume whose park was cancelled or
+  whose owner died is void. Any one surviving owner's snapshot restores
+  the whole store, closing the finished-owner / killed-owner partition
+  holes.
 
 The committed history (``CommittedTxn`` log with per-key versions) is what
 the chaos serializability oracle replays and checks.
@@ -255,6 +259,10 @@ class TxnStateStore:
         self._ids = itertools.count(1)
         self._kernel = None
         self._owners: dict[str, Any] = {}  # task name -> Task
+        #: owners held by a transaction in flight / parked on a fence
+        #: (origin -> the checkpoint it waits on); one hold each
+        self._holding: set[str] = set()
+        self._parked: dict[str, int] = {}
         self._fence_rounds: dict[int, dict[str, tuple]] = {}  # cid -> origin -> (task, barrier)
         self._staged_by_origin: dict[str, StoreCapture] = {}
         self._metrics: dict[str, Any] | None = None
@@ -328,7 +336,8 @@ class TxnStateStore:
         which calls ``done(out)`` with the body's result. ``declared`` is
         ``(read_keys, write_keys)`` as frozensets. A kill or restore in any
         window aborts the transaction, and ``done`` never fires. A body that
-        raises aborts the transaction and the exception propagates."""
+        raises aborts the transaction, releases ``origin``'s hold and the
+        exception propagates."""
         reads, writes = declared
         kernel = self._kernel
         txn = StoreTxn(
@@ -351,7 +360,7 @@ class TxnStateStore:
         the commit. A continuation exists only for a key that must wait: it
         resumes here, at the next key, once the wait queue grants it."""
         if txn.status is not _ACTIVE:
-            return  # killed or restored while parked; the kill cleared the hold
+            return  # killed or restored while parked; the kill dropped the hold
         table = self._locks
         waiting = self._waiters
         held = txn.locks
@@ -373,7 +382,9 @@ class TxnStateStore:
         try:
             out = body(txn, value)
         except Exception:
+            # also after a lock wait, where this runs as a kernel event
             self.abort(txn)
+            self.release(txn.origin)
             raise
         self.finish_attempt(txn, done, out)
 
@@ -658,20 +669,36 @@ class TxnStateStore:
         return h.hexdigest()
 
     # ------------------------------------------------------------------
-    # checkpoint fence (txn_gate protocol driven by Task)
+    # owner holds: a transaction in flight, and the checkpoint fence
+    # (txn_gate protocol driven by Task)
     # ------------------------------------------------------------------
+    def hold(self, origin: str) -> None:
+        """Hold ``origin`` while its transaction is in flight (idempotent)."""
+        if origin not in self._holding:
+            self._holding.add(origin)
+            self._owners[origin].suspend()
+
+    def release(self, origin: str) -> None:
+        """Release the hold :meth:`hold` took; a no-op once a kill dropped it."""
+        if origin in self._holding:
+            self._holding.remove(origin)
+            self._owners[origin].resume_processing()
+
     def request_fence(self, task: Any, barrier: Any) -> None:
         """An owner reached ``barrier`` with no in-flight txn of its own
-        (the ``_txn_hold`` drain guarantees that). Park it; once every live
-        owner is parked, capture the whole store at this instant and resume
-        them all."""
+        (the drain hold guarantees that). Park it — a hold on its mailbox;
+        once every live owner is parked, capture the whole store at this
+        instant and resume them all."""
         cid = barrier.checkpoint_id
+        if task.name not in self._parked:
+            task.suspend()
+        self._parked[task.name] = cid
         fence_round = self._fence_rounds.setdefault(cid, {})
         fence_round[task.name] = (task, barrier)
         self._maybe_complete_round(cid)
 
     def cancel_fence(self, task: Any, checkpoint_id: int) -> None:
-        """The checkpoint was aborted while this owner was parked."""
+        """The checkpoint was aborted: withdraw the owner's park on it, if any."""
         fence_round = self._fence_rounds.get(checkpoint_id)
         if fence_round is not None:
             fence_round.pop(task.name, None)
@@ -680,6 +707,18 @@ class TxnStateStore:
         staged = self._staged_by_origin.get(task.name)
         if staged is not None and staged.checkpoint_id == checkpoint_id:
             self._staged_by_origin.pop(task.name, None)
+        if self._parked.get(task.name) == checkpoint_id:
+            del self._parked[task.name]
+            task.resume_processing()
+
+    def _resume(self, task: Any, barrier: Any) -> None:
+        """A completed round resumes the owner: it injects the barrier (its
+        snapshot takes the staged capture), unless its park is gone or it is down."""
+        if task.dead or task.finished or self._parked.get(task.name) != barrier.checkpoint_id:
+            return
+        del self._parked[task.name]
+        task.inject_barrier(barrier)
+        task.resume_processing()
 
     def _live_owner_names(self) -> set:
         return {
@@ -705,11 +744,9 @@ class TxnStateStore:
         for origin in sorted(fence_round):
             task, barrier = fence_round[origin]
             if self._kernel is not None:
-                self._kernel.call_soon(
-                    lambda t=task, b=barrier: t.txn_resume_snapshot(b)
-                )
+                self._kernel.call_soon(self._resume, task, barrier)
             else:
-                task.txn_resume_snapshot(barrier)
+                self._resume(task, barrier)
 
     def _make_capture(self, cid: int | None) -> StoreCapture:
         return StoreCapture(
@@ -762,22 +799,19 @@ class TxnStateStore:
     # failure hooks (driven by Task.kill / Task finish)
     # ------------------------------------------------------------------
     def on_task_killed(self, task: Any) -> None:
-        """An owner died: abort its in-flight txns (releasing locks so other
-        origins' waiters proceed), drop its fence participation, and
-        re-evaluate pending rounds — the engine clears the pending checkpoint
-        on a kill *without* cancelling alignment, so parked survivors must be
-        unwedged from here (their snapshots for the doomed checkpoint are
-        ignored upstream)."""
+        """An owner died: drop exactly the holds this store took on it, its
+        fence park included (a chaos stall keeps its own), abort its
+        in-flight txns (releasing locks so other origins' waiters proceed),
+        and re-evaluate pending rounds — the engine clears the pending
+        checkpoint on a kill *without* cancelling alignment, so parked
+        survivors must be unwedged from here (their snapshots for the doomed
+        checkpoint are ignored upstream)."""
         name = task.name
+        self.release(name)
+        if name in self._parked:
+            self.cancel_fence(task, self._parked[name])
         for txn in [t for t in self._active.values() if t.origin == name]:
             self.abort(txn)
-        self._staged_by_origin.pop(name, None)
-        for cid in list(self._fence_rounds):
-            fence_round = self._fence_rounds[cid]
-            if name in fence_round:
-                fence_round.pop(name, None)
-                if not fence_round:
-                    self._fence_rounds.pop(cid, None)
         for cid in list(self._fence_rounds):
             self._maybe_complete_round(cid)
 

@@ -267,13 +267,44 @@ class TestDirectDispatch:
         kernel.run()
         assert task.operator.seen == [1, 2]
 
-    @pytest.mark.parametrize("hold", ["_suspended", "_txn_hold", "_output_blocked", "_txn_parked"])
+    @staticmethod
+    def _held(kernel, hold):
+        """A task put into ``hold``, and the store behind a txn hold."""
+        store = TxnStateStore("store")
+        txn = hold in ("txn_in_flight", "fence_park")
+        task = _task(kernel, _Probe(txn_gate=store if txn else None))
+        if hold == "_suspended":
+            task.suspend()
+        elif hold == "txn_in_flight":
+            store.bind_task(task)
+            store.hold(task.name)
+        elif hold == "fence_park":
+            sibling = Task(kernel, "probe[1]", _Probe(txn_gate=store), InMemoryStateBackend())
+            for owner in (task, sibling):
+                store.bind_task(owner)
+            # the round waits on the sibling, so the park stays
+            store.request_fence(task, CheckpointBarrier(checkpoint_id=7, timestamp=0.0))
+        else:
+            task._output_blocked = True
+        return task, store
+
+    @pytest.mark.parametrize("hold", ["_suspended", "txn_in_flight", "_output_blocked", "fence_park"])
     def test_a_held_task_queues(self, hold):
         kernel = Kernel()
-        task = _task(kernel, _Probe())
-        setattr(task, hold, 7 if hold == "_txn_parked" else True)
+        task, _store = self._held(kernel, hold)
         task.deliver(0, Record(value=1))
         assert task.operator.seen == [] and task.mailbox_size == 1
+
+    @pytest.mark.parametrize("hold", ["txn_in_flight", "fence_park"])
+    def test_a_released_store_hold_serves_the_queued_element(self, hold):
+        kernel = Kernel()
+        task, store = self._held(kernel, hold)
+        task.deliver(0, Record(value=1))
+        if hold == "txn_in_flight":
+            store.release(task.name)
+        else:
+            store.cancel_fence(task, 7)
+        assert task.operator.seen == [1]
 
     def test_suspend_then_resume_serves_the_queued_element(self):
         kernel = Kernel()

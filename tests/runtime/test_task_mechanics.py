@@ -308,7 +308,7 @@ class TestBlockedTime:
 
         def flush(element):
             sender.collect_output(element)
-            sender._flush_outputs()
+            sender.flush_outputs()
 
         kernel.call_at(1.0, flush, Record(1))  # takes the only credit
         kernel.call_at(1.0, flush, Record(2))  # parked: blocked from t0

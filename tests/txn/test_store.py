@@ -17,15 +17,24 @@ def run_to_completion(store, txn):
 
 
 class FakeTask:
-    """Just enough Task surface for the fence protocol."""
+    """Just enough Task surface for the fence protocol: the holds the store
+    takes and releases, and the barrier a completed round injects."""
 
     def __init__(self, name):
         self.name = name
         self.dead = False
         self.finished = False
+        self.holds = 0
         self.resumed = []
 
-    def txn_resume_snapshot(self, barrier):
+    def suspend(self):
+        self.holds += 1
+
+    def resume_processing(self):
+        assert self.holds > 0, "a release without a hold"
+        self.holds -= 1
+
+    def inject_barrier(self, barrier):
         self.resumed.append(barrier.checkpoint_id)
 
 
