@@ -46,13 +46,7 @@ class RecoveryError(ReproError):
 
 class TransientFault(ReproError):
     """A retryable external-system failure: timeout, throttle, leader
-    election. Callers are expected to retry with backoff; only
-    :class:`RetryExhausted` is terminal."""
-
-
-class RetryExhausted(TransientFault):
-    """Raised when a retry envelope gives up (attempts or timeout budget
-    spent) and graceful degradation is not enabled."""
+    election. Callers are expected to retry with backoff."""
 
 
 class CQLError(ReproError):

@@ -4,14 +4,12 @@ Public surface:
 
 * :class:`JobFabric` / :class:`FabricConfig` — admit N engines onto one
   shared kernel + slot pool; fair-share DRR scheduling, per-tenant quotas.
-* :class:`SharedSourceHub` — one generator pass fanned out to N tenants.
 * :class:`FabricQueryService` — tenant-routed queryable state + metrics.
 * :func:`sink_digest` — the isolation oracle's output digest.
 """
 
 from repro.fabric.config import FabricConfig
-from repro.fabric.fabric import FabricResult, JobFabric, TenantHandle, submit_many
-from repro.fabric.hub import SharedSourceHub, TapWorkload
+from repro.fabric.fabric import FabricResult, JobFabric, TenantHandle
 from repro.fabric.oracle import result_digests, sink_digest
 from repro.fabric.query import FabricQueryService
 from repro.fabric.scheduler import FABRIC_TAG, SlotScheduler, Tenant
@@ -22,12 +20,9 @@ __all__ = [
     "FabricQueryService",
     "FabricResult",
     "JobFabric",
-    "SharedSourceHub",
     "SlotScheduler",
-    "TapWorkload",
     "Tenant",
     "TenantHandle",
     "result_digests",
     "sink_digest",
-    "submit_many",
 ]

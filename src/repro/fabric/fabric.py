@@ -12,10 +12,7 @@ guarantees isolation:
 * **metrics** — one shared registry, per-tenant claimed prefixes; a
   duplicate job name fails admission instead of silently merging;
 * **failure** — supervision, checkpoints, and recovery stay per-job: a
-  crash-looping tenant burns its own run quanta, not its neighbours';
-* **sources** — tenants reading the same stream subscribe to a
-  :class:`~repro.fabric.hub.SharedSourceHub`, so the generator is walked
-  once instead of N times.
+  crash-looping tenant burns its own run quanta, not its neighbours'.
 
 Typical usage::
 
@@ -30,22 +27,19 @@ Typical usage::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import FabricError
 from repro.fabric.config import FabricConfig
-from repro.fabric.hub import SharedSourceHub, TapWorkload
 from repro.fabric.oracle import result_digests
 from repro.fabric.query import FabricQueryService
 from repro.fabric.scheduler import FABRIC_TAG, SlotScheduler, Tenant
 from repro.obs.registry import MetricRegistry
 from repro.runtime.engine import Engine, JobResult
-from repro.runtime.task import SourceTask
 from repro.sim.kernel import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.datastream import StreamExecutionEnvironment
-    from repro.io.sources import Workload
 
 
 class TenantHandle:
@@ -154,7 +148,6 @@ class JobFabric:
             on_quota_exceeded=self._evict_for_quota,
         )
         self.tenants: dict[str, TenantHandle] = {}
-        self.hubs: list[SharedSourceHub] = []
         self.queries = FabricQueryService(self)
         self._ran = False
         scope = self.registry.scoped(f"{FABRIC_TAG}/scheduler/0")
@@ -166,12 +159,6 @@ class JobFabric:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def shared_source(self, name: str, workload: "Workload") -> SharedSourceHub:
-        """Create a hub walking ``workload`` once for all its subscribers."""
-        hub = SharedSourceHub(name, workload, self.kernel)
-        self.hubs.append(hub)
-        return hub
-
     def submit(
         self,
         env: "StreamExecutionEnvironment",
@@ -193,7 +180,6 @@ class JobFabric:
             raise FabricError(f"duplicate tenant name {tenant_name!r}")
         engine = env.build(kernel=self.kernel, registry=self.registry)
         tenant = Tenant(tenant_name, engine, weight=weight, runtime_quota=runtime_quota)
-        self._wire_taps(tenant)
         engine.on_finish_callbacks.append(
             lambda _engine, t=tenant: self._on_terminal(t)
         )
@@ -201,32 +187,6 @@ class JobFabric:
         handle = TenantHandle(tenant)
         self.tenants[tenant_name] = handle
         return handle
-
-    def _wire_taps(self, tenant: Tenant) -> None:
-        """Subscribe the tenant's tap-fed sources to their hubs."""
-        for task in tenant.engine.tasks.values():
-            if not isinstance(task, SourceTask):
-                continue
-            workload = task.workload
-            if not isinstance(workload, TapWorkload):
-                continue
-            if workload.hub not in self.hubs:
-                raise FabricError(
-                    f"tenant {tenant.name!r} taps hub {workload.hub.name!r} "
-                    "which belongs to a different fabric"
-                )
-            if tenant.engine.config.checkpoints is not None:
-                # A tap-fed source cannot rewind (the hub owns the offset),
-                # so checkpoint replay would silently lose data. Refuse.
-                raise FabricError(
-                    f"tenant {tenant.name!r} combines a shared-source tap "
-                    "with checkpointing; tap-fed jobs cannot rewind-replay"
-                )
-            # The pull loop must idle (the tap yields nothing and would
-            # immediately finish the source); records arrive by injection.
-            task.suspend()
-            workload.hub.attach(tenant.engine.job_tag, task)
-            tenant.taps.append((workload.hub, task))
 
     # ------------------------------------------------------------------
     # lifecycle callbacks
@@ -253,12 +213,10 @@ class JobFabric:
     # execution
     # ------------------------------------------------------------------
     def run(self) -> FabricResult:
-        """Start hubs, fill slots, and drive the shared kernel to drain."""
+        """Fill slots and drive the shared kernel to drain."""
         if self._ran:
             raise FabricError("fabric already ran")
         self._ran = True
-        for hub in self.hubs:
-            hub.start()
         self.scheduler.fill_slots()
         # Rotation happens via fabric-tagged slice checks inside kernel.run;
         # the outer loop is a safety net: if the queue drains while tenants
@@ -300,12 +258,3 @@ class JobFabric:
             f"JobFabric(tenants={len(self.tenants)}, slots={self.config.slots}, "
             f"now={self.kernel.now():.3f})"
         )
-
-
-def submit_many(
-    fabric: JobFabric,
-    envs: Iterable["StreamExecutionEnvironment"],
-    **kwargs: Any,
-) -> list[TenantHandle]:
-    """Admit a batch of environments with shared submit options."""
-    return [fabric.submit(env, **kwargs) for env in envs]

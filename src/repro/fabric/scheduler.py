@@ -53,7 +53,6 @@ class Tenant:
         "started",
         "teardown_seconds",
         "events_condemned",
-        "taps",
     )
 
     def __init__(
@@ -81,8 +80,6 @@ class Tenant:
         self.teardown_seconds = 0.0
         #: kernel events condemned by the teardown
         self.events_condemned = 0
-        #: (hub, source task) pairs fed by shared-source fan-out
-        self.taps: list = []
 
     @property
     def tag(self) -> str:

@@ -217,7 +217,7 @@ class TransactionalSink(Sink):
         #: publishes them). The engine retries per :attr:`retry_policy`.
         self.commit_fault_hook: Any = None
         #: retry policy the engine's commit driver consults on transient
-        #: commit failures (duck-typed: needs ``delay_for(attempt)``)
+        #: commit failures (duck-typed: needs ``delay_for(attempt, elapsed)``)
         self.retry_policy: Any = None
         self.commit_attempts = 0
         self.commit_failures = 0

@@ -1,7 +1,6 @@
 """Load management (survey §3.3): shedding, backpressure, elasticity, migration."""
 
 from repro.load.autoscaler import AutoscaleController, HotSplitAction
-from repro.load.backpressure import BackpressureMonitor, PressureSample, source_slowdown
 from repro.load.elasticity import DS2Controller, OperatorModel, ScalingDecision
 from repro.load.migration import Rescaler, RescaleReport
 from repro.load.routing import KeyRouter
@@ -15,12 +14,10 @@ from repro.load.shedding import (
 
 __all__ = [
     "AutoscaleController",
-    "BackpressureMonitor",
     "DS2Controller",
     "HotSplitAction",
     "KeyRouter",
     "OperatorModel",
-    "PressureSample",
     "RandomShedder",
     "RescaleReport",
     "Rescaler",
@@ -29,5 +26,4 @@ __all__ = [
     "Shedder",
     "WindowAwareShedder",
     "relative_error",
-    "source_slowdown",
 ]

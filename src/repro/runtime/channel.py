@@ -337,11 +337,6 @@ class OutputGate:
                 clear = False
         return clear
 
-    def total_backlog(self) -> int:
-        """Parked elements across all channels (pressure metric)."""
-        return sum(c.backlog_size for c in self.channels)
-
-
 def outputs_clear(gates: list[OutputGate]) -> bool:
     """True when no channel of any of ``gates`` holds a parked element: the
     sender may keep producing."""

@@ -516,11 +516,15 @@ class Engine:
 
         self.kernel.call_after(cost, complete)
 
-    def _commit_sink(self, sink: TransactionalSink, checkpoint_id: int, attempt: int = 1) -> None:
+    def _commit_sink(
+        self, sink: TransactionalSink, checkpoint_id: int, attempt: int = 1, elapsed: float = 0.0
+    ) -> None:
         """Publish a sink's sealed epochs, retrying transient commit faults.
 
-        The retry policy comes from ``sink.retry_policy`` (None → no retry).
-        When retries run out the sink is left *degraded*: its epochs stay
+        The retry policy comes from ``sink.retry_policy`` (None → no retry);
+        ``elapsed`` is the backoff this commit has already spent, which the
+        policy's ``timeout`` budget caps. When retries or the budget run out
+        the sink is left *degraded*: its epochs stay
         pending — graceful degradation, not data loss — and the next
         successful commit publishes them (``on_checkpoint_complete``
         publishes every sealed epoch up to the completed id). The degraded
@@ -533,14 +537,14 @@ class Engine:
         except TransientFault:
             self.metrics.recovery.begin_degraded(component, self.kernel.now())
             policy = getattr(sink, "retry_policy", None)
-            delay = policy.delay_for(attempt) if policy is not None else None
+            delay = policy.delay_for(attempt, elapsed) if policy is not None else None
             if delay is None:
                 return  # degraded until a later checkpoint commits
 
             def retry() -> None:
                 if epoch != self.execution_epoch:
                     return  # a restore superseded this execution
-                self._commit_sink(sink, checkpoint_id, attempt + 1)
+                self._commit_sink(sink, checkpoint_id, attempt + 1, elapsed + delay)
 
             self.kernel.call_after(delay, retry)
             return

@@ -110,7 +110,7 @@ class RecoveryMetrics:
     restarts_by_scope: dict[str, int] = field(default_factory=dict)
     restarts_by_strategy: dict[str, int] = field(default_factory=dict)
     #: closed (start, end) windows during which an external system was being
-    #: served degraded (stale reads / buffered writes / unpublished commits)
+    #: served degraded (a transactional sink's unpublished commits)
     degraded_intervals: list[tuple[float, float]] = field(default_factory=list)
     _degraded_open: dict[str, float] = field(default_factory=dict)
     job_failed_at: float | None = None
@@ -134,7 +134,7 @@ class RecoveryMetrics:
 
     # -- graceful degradation windows ----------------------------------
     def begin_degraded(self, component: str, now: float) -> None:
-        """Mark ``component`` (e.g. "sink/txn", "store/remote") degraded."""
+        """Mark ``component`` (e.g. "sink/txn") degraded."""
         self._degraded_open.setdefault(component, now)
 
     def end_degraded(self, component: str, now: float) -> None:

@@ -1357,7 +1357,7 @@ class SourceTask(Task):
 
     def _emit_record(self, value: Any, event_time: Any) -> None:
         """Emit one record now (+ the watermark its strategy yields): the
-        scalar emission body shared by the pull loop and :meth:`inject`."""
+        scalar emission body of the pull loop."""
         now = self._clock._now
         record = Record(value, event_time, None, 1, now)
         tracer = self._tracer
@@ -1417,27 +1417,6 @@ class SourceTask(Task):
             self.collect_output(watermark)
         self._emitted += n
         self.flush_outputs()
-
-    def inject(self, value: Any, event_time: Any = None) -> None:
-        """Push one record into this source from outside its pull loop.
-
-        The fabric's shared-source hub walks one workload and injects each
-        event into every subscribed tenant's source, so N tenants reading
-        the same stream cost one generator pass instead of N. It emits
-        through the body the emission timer uses, so an injected stream is
-        indistinguishable downstream from a pulled one. Backpressure never
-        pushes back on the hub: a blocked tenant's records park in its own
-        output buffers until credit returns, stalling nobody else.
-        """
-        if self.dead or self.finished:
-            return
-        self._emit_record(value, event_time)
-
-    def finish_injection(self) -> None:
-        """End-of-stream for an injected source (hub workload exhausted)."""
-        if self.dead or self.finished:
-            return
-        self._finish()
 
     def output_unblocked(self) -> None:
         if self._output_blocked and self._unblock() and self._pending is not None:

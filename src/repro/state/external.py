@@ -9,7 +9,7 @@ restore (E4) and rescaling needs no migration.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.state.api import KeyedStateBackend, StateDescriptor
 from repro.state.memory import InMemoryStateBackend
@@ -28,38 +28,24 @@ class RemoteStore:
         self._tables: dict[str, dict[Any, Any]] = {}
         self.total_reads = 0
         self.total_writes = 0
-        #: optional transient-failure injector: ``fault_hook(op)`` is called
-        #: before each operation ("get"/"put"/"delete"/"keys") and may raise
-        #: :class:`~repro.errors.TransientFault` to simulate a timeout or
-        #: throttle (see ``repro.supervision.retry.ScriptedOutage``). None on
-        #: the production path.
-        self.fault_hook: Callable[[str], None] | None = None
-
-    def _maybe_fault(self, op: str) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(op)
 
     def get(self, table: str, key: Any) -> Any:
         """Server-side read."""
-        self._maybe_fault("get")
         self.total_reads += 1
         return self._tables.get(table, {}).get(key)
 
     def put(self, table: str, key: Any, value: Any) -> None:
         """Server-side write."""
-        self._maybe_fault("put")
         self.total_writes += 1
         self._tables.setdefault(table, {})[key] = value
 
     def delete(self, table: str, key: Any) -> None:
         """Server-side delete."""
-        self._maybe_fault("delete")
         self.total_writes += 1
         self._tables.get(table, {}).pop(key, None)
 
     def keys(self, table: str) -> list[Any]:
         """All keys in a table."""
-        self._maybe_fault("keys")
         return list(self._tables.get(table, {}).keys())
 
     def table_names(self) -> list[str]:

@@ -1,4 +1,4 @@
-"""Supervised recovery: restart policies, failover regions, retry envelopes.
+"""Supervised recovery: restart policies, failover regions, commit retries.
 
 The runtime's recovery verbs (:meth:`Engine.recover_from_checkpoint`,
 :meth:`Engine.recover_region`, …) are mechanisms; this package is the
@@ -12,11 +12,7 @@ from repro.supervision.regions import (
     compute_failover_regions,
     region_of,
 )
-from repro.supervision.retry import (
-    RetryingStore,
-    RetryPolicy,
-    ScriptedOutage,
-)
+from repro.supervision.retry import RetryPolicy, ScriptedOutage
 from repro.supervision.strategies import (
     ExponentialBackoffRestart,
     FailureRateRestart,
@@ -32,7 +28,6 @@ __all__ = [
     "FixedDelayRestart",
     "RestartStrategy",
     "RetryPolicy",
-    "RetryingStore",
     "ScriptedOutage",
     "Supervisor",
     "SupervisorConfig",

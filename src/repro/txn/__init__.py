@@ -14,7 +14,6 @@ from repro.txn.store import (
     TxnStatus,
 )
 from repro.txn.twophase import (
-    AsyncParticipant,
     Decision,
     Participant,
     TwoPCResult,
@@ -23,7 +22,6 @@ from repro.txn.twophase import (
 )
 
 __all__ = [
-    "AsyncParticipant",
     "CommittedTxn",
     "Decision",
     "LockMode",

@@ -68,31 +68,11 @@ class Participant:
         return len(self._staged)
 
 
-class AsyncParticipant(Participant):
-    """A participant whose prepare ack arrives over the (simulated) network
-    ``ack_delay`` later — or never, when it was killed mid-prepare
-    (``responsive = False``). The coordinator must not hang on it."""
-
-    def __init__(self, name: str, ack_delay: float = 1e-3) -> None:
-        super().__init__(name)
-        self.ack_delay = ack_delay
-        self.responsive = True
-
-    def prepare_async(self, kernel: Any, txn_id: int, changes: dict[Any, Any], reply: Any) -> None:
-        """Stage + vote asynchronously; a dead participant stays silent."""
-        if not self.responsive:
-            return  # the ack never comes — only the coordinator timeout saves us
-        kernel.call_after(self.ack_delay, lambda: reply(self.prepare(txn_id, changes)))
-
-
 @dataclass
 class TwoPCResult:
     txn_id: int
     decision: Decision
     votes: dict[str, Vote] = field(default_factory=dict)
-    #: True when the decision was forced by the coordinator's prepare
-    #: timeout (a participant never acked) rather than by the votes
-    timed_out: bool = False
 
 
 class TwoPhaseCoordinator:
@@ -128,59 +108,6 @@ class TwoPhaseCoordinator:
         result = TwoPCResult(txn_id=txn_id, decision=decision, votes=votes)
         self.log.append(result)
         return result
-
-    def execute_async(
-        self,
-        kernel: Any,
-        changes_by_participant: dict[Participant, dict[Any, Any]],
-        prepare_timeout: float = 1e-2,
-        callback: Any = None,
-    ) -> None:
-        """Kernel-time 2PC that cannot hang: prepares are sent concurrently
-        and the decision resolves either when every vote is in or when the
-        prepare timeout fires — a participant killed mid-prepare (one that
-        never acks) turns the transaction into a timed-out global ABORT.
-        Late YES acks arriving after the decision are aborted so no stage
-        leaks. ``callback(result)`` fires at decision time."""
-        txn_id = self._next_txn
-        self._next_txn += 1
-        votes: dict[str, Vote] = {}
-        participants = list(changes_by_participant)
-        decided: list[bool] = [False]
-
-        def decide(decision: Decision, timed_out: bool = False) -> None:
-            if decided[0]:
-                return
-            decided[0] = True
-            for participant in participants:
-                if decision is Decision.COMMIT:
-                    participant.commit(txn_id)
-                else:
-                    participant.abort(txn_id)
-            result = TwoPCResult(
-                txn_id=txn_id, decision=decision, votes=dict(votes), timed_out=timed_out
-            )
-            self.log.append(result)
-            if callback is not None:
-                callback(result)
-
-        def on_vote(participant: Participant, vote: Vote) -> None:
-            if decided[0]:
-                if vote is Vote.YES:
-                    # Ack raced the timeout: discard the late stage.
-                    participant.abort(txn_id)
-                return
-            votes[participant.name] = vote
-            if vote is Vote.NO:
-                decide(Decision.ABORT)
-            elif len(votes) == len(participants):
-                decide(Decision.COMMIT)
-
-        kernel.call_after(prepare_timeout, lambda: decide(Decision.ABORT, timed_out=True))
-        for participant, changes in changes_by_participant.items():
-            participant.prepare_async(
-                kernel, txn_id, changes, lambda v, p=participant: on_vote(p, v)
-            )
 
     @property
     def commit_count(self) -> int:

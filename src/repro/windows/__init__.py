@@ -20,7 +20,7 @@ from repro.windows.assigners import (
     WindowAssigner,
 )
 from repro.windows.core import GLOBAL_WINDOW, CountWindow, GlobalWindow, TimeWindow
-from repro.windows.evictors import CountEvictor, Evictor, TimeEvictor
+from repro.windows.evictors import CountEvictor, Evictor
 from repro.windows.join import IntervalJoinOperator, WindowJoinOperator
 from repro.windows.operator import (
     AggregateFunction,
@@ -67,7 +67,6 @@ __all__ = [
     "SUM",
     "SlidingAggregator",
     "SlidingEventTimeWindows",
-    "TimeEvictor",
     "TimeWindow",
     "Trigger",
     "TriggerResult",

@@ -24,18 +24,3 @@ class CountEvictor(Evictor):
 
     def evict(self, elements: list[tuple[float, Any]], window: Any) -> list[tuple[float, Any]]:
         return elements[-self.count :]
-
-
-class TimeEvictor(Evictor):
-    """Keep only elements within ``keep`` seconds of the newest element."""
-
-    def __init__(self, keep: float) -> None:
-        if keep <= 0:
-            raise ValueError(f"keep must be positive, got {keep}")
-        self.keep = keep
-
-    def evict(self, elements: list[tuple[float, Any]], window: Any) -> list[tuple[float, Any]]:
-        if not elements:
-            return elements
-        newest = max(t for t, _v in elements)
-        return [(t, v) for t, v in elements if t > newest - self.keep]

@@ -76,17 +76,6 @@ class WindowedStream:
             **kwargs,
         )
 
-    def reduce(self, fn: Callable[[Any, Any], Any], name: str = "window-reduce", **kwargs: Any) -> DataStream:
-        """Windowed reduce over the element type."""
-        def add(acc: Any, value: Any) -> Any:
-            return value if acc is None else fn(acc, value)
-
-        return self._apply(
-            AggregateFunction(lambda: None, add, lambda acc: acc, merge=lambda a, b: b if a is None else (a if b is None else fn(a, b))),
-            name,
-            **kwargs,
-        )
-
     def count(self, name: str = "window-count", **kwargs: Any) -> DataStream:
         """Windowed element count (session-mergeable)."""
         return self.aggregate(

@@ -11,7 +11,6 @@ def keyed_count_env(
     seed=0,
     count=200,
     rate=2000.0,
-    workload=None,
     checkpoints=None,
     parallelism=2,
 ):
@@ -20,11 +19,8 @@ def keyed_count_env(
         EngineConfig(seed=seed, checkpoints=checkpoints), name=name
     )
     sink = CollectSink("out")
-    source = workload if workload is not None else SensorWorkload(
-        count=count, rate=rate, key_count=8, seed=seed
-    )
     (
-        env.from_workload(source)
+        env.from_workload(SensorWorkload(count=count, rate=rate, key_count=8, seed=seed))
         .key_by(field_selector("sensor"), parallelism=parallelism)
         .aggregate(
             create=lambda: 0,

@@ -4,7 +4,6 @@ from repro.core.datastream import StreamExecutionEnvironment
 from repro.core.keys import field_selector
 from repro.io.sinks import CollectSink
 from repro.io.sources import RateFunction, SensorWorkload
-from repro.load.backpressure import BackpressureMonitor, source_slowdown
 from repro.load.elasticity import DS2Controller
 from repro.runtime.config import EngineConfig
 
@@ -74,14 +73,3 @@ class TestConvergence:
         env.execute(until=30.0)
         assert controller.reconfigurations == 0
 
-
-class TestBackpressureObservability:
-    def test_monitor_sees_pressure_and_source_stall(self):
-        env, _sink = build_pipeline(rate=4000.0, count=2000, cost=1e-3)
-        engine = env.build()
-        monitor = BackpressureMonitor(engine, interval=0.05)
-        monitor.start()
-        env.execute(until=30.0)
-        assert monitor.peak_backlog() > 0
-        assert monitor.blocked_fraction() > 0
-        assert source_slowdown(engine) > 0.1

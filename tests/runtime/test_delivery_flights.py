@@ -155,38 +155,41 @@ def test_the_reference_kernel_never_extends_a_flight():
 
 
 # ----------------------------------------------------------------------
-# (b) tenants fed by one hub: consecutive, same arrival, different jobs
+# (b) two tenants whose sources emit at the same times: consecutive, same
+#     arrival, different jobs
 # ----------------------------------------------------------------------
 class TestFlightsAndTenants:
     def _fabric(self):
         fabric = JobFabric(FabricConfig(slots=4))
-        hub = fabric.shared_source("numbers", CollectionWorkload(list(range(20)), rate=1000.0))
         handles, sinks = [], []
         for name in ("first", "second"):
             env = StreamExecutionEnvironment(EngineConfig(), name=name)
             sink = CollectSink("out")
-            env.from_workload(hub.tap(), name="src").map(lambda v: v, name="same").sink(sink)
+            workload = CollectionWorkload(list(range(20)), rate=1000.0)
+            env.from_workload(workload, name="src").map(lambda v: v, name="same").sink(sink)
             handles.append(fabric.submit(env))
             sinks.append(sink)
         return fabric, handles, sinks
 
-    def test_each_tenants_injection_is_its_own_flight(self):
+    def test_each_tenants_delivery_is_its_own_flight(self):
         fabric, handles, sinks = self._fabric()
         first, second = (h.engine.job_tag for h in handles)
         kernel = fabric.kernel
         seen = []
-        kernel.call_at(0.00105, lambda: seen.append((kernel.live_events_of(first), kernel.live_events_of(second))))
+        kernel.call_at(0.00115, lambda: seen.append((kernel.live_events_of(first), kernel.live_events_of(second))))
         fabric.run()
-        # the hub injected record 0 into both sources at 0.001, back to back,
-        # for arrival 0.0011: one delivery event in each namespace
-        assert seen == [(1, 1)]
+        # both maps sent record 0 back to back, with nothing scheduled in
+        # between, for arrival 0.00122: one delivery event in each namespace,
+        # beside each source's next emission at 0.002
+        assert seen == [(2, 2)]
         assert [len(s.results) for s in sinks] == [20, 20]
 
     def test_tearing_down_the_first_tenant_keeps_the_seconds_records(self):
         fabric, handles, sinks = self._fabric()
         kernel = fabric.kernel
-        # between the injection at 0.005 and its arrival at 0.0051
-        kernel.call_at(0.00505, handles[0].engine.fail_job, "induced")
+        # between the maps' back-to-back sends of record 4 and their arrival
+        # at 0.00522
+        kernel.call_at(0.00515, handles[0].engine.fail_job, "induced")
         result = fabric.run()
         assert result.tenant("first").state == "failed"
         assert result.tenant("second").state == "done"
@@ -195,16 +198,17 @@ class TestFlightsAndTenants:
     def test_suspending_the_first_tenant_keeps_the_second_on_time(self):
         fabric, handles, sinks = self._fabric()
         kernel, first = fabric.kernel, handles[0].engine.job_tag
-        kernel.call_at(0.00505, kernel.suspend_job, first)
+        kernel.call_at(0.00515, kernel.suspend_job, first)
         kernel.call_at(0.0105, kernel.resume_job, first)
         result = fabric.run()
         assert result.all_finished
         assert [r.value for r in sinks[0].results] == list(range(20))
         on_time = [r for r in sinks[1].results if r.value == 4][0]
         late = [r for r in sinks[0].results if r.value == 4][0]
-        # record 4: injected at 0.005, two hops and one service later
+        # record 4: emitted at 0.005, two hops and one service later; the
+        # first tenant's copy parked in flight and arrives at the resume
         assert on_time.emitted_at == pytest.approx(0.00522)
-        assert late.emitted_at > 0.0105
+        assert late.emitted_at == 0.0105
 
 
 # ----------------------------------------------------------------------

@@ -80,3 +80,33 @@ class TestCommitRetry:
         # commit publishes the stuck epochs. Nothing is lost or duplicated.
         assert sink.commit_failures == 3
         assert_exactly_once(sink)
+
+    def test_timeout_budget_defers_the_epochs_to_a_later_commit(self):
+        sink = TransactionalSink("out")
+        outage = ScriptedOutage(fail_next=5)
+        fault = outage.as_hook()
+        attempts = []  # (checkpoint id, virtual time) of each commit attempt
+
+        def hook(checkpoint_id):
+            attempts.append((checkpoint_id, engine.kernel.now()))
+            fault(checkpoint_id)
+
+        sink.commit_fault_hook = hook
+        sink.retry_policy = RetryPolicy(max_attempts=10, base_delay=1e-3, timeout=2.5e-3)
+        engine = exactly_once_engine(sink)
+        engine.run(until=30.0)
+        assert engine.job_finished
+        assert sink.commit_failures == 5
+        # Backoffs of 1 ms then 2 ms would spend 3 ms, past the 2.5 ms
+        # budget: each commit tries at most twice, 1 ms apart, and the five
+        # faults spread over three checkpoints instead of one.
+        by_checkpoint = {}
+        for checkpoint_id, at in attempts:
+            by_checkpoint.setdefault(checkpoint_id, []).append(at)
+        faulted = list(by_checkpoint.values())[:3]
+        assert [len(times) for times in faulted] == [2, 2, 2]
+        assert all(times[1] - times[0] < 2.5e-3 for times in faulted)
+        assert_exactly_once(sink)
+        recovery = engine.metrics.recovery
+        assert recovery.degraded_time() > 0.0
+        assert not recovery._degraded_open

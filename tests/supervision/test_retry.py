@@ -1,14 +1,11 @@
-"""Retry envelope: policies, scripted outages, degraded-mode stores."""
+"""Retry policy and scripted outages (the sink commit retry's parts)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import RetryExhausted, TransientFault
-from repro.runtime.metrics import RecoveryMetrics
-from repro.state.external import ExternalStateBackend, RemoteStore
-from repro.state.api import StateDescriptor
-from repro.supervision.retry import RetryingStore, RetryPolicy, ScriptedOutage
+from repro.errors import TransientFault
+from repro.supervision.retry import RetryPolicy, ScriptedOutage
 
 
 class TestRetryPolicy:
@@ -42,90 +39,8 @@ class TestScriptedOutage:
         assert not outage.should_fail()
 
     def test_hook_raises_transient_fault(self):
-        store = RemoteStore()
-        store.fault_hook = ScriptedOutage(fail_next=1).as_hook()
+        hook = ScriptedOutage(fail_next=1).as_hook()
         with pytest.raises(TransientFault):
-            store.get("t", "k")
-        assert store.get("t", "k") is None  # outage consumed
+            hook(1)
+        hook(1)  # outage consumed: the second call passes
 
-
-class TestRetryingStore:
-    def make(self, fail_next=0, **kwargs):
-        store = RemoteStore()
-        outage = ScriptedOutage(fail_next=fail_next)
-        store.fault_hook = outage.as_hook()
-        wrapper = RetryingStore(store, policy=RetryPolicy(max_attempts=4), **kwargs)
-        return store, outage, wrapper
-
-    def test_transient_faults_are_retried_through(self):
-        store, _outage, wrapper = self.make(fail_next=2)
-        wrapper.put("t", "k", 41)
-        assert wrapper.get("t", "k") == 41
-        assert wrapper.total_retries == 2
-        assert wrapper.total_backoff > 0.0
-
-    def test_exhaustion_raises_without_degraded_mode(self):
-        _store, _outage, wrapper = self.make(fail_next=10)
-        with pytest.raises(RetryExhausted):
-            wrapper.get("t", "k")
-
-    def test_degraded_reads_serve_last_seen_value(self):
-        store, outage, wrapper = self.make(degraded_mode=True)
-        wrapper.put("t", "k", 1)
-        outage.fail_next(50)
-        assert wrapper.get("t", "k") == 1  # stale, from the local cache
-        assert wrapper.degraded
-        assert wrapper.stale_reads == 1
-
-    def test_degraded_writes_buffer_and_flush_in_order(self):
-        store, outage, wrapper = self.make(degraded_mode=True)
-        outage.fail_next(50)
-        wrapper.put("t", "a", 1)
-        wrapper.put("t", "a", 2)
-        wrapper.put("t", "b", 3)
-        assert wrapper.pending_writes() == 3
-        assert wrapper.get("t", "a") == 2  # read-your-writes while degraded
-        outage.remaining = 0  # store comes back
-        wrapper.put("t", "c", 4)  # first contact flushes the buffer
-        assert wrapper.pending_writes() == 0
-        assert not wrapper.degraded
-        assert store.get("t", "a") == 2 and store.get("t", "b") == 3
-        assert store.get("t", "c") == 4
-
-    def test_degraded_windows_are_recorded(self):
-        recorder = RecoveryMetrics()
-        clock = {"now": 1.0}
-        store = RemoteStore()
-        outage = ScriptedOutage(fail_next=0)
-        store.fault_hook = outage.as_hook()
-        wrapper = RetryingStore(
-            store,
-            policy=RetryPolicy(max_attempts=2),
-            degraded_mode=True,
-            recorder=recorder,
-            component="store/test",
-            now=lambda: clock["now"],
-        )
-        outage.fail_next(50)
-        wrapper.put("t", "k", 1)
-        clock["now"] = 2.0
-        outage.remaining = 0
-        wrapper.get("t", "k")
-        assert recorder.degraded_intervals == [(1.0, 2.0)]
-        assert recorder.degraded_time() == pytest.approx(1.0)
-
-    def test_degraded_keys_list_the_cache_view(self):
-        _store, outage, wrapper = self.make(degraded_mode=True)
-        wrapper.put("t", "a", 1)
-        wrapper.put("t", "b", 2)
-        wrapper.delete("t", "b")
-        outage.fail_next(50)
-        assert wrapper.keys("t") == ["a"]
-
-    def test_drops_under_external_state_backend(self):
-        store, outage, wrapper = self.make(fail_next=1)
-        backend = ExternalStateBackend(wrapper)
-        descriptor = StateDescriptor("counts")
-        backend.put(descriptor, "k", 5)  # first attempt retries through
-        assert backend.get(descriptor, "k") == 5
-        assert store.total_writes == 1

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.sim.kernel import Kernel
 from repro.txn.saga import SagaExecutor, SagaStep
 from repro.txn.twophase import (
-    AsyncParticipant,
     Decision,
     Participant,
     TwoPhaseCoordinator,
@@ -59,67 +57,6 @@ class TestTwoPhaseCommit:
         assert coordinator.commit_count + coordinator.abort_count == 10
         # Both participants observed exactly the committed transactions.
         assert a.state.get("x") == b.state.get("y")
-
-
-class TestPrepareTimeout:
-    """Regression: a participant killed mid-prepare (never acks) used to
-    hang the coordinator forever; the kernel-time prepare timeout must
-    resolve the transaction to a timed-out global ABORT instead."""
-
-    def run_2pc(self, silent=True, prepare_timeout=1e-2):
-        kernel = Kernel()
-        healthy = AsyncParticipant("healthy", ack_delay=1e-3)
-        wedged = AsyncParticipant("wedged", ack_delay=1e-3)
-        wedged.responsive = not silent
-        coordinator = TwoPhaseCoordinator()
-        results = []
-        coordinator.execute_async(
-            kernel,
-            {healthy: {"x": 1}, wedged: {"y": 2}},
-            prepare_timeout=prepare_timeout,
-            callback=results.append,
-        )
-        kernel.run()
-        return healthy, wedged, coordinator, results
-
-    def test_never_acking_participant_resolves_to_timed_out_abort(self):
-        healthy, wedged, coordinator, results = self.run_2pc(silent=True)
-        [result] = results
-        assert result.decision is Decision.ABORT
-        assert result.timed_out
-        assert "wedged" not in result.votes  # the ack truly never arrived
-        # Nothing leaked: the healthy participant's stage was rolled back.
-        assert healthy.state == {} and wedged.state == {}
-        assert healthy.in_doubt == 0 and wedged.in_doubt == 0
-        assert coordinator.abort_count == 1
-
-    def test_all_acks_in_time_commit_normally(self):
-        healthy, wedged, coordinator, results = self.run_2pc(silent=False)
-        [result] = results
-        assert result.decision is Decision.COMMIT
-        assert not result.timed_out
-        assert healthy.state == {"x": 1} and wedged.state == {"y": 2}
-
-    def test_late_yes_after_timeout_is_rolled_back(self):
-        # The "wedged" participant is merely slow: its YES lands after the
-        # timeout decision. The stage must be discarded, not committed.
-        kernel = Kernel()
-        fast = AsyncParticipant("fast", ack_delay=1e-4)
-        slow = AsyncParticipant("slow", ack_delay=5e-2)
-        coordinator = TwoPhaseCoordinator()
-        results = []
-        coordinator.execute_async(
-            kernel,
-            {fast: {"x": 1}, slow: {"y": 2}},
-            prepare_timeout=1e-2,
-            callback=results.append,
-        )
-        kernel.run()
-        [result] = results
-        assert result.decision is Decision.ABORT and result.timed_out
-        assert slow.prepared_log == [result.txn_id]  # it did prepare…
-        assert slow.in_doubt == 0  # …but the late stage was discarded
-        assert fast.state == {} and slow.state == {}
 
 
 class TestSaga:
