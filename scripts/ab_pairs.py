@@ -2,6 +2,7 @@
 """Alternating parent/change pairs of one ``perf`` workload.
 
     python3 scripts/ab_pairs.py PARENT CHANGE --workload forward_obs --seed 5 --pairs 10
+    python3 scripts/ab_pairs.py PARENT CHANGE --workload all --seed 5 --pairs 4
 
 ``PARENT`` and ``CHANGE`` are two checkouts of this repository. Each pair runs
 ``python3 -m perf --workload W --seed S --seconds 12 --trace 0 --json …`` once
@@ -14,8 +15,11 @@ verdict against its bound in the benchmark's catalogue: ``ok``, ``WORSE`` (the c
 than the parent's by more than the bound) or ``unresolved`` (the parent's
 quartile distance is wider than the bound). Metrics that must repeat exactly
 (event counts, virtual latencies) are compared run by run and every
-difference is listed. Every run is printed. The exit status is non-zero when
-an exact metric differs, an operation failed or a metric is ``WORSE``.
+difference is listed. Every run is printed. ``--workload all`` does this for
+every workload ``BENCHMARK.json`` names, then prints one row per workload:
+the gain rule, each host metric's verdict and whether the exact metrics
+agree. The exit status is non-zero when an exact metric differs, an
+operation failed or a metric is ``WORSE``, on any workload.
 """
 
 from __future__ import annotations
@@ -28,7 +32,10 @@ import subprocess
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: the benchmark declaration whose workloads ``--workload all`` runs
+BENCHMARK = os.path.join(_ROOT, "BENCHMARK.json")
+sys.path.insert(0, _ROOT)
 from perf.metrics import END_TO_END  # noqa: E402 - the benchmark's own catalogue, read only
 
 #: end-to-end metrics off the host clock (counts, virtual time): bit-identical
@@ -84,19 +91,8 @@ def verdict(name: str, parent: list[float], change: list[float]) -> str:
     return "ok"
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent", help="checkout of the parent commit")
-    parser.add_argument("change", help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=12.0)
-    parser.add_argument("--metric", default="norm_records_per_s", help="the claimed metric")
-    args = parser.parse_args()
-    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    sign = 1.0 if args.metric in HIGHER_IS_BETTER else -1.0
-
+def pairs(args: argparse.Namespace, sides: dict[str, str]) -> dict[str, list[dict]]:
+    """Alternating runs of ``args.workload`` in both checkouts, each printed."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as scratch:
         for pair in range(args.pairs):
@@ -112,7 +108,12 @@ def main() -> int:
                 f"failed {parent['failed']}/{parent['attempted']} , {change['failed']}/{change['attempted']}",
                 flush=True,
             )
+    return runs
 
+
+def judge(args: argparse.Namespace, runs: dict[str, list[dict]]) -> dict:
+    """Print the summary of one workload's runs and return its verdicts."""
+    sign = 1.0 if args.metric in HIGHER_IS_BETTER else -1.0
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds:g}")
     summary = {}
     for side in ("parent", "change"):
@@ -134,14 +135,13 @@ def main() -> int:
     met = wins >= 0.9 * args.pairs and gap > spread
     print(f"  gain rule (wins >= 9/10 and gap > quartile distance): {'met' if met else 'NOT met'}")
 
-    worse = False
+    verdicts = {}
     for name in HOST:
         parent_values, change_values = ([run[name] for run in runs[side]] for side in ("parent", "change"))
-        judged = verdict(name, parent_values, change_values)
-        worse |= judged == "WORSE"
+        verdicts[name] = verdict(name, parent_values, change_values)
         print(
             f"  {name}: parent median {statistics.median(parent_values):.6g}, change median "
-            f"{statistics.median(change_values):.6g}, bound {BOUNDS[name]:.0%}: {judged}"
+            f"{statistics.median(change_values):.6g}, bound {BOUNDS[name]:.0%}: {verdicts[name]}"
         )
 
     every_run = runs["parent"] + runs["change"]
@@ -157,7 +157,47 @@ def main() -> int:
     elif exact:
         values = ", ".join(f"{name} = {every_run[0][name]!r}" for name in EXACT)
         print(f"  exact metrics identical on all {len(every_run)} runs ({values}); failed = 0")
-    return 0 if exact and not failed and not worse else 1
+    return {
+        "met": met, "wins": wins, "gain": gap / parent_median,
+        "verdicts": verdicts, "exact": exact, "failed": failed,
+    }
+
+
+def benchmark_workloads() -> list[str]:
+    """The workloads ``BENCHMARK.json`` names, in its order."""
+    with open(BENCHMARK) as fh:
+        return [workload["name"] for workload in json.load(fh)["workloads"]]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("--workload", required=True, help="a perf workload, or 'all' of BENCHMARK.json's")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--metric", default="norm_records_per_s", help="the claimed metric")
+    args = parser.parse_args()
+    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+
+    rows = {}
+    for workload in benchmark_workloads() if args.workload == "all" else [args.workload]:
+        one = argparse.Namespace(**{**vars(args), "workload": workload})
+        rows[workload] = judge(one, pairs(one, sides))
+    if args.workload == "all":
+        print(f"\nall workloads, seed {args.seed}, {args.pairs} pairs each")
+        for workload, row in rows.items():
+            bounds = "  ".join(f"{name} {judged}" for name, judged in row["verdicts"].items())
+            print(
+                f"  {workload:15s} gain rule {'met' if row['met'] else 'NOT met'} "
+                f"({row['wins']}/{args.pairs} wins, {row['gain']:+.1%})  {bounds}  "
+                f"exact {'identical' if row['exact'] else 'DIFFER'}  failed {row['failed']}"
+            )
+    bad = any(
+        not row["exact"] or row["failed"] or "WORSE" in row["verdicts"].values() for row in rows.values()
+    )
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

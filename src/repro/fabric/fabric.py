@@ -123,7 +123,7 @@ class FabricResult:
             "quota_evictions": scheduler.quota_evictions,
             "kernel_dispatched": self._fabric.kernel.dispatched_events,
             "kernel_compactions": self._fabric.kernel.compactions,
-            "duration": self._fabric.kernel.now(),
+            "duration": self._fabric.drained_at,
         }
 
 
@@ -150,6 +150,8 @@ class JobFabric:
         self.tenants: dict[str, TenantHandle] = {}
         self.queries = FabricQueryService(self)
         self._ran = False
+        #: virtual time at which run() drained the kernel (or hit the horizon)
+        self.drained_at = 0.0
         scope = self.registry.scoped(f"{FABRIC_TAG}/scheduler/0")
         self._admissions_counter = scope.counter("admissions")
         self._preemptions_counter = scope.counter("preemptions")
@@ -224,7 +226,9 @@ class JobFabric:
         # mid-slice), refill and keep going. No admission => no progress
         # possible => stop.
         while True:
-            self.kernel.run(until=self.config.horizon, max_events=self.config.max_events)
+            self.drained_at = self.kernel.run(
+                until=self.config.horizon, max_events=self.config.max_events
+            )
             if not self.scheduler.has_runnable_waiters():
                 break
             if self.scheduler.fill_slots() == 0:

@@ -29,7 +29,7 @@ from repro.errors import FabricError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.engine import Engine
-    from repro.sim.kernel import EventHandle, Kernel
+    from repro.sim.kernel import Kernel
 
 #: event namespace of the fabric's own machinery (slice checks, hub
 #: emission); never suspended, never torn down
@@ -49,7 +49,7 @@ class Tenant:
         "admitted_at",
         "consumed",
         "slices",
-        "check_handle",
+        "check_event",
         "started",
         "teardown_seconds",
         "events_condemned",
@@ -74,7 +74,8 @@ class Tenant:
         self.consumed = 0.0
         #: number of slices granted
         self.slices = 0
-        self.check_handle: "EventHandle | None" = None
+        #: the armed slice-end check, for Kernel.cancel
+        self.check_event: list | None = None
         self.started = False
         #: wall-clock cost of the O(1) namespace teardown (measured)
         self.teardown_seconds = 0.0
@@ -112,7 +113,8 @@ class SlotScheduler:
         self._on_quota_exceeded = on_quota_exceeded
         self._waiting: deque[Tenant] = deque()
         self._running: list[Tenant] = []
-        self._tenants: list[Tenant] = []
+        #: tenants not yet terminal: ``add`` counts one in, ``release`` out
+        self._live = 0
         # deterministic accounting (safe for metric snapshots)
         self.admissions = 0
         self.preemptions = 0
@@ -121,12 +123,12 @@ class SlotScheduler:
     # ------------------------------------------------------------------
     def add(self, tenant: Tenant) -> None:
         """Register a tenant; it runs when a slot frees up."""
-        self._tenants.append(tenant)
+        self._live += 1
         self._waiting.append(tenant)
 
     @property
     def live_tenants(self) -> int:
-        return sum(1 for t in self._tenants if not t.terminal)
+        return self._live
 
     @property
     def contended(self) -> bool:
@@ -168,12 +170,12 @@ class SlotScheduler:
 
     def _arm_check(self, tenant: Tenant) -> None:
         with self.kernel.job_scope(FABRIC_TAG):
-            tenant.check_handle = self.kernel.call_after(
+            tenant.check_event = self.kernel.call_after(
                 tenant.deficit, lambda t=tenant: self._slice_check(t)
             )
 
     def _slice_check(self, tenant: Tenant) -> None:
-        tenant.check_handle = None
+        tenant.check_event = None
         if tenant.state != "running":
             return
         consumed = self.kernel.now() - tenant.admitted_at
@@ -220,9 +222,10 @@ class SlotScheduler:
         if tenant.state == "running":
             tenant.consumed += self.kernel.now() - tenant.admitted_at
         tenant.state = "failed" if failed else "done"
-        if tenant.check_handle is not None:
-            tenant.check_handle.cancel()
-            tenant.check_handle = None
+        self._live -= 1
+        if tenant.check_event is not None:
+            self.kernel.cancel(tenant.check_event)
+            tenant.check_event = None
         if tenant in self._running:
             self._running.remove(tenant)
         # Teardown: bump the namespace generation — O(1) in heap size.

@@ -26,7 +26,7 @@ from repro.core.events import Record, RecordBatch, StreamElement
 from repro.core.graph import ChannelSpec, Partitioning
 from repro.core.keys import subtask_for_key
 from repro.errors import BackpressureError
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import ARGS, FN, IN_QUEUE, NS, TIME, Kernel
 from repro.sim.random import SimRandom
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -169,17 +169,16 @@ class PhysicalChannel:
         last = kernel.last_scheduled
         if (
             last is not None
-            and last.fn is _deliver_flight
-            and last.time == arrival
-            and last.in_queue  # not yet dispatched, not parked
-            and not last.cancelled
-            # a flight dies with one job (the attribute behind the kernel's
+            and last[FN] is _deliver_flight  # a cancelled event's fn is None
+            and last[TIME] == arrival
+            and last[IN_QUEUE]  # not yet dispatched, not parked
+            # a flight dies with one job (the record behind the kernel's
             # read-only ``current_job`` property, read without the call)
-            and last.job == kernel._current_job
+            and last[NS] is kernel._current_job
         ):
             # Nothing was scheduled since: this batch would dispatch right
             # behind the flight's last entry, so it rides along.
-            last.args[0].append((self, batch, self.epoch))
+            last[ARGS][0].append((self, batch, self.epoch))
         else:
             kernel.call_at(arrival, _deliver_flight, [(self, batch, self.epoch)])
         return True

@@ -7,11 +7,10 @@ and all latencies are measured in virtual time.
 """
 
 from repro.sim.clock import VirtualClock
-from repro.sim.kernel import EventHandle, Kernel, PeriodicTimer
+from repro.sim.kernel import Kernel, PeriodicTimer
 from repro.sim.random import SimRandom
 
 __all__ = [
-    "EventHandle",
     "Kernel",
     "PeriodicTimer",
     "SimRandom",

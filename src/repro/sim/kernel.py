@@ -13,10 +13,11 @@ global (time, insertion-seq) order, so the bucket is a pure optimisation.
 
 Multi-tenancy (``repro.fabric``) adds three kernel-level mechanisms:
 
-* **Job namespaces** — every event carries the tag of the job that
-  scheduled it. The tag propagates automatically: events scheduled while a
-  tagged event is dispatching inherit its tag, so one ``job_scope(tag)``
-  around a job's entry point namespaces its entire transitive event tree.
+* **Job namespaces** — a tagged event carries its job's namespace record
+  (generation, live count, parked list), and dispatch makes that record
+  current, so events scheduled while it runs inherit it: one
+  ``job_scope(tag)`` around a job's entry point namespaces its entire
+  transitive event tree. An untagged event carries None and skips all of it.
 * **O(1) bulk teardown** — :meth:`cancel_job` bumps the namespace's
   generation counter instead of touching the heap; an event whose recorded
   generation is stale is dead on arrival. Tearing down a job costs the same
@@ -44,38 +45,29 @@ from repro.errors import SimulationError
 from repro.sim.clock import VirtualClock
 
 
-class EventHandle:
-    """One scheduled callback — and the handle the ``call_*`` methods return.
+#: An event is one plain list ``[time, seq, fn, args, ns, gen, in_queue]``
+#: and the heap holds it directly: ``seq`` is unique, so a comparison settles
+#: on the first two items in C. ``fn`` is None once the event is cancelled;
+#: ``ns`` is the scheduling job's :class:`_Namespace` (None when untagged) and
+#: ``gen`` its generation then; ``in_queue`` is True while the event sits in
+#: the heap or the same-time bucket. The ``call_*`` methods return the event,
+#: and :meth:`Kernel.cancel` takes it.
+TIME, SEQ, FN, ARGS, NS, GEN, IN_QUEUE = range(7)
 
-    The kernel queues it as ``(time, seq, event)``: ``seq`` is unique, so the
-    heap orders entries by comparing a float and an int in C and never asks
-    this class to compare itself. The event is its own cancel handle, so
-    scheduling allocates one object, not an event plus a wrapper.
-    """
 
-    __slots__ = ("_kernel", "time", "seq", "fn", "args", "cancelled", "job", "gen", "in_queue")
+class _Namespace:
+    """One job's event namespace; every event the job schedules carries it."""
 
-    def __init__(
-        self, kernel: "Kernel", time: float, seq: int, fn: Callable[..., None], args: tuple
-    ) -> None:
-        self._kernel = kernel
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        #: namespace tag of the job that scheduled this event (None = untagged)
-        self.job: str | None = None
-        #: the job's generation at schedule time; a mismatch with the current
-        #: generation means the job was torn down since — the event is dead
+    __slots__ = ("tag", "gen", "live", "parked")
+
+    def __init__(self, tag: str) -> None:
+        self.tag = tag
+        #: bumped by cancel_job: an event of an older generation is dead
         self.gen = 0
-        #: True while the event sits in the heap or the same-time bucket (used
-        #: for exact dead-event accounting across cancel/teardown/compaction)
-        self.in_queue = True
-
-    def cancel(self) -> None:
-        """Mark the event so the kernel skips it on dispatch."""
-        self._kernel._note_cancel(self)
+        #: live (non-dead) events in the heap or the bucket
+        self.live = 0
+        #: events parked while the job is suspended; None when it is not
+        self.parked: list[list] | None = None
 
 
 class Kernel:
@@ -101,35 +93,31 @@ class Kernel:
         #: moves time and writes it through to the clock; outside, the clock
         #: is public and may be advanced directly, so ``now()`` and
         #: ``call_at`` re-read it first
-        self._now = self.clock.now()
-        #: heap of ``(time, seq, event)``; tuples compare in C
-        self._queue: list[tuple[float, int, EventHandle]] = []
+        self._now = self.clock._now
+        #: heap of events; they compare by (time, seq) in C
+        self._queue: list[list] = []
         #: FIFO bucket for events scheduled at exactly ``now()`` — the
         #: dominant case for zero-latency local hops. Bucket events skip the
         #: heap entirely; dispatch order is still the global (time, seq)
         #: order, so the bucket is observably identical to the heap.
         #: ``same_time_bucket=False`` keeps the heap-only path as the
         #: reference the kernel's differential tests compare against.
-        self._soon: deque[EventHandle] = deque()
+        self._soon: deque[list] = deque()
         self._same_time_bucket = same_time_bucket
         self._seq = itertools.count()
         #: the event queued most recently (by ``call_at`` or ``resume_job``):
         #: it holds the newest ``seq``, so whatever is scheduled next for its
         #: time would dispatch right behind it. None once a ``cancel_job`` may
         #: have condemned it. Read-only for callers (see channel flights)
-        self.last_scheduled: EventHandle | None = None
+        self.last_scheduled: list | None = None
         self._running = False
         self._stopped = False
         self._dispatched = 0
         # --- job namespaces ------------------------------------------------
-        #: job tag → current generation; bumped by cancel_job (O(1) teardown)
-        self._job_gens: dict[str, int] = {}
-        #: job tag → live (non-dead) events currently in queue/bucket
-        self._live_by_job: dict[str, int] = {}
+        #: job tag → its namespace record, created on first use
+        self._namespaces: dict[str, _Namespace] = {}
         #: namespace active during dispatch; events scheduled inherit it
-        self._current_job: str | None = None
-        #: job tag → events parked while the job is suspended (slot sched)
-        self._parked: dict[str, list[EventHandle]] = {}
+        self._current_job: _Namespace | None = None
         #: per-base-name counters for unique job tags on this kernel
         self._job_tag_counts: dict[str, int] = {}
         # --- lazy compaction ----------------------------------------------
@@ -147,14 +135,15 @@ class Kernel:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
+    def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> list:
         """Schedule ``fn(*args)`` to run at absolute virtual ``time``.
 
         Passing ``args`` here instead of closing over them saves the caller a
-        closure allocation and the dispatch an extra frame per event.
+        closure allocation and the dispatch an extra frame per event. Returns
+        the event, which :meth:`cancel` takes.
         """
         if not self._running:
-            self._now = self.clock.now()
+            self._now = self.clock._now
         now = self._now
         if time <= now:
             if time < now - 1e-12:
@@ -162,28 +151,39 @@ class Kernel:
                     f"cannot schedule event at {time} before now={now}"
                 )
             time = now
-        event = self.last_scheduled = EventHandle(self, time, next(self._seq), fn, args)
-        job = self._current_job
-        if job is not None:
-            # Only a tagged event pays for namespace bookkeeping.
-            event.job = job
-            event.gen = self._job_gens.get(job, 0)
-            self._live_by_job[job] = self._live_by_job.get(job, 0) + 1
+        ns = self._current_job
+        if ns is None:
+            event = self.last_scheduled = [time, next(self._seq), fn, args, None, 0, True]
+        else:
+            ns.live += 1
+            event = self.last_scheduled = [time, next(self._seq), fn, args, ns, ns.gen, True]
         if time == now and self._same_time_bucket:
             self._soon.append(event)
         else:
-            heapq.heappush(self._queue, (time, event.seq, event))
+            heapq.heappush(self._queue, event)
         return event
 
-    def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
+    def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> list:
         """Schedule ``fn(*args)`` to run ``delay`` virtual seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(self.now() + delay, fn, *args)
 
-    def call_soon(self, fn: Callable[..., None], *args: Any) -> EventHandle:
+    def call_soon(self, fn: Callable[..., None], *args: Any) -> list:
         """Schedule ``fn(*args)`` at the current time, after queued same-time events."""
         return self.call_at(self.now(), fn, *args)
+
+    def cancel(self, event: list) -> None:
+        """Mark ``event`` so dispatch skips it. It counts as dead once, and
+        only while it is queued and not already dead (cancelled or torn down)."""
+        live = not self._is_dead(event)
+        event[FN] = None
+        if live and event[IN_QUEUE]:
+            self._dead_pending += 1
+            ns = event[NS]
+            if ns is not None:
+                ns.live -= 1
+            self._maybe_compact()
 
     def idle_at_now(self) -> bool:
         """True when nothing else is queued for the current instant.
@@ -194,17 +194,23 @@ class Kernel:
         a cancelled event at the head still counts as queued.
         """
         queue = self._queue
-        return not self._soon and (not queue or queue[0][0] > self._now)
+        return not self._soon and (not queue or queue[0][TIME] > self._now)
 
     # ------------------------------------------------------------------
     # job namespaces
     # ------------------------------------------------------------------
+    def _namespace(self, job: str) -> _Namespace:
+        ns = self._namespaces.get(job)
+        if ns is None:
+            ns = self._namespaces[job] = _Namespace(job)
+        return ns
+
     @contextmanager
     def job_scope(self, job: str | None) -> Iterator[None]:
         """Tag every event scheduled inside the block (and, transitively,
         events scheduled while those dispatch) with ``job``."""
         previous = self._current_job
-        self._current_job = job
+        self._current_job = None if job is None else self._namespace(job)
         try:
             yield
         finally:
@@ -212,8 +218,9 @@ class Kernel:
 
     @property
     def current_job(self) -> str | None:
-        """Namespace of the currently dispatching event (None outside)."""
-        return self._current_job
+        """Tag of the currently dispatching event's namespace (None outside)."""
+        ns = self._current_job
+        return None if ns is None else ns.tag
 
     def unique_job_tag(self, base: str) -> str:
         """A namespace tag unique on this kernel (``base``, ``base#2``, ...)."""
@@ -230,12 +237,11 @@ class Kernel:
         too. Returns the number of events condemned. The namespace remains
         usable: events scheduled *after* the call get the new generation.
         """
-        condemned = self._live_by_job.pop(job, 0)
-        self._dead_pending += condemned
-        self._job_gens[job] = self._job_gens.get(job, 0) + 1
-        parked = self._parked.pop(job, None)
-        if parked:
-            condemned += len(parked)
+        ns = self._namespace(job)
+        self._dead_pending += ns.live
+        condemned = ns.live + len(ns.parked or ())
+        ns.live, ns.parked = 0, None
+        ns.gen += 1
         self.last_scheduled = None
         self.jobs_cancelled += 1
         self._maybe_compact()
@@ -243,7 +249,7 @@ class Kernel:
 
     def live_events_of(self, job: str) -> int:
         """Live queued events in ``job``'s namespace (excludes parked)."""
-        return self._live_by_job.get(job, 0)
+        return self._namespace(job).live
 
     # ------------------------------------------------------------------
     # suspension (slot scheduling)
@@ -253,7 +259,9 @@ class Kernel:
 
         Events already in the heap stay there; each is parked when its
         dispatch time arrives, preserving (time, seq) order. Idempotent."""
-        self._parked.setdefault(job, [])
+        ns = self._namespace(job)
+        if ns.parked is None:
+            ns.parked = []
 
     def resume_job(self, job: str) -> int:
         """Undo :meth:`suspend_job`: replay parked events in park order.
@@ -265,7 +273,8 @@ class Kernel:
         running uninterrupted — shifted in time, identical in sequence.
         Returns the number of events replayed.
         """
-        parked = self._parked.pop(job, None)
+        ns = self._namespace(job)
+        parked, ns.parked = ns.parked, None
         if not parked:
             return 0
         now = self.now()
@@ -273,45 +282,31 @@ class Kernel:
         for event in parked:
             if self._is_dead(event):
                 continue
-            event.time = max(now, event.time)
-            event.seq = next(self._seq)
-            event.in_queue = True
-            self._live_by_job[job] = self._live_by_job.get(job, 0) + 1
-            if event.time <= now and self._same_time_bucket:
+            event[TIME] = max(now, event[TIME])
+            event[SEQ] = next(self._seq)
+            event[IN_QUEUE] = True
+            ns.live += 1
+            if event[TIME] <= now and self._same_time_bucket:
                 self._soon.append(event)
             else:
-                heapq.heappush(self._queue, (event.time, event.seq, event))
+                heapq.heappush(self._queue, event)
             self.last_scheduled = event
             replayed += 1
         return replayed
 
     def job_suspended(self, job: str) -> bool:
         """True while ``job`` is suspended."""
-        return job in self._parked
+        return self._namespace(job).parked is not None
 
     # ------------------------------------------------------------------
     # dead-event accounting & compaction
     # ------------------------------------------------------------------
-    def _is_dead(self, event: EventHandle) -> bool:
-        if event.cancelled:
+    @staticmethod
+    def _is_dead(event: list) -> bool:
+        if event[FN] is None:
             return True
-        job = event.job
-        return job is not None and event.gen != self._job_gens.get(job, 0)
-
-    def _note_cancel(self, event: EventHandle) -> None:
-        """Account an individual cancellation exactly once."""
-        if event.cancelled:
-            return
-        if self._is_dead(event):
-            # Already condemned by a job teardown; just mark the flag.
-            event.cancelled = True
-            return
-        event.cancelled = True
-        if event.in_queue:
-            self._dead_pending += 1
-            if event.job is not None:
-                self._live_by_job[event.job] = self._live_by_job.get(event.job, 1) - 1
-            self._maybe_compact()
+        ns = event[NS]
+        return ns is not None and event[GEN] != ns.gen
 
     def _maybe_compact(self) -> None:
         if self._dead_pending < self.compact_min_dead:
@@ -326,10 +321,11 @@ class Kernel:
 
         Mutates in place: ``run()`` holds local references to both
         structures, so rebinding them would silently detach the loop."""
-        self._queue[:] = [entry for entry in self._queue if not self._is_dead(entry[2])]
+        is_dead = self._is_dead
+        self._queue[:] = [event for event in self._queue if not is_dead(event)]
         heapq.heapify(self._queue)
-        if any(self._is_dead(e) for e in self._soon):
-            kept = [e for e in self._soon if not self._is_dead(e)]
+        if any(is_dead(e) for e in self._soon):
+            kept = [e for e in self._soon if not is_dead(e)]
             self._soon.clear()
             self._soon.extend(kept)
         self._dead_pending = 0
@@ -343,22 +339,25 @@ class Kernel:
 
         Args:
             until: stop once the clock would pass this virtual time. Events
-                at exactly ``until`` are still dispatched.
+                at exactly ``until`` are still dispatched, and a run that
+                drains its queue leaves the clock at ``until``.
             max_events: safety valve against runaway feedback loops; a budget
                 for *this* call, so a job may be driven by repeated ``run()``s.
 
         Returns:
-            The virtual time at which the simulation quiesced or stopped.
+            The virtual time at which the simulation quiesced (the last
+            dispatch of a drained queue) or stopped.
         """
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run())")
         clock = self.clock
         # The clock is public: pick up an advance made since the last run.
-        self._now = clock.now()
+        self._now = clock._now
         self._running = True
         self._stopped = False
         # Events dispatch in their own namespace, not in a job_scope() that
         # happens to surround this call: an untagged event runs untagged.
+        # Between dispatches it stays None; the finally restores the scope.
         outer_job = self._current_job
         self._current_job = None
         queue = self._queue
@@ -379,58 +378,58 @@ class Kernel:
                 # global (time, seq) tie-break by comparing heads.
                 if soon:
                     event = soon[0]
-                    if queue and queue[0][0] <= event.time and queue[0][1] < event.seq:
-                        event = heappop(queue)[2]
+                    if queue and queue[0] < event:
+                        event = heappop(queue)
                     else:
                         soon.popleft()
                 else:
-                    event = heappop(queue)[2]
-                event.in_queue = False
-                # _is_dead() unrolled, so an untagged event skips the
-                # generation lookup along with the rest of the namespace work.
-                if event.cancelled:
+                    event = heappop(queue)
+                event[IN_QUEUE] = False
+                fn = event[FN]
+                if fn is None:
+                    # cancelled
                     self._dead_pending -= 1
                     continue
-                job = event.job
-                time = event.time
-                if job is not None:
-                    if event.gen != self._job_gens.get(job, 0):
+                ns = event[NS]
+                time = event[TIME]
+                if ns is not None:
+                    # Only a tagged event pays for namespace bookkeeping.
+                    if event[GEN] != ns.gen:
                         self._dead_pending -= 1
                         continue
-                    if time <= horizon and job in self._parked:
+                    if time <= horizon and ns.parked is not None:
                         # Suspended job: park in arrival order for resume_job.
                         # Only an event that is due: one beyond the horizon
                         # keeps its (time, seq) place in the heap, so a job
                         # resumed before then loses no order.
-                        self._parked[job].append(event)
-                        self._live_by_job[job] = self._live_by_job.get(job, 1) - 1
+                        ns.parked.append(event)
+                        ns.live -= 1
                         continue
                 if time > horizon:
                     # Put it back for a later run() call and advance to the horizon.
-                    event.in_queue = True
-                    heapq.heappush(queue, (time, event.seq, event))
+                    event[IN_QUEUE] = True
+                    heapq.heappush(queue, event)
                     clock.advance_to(horizon)
-                    self._now = clock.now()
+                    self._now = clock._now
                     break
                 if time > self._now:
                     # Heap order makes this monotone by construction, so the
                     # clock is written through without its time-travel check.
                     self._now = clock._now = time
                 self._dispatched += 1
-                if job is None:
-                    event.fn(*event.args)
-                    continue
-                self._live_by_job[job] = self._live_by_job.get(job, 1) - 1
-                previous_job = self._current_job
-                self._current_job = job
-                try:
-                    event.fn(*event.args)
-                finally:
-                    self._current_job = previous_job
+                if ns is None:
+                    fn(*event[ARGS])
+                else:
+                    ns.live -= 1
+                    self._current_job = ns
+                    fn(*event[ARGS])
+                    self._current_job = None
             else:
+                quiesced = self._now
                 if until is not None:
                     clock.advance_to(until)
-                    self._now = clock.now()
+                    self._now = clock._now
+                return quiesced
         finally:
             self._running = False
             self._current_job = outer_job
@@ -446,21 +445,16 @@ class Kernel:
     def now(self) -> float:
         """Current virtual time."""
         if not self._running:
-            self._now = self.clock.now()
+            self._now = self.clock._now
         return self._now
 
     @property
     def pending_events(self) -> int:
-        queued = sum(1 for entry in self._queue if not self._is_dead(entry[2])) + sum(
-            1 for e in self._soon if not self._is_dead(e)
-        )
-        parked = sum(
-            1
-            for events in self._parked.values()
-            for e in events
-            if not self._is_dead(e)
-        )
-        return queued + parked
+        is_dead = self._is_dead
+        queued = sum(1 for e in self._queue if not is_dead(e))
+        queued += sum(1 for e in self._soon if not is_dead(e))
+        parked = (e for ns in self._namespaces.values() for e in ns.parked or ())
+        return queued + sum(1 for e in parked if not is_dead(e))
 
     @property
     def queue_size(self) -> int:
@@ -503,7 +497,7 @@ class PeriodicTimer:
         self._interval = interval
         self._action = action
         self._active = True
-        self._handle = kernel.call_after(
+        self._event = kernel.call_after(
             interval if start_delay is None else start_delay, self._fire
         )
 
@@ -512,12 +506,12 @@ class PeriodicTimer:
             return
         self._action()
         if self._active:
-            self._handle = self._kernel.call_after(self._interval, self._fire)
+            self._event = self._kernel.call_after(self._interval, self._fire)
 
     def cancel(self) -> None:
         """Stop firing; the in-flight event is skipped."""
         self._active = False
-        self._handle.cancel()
+        self._kernel.cancel(self._event)
 
     @property
     def active(self) -> bool:

@@ -8,7 +8,7 @@ from fabric_helpers import keyed_count_env
 from repro.core.datastream import StreamExecutionEnvironment
 from repro.errors import FabricError
 from repro.fabric import FabricConfig, JobFabric, sink_digest
-from repro.io import CollectSink, SensorWorkload
+from repro.io import CollectionWorkload, CollectSink, SensorWorkload
 from repro.runtime.config import CheckpointConfig, EngineConfig
 from repro.state.api import ValueStateDescriptor
 
@@ -93,6 +93,19 @@ class TestExecution:
             return fabric.run().summary()
 
         assert build_and_run() == build_and_run()
+
+    def test_duration_is_when_the_fabric_drained_not_its_horizon(self):
+        """The kernel's clock moves on to the horizon once the queue drains;
+        the summary reports when the last event ran."""
+        env = StreamExecutionEnvironment(EngineConfig(seed=0), name="one")
+        sink = CollectSink("out")
+        env.from_workload(CollectionWorkload(range(20), rate=1000.0)).map(lambda v: v).sink(sink)
+        fabric = JobFabric(FabricConfig(slots=1))
+        fabric.submit(env)
+        duration = fabric.run().summary()["duration"]
+        last_arrival = sink.results[-1].emitted_at
+        assert len(sink.results) == 20 and 0.019 < last_arrival < 0.03
+        assert last_arrival <= duration < 0.05
 
     def test_runtime_quota_evicts_cleanly(self):
         fabric = JobFabric(FabricConfig(slots=1, quantum=0.02))

@@ -62,7 +62,7 @@ class TestFairness:
         def capture(_engine):
             if at_first_finish:
                 return
-            for tenant in fabric.scheduler._tenants:
+            for tenant in (handle._tenant for handle in fabric.tenants.values()):
                 consumed = tenant.consumed
                 if tenant.state == "running":
                     consumed += fabric.kernel.now() - tenant.admitted_at

@@ -5,6 +5,7 @@ from repro.core.graph import ChannelSpec, Partitioning
 from repro.core.keys import subtask_for_key
 from repro.runtime.channel import OutputGate, PhysicalChannel, make_partition_filter
 from repro.sim import Kernel, SimRandom
+from repro.sim.kernel import ARGS, IN_QUEUE
 
 
 class FakeTask:
@@ -130,7 +131,7 @@ class TestPartitionFilter:
 
 def flight_lists(kernel):
     """Element values of each list in the flight scheduled last, in order."""
-    return [[e.value for e in batch] for _ch, batch, _epoch in kernel.last_scheduled.args[0]]
+    return [[e.value for e in batch] for _ch, batch, _epoch in kernel.last_scheduled[ARGS][0]]
 
 
 class TestBatchedDelivery:
@@ -303,7 +304,7 @@ class TestDeliveryFlights:
         kernel = Kernel()
         log, (a, b) = self._two(kernel)
         a.send(Record(value=1))
-        kernel.last_scheduled.cancel()
+        kernel.cancel(kernel.last_scheduled)
         b.send(Record(value=2))
         kernel.run()
         assert [(n, v) for n, v, _t in log] == [("b", 2)]
@@ -318,7 +319,7 @@ class TestDeliveryFlights:
             a.send(Record(value=1))
             kernel.suspend_job("job")
             kernel.run()
-            assert kernel.now() == 0.0 and not kernel.last_scheduled.in_queue
+            assert kernel.now() == 0.0 and not kernel.last_scheduled[IN_QUEUE]
             b.send(Record(value=2))
         kernel.resume_job("job")
         kernel.run()

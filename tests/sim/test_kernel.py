@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Kernel, PeriodicTimer, VirtualClock
+from repro.sim.kernel import TIME
 
 
 class TestKernelOrdering:
@@ -103,9 +104,9 @@ class TestCancellation:
     def test_cancelled_events_do_not_fire(self):
         kernel = Kernel()
         seen = []
-        handle = kernel.call_at(1.0, lambda: seen.append("no"))
+        event = kernel.call_at(1.0, lambda: seen.append("no"))
         kernel.call_at(2.0, lambda: seen.append("yes"))
-        handle.cancel()
+        kernel.cancel(event)
         kernel.run()
         assert seen == ["yes"]
 
@@ -161,8 +162,8 @@ class TestVirtualClock:
         clock.advance_to(5.0)
         assert kernel.now() == 5.0
         times = []
-        handle = kernel.call_after(1.0, lambda: times.append((kernel.now(), clock.now())))
-        assert handle.time == 6.0
+        event = kernel.call_after(1.0, lambda: times.append((kernel.now(), clock.now())))
+        assert event[TIME] == 6.0
         clock.advance_to(5.5)
         kernel.call_soon(lambda: times.append((kernel.now(), clock.now())))
         with pytest.raises(SimulationError):
@@ -233,9 +234,9 @@ class TestSameTimeBucket:
     def test_bucket_event_cancellation(self):
         kernel = Kernel()
         seen = []
-        handle = kernel.call_soon(lambda: seen.append("cancelled"))
+        event = kernel.call_soon(lambda: seen.append("cancelled"))
         kernel.call_soon(lambda: seen.append("kept"))
-        handle.cancel()
+        kernel.cancel(event)
         kernel.run()
         assert seen == ["kept"]
         assert kernel.pending_events == 0

@@ -12,18 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Kernel
-
-
-class _RefEvent:
-    def __init__(self, time, seq, fn, args, job, gen):
-        self.time, self.seq, self.fn, self.args = time, seq, fn, args
-        self.job, self.gen, self.cancelled, self.in_queue = job, gen, False, True
-
-    def cancel(self):
-        self.cancelled = True
+from repro.sim.kernel import ARGS, FN, GEN, IN_QUEUE, NS, SEQ, TIME
 
 
 class ReferenceScheduler:
+    """Events are lists laid out as the kernel's (see ``repro.sim.kernel``),
+    with the job's tag where the kernel keeps its namespace record."""
+
     def __init__(self):
         self._now, self._seq, self._events = 0.0, itertools.count(), []
         self.current_job, self._gens, self._parked = None, {}, {}
@@ -33,21 +28,23 @@ class ReferenceScheduler:
         return self._now
 
     def _insert(self, event):
-        bisect.insort(self._events, event, key=lambda e: (e.time, e.seq))
+        bisect.insort(self._events, event, key=lambda e: (e[TIME], e[SEQ]))
 
     def _dead(self, event):
-        return event.cancelled or (
-            event.job is not None and event.gen != self._gens.get(event.job, 0)
+        return event[FN] is None or (
+            event[NS] is not None and event[GEN] != self._gens.get(event[NS], 0)
         )
 
     def call_at(self, time, fn, *args):
         assert time >= self._now - 1e-12
         job = self.current_job
-        gen = self._gens.get(job, 0)
-        event = _RefEvent(max(time, self._now), next(self._seq), fn, args, job, gen)
+        event = [max(time, self._now), next(self._seq), fn, args, job, self._gens.get(job, 0), True]
         self._insert(event)
         self.last_scheduled = event
         return event
+
+    def cancel(self, event):
+        event[FN] = None
 
     def call_after(self, delay, fn, *args):
         return self.call_at(self._now + delay, fn, *args)
@@ -74,24 +71,24 @@ class ReferenceScheduler:
     def resume_job(self, job):
         for event in self._parked.pop(job, []):
             if not self._dead(event):
-                event.time, event.seq = max(self._now, event.time), next(self._seq)
-                event.in_queue = True
+                event[TIME], event[SEQ] = max(self._now, event[TIME]), next(self._seq)
+                event[IN_QUEUE] = True
                 self._insert(event)
                 self.last_scheduled = event
 
     def run(self, until=None):
-        while self._events and (until is None or self._events[0].time <= until):
+        while self._events and (until is None or self._events[0][TIME] <= until):
             event = self._events.pop(0)
-            event.in_queue = False
+            event[IN_QUEUE] = False
             if self._dead(event):
                 continue
-            if event.job in self._parked:
-                self._parked[event.job].append(event)
+            if event[NS] in self._parked:
+                self._parked[event[NS]].append(event)
                 continue
-            self._now = max(self._now, event.time)
+            self._now = max(self._now, event[TIME])
             self.dispatched_events += 1
-            with self.job_scope(event.job):
-                event.fn(*event.args)
+            with self.job_scope(event[NS]):
+                event[FN](*event[ARGS])
         if until is not None:
             self._now = max(self._now, until)
 
@@ -130,8 +127,8 @@ class Driver:
     """Interprets a program against a scheduler, logging every dispatch."""
 
     def __init__(self, sched):
-        self.sched, self.log, self.handles, self.labels = sched, [], [], itertools.count()
-        self.label_of = {}  # id(handle) -> label; the handles list keeps them alive
+        self.sched, self.log, self.events, self.labels = sched, [], [], itertools.count()
+        self.label_of = {}  # id(event) -> label; the events list keeps them alive
 
     def last(self):
         """``last_scheduled`` as a flight would test it: which event, at what
@@ -139,7 +136,8 @@ class Driver:
         event = self.sched.last_scheduled
         if event is None:
             return None
-        return self.label_of[id(event)], event.time, event.job, event.in_queue and not event.cancelled
+        job = getattr(event[NS], "tag", event[NS])  # the kernel's record, or the reference's tag
+        return self.label_of[id(event)], event[TIME], job, event[IN_QUEUE] and event[FN] is not None
 
     def fire(self, label, children):
         self.log.append((label, self.sched.now(), self.sched.current_job, self.last()))
@@ -157,16 +155,16 @@ class Driver:
                     fn, args = (lambda lb=label, ch=children: self.fire(lb, ch)), ()
                 with sched.job_scope(job) if job is not None else nullcontext():
                     if how == "at":
-                        handle = sched.call_at(sched.now() + delay, fn, *args)
+                        event = sched.call_at(sched.now() + delay, fn, *args)
                     elif how == "after":
-                        handle = sched.call_after(delay, fn, *args)
+                        event = sched.call_after(delay, fn, *args)
                     else:
-                        handle = sched.call_soon(fn, *args)
-                self.handles.append(handle)
-                self.label_of[id(handle)] = label
+                        event = sched.call_soon(fn, *args)
+                self.events.append(event)
+                self.label_of[id(event)] = label
             elif op[0] == "cancel":
-                if self.handles:
-                    self.handles[op[1] % len(self.handles)].cancel()
+                if self.events:
+                    sched.cancel(self.events[op[1] % len(self.events)])
                 self.log.append(("cancel", self.last()))
             else:
                 getattr(sched, op[0])(op[1])

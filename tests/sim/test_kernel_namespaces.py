@@ -28,6 +28,18 @@ class TestJobTagging:
         kernel.run()
         assert seen == ["job"] * 4
 
+    def test_an_untagged_event_after_a_tagged_one_runs_untagged(self):
+        """A tagged dispatch hands its namespace back when it returns, so the
+        next event, and whatever that one schedules, is untagged."""
+        kernel = Kernel()
+        seen = []
+        with kernel.job_scope("job"):
+            kernel.call_at(1.0, lambda: seen.append(kernel.current_job))
+        kernel.call_at(2.0, lambda: kernel.call_soon(lambda: seen.append(kernel.current_job)))
+        kernel.run()
+        assert seen == ["job", None]
+        assert kernel.live_events_of("job") == 0
+
     def test_scopes_nest_and_restore(self):
         kernel = Kernel()
         with kernel.job_scope("outer"):
@@ -120,11 +132,11 @@ class TestCancelJob:
 class TestCompaction:
     def test_mass_cancellation_triggers_compaction(self):
         kernel = Kernel(compact_min_dead=64, compact_threshold=0.5)
-        handles = []
+        events = []
         for i in range(200):
-            handles.append(kernel.call_at(100.0 + i, lambda: None))
-        for handle in handles[:150]:
-            handle.cancel()
+            events.append(kernel.call_at(100.0 + i, lambda: None))
+        for event in events[:150]:
+            kernel.cancel(event)
         assert kernel.compactions >= 1
         # Swept down to the live events plus a sub-threshold dead residue.
         assert kernel.pending_events == 50
@@ -133,9 +145,9 @@ class TestCompaction:
 
     def test_compaction_below_threshold_is_deferred(self):
         kernel = Kernel(compact_min_dead=64, compact_threshold=0.5)
-        handles = [kernel.call_at(100.0 + i, lambda: None) for i in range(200)]
-        for handle in handles[:80]:  # 80 dead of 200 = 40% < 50%
-            handle.cancel()
+        events = [kernel.call_at(100.0 + i, lambda: None) for i in range(200)]
+        for event in events[:80]:  # 80 dead of 200 = 40% < 50%
+            kernel.cancel(event)
         assert kernel.compactions == 0
         assert kernel.dead_pending == 80
 
@@ -144,8 +156,8 @@ class TestCompaction:
         seen = []
         keep = [kernel.call_at(float(i), lambda i=i: seen.append(i)) for i in range(20)]
         doomed = [kernel.call_at(0.5 + i, lambda: seen.append("dead")) for i in range(20)]
-        for handle in doomed:
-            handle.cancel()
+        for event in doomed:
+            kernel.cancel(event)
         assert kernel.compactions >= 1
         kernel.run()
         assert seen == list(range(20))
@@ -161,8 +173,8 @@ class TestCompaction:
         live_ran = []
         for i in range(100):
             kernel.call_at(1.0 + i, lambda i=i: live_ran.append(i))
-        for handle in dead:
-            handle.cancel()
+        for event in dead:
+            kernel.cancel(event)
         # The storm crossed the threshold (repeatedly, as the halving queue
         # re-crosses it): the heap ends orders of magnitude smaller than the
         # 50k dead events, so live dispatch never walks them.
@@ -258,9 +270,9 @@ class TestSuspendResume:
         kernel = Kernel()
         ran = []
         with kernel.job_scope("j"):
-            handle = kernel.call_at(1.0, lambda: ran.append("cancelled"))
+            event = kernel.call_at(1.0, lambda: ran.append("cancelled"))
             kernel.call_at(2.0, lambda: ran.append("kept"))
-        handle.cancel()
+        kernel.cancel(event)
         kernel.suspend_job("j")
         kernel.run()
         kernel.resume_job("j")

@@ -86,3 +86,40 @@ def test_a_claimed_metric_that_regressed_past_its_bound_exits_non_zero(monkeypat
     )
     assert ab_pairs.main() == 1
     assert "norm_records_per_s: parent median 100, change median 80, bound 15%: WORSE" in capsys.readouterr().out
+
+
+def _writes_every_metric(values: dict) -> str:
+    """A stand-in ``perf`` that reports every end-to-end metric, 1.0 unless
+    ``values`` (workload -> {metric: value}) says otherwise."""
+    names = [name for name, *_rest in ab_pairs.END_TO_END]
+    return f"""
+import json, sys
+workload = sys.argv[sys.argv.index("--workload") + 1]
+metrics = {{name: 1.0 for name in {names!r}}}
+metrics.update({values!r}.get(workload, {{}}))
+path = sys.argv[sys.argv.index("--json") + 1]
+with open(path, "w") as fh:
+    json.dump({{"failed": 0, "attempted": 3, "metrics": {{n: {{"value": v}} for n, v in metrics.items()}}}}, fh)
+"""
+
+
+@pytest.mark.parametrize("differs", [False, True])
+def test_workload_all_runs_every_benchmark_workload_and_prints_one_row_each(tmp_path, monkeypatch, capsys, differs):
+    """``--workload all`` runs the pairs on each workload BENCHMARK.json
+    names; an exact metric that differs on one of them fails the whole run."""
+    workloads = ab_pairs.benchmark_workloads()
+    odd = workloads[-1]
+    parent = _checkout(tmp_path / "parent", _writes_every_metric({}))
+    change_values = {odd: {"kernel_events_per_record": 2.0}} if differs else {}
+    change = _checkout(tmp_path / "change", _writes_every_metric(change_values))
+    monkeypatch.setattr(
+        "sys.argv", ["ab_pairs.py", parent, change, "--workload", "all", "--seed", "0", "--pairs", "2"]
+    )
+    assert ab_pairs.main() == (1 if differs else 0)
+    out = capsys.readouterr().out
+    rows = out[out.index("all workloads, seed 0, 2 pairs each"):].splitlines()[1:]
+    assert [row.split()[0] for row in rows] == workloads
+    for workload, row in zip(workloads, rows):
+        assert "gain rule NOT met (0/2 wins, +0.0%)" in row
+        assert "setup_s ok" in row and "norm_records_per_s ok" in row and "peak_rss_mb ok" in row
+        assert row.endswith("DIFFER  failed 0" if differs and workload == odd else "identical  failed 0")
