@@ -47,20 +47,66 @@ PAPER_MATRIX = {
 # one executable probe per requirement
 # ---------------------------------------------------------------------------
 def probe_programming_models():
-    """Functional pipeline API + actor-like stateful functions coexist."""
+    """Functional pipeline API + actor-like stateful functions coexist, in
+    both convergence directions: a dataflow drives functions through
+    ``FunctionIngressOperator`` (streams on actors), and functions hosted in a
+    dataflow message each other over its feedback edge (actors on streams)."""
     from repro.core.datastream import StreamExecutionEnvironment
-    from repro.functions import Address, StatefulFunctionRuntime
-    from repro.sim import Kernel
+    from repro.functions import (
+        Address, FunctionIngressOperator, StatefulFunctionRuntime,
+        feedback_function_pipeline, merged_egress,
+    )
+    from repro.io import CollectionWorkload
 
+    # streams on actors: the runtime shares the engine's kernel, so the
+    # ingress resolves it when its task opens
     env = StreamExecutionEnvironment()
-    sink = env.from_collection(range(10)).map(lambda v: v * 2).collect()
+    runtimes = []
+    sink = (
+        env.from_collection(range(10))
+        .map(lambda v: v * 2)
+        .apply_operator(
+            lambda: FunctionIngressOperator(lambda: runtimes[0], route=lambda v: (Address("sum", v % 2), v)),
+            name="ingress",
+        )
+        .collect()
+    )
+    engine = env.build()
+    app = StatefulFunctionRuntime(engine.kernel)
+    app.register("sum", lambda ctx, msg: ctx.storage.set(ctx.storage.get(0) + msg))
+    runtimes.append(app)
     env.execute()
-    kernel = Kernel()
-    app = StatefulFunctionRuntime(kernel)
-    app.register("f", lambda ctx, msg: ctx.storage.set(ctx.storage.get(0) + msg))
-    app.send(Address("f", "x"), 5)
-    kernel.run()
-    return sink.values() == [v * 2 for v in range(10)] and app.state_of(Address("f", "x")) == 5
+    streams_on_actors = (
+        sink.values() == [v * 2 for v in range(10)]
+        and app.state_of(Address("sum", 0)) == sum(v * 2 for v in range(10))
+    )
+
+    # actors on streams: a first greeting sends a bonus message to another
+    # function, which reaches it over the feedback edge
+    def greeter(ctx, payload):
+        count = ctx.storage_get(0) + 1
+        ctx.storage_set(count)
+        if count == 1:
+            ctx.send(Address("bonus", "pool"), str(ctx.address.id))
+        ctx.send_egress("greetings", f"{ctx.address.id} #{count}")
+
+    def bonus(ctx, user):
+        ctx.send_egress("bonuses", user)
+
+    env = StreamExecutionEnvironment(name="statefun")
+    holder = feedback_function_pipeline(
+        env,
+        CollectionWorkload(["u1", "u2", "u1"]),
+        route=lambda user: (Address("greeter", user), user),
+        handlers={"greeter": greeter, "bonus": bonus},
+        parallelism=2,
+    )
+    env.execute(until=30.0)
+    actors_on_streams = (
+        sorted(merged_egress(holder, "greetings")) == ["u1 #1", "u1 #2", "u2 #1"]
+        and sorted(merged_egress(holder, "bonuses")) == ["u1", "u2"]
+    )
+    return streams_on_actors and actors_on_streams
 
 
 def probe_transactions():
@@ -76,6 +122,10 @@ def probe_transactions():
 
 
 def probe_advanced_state_backends():
+    """Each large-state backend round-trips values; the LSM tree gets enough
+    keys to flush its memtable into sorted runs and compact them, every key
+    still reads back through the merged runs, and its checkpoint sizing
+    agrees with a full snapshot."""
     from repro.state import (
         ExternalStateBackend, LSMStateBackend, PersistentMemoryBackend,
         RemoteStore, ValueStateDescriptor,
@@ -83,10 +133,22 @@ def probe_advanced_state_backends():
 
     desc = ValueStateDescriptor("v")
     ok = True
-    for backend in (LSMStateBackend(memtable_limit=2), ExternalStateBackend(RemoteStore()), PersistentMemoryBackend()):
+    for backend in (ExternalStateBackend(RemoteStore()), PersistentMemoryBackend()):
         backend.put(desc, "k", {"big": list(range(10))})
         ok = ok and backend.get(desc, "k") == {"big": list(range(10))}
-    return ok
+    lsm = LSMStateBackend(memtable_limit=4, compaction_fanout=2)
+    for key in range(16):
+        lsm.put(desc, key, {"big": list(range(key))})
+    lsm.delete(desc, 3)
+    # 16 puts fill four memtables; with fanout 2 every flush after the first
+    # merges the two runs, so the reads below go through one compacted run
+    ok = ok and lsm.flushes == 4 and lsm.compactions == 3 and lsm.run_count == 1
+    ok = ok and all(lsm.get(desc, key) == {"big": list(range(key))} for key in range(16) if key != 3)
+    ok = ok and lsm.get(desc, 3) is None and 3 not in set(lsm.keys(desc))
+    # the checkpoint sizing a task reports, kept incrementally across the
+    # flushes, must equal what a full snapshot of the compacted tree holds
+    full = lsm.snapshot()[desc.name]
+    return ok and lsm.total_entries() == len(full) == 15 and lsm.snapshot_bytes() == sum(map(len, full.values()))
 
 
 def probe_loops_and_cycles():

@@ -4,7 +4,6 @@ from repro.core.datastream import (
     DataStream,
     KeyedStream,
     StreamExecutionEnvironment,
-    connect_streams,
 )
 from repro.core.events import (
     MAX_TIMESTAMP,
@@ -56,7 +55,6 @@ __all__ = [
     "StreamExecutionEnvironment",
     "StreamGraph",
     "Watermark",
-    "connect_streams",
     "field_selector",
     "key_group_for",
     "key_group_range",

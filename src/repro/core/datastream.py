@@ -29,7 +29,6 @@ from repro.core.operators.basic import (
     SinkOperator,
     UnionOperator,
 )
-from repro.errors import GraphError
 from repro.io.sinks import CollectSink, Sink
 from repro.io.sources import CollectionWorkload, Workload
 from repro.progress.watermarks import WatermarkStrategy
@@ -330,20 +329,3 @@ class KeyedStream(DataStream):
         from repro.cep.operator import CEPOperator  # local import: layer cycle
 
         return self._connect(name, lambda: CEPOperator(pattern, name=name), **kwargs)
-
-
-def connect_streams(
-    left: DataStream,
-    right: DataStream,
-    name: str = "connect",
-    parallelism: int = 1,
-) -> DataStream:
-    """Tag-and-union two streams: values become ("left"|"right", value).
-
-    Two-input operators (joins, co-processing, control streams) consume the
-    tagged union; this mirrors how multi-input operators are built on
-    single-input runtimes.
-    """
-    tagged_left = left.map(lambda v: ("left", v), name=f"{name}-tag-l")
-    tagged_right = right.map(lambda v: ("right", v), name=f"{name}-tag-r")
-    return tagged_left.union(tagged_right, name=name, parallelism=parallelism)

@@ -35,19 +35,6 @@ class OperatorContext:
     defines the contract and lets unit tests stub contexts cheaply.
     """
 
-    # --- identity -------------------------------------------------------
-    @property
-    def task_name(self) -> str:
-        raise NotImplementedError
-
-    @property
-    def subtask_index(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def parallelism(self) -> int:
-        raise NotImplementedError
-
     # --- output ---------------------------------------------------------
     def emit(self, element: StreamElement) -> None:
         """Send an element to all downstream channels."""
@@ -104,14 +91,6 @@ class OperatorContext:
         """Every key holding state for ``descriptor`` (a list taken now):
         operators that visit each key's state, such as a window operator
         flushing at end of input, scope to each with :meth:`set_current_key`."""
-        raise NotImplementedError
-
-    def operator_state(self, name: str, default: Any = None) -> Any:
-        """Read non-keyed operator-scoped state by name."""
-        raise NotImplementedError
-
-    def set_operator_state(self, name: str, value: Any) -> None:
-        """Write non-keyed operator-scoped state by name."""
         raise NotImplementedError
 
     # --- cost -----------------------------------------------------------
@@ -186,18 +165,6 @@ class _BatchCollector(OperatorContext):
     def current_key_value(self) -> Any:
         return getattr(self._parent, "current_key_value", None)
 
-    @property
-    def task_name(self) -> str:
-        return self._parent.task_name
-
-    @property
-    def subtask_index(self) -> int:
-        return self._parent.subtask_index
-
-    @property
-    def parallelism(self) -> int:
-        return self._parent.parallelism
-
     def emit_to(self, tag: str, element: StreamElement) -> None:
         self._parent.emit_to(tag, element)
 
@@ -226,12 +193,6 @@ class _BatchCollector(OperatorContext):
     def state_keys(self, descriptor: "StateDescriptor") -> list[Any]:
         return self._parent.state_keys(descriptor)
 
-    def operator_state(self, name: str, default: Any = None) -> Any:
-        return self._parent.operator_state(name, default)
-
-    def set_operator_state(self, name: str, value: Any) -> None:
-        self._parent.set_operator_state(name, value)
-
     def add_cost(self, seconds: float) -> None:
         self._parent.add_cost(seconds)
 
@@ -250,7 +211,7 @@ class Operator:
     """Base class for all dataflow operators.
 
     Lifecycle: ``open`` → any number of ``on_element``/timer calls →
-    ``flush`` (end of bounded input) → ``close``. Checkpointing calls
+    ``flush`` (end of bounded input). Checkpointing calls
     ``snapshot_state``/``restore_state`` between elements, never during one.
     """
 
@@ -259,9 +220,6 @@ class Operator:
 
     def open(self, ctx: OperatorContext) -> None:
         """One-time initialization (state descriptors, timers)."""
-
-    def close(self, ctx: OperatorContext) -> None:
-        """Release resources; called exactly once per (re)incarnation."""
 
     # --- element dispatch -------------------------------------------------
     def on_element(self, element: StreamElement, ctx: OperatorContext) -> None:

@@ -170,28 +170,12 @@ class _LinkContext(OperatorContext):
         #: descriptor -> (that descriptor, its member-scoped copy)
         self._scoped: dict[Any, tuple[Any, Any]] = {}
 
-    # --- identity -------------------------------------------------------
-    @property
-    def task_name(self) -> str:
-        return self._parent.task_name
-
-    @property
-    def subtask_index(self) -> int:
-        return self._parent.subtask_index
-
-    @property
-    def parallelism(self) -> int:
-        return self._parent.parallelism
-
     # --- output ---------------------------------------------------------
     def emit(self, element: StreamElement) -> None:
         if type(element) is Record and element[5] is None:  # untraced
             self._next(element, self._parent)
         else:
             self._chain._feed(self._index + 1, element, self._parent)
-
-    def emit_watermark(self, timestamp: float) -> None:
-        self.emit(Watermark(timestamp))
 
     def emit_to(self, tag: str, element: StreamElement) -> None:
         self._parent.emit_to(tag, element)
@@ -232,12 +216,6 @@ class _LinkContext(OperatorContext):
             entry = (descriptor, replace(descriptor, name=f"chain{self._index}/{descriptor.name}"))
             self._scoped[descriptor] = entry
         return entry[1]
-
-    def operator_state(self, name: str, default: Any = None) -> Any:
-        return self._parent.operator_state(f"chain{self._index}/{name}", default)
-
-    def set_operator_state(self, name: str, value: Any) -> None:
-        self._parent.set_operator_state(f"chain{self._index}/{name}", value)
 
     # --- cost -----------------------------------------------------------
     def add_cost(self, seconds: float) -> None:
@@ -353,11 +331,6 @@ class ChainedOperator(Operator):
         self._bind(ctx)
         for op, link in zip(self.operators, self._links):
             op.open(link)
-
-    def close(self, ctx: OperatorContext) -> None:
-        self._bind(ctx)
-        for op, link in zip(self.operators, self._links):
-            op.close(link)
 
     def flush(self, ctx: OperatorContext) -> None:
         # Flush upstream-first so a member's flush output still traverses

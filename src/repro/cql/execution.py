@@ -13,9 +13,9 @@ Two execution paths, mirroring the survey's framing:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
-from repro.cql.ast import Aggregate, Column, Query, StreamOp, WindowKind
+from repro.cql.ast import Aggregate, Query, StreamOp, WindowKind
 from repro.cql.parser import parse_query
 from repro.cql.relations import WindowRelation, bag_diff, evaluate, instant_result
 from repro.errors import CQLSemanticError
@@ -127,14 +127,8 @@ def compile_to_dataflow(
     stream = env.from_workload(workload, name=source_item.stream, watermarks=watermarks)
     binding = source_item.binding
     if query.where is not None:
-        from repro.cql.vectorized import compile_predicate
-
         where = query.where
-        stream = stream.filter(
-            lambda v: bool(evaluate(where, {binding: v})),
-            name="cql-where",
-            batch_predicate=compile_predicate(where, binding),
-        )
+        stream = stream.filter(lambda v: bool(evaluate(where, {binding: v})), name="cql-where")
     group_col = query.group_by[0]
     keyed = stream.key_by(field_selector(group_col.name), name="cql-group", parallelism=parallelism)
 

@@ -22,7 +22,7 @@ Typical usage::
         ... build pipeline ...
         fabric.submit(env, weight=1.0)
     result = fabric.run()
-    result.tenant("job7").result.sink("out").results
+    result.tenant("job7").result.sinks["out"].results
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import QueryableStateError
 from repro.queryable.server import QueryableStateService, QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,10 +62,3 @@ class FabricQueryService:
         prefix = f"{handle.engine.job_tag}/"
         found = self.fabric.registry.find(fragment)
         return {path: value for path, value in found.items() if path.startswith(prefix)}
-
-    def tenants(self) -> list[str]:
-        """Names of every tenant admitted to the fabric."""
-        return sorted(self.fabric.tenants)
-
-    def _missing(self, tenant: str) -> QueryableStateError:
-        return QueryableStateError(f"unknown tenant {tenant!r}")

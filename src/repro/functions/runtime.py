@@ -78,10 +78,6 @@ class FunctionStorage:
         """Persist this address's state."""
         self._backend.handle(self._descriptor, self._address.id).update(value)
 
-    def clear(self) -> None:
-        """Delete this address's state."""
-        self._backend.handle(self._descriptor, self._address.id).clear()
-
 
 class FunctionContext:
     """Capabilities handed to a handler for one message."""
@@ -236,10 +232,6 @@ class StatefulFunctionRuntime:
         self.kernel.call_after(self.invocation_cost, lambda: self._process_next(address))
 
     # ------------------------------------------------------------------
-    def run(self, until: float | None = None) -> float:
-        """Drive the kernel until quiescence (or ``until``)."""
-        return self.kernel.run(until=until)
-
     def state_of(self, address: Address, default: Any = None) -> Any:
         """Read one address's persisted state (observability/tests)."""
         return FunctionStorage(self.backend_for(address.type), address).get(default)

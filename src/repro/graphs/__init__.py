@@ -4,10 +4,8 @@ from repro.graphs.connectivity import IncrementalComponents, RecomputeComponents
 from repro.graphs.operator import GraphStreamOperator
 from repro.graphs.paths import IncrementalSSSP, RecomputeSSSP
 from repro.graphs.stream import DynamicGraph, EdgeEvent
-from repro.graphs.walks import CooccurrenceEmbedding, StreamingRandomWalks
 
 __all__ = [
-    "CooccurrenceEmbedding",
     "DynamicGraph",
     "EdgeEvent",
     "GraphStreamOperator",
@@ -15,6 +13,5 @@ __all__ = [
     "IncrementalSSSP",
     "RecomputeComponents",
     "RecomputeSSSP",
-    "StreamingRandomWalks",
     "UnionFind",
 ]

@@ -80,17 +80,9 @@ class IncrementalComponents:
             self._uf.union(u, v)
             self.operations += 1
 
-    def component_of(self, node: Any) -> Any:
-        """Representative of the node's component."""
-        return self._uf.find(node)
-
     def connected(self, a: Any, b: Any) -> bool:
         """Whether two nodes share a component."""
         return self._uf.find(a) == self._uf.find(b)
-
-    @property
-    def component_count(self) -> int:
-        return self._uf.components
 
 
 class RecomputeComponents:
@@ -120,16 +112,8 @@ class RecomputeComponents:
                         queue.append(neighbor)
             label += 1
 
-    def component_of(self, node: Any) -> int:
-        """The node's component label (-1 when unseen)."""
-        return self._labels.get(node, -1)
-
     def connected(self, a: Any, b: Any) -> bool:
         """Whether two nodes share a component."""
         return (
             a in self._labels and b in self._labels and self._labels[a] == self._labels[b]
         )
-
-    @property
-    def component_count(self) -> int:
-        return len(set(self._labels.values()))

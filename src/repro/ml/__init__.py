@@ -1,11 +1,10 @@
 """Streaming machine learning (survey §4.1): online training, versioned
-serving, bulk/stale-synchronous iterations."""
+serving, bulk-synchronous iterations."""
 
 from repro.ml.features import FeatureVectorizer, OnlineStandardScaler, transaction_features
 from repro.ml.iterations import (
     BulkIterationDriver,
     IterationReport,
-    StaleSynchronousDriver,
     make_separable_dataset,
     partition_dataset,
 )
@@ -17,7 +16,7 @@ from repro.ml.serving import (
     Prediction,
     RPCServingOperator,
 )
-from repro.ml.sgd import OnlineLinearRegression, OnlineLogisticRegression, batch_gradient_step
+from repro.ml.sgd import OnlineLinearRegression, OnlineLogisticRegression
 
 __all__ = [
     "BulkIterationDriver",
@@ -32,8 +31,6 @@ __all__ = [
     "OnlineStandardScaler",
     "Prediction",
     "RPCServingOperator",
-    "StaleSynchronousDriver",
-    "batch_gradient_step",
     "make_separable_dataset",
     "partition_dataset",
     "transaction_features",

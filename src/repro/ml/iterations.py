@@ -2,20 +2,18 @@
 
 "Synchronous loops are paramount for bulk iterative algorithms used in
 machine learning (e.g., Stochastic Gradient Descent)." The driver runs
-supersteps over partitioned data with a barrier between steps, in both
-Bulk Synchronous and Stale Synchronous variants: SSP lets fast partitions
-run ahead by a bounded ``staleness`` of supersteps, trading gradient
-freshness for fewer barrier stalls.
+supersteps over partitioned data with a barrier between steps (Bulk
+Synchronous Parallel), accounting the time fast partitions stall at it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
-from repro.ml.sgd import OnlineLogisticRegression, batch_gradient_step
+from repro.ml.sgd import OnlineLogisticRegression
 
 
 @dataclass
@@ -71,53 +69,6 @@ class BulkIterationDriver:
                 report.converged = True
                 break
             previous_loss = loss
-        return report
-
-
-class StaleSynchronousDriver(BulkIterationDriver):
-    """SSP variant: partition i may be up to ``staleness`` supersteps ahead
-    of the slowest; gradients apply asynchronously against possibly-stale
-    weights, eliminating most barrier stalls."""
-
-    def __init__(self, *args: Any, staleness: int = 2, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        if staleness < 0:
-            raise ValueError("staleness must be >= 0")
-        self.staleness = staleness
-
-    def run(self, max_supersteps: int = 100, tolerance: float = 1e-4) -> IterationReport:
-        report = IterationReport(supersteps=0)
-        clocks = [0] * len(self.partitions)
-        previous_loss = float("inf")
-        stale_weights = [self.model.weights.copy() for _ in self.partitions]
-        for _step in range(max_supersteps):
-            losses = []
-            for index, (xs, ys) in enumerate(self.partitions):
-                # SSP: a partition only stalls when it would exceed the
-                # staleness bound relative to the slowest clock.
-                if clocks[index] - min(clocks) > self.staleness:
-                    report.barrier_stalls += self._partition_time(index)
-                    continue
-                weights = stale_weights[index]
-                z = np.clip(xs @ weights, -35.0, 35.0)
-                p = 1.0 / (1.0 + np.exp(-z))
-                eps = 1e-12
-                losses.append(
-                    float(np.mean(-(ys * np.log(p + eps) + (1 - ys) * np.log(1 - p + eps))))
-                )
-                gradient = xs.T @ (p - ys) / len(ys)
-                self.model.weights -= self.model.learning_rate * gradient / len(self.partitions)
-                clocks[index] += 1
-                # Refresh the partition's view lazily (bounded staleness).
-                stale_weights[index] = self.model.weights.copy()
-            if losses:
-                loss = float(np.mean(losses))
-                report.losses.append(loss)
-                report.supersteps += 1
-                if abs(previous_loss - loss) < tolerance:
-                    report.converged = True
-                    break
-                previous_loss = loss
         return report
 
 

@@ -76,20 +76,3 @@ class OnlineLogisticRegression:
     def load_weights(self, weights: np.ndarray) -> None:
         """Replace the weights (hot swap / restore)."""
         self.weights = np.asarray(weights, dtype=float).copy()
-
-
-def batch_gradient_step(
-    model: OnlineLogisticRegression, xs: np.ndarray, ys: np.ndarray, learning_rate: float | None = None
-) -> float:
-    """One full-batch gradient step (bulk-synchronous iteration body).
-
-    Returns the mean log-loss over the batch before the step.
-    """
-    lr = learning_rate if learning_rate is not None else model.learning_rate
-    z = np.clip(xs @ model.weights, -35.0, 35.0)
-    p = 1.0 / (1.0 + np.exp(-z))
-    eps = 1e-12
-    loss = float(np.mean(-(ys * np.log(p + eps) + (1 - ys) * np.log(1 - p + eps))))
-    gradient = xs.T @ (p - ys) / len(ys) + model.l2 * model.weights
-    model.weights -= lr * gradient
-    return loss

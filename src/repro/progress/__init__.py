@@ -7,10 +7,10 @@ Five mechanisms, one per surveyed lineage:
 * heartbeats (STREAM) — source-driven, see
   :class:`repro.runtime.task.SourceTask` ``heartbeat_interval``
 * slack (Aurora) — :mod:`repro.progress.slack`
-* frontiers (Naiad) — :mod:`repro.progress.frontiers`
+* frontiers (Naiad) — :mod:`repro.progress.frontiers` (oracle watermarks)
 """
 
-from repro.progress.frontiers import FrontierTracker, OracleWatermarks
+from repro.progress.frontiers import OracleWatermarks
 from repro.progress.ooo import DisorderStats, KSlackBufferOperator, disorder_profile
 from repro.progress.punctuations import PunctuationFilter, PunctuationInjector
 from repro.progress.slack import SlackReorderOperator
@@ -28,7 +28,6 @@ __all__ = [
     "AscendingTimestamps",
     "BoundedOutOfOrderness",
     "DisorderStats",
-    "FrontierTracker",
     "KSlackBufferOperator",
     "NoWatermarks",
     "OracleWatermarks",

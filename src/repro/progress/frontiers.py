@@ -1,142 +1,20 @@
-"""Frontier-based progress tracking (Naiad's timely dataflow, survey §2.3).
+"""Frontier-based progress (Naiad's timely dataflow, survey §2.3).
 
-Two pieces:
-
-* :class:`FrontierTracker` — a standalone implementation of pointstamp
-  occurrence counting over a dataflow graph with optional loop-counter
-  increments on feedback edges. ``frontier_at(node)`` returns the minimum
-  timestamp that may still arrive at a node, the exact-progress primitive
-  watermarks approximate.
-* :class:`OracleWatermarks` — the frontier idea applied to a source whose
-  future is known (a replayable workload): the emitted watermark is the
-  true minimum outstanding event time. This gives zero late records with
-  the minimum possible delay, the upper bound the E2 experiment compares
-  heuristic mechanisms against.
+:class:`OracleWatermarks` applies the frontier idea to a source whose future
+is known (a replayable workload): the emitted watermark is the true minimum
+outstanding event time — the minimum timestamp that may still arrive, the
+exact-progress primitive watermarks approximate. This gives zero late
+records with the minimum possible delay, the upper bound the E2 experiment
+compares heuristic mechanisms against.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Any
 
 from repro.core.events import Watermark
-from repro.errors import GraphError
 from repro.io.sources import Workload
 from repro.progress.watermarks import WatermarkStrategy
-
-Timestamp = Any  # numbers, or tuples for loop-nested timestamps
-
-
-class FrontierTracker:
-    """Pointstamp occurrence counting over a (possibly cyclic) graph.
-
-    Nodes are added with :meth:`add_node`; edges with :meth:`add_edge`,
-    where feedback edges carry ``increment=1`` applied to the last
-    coordinate of tuple timestamps (Naiad's loop counters). A pointstamp
-    ``(t, node)`` is an unprocessed event; the frontier at a node is the
-    minimum timestamp any outstanding pointstamp could still produce there.
-    """
-
-    def __init__(self) -> None:
-        self._nodes: set[Hashable] = set()
-        self._edges: dict[Hashable, list[tuple[Hashable, int]]] = {}
-        self._occurrences: dict[tuple[Timestamp, Hashable], int] = {}
-
-    # ------------------------------------------------------------------
-    def add_node(self, node: Hashable) -> None:
-        """Register a dataflow location."""
-        self._nodes.add(node)
-        self._edges.setdefault(node, [])
-
-    def add_edge(self, src: Hashable, dst: Hashable, increment: int = 0) -> None:
-        """Connect locations; feedback edges carry a loop-counter increment."""
-        if src not in self._nodes or dst not in self._nodes:
-            raise GraphError(f"unknown node in edge {src}->{dst}")
-        self._edges[src].append((dst, increment))
-
-    # ------------------------------------------------------------------
-    def add_pointstamp(self, timestamp: Timestamp, node: Hashable) -> None:
-        """Record one unit of outstanding work at (timestamp, node)."""
-        if node not in self._nodes:
-            raise GraphError(f"unknown node {node!r}")
-        key = (timestamp, node)
-        self._occurrences[key] = self._occurrences.get(key, 0) + 1
-
-    def remove_pointstamp(self, timestamp: Timestamp, node: Hashable) -> None:
-        """Retire one unit of outstanding work."""
-        key = (timestamp, node)
-        count = self._occurrences.get(key, 0)
-        if count <= 0:
-            raise GraphError(f"no outstanding pointstamp {key}")
-        if count == 1:
-            del self._occurrences[key]
-        else:
-            self._occurrences[key] = count - 1
-
-    def notify_and_produce(
-        self, consumed: tuple[Timestamp, Hashable], produced: list[tuple[Timestamp, Hashable]]
-    ) -> None:
-        """Atomic step: a worker consumed one pointstamp and produced others
-        (the delivery pattern that keeps the frontier conservative)."""
-        for timestamp, node in produced:
-            self.add_pointstamp(timestamp, node)
-        self.remove_pointstamp(*consumed)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _advance(timestamp: Timestamp, increment: int) -> Timestamp:
-        if increment == 0:
-            return timestamp
-        if isinstance(timestamp, tuple):
-            return timestamp[:-1] + (timestamp[-1] + increment,)
-        return timestamp  # scalar timestamps ignore loop increments
-
-    def _reachable_from(self, node: Hashable) -> dict[Hashable, int]:
-        """Min cumulative increment to every node reachable from ``node``
-        (Dijkstra over increments; increments are >= 0)."""
-        best: dict[Hashable, int] = {node: 0}
-        frontier = [(0, node)]
-        import heapq
-
-        while frontier:
-            cost, current = heapq.heappop(frontier)
-            if cost > best.get(current, float("inf")):
-                continue
-            for succ, inc in self._edges.get(current, []):
-                new_cost = cost + inc
-                if new_cost < best.get(succ, float("inf")):
-                    best[succ] = new_cost
-                    heapq.heappush(frontier, (new_cost, succ))
-        return best
-
-    def could_result_in(
-        self, pointstamp: tuple[Timestamp, Hashable], target: tuple[Timestamp, Hashable]
-    ) -> bool:
-        """Naiad's could-result-in relation."""
-        (t1, n1), (t2, n2) = pointstamp, target
-        reach = self._reachable_from(n1)
-        if n2 not in reach:
-            return False
-        return self._advance(t1, reach[n2]) <= t2
-
-    def frontier_at(self, node: Hashable) -> Timestamp | None:
-        """Minimum timestamp that can still arrive at ``node`` (None = no
-        outstanding work can reach it — fully complete)."""
-        candidates = []
-        for (timestamp, source), _count in self._occurrences.items():
-            reach = self._reachable_from(source)
-            if node in reach:
-                candidates.append(self._advance(timestamp, reach[node]))
-        return min(candidates) if candidates else None
-
-    def is_complete(self, timestamp: Timestamp, node: Hashable) -> bool:
-        """True when no outstanding pointstamp can produce work at or before
-        ``timestamp`` at ``node`` — the notification condition."""
-        frontier = self.frontier_at(node)
-        return frontier is None or frontier > timestamp
-
-    @property
-    def outstanding(self) -> int:
-        return sum(self._occurrences.values())
 
 
 class OracleWatermarks(WatermarkStrategy):

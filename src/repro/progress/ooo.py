@@ -115,10 +115,6 @@ class KSlackBufferOperator(Operator):
         self._released_up_to = snapshot["released"]
         self.dropped_late = snapshot["dropped"]
 
-    @property
-    def buffered(self) -> int:
-        return len(self._heap)
-
 
 @dataclass
 class DisorderStats:

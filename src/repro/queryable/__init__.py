@@ -1,5 +1,5 @@
 """Queryable state (survey §4.2)."""
 
-from repro.queryable.server import QueryResult, QueryableStateService, StateView
+from repro.queryable.server import QueryResult, QueryableStateService
 
-__all__ = ["QueryResult", "QueryableStateService", "StateView"]
+__all__ = ["QueryResult", "QueryableStateService"]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.keys import subtask_for_key
-from repro.core.serde import DEFAULT_SERDE
 from repro.errors import QueryableStateError
 from repro.runtime.engine import Engine
 from repro.state.api import StateDescriptor
@@ -126,65 +125,3 @@ class QueryableStateService:
             }
         self.queries_served += 1
         return snapshot
-
-    # ------------------------------------------------------------------
-    def query_all(
-        self, node_name: str, descriptor: StateDescriptor, consistency: str = "snapshot"
-    ) -> dict[Any, Any]:
-        """Scatter-gather over every partition (a full "state table" view)."""
-        out: dict[Any, Any] = {}
-        for task in self.engine.tasks_of(node_name):
-            if task.dead:
-                continue
-            for key in task.state_backend.keys(descriptor):
-                value = task.state_backend.get(descriptor, key)
-                if consistency == "snapshot" and value is not None:
-                    value = descriptor.serde.copy(value)
-                out[key] = value
-        self.queries_served += 1
-        return out
-
-
-class StateView:
-    """A named, continuously-readable view over one descriptor — the
-    "subscribe to intermediate views of state" pattern for app
-    interoperability (two apps share derived state without new topics)."""
-
-    def __init__(
-        self,
-        service: QueryableStateService,
-        node_name: str,
-        descriptor: StateDescriptor,
-        refresh_interval: float = 0.1,
-    ) -> None:
-        self.service = service
-        self.node_name = node_name
-        self.descriptor = descriptor
-        self.refresh_interval = refresh_interval
-        self.versions: list[tuple[float, dict[Any, Any]]] = []
-        self._timer = None
-
-    def start(self) -> None:
-        """Begin periodic refreshes of the view."""
-        from repro.sim.kernel import PeriodicTimer
-
-        engine = self.service.engine
-
-        def refresh() -> None:
-            if engine.job_finished:
-                self.stop()
-                return
-            self.versions.append(
-                (engine.kernel.now(), self.service.query_all(self.node_name, self.descriptor))
-            )
-
-        self._timer = PeriodicTimer(engine.kernel, self.refresh_interval, refresh)
-
-    def stop(self) -> None:
-        """Cancel refreshes."""
-        if self._timer is not None:
-            self._timer.cancel()
-
-    def latest(self) -> dict[Any, Any]:
-        """The most recent materialized version (empty before the first refresh)."""
-        return self.versions[-1][1] if self.versions else {}

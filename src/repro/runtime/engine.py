@@ -52,10 +52,6 @@ class JobResult:
     def __init__(self, engine: "Engine") -> None:
         self._engine = engine
 
-    def sink(self, name: str) -> Any:
-        """Look up a sink by name."""
-        return self._engine.sinks[name]
-
     @property
     def sinks(self) -> dict[str, Any]:
         return self._engine.sinks
@@ -66,7 +62,10 @@ class JobResult:
 
     @property
     def duration(self) -> float:
-        return self._engine.kernel.now()
+        """Virtual time at which the job finished; the current time while it
+        has not (a run cut by ``until``, a failed or suspended job)."""
+        finished_at = self._engine.finished_at
+        return self._engine.kernel.now() if finished_at is None else finished_at
 
     @property
     def finished(self) -> bool:
@@ -145,6 +144,8 @@ class Engine:
         self.side_outputs: dict[tuple[str, str], list[StreamElement]] = {}
         self._coordinator_timer: PeriodicTimer | None = None
         self.job_finished = False
+        #: kernel time at which the last task finished (None until then)
+        self.finished_at: float | None = None
         #: terminal *clean* failure: a restart policy gave up and the job
         #: was torn down deliberately (distinct from a hang or a crash)
         self.job_failed = False
@@ -439,6 +440,7 @@ class Engine:
         # is still to come and may replay records.
         if all(t.finished for t in self.tasks.values()):
             self.job_finished = True
+            self.finished_at = self.kernel.now()
             self._cancel_services()
             self._fire_finish_callbacks()
 

@@ -127,32 +127,15 @@ class TaskContext(OperatorContext):
         #: reading it runs no frame of the task
         self.processing_time: Callable[[], float] = task._clock.now
 
-    # --- identity -------------------------------------------------------
-    @property
-    def task_name(self) -> str:
-        return self._task.name
-
     @property
     def task(self) -> "Task":
         """The owning task — transactional operators bind their shared
         store to it (gate hooks, out-of-band commit emission)."""
         return self._task
 
-    @property
-    def subtask_index(self) -> int:
-        return self._task.subtask_index
-
-    @property
-    def parallelism(self) -> int:
-        return self._task.parallelism
-
     # --- output ---------------------------------------------------------
     #: ``emit`` is bound per instance by the task (see ``Task._bind_emit``)
     emit: Callable[[StreamElement], None]
-
-    def emit_watermark(self, timestamp: float) -> None:
-        """Emit a watermark with the given timestamp."""
-        self._task.collect_output(Watermark(timestamp))
 
     def emit_to(self, tag: str, element: StreamElement) -> None:
         self._task.collect_side_output(tag, element)
@@ -190,12 +173,6 @@ class TaskContext(OperatorContext):
 
     def state_keys(self, descriptor) -> list[Any]:
         return list(self._task.state_backend.keys(descriptor))
-
-    def operator_state(self, name: str, default: Any = None) -> Any:
-        return self._task.operator_store.get(name, default)
-
-    def set_operator_state(self, name: str, value: Any) -> None:
-        self._task.operator_store[name] = value
 
     # --- cost injection ---------------------------------------------------
     def add_cost(self, seconds: float) -> None:
@@ -267,7 +244,6 @@ class Task:
         self.coordinator = engine.coordinator if engine else CheckpointCoordinator(None, None)
 
         self.ctx = TaskContext(self)
-        self.operator_store: dict[str, Any] = {}
         self.output_gates: list[OutputGate] = []
         #: the input protocol: channel lifecycle, watermark merging, alignment
         self.inputs = TaskInputs()

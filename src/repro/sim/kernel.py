@@ -512,7 +512,3 @@ class PeriodicTimer:
         """Stop firing; the in-flight event is skipped."""
         self._active = False
         self._kernel.cancel(self._event)
-
-    @property
-    def active(self) -> bool:
-        return self._active

@@ -62,14 +62,6 @@ class SimRandom:
         """Weighted choices with replacement."""
         return self._rng.choices(population, weights=weights, k=k)
 
-    def shuffle(self, seq) -> None:
-        """In-place shuffle."""
-        self._rng.shuffle(seq)
-
-    def sample(self, population, k: int):
-        """Sample ``k`` items without replacement."""
-        return self._rng.sample(population, k)
-
     def zipf_index(self, n: int, skew: float) -> int:
         """Draw an index in ``[0, n)`` with Zipfian skew (skew=0 → uniform).
 

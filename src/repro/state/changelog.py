@@ -152,7 +152,3 @@ class ChangelogStateBackend(KeyedStateBackend):
                 self._inner.delete(descriptor, entry.key)
             replayed += 1
         return replayed
-
-    @property
-    def inner(self) -> KeyedStateBackend:
-        return self._inner

@@ -48,10 +48,6 @@ class RemoteStore:
         """All keys in a table."""
         return list(self._tables.get(table, {}).keys())
 
-    def table_names(self) -> list[str]:
-        """All table names."""
-        return list(self._tables.keys())
-
 
 class ExternalStateBackend(KeyedStateBackend):
     """Per-task client view of a :class:`RemoteStore`.

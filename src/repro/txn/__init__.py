@@ -1,9 +1,9 @@
 """Streaming transactions (survey §4.2): the engine-integrated transactional
 state store (``TxnStateStore`` + ``DataStream.transact``, ordered 2PL or
-NO-WAIT), the no-isolation baseline operator, 2PC and sagas."""
+NO-WAIT), the no-isolation baseline operator and 2PC. Saga compensation runs on
+the function runtime (see ``examples/cloud_order_app.py``)."""
 
 from repro.txn.operator import TransactOperator, UnisolatedOperator
-from repro.txn.saga import SagaExecutor, SagaReport, SagaStep
 from repro.txn.store import (
     CommittedTxn,
     LockMode,
@@ -26,9 +26,6 @@ __all__ = [
     "Decision",
     "LockMode",
     "Participant",
-    "SagaExecutor",
-    "SagaReport",
-    "SagaStep",
     "StoreCapture",
     "StoreTxn",
     "TransactOperator",

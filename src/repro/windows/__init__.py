@@ -1,4 +1,4 @@
-"""Windowing: assigners, triggers, evictors, sliding aggregation, joins."""
+"""Windowing: assigners, triggers, evictors, sliding aggregation."""
 
 from repro.windows.aggregations import (
     COUNT,
@@ -21,7 +21,6 @@ from repro.windows.assigners import (
 )
 from repro.windows.core import GLOBAL_WINDOW, CountWindow, GlobalWindow, TimeWindow
 from repro.windows.evictors import CountEvictor, Evictor
-from repro.windows.join import IntervalJoinOperator, WindowJoinOperator
 from repro.windows.operator import (
     AggregateFunction,
     LATE_OUTPUT_TAG,
@@ -55,7 +54,6 @@ __all__ = [
     "GLOBAL_WINDOW",
     "GlobalWindow",
     "GlobalWindows",
-    "IntervalJoinOperator",
     "LATE_OUTPUT_TAG",
     "MAX",
     "MIN",
@@ -74,7 +72,6 @@ __all__ = [
     "TwoStacksSlidingAggregator",
     "WindowAssigner",
     "WindowFunction",
-    "WindowJoinOperator",
     "WindowOperator",
     "WindowResult",
     "WindowedStream",

@@ -17,10 +17,6 @@ class TimeWindow:
     start: float
     end: float
 
-    @property
-    def length(self) -> float:
-        return self.end - self.start
-
     def contains(self, timestamp: float) -> bool:
         """Whether the timestamp falls in [start, end)."""
         return self.start <= timestamp < self.end

@@ -1,6 +1,6 @@
 """CEP operator in the dataflow: keyed NFAs, matches downstream, snapshots."""
 
-from helpers import StubContext
+from helpers import StubContext, emitted_records, feed
 
 from repro.cep.operator import CEPOperator
 from repro.cep.patterns import Match, Pattern
@@ -23,19 +23,19 @@ class TestOperatorUnit:
     def test_per_key_isolation(self):
         op = CEPOperator(Pattern.begin("a", lambda v: v == "a").next("b", lambda v: v == "b"))
         ctx = StubContext()
-        ctx.feed(op, "a", event_time=0.0, key="k1")
-        ctx.feed(op, "a", event_time=1.0, key="k2")
-        ctx.feed(op, "b", event_time=2.0, key="k2")  # strict: k2's a→b is contiguous per key
-        matches = [r.value for r in ctx.records()]
+        feed(ctx, op, "a", event_time=0.0, key="k1")
+        feed(ctx, op, "a", event_time=1.0, key="k2")
+        feed(ctx, op, "b", event_time=2.0, key="k2")  # strict: k2's a→b is contiguous per key
+        matches = [r.value for r in emitted_records(ctx)]
         assert len(matches) == 1
         assert matches[0].key == "k2"
 
     def test_match_event_time_is_completion(self):
         op = CEPOperator(Pattern.begin("a", lambda v: v == "a").followed_by("b", lambda v: v == "b"))
         ctx = StubContext()
-        ctx.feed(op, "a", event_time=1.0, key="k")
-        ctx.feed(op, "b", event_time=5.0, key="k")
-        [record] = ctx.records()
+        feed(ctx, op, "a", event_time=1.0, key="k")
+        feed(ctx, op, "b", event_time=5.0, key="k")
+        [record] = emitted_records(ctx)
         assert record.event_time == 5.0
 
     def test_watermark_expires_windows(self):
@@ -43,7 +43,7 @@ class TestOperatorUnit:
             Pattern.begin("a", lambda v: v == "a").followed_by("b", lambda v: v == "b").within(1.0)
         )
         ctx = StubContext()
-        ctx.feed(op, "a", event_time=0.0, key="k")
+        feed(ctx, op, "a", event_time=0.0, key="k")
         op.on_watermark(Watermark(10.0), ctx)
         assert op.total_active_runs == 0
 
@@ -51,13 +51,13 @@ class TestOperatorUnit:
         pattern = Pattern.begin("a", lambda v: v == "a").followed_by("b", lambda v: v == "b")
         op = CEPOperator(pattern)
         ctx = StubContext()
-        ctx.feed(op, "a", event_time=0.0, key="k")
+        feed(ctx, op, "a", event_time=0.0, key="k")
         snapshot = op.snapshot_state()
         fresh = CEPOperator(pattern)
         fresh.restore_state(snapshot)
         ctx2 = StubContext()
-        ctx2.feed(fresh, "b", event_time=1.0, key="k")
-        assert len(ctx2.records()) == 1
+        feed(ctx2, fresh, "b", event_time=1.0, key="k")
+        assert len(emitted_records(ctx2)) == 1
 
 
 class TestEndToEnd:

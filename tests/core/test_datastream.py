@@ -1,6 +1,6 @@
 """End-to-end tests of the fluent API on the simulated runtime."""
 
-from repro.core.datastream import StreamExecutionEnvironment, connect_streams
+from repro.core.datastream import StreamExecutionEnvironment
 from repro.core.keys import field_selector
 from repro.io.sources import CollectionWorkload
 from repro.progress.watermarks import AscendingTimestamps
@@ -95,14 +95,6 @@ class TestUnionAndConnect:
         sink = a.union(b).collect()
         env.execute()
         assert sorted(sink.values()) == [1, 2, 3, 10, 20]
-
-    def test_connect_tags_sides(self):
-        env = StreamExecutionEnvironment()
-        a = env.from_collection([1], name="a")
-        b = env.from_collection([2], name="b")
-        sink = connect_streams(a, b).collect()
-        env.execute()
-        assert sorted(sink.values()) == [("left", 1), ("right", 2)]
 
 
 class TestEnvironment:

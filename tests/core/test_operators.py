@@ -1,6 +1,6 @@
 """Tests for the basic operators, driven through a stub context."""
 
-from helpers import StubContext
+from helpers import StubContext, advance_watermark, emitted_records, emitted_values, feed
 
 from repro.core.events import EndOfStream, Record, Watermark
 from repro.core.operators.basic import (
@@ -19,8 +19,8 @@ class TestMapFilterFlatMap:
     def test_map_transforms_value_keeps_time(self):
         ctx = StubContext()
         op = MapOperator(lambda v: v * 2)
-        ctx.feed(op, 5, event_time=1.0)
-        [out] = ctx.records()
+        feed(ctx, op, 5, event_time=1.0)
+        [out] = emitted_records(ctx)
         assert out.value == 10
         assert out.event_time == 1.0
 
@@ -28,28 +28,28 @@ class TestMapFilterFlatMap:
         ctx = StubContext()
         op = FilterOperator(lambda v: v % 2 == 0)
         for v in range(6):
-            ctx.feed(op, v)
-        assert ctx.record_values() == [0, 2, 4]
+            feed(ctx, op, v)
+        assert emitted_values(ctx) == [0, 2, 4]
 
     def test_flat_map_expands(self):
         ctx = StubContext()
         op = FlatMapOperator(lambda v: v.split())
-        ctx.feed(op, "a b c")
-        assert ctx.record_values() == ["a", "b", "c"]
+        feed(ctx, op, "a b c")
+        assert emitted_values(ctx) == ["a", "b", "c"]
 
     def test_flat_map_can_drop(self):
         ctx = StubContext()
         op = FlatMapOperator(lambda v: [])
-        ctx.feed(op, "x")
-        assert ctx.record_values() == []
+        feed(ctx, op, "x")
+        assert emitted_values(ctx) == []
 
 
 class TestKeyBy:
     def test_stamps_key(self):
         ctx = StubContext()
         op = KeyByOperator(lambda v: v["u"])
-        ctx.feed(op, {"u": "alice"})
-        assert ctx.records()[0].key == "alice"
+        feed(ctx, op, {"u": "alice"})
+        assert emitted_records(ctx)[0].key == "alice"
 
     def test_declares_zero_cost(self):
         assert KeyByOperator(lambda v: v).processing_cost == 0.0
@@ -59,18 +59,18 @@ class TestReduce:
     def test_running_reduce_per_key(self):
         ctx = StubContext()
         op = ReduceOperator(lambda a, b: a + b)
-        ctx.feed(op, 1, key="a")
-        ctx.feed(op, 2, key="a")
-        ctx.feed(op, 10, key="b")
-        ctx.feed(op, 3, key="a")
-        assert ctx.record_values() == [1, 3, 10, 6]
+        feed(ctx, op, 1, key="a")
+        feed(ctx, op, 2, key="a")
+        feed(ctx, op, 10, key="b")
+        feed(ctx, op, 3, key="a")
+        assert emitted_values(ctx) == [1, 3, 10, 6]
 
     def test_retraction_passes_through(self):
         ctx = StubContext()
         op = ReduceOperator(lambda a, b: a + b)
         ctx.current_key_value = "a"
         op.process(Record(value=1, key="a", sign=-1), ctx)
-        [out] = ctx.records()
+        [out] = emitted_records(ctx)
         assert out.sign == -1
 
 
@@ -82,9 +82,9 @@ class TestAggregating:
             add=lambda acc, v: (acc[0] + v, acc[1] + 1),
             result=lambda acc: acc[0] / acc[1],
         )
-        ctx.feed(op, 2.0, key="k")
-        ctx.feed(op, 4.0, key="k")
-        assert ctx.record_values() == [2.0, 3.0]
+        feed(ctx, op, 2.0, key="k")
+        feed(ctx, op, 4.0, key="k")
+        assert emitted_values(ctx) == [2.0, 3.0]
 
 
 class TestProcessOperator:
@@ -92,7 +92,7 @@ class TestProcessOperator:
         seen = []
         ctx = StubContext()
         op = ProcessOperator(lambda record, c: seen.append((record.value, c.current_key)))
-        ctx.feed(op, "x", key="k")
+        feed(ctx, op, "x", key="k")
         assert seen == [("x", "k")]
 
     def test_timer_callback_dispatched(self):
@@ -103,8 +103,8 @@ class TestProcessOperator:
             c.register_event_timer(5.0, payload="p")
 
         op = ProcessOperator(handler, on_timer=lambda ts, key, payload, c: fired.append((ts, key, payload)))
-        ctx.feed(op, "x", key="k")
-        ctx.advance_watermark(op, 6.0)
+        feed(ctx, op, "x", key="k")
+        advance_watermark(ctx, op, 6.0)
         assert fired == [(5.0, "k", "p")]
 
 
@@ -137,9 +137,9 @@ class TestChainedOperator:
             FilterOperator(lambda v: v % 2 == 0),
             FlatMapOperator(lambda v: [v, v]),
         ])
-        ctx.feed(chain, 1)  # 1 -> 2 -> keep -> [2, 2]
-        ctx.feed(chain, 2)  # 2 -> 3 -> dropped
-        assert ctx.record_values() == [2, 2]
+        feed(ctx, chain, 1)  # 1 -> 2 -> keep -> [2, 2]
+        feed(ctx, chain, 2)  # 2 -> 3 -> dropped
+        assert emitted_values(ctx) == [2, 2]
 
     def test_empty_chain_rejected(self):
         import pytest

@@ -1,4 +1,5 @@
-"""Shared test utilities: a stub operator context and pipeline helpers."""
+"""Shared test utilities: a stub operator context and the helpers that
+drive an operator through it."""
 
 from __future__ import annotations
 
@@ -22,19 +23,6 @@ class StubContext(OperatorContext):
         self.current_key_value: Any = None
         self._now = 0.0
         self._watermark = float("-inf")
-
-    # --- identity ---------------------------------------------------------
-    @property
-    def task_name(self) -> str:
-        return "stub[0]"
-
-    @property
-    def subtask_index(self) -> int:
-        return 0
-
-    @property
-    def parallelism(self) -> int:
-        return 1
 
     # --- output -----------------------------------------------------------
     def emit(self, element: StreamElement) -> None:
@@ -70,43 +58,44 @@ class StubContext(OperatorContext):
     def state_keys(self, descriptor) -> list[Any]:
         return list(self.backend.keys(descriptor))
 
-    def operator_state(self, name: str, default: Any = None) -> Any:
-        return getattr(self, "_op_state", {}).get(name, default)
-
-    def set_operator_state(self, name: str, value: Any) -> None:
-        if not hasattr(self, "_op_state"):
-            self._op_state = {}
-        self._op_state[name] = value
-
     def add_cost(self, seconds: float) -> None:
         pass
 
-    # --- driving helpers -----------------------------------------------------
-    def feed(self, operator: Operator, value: Any, event_time: float | None = None, key: Any = None) -> None:
-        record = Record(value=value, event_time=event_time, key=key)
-        self.current_key_value = key
-        operator.process(record, self)
 
-    def advance_watermark(self, operator: Operator, timestamp: float) -> None:
-        """Mimic the task: fire due event timers, then deliver the watermark."""
-        self._watermark = timestamp
-        due = sorted([t for t in self.event_timers if t[0] <= timestamp])
-        self.event_timers = [t for t in self.event_timers if t[0] > timestamp]
-        for when, key, payload in due:
-            self.current_key_value = key
-            operator.on_event_timer(when, key, payload, self)
-        operator.on_watermark(Watermark(timestamp), self)
+# --- driving helpers: a stub context stands in for the task's run loop ------
+def feed(ctx: StubContext, operator: Operator, value: Any, event_time: float | None = None, key: Any = None) -> None:
+    """Process one record under ``key``, as the task would."""
+    record = Record(value=value, event_time=event_time, key=key)
+    ctx.current_key_value = key
+    operator.process(record, ctx)
 
-    def fire_processing_timers(self, operator: Operator, up_to: float) -> None:
-        due = sorted([t for t in self.processing_timers if t[0] <= up_to])
-        self.processing_timers = [t for t in self.processing_timers if t[0] > up_to]
-        for when, key, payload in due:
-            self._now = max(self._now, when)
-            self.current_key_value = key
-            operator.on_processing_timer(when, key, payload, self)
 
-    def records(self) -> list[Record]:
-        return [e for e in self.emitted if isinstance(e, Record)]
+def advance_watermark(ctx: StubContext, operator: Operator, timestamp: float) -> None:
+    """Mimic the task: fire due event timers, then deliver the watermark."""
+    ctx._watermark = timestamp
+    due = sorted([t for t in ctx.event_timers if t[0] <= timestamp])
+    ctx.event_timers = [t for t in ctx.event_timers if t[0] > timestamp]
+    for when, key, payload in due:
+        ctx.current_key_value = key
+        operator.on_event_timer(when, key, payload, ctx)
+    operator.on_watermark(Watermark(timestamp), ctx)
 
-    def record_values(self) -> list[Any]:
-        return [r.value for r in self.records()]
+
+def fire_processing_timers(ctx: StubContext, operator: Operator, up_to: float) -> None:
+    """Fire the processing-time timers due by ``up_to``, in time order."""
+    due = sorted([t for t in ctx.processing_timers if t[0] <= up_to])
+    ctx.processing_timers = [t for t in ctx.processing_timers if t[0] > up_to]
+    for when, key, payload in due:
+        ctx._now = max(ctx._now, when)
+        ctx.current_key_value = key
+        operator.on_processing_timer(when, key, payload, ctx)
+
+
+def emitted_records(ctx: StubContext) -> list[Record]:
+    """The records an operator emitted into ``ctx``, in order."""
+    return [e for e in ctx.emitted if isinstance(e, Record)]
+
+
+def emitted_values(ctx: StubContext) -> list[Any]:
+    """The values of :func:`emitted_records`."""
+    return [r.value for r in emitted_records(ctx)]

@@ -1,7 +1,7 @@
 """Load shedding policies and quality accounting."""
 
 import pytest
-from helpers import StubContext
+from helpers import StubContext, emitted_records, feed
 
 from repro.errors import LoadManagementError
 from repro.load.shedding import (
@@ -38,14 +38,14 @@ class TestActivation:
         shedder = RandomShedder(activate_at=10, target_queue=5)
         ctx = PressuredContext(queue_length=3)
         for i in range(100):
-            ctx.feed(shedder, i)
+            feed(ctx, shedder, i)
         assert shedder.dropped == 0
 
     def test_drops_under_pressure(self):
         shedder = RandomShedder(activate_at=10, target_queue=5, seed=1)
         ctx = PressuredContext(queue_length=60)
         for i in range(500):
-            ctx.feed(shedder, i)
+            feed(ctx, shedder, i)
         assert shedder.dropped > 0
         assert 0 < shedder.drop_rate < 1
 
@@ -69,8 +69,8 @@ class TestSemantic:
         )
         ctx = PressuredContext(queue_length=50)
         for i in range(50):
-            ctx.feed(shedder, {"important": i % 2 == 0})
-        kept = [r.value for r in ctx.records()]
+            feed(ctx, shedder, {"important": i % 2 == 0})
+        kept = [r.value for r in emitted_records(ctx)]
         assert all(v["important"] for v in kept)
         assert shedder.dropped == 25
 
@@ -84,9 +84,9 @@ class TestWindowAware:
         per_window = 50
         for w in range(4):
             for i in range(per_window):
-                ctx.feed(shedder, {"i": i}, event_time=w + i / per_window)
+                feed(ctx, shedder, {"i": i}, event_time=w + i / per_window)
         kept_per_window: dict[int, int] = {}
-        for record in ctx.records():
+        for record in emitted_records(ctx):
             window = int(record.event_time)
             kept_per_window[window] = kept_per_window.get(window, 0) + 1
         for window, kept in kept_per_window.items():

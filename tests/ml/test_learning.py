@@ -6,7 +6,6 @@ import pytest
 from repro.ml.features import FeatureVectorizer, OnlineStandardScaler, transaction_features
 from repro.ml.iterations import (
     BulkIterationDriver,
-    StaleSynchronousDriver,
     make_separable_dataset,
     partition_dataset,
 )
@@ -118,22 +117,6 @@ class TestIterations:
         report = driver.run(max_supersteps=5, tolerance=0.0)
         # 3 fast partitions wait 1s each per superstep.
         assert report.barrier_stalls == 5 * 3 * 1.0
-
-    def test_ssp_reduces_barrier_stalls(self):
-        partitions, dim = self.make_partitions()
-        bsp = BulkIterationDriver(partitions, dim, partition_time=lambda i: 2.0 if i == 0 else 1.0)
-        ssp = StaleSynchronousDriver(
-            partitions, dim, staleness=2, partition_time=lambda i: 2.0 if i == 0 else 1.0
-        )
-        bsp_report = bsp.run(max_supersteps=20, tolerance=0.0)
-        ssp_report = ssp.run(max_supersteps=20, tolerance=0.0)
-        assert ssp_report.barrier_stalls < bsp_report.barrier_stalls
-
-    def test_ssp_still_learns(self):
-        partitions, dim = self.make_partitions()
-        driver = StaleSynchronousDriver(partitions, dim, staleness=1, learning_rate=1.0)
-        report = driver.run(max_supersteps=100)
-        assert report.losses[-1] < report.losses[0]
 
     def test_empty_partitions_rejected(self):
         with pytest.raises(ValueError):

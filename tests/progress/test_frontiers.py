@@ -1,94 +1,7 @@
-"""Frontier tracking (Naiad-style pointstamps) and oracle watermarks."""
+"""Oracle watermarks: the frontier ideal for a replayable workload."""
 
-import pytest
-
-from repro.errors import GraphError
 from repro.io.sources import CollectionWorkload
-from repro.progress.frontiers import FrontierTracker, OracleWatermarks
-
-
-def linear_graph():
-    tracker = FrontierTracker()
-    for node in ("src", "op", "sink"):
-        tracker.add_node(node)
-    tracker.add_edge("src", "op")
-    tracker.add_edge("op", "sink")
-    return tracker
-
-
-class TestFrontierDAG:
-    def test_frontier_is_min_upstream_pointstamp(self):
-        tracker = linear_graph()
-        tracker.add_pointstamp(3.0, "src")
-        tracker.add_pointstamp(1.0, "op")
-        assert tracker.frontier_at("sink") == 1.0
-        assert tracker.frontier_at("op") == 1.0
-        assert tracker.frontier_at("src") == 3.0
-
-    def test_completion_notification(self):
-        tracker = linear_graph()
-        tracker.add_pointstamp(5.0, "src")
-        assert tracker.is_complete(4.0, "sink")
-        assert not tracker.is_complete(5.0, "sink")
-        tracker.remove_pointstamp(5.0, "src")
-        assert tracker.is_complete(100.0, "sink")
-        assert tracker.frontier_at("sink") is None
-
-    def test_notify_and_produce_is_conservative(self):
-        tracker = linear_graph()
-        tracker.add_pointstamp(2.0, "src")
-        tracker.notify_and_produce((2.0, "src"), [(2.0, "op"), (2.0, "op")])
-        assert tracker.outstanding == 2
-        assert tracker.frontier_at("sink") == 2.0
-
-    def test_occurrence_counting(self):
-        tracker = linear_graph()
-        tracker.add_pointstamp(1.0, "op")
-        tracker.add_pointstamp(1.0, "op")
-        tracker.remove_pointstamp(1.0, "op")
-        assert tracker.frontier_at("sink") == 1.0
-        tracker.remove_pointstamp(1.0, "op")
-        assert tracker.frontier_at("sink") is None
-
-    def test_removing_absent_pointstamp_raises(self):
-        tracker = linear_graph()
-        with pytest.raises(GraphError):
-            tracker.remove_pointstamp(1.0, "op")
-
-    def test_pointstamps_downstream_do_not_constrain_upstream(self):
-        tracker = linear_graph()
-        tracker.add_pointstamp(0.5, "sink")
-        assert tracker.frontier_at("src") is None
-
-    def test_could_result_in(self):
-        tracker = linear_graph()
-        assert tracker.could_result_in((1.0, "src"), (1.0, "sink"))
-        assert tracker.could_result_in((1.0, "src"), (2.0, "sink"))
-        assert not tracker.could_result_in((2.0, "src"), (1.0, "sink"))
-        assert not tracker.could_result_in((1.0, "sink"), (1.0, "src"))
-
-
-class TestFrontierLoops:
-    def make_loop(self):
-        tracker = FrontierTracker()
-        for node in ("in", "body", "out"):
-            tracker.add_node(node)
-        tracker.add_edge("in", "body")
-        tracker.add_edge("body", "body", increment=1)  # loop feedback
-        tracker.add_edge("body", "out")
-        return tracker
-
-    def test_loop_counter_advances_timestamp(self):
-        tracker = self.make_loop()
-        # A pointstamp at loop counter 0 could produce work at counters >= 0.
-        assert tracker.could_result_in(((1, 0), "body"), ((1, 5), "body"))
-        assert not tracker.could_result_in(((1, 5), "body"), ((1, 0), "body"))
-
-    def test_frontier_with_loop_pointstamp(self):
-        tracker = self.make_loop()
-        tracker.add_pointstamp((1, 2), "body")
-        assert tracker.frontier_at("out") == (1, 2)
-        assert tracker.frontier_at("body") == (1, 2)
+from repro.progress.frontiers import OracleWatermarks
 
 
 class TestOracleWatermarks:

@@ -1,6 +1,6 @@
 """Out-of-order handling: K-slack buffering, slack reorder, punctuations."""
 
-from helpers import StubContext
+from helpers import StubContext, emitted_records, feed
 
 from repro.core.events import Punctuation, Record, Watermark
 from repro.progress.ooo import KSlackBufferOperator, disorder_profile
@@ -12,14 +12,14 @@ class TestKSlack:
     def feed_all(self, op, times):
         ctx = StubContext()
         for i, t in enumerate(times):
-            ctx.feed(op, {"i": i}, event_time=t)
+            feed(ctx, op, {"i": i}, event_time=t)
         op.flush(ctx)
         return ctx
 
     def test_output_is_in_event_time_order(self):
         op = KSlackBufferOperator(initial_k=0.0, adaptive=True)
         ctx = self.feed_all(op, [1.0, 3.0, 2.0, 5.0, 4.0, 6.0])
-        out_times = [r.event_time for r in ctx.records()]
+        out_times = [r.event_time for r in emitted_records(ctx)]
         assert out_times == sorted(out_times)
 
     def test_adaptive_k_learns_max_lag(self):
@@ -54,24 +54,24 @@ class TestSlackReorder:
         op = SlackReorderOperator(slack=2)
         ctx = StubContext()
         for t in [3.0, 1.0, 2.0, 4.0, 5.0]:
-            ctx.feed(op, t, event_time=t)
+            feed(ctx, op, t, event_time=t)
         op.flush(ctx)
-        assert [r.event_time for r in ctx.records()] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert [r.event_time for r in emitted_records(ctx)] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_zero_slack_drops_disorder(self):
         op = SlackReorderOperator(slack=0)
         ctx = StubContext()
         for t in [2.0, 1.0, 3.0]:
-            ctx.feed(op, t, event_time=t)
+            feed(ctx, op, t, event_time=t)
         op.flush(ctx)
         assert op.dropped_late == 1
-        assert [r.event_time for r in ctx.records()] == [2.0, 3.0]
+        assert [r.event_time for r in emitted_records(ctx)] == [2.0, 3.0]
 
     def test_snapshot_restore_roundtrip(self):
         op = SlackReorderOperator(slack=3)
         ctx = StubContext()
         for t in [5.0, 3.0]:
-            ctx.feed(op, t, event_time=t)
+            feed(ctx, op, t, event_time=t)
         snapshot = op.snapshot_state()
         fresh = SlackReorderOperator(slack=3)
         fresh.restore_state(snapshot)
@@ -83,19 +83,19 @@ class TestPunctuations:
         op = PunctuationInjector(every_n=2, disorder_bound=1.0)
         ctx = StubContext()
         for t in [1.0, 2.0, 3.0, 4.0]:
-            ctx.feed(op, {"t": t}, event_time=t)
+            feed(ctx, op, {"t": t}, event_time=t)
         puncts = [e for e in ctx.emitted if isinstance(e, Punctuation)]
         assert [p.bound for p in puncts] == [1.0, 3.0]
 
     def test_filter_drops_closed_out_records(self):
         op = PunctuationFilter()
         ctx = StubContext()
-        ctx.feed(op, "a", event_time=1.0)
+        feed(ctx, op, "a", event_time=1.0)
         op.on_punctuation(Punctuation(attribute="event_time", bound=2.0), ctx)
-        ctx.feed(op, "late", event_time=1.5)
-        ctx.feed(op, "ok", event_time=3.0)
+        feed(ctx, op, "late", event_time=1.5)
+        feed(ctx, op, "ok", event_time=3.0)
         assert op.violations == 1
-        assert [r.value for r in ctx.records()] == ["a", "ok"]
+        assert [r.value for r in emitted_records(ctx)] == ["a", "ok"]
 
 
 class TestDisorderProfile:

@@ -1,4 +1,4 @@
-"""Queryable state: snapshot isolation vs direct access, scatter-gather."""
+"""Queryable state: snapshot isolation vs direct access, metric queries."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.core.keys import field_selector
 from repro.errors import QueryableStateError
 from repro.io.sinks import CollectSink
 from repro.io.sources import SensorWorkload
-from repro.queryable.server import QueryableStateService, StateView
+from repro.queryable.server import QueryableStateService
 from repro.runtime.config import EngineConfig
 from repro.state.api import ValueStateDescriptor
 
@@ -125,53 +125,6 @@ class TestIsolation:
         env.execute()
         # The live reference mutated underneath the reader: torn read.
         assert len(captured["direct"]) > captured["len_at_query"]
-
-
-class TestScatterGatherAndViews:
-    def test_query_all_partitions(self):
-        env = build()
-        engine = env.build()
-        service = QueryableStateService(engine)
-        env.execute()
-        table = service.query_all("count", DESC)
-        assert len(table) == 8
-        assert sum(table.values()) == 800
-
-    def test_state_view_versions_over_time(self):
-        env = build()
-        engine = env.build()
-        service = QueryableStateService(engine)
-        view = StateView(service, "count", DESC, refresh_interval=0.05)
-        view.start()
-        env.execute()
-        assert len(view.versions) >= 2
-        totals = [sum(v.values()) for _t, v in view.versions]
-        assert totals == sorted(totals)  # counts only grow
-        # The view stops refreshing when the job finishes; its last version
-        # is a valid prefix of the final state.
-        assert sum(view.latest().values()) <= 800
-        assert sum(service.query_all("count", DESC).values()) == 800
-
-    def test_state_view_stop_halts_refreshes_mid_run(self):
-        env = build()
-        engine = env.build()
-        service = QueryableStateService(engine)
-        view = StateView(service, "count", DESC, refresh_interval=0.02)
-        view.start()
-        engine.kernel.call_at(0.08, view.stop)
-        env.execute()
-        # Refreshes stopped well before the job drained: versions froze.
-        assert 1 <= len(view.versions) <= 4
-        assert all(at <= 0.08 for at, _v in view.versions)
-        assert sum(view.latest().values()) < 800
-
-    def test_state_view_before_first_refresh_is_empty(self):
-        env = build(count=100)
-        engine = env.build()
-        service = QueryableStateService(engine)
-        view = StateView(service, "count", DESC, refresh_interval=0.05)
-        assert view.latest() == {}
-        view.stop()  # stop before start: harmless no-op
 
 
 class TestMetricQueries:

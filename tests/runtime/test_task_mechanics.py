@@ -1,6 +1,6 @@
 """Task-level mechanics: alignment, timers, watermark merging, FIFO links."""
 
-from repro.core.datastream import StreamExecutionEnvironment, connect_streams
+from repro.core.datastream import StreamExecutionEnvironment
 from repro.core.events import LatencyMarker, Record
 from repro.core.graph import ChannelSpec, Partitioning
 from repro.core.keys import field_selector

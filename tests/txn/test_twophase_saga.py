@@ -1,8 +1,5 @@
-"""Two-phase commit and saga workflows."""
+"""Two-phase commit: votes, aborts and atomicity across participants."""
 
-import pytest
-
-from repro.txn.saga import SagaExecutor, SagaStep
 from repro.txn.twophase import (
     Decision,
     Participant,
@@ -57,57 +54,3 @@ class TestTwoPhaseCommit:
         assert coordinator.commit_count + coordinator.abort_count == 10
         # Both participants observed exactly the committed transactions.
         assert a.state.get("x") == b.state.get("y")
-
-
-class TestSaga:
-    def make_order_saga(self, fail_at=None):
-        log = []
-
-        def step(name):
-            def action(ctx):
-                if name == fail_at:
-                    raise RuntimeError(f"{name} failed")
-                log.append(f"+{name}")
-                ctx[name] = True
-
-            def compensate(ctx):
-                log.append(f"-{name}")
-                ctx[name] = False
-
-            return SagaStep(name, action, compensate)
-
-        steps = [step("reserve"), step("charge"), step("ship")]
-        return SagaExecutor(steps), log
-
-    def test_happy_path_runs_all_steps(self):
-        saga, log = self.make_order_saga()
-        report = saga.execute()
-        assert report.succeeded
-        assert report.completed == ["reserve", "charge", "ship"]
-        assert log == ["+reserve", "+charge", "+ship"]
-
-    def test_failure_compensates_in_reverse(self):
-        saga, log = self.make_order_saga(fail_at="ship")
-        report = saga.execute()
-        assert not report.succeeded
-        assert report.failed_step == "ship"
-        assert report.compensated == ["charge", "reserve"]
-        assert log == ["+reserve", "+charge", "-charge", "-reserve"]
-
-    def test_first_step_failure_compensates_nothing(self):
-        saga, log = self.make_order_saga(fail_at="reserve")
-        report = saga.execute()
-        assert report.compensated == []
-        assert log == []
-
-    def test_counters(self):
-        saga, _log = self.make_order_saga(fail_at="charge")
-        saga.execute()
-        ok_saga, _ = self.make_order_saga()
-        ok_saga.execute()
-        assert saga.rollback_count == 1
-        assert ok_saga.success_count == 1
-
-    def test_empty_saga_rejected(self):
-        with pytest.raises(ValueError):
-            SagaExecutor([])

@@ -1,6 +1,6 @@
 """Window operator lifecycle: firing, lateness, sessions, triggers, evictors."""
 
-from helpers import StubContext
+from helpers import StubContext, advance_watermark, emitted_records, feed, fire_processing_timers
 
 from repro.core.events import Punctuation, Record
 from repro.windows import (
@@ -27,40 +27,40 @@ def count_op(**kwargs):
 
 
 def results(ctx):
-    return [r.value for r in ctx.records() if isinstance(r.value, WindowResult)]
+    return [r.value for r in emitted_records(ctx) if isinstance(r.value, WindowResult)]
 
 
 class TestEventTimeFiring:
     def test_window_fires_when_watermark_passes_end(self):
         ctx = StubContext()
         op = count_op()
-        ctx.feed(op, "a", event_time=1.0, key="k")
-        ctx.feed(op, "b", event_time=5.0, key="k")
+        feed(ctx, op, "a", event_time=1.0, key="k")
+        feed(ctx, op, "b", event_time=5.0, key="k")
         assert results(ctx) == []
-        ctx.advance_watermark(op, 10.0)
+        advance_watermark(ctx, op, 10.0)
         [res] = results(ctx)
         assert (res.start, res.end, res.value) == (0.0, 10.0, 2)
 
     def test_separate_keys_fire_separately(self):
         ctx = StubContext()
         op = count_op()
-        ctx.feed(op, "a", event_time=1.0, key="k1")
-        ctx.feed(op, "b", event_time=2.0, key="k2")
-        ctx.advance_watermark(op, 10.0)
+        feed(ctx, op, "a", event_time=1.0, key="k1")
+        feed(ctx, op, "b", event_time=2.0, key="k2")
+        advance_watermark(ctx, op, 10.0)
         assert sorted((r.key, r.value) for r in results(ctx)) == [("k1", 1), ("k2", 1)]
 
     def test_result_event_time_is_window_end(self):
         ctx = StubContext()
         op = count_op()
-        ctx.feed(op, "a", event_time=1.0, key="k")
-        ctx.advance_watermark(op, 10.0)
-        [record] = ctx.records()
+        feed(ctx, op, "a", event_time=1.0, key="k")
+        advance_watermark(ctx, op, 10.0)
+        [record] = emitted_records(ctx)
         assert record.event_time == 10.0
 
     def test_empty_windows_do_not_fire(self):
         ctx = StubContext()
         op = count_op()
-        ctx.advance_watermark(op, 100.0)
+        advance_watermark(ctx, op, 100.0)
         assert results(ctx) == []
 
 
@@ -68,9 +68,9 @@ class TestLateData:
     def test_late_record_goes_to_side_output(self):
         ctx = StubContext()
         op = count_op()
-        ctx.feed(op, "a", event_time=1.0, key="k")
-        ctx.advance_watermark(op, 10.0)
-        ctx.feed(op, "late", event_time=2.0, key="k")
+        feed(ctx, op, "a", event_time=1.0, key="k")
+        advance_watermark(ctx, op, 10.0)
+        feed(ctx, op, "late", event_time=2.0, key="k")
         assert op.late_drops == 1
         assert len(ctx.side.get("late", [])) == 1
         assert len(results(ctx)) == 1  # no extra firing
@@ -78,22 +78,22 @@ class TestLateData:
     def test_allowed_lateness_produces_refinement(self):
         ctx = StubContext()
         op = count_op(allowed_lateness=5.0)
-        ctx.feed(op, "a", event_time=1.0, key="k")
-        ctx.advance_watermark(op, 10.0)
+        feed(ctx, op, "a", event_time=1.0, key="k")
+        advance_watermark(ctx, op, 10.0)
         assert [r.value for r in results(ctx)] == [1]
-        ctx.feed(op, "late", event_time=2.0, key="k")  # within lateness
+        feed(ctx, op, "late", event_time=2.0, key="k")  # within lateness
         assert [r.value for r in results(ctx)] == [1, 2]
-        ctx.advance_watermark(op, 16.0)  # cleanup
-        ctx.feed(op, "too-late", event_time=3.0, key="k")
+        advance_watermark(ctx, op, 16.0)  # cleanup
+        feed(ctx, op, "too-late", event_time=3.0, key="k")
         assert op.late_drops == 1
 
     def test_refinement_with_retraction(self):
         ctx = StubContext()
         op = count_op(allowed_lateness=5.0, retract_refinements=True)
-        ctx.feed(op, "a", event_time=1.0, key="k")
-        ctx.advance_watermark(op, 10.0)
-        ctx.feed(op, "late", event_time=2.0, key="k")
-        records = ctx.records()
+        feed(ctx, op, "a", event_time=1.0, key="k")
+        advance_watermark(ctx, op, 10.0)
+        feed(ctx, op, "late", event_time=2.0, key="k")
+        records = emitted_records(ctx)
         signs = [r.sign for r in records]
         assert signs == [1, -1, 1]
         assert records[1].value.value == 1  # retracts the stale count
@@ -105,18 +105,18 @@ class TestSessions:
         ctx = StubContext()
         op = count_op(assigner=EventTimeSessionWindows(2.0))
         for t in (1.0, 2.0, 8.0):
-            ctx.feed(op, "x", event_time=t, key="k")
-        ctx.advance_watermark(op, 50.0)
+            feed(ctx, op, "x", event_time=t, key="k")
+        advance_watermark(ctx, op, 50.0)
         got = sorted((r.start, r.end, r.value) for r in results(ctx))
         assert got == [(1.0, 4.0, 2), (8.0, 10.0, 1)]
 
     def test_bridge_element_merges_sessions(self):
         ctx = StubContext()
         op = count_op(assigner=EventTimeSessionWindows(2.0))
-        ctx.feed(op, "x", event_time=1.0, key="k")
-        ctx.feed(op, "x", event_time=5.0, key="k")
-        ctx.feed(op, "x", event_time=3.0, key="k")  # bridges the two
-        ctx.advance_watermark(op, 50.0)
+        feed(ctx, op, "x", event_time=1.0, key="k")
+        feed(ctx, op, "x", event_time=5.0, key="k")
+        feed(ctx, op, "x", event_time=3.0, key="k")  # bridges the two
+        advance_watermark(ctx, op, 50.0)
         got = [(r.start, r.end, r.value) for r in results(ctx)]
         assert got == [(1.0, 7.0, 3)]
 
@@ -126,14 +126,14 @@ class TestCountAndGlobalWindows:
         ctx = StubContext()
         op = count_op(assigner=GlobalWindows(), trigger=CountTrigger(3))
         for i in range(7):
-            ctx.feed(op, i, event_time=float(i), key="k")
+            feed(ctx, op, i, event_time=float(i), key="k")
         assert [r.value for r in results(ctx)] == [3, 3]
 
     def test_flush_emits_global_remainder(self):
         ctx = StubContext()
         op = count_op(assigner=GlobalWindows(), trigger=CountTrigger(3))
         for i in range(4):
-            ctx.feed(op, i, event_time=float(i), key="k")
+            feed(ctx, op, i, event_time=float(i), key="k")
         op.flush(ctx)
         assert [r.value for r in results(ctx)] == [3, 1]
 
@@ -142,8 +142,8 @@ class TestPunctuationTrigger:
     def test_punctuation_closes_covered_windows(self):
         ctx = StubContext()
         op = count_op(trigger=PunctuationTrigger())
-        ctx.feed(op, "a", event_time=1.0, key="k")
-        ctx.feed(op, "b", event_time=15.0, key="k")
+        feed(ctx, op, "a", event_time=1.0, key="k")
+        feed(ctx, op, "b", event_time=15.0, key="k")
         op.on_punctuation(Punctuation(attribute="event_time", bound=10.0), ctx)
         fired = results(ctx)
         assert [(r.start, r.value) for r in fired] == [(0.0, 1)]
@@ -153,11 +153,11 @@ class TestEarlyFiring:
     def test_speculative_results_then_final(self):
         ctx = StubContext()
         op = count_op(trigger=EarlyFiringTrigger(interval=1.0))
-        ctx.feed(op, "a", event_time=1.0, key="k")
+        feed(ctx, op, "a", event_time=1.0, key="k")
         ctx.set_time(1.0)
-        ctx.fire_processing_timers(op, 1.0)  # speculative fire: count=1
-        ctx.feed(op, "b", event_time=2.0, key="k")
-        ctx.advance_watermark(op, 10.0)  # final fire: count=2
+        fire_processing_timers(ctx, op, 1.0)  # speculative fire: count=1
+        feed(ctx, op, "b", event_time=2.0, key="k")
+        advance_watermark(ctx, op, 10.0)  # final fire: count=2
         assert [r.value for r in results(ctx)] == [1, 2]
 
 
@@ -170,8 +170,8 @@ class TestEvictorAndApply:
             evictor=CountEvictor(2),
         )
         for i, v in enumerate([1, 2, 3, 4]):
-            ctx.feed(op, v, event_time=float(i), key="k")
-        ctx.advance_watermark(op, 10.0)
+            feed(ctx, op, v, event_time=float(i), key="k")
+        advance_watermark(ctx, op, 10.0)
         [res] = results(ctx)
         assert res.value == 7  # last two elements: 3 + 4
 
