@@ -213,25 +213,66 @@ def probe_shared_mutable_state():
 
 
 def probe_queryable_state():
+    """External queries against live jobs through one façade (§4.2): a
+    point query into keyed state mid-run and the job's metrics; a shared
+    transactional store's committed view, which a mid-run reader sees
+    conserved (never a transfer's half); and, on a fabric, each tenant's
+    state and metrics routed by tenant name and scoped to that tenant."""
     from repro.core.datastream import StreamExecutionEnvironment
     from repro.core.keys import field_selector
+    from repro.fabric import FabricConfig, JobFabric
     from repro.io import SensorWorkload
     from repro.queryable import QueryableStateService
     from repro.state.api import ValueStateDescriptor
+    from repro.txn import TxnStateStore
+
+    def counting(env, count=500):
+        source = env.from_workload(SensorWorkload(count=count, rate=4000.0, key_count=4, seed=3))
+        counts = source.key_by(field_selector("sensor"))
+        counts.aggregate(create=lambda: 0, add=lambda a, _v: a + 1, name="count").collect()
+        return source
+
+    def move_one(txn, value):
+        # one unit from the reading's sensor account to the pool: the
+        # accounts always sum to zero once a transfer has committed
+        txn.write(value["sensor"], txn.read(value["sensor"], 0) - 1)
+        txn.write("pool", txn.read("pool", 0) + 1)
+        return value["seq"]
 
     env = StreamExecutionEnvironment()
-    (
-        env.from_workload(SensorWorkload(count=500, rate=4000.0, key_count=4, seed=3))
-        .key_by(field_selector("sensor"))
-        .aggregate(create=lambda: 0, add=lambda a, _v: a + 1, name="count")
-        .collect()
-    )
+    store = TxnStateStore("accounts")
+    counting(env).transact(move_one, keys_fn=lambda v: [v["sensor"], "pool"], store=store, name="move").collect()
     engine = env.build()
     service = QueryableStateService(engine)
-    seen = []
-    engine.kernel.call_at(0.06, lambda: seen.append(service.query("count", ValueStateDescriptor("count-acc"), "s0").value))
+    counts, views = [], []
+
+    def ask():
+        counts.append(service.query("count", ValueStateDescriptor("count-acc"), "s0").value)
+        views.append(service.query_txn("accounts"))
+
+    engine.kernel.call_at(0.06, ask)
     env.execute()
-    return seen and seen[0] is not None and seen[0] > 0
+    records_in = service.query_metrics("/count/0/records_in")["metrics"]
+    single = (
+        counts[0] is not None and counts[0] > 0
+        and views[0] and sum(views[0].values()) == 0 and 0 < views[0]["pool"] < 500
+        and service.query_txn("accounts", "pool") == 500 and list(records_in.values()) == [500]
+    )
+
+    fabric = JobFabric(FabricConfig(slots=2))
+    for tenant, count in (("t0", 200), ("t1", 300)):
+        tenant_env = StreamExecutionEnvironment(name=tenant)
+        counting(tenant_env, count)
+        fabric.submit(tenant_env)
+    fabric.run()
+    descriptor = ValueStateDescriptor("count-acc")
+    totals = {
+        tenant: sum(fabric.queries.query(tenant, "count", descriptor, f"s{k}").value for k in range(4))
+        for tenant in ("t0", "t1")
+    }
+    scoped = fabric.queries.query_metrics("t0", "records_in")
+    isolated = scoped and all(path.startswith("t0/") for path in scoped)
+    return single and totals == {"t0": 200, "t1": 300} and isolated
 
 
 def probe_state_versioning():

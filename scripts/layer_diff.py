@@ -2,6 +2,7 @@
 """Per-layer cost of one ``perf`` workload in two checkouts, side by side.
 
     python3 scripts/layer_diff.py PARENT CHANGE --workload macro_columnar --seed 0
+    python3 scripts/layer_diff.py PARENT CHANGE --workload all --seed 0
 
 ``PARENT`` and ``CHANGE`` are two checkouts of this repository. The script
 runs ``python3 -m perf --workload W --seed S --trace 1 --json …`` once in
@@ -19,6 +20,8 @@ catalogue (``perf.metrics.PER_LAYER``) whose clock is ``count`` or
 records … — and that moved, leaving out the ``*.calls_per_record`` and
 ``trace.*`` rows, which a frame-count change is meant to move. It exits 1
 when any of them moved: one command for "nothing exact moved".
+``--workload all`` does this for every workload ``BENCHMARK.json`` names,
+one table each, and exits 1 when an exact metric moved on any of them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,10 @@ import subprocess
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: the benchmark declaration whose workloads ``--workload all`` runs
+BENCHMARK = os.path.join(_ROOT, "BENCHMARK.json")
+sys.path.insert(0, _ROOT)
 from perf.metrics import PER_LAYER  # noqa: E402 - the benchmark's own catalogue, read only
 
 #: the per-layer statistics, in table order
@@ -110,31 +116,54 @@ def moved(parent: dict[str, float], change: dict[str, float]) -> list[str]:
     return [name for name in EXACT if parent.get(name) != change.get(name)]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent", help="checkout of the parent commit")
-    parser.add_argument("change", help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--also", action="append", default=[], metavar="METRIC",
-                        help="another metric of the traced run to compare (repeatable)")
-    args = parser.parse_args(argv)
+def compare(sides: dict[str, str], workload: str, seed: int, also: list[str]) -> list[str]:
+    """One traced pair of ``workload``: print its tables and return the
+    exact metrics that moved."""
     runs = {}
     with tempfile.TemporaryDirectory() as scratch:
         for side in ("parent", "change"):
-            runs[side] = run_traced(os.path.abspath(getattr(args, side)), args.workload, args.seed, scratch)
-    print(f"{args.workload} seed {args.seed}, --trace 1\n")
-    print(table(runs["parent"], runs["change"], args.also))
+            runs[side] = run_traced(sides[side], workload, seed, scratch)
+    print(f"{workload} seed {seed}, --trace 1\n")
+    print(table(runs["parent"], runs["change"], also))
     changed = moved(runs["parent"], runs["change"])
     if not changed:
         print(f"\nno exact per-layer metric moved ({len(EXACT)} compared)")
-        return 0
+        return changed
     # full values: an exact metric that moved in its fifth digit still moved
     print("\nexact per-layer metrics that moved:\n")
     print("| metric | parent | change |\n|---|---|---|")
     for name in changed:
         print(f"| {name} | {runs['parent'].get(name, '—')} | {runs['change'].get(name, '—')} |")
-    return 1
+    return changed
+
+
+def benchmark_workloads() -> list[str]:
+    """The workloads ``BENCHMARK.json`` names, in its order."""
+    with open(BENCHMARK) as fh:
+        return [workload["name"] for workload in json.load(fh)["workloads"]]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("--workload", required=True, help="a perf workload, or 'all' of BENCHMARK.json's")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--also", action="append", default=[], metavar="METRIC",
+                        help="another metric of the traced run to compare (repeatable)")
+    args = parser.parse_args(argv)
+    sides = {side: os.path.abspath(getattr(args, side)) for side in ("parent", "change")}
+    workloads = benchmark_workloads() if args.workload == "all" else [args.workload]
+    moved_on = {}
+    for index, workload in enumerate(workloads):
+        if index:
+            print()
+        moved_on[workload] = compare(sides, workload, args.seed, args.also)
+    if args.workload == "all":
+        print(f"\nall workloads, seed {args.seed}")
+        for workload, changed in moved_on.items():
+            print(f"  {workload:15s} {'exact metrics moved: ' + ', '.join(changed) if changed else 'nothing exact moved'}")
+    return 1 if any(moved_on.values()) else 0
 
 
 if __name__ == "__main__":

@@ -54,14 +54,20 @@ _FUSABLE = {MapOperator: "map", FilterOperator: "filter", FlatMapOperator: "flat
 #: generated code is filed under this package, so profilers attribute it to
 #: the operators and tracebacks show its lines (registered with linecache)
 _SOURCE_DIR = os.path.dirname(os.path.abspath(__file__))
-#: entry-point factory per chain shape; the generated source is a function
-#: of the member kinds alone, so same-shaped chains compile once
-_FACTORIES: dict[tuple, Callable[..., list]] = {}
+#: entry-point factory per chain shape and charge style; the generated
+#: source is a function of the member kinds and ``in_place`` alone, so
+#: same-shaped chains compile once
+_FACTORIES: dict[tuple[tuple, bool], Callable[..., list]] = {}
+
+_new_handle = tuple.__new__
 
 
-def _charge(member: int, pad: str) -> list[str]:
+def _charge(member: int, pad: str, in_place: bool) -> list[str]:
     # the head is never charged: its cost is the task's processing_cost
-    return [f"{pad}if c{member}:", f"{pad}    ctx.add_cost(c{member})"] if member else []
+    if not member:
+        return []
+    charge = f"ctx.extra_cost += c{member}" if in_place else f"ctx.add_cost(c{member})"
+    return [f"{pad}if c{member}:", f"{pad}    {charge}"]
 
 
 def _run_end(index: int, kinds: tuple) -> int:
@@ -80,12 +86,13 @@ def _entry_name(index: int, kinds: tuple) -> str:
     return f"run{index}_" + "_".join(kinds[index : _run_end(index, kinds)])
 
 
-def _entry_source(index: int, kinds: tuple) -> list[str]:
+def _entry_source(index: int, kinds: tuple, in_place: bool) -> list[str]:
     """The function a plain untraced ``row`` entering member ``index`` runs:
     out of the chain past the tail, one member's ``process`` where it is not
     fusable, else the fused run from ``index`` up to the next member that is
     not — each step with the effects that member's ``process`` and the
-    link's ``emit`` would have, in their order."""
+    link's ``emit`` would have, in their order. ``in_place``: charges are
+    added to ``ctx.extra_cost`` rather than passed to ``ctx.add_cost``."""
     head = f"def {_entry_name(index, kinds)}(row, ctx):"
     if index == len(kinds):
         return [head, "    ctx.emit(row)"]
@@ -93,7 +100,7 @@ def _entry_source(index: int, kinds: tuple) -> list[str]:
         return [
             head,
             f"    counts[{index}] += 1",
-            *_charge(index, "    "),
+            *_charge(index, "    ", in_place),
             "    ctx.current_key_value = row[2]",
             f"    op{index}.process(row, link{index})",
         ]
@@ -106,7 +113,7 @@ def _entry_source(index: int, kinds: tuple) -> list[str]:
     pad, depth, value, key, changed = "    ", 0, "v0", "k0", False
     for member in range(index, end):
         kind = kinds[member]
-        lines += [f"{pad}counts[{member}] += 1", *_charge(member, pad), f"{pad}ctx.current_key_value = {key}"]
+        lines += [f"{pad}counts[{member}] += 1", *_charge(member, pad, in_place), f"{pad}ctx.current_key_value = {key}"]
         if kind == "map":
             lines.append(f"{pad}{value} = f{member}({value})")
             changed = True
@@ -125,11 +132,11 @@ def _entry_source(index: int, kinds: tuple) -> list[str]:
     return lines
 
 
-def _factory(kinds: tuple) -> Callable[..., list]:
+def _factory(kinds: tuple, in_place: bool) -> Callable[..., list]:
     """``make(counts, costs, ops, links)`` for chains of this shape: binds
     one chain's live counters, costs, members and links as closure cells
     and returns its entry functions, one per member and one past the tail."""
-    factory = _FACTORIES.get(kinds)
+    factory = _FACTORIES.get((kinds, in_place))
     if factory is None:
         lines = ["def make(counts, costs, ops, links):"]
         for member, kind in enumerate(kinds):
@@ -140,14 +147,14 @@ def _factory(kinds: tuple) -> Callable[..., list]:
             else:
                 lines.append(f"    f{member} = ops[{member}].fn")
         entries = range(len(kinds) + 1)
-        lines += ("    " + line for index in entries for line in _entry_source(index, kinds))
+        lines += ("    " + line for index in entries for line in _entry_source(index, kinds, in_place))
         lines.append(f"    return [{', '.join(_entry_name(index, kinds) for index in entries)}]\n")
         source = "\n".join(lines)
         filename = os.path.join(_SOURCE_DIR, f"<compiled chain {len(_FACTORIES)}>")
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         namespace = {"_new_row": tuple.__new__, "Record": Record}
         exec(compile(source, filename, "exec"), namespace)
-        factory = _FACTORIES[kinds] = namespace["make"]
+        factory = _FACTORIES[kinds, in_place] = namespace["make"]
     return factory
 
 
@@ -156,10 +163,12 @@ class _LinkContext(OperatorContext):
 
     Emissions feed the next member synchronously; state names and timer
     payloads are scoped by member index; everything else delegates to the
-    task's real context.
+    task's real context. ``processing_time`` is the parent's own, bound with
+    the parent (see ``ChainedOperator._bind``): reading the time runs no
+    frame of the link.
     """
 
-    __slots__ = ("_chain", "_index", "_parent", "_scoped", "_next")
+    __slots__ = ("_chain", "_index", "_parent", "_scoped", "_next", "_last", "processing_time")
 
     def __init__(self, chain: "ChainedOperator", index: int) -> None:
         self._chain = chain
@@ -169,6 +178,9 @@ class _LinkContext(OperatorContext):
         self._next: Callable[[Record, OperatorContext], None] | None = None
         #: descriptor -> (that descriptor, its member-scoped copy)
         self._scoped: dict[Any, tuple[Any, Any]] = {}
+        #: the descriptor ``state`` resolved last, with its handle type, the
+        #: parent's backend and the scoped copy (reset when the link is bound)
+        self._last: tuple[Any, Any, Any, Any] = (None, None, None, None)
 
     # --- output ---------------------------------------------------------
     def emit(self, element: StreamElement) -> None:
@@ -181,9 +193,6 @@ class _LinkContext(OperatorContext):
         self._parent.emit_to(tag, element)
 
     # --- time -----------------------------------------------------------
-    def processing_time(self) -> float:
-        return self._parent.processing_time()
-
     def current_watermark(self) -> float:
         return self._parent.current_watermark()
 
@@ -202,7 +211,20 @@ class _LinkContext(OperatorContext):
         self._parent.set_current_key(key)
 
     def state(self, descriptor: Any) -> Any:
-        return self._parent.state(self._scope(descriptor))
+        # A handle is one (backend, descriptor, key) row typed by the
+        # descriptor's kind (OperatorContext.state). Once the parent built
+        # one for this descriptor, the next access under a key builds the
+        # same row here: the descriptor itself (held, so never a recycled
+        # id) stands for its scoped copy, the parent's backend for its own.
+        last = self._last
+        if descriptor is last[0]:
+            key = self._parent.current_key_value
+            if key is not None:
+                return _new_handle(last[1], (last[2], last[3], key))
+        scoped = self._scope(descriptor)
+        handle = self._parent.state(scoped)
+        self._last = (descriptor, type(handle), handle[0], scoped)
+        return handle
 
     def state_keys(self, descriptor: Any) -> list[Any]:
         return self._parent.state_keys(self._scope(descriptor))
@@ -258,18 +280,50 @@ class ChainedOperator(Operator):
         self._kinds = tuple(_FUSABLE.get(type(op)) for op in self.operators)
         #: ``_entries[i](row, ctx)``: an untraced plain ``row`` enters member
         #: ``i`` (past the tail: out) — the one record path, compiled
-        self._entries = _factory(self._kinds)(
+        self._entries: list[Callable[[Record, OperatorContext], None]] = []
+        #: whether the entries add member charges to ``ctx.extra_cost``
+        #: themselves rather than through ``ctx.add_cost`` (see record_entry)
+        self._in_place = False
+        self._use_entries(False)
+
+    # ------------------------------------------------------------------
+    def _use_entries(self, in_place: bool) -> None:
+        self._in_place = in_place
+        self._entries = _factory(self._kinds, in_place)(
             self.member_records_in, self._extra_costs, self.operators, self._links
         )
         for link, entry in zip(self._links, self._entries[1:]):
             link._next = entry
 
-    # ------------------------------------------------------------------
     def _bind(self, ctx: OperatorContext) -> None:
         if self._bound is not ctx:
             self._bound = ctx
+            processing_time = getattr(ctx, "processing_time", None)
             for link in self._links:
                 link._parent = ctx
+                link._last = (None, None, None, None)
+                if processing_time is not None:
+                    link.processing_time = processing_time
+            if self._in_place:
+                self._use_entries(False)  # a new context charges through add_cost
+
+    def record_entry(
+        self, ctx: OperatorContext, add_in_place: bool = False
+    ) -> Callable[[Record, OperatorContext], None] | None:
+        """Bind to ``ctx`` and return the function ``process`` hands an
+        untraced plain ``Record`` to, for a task to call without the
+        ``process`` frame (setting the key is the entry's own first step).
+        ``add_in_place``: ``ctx.add_cost(s)`` is ``ctx.extra_cost += s``, so
+        the chain's record path adds member charges there itself — the same
+        float additions, in the same order, without the calls. None when
+        ``process`` is not this class's own (a subclass's, a patch's): that
+        ``process`` must run."""
+        if type(self).process is not _PROCESS:
+            return None
+        self._bind(ctx)
+        if add_in_place != self._in_place:
+            self._use_entries(add_in_place)
+        return self._entries[0]
 
     def _feed(self, index: int, element: StreamElement, ctx: OperatorContext) -> None:
         """Push any ``element`` into chain member ``index`` (past the tail:
@@ -419,3 +473,7 @@ class ChainedOperator(Operator):
 
     def __repr__(self) -> str:
         return f"ChainedOperator({self._name!r}, members={self._length})"
+
+
+#: the record path's own ``process`` (``record_entry`` bypasses no other)
+_PROCESS = ChainedOperator.process

@@ -3,13 +3,12 @@
 "Synchronous loops are paramount for bulk iterative algorithms used in
 machine learning (e.g., Stochastic Gradient Descent)." The driver runs
 supersteps over partitioned data with a barrier between steps (Bulk
-Synchronous Parallel), accounting the time fast partitions stall at it.
+Synchronous Parallel).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +20,6 @@ class IterationReport:
     supersteps: int
     losses: list[float] = field(default_factory=list)
     converged: bool = False
-    barrier_stalls: float = 0.0  # virtual time spent waiting at barriers
 
 
 class BulkIterationDriver:
@@ -33,14 +31,11 @@ class BulkIterationDriver:
         partitions: list[tuple[np.ndarray, np.ndarray]],
         dim: int,
         learning_rate: float = 0.5,
-        partition_time: Callable[[int], float] | None = None,
     ) -> None:
         if not partitions:
             raise ValueError("need at least one data partition")
         self.partitions = partitions
         self.model = OnlineLogisticRegression(dim, learning_rate=learning_rate)
-        # Simulated per-superstep compute time per partition (stragglers).
-        self._partition_time = partition_time or (lambda _index: 1.0)
 
     def run(self, max_supersteps: int = 100, tolerance: float = 1e-4) -> IterationReport:
         """Iterate supersteps until convergence or ``max_supersteps``."""
@@ -57,9 +52,7 @@ class BulkIterationDriver:
                     float(np.mean(-(ys * np.log(p + eps) + (1 - ys) * np.log(1 - p + eps))))
                 )
                 gradients.append(xs.T @ (p - ys) / len(ys))
-            # Barrier: everyone waits for the slowest partition.
-            times = [self._partition_time(i) for i in range(len(self.partitions))]
-            report.barrier_stalls += sum(max(times) - t for t in times)
+            # Barrier: the gradients are averaged once every partition's is in.
             gradient = np.mean(gradients, axis=0) + self.model.l2 * self.model.weights
             self.model.weights -= self.model.learning_rate * gradient
             loss = float(np.mean(losses))

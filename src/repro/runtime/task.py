@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import linecache
+import os
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -38,6 +41,7 @@ from repro.core.events import (
 )
 from repro.core.keys import key_group_for
 from repro.core.operators.base import Operator, OperatorContext
+from repro.core.operators.chain import ChainedOperator
 from repro.errors import RuntimeStateError
 from repro.obs.profile import NULL_PROFILE_SCOPE, Profiler, ProfileScope
 from repro.obs.trace import TraceContext
@@ -113,6 +117,246 @@ _new_handle = tuple.__new__
 #: ``Task._busy_until`` outside a finite elided interval
 _IDLE = float("-inf")
 _EVENT_PENDING = float("inf")
+
+
+# ----------------------------------------------------------------------
+# generated bodies (DESIGN.md, "Compiled serve")
+# ----------------------------------------------------------------------
+# A template line ending in "  # [part]" is kept only when the part is on,
+# one ending in "  # [!part]" only when it is off; a line "@name" stands for
+# the fragment of that name, indented where it stands. The template with
+# every part on is the general body.
+
+#: ``Task._serve``: a record in this frame, anything else through
+#: ``_handle_item``; then the charges and the end of the service
+_SERVE = """\
+def make(task, ctx, metrics, pending, mailbox, kernel, operator, backend, head, rescale, counts, maxp, tracer, profiler, flame_paths):
+    stats = backend.stats
+    def _serve(channel_index, element, via, started):
+        if type(element) is Record or isinstance(element, Record):  # exact type first: no call
+            key = element[2]
+            if key is not None and (owner := rescale.owner(task, key)) is not None and owner is not task:  # [rescale]
+                # Key ownership moved (live migration): forward the record  # [rescale]
+                # instead of processing it against empty state.  # [rescale]
+                owner.enqueue_local(element)  # [rescale]
+                cost = 0.0  # [rescale]
+                @end  # [rescale]
+                return  # [rescale]
+            reads_before = stats.reads
+            writes_before = stats.writes
+            metrics.records_in += 1
+            if key is not None:  # [keygroups]
+                group = key_group_for(key, maxp)  # [keygroups]
+                counts[group] = counts.get(group, 0) + 1  # [keygroups]
+            if element[5] is not None:  # [tracer]
+                task._active_span = tracer.begin(task.name, element[5], started)  # [tracer]
+                task._trace_mark = len(pending)  # [tracer]
+            if element[5] is None and type(element) is Record:  # [chain]
+                head(element, ctx)  # the chain's entry sets the key first  # [chain]
+            else:  # [chain]
+                ctx.current_key_value = key  # [chain]
+                operator.process(element, ctx)  # [chain]
+            ctx.current_key_value = key  # [!chain]
+            operator.process(element, ctx)  # [!chain]
+            # one unit, no timer fired
+            cost = task.processing_cost
+            units, timers_fired = 1, 0  # [profiler]
+            @charge
+            @end
+            return
+        reads_before = stats.reads
+        writes_before = stats.writes
+        units, timers_fired = task._handle_item(channel_index, element)
+        # Each term is accounted only when there is one: most inputs touch
+        # no state and fire no timer, and x + 0.0 is x.
+        cost = 0.0
+        if units is not None:
+            if units:
+                # One unit per record/timer; a batch charges the same
+                # per-record model cost in a single multiply.
+                cost += task.processing_cost * units
+            if timers_fired:
+                metrics.timers_fired += timers_fired
+                cost += timers_fired * task.timer_cost
+            @charge
+        @end
+    return _serve
+"""
+
+#: ``SourceTask._emit_due`` (the emission timer) and ``_schedule_next``
+_EMIT = """\
+def make(task, ctx, metrics, clock, kernel, tracer):
+    def _emit_due(incarnation):
+        if incarnation != task.incarnation or task.dead or task.finished:
+            return
+        now = clock._now
+        if now + 1e-12 < task._pending_due:
+            # Not due yet (an unblock or stale timer poked us early); the
+            # timer scheduled for the due time will deliver it.
+            return
+        if task._output_blocked or not outputs_clear(task.output_gates):
+            # Backpressured: wait for output_unblocked() to call us back.
+            task._output_blocked = True
+            if task._blocked_since is None:
+                task._blocked_since = now
+            return
+        pending = task._pending
+        if pending is None:
+            return
+        task._pending = None
+        task._emit_batch(pending)  # [batch]
+        @record  # [!batch]
+        @pull
+    def _schedule_next():
+        @pull
+    return _emit_due, _schedule_next
+"""
+
+#: the fragments both templates inline by name
+_FRAGMENTS = {
+    "charge": """\
+reads = stats.reads - reads_before
+writes = stats.writes - writes_before
+state_cost = 0.0
+if reads or writes:
+    metrics.state_reads += reads
+    metrics.state_writes += writes
+    state_cost = reads * backend.read_latency + writes * backend.write_latency
+    cost += state_cost
+extra_cost = ctx.extra_cost
+if extra_cost:
+    ctx.extra_cost = 0.0
+    cost += extra_cost
+span = task._active_span  # [tracer]
+if span is not None:  # [tracer]
+    # Close the span at the element's virtual completion time and  # [tracer]
+    # re-stamp the outputs it produced with the child context, so  # [tracer]
+    # the trace follows the record through shuffles downstream.  # [tracer]
+    task._active_span = None  # [tracer]
+    tracer.finish(span, started + cost)  # [tracer]
+    child = TraceContext(span.trace_id, span.span_id)  # [tracer]
+    for index in range(task._trace_mark, len(pending)):  # [tracer]
+        out = pending[index]  # [tracer]
+        if isinstance(out, Record):  # [tracer]
+            pending[index] = out.with_trace(child)  # [tracer]
+@profile  # [profiler]
+""",
+    # Profiler.charge per lane, in place: the same positive-only float
+    # additions into the same flame paths, without the calls.
+    "profile": """\
+samples = profiler.samples
+process_path, timers_path, state_path, extra_path = flame_paths
+if units:
+    seconds = task.processing_cost * units
+    if seconds > 0.0:
+        samples[process_path] = samples.get(process_path, 0.0) + seconds
+if timers_fired:
+    seconds = timers_fired * task.timer_cost
+    if seconds > 0.0:
+        samples[timers_path] = samples.get(timers_path, 0.0) + seconds
+if state_cost > 0.0:
+    samples[state_path] = samples.get(state_path, 0.0) + state_cost
+if extra_cost > 0.0:
+    samples[extra_path] = samples.get(extra_path, 0.0) + extra_cost
+""",
+    "end": """\
+completion = started + cost
+metrics.busy_time += cost
+kernel.call_at(completion, task._complete, via, task.incarnation)  # [gate]
+if pending or mailbox or via is not None or task._side_pending or task._settling or task._output_blocked:  # [!gate]
+    kernel.call_at(completion, task._complete, via, task.incarnation)  # [!gate]
+else:  # [!gate]
+    # The completion event would flush nothing, return no credit and  # [!gate]
+    # find nothing to pull: being busy until ``completion`` is all it  # [!gate]
+    # stands for. _maybe_schedule schedules it after all, at this  # [!gate]
+    # same time, if something arrives before then.  # [!gate]
+    task._busy_until = completion  # [!gate]
+""",
+    # one record now (+ the watermark its strategy yields)
+    "record": """\
+value = pending.value
+event_time = pending.event_time
+record = _new_row(Record, (value, event_time, None, 1, now, None))
+if tracer.sample():  # [tracer]
+    record = record.with_trace(tracer.begin_root(task.name, now))  # [tracer]
+if event_time is not None and event_time > task._max_event_time:
+    task._max_event_time = event_time
+emit = ctx.emit
+emit(record)
+metrics.records_in += 1
+watermark = task.strategy.on_event(value, event_time, now)
+if watermark is not None and watermark.timestamp > task._last_watermark:
+    task._last_watermark = watermark.timestamp
+    emit(watermark)
+task._emitted += 1
+task.flush_outputs()
+""",
+    # pull the next emission unit and arm one kernel timer at its due time
+    "pull": """\
+if task.dead or task.finished or task._suspended:
+    return
+arrival = max(clock._now, task._next_arrival)
+pending = next(task._iterator, None)  # [!batch]
+if pending is not None:  # [!batch]
+    arrival += pending.inter_arrival  # [!batch]
+pending = []  # [batch]
+for event in islice(task._iterator, task._batch_records):  # [batch]
+    arrival += event.inter_arrival  # [batch]
+    pending.append((event, arrival))  # [batch]
+pending = pending or None  # [batch]
+if pending is None:
+    task._finish()
+    return
+task._next_arrival = arrival
+task._pending = pending
+task._pending_due = arrival
+kernel.call_at(arrival, task._emit_due, task.incarnation)
+""",
+}
+
+#: generated code is filed under this package, so profilers attribute it to
+#: the run loop and tracebacks show its lines (registered with linecache)
+_SOURCE_DIR = os.path.dirname(os.path.abspath(__file__))
+_PART_TAG = re.compile(r"  # \[(!?)(\w+)\]$")
+#: factory per (template, parts on): same-shaped tasks compile once
+_FACTORIES: dict[tuple[str, frozenset[str]], Callable[..., Any]] = {}
+
+
+def _expand(template: str, parts: frozenset[str], pad: str = "") -> list[str]:
+    """``template``'s lines for the parts in ``parts``, fragments inlined."""
+    lines = []
+    for line in template.splitlines():
+        tag = _PART_TAG.search(line)
+        if tag is not None:
+            if (tag.group(2) in parts) == bool(tag.group(1)):
+                continue
+            line = line[: tag.start()]
+        code = line.lstrip()
+        if code.startswith("@"):
+            indent = pad + line[: len(line) - len(code)]
+            lines += _expand(_FRAGMENTS[code[1:]], parts, indent)
+        else:
+            lines.append(pad + line)
+    return lines
+
+
+def _factory(template: str, parts: dict[str, bool]) -> Callable[..., Any]:
+    """The compiled ``make`` of ``template`` (``_SERVE`` or ``_EMIT``) for
+    the parts that are on."""
+    on = frozenset(name for name, attached in parts.items() if attached)
+    factory = _FACTORIES.get((template, on))
+    if factory is None:
+        source = "\n".join(_expand(template, on)) + "\n"
+        label = "serve" if template is _SERVE else "emission"
+        filename = os.path.join(_SOURCE_DIR, f"<compiled {label} {len(_FACTORIES)}>")
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = {
+            "Record": Record, "TraceContext": TraceContext, "key_group_for": key_group_for,
+            "outputs_clear": outputs_clear, "islice": itertools.islice, "_new_row": tuple.__new__,
+        }
+        exec(compile(source, filename, "exec"), namespace)
+        factory = _FACTORIES[template, on] = namespace["make"]
+    return factory
 
 
 class TaskContext(OperatorContext):
@@ -317,12 +561,14 @@ class Task:
         self._obs = obs
         self._tracer = obs.tracer if obs.tracer.active else None
         self._profiler = obs.profiler if obs.profiler.enabled else None
+        self._compile()
 
     def start(self) -> None:
         """Record start time and open the operator."""
         self.metrics.started_at = self.kernel.now()
         self._bind_emit()
         self.operator.open(self.ctx)
+        self._compile()
 
     # ------------------------------------------------------------------
     # input path
@@ -330,17 +576,26 @@ class Task:
     #: when set (by an active-standby manager), deliveries during downtime
     #: are parked here instead of dropped — the hot replica "received" them
     ha_buffer: list | None = None
-    #: when set (by a live rescale), the rescale part this task's node, or
-    #: a node it receives from, belongs to (``RescaleState`` in
-    #: ``load/migration.py``): a member forwards records whose key moved
-    #: (``owner``, ``reroutes``), and the finish decision waits for its gate
-    #: (``ready``; see _settle)
-    rescale_state: Any = None
+    _rescale_state: Any = None
     #: when set (by the autoscaler's hot-key detector), counts processed
     #: records per key group: {key_group: count}. None on the production
-    #: path — the cost is one attribute test per record.
+    #: path, whose service body then has no key-group section.
     _keygroup_counts: Any = None
     _keygroup_maxp: int = 0
+
+    @property
+    def rescale_state(self) -> Any:
+        """When set (by a live rescale), the rescale part this task's node,
+        or a node it receives from, belongs to (``RescaleState`` in
+        ``load/migration.py``): a member forwards records whose key moved
+        (``owner``, ``reroutes``), and the finish decision waits for its
+        gate (``ready``; see _settle). Setting it rebuilds the service body."""
+        return self._rescale_state
+
+    @rescale_state.setter
+    def rescale_state(self, state: Any) -> None:
+        self._rescale_state = state
+        self._compile()
 
     def enable_keygroup_tracking(self, max_parallelism: int) -> None:
         """Start counting processed records per key group (hot-key skew
@@ -348,6 +603,7 @@ class Task:
         if self._keygroup_counts is None:
             self._keygroup_counts = {}
         self._keygroup_maxp = max_parallelism
+        self._compile()
 
     @property
     def keygroup_counts(self) -> dict[int, int]:
@@ -380,7 +636,7 @@ class Task:
             # A retired (scaled-in) task still forwards misrouted records;
             # an owner that already finished reopens (enqueue_local) so the
             # straggler is folded into the state that migrated to it.
-            rescale = self.rescale_state
+            rescale = self._rescale_state
             if rescale is not None and isinstance(element, (Record, RecordBatch)):
                 for record in element.records() if isinstance(element, RecordBatch) else (element,):
                     owner = rescale.owner(self, record.key) if record.key is not None else None
@@ -420,7 +676,7 @@ class Task:
             # After a live rescale, an owner can finish before records that now
             # belong to it drain elsewhere: reopen for those stragglers (its
             # finish decision runs again; re-forwarding EOS is idempotent).
-            rescale = self.rescale_state
+            rescale = self._rescale_state
             if (
                 rescale is None
                 or not rescale.reroutes(self)
@@ -511,117 +767,39 @@ class Task:
         self._serve(item.channel_index, item.element, item.via, self._clock._now)
 
     def _serve(self, channel_index: int, element: Any, via: Any, started: float) -> None:
-        """The one service body: ``deliver`` calls it for an element that
-        finds the task idle, ``_process_next`` for one popped off the mailbox.
-        A record is served in this frame; anything else goes through
-        ``_handle_item``. Then the cost is charged and the service ends."""
-        stats = self.state_backend.stats
-        reads_before = stats.reads
-        writes_before = stats.writes
-        ctx = self.ctx
-        metrics = self.metrics
-        if type(element) is Record or isinstance(element, Record):  # exact type first: no call
-            key = element.key
-            rescale = self.rescale_state
-            if (
-                rescale is not None
-                and key is not None
-                and (owner := rescale.owner(self, key)) is not None
-                and owner is not self
-            ):
-                # Key ownership moved (live migration): forward the record
-                # instead of processing it against empty state.
-                owner.enqueue_local(element)
-                units = None
-            else:
-                metrics.records_in += 1
-                counts = self._keygroup_counts
-                if counts is not None and key is not None:
-                    group = key_group_for(key, self._keygroup_maxp)
-                    counts[group] = counts.get(group, 0) + 1
-                if element.trace is not None and self._tracer is not None:
-                    self._active_span = self._tracer.begin(self.name, element.trace, started)
-                    self._trace_mark = len(self._pending_output)
-                ctx.current_key_value = key
-                self.operator.process(element, ctx)
-                units = 1
-                timers_fired = 0
-        else:
-            units, timers_fired = self._handle_item(channel_index, element)
+        """The service body (``deliver`` calls it for an element that finds
+        the task idle, ``_process_next`` for one popped off the mailbox) is
+        generated for the task's shape (see ``_compile``), which stores it
+        on the instance. This class-level one only builds it for a task
+        served before it started, then serves."""
+        self._compile()
+        self._serve(channel_index, element, via, started)
 
-        # Each term is accounted only when there is one: most inputs touch
-        # no state and fire no timer, and x + 0.0 is x.
-        cost = 0.0
-        if units is not None:
-            if units:
-                # One unit per record/timer; a batch charges the same
-                # per-record model cost in a single multiply.
-                cost += self.processing_cost * units
-            if timers_fired:
-                metrics.timers_fired += timers_fired
-                cost += timers_fired * self.timer_cost
-            reads = stats.reads - reads_before
-            writes = stats.writes - writes_before
-            state_cost = 0.0
-            if reads or writes:
-                metrics.state_reads += reads
-                metrics.state_writes += writes
-                backend = self.state_backend
-                state_cost = reads * backend.read_latency + writes * backend.write_latency
-                cost += state_cost
-            extra_cost = ctx.extra_cost
-            if extra_cost:
-                ctx.extra_cost = 0.0
-                cost += extra_cost
-            span = self._active_span
-            if span is not None:
-                # Close the span at the element's virtual completion time and
-                # re-stamp the outputs it produced with the child context, so
-                # the trace follows the record through shuffles downstream.
-                self._active_span = None
-                self._tracer.finish(span, started + cost)
-                child = TraceContext(span.trace_id, span.span_id)
-                pending = self._pending_output
-                for index in range(self._trace_mark, len(pending)):
-                    out = pending[index]
-                    if isinstance(out, Record):
-                        pending[index] = out.with_trace(child)
-            profiler = self._profiler
-            if profiler is not None:
-                # Profiler.charge per lane, in place: the same positive-only
-                # float additions into the same flame paths, without the calls.
-                samples = profiler.samples
-                process_path, timers_path, state_path, extra_path = self._flame_paths
-                if units:
-                    seconds = self.processing_cost * units
-                    if seconds > 0.0:
-                        samples[process_path] = samples.get(process_path, 0.0) + seconds
-                if timers_fired:
-                    seconds = timers_fired * self.timer_cost
-                    if seconds > 0.0:
-                        samples[timers_path] = samples.get(timers_path, 0.0) + seconds
-                if state_cost > 0.0:
-                    samples[state_path] = samples.get(state_path, 0.0) + state_cost
-                if extra_cost > 0.0:
-                    samples[extra_path] = samples.get(extra_path, 0.0) + extra_cost
-        completion = started + cost
-        metrics.busy_time += cost
-        if (
-            self._pending_output
-            or self._mailbox
-            or via is not None
-            or self._side_pending
-            or self._txn_gate is not None
-            or self._settling
-            or self._output_blocked
-        ):
-            self.kernel.call_at(completion, self._complete, via, self.incarnation)
-        else:
-            # The completion event would flush nothing, return no credit and
-            # find nothing to pull: being busy until ``completion`` is all it
-            # stands for. _maybe_schedule schedules it after all, at this
-            # same time, if something arrives before then.
-            self._busy_until = completion
+    def _compile(self) -> None:
+        """Build ``_serve`` for the task's shape: which parts are attached
+        (a live rescale, key-group tracking, the tracer, the profiler), a
+        txn gate, and a chain head to call directly. Run when the task opens
+        or is revived and when a part attaches; with every part on, the
+        output is the general body (DESIGN.md, "Compiled serve")."""
+        operator = self.operator
+        head = None
+        if isinstance(operator, ChainedOperator):
+            # the chain adds its member charges to extra_cost itself unless
+            # add_cost was replaced on the context (then it must be called)
+            head = operator.record_entry(self.ctx, add_in_place="add_cost" not in vars(self.ctx))
+        parts = {
+            "rescale": self._rescale_state is not None,
+            "keygroups": self._keygroup_counts is not None,
+            "tracer": self._tracer is not None,
+            "profiler": self._profiler is not None,
+            "gate": self._txn_gate is not None,
+            "chain": head is not None,
+        }
+        self._serve = _factory(_SERVE, parts)(
+            self, self.ctx, self.metrics, self._pending_output, self._mailbox, self.kernel,
+            operator, self.state_backend, head, self._rescale_state, self._keygroup_counts,
+            self._keygroup_maxp, self._tracer, self._profiler, self._flame_paths,
+        )
 
     def _complete(self, via: Any, incarnation: int) -> None:
         if incarnation != self.incarnation:
@@ -686,7 +864,7 @@ class Task:
                 for record in reversed(list(element.records())):
                     self._mailbox.appendleft(_MailboxItem(channel_index, record))
                 return None, 0
-            if self.rescale_state is not None and self.rescale_state.reroutes(self):
+            if self._rescale_state is not None and self._rescale_state.reroutes(self):
                 # Live migration in flight: batch routing predates the new
                 # key ownership, so explode and re-deliver per record.
                 for record in element.records():
@@ -767,7 +945,7 @@ class Task:
             return
         # A rescaled node's own tasks (they reroute) decide on the probe's
         # cadence; a task it sends to finishes at once if the gate holds.
-        rescale = self.rescale_state
+        rescale = self._rescale_state
         if self._feedback or (
             rescale is not None and (rescale.reroutes(self) or not rescale.ready(self))
         ):
@@ -800,7 +978,7 @@ class Task:
             nonlocal quiet, last
             if incarnation != self.incarnation:
                 return  # a kill ended this incarnation (a revive re-arms)
-            count, rescale = self.inputs.feedback_deliveries, self.rescale_state
+            count, rescale = self.inputs.feedback_deliveries, self._rescale_state
             still = count == last and self.drained and not self._pending_output
             quiet = quiet + 1 if still and (rescale is None or rescale.ready(self)) else 0
             last = count
@@ -1155,6 +1333,7 @@ class Task:
         self.inputs.revive(self.kernel.now())
         self.current_watermark = float("-inf")
         self.operator.open(self.ctx)
+        self._compile()
 
     @property
     def mailbox_size(self) -> int:
@@ -1234,6 +1413,7 @@ class SourceTask(Task):
         #: first marker
         self._markers_emitted: Any = None
         self._max_event_time = float("-inf")
+        self._compile()
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -1274,82 +1454,25 @@ class SourceTask(Task):
         self.collect_output(marker)
         self.flush_outputs()
 
-    def _schedule_next(self) -> None:
-        """Pull the next emission unit and arm one kernel timer at its due
-        time: one event per record, or up to ``_batch_records`` events whose
-        arrival times accumulate to the last one — the whole batch then
-        travels as a single element. Watermark strategies still observe
-        every event (at emission, so progress never outruns unemitted data),
-        and only the highest resulting watermark follows a batch."""
-        if self.dead or self.finished or self._suspended:
-            return
-        arrival = max(self._clock._now, self._next_arrival)
-        limit = self._batch_records
-        if limit is None:
-            pending = next(self._iterator, None)
-            if pending is not None:
-                arrival += pending.inter_arrival
-        else:
-            batch = []
-            for event in itertools.islice(self._iterator, limit):
-                arrival += event.inter_arrival
-                batch.append((event, arrival))
-            pending = batch or None
-        if pending is None:
-            self._finish()
-            return
-        self._next_arrival = arrival
-        self._pending = pending
-        self._pending_due = arrival
-        self.kernel.call_at(arrival, self._emit_due, self.incarnation)
+    def _compile(self) -> None:
+        """Build the emission timer ``_emit_due`` and ``_schedule_next`` for
+        the source's shape: scalar or batch, traced or not.
 
-    def _emit_due(self, incarnation: int) -> None:
-        """The emission timer, also run when output unblocks or the source
-        resumes: once the pending unit is due and every output is clear, emit
-        it and arm the next. Void if the source was killed since it was
-        armed."""
-        if incarnation != self.incarnation or self.dead or self.finished:
-            return
-        now = self._clock._now
-        if now + 1e-12 < self._pending_due:
-            # Not due yet (an unblock or stale timer poked us early); the
-            # timer scheduled for the due time will deliver it.
-            return
-        if self._output_blocked or not outputs_clear(self.output_gates):
-            # Backpressured: wait for output_unblocked() to call us back.
-            self._output_blocked = True
-            if self._blocked_since is None:
-                self._blocked_since = now
-            return
-        pending = self._pending
-        if pending is None:
-            return
-        self._pending = None
-        if self._batch_records is None:
-            self._emit_record(pending.value, pending.event_time)
-        else:
-            self._emit_batch(pending)
-        self._schedule_next()
-
-    def _emit_record(self, value: Any, event_time: Any) -> None:
-        """Emit one record now (+ the watermark its strategy yields): the
-        scalar emission body of the pull loop."""
-        now = self._clock._now
-        record = Record(value, event_time, None, 1, now)
-        tracer = self._tracer
-        if tracer is not None and tracer.sample():
-            record = record.with_trace(tracer.begin_root(self.name, now))
-        if event_time is not None and event_time > self._max_event_time:
-            self._max_event_time = event_time
-        emit = self.ctx.emit
-        emit(record)
-        self.metrics.records_in += 1
-        watermark = self.strategy.on_event(value, event_time, now)
-        if watermark is not None and watermark.timestamp > self._last_watermark:
-            self._last_watermark = watermark.timestamp
-            emit(watermark)
-        self._emitted += 1
-        self.flush_outputs()
+        ``_schedule_next`` pulls the next emission unit and arms one kernel
+        timer at its due time: one event per record, or up to
+        ``_batch_records`` events whose arrival times accumulate to the last
+        one — the whole batch then travels as a single element. Watermark
+        strategies still observe every event (at emission, so progress never
+        outruns unemitted data), and only the highest resulting watermark
+        follows a batch. ``_emit_due`` is the timer, also run when output
+        unblocks or the source resumes: once the pending unit is due and
+        every output is clear, it emits it and arms the next, in its own
+        frame. It is void if the source was killed since it was armed."""
+        super()._compile()  # what is enqueued on a source is served as on any task
+        parts = {"batch": self._batch_records is not None, "tracer": self._tracer is not None}
+        self._emit_due, self._schedule_next = _factory(_EMIT, parts)(
+            self, self.ctx, self.metrics, self._clock, self.kernel, self._tracer
+        )
 
     def _emit_batch(self, events: list) -> None:
         """Emit pulled events as one :class:`RecordBatch` (+ one watermark).
@@ -1487,6 +1610,7 @@ class SourceTask(Task):
         self.strategy = self.strategy.fresh()
         self._start_timers()
         self._next_arrival = self.kernel.now()
+        self._compile()
 
     def restart_emission(self) -> None:
         """Kick the emission loop after a restore."""

@@ -109,15 +109,6 @@ class TestIterations:
         assert report.converged
         assert report.losses[-1] < report.losses[0] / 2
 
-    def test_bulk_barrier_waits_for_stragglers(self):
-        partitions, dim = self.make_partitions()
-        driver = BulkIterationDriver(
-            partitions, dim, partition_time=lambda i: 2.0 if i == 0 else 1.0
-        )
-        report = driver.run(max_supersteps=5, tolerance=0.0)
-        # 3 fast partitions wait 1s each per superstep.
-        assert report.barrier_stalls == 5 * 3 * 1.0
-
     def test_empty_partitions_rejected(self):
         with pytest.raises(ValueError):
             BulkIterationDriver([], 2)

@@ -81,3 +81,41 @@ def test_the_exact_set_is_the_catalogues_count_and_virtual_metrics():
         name.endswith(".calls_per_record") or name.startswith("trace.") for name in layer_diff.EXACT
     )
     assert "state.probe.get_us" not in layer_diff.EXACT  # host clock
+
+
+def _benchmark(tmp_path, monkeypatch, names):
+    declared = tmp_path / "BENCHMARK.json"
+    declared.write_text('{"workloads": [' + ", ".join(f'{{"name": "{n}"}}' for n in names) + "]}")
+    monkeypatch.setattr(layer_diff, "BENCHMARK", str(declared))
+
+
+def test_all_runs_a_pair_per_declared_workload_and_prints_a_table_each(tmp_path, monkeypatch, capsys):
+    _benchmark(tmp_path, monkeypatch, ["w1", "w2"])
+    parent = _checkout(tmp_path / "parent", _WRITES.replace("TXN_CALLS", "16.8"))
+    change = _checkout(tmp_path / "change", _WRITES.replace("TXN_CALLS", "4.5"))
+    assert layer_diff.main([parent, change, "--workload", "all", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "w1 seed 3, --trace 1" in out and "w2 seed 3, --trace 1" in out
+    assert out.count("| txn | 16.8 | 4.5 | -12.3 |") == 2
+    assert "  w1              nothing exact moved" in out and "  w2              nothing exact moved" in out
+
+
+def test_all_fails_when_an_exact_metric_moved_on_one_workload(tmp_path, monkeypatch, capsys):
+    _benchmark(tmp_path, monkeypatch, ["w1", "w2"])
+    parent = _checkout(tmp_path / "parent", _WRITES.replace("TXN_CALLS", "16.8"))
+    # only on w2 does the change commit one more transaction
+    moves_on_w2 = _WRITES.replace("TXN_CALLS", "4.5").replace(
+        '"txn.commits": 3600', '"txn.commits": 3600 + (sys.argv[sys.argv.index("--workload") + 1] == "w2")'
+    )
+    change = _checkout(tmp_path / "change", moves_on_w2)
+    assert layer_diff.main([parent, change, "--workload", "all", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "  w1              nothing exact moved" in out
+    assert "  w2              exact metrics moved: txn.commits" in out
+    assert out.split("w2 seed 0")[1].count("| txn.commits | 3600 | 3601 |") == 1
+
+
+def test_the_declared_workloads_are_the_benchmarks():
+    assert layer_diff.benchmark_workloads() == [
+        "macro_scalar", "macro_columnar", "state_recover", "fabric_tenants", "forward_obs"
+    ]
