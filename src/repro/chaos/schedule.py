@@ -43,6 +43,10 @@ TASK_KINDS = frozenset({KILL, STALL})
 LOSSY_KINDS = frozenset({DROP})
 #: kinds that can legitimately duplicate records at the sink
 DUPLICATING_KINDS = frozenset({DUPLICATE})
+#: lower bound for DELAY magnitudes / STALL durations (virtual seconds)
+MIN_MAGNITUDE = 0.005
+#: max elements a drop/duplicate/delay/reorder burst affects
+MAX_COUNT = 3
 
 
 @dataclass(frozen=True)
@@ -103,11 +107,8 @@ class PaletteConfig:
     max_faults: int = 4
     #: faults are injected at uniform times in [0, window]
     window: float = 0.2
-    #: bounds for DELAY magnitudes / STALL durations
-    min_magnitude: float = 0.005
+    #: upper bound for DELAY magnitudes / STALL durations (lower: MIN_MAGNITUDE)
     max_magnitude: float = 0.05
-    #: max elements a drop/duplicate/delay/reorder burst affects
-    max_count: int = 3
     #: logical node names RESCALE faults may target; empty disables RESCALE
     #: even when it is in ``kinds`` (keeps existing palettes byte-stable)
     rescale_targets: tuple[str, ...] = ()
@@ -149,13 +150,13 @@ def generate_schedule(
     for _ in range(n):
         kind = rng.choice(kinds)
         at = rng.uniform(0.0, palette.window)
-        magnitude = rng.uniform(palette.min_magnitude, palette.max_magnitude)
+        magnitude = rng.uniform(MIN_MAGNITUDE, palette.max_magnitude)
         if kind == RESCALE:
             # ``count`` carries the target parallelism for rescales.
             count = rng.randint(1, palette.rescale_max_parallelism)
             target = rng.choice(list(palette.rescale_targets))
         else:
-            count = rng.randint(1, palette.max_count)
+            count = rng.randint(1, MAX_COUNT)
             if kind in TASK_KINDS:
                 target = rng.choice(task_targets)
             else:

@@ -22,6 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.task import TaskSnapshot
     from repro.state.api import KeyedStateBackend
 
+#: incremental mode: completed checkpoints kept restorable; older chain
+#: links are compacted away once no retained (or unfinished) round needs them
+RETAINED_CHECKPOINTS = 2
 
 @dataclass
 class CheckpointRecord:
@@ -154,7 +157,7 @@ class CheckpointCoordinator:
     def _kept(self, task_name: str) -> list[DeltaSnapshot]:
         """The chain links of ``task_name`` a restore may still need: those
         of the retained completed rounds and of every round not completed."""
-        retained = self.completed[-max(1, self.config.retained_checkpoints) :]
+        retained = self.completed[-RETAINED_CHECKPOINTS:]
         rounds = [self.checkpoints[i] for i in (*retained, *self._uploads)]
         if self.pending is not None:
             rounds.append(self.pending)
@@ -181,28 +184,25 @@ class CheckpointCoordinator:
 
     def capture(
         self, task_name: str, backend: "KeyedStateBackend", checkpoint_id: int
-    ) -> tuple[dict[str, dict[Any, bytes]], DeltaSnapshot | None, float]:
-        """``backend``'s keyed state for a round as ``(full dict, chain link,
-        capture cost)``. In incremental mode a round's capture is a link —
-        full when the chain asks for a rebase, else the delta since the
-        previous capture — costing ``capture_cost_per_entry`` per captured
-        entry on the processing path. Out-of-band captures (standby mirrors
-        use negative ids) take the full dict and leave the chain alone."""
+    ) -> tuple[dict[str, dict[Any, bytes]], DeltaSnapshot | None]:
+        """``backend``'s keyed state for a round as ``(full dict, chain
+        link)``. In incremental mode a round's capture is a link — full when
+        the chain asks for a rebase, else the delta since the previous
+        capture. Out-of-band captures (standby mirrors use negative ids)
+        take the full dict and leave the chain alone."""
         store = self.store
         snapshotter = backend.snapshotter if store is not None else None
         if checkpoint_id < 0 or snapshotter is None:
-            return backend.snapshot(), None, 0.0
+            return backend.snapshot(), None
         full = store.wants_full(task_name)
         link = snapshotter.full_snapshot() if full else snapshotter.delta_snapshot()
-        cost = link.entry_count() * self.config.capture_cost_per_entry
         registry, prefix = self.registry, self.prefix
         if registry is not None:
-            # delta vs would-be-full volume, captured churn, capture cost
+            # delta vs would-be-full volume, captured churn
             registry.histogram(f"{prefix}/delta_bytes").record(link.size_bytes())
             registry.histogram(f"{prefix}/dirty_keys").record(link.entry_count())
             registry.histogram(f"{prefix}/full_bytes").record(backend.snapshot_bytes())
-            registry.histogram(f"{prefix}/capture_seconds").record(cost)
-        return {}, link, cost
+        return {}, link
 
     # --- restore -----------------------------------------------------------
     def restore_bytes(self, record: CheckpointRecord, task_names: set[str] | None = None) -> int:

@@ -296,16 +296,19 @@ class ChainedOperator(Operator):
             link._next = entry
 
     def _bind(self, ctx: OperatorContext) -> None:
-        if self._bound is not ctx:
-            self._bound = ctx
-            processing_time = getattr(ctx, "processing_time", None)
-            for link in self._links:
-                link._parent = ctx
-                link._last = (None, None, None, None)
-                if processing_time is not None:
-                    link.processing_time = processing_time
-            if self._in_place:
-                self._use_entries(False)  # a new context charges through add_cost
+        """Point every link at ``ctx``, a context other than the bound one.
+        Only ``open`` and ``record_entry`` (and ``process``, for a direct
+        driver) bind: a task passes the one context it opened the chain
+        with to every later call."""
+        self._bound = ctx
+        processing_time = getattr(ctx, "processing_time", None)
+        for link in self._links:
+            link._parent = ctx
+            link._last = (None, None, None, None)
+            if processing_time is not None:
+                link.processing_time = processing_time
+        if self._in_place:
+            self._use_entries(False)  # a new context charges through add_cost
 
     def record_entry(
         self, ctx: OperatorContext, add_in_place: bool = False
@@ -320,7 +323,8 @@ class ChainedOperator(Operator):
         ``process`` must run."""
         if type(self).process is not _PROCESS:
             return None
-        self._bind(ctx)
+        if self._bound is not ctx:
+            self._bind(ctx)
         if add_in_place != self._in_place:
             self._use_entries(add_in_place)
         return self._entries[0]
@@ -382,14 +386,14 @@ class ChainedOperator(Operator):
     # lifecycle
     # ------------------------------------------------------------------
     def open(self, ctx: OperatorContext) -> None:
-        self._bind(ctx)
+        if self._bound is not ctx:
+            self._bind(ctx)
         for op, link in zip(self.operators, self._links):
             op.open(link)
 
     def flush(self, ctx: OperatorContext) -> None:
         # Flush upstream-first so a member's flush output still traverses
         # the not-yet-flushed members after it.
-        self._bind(ctx)
         for op, link in zip(self.operators, self._links):
             op.flush(link)
 
@@ -405,35 +409,28 @@ class ChainedOperator(Operator):
             self._feed(0, record, ctx)
 
     def process_batch(self, batch: RecordBatch, ctx: OperatorContext) -> None:
-        self._bind(ctx)
         self._feed(0, batch, ctx)
 
     def on_watermark(self, watermark: Watermark, ctx: OperatorContext) -> None:
-        self._bind(ctx)
         self._feed(0, watermark, ctx)
 
     def on_heartbeat(self, heartbeat: Heartbeat, ctx: OperatorContext) -> None:
-        self._bind(ctx)
         self._feed(0, heartbeat, ctx)
 
     def on_punctuation(self, punctuation: Punctuation, ctx: OperatorContext) -> None:
-        self._bind(ctx)
         self._feed(0, punctuation, ctx)
 
     def on_element(self, element: StreamElement, ctx: OperatorContext) -> None:
-        self._bind(ctx)
         self._feed(0, element, ctx)
 
     # ------------------------------------------------------------------
     # timers — payloads carry (member_index, inner_payload)
     # ------------------------------------------------------------------
     def on_event_timer(self, timestamp: float, key: Any, payload: Any, ctx: OperatorContext) -> None:
-        self._bind(ctx)
         index, inner = payload
         self.operators[index].on_event_timer(timestamp, key, inner, self._links[index])
 
     def on_processing_timer(self, timestamp: float, key: Any, payload: Any, ctx: OperatorContext) -> None:
-        self._bind(ctx)
         index, inner = payload
         self.operators[index].on_processing_timer(timestamp, key, inner, self._links[index])
 
@@ -461,7 +458,6 @@ class ChainedOperator(Operator):
         """Pre-snapshot hook (see ``Task._release``): members
         flushing buffered work emit through their link so the output still
         traverses the rest of the chain ahead of the barrier."""
-        self._bind(ctx)
         for op, link in zip(self.operators, self._links):
             hook = getattr(op, "on_barrier", None)
             if hook is not None:

@@ -58,7 +58,6 @@ class TopologyManager:
                 if processing_cost is not None
                 else engine.config.default_processing_cost
             ),
-            timer_cost=engine.config.timer_cost,
             metrics=engine.metrics.for_task(f"{tap_name}[0]"),
             engine=engine,
         )

@@ -24,18 +24,12 @@ class FabricConfig:
             jobs drain long before this.
         max_events: kernel dispatch safety valve (livelock guard);
             ``None`` = unlimited.
-        compact_threshold: kernel lazy-compaction trigger — rebuild the
-            event heap when dead events exceed this fraction of it.
-        compact_min_dead: absolute dead-event floor below which the heap
-            is never compacted (avoids thrashing on small queues).
     """
 
     slots: int = 4
     quantum: float = 0.5
     horizon: float = 1e9
     max_events: int | None = None
-    compact_threshold: float = 0.5
-    compact_min_dead: int = 256
 
     def validate(self) -> None:
         """Raise :class:`FabricError` on out-of-range knob values."""
@@ -43,7 +37,3 @@ class FabricConfig:
             raise FabricError(f"fabric needs at least one slot, got {self.slots}")
         if self.quantum <= 0:
             raise FabricError(f"quantum must be positive, got {self.quantum}")
-        if not 0.0 < self.compact_threshold <= 1.0:
-            raise FabricError(
-                f"compact_threshold must be in (0, 1], got {self.compact_threshold}"
-            )

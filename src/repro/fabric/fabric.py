@@ -133,10 +133,7 @@ class JobFabric:
     def __init__(self, config: FabricConfig | None = None) -> None:
         self.config = config or FabricConfig()
         self.config.validate()
-        self.kernel = Kernel(
-            compact_threshold=self.config.compact_threshold,
-            compact_min_dead=self.config.compact_min_dead,
-        )
+        self.kernel = Kernel()
         #: one registry for every tenant; per-tenant prefixes are claimed at
         #: admission, so colliding job names fail fast
         self.registry = MetricRegistry("fabric")

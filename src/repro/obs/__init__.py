@@ -151,9 +151,9 @@ class Observability:
         )
         # Incremental checkpoint internals (chain store present only when
         # ``checkpoints.incremental`` is on). The per-capture histograms
-        # (delta_bytes, full_bytes, dirty_keys, capture_seconds,
-        # persist_seconds) are recorded by the checkpoint coordinator under
-        # the same ``job/checkpoint/0`` scope as captures happen.
+        # (delta_bytes, full_bytes, dirty_keys, persist_seconds) are recorded
+        # by the checkpoint coordinator under the same ``job/checkpoint/0``
+        # scope as captures happen.
         store = engine.coordinator.store
         if store is not None:
             prefix = f"{job}/checkpoint/0"

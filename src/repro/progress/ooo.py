@@ -110,6 +110,8 @@ class KSlackBufferOperator(Operator):
             return
         self._heap = list(snapshot["heap"])
         heapq.heapify(self._heap)
+        # later arrivals queue behind the restored ones on equal event times
+        self._seq = itertools.count(max((seq for _, seq, _ in self._heap), default=-1) + 1)
         self.k = snapshot["k"]
         self._max_seen = snapshot["max_seen"]
         self._released_up_to = snapshot["released"]

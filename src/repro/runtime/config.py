@@ -49,13 +49,6 @@ class CheckpointConfig:
     #: incremental mode: delta links allowed per chain segment before the
     #: next capture rebases (takes a full snapshot), bounding recovery replay
     max_chain_length: int = 8
-    #: incremental mode: completed checkpoints kept restorable; older chain
-    #: links are compacted away once a newer base covers the retained set
-    retained_checkpoints: int = 2
-    #: virtual seconds charged *on the processing path* per entry captured at
-    #: a barrier (dirty entries for a delta, all entries for a full snapshot);
-    #: 0.0 keeps capture free, isolating the persist-cost term
-    capture_cost_per_entry: float = 0.0
     #: abort an in-flight checkpoint that hasn't completed within this many
     #: virtual seconds (None = wait forever). Without a timeout, a lost
     #: barrier wedges the coordinator: the pending checkpoint never
@@ -68,8 +61,6 @@ class EngineConfig:
     seed: int = 0
     #: default virtual CPU seconds per element for operators that don't set one
     default_processing_cost: float = 2e-5
-    #: cost charged per fired timer
-    timer_cost: float = 5e-6
     #: credit-based flow control: per-channel credit capacity applied when an
     #: edge doesn't set one (None = unbounded channels, no backpressure)
     default_channel_capacity: int | None = None

@@ -348,7 +348,6 @@ class Engine:
             parallelism=head.parallelism,
             # Task prefers a bare operator's own cost over this one
             processing_cost=self._node_cost(head, head_operator),
-            timer_cost=self.config.timer_cost,
             metrics=metrics,
             engine=self,
         )

@@ -2,8 +2,8 @@
 
 The elasticity controller (survey §3.3, DS2-style) needs *useful time* per
 operator — the fraction of time a task spends doing work rather than waiting
-— plus observed input/output rates. Tasks update their
-:class:`TaskMetrics` inline.
+— plus observed input/output rates; it takes both from deltas of the
+cumulative :class:`TaskMetrics` counters, which tasks update inline.
 """
 
 from __future__ import annotations
@@ -25,51 +25,9 @@ class TaskMetrics:
     #: records (a batch counts its rows) that arrived while the task was
     #: dead or were shed; control elements lost with them are not records
     dropped: int = 0
-    started_at: float = 0.0
     finished_at: float | None = None
     failures: int = 0
     restored_at: list[float] = field(default_factory=list)
-    #: closed downtime accumulated over kill→reincarnate windows; a restored
-    #: task keeps its original ``started_at``, so rates must exclude the
-    #: dead intervals or a restore-then-finish sequence dilutes them
-    downtime: float = 0.0
-    #: kill time of the currently-open outage (None while the task is up)
-    down_since: float | None = None
-
-    def mark_down(self, now: float) -> None:
-        """Open an outage window (task killed)."""
-        if self.down_since is None:
-            self.down_since = now
-
-    def mark_up(self, now: float) -> None:
-        """Close the outage window (task reincarnated) and clear a stale
-        ``finished_at`` so post-restore rates use live elapsed time again."""
-        if self.down_since is not None:
-            self.downtime += now - self.down_since
-            self.down_since = None
-        self.finished_at = None
-
-    def lifetime(self, now: float) -> float:
-        """Seconds the task has actually been up (downtime excluded)."""
-        end = self.finished_at if self.finished_at is not None else now
-        alive = end - self.started_at - self.downtime
-        if self.down_since is not None and end > self.down_since:
-            alive -= end - self.down_since
-        return alive
-
-    def utilization(self, now: float) -> float:
-        """Busy fraction of lifetime so far (the DS2 'useful time' proxy)."""
-        elapsed = self.lifetime(now)
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
-
-    def observed_rate(self, now: float) -> float:
-        """Records consumed per second of lifetime."""
-        elapsed = self.lifetime(now)
-        if elapsed <= 0:
-            return 0.0
-        return self.records_in / elapsed
 
 
 @dataclass

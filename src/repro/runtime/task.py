@@ -114,6 +114,9 @@ class _MailboxItem:
 
 _new_handle = tuple.__new__
 
+#: virtual CPU seconds charged per fired timer
+TIMER_COST = 5e-6
+
 #: ``Task._busy_until`` outside a finite elided interval
 _IDLE = float("-inf")
 _EVENT_PENDING = float("inf")
@@ -177,7 +180,7 @@ def make(task, ctx, metrics, pending, mailbox, kernel, operator, backend, head, 
                 cost += task.processing_cost * units
             if timers_fired:
                 metrics.timers_fired += timers_fired
-                cost += timers_fired * task.timer_cost
+                cost += timers_fired * TIMER_COST
             @charge
         @end
     return _serve
@@ -251,7 +254,7 @@ if units:
     if seconds > 0.0:
         samples[process_path] = samples.get(process_path, 0.0) + seconds
 if timers_fired:
-    seconds = timers_fired * task.timer_cost
+    seconds = timers_fired * TIMER_COST
     if seconds > 0.0:
         samples[timers_path] = samples.get(timers_path, 0.0) + seconds
 if state_cost > 0.0:
@@ -353,6 +356,7 @@ def _factory(template: str, parts: dict[str, bool]) -> Callable[..., Any]:
         namespace = {
             "Record": Record, "TraceContext": TraceContext, "key_group_for": key_group_for,
             "outputs_clear": outputs_clear, "islice": itertools.islice, "_new_row": tuple.__new__,
+            "TIMER_COST": TIMER_COST,
         }
         exec(compile(source, filename, "exec"), namespace)
         factory = _FACTORIES[template, on] = namespace["make"]
@@ -460,7 +464,6 @@ class Task:
         subtask_index: int = 0,
         parallelism: int = 1,
         processing_cost: float = 2e-5,
-        timer_cost: float = 5e-6,
         metrics: TaskMetrics | None = None,
         engine: Any = None,
     ) -> None:
@@ -480,7 +483,6 @@ class Task:
         self.processing_cost = (
             operator.processing_cost if operator.processing_cost is not None else processing_cost
         )
-        self.timer_cost = timer_cost
         self.metrics = metrics or TaskMetrics(task_name=name)
         self.engine = engine
         #: the engine's checkpoint coordinator: capture format, acks, chain
@@ -564,8 +566,7 @@ class Task:
         self._compile()
 
     def start(self) -> None:
-        """Record start time and open the operator."""
-        self.metrics.started_at = self.kernel.now()
+        """Open the operator."""
         self._bind_emit()
         self.operator.open(self.ctx)
         self._compile()
@@ -777,18 +778,21 @@ class Task:
 
     def _compile(self) -> None:
         """Build ``_serve`` for the task's shape: which parts are attached
-        (a live rescale, key-group tracking, the tracer, the profiler), a
-        txn gate, and a chain head to call directly. Run when the task opens
+        (a live rescale of the task's own node, key-group tracking, the
+        tracer, the profiler), a txn gate, and a chain head to call
+        directly. A task that only receives from a rescaled node owns no
+        moved key, so its body has no rescale part. Run when the task opens
         or is revived and when a part attaches; with every part on, the
         output is the general body (DESIGN.md, "Compiled serve")."""
         operator = self.operator
+        rescale = self._rescale_state
         head = None
         if isinstance(operator, ChainedOperator):
             # the chain adds its member charges to extra_cost itself unless
             # add_cost was replaced on the context (then it must be called)
             head = operator.record_entry(self.ctx, add_in_place="add_cost" not in vars(self.ctx))
         parts = {
-            "rescale": self._rescale_state is not None,
+            "rescale": rescale is not None and rescale.reroutes(self),
             "keygroups": self._keygroup_counts is not None,
             "tracer": self._tracer is not None,
             "profiler": self._profiler is not None,
@@ -797,7 +801,7 @@ class Task:
         }
         self._serve = _factory(_SERVE, parts)(
             self, self.ctx, self.metrics, self._pending_output, self._mailbox, self.kernel,
-            operator, self.state_backend, head, self._rescale_state, self._keygroup_counts,
+            operator, self.state_backend, head, rescale, self._keygroup_counts,
             self._keygroup_maxp, self._tracer, self._profiler, self._flame_paths,
         )
 
@@ -1086,16 +1090,11 @@ class Task:
 
         The coordinator decides how keyed state is captured (see
         :meth:`~repro.checkpoint.coordinator.CheckpointCoordinator.capture`):
-        a full dict, or in incremental mode a chain link whose
-        O(captured-entries) capture cost is charged to the barrier element
-        via the cost model. Out-of-band captures (standby mirrors use
-        negative ids) always take the full dict.
+        a full dict, or in incremental mode a chain link. Out-of-band
+        captures (standby mirrors use negative ids) always take the full
+        dict.
         """
-        keyed_state, delta, cost = self.coordinator.capture(
-            self.name, self.state_backend, checkpoint_id
-        )
-        if cost:
-            self.ctx.add_cost(cost)
+        keyed_state, delta = self.coordinator.capture(self.name, self.state_backend, checkpoint_id)
         snapshot = TaskSnapshot(
             task_name=self.name,
             checkpoint_id=checkpoint_id,
@@ -1269,7 +1268,6 @@ class Task:
         # kill and the delayed restore.
         self.current_watermark = float("-inf")
         self.metrics.failures += 1
-        self.metrics.mark_down(self.kernel.now())
         if not self.state_backend.survives_task_failure:
             self.state_backend.clear_all()
 
@@ -1329,7 +1327,6 @@ class Task:
         self.dead = False
         self.finished = False
         self._settling = self._probing = False
-        self.metrics.mark_up(self.kernel.now())
         self.inputs.revive(self.kernel.now())
         self.current_watermark = float("-inf")
         self.operator.open(self.ctx)
@@ -1417,7 +1414,6 @@ class SourceTask(Task):
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self.metrics.started_at = self.kernel.now()
         self._next_arrival = self.kernel.now()
         self._start_timers()
         self._schedule_next()
@@ -1606,7 +1602,6 @@ class SourceTask(Task):
         on (at-most-once continues so; a restore then rewinds the offset)."""
         self.dead = False
         self.finished = False
-        self.metrics.mark_up(self.kernel.now())
         self.strategy = self.strategy.fresh()
         self._start_timers()
         self._next_arrival = self.kernel.now()

@@ -54,6 +54,10 @@ from repro.sim.clock import VirtualClock
 #: and :meth:`Kernel.cancel` takes it.
 TIME, SEQ, FN, ARGS, NS, GEN, IN_QUEUE = range(7)
 
+#: lazy compaction rebuilds the heap once dead events exceed this fraction
+#: of the queued ones (and the kernel's ``compact_min_dead`` floor)
+COMPACT_THRESHOLD = 0.5
+
 
 class _Namespace:
     """One job's event namespace; every event the job schedules carries it."""
@@ -84,7 +88,6 @@ class Kernel:
         self,
         clock: VirtualClock | None = None,
         same_time_bucket: bool = True,
-        compact_threshold: float = 0.5,
         compact_min_dead: int = 256,
     ) -> None:
         self.clock = clock or VirtualClock()
@@ -123,9 +126,8 @@ class Kernel:
         # --- lazy compaction ----------------------------------------------
         #: dead (cancelled or stale-generation) events still in queue/bucket
         self._dead_pending = 0
-        #: compact when dead events exceed this fraction of the queue ...
-        self.compact_threshold = compact_threshold
-        #: ... and this absolute floor (avoids thrashing on tiny queues)
+        #: compact when dead events exceed COMPACT_THRESHOLD of the queue
+        #: and this absolute floor (avoids thrashing on tiny queues)
         self.compact_min_dead = compact_min_dead
         #: number of compaction passes run (bench/regression visibility)
         self.compactions = 0
@@ -312,7 +314,7 @@ class Kernel:
         if self._dead_pending < self.compact_min_dead:
             return
         total = len(self._queue) + len(self._soon)
-        if self._dead_pending <= self.compact_threshold * total:
+        if self._dead_pending <= COMPACT_THRESHOLD * total:
             return
         self._compact()
 

@@ -34,6 +34,9 @@ from repro.runtime.metrics import RecoveryIncident
 from repro.supervision.regions import FailoverRegion, compute_failover_regions, region_of
 from repro.supervision.strategies import ExponentialBackoffRestart, RestartStrategy
 
+#: regional restores granted per failover region before escalating to global
+REGION_ATTEMPTS = 2
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fault.injection import FailureEvent, FailureInjector
     from repro.fault.standby import ActiveStandby
@@ -50,10 +53,6 @@ class SupervisorConfig:
     """
 
     strategy_factory: Callable[[], RestartStrategy] | None = None
-    #: restarts allowed per failover region before escalating to global
-    region_attempts: int = 2
-    #: promote an armed hot standby instead of restoring from checkpoint
-    prefer_standby: bool = True
 
 
 class Supervisor:
@@ -209,7 +208,7 @@ class Supervisor:
 
         # 1. Hot standby pre-empts checkpoint restore (single-task failures
         #    only: a node failure needs a coordinated multi-task restore).
-        if self.config.prefer_standby and len(failed) == 1:
+        if len(failed) == 1:
             standby = self._standbys.get(failed[0])
             if standby is not None and standby.armed:
                 report = standby.promote()
@@ -239,7 +238,7 @@ class Supervisor:
                 )
             )
             used = self._region_budget.get(key, 0)
-            if used < self.config.region_attempts:
+            if used < REGION_ATTEMPTS:
                 try:
                     resumed_at = engine.recover_region(region_names)
                 except (CheckpointError, RecoveryError):

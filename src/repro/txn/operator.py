@@ -27,6 +27,11 @@ from repro.core.operators.base import Operator, OperatorContext
 from repro.errors import TransactionAborted, TransactionError
 from repro.txn.store import StoreTxn, TxnStateStore
 
+#: virtual seconds charged to run a transaction body
+EXECUTE_COST = 5e-5
+#: NO-WAIT retries wait ``NOWAIT_BACKOFF * attempt`` virtual seconds
+NOWAIT_BACKOFF = 2e-4
+
 #: what may stand for a read or a write set in a ``(reads, writes)`` pair
 _KEY_COLLECTIONS = (set, frozenset, list, tuple)
 
@@ -58,9 +63,7 @@ class TransactOperator(Operator):
         self._ordered = config.locking == "ordered"
         if self._ordered and keys_fn is None:
             raise TransactionError("ordered locking requires keys_fn to declare the key set")
-        self._execute_cost = config.execute_cost
         self._max_retries = config.max_retries
-        self._nowait_backoff = config.nowait_backoff
         self.store = store
         self.body = body
         self.keys_fn = keys_fn
@@ -85,7 +88,7 @@ class TransactOperator(Operator):
 
     # ------------------------------------------------------------------
     def process(self, record: Any, ctx: OperatorContext) -> None:
-        ctx.add_cost(self._execute_cost)
+        ctx.add_cost(EXECUTE_COST)
         task = self._task
         value = record.value
         op_id = value if self.op_id_fn is None else self.op_id_fn(value)
@@ -115,7 +118,7 @@ class TransactOperator(Operator):
                 task.metrics.dropped += 1
                 self.store.release(task.name)
                 return
-            delay = self._nowait_backoff * (tries + 1)
+            delay = NOWAIT_BACKOFF * (tries + 1)
             task.kernel.call_after(delay, self._attempt_nowait, op_id, tries + 1, incarnation)
             return
         except Exception:

@@ -13,7 +13,7 @@ keys across multiple partitions. Two locking disciplines are provided:
   but requires no declared key set.
 
 Commits are *deferred on the virtual clock*: committing costs
-``commit_base_cost + commit_cost_per_partition * (partitions_touched - 1)``,
+``COMMIT_BASE_COST + COMMIT_COST_PER_PARTITION * (partitions_touched - 1)``,
 modelling the 2PC round-trips a multi-partition commit would need. The
 window between execute and commit is where real interleavings (and hence
 serializability hazards) appear in the simulation.
@@ -67,32 +67,26 @@ _ACTIVE = TxnStatus.ACTIVE
 _SHARED = LockMode.SHARED
 _EXCLUSIVE = LockMode.EXCLUSIVE
 
+#: virtual seconds a single-partition commit takes, and what each further
+#: partition the transaction touched adds (the 2PC round-trips)
+COMMIT_BASE_COST = 2e-4
+COMMIT_COST_PER_PARTITION = 1e-4
+
 
 @dataclass(frozen=True)
 class TxnConfig:
     """Knobs for the transactional state store.
 
-    ``locking`` picks the discipline (``"ordered"`` | ``"nowait"``); the
-    commit costs price the deferred multi-partition commit on the virtual
-    clock; ``nowait_backoff`` spaces NO-WAIT retries (linear backoff,
-    ``backoff * attempt``). Frozen: a store reads it once, at construction."""
+    ``locking`` picks the discipline (``"ordered"`` | ``"nowait"``);
+    ``max_retries`` bounds a NO-WAIT record's attempts. Frozen: a store
+    reads it once, at construction."""
 
     locking: str = "ordered"
-    execute_cost: float = 5e-5
-    commit_base_cost: float = 2e-4
-    commit_cost_per_partition: float = 1e-4
-    nowait_backoff: float = 2e-4
     max_retries: int = 25
-    read_locks_shared: bool = True
 
     def __post_init__(self) -> None:
         if self.locking not in ("ordered", "nowait"):
             raise TransactionError(f"unknown locking discipline {self.locking!r}")
-        costs = ("execute_cost", "commit_base_cost", "commit_cost_per_partition", "nowait_backoff")
-        for name in costs:
-            value = getattr(self, name)
-            if not value >= 0:  # NaN fails too
-                raise TransactionError(f"{name} must be >= 0, got {value!r}")
         if self.max_retries < 1:
             raise TransactionError(f"max_retries must be >= 1, got {self.max_retries!r}")
 
@@ -160,7 +154,7 @@ class StoreTxn:
                 raise TransactionError(
                     f"txn {self.txn_id}: read of undeclared key {key!r} under ordered locking"
                 )
-            store._acquire_nowait(self, key, store._read_mode)
+            store._acquire_nowait(self, key, _SHARED)
         memo = store._partition_memo
         part = memo[key] if key in memo else store.partition_of(key)
         self.touched_partitions.add(part)
@@ -237,11 +231,8 @@ class TxnStateStore:
         self.name = name
         self.partitions = partitions
         self.config = config = config or TxnConfig()
-        #: the discipline and commit prices, read once (the config is frozen)
+        #: the discipline, read once (the config is frozen)
         self._ordered = config.locking == "ordered"
-        self._read_mode = _SHARED if config.read_locks_shared else _EXCLUSIVE
-        self._commit_base_cost = config.commit_base_cost
-        self._commit_cost_per_partition = config.commit_cost_per_partition
         self._data: list[dict] = [dict() for _ in range(partitions)]
         #: key -> partition memo: a transaction asks six times per key and
         #: the answer hashes with blake2b. One int per distinct key asked
@@ -365,11 +356,10 @@ class TxnStateStore:
         waiting = self._waiters
         held = txn.locks
         writes = txn.declared_writes
-        read_mode = self._read_mode
         txn_id = txn.txn_id
         for index in range(index, len(plan)):  # acquire()'s grant rule, inline
             key = plan[index]
-            mode = _EXCLUSIVE if key in writes else read_mode
+            mode = _EXCLUSIVE if key in writes else _SHARED
             if key not in table:
                 table[key] = {txn_id: mode}
             elif key in waiting or not _compatible(table[key], txn_id, mode):
@@ -393,7 +383,7 @@ class TxnStateStore:
         read∩write keys) take X directly — no S→X upgrades, ever."""
         writes = txn.declared_writes
         return [
-            (key, _EXCLUSIVE if key in writes else self._read_mode)
+            (key, _EXCLUSIVE if key in writes else _SHARED)
             for key in sorted(txn.declared_reads | writes, key=repr)
         ]
 
@@ -535,7 +525,7 @@ class TxnStateStore:
     def commit_cost(self, txn: StoreTxn) -> float:
         """Virtual seconds a commit costs: base + per extra partition."""
         parts = max(1, len(txn.touched_partitions))
-        return self._commit_base_cost + self._commit_cost_per_partition * (parts - 1)
+        return COMMIT_BASE_COST + COMMIT_COST_PER_PARTITION * (parts - 1)
 
     def finish_attempt(
         self, txn: StoreTxn, done: Callable[..., None] | None = None, *args: Any

@@ -16,7 +16,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.checkpoint.coordinator import CheckpointCoordinator
+from repro.checkpoint.coordinator import RETAINED_CHECKPOINTS, CheckpointCoordinator
 from repro.runtime.config import CheckpointConfig
 from repro.runtime.task import TaskSnapshot
 from repro.state import InMemoryStateBackend
@@ -24,16 +24,13 @@ from repro.state.api import StateDescriptor
 
 TASKS = ("a", "b", "c")
 KEYS = range(4)
-RETAINED = 2
 DESCRIPTOR = StateDescriptor("v")
 
 
 class CoordinatorProtocol(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        config = CheckpointConfig(
-            incremental=True, max_chain_length=3, retained_checkpoints=RETAINED
-        )
+        config = CheckpointConfig(incremental=True, max_chain_length=3)
         self.coordinator = CheckpointCoordinator(config, self._persist)
         self.factory = self.coordinator.backend_factory(InMemoryStateBackend)
         self.backends = {name: self._fresh() for name in TASKS}
@@ -92,7 +89,7 @@ class CoordinatorProtocol(RuleBasedStateMachine):
         self.next_id += 1
 
     def _capture_and_ack(self, task: str, checkpoint_id: int) -> None:
-        keyed, delta, _cost = self.coordinator.capture(task, self.backends[task], checkpoint_id)
+        keyed, delta = self.coordinator.capture(task, self.backends[task], checkpoint_id)
         assert keyed == {} and delta is not None
         self.captured[(task, checkpoint_id)] = dict(self.state[task])
         snapshot = TaskSnapshot(task, checkpoint_id, keyed, None, [], 0.0, delta=delta)
@@ -197,7 +194,7 @@ class CoordinatorProtocol(RuleBasedStateMachine):
     @invariant()
     def restorable_chains_start_full_and_restore_the_capture(self):
         store = self.coordinator.store
-        live = [*self.completed[-RETAINED:], *self.persisting, *self.doomed]
+        live = [*self.completed[-RETAINED_CHECKPOINTS:], *self.persisting, *self.doomed]
         if self.pending is not None:
             live.append(self.pending)
         for checkpoint_id in live:

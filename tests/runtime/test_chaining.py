@@ -7,6 +7,8 @@ answers as unfused plans, and that state scoping / timers / checkpoints /
 recovery all survive fusion.
 """
 
+import hashlib
+
 import pytest
 
 from helpers import StubContext, emitted_values
@@ -358,3 +360,52 @@ class TestChainedRecovery:
         assert record.complete
         # One snapshot per live task — the fused task snapshots all members.
         assert len(record.snapshots) == len(engine.tasks)
+
+
+class TestBindOnce:
+    def test_a_chain_binds_once_per_start_or_revive(self, monkeypatch):
+        """A task hands its chain the one context it opened it with, so a
+        columnar chained job binds each chain instance once: two fused
+        tasks, started and then revived by a global restore, bind four
+        times, and the rows stay those of the per-element bind."""
+        from repro.windows.assigners import TumblingEventTimeWindows
+
+        bound = []
+        bind = ChainedOperator._bind
+
+        def counted(self, ctx):
+            bound.append(self)
+            bind(self, ctx)
+
+        monkeypatch.setattr(ChainedOperator, "_bind", counted)
+        config = EngineConfig(
+            seed=5,
+            chaining_enabled=True,
+            columnar_batch_size=16,
+            checkpoints=CheckpointConfig(interval=0.05),
+        )
+        env = StreamExecutionEnvironment(config, name="bind")
+        sink = CollectSink("out")
+        (
+            env.from_workload(SensorWorkload(count=600, rate=4000.0, key_count=4, seed=5))
+            .map(lambda v: v, name="pre")
+            .key_by(field_selector("sensor"))
+            .window(TumblingEventTimeWindows(0.05))
+            .aggregate(create=lambda: 0, add=lambda acc, _v: acc + 1, name="window-count")
+            .map(lambda v: v, name="pass")
+            .sink(sink, parallelism=1)
+        )
+        engine = env.build()
+        assert len(fused_tasks(engine)) == 2
+
+        def fail():
+            engine.kill_task("window-count->pass->out[0]")
+            engine.recover_from_checkpoint()
+
+        engine.kernel.call_at(0.11, fail)
+        env.execute(until=30.0)
+        assert len(bound) == len(set(map(id, bound))) == 4
+        rows = [(r.value, r.event_time, r.emitted_at, r.key) for r in sink.results]
+        assert len(rows) == 12
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "801e6165711ffed4"
+        assert engine.kernel.dispatched_events == 188

@@ -1,17 +1,25 @@
-"""``EngineConfig``: its fields, the values that switch a mode on, and the
-values it refuses."""
+"""``EngineConfig``: the values that switch a mode on and the values it
+refuses; and the pin of every config class's settable values, which the
+README knob tables must name."""
 
 import dataclasses
+import inspect
 import os
+import re
 import sys
 
 import pytest
 
+from repro.chaos.schedule import PaletteConfig
 from repro.core.datastream import StreamExecutionEnvironment
 from repro.core.graph import ChannelSpec
 from repro.errors import GraphError
+from repro.fabric.config import FabricConfig
 from repro.io import CollectSink, CollectionWorkload
-from repro.runtime.config import EngineConfig
+from repro.runtime.config import CheckpointConfig, EngineConfig
+from repro.sim.kernel import Kernel
+from repro.supervision.supervisor import SupervisorConfig
+from repro.txn.store import TxnConfig
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 if _ROOT not in sys.path:
@@ -33,11 +41,12 @@ def _run(config):
     return engine, sink
 
 
-def test_fields():
-    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+#: every settable value of the config classes and of the kernel: a new knob
+#: edits this pin, and DESIGN.md ("Knobs that stay") names who sets it
+KNOBS = {
+    EngineConfig: [
         "seed",
         "default_processing_cost",
-        "timer_cost",
         "default_channel_capacity",
         "max_parallelism",
         "state_backend_factory",
@@ -48,7 +57,76 @@ def test_fields():
         "latency_marker_period",
         "trace_sample_rate",
         "profiling_enabled",
-    ]
+    ],
+    CheckpointConfig: [
+        "interval",
+        "mode",
+        "write_cost_per_byte",
+        "write_base_cost",
+        "incremental",
+        "max_chain_length",
+        "timeout",
+    ],
+    TxnConfig: ["locking", "max_retries"],
+    SupervisorConfig: ["strategy_factory"],
+    FabricConfig: ["slots", "quantum", "horizon", "max_events"],
+    PaletteConfig: [
+        "kinds",
+        "min_faults",
+        "max_faults",
+        "window",
+        "max_magnitude",
+        "rescale_targets",
+        "rescale_max_parallelism",
+    ],
+    Kernel: ["clock", "same_time_bucket", "compact_min_dead"],
+}
+
+#: README knob-table sections, by the class whose settings they list
+README_TABLES = {
+    "Fast-path dispatch knobs": EngineConfig,
+    "Columnar execution knobs": EngineConfig,
+    "Observability knobs": EngineConfig,
+    "Incremental checkpointing knobs": CheckpointConfig,
+    "Transactional state knobs": TxnConfig,
+    "Supervised recovery knobs": SupervisorConfig,
+    "Multi-tenant fabric knobs": FabricConfig,
+}
+
+
+def _settable(cls) -> list[str]:
+    if dataclasses.is_dataclass(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+    return [name for name in inspect.signature(cls.__init__).parameters if name != "self"]
+
+
+def test_fields():
+    assert {cls: _settable(cls) for cls in KNOBS} == KNOBS
+
+
+def _readme_rows():
+    """(section, knob name) for each row of the README knob tables above; a
+    row naming another callable (``submit(env, weight=...)``) is skipped."""
+    section = None
+    with open(os.path.join(_ROOT, "README.md"), encoding="utf-8") as handle:
+        for line in handle:
+            if line.startswith("#"):
+                section = next((s for s in README_TABLES if s in line), None)
+            elif section is not None and line.startswith("| `"):
+                owner = README_TABLES[section].__name__
+                for token in re.findall(r"`([^`]*)`", line.split("|")[1]):
+                    call = re.fullmatch(r"(\w+)\((\w+)=\.\.\.\)", token)
+                    if call is not None and call.group(1) == owner:
+                        yield section, call.group(2)
+                    elif re.fullmatch(r"\w+", token):
+                        yield section, token
+
+
+def test_readme_knob_rows_name_pinned_fields():
+    rows = list(_readme_rows())
+    assert {section for section, _ in rows} == set(README_TABLES)
+    stale = [(s, name) for s, name in rows if name not in KNOBS[README_TABLES[s]]]
+    assert not stale
 
 
 def test_a_capacity_bounds_every_unspecified_channel():

@@ -17,6 +17,7 @@ charge or timestamp fails a case here.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.core.graph import ChannelSpec
 from repro.core.keys import field_selector
 from repro.fault.upstream import UpstreamBackup
 from repro.io import CollectSink, SensorWorkload
-from repro.load.migration import Rescaler
+from repro.load.migration import RescaleState, Rescaler
 from repro.runtime.config import EngineConfig
 from repro.state.lsm import LSMStateBackend
 
@@ -191,3 +192,28 @@ PINS = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_hop_matches_pin(name):
     assert CASES[name]() == PINS[name]
+
+
+def test_rescale_receivers_call_no_owner(monkeypatch):
+    """Only the rescaled node's own tasks can hold a record whose key moved:
+    a task that merely receives from it (the sink) serves its records
+    without asking ``RescaleState.owner``, to the end of the job."""
+    calls = Counter()
+    owner = RescaleState.owner
+
+    def counted(self, task, key):
+        calls[task.name] += 1
+        return owner(self, task, key)
+
+    monkeypatch.setattr(RescaleState, "owner", counted)
+    env, engine, sink = _job(count=3000)
+    rescaler = Rescaler(engine)
+    engine.kernel.call_at(0.05, lambda: rescaler.rescale("count", 3))
+    env.execute(until=30.0)
+    members = {task.name for task in engine.tasks_of("count")}
+    assert calls and set(calls) <= members
+    assert engine.tasks["out[0]"].rescale_state is not None  # it still gates its finish
+    assert _observe(engine, sink) == {
+        "events": 24226, "rows": (3000, "f4902d5f69e75b75"),
+        "tasks": "4f6b2820a6d99cd5", "flame": "4f53cda18c2baa0c", "extra": "dc937b59892604f5",
+    }

@@ -70,14 +70,6 @@ class TestWiring:
                 assert not snapshot.keyed_state
                 assert snapshot.size_bytes() == snapshot.delta.size_bytes() + 64
 
-    def test_capture_cost_charged_on_processing_path(self):
-        env, _sink = keyed_count_env(incremental_config(capture_cost_per_entry=1e-4))
-        engine = env.build()
-        env.execute()
-        histogram = engine.obs.registry.histogram("t/checkpoint/0/capture_seconds")
-        assert histogram.count > 0
-        assert histogram.max > 0.0
-
 
 class TestChainBounds:
     def test_rebase_bounds_segment_length(self):
@@ -89,9 +81,8 @@ class TestChainBounds:
         assert store.max_segment_length() <= 3
 
     def test_compaction_prunes_dead_links(self):
-        env, _sink = keyed_count_env(
-            incremental_config(max_chain_length=2, retained_checkpoints=1), count=800
-        )
+        # 32 rounds: most fall behind the RETAINED_CHECKPOINTS window
+        env, _sink = keyed_count_env(incremental_config(max_chain_length=2), count=1600)
         engine = env.build()
         env.execute()
         store = engine.coordinator.store

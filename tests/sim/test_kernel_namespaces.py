@@ -131,7 +131,7 @@ class TestCancelJob:
 
 class TestCompaction:
     def test_mass_cancellation_triggers_compaction(self):
-        kernel = Kernel(compact_min_dead=64, compact_threshold=0.5)
+        kernel = Kernel(compact_min_dead=64)
         events = []
         for i in range(200):
             events.append(kernel.call_at(100.0 + i, lambda: None))
@@ -144,7 +144,7 @@ class TestCompaction:
         assert kernel.dead_pending < kernel.compact_min_dead
 
     def test_compaction_below_threshold_is_deferred(self):
-        kernel = Kernel(compact_min_dead=64, compact_threshold=0.5)
+        kernel = Kernel(compact_min_dead=64)
         events = [kernel.call_at(100.0 + i, lambda: None) for i in range(200)]
         for event in events[:80]:  # 80 dead of 200 = 40% < 50%
             kernel.cancel(event)
@@ -152,10 +152,11 @@ class TestCompaction:
         assert kernel.dead_pending == 80
 
     def test_compaction_preserves_dispatch_order(self):
-        kernel = Kernel(compact_min_dead=8, compact_threshold=0.1)
+        kernel = Kernel(compact_min_dead=8)
         seen = []
         keep = [kernel.call_at(float(i), lambda i=i: seen.append(i)) for i in range(20)]
-        doomed = [kernel.call_at(0.5 + i, lambda: seen.append("dead")) for i in range(20)]
+        # 26 dead of 50 queued crosses COMPACT_THRESHOLD (0.5)
+        doomed = [kernel.call_at(0.5 + i, lambda: seen.append("dead")) for i in range(30)]
         for event in doomed:
             kernel.cancel(event)
         assert kernel.compactions >= 1
@@ -168,7 +169,7 @@ class TestCompaction:
         at every subsequent pop. With threshold compaction, dispatching K
         live events after cancelling N >> K dead ones must not walk the
         dead ones: the kernel sweeps them in one pass instead."""
-        kernel = Kernel(compact_min_dead=256, compact_threshold=0.5)
+        kernel = Kernel()
         dead = [kernel.call_at(1e6 + i, lambda: None) for i in range(50_000)]
         live_ran = []
         for i in range(100):

@@ -20,6 +20,7 @@ from repro.supervision import (
     Supervisor,
     SupervisorConfig,
 )
+from repro.supervision.supervisor import REGION_ATTEMPTS
 
 EVENTS = 120
 
@@ -85,17 +86,17 @@ class TestRegionalEscalation:
         Supervisor(
             engine,
             injector,
-            SupervisorConfig(
-                strategy_factory=lambda: FixedDelayRestart(delay=1e-3),
-                region_attempts=1,
-            ),
+            SupervisorConfig(strategy_factory=lambda: FixedDelayRestart(delay=1e-3)),
         )
+        # one kill per regional restore the budget grants, then one more
+        assert REGION_ATTEMPTS == 2
         injector.schedule_kill("double[0]", at=0.04)
         injector.schedule_kill("double[0]", at=0.12)
+        injector.schedule_kill("double[0]", at=0.2)
         engine.run(until=30.0)
         assert engine.job_finished
         scopes = [i.scope for i in engine.metrics.recovery.incidents]
-        assert scopes == ["region", "global"]
+        assert scopes == ["region", "region", "global"]
 
     def test_node_failure_coalesces_into_one_global_incident(self):
         engine, injector, _sink = build_sliced()
@@ -169,18 +170,6 @@ class TestStandbyPreemption:
         assert engine.tasks["src[1]"].incarnation == 0
         counts = value_counts(sink)
         assert all(counts[v * 2] >= 2 for v in range(EVENTS))
-
-    def test_prefer_standby_false_falls_back_to_region(self):
-        engine, injector, _sink = build_sliced()
-        supervisor = Supervisor(
-            engine, injector, SupervisorConfig(prefer_standby=False)
-        )
-        standby = ActiveStandby(engine, "double[0]")
-        standby.arm()
-        supervisor.register_standby(standby)
-        injector.schedule_kill("double[0]", at=0.05)
-        engine.run(until=30.0)
-        assert engine.metrics.recovery.incidents[0].scope == "region"
 
 
 class TestNoCheckpoints:
