@@ -169,7 +169,8 @@ def functions(src: str) -> list[dict]:
 def record(commands: list[list[str]], src: str, cwd: str) -> set[tuple[str, int, str]]:
     """Run each command with the recorder; return every ``(file, line, name)`` hit
     under ``src``. A command's exit status is reported, not fatal: a failing
-    run still reached what it reached."""
+    run still reached what it reached. Its captured output follows the
+    report, so a failing run names what failed."""
     src = os.path.abspath(src)
     with tempfile.TemporaryDirectory() as hook_dir, tempfile.TemporaryDirectory() as out_dir:
         with open(os.path.join(hook_dir, "sitecustomize.py"), "w") as fh:
@@ -181,9 +182,12 @@ def record(commands: list[list[str]], src: str, cwd: str) -> set[tuple[str, int,
         env["REACH_SRC"] = src + os.sep
         env["REACH_OUT"] = out_dir
         for command in commands:
-            status = subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL).returncode
-            if status != 0:
-                print(f"reach: exit {status}: {' '.join(command)}", file=sys.stderr)
+            run = subprocess.run(
+                command, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
+            )
+            if run.returncode != 0:
+                print(f"reach: exit {run.returncode}: {' '.join(command)}", file=sys.stderr)
+                print(run.stdout, end="", file=sys.stderr)
         hits: set[tuple[str, int, str]] = set()
         for path in glob.glob(os.path.join(out_dir, "*.json")):
             with open(path) as fh:

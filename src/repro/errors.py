@@ -40,6 +40,12 @@ class CheckpointError(ReproError):
     """Raised when a checkpoint cannot be taken or restored."""
 
 
+class LoopSnapshotError(CheckpointError):
+    """Raised at build for an exactly-once job with checkpoints and a
+    feedback edge: records in flight around a loop are not part of a
+    snapshot yet, so a restore would lose them."""
+
+
 class RecoveryError(ReproError):
     """Raised when fault recovery cannot complete (no snapshot, no standby)."""
 

@@ -25,6 +25,7 @@ from repro.core.operators.chain import ChainedOperator
 from repro.errors import (
     CheckpointError,
     GraphError,
+    LoopSnapshotError,
     RecoveryError,
     RuntimeStateError,
     TransientFault,
@@ -33,7 +34,7 @@ from repro.io.sinks import TransactionalSink
 from repro.obs import Observability
 from repro.progress.watermarks import NoWatermarks, WatermarkStrategy
 from repro.runtime.channel import OutputGate, PhysicalChannel
-from repro.runtime.config import CheckpointMode, EngineConfig
+from repro.runtime.config import CheckpointMode, EngineConfig, GuaranteeLevel
 from repro.runtime.metrics import JobMetrics
 from repro.runtime.task import SourceTask, Task, TaskSnapshot
 from repro.sim.kernel import Kernel, PeriodicTimer
@@ -197,6 +198,14 @@ class Engine:
         self.latest_checkpoint = self.coordinator.latest
         self.restore_bytes = self.coordinator.restore_bytes
         graph.validate()
+        if self.config.guarantee is GuaranteeLevel.EXACTLY_ONCE and self.config.checkpoints is not None:
+            for edge in graph.edges:
+                if edge.is_feedback:
+                    source, target = graph.nodes[edge.source_id].name, graph.nodes[edge.target_id].name
+                    raise LoopSnapshotError(
+                        f"feedback edge {source} -> {target}: an exactly-once job with checkpoints "
+                        "cannot snapshot the records in flight around a loop"
+                    )
         self._build()
         for task in self.planned_tasks():
             self.obs.attach_task(task)
@@ -407,7 +416,12 @@ class Engine:
             raise RuntimeStateError("engine already started")
         self._started = True
         with self._job_scope():
-            order = self.graph.topological_order()
+            # the nodes fused into one task share it: start it with the head
+            order = [
+                node
+                for node in self.graph.topological_order()
+                if self._chained_nodes.get(node.node_id, [node])[0] is node
+            ]
             for node in order:
                 if not node.is_source:
                     for task in self.node_tasks[node.node_id]:

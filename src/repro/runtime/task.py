@@ -130,65 +130,57 @@ _EVENT_PENDING = float("inf")
 # the fragment of that name, indented where it stands. The template with
 # every part on is the general body.
 
-#: ``Task._serve``: a record in this frame, anything else through
-#: ``_handle_item``; then the charges and the end of the service
+#: ``Task``'s run loop: ``deliver`` (an element arrives), ``_complete`` (a
+#: service ends), ``_process_next`` (an idle task pulls) and
+#: ``flush_outputs``; each of the first three serves what it starts in its
+#: own frame
 _SERVE = """\
-def make(task, ctx, metrics, pending, mailbox, kernel, operator, backend, head, rescale, counts, maxp, tracer, profiler, flame_paths):
+def make(task, ctx, metrics, outbox, mailbox, gates, kernel, clock, operator, backend, head, rescale, counts, maxp, tracer, profiler, flame_paths):
     stats = backend.stats
-    def _serve(channel_index, element, via, started):
-        if type(element) is Record or isinstance(element, Record):  # exact type first: no call
-            key = element[2]
-            if key is not None and (owner := rescale.owner(task, key)) is not None and owner is not task:  # [rescale]
-                # Key ownership moved (live migration): forward the record  # [rescale]
-                # instead of processing it against empty state.  # [rescale]
-                owner.enqueue_local(element)  # [rescale]
-                cost = 0.0  # [rescale]
-                @end  # [rescale]
-                return  # [rescale]
-            reads_before = stats.reads
-            writes_before = stats.writes
-            metrics.records_in += 1
-            if key is not None:  # [keygroups]
-                group = key_group_for(key, maxp)  # [keygroups]
-                counts[group] = counts.get(group, 0) + 1  # [keygroups]
-            if element[5] is not None:  # [tracer]
-                task._active_span = tracer.begin(task.name, element[5], started)  # [tracer]
-                task._trace_mark = len(pending)  # [tracer]
-            if element[5] is None and type(element) is Record:  # [chain]
-                head(element, ctx)  # the chain's entry sets the key first  # [chain]
-            else:  # [chain]
-                ctx.current_key_value = key  # [chain]
-                operator.process(element, ctx)  # [chain]
-            ctx.current_key_value = key  # [!chain]
-            operator.process(element, ctx)  # [!chain]
-            # one unit, no timer fired
-            cost = task.processing_cost
-            units, timers_fired = 1, 0  # [profiler]
-            @charge
-            @end
+    feedback, blocked = task.inputs.feedback, task.inputs.blocked
+    def deliver(channel_index, element, via=None):
+        if task.dead or task.finished or feedback and channel_index in feedback:
+            task._deliver_rare(channel_index, element, via)
             return
-        reads_before = stats.reads
-        writes_before = stats.writes
-        units, timers_fired = task._handle_item(channel_index, element)
-        # Each term is accounted only when there is one: most inputs touch
-        # no state and fire no timer, and x + 0.0 is x.
-        cost = 0.0
-        if units is not None:
-            if units:
-                # One unit per record/timer; a batch charges the same
-                # per-record model cost in a single multiply.
-                cost += task.processing_cost * units
-            if timers_fired:
-                metrics.timers_fired += timers_fired
-                cost += timers_fired * TIMER_COST
-            @charge
-        @end
-    return _serve
+        busy_until = task._busy_until
+        if busy_until == _EVENT_PENDING:
+            # In service, its completion (or dispatch hop) pending: that
+            # event pulls this element.
+            mailbox.append(_MailboxItem(channel_index, element, via))
+            return
+        started = clock._now  # [!gate]
+        if started > busy_until and not mailbox and not blocked and not (task._suspended or task._output_blocked):  # [!gate]
+            # Idle and unheld: _process_next would pop this very element  # [!gate]
+            # at once, so it is served without queueing.  # [!gate]
+            task._busy_until = _EVENT_PENDING  # [!gate]
+            @serve  # [!gate]
+            return  # [!gate]
+        mailbox.append(_MailboxItem(channel_index, element, via))
+        task._maybe_schedule()
+    def _complete(via, incarnation):
+        if incarnation != task.incarnation:
+            return
+        if outbox or task._side_pending:
+            @flush
+        if via is not None:
+            via.return_credit()  # the served element's credit
+        task._busy_until = _IDLE
+        @decide
+        @pop
+    def _process_next(incarnation):
+        if incarnation != task.incarnation or task.dead or task.finished:
+            return
+        if task._busy_until != _EVENT_PENDING:  # else a txn task's dispatch hop: the decision is made
+            @decide
+        @pop
+    def flush_outputs():
+        @flush
+    return {"deliver": deliver, "_complete": _complete, "_process_next": _process_next, "flush_outputs": flush_outputs}
 """
 
 #: ``SourceTask._emit_due`` (the emission timer) and ``_schedule_next``
 _EMIT = """\
-def make(task, ctx, metrics, clock, kernel, tracer):
+def make(task, ctx, metrics, outbox, gates, clock, kernel, tracer):
     def _emit_due(incarnation):
         if incarnation != task.incarnation or task.dead or task.finished:
             return
@@ -197,7 +189,7 @@ def make(task, ctx, metrics, clock, kernel, tracer):
             # Not due yet (an unblock or stale timer poked us early); the
             # timer scheduled for the due time will deliver it.
             return
-        if task._output_blocked or not outputs_clear(task.output_gates):
+        if task._output_blocked or not outputs_clear(gates):
             # Backpressured: wait for output_unblocked() to call us back.
             task._output_blocked = True
             if task._blocked_since is None:
@@ -217,6 +209,100 @@ def make(task, ctx, metrics, clock, kernel, tracer):
 
 #: the fragments both templates inline by name
 _FRAGMENTS = {
+    # Whether an idle task may pull: not while held, nor with nothing queued
+    # (then a settling task decides whether it finished). Pulling inline
+    # moves its next process() ahead of events already queued for this
+    # instant; other tasks' deliveries and completions commute with it, and
+    # for same-instant control aimed at this task (kill, suspend, a
+    # mailbox_size sample) the golden, macro and chaos suites show no output
+    # moves. A txn task is the measured exception (its next txn would pass a
+    # sibling's same-instant commit or lock release): it keeps a call_soon
+    # hop unless the kernel has nothing else queued at now.
+    "decide": """\
+if not mailbox:
+    if task._settling and not (task.finished or task._suspended or task._output_blocked):
+        task._settle()  # the mailbox drained
+    return
+if task.finished or task._suspended or task._output_blocked:
+    return
+task._busy_until = _EVENT_PENDING
+if not kernel.idle_at_now():  # [gate]
+    kernel.call_soon(task._process_next, incarnation)  # [gate]
+    return  # [gate]
+""",
+    # pull the next mailbox item and serve it
+    "pop": """\
+item = None
+if not blocked:
+    if mailbox:
+        item = mailbox.popleft()
+else:
+    # Hold back elements from inputs blocked by barrier alignment.
+    held = task.inputs.buffer
+    while mailbox:
+        candidate = mailbox.popleft()
+        if candidate.channel_index in blocked and not isinstance(candidate.element, CheckpointBarrier):
+            held.append(candidate)
+            continue
+        item = candidate
+        break
+if item is None:
+    task._busy_until = _IDLE
+    return
+channel_index, element, via, started = item.channel_index, item.element, item.via, clock._now
+@serve
+""",
+    # the service: a record in this frame, anything else through
+    # ``_handle_item``; then the charges and the end of the service
+    "serve": """\
+if type(element) is Record or isinstance(element, Record):  # exact type first: no call
+    key = element[2]
+    if key is not None and (owner := rescale.owner(task, key)) is not None and owner is not task:  # [rescale]
+        # Key ownership moved (live migration): forward the record  # [rescale]
+        # instead of processing it against empty state.  # [rescale]
+        owner.enqueue_local(element)  # [rescale]
+        cost = 0.0  # [rescale]
+        @end  # [rescale]
+        return  # [rescale]
+    reads_before = stats.reads
+    writes_before = stats.writes
+    metrics.records_in += 1
+    if key is not None:  # [keygroups]
+        group = key_group_for(key, maxp)  # [keygroups]
+        counts[group] = counts.get(group, 0) + 1  # [keygroups]
+    if element[5] is not None:  # [tracer]
+        task._active_span = tracer.begin(task.name, element[5], started)  # [tracer]
+        task._trace_mark = len(outbox)  # [tracer]
+    if element[5] is None and type(element) is Record:  # [chain]
+        head(element, ctx)  # the chain's entry sets the key first  # [chain]
+    else:  # [chain]
+        ctx.current_key_value = key  # [chain]
+        operator.process(element, ctx)  # [chain]
+    ctx.current_key_value = key  # [!chain]
+    operator.process(element, ctx)  # [!chain]
+    # one unit, no timer fired
+    cost = task.processing_cost
+    units, timers_fired = 1, 0  # [profiler]
+    @charge
+    @end
+    return
+reads_before = stats.reads
+writes_before = stats.writes
+units, timers_fired = task._handle_item(channel_index, element)
+# Each term is accounted only when there is one: most inputs touch
+# no state and fire no timer, and x + 0.0 is x.
+cost = 0.0
+if units is not None:
+    if units:
+        # One unit per record/timer; a batch charges the same
+        # per-record model cost in a single multiply.
+        cost += task.processing_cost * units
+    if timers_fired:
+        metrics.timers_fired += timers_fired
+        cost += timers_fired * TIMER_COST
+    @charge
+@end
+""",
     "charge": """\
 reads = stats.reads - reads_before
 writes = stats.writes - writes_before
@@ -238,10 +324,10 @@ if span is not None:  # [tracer]
     task._active_span = None  # [tracer]
     tracer.finish(span, started + cost)  # [tracer]
     child = TraceContext(span.trace_id, span.span_id)  # [tracer]
-    for index in range(task._trace_mark, len(pending)):  # [tracer]
-        out = pending[index]  # [tracer]
+    for index in range(task._trace_mark, len(outbox)):  # [tracer]
+        out = outbox[index]  # [tracer]
         if isinstance(out, Record):  # [tracer]
-            pending[index] = out.with_trace(child)  # [tracer]
+            outbox[index] = out.with_trace(child)  # [tracer]
 @profile  # [profiler]
 """,
     # Profiler.charge per lane, in place: the same positive-only float
@@ -266,7 +352,7 @@ if extra_cost > 0.0:
 completion = started + cost
 metrics.busy_time += cost
 kernel.call_at(completion, task._complete, via, task.incarnation)  # [gate]
-if pending or mailbox or via is not None or task._side_pending or task._settling or task._output_blocked:  # [!gate]
+if outbox or mailbox or via is not None or task._side_pending or task._settling or task._output_blocked:  # [!gate]
     kernel.call_at(completion, task._complete, via, task.incarnation)  # [!gate]
 else:  # [!gate]
     # The completion event would flush nothing, return no credit and  # [!gate]
@@ -292,7 +378,7 @@ if watermark is not None and watermark.timestamp > task._last_watermark:
     task._last_watermark = watermark.timestamp
     emit(watermark)
 task._emitted += 1
-task.flush_outputs()
+@flush
 """,
     # pull the next emission unit and arm one kernel timer at its due time
     "pull": """\
@@ -314,6 +400,30 @@ task._next_arrival = arrival
 task._pending = pending
 task._pending_due = arrival
 kernel.call_at(arrival, task._emit_due, task.incarnation)
+""",
+    # send every buffered output element downstream now, in order
+    "flush": """\
+while outbox:
+    element = outbox.popleft()
+    if type(element) is Record or isinstance(element, Record):
+        metrics.records_out += 1
+    elif isinstance(element, RecordBatch):
+        # Per-batch accounting: one increment for the whole run.
+        metrics.records_out += len(element)
+    for gate in gates:
+        # Every partitioning sends every element to a gate's only
+        # channel: transmit there without the gate's frame.
+        channels = gate.channels
+        if not (channels[0].transmit(element) if len(channels) == 1 else gate.emit(element)):
+            # A channel parked it: blocked, from the first such element
+            # on (a later one leaves the interval open).
+            task._output_blocked = True
+            if task._blocked_since is None:
+                task._blocked_since = clock._now
+if task._side_pending and task.engine is not None:
+    for tag, element in task._side_pending:
+        task.engine.on_side_output(task.name, tag, element)
+    task._side_pending = []
 """,
 }
 
@@ -354,9 +464,10 @@ def _factory(template: str, parts: dict[str, bool]) -> Callable[..., Any]:
         filename = os.path.join(_SOURCE_DIR, f"<compiled {label} {len(_FACTORIES)}>")
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         namespace = {
-            "Record": Record, "TraceContext": TraceContext, "key_group_for": key_group_for,
-            "outputs_clear": outputs_clear, "islice": itertools.islice, "_new_row": tuple.__new__,
-            "TIMER_COST": TIMER_COST,
+            "Record": Record, "RecordBatch": RecordBatch, "CheckpointBarrier": CheckpointBarrier,
+            "TraceContext": TraceContext, "key_group_for": key_group_for, "outputs_clear": outputs_clear,
+            "islice": itertools.islice, "_new_row": tuple.__new__, "TIMER_COST": TIMER_COST,
+            "_MailboxItem": _MailboxItem, "_EVENT_PENDING": _EVENT_PENDING, "_IDLE": _IDLE,
         }
         exec(compile(source, filename, "exec"), namespace)
         factory = _FACTORIES[template, on] = namespace["make"]
@@ -493,9 +604,6 @@ class Task:
         self.output_gates: list[OutputGate] = []
         #: the input protocol: channel lifecycle, watermark merging, alignment
         self.inputs = TaskInputs()
-        # its two sets, aliased so the per-element checks are one attribute test
-        self._feedback = self.inputs.feedback
-        self._blocked = self.inputs.blocked
         #: True while the finish decision waits for the mailbox to drain
         self._settling = False
         #: True while a drain probe (rescaled group / feedback loop) is armed
@@ -614,59 +722,37 @@ class Task:
 
     def deliver(self, channel_index: int, element: StreamElement, via: Any = None) -> None:
         """Channel callback: serve the element in place when the task is
-        idle and unheld, else enqueue it (dropped/parked when down)."""
+        idle and unheld, else queue it (a dead task parks or drops it, a
+        finished one forwards it). Generated with the rest of the run loop
+        (see ``_compile``); this class-level one runs the latest build."""
+        self._built("deliver")(channel_index, element, via)
+
+    def _deliver_rare(self, channel_index: int, element: StreamElement, via: Any) -> None:
+        """``deliver``'s slow path. An element on a feedback input is counted
+        and queued. A dead task parks the element for a hot replica
+        (``ha_buffer``) or drops it; a finished one forwards the records a
+        rescale moved (an owner that finished first reopens for them, see
+        ``enqueue_local``). Either way the credit returns, so the channel
+        leaks no capacity while the task is down."""
+        if not (self.dead or self.finished):
+            self.inputs.feedback_deliveries += 1
+            self._mailbox.append(_MailboxItem(channel_index, element, via))
+            self._maybe_schedule()
+            return
+        rescale = self._rescale_state
         if self.dead:
             if self.ha_buffer is not None:
                 self.ha_buffer.append(_MailboxItem(channel_index, element))
-            elif isinstance(element, Record):
-                self.metrics.dropped += 1
-            elif isinstance(element, RecordBatch):
-                # A batch drops all its rows at once; conservation oracles
-                # count records, not elements (a lost watermark, marker or
-                # barrier is not a lost record).
-                self.metrics.dropped += len(element)
-            # Either way, return the credit so the channel doesn't leak
-            # capacity while we are down.
-            if via is not None:
-                via.return_credit()
-            return
-        feedback = self._feedback
-        if feedback and channel_index in feedback and not self.finished:
-            self.inputs.feedback_deliveries += 1
-        if self.finished:
-            # A retired (scaled-in) task still forwards misrouted records;
-            # an owner that already finished reopens (enqueue_local) so the
-            # straggler is folded into the state that migrated to it.
-            rescale = self._rescale_state
-            if rescale is not None and isinstance(element, (Record, RecordBatch)):
-                for record in element.records() if isinstance(element, RecordBatch) else (element,):
-                    owner = rescale.owner(self, record.key) if record.key is not None else None
-                    if owner is not None:
-                        owner.enqueue_local(record)
-            if via is not None:
-                via.return_credit()
-            return
-        busy_until = self._busy_until
-        if busy_until == _EVENT_PENDING:
-            # In service, its completion (or dispatch hop) pending: that event
-            # pulls this element; _maybe_schedule would return untouched.
-            self._mailbox.append(_MailboxItem(channel_index, element, via))
-            return
-        if (
-            not self._mailbox
-            and not self._blocked
-            and not (self._suspended or self._output_blocked)
-            and self._txn_gate is None
-        ):
-            now = self._clock._now
-            if now > busy_until:
-                # Idle and unheld: _maybe_schedule -> _process_next would pop
-                # this very element inline, so it is served without queueing.
-                self._busy_until = _EVENT_PENDING
-                self._serve(channel_index, element, via, now)
-                return
-        self._mailbox.append(_MailboxItem(channel_index, element, via))
-        self._maybe_schedule()
+            elif isinstance(element, (Record, RecordBatch)):
+                # conservation oracles count records, not elements
+                self.metrics.dropped += len(element) if isinstance(element, RecordBatch) else 1
+        elif rescale is not None and isinstance(element, (Record, RecordBatch)):
+            for record in element.records() if isinstance(element, RecordBatch) else (element,):
+                owner = rescale.owner(self, record.key) if record.key is not None else None
+                if owner is not None:
+                    owner.enqueue_local(record)
+        if via is not None:
+            via.return_credit()
 
     def enqueue_local(self, element: StreamElement | _ProcTimer, channel_index: int = -1) -> None:
         """Inject an element bypassing channels (timers, dynamic topologies,
@@ -713,77 +799,37 @@ class Task:
             self.kernel.call_at(busy_until, self._complete, None, self.incarnation)
 
     def _process_next(self, incarnation: int) -> None:
-        """Pull the next queued element and serve it. An idle task (after a
-        completion, or from ``_maybe_schedule``) first decides whether it
-        may; the dispatch hop of a transactional task (already marked in
-        service) serves what that decision let through."""
-        if incarnation != self.incarnation or self.dead or self.finished:
-            return
-        mailbox = self._mailbox
-        if self._busy_until != _EVENT_PENDING:
-            if self._suspended or self._output_blocked:
-                return
-            if not mailbox:
-                if self._settling:
-                    self._settle()  # the mailbox drained
-                return
-            self._busy_until = _EVENT_PENDING
-            # Process inline rather than through a call_soon hop. The hop
-            # moved this task's next process() behind events already queued
-            # for this instant. Deliveries and completions of other tasks
-            # commute with it: they append to other mailboxes, and outputs
-            # stay buffered until the completion event either way.
-            # Same-instant control events aimed at *this* task (kill,
-            # suspend, a mailbox_size sample) are not covered by that
-            # argument; that no output, digest or chaos verdict moves is
-            # established by the golden, macro and chaos suites. A
-            # transactional task is the measured exception: beginning its
-            # next txn ahead of a sibling's same-instant commit or lock
-            # release changes lock-wait order, so it keeps the hop unless the
-            # kernel has nothing else queued at now (then the orders are
-            # identical by construction).
-            if self._txn_gate is not None and not self.kernel.idle_at_now():
-                self.kernel.call_soon(self._process_next, incarnation)
-                return
-        item: _MailboxItem | None = None
-        blocked = self._blocked
-        if not blocked:
-            if mailbox:
-                item = mailbox.popleft()
-        else:
-            # Hold back elements from inputs blocked by barrier alignment.
-            held = self.inputs.buffer
-            while mailbox:
-                candidate = mailbox.popleft()
-                if candidate.channel_index in blocked and not isinstance(
-                    candidate.element, CheckpointBarrier
-                ):
-                    held.append(candidate)
-                    continue
-                item = candidate
-                break
-        if item is None:
-            self._busy_until = _IDLE
-            return
-        self._serve(item.channel_index, item.element, item.via, self._clock._now)
+        """An idle task decides whether it may pull, then pulls the next
+        queued element and serves it (a txn task's dispatch hop only pulls)."""
+        self._built("_process_next")(incarnation)
 
-    def _serve(self, channel_index: int, element: Any, via: Any, started: float) -> None:
-        """The service body (``deliver`` calls it for an element that finds
-        the task idle, ``_process_next`` for one popped off the mailbox) is
-        generated for the task's shape (see ``_compile``), which stores it
-        on the instance. This class-level one only builds it for a task
-        served before it started, then serves."""
-        self._compile()
-        self._serve(channel_index, element, via, started)
+    def _complete(self, via: Any, incarnation: int) -> None:
+        """A service ends: flush its outputs, return its credit, pull."""
+        self._built("_complete")(via, incarnation)
+
+    def flush_outputs(self) -> None:
+        """Send every buffered output element downstream now, in order."""
+        self._built("flush_outputs")()
+
+    #: the run loop's generated methods of the latest build, by name
+    _generated: dict[str, Callable[..., Any]] = {}
+
+    def _built(self, name: str) -> Callable[..., Any]:
+        """The latest build of ``name`` (built first for a task served
+        before it started). The four methods above only call it."""
+        if not self._generated:
+            self._compile()
+        return self._generated[name]
 
     def _compile(self) -> None:
-        """Build ``_serve`` for the task's shape: which parts are attached
-        (a live rescale of the task's own node, key-group tracking, the
-        tracer, the profiler), a txn gate, and a chain head to call
-        directly. A task that only receives from a rescaled node owns no
-        moved key, so its body has no rescale part. Run when the task opens
-        or is revived and when a part attaches; with every part on, the
-        output is the general body (DESIGN.md, "Compiled serve")."""
+        """Build the run loop (``deliver``, ``_complete``, ``_process_next``,
+        ``flush_outputs``) for the task's shape: which parts are attached (a
+        live rescale of the task's own node, key-group tracking, the tracer,
+        the profiler), a txn gate, and a chain head to call directly. A task
+        that only receives from a rescaled node owns no moved key, so its
+        body has no rescale part. Run when the task opens or is revived and
+        when a part attaches (DESIGN.md, "Compiled serve"). A method
+        replaced on the instance since the last build stays in place."""
         operator = self.operator
         rescale = self._rescale_state
         head = None
@@ -799,31 +845,22 @@ class Task:
             "gate": self._txn_gate is not None,
             "chain": head is not None,
         }
-        self._serve = _factory(_SERVE, parts)(
-            self, self.ctx, self.metrics, self._pending_output, self._mailbox, self.kernel,
-            operator, self.state_backend, head, rescale, self._keygroup_counts,
-            self._keygroup_maxp, self._tracer, self._profiler, self._flame_paths,
+        generated = _factory(_SERVE, parts)(
+            self, self.ctx, self.metrics, self._pending_output, self._mailbox, self.output_gates,
+            self.kernel, self._clock, operator, self.state_backend, head, rescale,
+            self._keygroup_counts, self._keygroup_maxp, self._tracer, self._profiler, self._flame_paths,
         )
-
-    def _complete(self, via: Any, incarnation: int) -> None:
-        if incarnation != self.incarnation:
-            return
-        # Flush buffered outputs now, in order.
-        if self._pending_output or self._side_pending:
-            self.flush_outputs()
-        # Return the credit for this element.
-        if via is not None:
-            via.return_credit()
-        self._busy_until = _IDLE
-        if self._mailbox or self._settling:
-            # Otherwise there is nothing to pull or decide.
-            self._process_next(incarnation)
+        own = vars(self)
+        for name, method in generated.items():
+            if own.get(name) is self._generated.get(name):
+                own[name] = method
+        self._generated = generated
 
     # ------------------------------------------------------------------
     # element handling
     # ------------------------------------------------------------------
     def _handle_item(self, channel_index: int, element: Any) -> tuple[int | None, int]:
-        """Handle an element that is not a record (``_serve`` serves those):
+        """Handle an element that is not a record (the run loop serves those):
         batches, timers and control elements. Returns ``(units, timers
         fired)`` for the cost model, ``units`` None when the element is not
         charged at all."""
@@ -950,7 +987,7 @@ class Task:
         # A rescaled node's own tasks (they reroute) decide on the probe's
         # cadence; a task it sends to finishes at once if the gate holds.
         rescale = self._rescale_state
-        if self._feedback or (
+        if self.inputs.feedback or (
             rescale is not None and (rescale.reroutes(self) or not rescale.ready(self))
         ):
             self._arm_drain_probe()
@@ -974,7 +1011,7 @@ class Task:
 
     def _arm_drain_probe(self) -> None:
         self._probing = True
-        interval, rounds = self._LOOP_PROBE if self._feedback else self._GROUP_PROBE
+        interval, rounds = self._LOOP_PROBE if self.inputs.feedback else self._GROUP_PROBE
         incarnation = self.incarnation
         quiet, last = 0, self.inputs.feedback_deliveries
 
@@ -1022,7 +1059,7 @@ class Task:
     # ------------------------------------------------------------------
     def _handle_barrier(self, channel_index: int, barrier: CheckpointBarrier) -> None:
         inputs = self.inputs
-        if channel_index in self._feedback:
+        if channel_index in self.inputs.feedback:
             return  # async loops do not carry barriers
         pending = inputs.round
         if pending is not None and pending.checkpoint_id != barrier.checkpoint_id:
@@ -1193,34 +1230,6 @@ class Task:
     def collect_side_output(self, tag: str, element: StreamElement) -> None:
         """Buffer a tagged side-output element."""
         self._side_pending.append((tag, element))
-
-    def flush_outputs(self) -> None:
-        """Send every buffered output element downstream now, in order."""
-        pending = self._pending_output
-        gates = self.output_gates
-        metrics = self.metrics
-        while pending:
-            element = pending.popleft()
-            if type(element) is Record or isinstance(element, Record):
-                metrics.records_out += 1
-            elif isinstance(element, RecordBatch):
-                # Per-batch accounting: one increment for the whole run.
-                metrics.records_out += len(element)
-            for gate in gates:
-                # Every partitioning sends every element to a gate's only
-                # channel: transmit there without the gate's frame.
-                channels = gate.channels
-                sent = channels[0].transmit(element) if len(channels) == 1 else gate.emit(element)
-                if not sent:
-                    # A channel parked it: blocked, from the first such
-                    # element on (a later one leaves the interval open).
-                    self._output_blocked = True
-                    if self._blocked_since is None:
-                        self._blocked_since = self._clock._now
-        if self._side_pending and self.engine is not None:
-            for tag, element in self._side_pending:
-                self.engine.on_side_output(self.name, tag, element)
-            self._side_pending = []
 
     def output_unblocked(self) -> None:
         """Called by a channel when its backlog drains."""
@@ -1436,17 +1445,10 @@ class SourceTask(Task):
         buffers and channels as records, so it measures real stalls)."""
         if self.dead or self.finished:
             return
-        marker = LatencyMarker(
-            emitted_at=self.kernel.now(),
-            marker_id=next(self._marker_seq),
-            source_id=self.name,
-        )
-        counter = self._markers_emitted
-        if counter is None:
-            counter = self._markers_emitted = self._obs.latency.emitted_counter(
-                self.name, self.subtask_index
-            )
-        counter.inc()
+        marker = LatencyMarker(emitted_at=self.kernel.now(), marker_id=next(self._marker_seq), source_id=self.name)
+        if self._markers_emitted is None:
+            self._markers_emitted = self._obs.latency.emitted_counter(self.name, self.subtask_index)
+        self._markers_emitted.inc()
         self.collect_output(marker)
         self.flush_outputs()
 
@@ -1454,20 +1456,19 @@ class SourceTask(Task):
         """Build the emission timer ``_emit_due`` and ``_schedule_next`` for
         the source's shape: scalar or batch, traced or not.
 
-        ``_schedule_next`` pulls the next emission unit and arms one kernel
-        timer at its due time: one event per record, or up to
-        ``_batch_records`` events whose arrival times accumulate to the last
-        one — the whole batch then travels as a single element. Watermark
-        strategies still observe every event (at emission, so progress never
-        outruns unemitted data), and only the highest resulting watermark
-        follows a batch. ``_emit_due`` is the timer, also run when output
-        unblocks or the source resumes: once the pending unit is due and
-        every output is clear, it emits it and arms the next, in its own
-        frame. It is void if the source was killed since it was armed."""
+        ``_schedule_next`` pulls the next emission unit (one event, or up to
+        ``_batch_records`` events travelling as one batch, arriving at the
+        last one's time) and arms one kernel timer at its due time.
+        Watermark strategies still observe every event, at emission; only
+        the highest watermark follows a batch. ``_emit_due`` is the timer,
+        also run when output unblocks or the source resumes: once the unit
+        is due and every output is clear, it emits and flushes it and arms
+        the next, in its own frame (void for a killed incarnation)."""
         super()._compile()  # what is enqueued on a source is served as on any task
         parts = {"batch": self._batch_records is not None, "tracer": self._tracer is not None}
         self._emit_due, self._schedule_next = _factory(_EMIT, parts)(
-            self, self.ctx, self.metrics, self._clock, self.kernel, self._tracer
+            self, self.ctx, self.metrics, self._pending_output, self.output_gates, self._clock,
+            self.kernel, self._tracer,
         )
 
     def _emit_batch(self, events: list) -> None:
@@ -1544,12 +1545,9 @@ class SourceTask(Task):
             self.engine.on_task_finished(self)
 
     def _cancel_timers(self) -> None:
-        if self._periodic is not None:
-            self._periodic.cancel()
-        if self._hb_timer is not None:
-            self._hb_timer.cancel()
-        if self._marker_timer is not None:
-            self._marker_timer.cancel()
+        for timer in (self._periodic, self._hb_timer, self._marker_timer):
+            if timer is not None:
+                timer.cancel()
 
     # ------------------------------------------------------------------
     def resume_processing(self) -> None:

@@ -1,7 +1,12 @@
 """Dataflow ↔ function-runtime bridges, including the feedback-edge
 "actors on streams" architecture."""
 
+import pytest
+
+from repro.chaos import ChaosRunner, feedback_loop
+from repro.chaos.schedule import FaultSchedule
 from repro.core.datastream import StreamExecutionEnvironment
+from repro.errors import CheckpointError, LoopSnapshotError
 from repro.functions import (
     Address,
     FunctionIngressOperator,
@@ -10,7 +15,7 @@ from repro.functions import (
     merged_egress,
 )
 from repro.io import CollectSink, CollectionWorkload
-from repro.runtime.config import EngineConfig
+from repro.runtime.config import CheckpointConfig, EngineConfig, GuaranteeLevel
 from repro.sim import Kernel
 
 
@@ -95,3 +100,62 @@ class TestFeedbackPipeline:
         result = env.execute(until=10.0)
         dead = result.side_output("fn-dispatch", "dead-letter")
         assert len(dead) == 1
+
+
+def _greeter_loop(config):
+    """The feedback-edge function pipeline: a first greeting sends a bonus
+    message around the loop."""
+
+    def greeter(ctx, payload):
+        ctx.storage_set(ctx.storage_get(0) + 1)
+        if ctx.storage_get() == 1:
+            ctx.send(Address("bonus", "pool"), payload["user"])
+
+    def bonus(ctx, user):
+        ctx.send_egress("bonuses", user)
+
+    env = StreamExecutionEnvironment(config, name="loop")
+    holder = feedback_function_pipeline(
+        env,
+        CollectionWorkload([{"user": "u1"}, {"user": "u2"}, {"user": "u1"}]),
+        route=lambda v: (Address("greeter", v["user"]), v),
+        handlers={"greeter": greeter, "bonus": bonus},
+    )
+    return env, holder
+
+
+class TestLoopSnapshotRefusal:
+    """Records in flight around a feedback loop are not snapshotted yet, so
+    an exactly-once job with checkpoints over one is refused at build rather
+    than accepted and left to lose them on a restore."""
+
+    def test_exactly_once_checkpoints_over_a_feedback_edge_are_refused(self):
+        env, _holder = _greeter_loop(
+            EngineConfig(guarantee=GuaranteeLevel.EXACTLY_ONCE, checkpoints=CheckpointConfig(interval=0.01))
+        )
+        with pytest.raises(LoopSnapshotError, match="feedback edge fn-dispatch -> fn-dispatch") as refused:
+            env.build()
+        assert isinstance(refused.value, CheckpointError)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(guarantee=GuaranteeLevel.EXACTLY_ONCE),
+            EngineConfig(guarantee=GuaranteeLevel.AT_LEAST_ONCE, checkpoints=CheckpointConfig(interval=0.01)),
+        ],
+        ids=["exactly-once-no-checkpoints", "at-least-once-checkpoints"],
+    )
+    def test_the_loop_still_builds_and_runs_without_the_combination(self, config):
+        env, holder = _greeter_loop(config)
+        env.execute(until=30.0)
+        assert sorted(merged_egress(holder, "bonuses")) == ["u1", "u2"]
+
+    def test_the_chaos_feedback_loop_still_holds(self):
+        """The chaos loop scenario (no checkpoints) builds and keeps its
+        exactly-once expectation, fault-free and under a seeded schedule."""
+        runner = ChaosRunner(feedback_loop(), seed=3)
+        for report in (
+            runner.run_one(False, schedule=FaultSchedule(seed=3, faults=[])),
+            runner.run_one(True, schedule_index=0),
+        ):
+            assert report.ok and report.finished, report.verdict()

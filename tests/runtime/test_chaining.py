@@ -363,21 +363,12 @@ class TestChainedRecovery:
 
 
 class TestBindOnce:
-    def test_a_chain_binds_once_per_start_or_revive(self, monkeypatch):
-        """A task hands its chain the one context it opened it with, so a
-        columnar chained job binds each chain instance once: two fused
-        tasks, started and then revived by a global restore, bind four
-        times, and the rows stay those of the per-element bind."""
+    @staticmethod
+    def _run_job():
+        """A columnar chained job with two fused tasks, both revived by a
+        global restore at 0.11 s; returns the engine and the sink rows."""
         from repro.windows.assigners import TumblingEventTimeWindows
 
-        bound = []
-        bind = ChainedOperator._bind
-
-        def counted(self, ctx):
-            bound.append(self)
-            bind(self, ctx)
-
-        monkeypatch.setattr(ChainedOperator, "_bind", counted)
         config = EngineConfig(
             seed=5,
             chaining_enabled=True,
@@ -404,8 +395,49 @@ class TestBindOnce:
 
         engine.kernel.call_at(0.11, fail)
         env.execute(until=30.0)
-        assert len(bound) == len(set(map(id, bound))) == 4
         rows = [(r.value, r.event_time, r.emitted_at, r.key) for r in sink.results]
         assert len(rows) == 12
         assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "801e6165711ffed4"
         assert engine.kernel.dispatched_events == 188
+        return engine
+
+    def test_a_chain_binds_once_per_start_or_revive(self, monkeypatch):
+        """A task hands its chain the one context it opened it with, so a
+        columnar chained job binds each chain instance once: two fused
+        tasks, started and then revived by a global restore, bind four
+        times, and the rows stay those of the per-element bind."""
+        bound = []
+        bind = ChainedOperator._bind
+
+        def counted(self, ctx):
+            bound.append(self)
+            bind(self, ctx)
+
+        monkeypatch.setattr(ChainedOperator, "_bind", counted)
+        self._run_job()
+        assert len(bound) == len(set(map(id, bound))) == 4
+
+    def test_a_fused_task_starts_once(self, monkeypatch):
+        """The engine starts each distinct task once, not once per node
+        fused into it: each chain opens at its start and its revive (the
+        parent opened them 7 times), and each task builds its run loop when
+        it attaches observability, starts and is revived (the fused ones
+        built it 4 and 5 times), with the same rows and kernel events."""
+        from repro.runtime.task import Task
+
+        opened, compiled = [], {}
+        open_chain, compile_task = ChainedOperator.open, Task._compile
+
+        def counted_open(self, ctx):
+            opened.append(self)
+            open_chain(self, ctx)
+
+        def counted_compile(self):
+            compiled[self.name] = compiled.get(self.name, 0) + 1
+            compile_task(self)
+
+        monkeypatch.setattr(ChainedOperator, "open", counted_open)
+        monkeypatch.setattr(Task, "_compile", counted_compile)
+        self._run_job()
+        assert len(opened) == 4
+        assert compiled == {"source[0]": 3, "pre->key_by[0]": 3, "window-count->pass->out[0]": 3}

@@ -1,13 +1,15 @@
-"""The run loop's service body, generated per task shape (DESIGN.md,
-"Compiled serve").
+"""The run loop, generated per task shape (DESIGN.md, "Compiled serve").
 
 One template (``_SERVE``, with ``_EMIT`` for a source's emission) is
-expanded for the parts a task has attached. These tests hold the generator
-to its contract: every shape compiles; the shape with no part attached
-runs none of the part tests on a record; a task rebuilds its body when a
-part attaches; a chained task enters its chain without the ``process``
-frame and charges its members without the ``add_cost`` frame, while a
-traced record still goes through ``process``.
+expanded for the parts a task has attached into ``deliver``, ``_complete``,
+``_process_next`` and ``flush_outputs``. These tests hold the generator to
+its contract: every shape compiles, and each of the three serving functions
+serves in its own frame; the shape with no part attached runs none of the
+part tests on a record; a task rebuilds its run loop when a part attaches,
+and keeps a ``deliver`` or ``_complete`` replaced on the instance; a chained
+task enters its chain without the ``process`` frame and charges its
+members without the ``add_cost`` frame, while a traced record still goes
+through ``process``.
 """
 
 import itertools
@@ -40,6 +42,48 @@ def test_every_shape_compiles_with_every_tag_and_fragment_resolved(template, nam
         assert "  # [" not in source and "@" not in source
 
 
+def _functions(parts):
+    """The generated functions of the ``_SERVE`` shape ``parts``, by name,
+    each as its own source text."""
+    source = "\n".join(task_module._expand(task_module._SERVE, frozenset(n for n, on in parts.items() if on)))
+    chunks = source.split("\n    def ")[1:]
+    return {chunk.split("(")[0]: chunk for chunk in chunks}
+
+
+@pytest.mark.parametrize("parts", list(_shapes(SERVE_PARTS)), ids=lambda p: "+".join(n for n, on in p.items() if on) or "none")
+def test_every_shape_serves_in_the_frame_that_starts_the_service(parts):
+    functions = _functions(parts)
+    assert list(functions) == ["deliver", "_complete", "_process_next", "flush_outputs"]
+    serve = "head(element, ctx)" if parts["chain"] else "operator.process(element, ctx)"
+    # a completion and a pull serve the next element inline; so does a
+    # delivery to an idle task, unless a txn gate keeps the mailbox path
+    assert serve in functions["_complete"] and serve in functions["_process_next"]
+    assert (serve in functions["deliver"]) is not parts["gate"]
+    assert "_handle_item" in functions["_complete"] and "_serve" not in "".join(functions.values())
+    # the output flush is inlined where a service ends and in flush_outputs
+    for name in ("_complete", "flush_outputs"):
+        assert "channels[0].transmit(element)" in functions[name], name
+    assert "flush_outputs()" not in functions["_complete"]
+    # the rare cases go to the slow paths the generated code calls
+    assert "task._deliver_rare(" in functions["deliver"] and "task._maybe_schedule()" in functions["deliver"]
+    assert ("kernel.call_soon(task._process_next" in functions["_complete"]) is parts["gate"]
+    # a txn gate always schedules the completion event: no elided end
+    assert ("task._busy_until = completion" in functions["_complete"]) is not parts["gate"]
+    for name in ("rescale", "tracer", "profiler"):
+        code = {"rescale": "rescale.owner(", "tracer": "tracer.begin(", "profiler": "samples["}[name]
+        for function in ("deliver", "_complete", "_process_next"):
+            if function != "deliver" or not parts["gate"]:
+                assert (code in functions[function]) is parts[name], (name, function)
+
+
+@pytest.mark.parametrize("parts", list(_shapes(EMIT_PARTS)), ids=lambda p: "+".join(n for n, on in p.items() if on) or "none")
+def test_a_scalar_source_flushes_in_its_emission_frame(parts):
+    source = "\n".join(task_module._expand(task_module._EMIT, frozenset(n for n, on in parts.items() if on)))
+    emit_due = source.split("def _schedule_next")[0]
+    assert "flush_outputs()" not in emit_due
+    assert ("channels[0].transmit(element)" in emit_due) is not parts["batch"]
+
+
 def test_the_general_body_holds_every_part():
     general = "\n".join(task_module._expand(task_module._SERVE, frozenset(SERVE_PARTS)))
     for code in ("rescale.owner(", "key_group_for(", "tracer.begin(", "tracer.finish(", "samples[", "head(element, ctx)"):
@@ -49,8 +93,8 @@ def test_the_general_body_holds_every_part():
 
 
 def test_a_plain_record_runs_no_part_test():
-    source = "\n".join(task_module._expand(task_module._SERVE, frozenset()))
-    record_branch = source.split("def _serve")[1].split("units, timers_fired = task._handle_item")[0]
+    deliver = _functions(dict.fromkeys(SERVE_PARTS, False))["deliver"]
+    record_branch = deliver.split("units, timers_fired = task._handle_item")[0]
     for part_name in ("rescale", "counts", "key_group_for", "tracer", "_active_span", "profiler", "head("):
         assert part_name not in record_branch, part_name
     assert "operator.process(element, ctx)" in record_branch
@@ -123,9 +167,54 @@ def test_attaching_a_part_rebuilds_the_body():
     engine = env.build()
     task = engine.tasks_of("count")[0]
     task.start()
-    plain = task._serve.__code__
+    plain = task.deliver.__code__
     task.enable_keygroup_tracking(engine.config.max_parallelism)
-    counting = task._serve.__code__
+    counting = task.deliver.__code__
     assert counting is not plain and "key_group_for" in counting.co_names
+    assert "key_group_for" in task._complete.__code__.co_names
     task.rescale_state = None
-    assert task._serve.__code__ is counting  # the same shape: the same code
+    assert task.deliver.__code__ is counting  # the same shape: the same code
+
+
+def _replace(task):
+    """Replace ``deliver`` and ``_complete`` on ``task`` with wrappers that
+    log and call the class-level methods (which run the latest build)."""
+    log = []
+    deliver, complete = type(task).deliver, type(task)._complete
+
+    def logged_deliver(channel_index, element, via=None):
+        log.append("deliver")
+        deliver(task, channel_index, element, via)
+
+    def logged_complete(via, incarnation):
+        log.append("complete")
+        complete(task, via, incarnation)
+
+    task.deliver, task._complete = logged_deliver, logged_complete
+    return log, logged_deliver, logged_complete
+
+
+TRIGGERS = {
+    "start": lambda engine, task: task.start(),
+    "attach_obs": lambda engine, task: task.attach_obs(engine.obs),
+    "enable_keygroup_tracking": lambda engine, task: task.enable_keygroup_tracking(engine.config.max_parallelism),
+    "rescale_state": lambda engine, task: setattr(task, "rescale_state", None),
+    "reincarnate": lambda engine, task: (task.kill(), task.reincarnate(engine._task_factories[task.name][0]())),
+}
+
+
+@pytest.mark.parametrize("trigger", sorted(TRIGGERS))
+def test_an_instance_replacement_survives_every_compile(trigger):
+    env, sink = _tenant_job()
+    engine = env.build()
+    task = engine.tasks_of("count")[0]
+    log, deliver, complete = _replace(task)
+    built = dict(task._generated)
+    TRIGGERS[trigger](engine, task)
+    assert task._generated["deliver"] is not built["deliver"]  # rebuilt
+    assert task.deliver is deliver and task._complete is complete
+    env.execute()
+    # the replacements saw every delivery and every completion event, and
+    # the run loop behind them is the one built last
+    assert log.count("deliver") > 200 and "complete" in log
+    assert len(sink.results) == 200

@@ -12,7 +12,8 @@ framework layers is counted:
 
 Call counts repeat exactly for a fixed input, so the bounds carry no
 wall-clock noise: a change that puts a frame back on the record path (a
-wrapper around the service body, a gate or ``send`` frame per element, a
+service body called from ``deliver`` or ``_complete`` rather than inlined,
+a pull or flush frame per completion, a gate or ``send`` frame per element, a
 clock read through ``Kernel.now``, a method behind ``ctx.emit``, a
 ``ChainedOperator.process`` or ``add_cost`` frame per chained record, a
 delegate on a chain member's context) raises the count by a multiple of the
@@ -34,10 +35,10 @@ from repro.runtime.config import EngineConfig
 
 RECORDS = 500
 #: Python calls into repro/runtime and repro/sim for the whole unchained run
-BOUND = 19_284
+BOUND = 15_212
 #: Python calls into repro/runtime, repro/sim and repro/core/operators for
 #: the whole chained run
-CHAINED_BOUND = 14_334
+CHAINED_BOUND = 12_234
 
 
 def _layers(*modules) -> tuple[str, ...]:

@@ -60,3 +60,18 @@ def test_tier1_and_system_reach_are_told_apart(tmp_path):
     assert totals["test_only"] == 1 and totals["test_only_statements"] == 1
     assert totals["unreached"] == 2 and totals["unreached_non_stub"] == 1
     assert {row["file"] for row in rows} == {"fixture_pkg/mod.py"}
+
+
+def test_a_failing_command_prints_its_output(tmp_path, capsys):
+    src = tmp_path / "fixture_pkg"
+    src.mkdir()
+    (src / "__init__.py").write_text("")
+    (src / "mod.py").write_text(_MODULE)
+    failing = [sys.executable, "-c", "import fixture_pkg.mod as m; m.by_test(); print('FAILED test_x'); raise SystemExit(3)"]
+    passing = [sys.executable, "-c", "print('quiet on success')"]
+    hits = reach.record([failing, passing], str(src), str(tmp_path))
+    err = capsys.readouterr().err
+    assert "reach: exit 3:" in err and "FAILED test_x" in err
+    assert "quiet on success" not in err
+    # the failing run still reached what it reached
+    assert any(name == "by_test" for _file, _line, name in hits)
