@@ -180,7 +180,7 @@ def make(task, ctx, metrics, outbox, mailbox, gates, kernel, clock, operator, ba
 
 #: ``SourceTask._emit_due`` (the emission timer) and ``_schedule_next``
 _EMIT = """\
-def make(task, ctx, metrics, outbox, gates, clock, kernel, tracer):
+def make(task, ctx, metrics, outbox, gates, clock, kernel, tracer, on_event):
     def _emit_due(incarnation):
         if incarnation != task.incarnation or task.dead or task.finished:
             return
@@ -189,7 +189,10 @@ def make(task, ctx, metrics, outbox, gates, clock, kernel, tracer):
             # Not due yet (an unblock or stale timer poked us early); the
             # timer scheduled for the due time will deliver it.
             return
-        if task._output_blocked or not outputs_clear(gates):
+        held = task._output_blocked
+        if not held:
+            @clear
+        if held:
             # Backpressured: wait for output_unblocked() to call us back.
             task._output_blocked = True
             if task._blocked_since is None:
@@ -361,6 +364,13 @@ else:  # [!gate]
     # same time, if something arrives before then.  # [!gate]
     task._busy_until = completion  # [!gate]
 """,
+    # ``outputs_clear(gates)``: ``held`` once a channel holds a parked element
+    "clear": """\
+for gate in gates:
+    for channel in gate.channels:
+        if channel._backlog:
+            held = True
+""",
     # one record now (+ the watermark its strategy yields)
     "record": """\
 value = pending.value
@@ -373,7 +383,7 @@ if event_time is not None and event_time > task._max_event_time:
 emit = ctx.emit
 emit(record)
 metrics.records_in += 1
-watermark = task.strategy.on_event(value, event_time, now)
+watermark = on_event(value, event_time, now)
 if watermark is not None and watermark.timestamp > task._last_watermark:
     task._last_watermark = watermark.timestamp
     emit(watermark)
@@ -465,7 +475,7 @@ def _factory(template: str, parts: dict[str, bool]) -> Callable[..., Any]:
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         namespace = {
             "Record": Record, "RecordBatch": RecordBatch, "CheckpointBarrier": CheckpointBarrier,
-            "TraceContext": TraceContext, "key_group_for": key_group_for, "outputs_clear": outputs_clear,
+            "TraceContext": TraceContext, "key_group_for": key_group_for,
             "islice": itertools.islice, "_new_row": tuple.__new__, "TIMER_COST": TIMER_COST,
             "_MailboxItem": _MailboxItem, "_EVENT_PENDING": _EVENT_PENDING, "_IDLE": _IDLE,
         }
@@ -1454,7 +1464,8 @@ class SourceTask(Task):
 
     def _compile(self) -> None:
         """Build the emission timer ``_emit_due`` and ``_schedule_next`` for
-        the source's shape: scalar or batch, traced or not.
+        the source's shape: scalar or batch, traced or not. The strategy's
+        ``on_event`` is bound here: a build follows a replaced strategy.
 
         ``_schedule_next`` pulls the next emission unit (one event, or up to
         ``_batch_records`` events travelling as one batch, arriving at the
@@ -1468,7 +1479,7 @@ class SourceTask(Task):
         parts = {"batch": self._batch_records is not None, "tracer": self._tracer is not None}
         self._emit_due, self._schedule_next = _factory(_EMIT, parts)(
             self, self.ctx, self.metrics, self._pending_output, self.output_gates, self._clock,
-            self.kernel, self._tracer,
+            self.kernel, self._tracer, self.strategy.on_event,
         )
 
     def _emit_batch(self, events: list) -> None:

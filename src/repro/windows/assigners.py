@@ -13,9 +13,18 @@ from typing import Any
 from repro.errors import GraphError
 from repro.windows.core import GLOBAL_WINDOW, GlobalWindow, TimeWindow
 
+#: slides whose windows the sliding assigner keeps for reuse; the memo is
+#: emptied when it holds this many (event time moves on, old slides go cold)
+MEMO_SLIDES = 64
+
 
 class WindowAssigner:
-    """Maps (value, event_time) to a list of windows."""
+    """Maps (value, event_time) to a list of windows.
+
+    The list may be one the assigner returned before and returns again (the
+    sliding assigner hands every record of one slide the same list): callers
+    read it and must not mutate it.
+    """
 
     #: merging assigners (sessions) require merge support in the operator
     is_merging = False
@@ -60,14 +69,32 @@ class SlidingEventTimeWindows(WindowAssigner):
         self.size = size
         self.slide = slide
         self.offset = offset % slide
+        #: slide index -> (its windows, their lowest start, the start the
+        #: loop tested last and stopped at)
+        self._memo: dict[int, tuple[list[TimeWindow], float, float]] = {}
 
     def assign(self, value: Any, event_time: float) -> list[TimeWindow]:
+        """The windows starting at ``index * slide + offset`` and each
+        ``slide`` lower while a start is above ``event_time - size``. The
+        starts follow from the slide index alone, so a list built for this
+        index is this record's list exactly when the loop would stop at the
+        same place: its lowest start above the bound, the next one at or
+        below it."""
+        index = math.floor((event_time - self.offset) / self.slide)
+        bound = event_time - self.size
+        hit = self._memo.get(index)
+        if hit is not None and hit[1] > bound and hit[2] <= bound:
+            return hit[0]
         windows = []
-        last_start = math.floor((event_time - self.offset) / self.slide) * self.slide + self.offset
-        start = last_start
-        while start > event_time - self.size:
+        start = index * self.slide + self.offset
+        while start > bound:
             windows.append(TimeWindow(start, start + self.size))
             start -= self.slide
+        if windows:
+            memo = self._memo
+            if len(memo) >= MEMO_SLIDES:
+                memo.clear()
+            memo[index] = (windows, windows[-1].start, start)
         return windows
 
 

@@ -26,6 +26,7 @@ from repro.windows.triggers import EventTimeTrigger, Trigger, TriggerResult
 LATE_OUTPUT_TAG = "late"
 
 _INF = float("inf")
+_NEG_INF = float("-inf")
 _CONTINUE = TriggerResult.CONTINUE
 _FIRE = TriggerResult.FIRE
 _FIRE_AND_PURGE = TriggerResult.FIRE_AND_PURGE
@@ -175,6 +176,10 @@ class WindowOperator(Operator):
         self._create = function._create if plain else function.create
         self._add = function._add if plain else function.add
         self._result = function._result if plain else None
+        #: the plain watermark trigger, whose event-time decision
+        #: ``on_event_timer`` makes inline (pinned to
+        #: ``EventTimeTrigger.on_event_time`` by the window operator tests)
+        self._watermark_trigger = type(self.trigger) is EventTimeTrigger
         #: static half of the columnar gate: fixed time windows, the plain
         #: watermark trigger, no evictor. (Count/early/punctuation triggers
         #: observe each element, merging windows reorder state — those keep
@@ -183,7 +188,7 @@ class WindowOperator(Operator):
             evictor is None
             and not assigner.is_merging
             and isinstance(assigner, (TumblingEventTimeWindows, SlidingEventTimeWindows))
-            and type(self.trigger) is EventTimeTrigger
+            and self._watermark_trigger
         )
 
     @property
@@ -204,23 +209,30 @@ class WindowOperator(Operator):
             windows = [self._merge_windows(windows[0], row, ctx)]
         lateness = self.allowed_lateness
         incremental = self.function.incremental
+        get, put, add = backend.get, backend.put, self._add
         for window in windows:
             end = window.end
             if end != _INF and watermark >= end + lateness:
                 self.late_drops += 1
                 ctx.emit_to(LATE_OUTPUT_TAG, record)
                 continue
-            entry = (backend.get(descriptor, key) or {}).get(window)
+            stored = get(descriptor, key)
+            entry = stored.get(window) if stored else None
             new_window = entry is None
             if new_window:
                 entry = {"acc": self._create(), "count": 0, "max_ts": event_time, "last": None}
-            entry["acc"] = self._add(entry["acc"], value if incremental else (event_time, value))
+            entry["acc"] = add(entry["acc"], value if incremental else (event_time, value))
             count = entry["count"] = entry["count"] + 1
             if event_time > entry["max_ts"]:
                 entry["max_ts"] = event_time
-            contents = backend.get(descriptor, key) or {}
-            contents[window] = entry
-            backend.put(descriptor, key, contents)
+            contents = get(descriptor, key)
+            if not contents:
+                contents = {window: entry}
+            elif new_window or contents is not stored:
+                contents[window] = entry
+            # (else this is the map read first, which holds ``entry`` under
+            # ``window`` already: storing it again would only hash again)
+            put(descriptor, key, contents)
             if new_window and end != _INF:
                 ctx.register_event_timer(end, ("fire", window))
                 if lateness > 0:
@@ -266,6 +278,8 @@ class WindowOperator(Operator):
         watermark = ctx.current_watermark()
         values = batch.values
         keys = batch.keys
+        #: each row's windows are only read: the assigner may hand the same
+        #: list to every row of one slide
         assign = self.assigner.assign
         #: (key, window) -> [window, key, row_indices]; insertion order is
         #: scalar first-touch order
@@ -373,9 +387,16 @@ class WindowOperator(Operator):
         kind, window = payload
         row = ctx.state(self._descriptor)
         backend, descriptor, state_key = row
-        if (backend.get(descriptor, state_key) or {}).get(window) is None:
+        stored = backend.get(descriptor, state_key)
+        if not stored or stored.get(window) is None:
             return  # merged away or already purged
         if kind == "fire":
+            if self._watermark_trigger:
+                # EventTimeTrigger.on_event_time without its frame: at or
+                # past the end, fire and purge
+                if timestamp >= window.end:
+                    self._fire(row, window, ctx, self.allowed_lateness == 0)
+                return
             result = self.trigger.on_event_time(timestamp, window)
             if result is not _CONTINUE:
                 self._fire(row, window, ctx, result is _FIRE_AND_PURGE and self.allowed_lateness == 0)
@@ -413,7 +434,8 @@ class WindowOperator(Operator):
         ``ctx.state`` returned), then purge the window or keep it with the
         result remembered for a later retraction."""
         backend, descriptor, key = row
-        entry = (backend.get(descriptor, key) or {}).get(window)
+        stored = backend.get(descriptor, key)
+        entry = stored.get(window) if stored else None
         if entry is None or entry["count"] == 0:
             return
         acc = entry["acc"]
@@ -423,7 +445,7 @@ class WindowOperator(Operator):
             entry["acc"] = kept
         result = self._result
         value = self.function.result(key, window, acc) if result is None else result(acc)
-        start = getattr(window, "start", float("-inf"))
+        start = getattr(window, "start", _NEG_INF)
         end = getattr(window, "end", _INF)
         event_time = end if end != _INF else entry["max_ts"]
         output = WindowResult(key, start, end, value) if self.emit_window_results else value
@@ -435,7 +457,8 @@ class WindowOperator(Operator):
             contents.pop(window, None)
         else:
             entry["last"] = output
-            contents[window] = entry
+            if contents is not stored:
+                contents[window] = entry
         if contents:
             backend.put(descriptor, key, contents)
         else:

@@ -5,9 +5,11 @@ The fabric's core promise is that multiplexing jobs onto one kernel is
 pairs, in order — are byte-identical whether the job runs alone on a
 dedicated kernel or interleaved with K other seeded jobs competing for
 slots. The hypothesis test below is the oracle from the issue; the other
-tests pin specific adversarial neighbours (crash loops, stalls).
+tests pin specific adversarial neighbours (crash loops, stalls). Two draws
+where the promise does not hold yet (hole 3) are pinned as strict xfails.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,25 @@ def test_digest_is_invariant_to_interleaving(seed, neighbours, slots, quantum):
     """Property: for any seed and any contention level, the subject job's
     sink digest interleaved with K seeded neighbours equals its solo
     digest on a dedicated kernel."""
+    _assert_digest_matches_solo(seed, neighbours, slots, quantum)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="hole 3: a resumed job's replayed events land after events that followed them "
+    "in the solo run; closed by One heap per tenant (ROADMAP)",
+)
+@pytest.mark.parametrize(
+    "seed, neighbours, slots, quantum", [(2938, 1, 1, 0.005), (5701, 4, 3, 0.005)]
+)
+def test_digest_is_invariant_to_interleaving_at_the_hole_3_draws(seed, neighbours, slots, quantum):
+    """Two draws of the property above whose interleaved digest differs
+    from the solo one: the oracle can fail, and these pin where it does."""
+    _assert_digest_matches_solo(seed, neighbours, slots, quantum)
+
+
+def _assert_digest_matches_solo(seed, neighbours, slots, quantum):
     alone = solo_digest("subject", seed=seed, count=80)
 
     fabric = JobFabric(FabricConfig(slots=slots, quantum=quantum))

@@ -12,15 +12,19 @@ members without the ``add_cost`` frame, while a traced record still goes
 through ``process``.
 """
 
+import hashlib
 import itertools
 import sys
 
 import pytest
 
 from repro.core.datastream import StreamExecutionEnvironment
+from repro.core.operators.base import Operator
 from repro.core.operators.chain import ChainedOperator
 from repro.io import CollectSink, SensorWorkload
+from repro.progress.watermarks import BoundedOutOfOrderness, PunctuatedWatermarks, WatermarkStrategy
 from repro.runtime import task as task_module
+from repro.runtime.channel import outputs_clear
 from repro.runtime.config import EngineConfig
 
 SERVE_PARTS = ("rescale", "keygroups", "tracer", "profiler", "gate", "chain")
@@ -82,6 +86,15 @@ def test_a_scalar_source_flushes_in_its_emission_frame(parts):
     emit_due = source.split("def _schedule_next")[0]
     assert "flush_outputs()" not in emit_due
     assert ("channels[0].transmit(element)" in emit_due) is not parts["batch"]
+
+
+@pytest.mark.parametrize("parts", list(_shapes(EMIT_PARTS)), ids=lambda p: "+".join(n for n, on in p.items() if on) or "none")
+def test_a_source_checks_its_outputs_and_asks_its_strategy_in_its_emission_frame(parts):
+    source = "\n".join(task_module._expand(task_module._EMIT, frozenset(n for n, on in parts.items() if on)))
+    emit_due = source.split("def _schedule_next")[0]
+    assert "outputs_clear(" not in emit_due and "channel._backlog" in emit_due
+    # a batch's rows meet the strategy in _emit_batch
+    assert ("on_event(" in emit_due) is not parts["batch"]
 
 
 def test_the_general_body_holds_every_part():
@@ -150,6 +163,64 @@ def test_a_traced_record_still_goes_through_process():
     # members only the sink has a cost to charge (a key_by's is zero)
     assert _calls(env, PROCESS, ADD_COST) == [400, 200]
     assert len(sink.results) == 200
+
+
+class _WatermarkLog(Operator):
+    """Forwards everything; logs the watermarks it is handed."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def on_watermark(self, watermark, ctx):
+        self.log.append(watermark.timestamp)
+        ctx.emit(watermark)
+
+
+def _source_job(strategy):
+    env = StreamExecutionEnvironment(EngineConfig(seed=1))
+    sink, watermarks = CollectSink("out"), []
+    (
+        env.from_workload(
+            SensorWorkload(count=1000, rate=2000.0, key_count=4, disorder=0.002, seed=3),
+            name="src",
+            watermarks=strategy,
+        )
+        .apply_operator(lambda: _WatermarkLog(watermarks), name="log")
+        .sink(sink, name="out")
+    )
+    return env, sink, watermarks
+
+
+def test_a_source_under_the_base_strategy_never_calls_outputs_clear():
+    env, sink, watermarks = _source_job(WatermarkStrategy())
+    codes = outputs_clear.__code__, WatermarkStrategy.on_event.__code__
+    assert _calls(env, *codes) == [0, 1000]
+    assert len(sink.results) == 1000 and len(watermarks) == 1  # end of input
+
+
+#: (strategy, its ``on_event``, the watermarks the logging operator is
+#: handed as (count, digest)) — the digests are those of the tree that
+#: called every strategy through ``task.strategy`` per record
+STRATEGIES = {
+    "bounded": (
+        lambda: BoundedOutOfOrderness(0.005), BoundedOutOfOrderness.on_event, (11, "2e9912d92f8ef0a4")
+    ),
+    "punctuated": (
+        lambda: PunctuatedWatermarks(lambda v, t: t - 0.005 if v["seq"] % 50 == 0 else None),
+        PunctuatedWatermarks.on_event,
+        (21, "952dfbe70edfadc6"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_a_strategy_with_on_event_sees_every_record_and_emits_the_same_watermarks(name):
+    strategy, on_event, expected = STRATEGIES[name]
+    env, sink, watermarks = _source_job(strategy())
+    assert _calls(env, outputs_clear.__code__, on_event.__code__) == [0, 1000]
+    assert len(sink.results) == 1000
+    digest = hashlib.sha256(repr(watermarks).encode()).hexdigest()[:16]
+    assert (len(watermarks), digest) == expected
 
 
 def test_the_same_rows_and_busy_time_traced_or_not():

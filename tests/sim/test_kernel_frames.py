@@ -108,3 +108,49 @@ def test_a_contended_two_tenant_fabric_stays_within_the_bound():
     summary = results[0].summary()
     assert summary["states"] == {"done": 2} and summary["preemptions"] > 0
     assert calls <= FABRIC_BOUND, f"{calls} calls into repro/sim, bound {FABRIC_BOUND}"
+
+
+def _noop():
+    pass
+
+
+def cancel_job_cost(total_events: int) -> tuple[int, int, int]:
+    """Python calls and bytecodes executed by ``cancel_job("job50")`` on a
+    kernel holding ``total_events`` events of 100 jobs (compaction off, as
+    in the A10 teardown benchmark), and the events it condemned."""
+    kernel = Kernel(compact_min_dead=1 << 30)
+    for j in range(100):
+        with kernel.job_scope(f"job{j}"):
+            for i in range(total_events // 100):
+                kernel.call_at(1.0 + i, _noop)
+    calls = opcodes = 0
+
+    def trace(frame, event, _arg):
+        nonlocal calls, opcodes
+        if event == "call":
+            calls += 1
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            opcodes += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        condemned = kernel.cancel_job("job50")
+    finally:
+        sys.settrace(previous)
+    return calls, opcodes, condemned
+
+
+def test_teardown_work_does_not_grow_with_the_heap():
+    """The exact twin of A10's wall-clock teardown ratio: cancelling a job
+    executes the same calls and bytecodes beside 2 000 queued events as
+    beside 100 000 (a heap scan would add bytecodes per event)."""
+    small_calls, small_opcodes, small_condemned = cancel_job_cost(2_000)
+    large_calls, large_opcodes, large_condemned = cancel_job_cost(100_000)
+    assert (small_condemned, large_condemned) == (20, 1_000)
+    assert large_calls == small_calls and large_opcodes == small_opcodes, (
+        (small_calls, small_opcodes),
+        (large_calls, large_opcodes),
+    )

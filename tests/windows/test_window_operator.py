@@ -2,12 +2,17 @@
 
 from helpers import StubContext, advance_watermark, emitted_records, feed, fire_processing_timers
 
+import math
+
+import pytest
+
 from repro.core.events import Punctuation, Record
 from repro.windows import (
     CountEvictor,
     CountTrigger,
     EarlyFiringTrigger,
     EventTimeSessionWindows,
+    EventTimeTrigger,
     GlobalWindows,
     ProcessWindowFunction,
     PunctuationTrigger,
@@ -15,7 +20,9 @@ from repro.windows import (
     WindowOperator,
     WindowResult,
 )
+from repro.windows.core import TimeWindow
 from repro.windows.operator import AggregateFunction
+from repro.windows.triggers import TriggerResult
 
 
 def count_op(**kwargs):
@@ -184,3 +191,40 @@ class TestEvictorAndApply:
                 AggregateFunction(lambda: 0, lambda a, v: a),
                 evictor=CountEvictor(1),
             )
+
+
+class _SameAsEventTime(EventTimeTrigger):
+    """The watermark trigger under another type: the operator asks its
+    ``on_event_time`` instead of deciding inline."""
+
+
+class TestInlineWatermarkDecision:
+    """For the plain ``EventTimeTrigger`` the operator decides a fire timer
+    inline; that must stay what ``EventTimeTrigger.on_event_time`` says."""
+
+    END = 10.0
+    TIMESTAMPS = (
+        5.0,
+        math.nextafter(END, -math.inf),
+        END,
+        math.nextafter(END, math.inf),
+        END + 3.0,
+    )
+
+    @staticmethod
+    def _fire_once(trigger, timestamp, lateness):
+        ctx = StubContext()
+        op = count_op(trigger=trigger, allowed_lateness=lateness)
+        feed(ctx, op, "a", event_time=1.0, key="k")
+        op.on_event_timer(timestamp, "k", ("fire", TimeWindow(0.0, TestInlineWatermarkDecision.END)), ctx)
+        return [(r.value, r.event_time) for r in emitted_records(ctx)], list(ctx.backend.keys(op._descriptor))
+
+    @pytest.mark.parametrize("lateness", [0.0, 2.0])
+    @pytest.mark.parametrize("timestamp", TIMESTAMPS)
+    def test_inline_decision_matches_the_trigger(self, timestamp, lateness):
+        assert count_op()._watermark_trigger and not count_op(trigger=_SameAsEventTime())._watermark_trigger
+        inline = self._fire_once(EventTimeTrigger(), timestamp, lateness)
+        asked = self._fire_once(_SameAsEventTime(), timestamp, lateness)
+        assert inline == asked
+        fires = EventTimeTrigger().on_event_time(timestamp, TimeWindow(0.0, self.END)) is not TriggerResult.CONTINUE
+        assert bool(inline[0]) is fires
