@@ -56,7 +56,7 @@ def run_static():
     sink = build(env)
     engine = env.build()
     env.execute(until=120.0)
-    return summarize("static plan", sink, len(engine.tasks_of("count")))
+    return summarize("static plan", sink, len(engine.plan.subtasks("count")))
 
 
 def run_dynamic():
@@ -73,7 +73,7 @@ def run_dynamic():
     return summarize(
         "dynamic expansion",
         sink,
-        len(engine.tasks_of("count")),
+        len(engine.plan.subtasks("count")),
         expansions=len(expander.expansions),
         tapped=len(tap.results),
     )

@@ -42,7 +42,7 @@ def run():
     return {
         "changes": changes,
         "counted": sum(per_key.values()),
-        "final_parallelism": len(engine.tasks_of("count")),
+        "final_parallelism": len(engine.plan.subtasks("count")),
         "moved_bytes": sum(r.moved_bytes for r in controller.rescaler.reports),
         "makespan": max((r.emitted_at for r in sink.results), default=0.0),
     }

@@ -76,7 +76,7 @@ def run_elastic():
         "elasticity (DS2)",
         env,
         sink,
-        parallelism=len(engine.tasks_of("count")),
+        parallelism=len(engine.plan.subtasks("count")),
         dropped=0,
         reconfigs=controller.reconfigurations,
     )

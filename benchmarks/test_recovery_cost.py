@@ -71,7 +71,7 @@ def run_recovery(mode):
             measured["tasks_restored"] = len(region)
         else:
             resume_at = engine.recover_from_checkpoint()
-            measured["tasks_restored"] = len(engine.planned_tasks())
+            measured["tasks_restored"] = len(engine.plan.tasks())
         measured["restore_latency"] = resume_at - started
 
     engine.kernel.call_at(FAIL_AT, fail_and_recover)

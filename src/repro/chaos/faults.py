@@ -34,7 +34,7 @@ from repro.chaos.schedule import (
     FaultSpec,
 )
 from repro.core.events import CheckpointBarrier, Record, RecordBatch, StreamElement
-from repro.errors import RecoveryError
+from repro.errors import GraphError, RecoveryError
 from repro.fault.injection import FailureEvent, FailureInjector
 from repro.load.migration import Rescaler
 from repro.runtime.config import GuaranteeLevel
@@ -207,8 +207,7 @@ class ChaosInjector:
         """Install channel hooks and schedule every fault on the kernel."""
         channels = {
             f"{ch.sender.name}->{ch.receiver.name}": ch
-            for ch in self.engine.iter_physical_channels()
-            if ch.sender is not None
+            for ch in self.engine.plan.channels()
         }
         for spec in self.schedule.faults:
             if spec.kind == KILL:
@@ -263,14 +262,13 @@ class ChaosInjector:
             if engine.job_finished or engine.job_failed or engine.restore_pending:
                 return
             try:
-                node = engine.graph.node_by_name(spec.target)
-            except Exception:
+                tasks = engine.plan.subtasks(spec.target)
+            except GraphError:
                 raise RecoveryError(f"chaos schedule targets unknown node {spec.target!r}")
-            tasks = engine.node_tasks.get(node.node_id, [])
-            if not tasks or any(t.dead for t in tasks):
+            if any(t.dead for t in tasks):
                 return
             target_p = max(1, spec.count)
-            if target_p == node.parallelism:
+            if target_p == len(tasks):
                 # Force a real reconfiguration: same-parallelism rescales
                 # would be no-ops and waste the scheduled slot.
                 target_p += 1

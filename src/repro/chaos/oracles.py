@@ -112,11 +112,11 @@ class CreditConservationOracle(Oracle):
 
     def probe(self, engine: "Engine") -> list[OracleViolation]:
         violations = []
-        for channel in engine.iter_physical_channels():
+        for channel in engine.plan.channels():
             capacity = channel.spec.capacity
             if capacity is None:
                 continue
-            label = f"{channel.sender.name if channel.sender else '?'}->{channel.receiver.name}"
+            label = f"{channel.sender.name}->{channel.receiver.name}"
             if channel.credits < 0 or channel.credits > capacity:
                 violations.append(
                     self._violation(
@@ -404,8 +404,8 @@ class MetricInvariantOracle(Oracle):
                         )
                     )
                 self._task_last[key] = value
-        for channel in engine.iter_physical_channels():
-            label = f"{channel.sender.name if channel.sender else '?'}->{channel.receiver.name}"
+        for channel in engine.plan.channels():
+            label = f"{channel.sender.name}->{channel.receiver.name}"
             if channel.delivered > channel.sent:
                 violations.append(
                     self._violation(
@@ -462,7 +462,7 @@ class MetricInvariantOracle(Oracle):
             return violations
         emitted = dropped = 0
         consumed = 0
-        for task in engine.planned_tasks():
+        for task in engine.plan.tasks():
             dropped += task.metrics.dropped
             if not task.inputs.count:
                 emitted += task.metrics.records_out

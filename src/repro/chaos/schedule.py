@@ -133,8 +133,7 @@ def generate_schedule(
     ]
     channel_targets = [
         f"{ch.sender.name}->{ch.receiver.name}"
-        for ch in engine.iter_physical_channels()
-        if ch.sender is not None
+        for ch in engine.plan.channels()
     ]
     kinds = [
         k

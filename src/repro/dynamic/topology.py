@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.core.graph import ChannelSpec, Partitioning
+from repro.core.graph import ChannelSpec
 from repro.core.operators.base import Operator
-from repro.errors import GraphError
 from repro.load.migration import Rescaler
-from repro.runtime.channel import OutputGate
 from repro.runtime.engine import Engine
-from repro.runtime.metrics import TaskMetrics
 from repro.runtime.task import Task
 from repro.sim.kernel import PeriodicTimer
 
@@ -42,32 +39,10 @@ class TopologyManager:
         channel: ChannelSpec | None = None,
     ) -> Task:
         """Spawn a new single-task operator consuming ``node_name``'s output
-        from now on (no replay — it observes the live stream)."""
-        engine = self.engine
-        node = engine.graph.node_by_name(node_name)
+        from now on (no replay — it observes the live stream). The tap is in
+        the physical plan: checkpointed, revived and rescaled with the job."""
         tap_name = tap_name or f"tap-{len(self.spawned)}"
-        if any(t.name.startswith(f"{tap_name}[") for t in engine.tasks.values()):
-            raise GraphError(f"tap name {tap_name!r} already in use")
-        task = Task(
-            engine.kernel,
-            f"{tap_name}[0]",
-            operator=operator_factory(),
-            state_backend=engine.config.state_backend_factory(),
-            processing_cost=(
-                processing_cost
-                if processing_cost is not None
-                else engine.config.default_processing_cost
-            ),
-            metrics=engine.metrics.for_task(f"{tap_name}[0]"),
-            engine=engine,
-        )
-        engine.tasks[task.name] = task
-        task.start()
-        spec = engine.config.channel_for(channel)
-        for upstream in engine.node_tasks[node.node_id]:
-            link = engine.make_channel(spec, upstream, task)
-            gate = OutputGate(Partitioning.BROADCAST, [link], engine.config.max_parallelism)
-            upstream.attach_output(gate)
+        task = self.engine.plan.add_tap(node_name, operator_factory, tap_name, processing_cost, channel)
         self.spawned.append(task)
         return task
 
@@ -112,7 +87,7 @@ class AdaptiveExpander:
         if self.engine.job_finished:
             self.stop()
             return
-        tasks = self.engine.tasks_of(self.node_name)
+        tasks = self.engine.plan.subtasks(self.node_name)
         hottest = max((t.mailbox_size for t in tasks), default=0)
         if hottest > self.queue_threshold and len(tasks) < self.max_parallelism:
             new_parallelism = len(tasks) + 1
@@ -122,4 +97,4 @@ class AdaptiveExpander:
 
 def collect_task_pressure(engine: Engine, node_name: str) -> dict[str, int]:
     """Current mailbox length per subtask (the skew diagnostic)."""
-    return {t.name: t.mailbox_size for t in engine.tasks_of(node_name)}
+    return {t.name: t.mailbox_size for t in engine.plan.subtasks(node_name)}

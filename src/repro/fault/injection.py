@@ -79,7 +79,7 @@ class FailureInjector:
         group = f"node/{node_name}@{at:.9g}"
         return [
             self.schedule_kill(task.name, at, group=group)
-            for task in self.engine.tasks_of(node_name)
+            for task in self.engine.plan.subtasks(node_name)
         ]
 
     def tasks_in_group(self, group: str) -> list[str]:

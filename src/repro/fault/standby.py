@@ -123,7 +123,7 @@ class ActiveStandby:
         )
 
         def promote() -> None:
-            self.engine.revive(task, self._mirror)
+            self.engine.plan.revive(task, self._mirror)
             # Drain deliveries retained during the switchover; stay armed
             # (the replica keeps mirroring for the next failure).
             buffered, task.ha_buffer = task.ha_buffer, []
@@ -178,7 +178,7 @@ class PassiveStandby:
         )
 
         def recover() -> None:
-            self.engine.revive(task, snapshot)
+            self.engine.plan.revive(task, snapshot)
             if isinstance(task, SourceTask):
                 task.restart_emission()
             report.lost_deliveries = task.metrics.dropped - dropped_before

@@ -103,7 +103,7 @@ class UpstreamBackup:
         self.upstream_task.suspend()
 
         def rebuild() -> None:
-            self.engine.revive(task)
+            self.engine.plan.revive(task)
             # Everything retained by now covers all parked in-flights: the
             # suspended upstream emitted at most one completion since the
             # kill, and its records were tapped into the retained queue.

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.keys import DEFAULT_MAX_PARALLELISM
 from repro.errors import LoadManagementError
 from repro.load.elasticity import DS2Controller
-from repro.load.migration import Rescaler, RescaleReport
+from repro.load.migration import Rescaler, RescaleReport, RescaleState
 from repro.runtime.engine import Engine
 from repro.sim.kernel import PeriodicTimer
 
@@ -142,10 +143,9 @@ class AutoscaleController:
     def _enable_tracking(self) -> None:
         if self.hot_group_threshold <= 0.0 or self.hot_group_threshold > 1.0:
             return
-        max_p = self.engine.config.max_parallelism
         for name in self.scalable:
-            for task in self.engine.tasks_of(name):
-                task.enable_keygroup_tracking(max_p)
+            for task in self.engine.plan.subtasks(name):
+                task.enable_keygroup_tracking(DEFAULT_MAX_PARALLELISM)
 
     def _register_gauges(self) -> None:
         registry = self.engine.obs.registry
@@ -182,8 +182,7 @@ class AutoscaleController:
                 continue
             if not self._actionable(decision.operator, now):
                 continue
-            node = engine.graph.node_by_name(decision.operator)
-            if decision.target < node.parallelism:
+            if decision.target < len(engine.plan.subtasks(decision.operator)):
                 streak = self._down_streak.get(decision.operator, 0) + 1
                 self._down_streak[decision.operator] = streak
                 if streak < self.scale_down_patience:
@@ -200,7 +199,7 @@ class AutoscaleController:
         last = self._last_action_at.get(name)
         if last is not None and now - last < self.cooldown:
             return False
-        return not any(t.dead for t in self.engine.tasks_of(name))
+        return not any(t.dead for t in self.engine.plan.subtasks(name))
 
     def _note(self, report: RescaleReport, now: float) -> None:
         self.moved_bytes_total += report.moved_bytes
@@ -212,7 +211,7 @@ class AutoscaleController:
     def _mitigate_skew(self, name: str, now: float) -> None:
         """Split (or widen the split of) a key group that dominated this
         window's records for ``name``."""
-        tasks = self.engine.tasks_of(name)
+        tasks = self.engine.plan.subtasks(name)
         if len(tasks) < 2 or not self._actionable(name, now):
             return
         totals: dict[int, int] = {}
@@ -230,11 +229,10 @@ class AutoscaleController:
         share = count / processed
         if share < self.hot_group_threshold:
             return
-        node = self.engine.graph.node_by_name(name)
-        router = self.rescaler.router_for(name)
+        router = RescaleState.of(self.engine).router(name)
         current = router.split_fanout(group)
         fanout = self.hot_group_fanout if current is None else current * 2
-        fanout = min(fanout, node.parallelism)
+        fanout = min(fanout, len(tasks))
         if current is not None and fanout <= current:
             return  # already spread as wide as the operator goes
         report = self.rescaler.split_key_group(name, group, fanout, mode="live")

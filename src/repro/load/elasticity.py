@@ -99,7 +99,7 @@ class DS2Controller:
     # ------------------------------------------------------------------
     def _window_metrics(self, node_name: str) -> tuple[float, float, float, float]:
         """(input rate, output rate, busy delta, blocked delta) over the window."""
-        tasks = self.engine.tasks_of(node_name)
+        tasks = self.engine.plan.subtasks(node_name)
         records_in = sum(t.metrics.records_in for t in tasks)
         records_out = sum(t.metrics.records_out for t in tasks)
         busy = sum(t.metrics.busy_time for t in tasks)
@@ -141,7 +141,7 @@ class DS2Controller:
         demand = source_rate
         for name in self.scalable:
             in_rate, out_rate, busy, _blocked = self._window_metrics(name)
-            tasks = self.engine.tasks_of(name)
+            tasks = self.engine.plan.subtasks(name)
             parallelism = len(tasks)
             processed = in_rate * self.interval
             true_rate = processed / busy if busy > 0 else float("inf")

@@ -20,8 +20,9 @@ post-restore redistribution — so all four views of "who owns this key"
 cannot diverge. It also keeps every task a rescaled node ran (retired
 subtasks included), the links a scale-in retired, and the finish gate.
 :class:`Rescaler` is the kernel glue around it: it refuses what cannot be
-reconfigured, rewires gates and channels, and charges the pause. The router
-also carries hot-group splits (see :meth:`Rescaler.split_key_group`).
+reconfigured, has the engine's physical plan add or retire subtasks, and
+charges the pause. The router also carries hot-group splits (see
+:meth:`Rescaler.split_key_group`).
 
 State handoff is **incremental when it can be**: if the engine checkpoints
 with base + delta chains (PR 5) and a task's chain is current (its backend's
@@ -36,14 +37,15 @@ on large keyed state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
-from repro.core.events import MAX_TIMESTAMP, EndOfStream, RecordBatch, Watermark
+from repro.core.events import RecordBatch
 from repro.core.graph import Partitioning
+from repro.core.keys import DEFAULT_MAX_PARALLELISM
 from repro.core.operators.chain import ChainedOperator
 from repro.errors import LoadManagementError
 from repro.load.routing import KeyRouter
-from repro.runtime.channel import OutputGate, PhysicalChannel
+from repro.runtime.channel import PhysicalChannel
 from repro.runtime.engine import Engine
 from repro.runtime.task import SourceTask, Task
 
@@ -91,70 +93,72 @@ class RescaleState:
     and :meth:`ready`. The transitions are a :meth:`router` change,
     :meth:`gate`, :meth:`retire`, :meth:`migrate` and :meth:`restore`; only
     the last two touch state backends, so the rest runs without a kernel.
+    Nodes are named by whatever key ``subtasks`` takes: the engine's plan
+    takes logical node names.
     """
 
-    def __init__(self, node_tasks: dict[int, list[Task]], max_parallelism: int) -> None:
-        #: the plan: node id → its current subtasks, in index order
-        self.node_tasks = node_tasks
+    def __init__(self, subtasks: Callable[[Any], list[Task]], max_parallelism: int) -> None:
+        #: the plan's lookup: node → its current subtasks, in index order
+        self.subtasks = subtasks
         self.max_parallelism = max_parallelism
-        #: node id → the router its gates, migration and owner lookup share
-        self.routers: dict[int, KeyRouter] = {}
-        #: rescaled node id → every task it ran, by name, retired subtasks
+        #: node → the router its gates, migration and owner lookup share
+        self.routers: dict[Any, KeyRouter] = {}
+        #: rescaled node → every task it ran, by name, retired subtasks
         #: included (a subtask re-added under a retired one's name replaces it)
-        self.members: dict[int, dict[str, Task]] = {}
-        #: rescaled node id → links into subtasks retired by a scale-in;
+        self.members: dict[Any, dict[str, Task]] = {}
+        #: rescaled node → links into subtasks retired by a scale-in;
         #: records can still be travelling them, and the finish gate waits
         #: until they land (and get forwarded)
-        self.retired: dict[int, list[PhysicalChannel]] = {}
-        #: member name → its node id
-        self._node_of: dict[str, int] = {}
+        self.retired: dict[Any, list[PhysicalChannel]] = {}
+        #: member name → its node
+        self._node_of: dict[str, Any] = {}
 
     @classmethod
     def of(cls, engine: Engine) -> RescaleState:
         """The engine's part, created on first use."""
         if engine.rescale_state is None:
-            engine.rescale_state = cls(engine.node_tasks, engine.config.max_parallelism)
+            engine.rescale_state = cls(engine.plan.subtasks, DEFAULT_MAX_PARALLELISM)
         return engine.rescale_state
 
     # -- transitions ------------------------------------------------------
-    def router(self, node_id: int) -> KeyRouter:
+    def router(self, node: Any) -> KeyRouter:
         """The node's router, created at its current parallelism on first use."""
-        router = self.routers.get(node_id)
+        router = self.routers.get(node)
         if router is None:
-            router = KeyRouter(len(self.node_tasks[node_id]), self.max_parallelism)
-            self.routers[node_id] = router
+            router = KeyRouter(len(self.subtasks(node)), self.max_parallelism)
+            self.routers[node] = router
         return router
 
-    def gate(self, node_id: int) -> None:
+    def gate(self, node: Any) -> None:
         """The node is rescaled: its current subtasks join its members. Every
         member forwards records whose key moved (the Megaphone-style
         correctness piece of live migration), and every member and every
         task a member sends to holds its end-of-stream until :meth:`ready`,
         so no straggler can trail a final EOS."""
-        self.router(node_id)
-        members = self.members.setdefault(node_id, {})
-        for task in self.node_tasks[node_id]:
+        self.router(node)
+        members = self.members.setdefault(node, {})
+        for task in self.subtasks(node):
             members[task.name] = task
-            self._node_of[task.name] = node_id
+            self._node_of[task.name] = node
         for task in members.values():
             task.rescale_state = self
             for gate in task.output_gates:
                 for channel in gate.channels:
                     channel.receiver.rescale_state = self
 
-    def retire(self, node_id: int, links: list[PhysicalChannel]) -> None:
+    def retire(self, node: Any, links: list[PhysicalChannel]) -> None:
         """A scale-in detached ``links`` into the node's retired subtasks."""
-        self.retired.setdefault(node_id, []).extend(links)
+        self.retired.setdefault(node, []).extend(links)
 
     # -- queries ----------------------------------------------------------
     def owner(self, task: Task, key: Any) -> Task | None:
         """The task that owns ``key`` now (``task`` itself, maybe) when
         ``task`` belongs to a rescaled node, else None; resolved through the
         current plan and router, so it stays correct across rescales."""
-        node_id = self._node_of.get(task.name)
-        if node_id is None:
+        node = self._node_of.get(task.name)
+        if node is None:
             return None
-        return self.node_tasks[node_id][self.routers[node_id].owner_index(key)]
+        return self.subtasks(node)[self.routers[node].owner_index(key)]
 
     def reroutes(self, task: Task) -> bool:
         """True when ``task`` belongs to a rescaled node."""
@@ -167,7 +171,7 @@ class RescaleState:
         has finished (a reopened owner re-sends its end-of-stream). Either
         way nothing travels a link retired into the node, or from the node
         to it."""
-        for node_id, members in self.members.items():
+        for node, members in self.members.items():
             group = members.values()
             links = [c for m in group for g in m.output_gates for c in g.channels if c.receiver is task]
             if members.get(task.name) is task:
@@ -176,20 +180,20 @@ class RescaleState:
                 waiting = any(not (m.finished or m.dead) for m in group)
             else:
                 continue
-            if waiting or any(c.pending for c in links + self.retired.get(node_id, [])):
+            if waiting or any(c.pending for c in links + self.retired.get(node, [])):
                 return False
         return True
 
     # -- state ------------------------------------------------------------
-    def migrate(self, node_id: int, store: Any) -> tuple[int, int, int, str]:
+    def migrate(self, node: Any, store: Any) -> tuple[int, int, int, str]:
         """Move every misplaced key (and its timers) to its router-assigned
         owner; ``store`` is the checkpoint chain store (None: full
         checkpoints). Returns ``(moved_entries, moved_bytes, chain_bytes,
         handoff)`` — see :class:`RescaleReport` for the accounting."""
-        router = self.routers[node_id]
-        tasks = self.node_tasks[node_id]
+        router = self.routers[node]
+        tasks = self.subtasks(node)
         all_tasks = tasks + [
-            t for t in self.members[node_id].values() if t not in tasks and t.finished
+            t for t in self.members[node].values() if t not in tasks and t.finished
         ]
         moved_entries = 0
         moved_bytes = 0
@@ -260,22 +264,22 @@ class RescaleState:
         2. runs the migration pass so every key and timer moves to the owner
            the node's router assigns it under the current configuration.
         """
-        for node_id in sorted(self.members):
-            tasks = self.node_tasks.get(node_id)
-            if not tasks or tasks[0].name not in scope:
+        for node in sorted(self.members):
+            tasks = self.subtasks(node)
+            if tasks[0].name not in scope:
                 continue  # a closed scope holds all of a rescaled node or none
             planned = {t.name for t in tasks}
-            for name, task in self.members[node_id].items():
+            for name, task in self.members[node].items():
                 if name in planned:
                     continue
                 snapshot = record.snapshots.get(name) if record is not None else None
                 if task.dead or snapshot is not None:
-                    engine.revive(task, snapshot, fresh_backend=True)
+                    engine.plan.revive(task, snapshot, fresh_backend=True)
                     # The subtask stays retired: the migration pass below
                     # drains its restored state into the current owners.
                     task.finished = True
-            self.migrate(node_id, engine.coordinator.store)
-            self.gate(node_id)
+            self.migrate(node, engine.coordinator.store)
+            self.gate(node)
 
 
 class Rescaler:
@@ -302,12 +306,6 @@ class Rescaler:
         Parallelism is unchanged; only the group's keys move."""
         return self._reconfigure(node_name, mode, split=(key_group, fanout))
 
-    def router_for(self, node_name: str) -> KeyRouter:
-        """The node's shared :class:`KeyRouter`, created on first use at the
-        node's current parallelism."""
-        node = self.engine.graph.node_by_name(node_name)
-        return RescaleState.of(self.engine).router(node.node_id)
-
     # ------------------------------------------------------------------
     def _reconfigure(
         self,
@@ -319,15 +317,16 @@ class Rescaler:
         """The one body of both verbs: refuse before any change, then change
         the router, rewire, gate, migrate, charge the pause and report."""
         engine = self.engine
+        plan = engine.plan
         node = engine.graph.node_by_name(node_name)
-        tasks = engine.node_tasks[node.node_id]
+        tasks = plan.subtasks(node_name)
         self._refuse(node, tasks, mode)
         # A barrier in flight while channels are added or removed, or keys
         # move, can never align on every (new) task: abort the round instead
         # of wedging it; the coordinator triggers the next one on schedule.
         engine.abort_inflight_checkpoint()
         started_at = engine.kernel.now()
-        old_p = node.parallelism
+        old_p = len(tasks)
         new_p = old_p if new_parallelism is None else new_parallelism
         # The classic savepoint cycle writes out and reads back *all* of the
         # operator's state, not just the keys that change owners.
@@ -335,32 +334,29 @@ class Rescaler:
             sum(t.state_backend.snapshot_bytes() for t in tasks) if mode == "stop-restart" else 0
         )
         state = RescaleState.of(engine)
-        router = state.router(node.node_id)
+        router = state.router(node_name)
         if split is None:
             router.set_parallelism(new_p)
         else:
             router.split_group(*split)
         if new_p > old_p:
-            self._scale_out(node, old_p, new_p)
+            plan.add_subtasks(node_name, new_p)
         # Gate every finish (see RescaleState.ready) before any link is retired.
-        state.gate(node.node_id)
-        held = []  # what retired subtasks still held
+        state.gate(node_name)
+        held: list = []  # what retired subtasks still held
         if new_p < old_p:
-            held = self._scale_in(node, tasks, old_p, new_p)
-        self._install_router_on_gates(node, router)
+            state.retire(node_name, plan.retire_subtasks(node_name, new_p, held.append))
+        plan.route(node_name, router)
         moved_entries, moved_bytes, chain_bytes, handoff = state.migrate(
-            node.node_id, engine.coordinator.store
+            node_name, engine.coordinator.store
         )
         # The retired backlog goes to its owners once their state has moved.
-        owners = engine.node_tasks[node.node_id]
+        owners = plan.subtasks(node_name)
         for element in held:
             for record in element.records() if isinstance(element, RecordBatch) else (element,):
                 key = getattr(record, "key", None)
                 if key is not None:
                     owners[router.owner_index(key)].enqueue_local(record)
-        node.parallelism = new_p
-        for task in owners:
-            task.parallelism = new_p
         if mode == "stop-restart":
             moved_bytes = savepoint_bytes
             handoff = "savepoint"
@@ -402,89 +398,6 @@ class Rescaler:
         # FORWARD *output* edges are tolerated: new subtasks connect with
         # REBALANCE instead (existing 1:1 links keep working).
 
-    def _install_router_on_gates(self, node, router: KeyRouter) -> None:
-        """Point every upstream gate feeding ``node`` at the shared router so
-        hash routing immediately reflects the new configuration."""
-        engine = self.engine
-        for edge_index, edge in enumerate(engine.graph.edges):
-            if edge.target_id == node.node_id and edge.partitioning is Partitioning.HASH:
-                for gate in engine.edge_gates.get(edge_index, {}).values():
-                    gate.router = router
-
-    # ------------------------------------------------------------------
-    def _scale_out(self, node, old_p: int, new_p: int) -> None:
-        engine = self.engine
-        for index in range(old_p, new_p):
-            task = engine._make_task([node], index)
-            engine.node_tasks[node.node_id].append(task)
-            engine.tasks[task.name] = task
-            task.start()
-        new_tasks = engine.node_tasks[node.node_id][old_p:new_p]
-        # Incoming edges: extend every sender gate with channels to the new
-        # subtasks (appended in index order, so HASH routing stays aligned).
-        for edge_index, edge in enumerate(engine.graph.edges):
-            if edge.target_id == node.node_id:
-                spec = engine.config.channel_for(edge.channel)
-                for gate in engine.edge_gates.get(edge_index, {}).values():
-                    sender = gate.channels[0].sender if gate.channels else None
-                    for task in new_tasks:
-                        channel = engine.make_channel(spec, sender, task, edge.is_feedback)
-                        gate.channels.append(channel)
-                        if sender is not None and sender.finished and not sender.dead:
-                            # This upstream already sent its end-of-input on
-                            # the old channels and will never send again —
-                            # seed the new link so the fresh subtask can
-                            # still drain and finish instead of wedging.
-                            channel.send(Watermark(MAX_TIMESTAMP))
-                            channel.send(EndOfStream(source_id=sender.name))
-            if edge.source_id == node.node_id:
-                spec = engine.config.channel_for(edge.channel)
-                receivers = engine.node_tasks[edge.target_id]
-                partitioning = edge.partitioning
-                if partitioning is Partitioning.FORWARD:
-                    partitioning = Partitioning.REBALANCE
-                for task in new_tasks:
-                    channels = [
-                        engine.make_channel(spec, task, receiver, edge.is_feedback)
-                        for receiver in receivers
-                    ]
-                    gate = OutputGate(partitioning, channels, engine.config.max_parallelism)
-                    if partitioning is Partitioning.HASH:
-                        # The downstream node may itself have been rescaled:
-                        # route with its router, like the pre-existing gates.
-                        gate.router = engine.rescale_state.routers.get(edge.target_id)
-                    task.attach_output(gate)
-                    engine.edge_gates.setdefault(edge_index, {})[task.name] = gate
-
-    def _scale_in(self, node, tasks: list[Task], old_p: int, new_p: int) -> list:
-        """Detach the trailing subtasks and retire them; returns the elements
-        they still held, in order."""
-        engine = self.engine
-        state = engine.rescale_state
-        retired = tasks[new_p:old_p]
-        for edge_index, edge in enumerate(engine.graph.edges):
-            if edge.target_id == node.node_id:
-                for gate in engine.edge_gates.get(edge_index, {}).values():
-                    # Trailing channels point at the retired subtasks. Keep a
-                    # handle: in-flight records on a popped link still land
-                    # (and get forwarded), and the finish gate must wait for
-                    # them.
-                    popped = [gate.channels.pop() for _ in range(len(gate.channels) - new_p)]
-                    state.retire(node.node_id, popped)
-            if edge.source_id == node.node_id:
-                gates = engine.edge_gates.get(edge_index, {})
-                for task in retired:
-                    gate = gates.pop(task.name, None)
-                    if gate is not None:
-                        for channel in gate.channels:
-                            channel.receiver.retire_input_channel(channel.receiver_channel_index)
-        held: list = []
-        for task in retired:
-            task.retire(held.append)
-        engine.node_tasks[node.node_id] = tasks[:new_p]
-        return held
-
-    # ------------------------------------------------------------------
     def _charge_reconfiguration(
         self, owners: list[Task], mode: str, moved_bytes: int, started_at: float
     ) -> float:

@@ -56,7 +56,7 @@ class Shedder(Operator):
             return 0
         if self.pressure_node is not None and task.engine is not None:
             try:
-                watched = task.engine.tasks_of(self.pressure_node)
+                watched = task.engine.plan.subtasks(self.pressure_node)
             except Exception:  # noqa: BLE001 - node may not exist yet
                 watched = []
             if watched:

@@ -215,7 +215,7 @@ class MacroRunner:
                 )
         e2e = engine.obs.latency.e2e_histograms()
 
-        source_tasks = engine.tasks_of("macro-src")
+        source_tasks = engine.plan.subtasks("macro-src")
         source_records = sum(task.metrics.records_out for task in source_tasks)
         kind_counts = self.kind_counts()
 

@@ -122,8 +122,7 @@ class Observability:
 
     def register_channel(self, channel: "PhysicalChannel") -> None:
         """Publish a physical link's counters as pull gauges."""
-        sender = channel.sender.name if channel.sender is not None else "?"
-        label = f"{sender}->{channel.receiver.name}"
+        label = f"{channel.sender.name}->{channel.receiver.name}"
         count = self._channel_labels.get(label, 0)
         self._channel_labels[label] = count + 1
         if count:

@@ -49,8 +49,8 @@ class QueryableStateService:
 
     # ------------------------------------------------------------------
     def _locate(self, node_name: str, descriptor: StateDescriptor, key: Any):
-        tasks = self.engine.tasks_of(node_name)
-        index = subtask_for_key(key, len(tasks), self.engine.config.max_parallelism)
+        tasks = self.engine.plan.subtasks(node_name)
+        index = subtask_for_key(key, len(tasks))
         return tasks[index]
 
     def query(

@@ -258,15 +258,9 @@ class OutputGate:
     """Sender-side fan-out for one logical edge: partitions elements over the
     physical channels; control elements are always broadcast."""
 
-    def __init__(
-        self,
-        partitioning: Partitioning,
-        channels: list[PhysicalChannel],
-        max_parallelism: int,
-    ) -> None:
+    def __init__(self, partitioning: Partitioning, channels: list[PhysicalChannel]) -> None:
         self.partitioning = partitioning
         self.channels = channels
-        self._max_parallelism = max_parallelism
         self._round_robin = 0
         #: optional :class:`~repro.load.routing.KeyRouter` consulted instead
         #: of plain key-group routing (installed by live rescaling so hash
@@ -291,7 +285,7 @@ class OutputGate:
                     if router is not None:
                         index = router.owner_index(element.key)
                     else:
-                        index = subtask_for_key(element.key, len(channels), self._max_parallelism)
+                        index = subtask_for_key(element.key, len(channels))
                 elif partitioning is Partitioning.REBALANCE:
                     index = self._round_robin % len(channels)
                     self._round_robin += 1
@@ -315,14 +309,13 @@ class OutputGate:
         index order so the shuffle is deterministic.
         """
         n_channels = len(self.channels)
-        max_parallelism = self._max_parallelism
         router = self.router
         parts: dict[int, list[int]] = {}
         for i, key in enumerate(batch.iter_keys()):
             if router is not None:
                 target = router.owner_index(key)
             else:
-                target = subtask_for_key(key, n_channels, max_parallelism)
+                target = subtask_for_key(key, n_channels)
             rows = parts.get(target)
             if rows is None:
                 parts[target] = [i]

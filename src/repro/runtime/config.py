@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.graph import ChannelSpec
-from repro.core.keys import DEFAULT_MAX_PARALLELISM
 from repro.errors import GraphError
 from repro.state.api import KeyedStateBackend
 from repro.state.memory import InMemoryStateBackend
@@ -64,7 +63,6 @@ class EngineConfig:
     #: credit-based flow control: per-channel credit capacity applied when an
     #: edge doesn't set one (None = unbounded channels, no backpressure)
     default_channel_capacity: int | None = None
-    max_parallelism: int = DEFAULT_MAX_PARALLELISM
     state_backend_factory: Callable[[], KeyedStateBackend] = InMemoryStateBackend
     checkpoints: CheckpointConfig | None = None
     guarantee: GuaranteeLevel = GuaranteeLevel.AT_LEAST_ONCE

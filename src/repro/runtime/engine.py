@@ -1,9 +1,10 @@
-"""The execution engine: physical planning, execution, recovery.
+"""The execution engine: execution and recovery.
 
-``Engine`` expands a :class:`~repro.core.graph.StreamGraph` into tasks and
-channels on the DES kernel, runs it, and exposes the control-plane
-primitives the fault-tolerance / load-management packages orchestrate:
-trigger checkpoints, kill tasks, restore from snapshots, rewind sources.
+``Engine`` runs a :class:`~repro.core.graph.StreamGraph` on the DES kernel
+through the tasks and channels of its :class:`~repro.runtime.plan.PhysicalPlan`,
+and exposes the control-plane primitives the fault-tolerance /
+load-management packages orchestrate: trigger checkpoints, kill tasks,
+restore from snapshots, rewind sources.
 The checkpoint rounds themselves and their capture format belong to a
 :class:`~repro.checkpoint.coordinator.CheckpointCoordinator`; the engine
 keeps the kernel glue around it: the periodic trigger, the timeout and
@@ -18,13 +19,9 @@ from typing import Any, Callable
 
 from repro.checkpoint.coordinator import CheckpointCoordinator, CheckpointRecord
 from repro.core.events import MAX_TIMESTAMP, CheckpointBarrier, EndOfStream, StreamElement, Watermark
-from repro.core.graph import LogicalNode, Partitioning, StreamGraph
-from repro.core.operators.base import Operator
-from repro.core.operators.basic import SinkOperator
-from repro.core.operators.chain import ChainedOperator
+from repro.core.graph import StreamGraph
 from repro.errors import (
     CheckpointError,
-    GraphError,
     LoopSnapshotError,
     RecoveryError,
     RuntimeStateError,
@@ -32,11 +29,10 @@ from repro.errors import (
 )
 from repro.io.sinks import TransactionalSink
 from repro.obs import Observability
-from repro.progress.watermarks import NoWatermarks, WatermarkStrategy
-from repro.runtime.channel import OutputGate, PhysicalChannel
-from repro.runtime.config import CheckpointMode, EngineConfig, GuaranteeLevel
+from repro.runtime.config import EngineConfig, GuaranteeLevel
 from repro.runtime.metrics import JobMetrics
-from repro.runtime.task import SourceTask, Task, TaskSnapshot
+from repro.runtime.plan import PhysicalPlan
+from repro.runtime.task import SourceTask, Task
 from repro.sim.kernel import Kernel, PeriodicTimer
 from repro.sim.random import SimRandom
 
@@ -55,7 +51,7 @@ class JobResult:
 
     @property
     def sinks(self) -> dict[str, Any]:
-        return self._engine.sinks
+        return self._engine.plan.sinks
 
     @property
     def metrics(self) -> JobMetrics:
@@ -139,9 +135,6 @@ class Engine:
         self._finish_fired = False
         self.rng = SimRandom(self.config.seed, f"engine/{graph.name}")
         self.metrics = JobMetrics()
-        self.tasks: dict[str, Task] = {}
-        self.node_tasks: dict[int, list[Task]] = {}
-        self.sinks: dict[str, Any] = {}
         self.side_outputs: dict[tuple[str, str], list[StreamElement]] = {}
         self._coordinator_timer: PeriodicTimer | None = None
         self.job_finished = False
@@ -156,31 +149,20 @@ class Engine:
         #: superseded restore's entries are dropped, so its completion
         #: callback finds its token gone and does nothing
         self._restores: dict[str, tuple[object, float]] = {}
-        #: task name → sinks its operator (chain) writes; regional recovery
-        #: needs to know which sinks a failover region owns exclusively
-        self._task_sinks: dict[str, list[Any]] = {}
         #: bumped by every restart and by fail_job, as the coordinator
         #: restarts (dropping every round in flight, as real coordinators do);
         #: sink commit retries of an older epoch are discarded
         self.execution_epoch = 0
-        #: edge-index → {sender task name → OutputGate}; maintained for
-        #: dynamic rewiring (rescaling, dynamic topologies)
-        self.edge_gates: dict[int, dict[str, OutputGate]] = {}
         #: the live-rescale part (``RescaleState`` in ``load/migration.py``):
         #: key routers, rescaled groups, retired links and the finish gate;
         #: None until the first rescale or hot-group split
         self.rescale_state: Any = None
-        #: task name → (operator factory, state-backend factory) a revival
-        #: rebuilds it from; a chained task's operator is the whole chain
-        self._task_factories: dict[str, tuple[Callable[[], Operator], Callable[[], Any]]] = {}
-        #: chain member node_id → fused group (head first); heads map too
-        self._chained_nodes: dict[int, list[LogicalNode]] = {}
         #: store name → TxnStateStore; transactional operators register on
         #: open so queryable state and recovery can reach shared stores
         self.txn_stores: dict[str, Any] = {}
         #: kernel-time observability bundle: metric registry, latency
-        #: markers, tracing, profiling (created before _build so tasks and
-        #: channels register as they are wired)
+        #: markers, tracing, profiling (created before the plan so tasks and
+        #: channels register as they are built)
         self.obs = Observability(
             self.job_tag,
             self.config,
@@ -189,7 +171,7 @@ class Engine:
             registry=registry,
         )
         #: the checkpoint rounds and capture format (tasks capture and ack
-        #: through it; created before _build so backends get their chains)
+        #: through it; created before the plan so backends get their chains)
         self.coordinator = CheckpointCoordinator(
             self.config.checkpoints, self._persist, self.obs.registry, f"{self.job_tag}/checkpoint/0"
         )
@@ -206,193 +188,11 @@ class Engine:
                         f"feedback edge {source} -> {target}: an exactly-once job with checkpoints "
                         "cannot snapshot the records in flight around a loop"
                     )
-        self._build()
-        for task in self.planned_tasks():
-            self.obs.attach_task(task)
+        #: the tasks, channels and sinks the job runs (the only code that builds them)
+        self.plan = PhysicalPlan(self)
+        #: every task the job has run, by name (the plan's map)
+        self.tasks: dict[str, Task] = self.plan.by_name
         self.obs.register_engine(self)
-
-    # ------------------------------------------------------------------
-    # physical planning
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        order = self.graph.topological_order()
-        chain_groups = self._compute_chains()
-        for group in chain_groups:
-            for member in group:
-                self._chained_nodes[member.node_id] = group
-        for node in order:
-            group = self._chained_nodes.get(node.node_id, [node])
-            if node is not group[0]:
-                continue  # tasks were created when the head was visited
-            tasks = [self._make_task(group, index) for index in range(node.parallelism)]
-            for member in group:
-                self.node_tasks[member.node_id] = tasks
-            for task in tasks:
-                self.tasks[task.name] = task
-        for edge_index, edge in enumerate(self.graph.edges):
-            if self._is_fused_edge(edge):
-                continue
-            self._wire_edge(edge, edge_index)
-        # Register sinks by scanning for SinkOperator instances (including
-        # ones fused into a chain).
-        for task in self.tasks.values():
-            for operator in self._flatten_operators(task.operator):
-                if isinstance(operator, SinkOperator):
-                    sink = operator.sink
-                    name = getattr(sink, "name", task.name)
-                    self.sinks.setdefault(name, sink)
-                    self._task_sinks.setdefault(task.name, []).append(sink)
-
-    @staticmethod
-    def _flatten_operators(operator: Operator) -> list[Operator]:
-        if isinstance(operator, ChainedOperator):
-            return list(operator.operators)
-        return [operator]
-
-    def _compute_chains(self) -> list[list[LogicalNode]]:
-        """Greedy Flink-style fusion: walk forward edges, fusing a node into
-        the current chain while the link is FORWARD-partitioned, one-to-one
-        (fan-out 1 upstream, fan-in 1 downstream), same parallelism, not a
-        feedback edge, and the downstream node doesn't demand its own state
-        backend. Sources are never fused (they drive workload emission)."""
-        if not self.config.chaining_enabled:
-            return []
-        groups: list[list[LogicalNode]] = []
-        fused: set[int] = set()
-        for node in self.graph.topological_order():
-            if node.is_source or node.node_id in fused or node.options.get("no_chain"):
-                continue
-            group = [node]
-            current = node
-            while True:
-                outs = self.graph.outputs_of(current.node_id)
-                if len(outs) != 1 or outs[0].is_feedback:
-                    break
-                edge = outs[0]
-                if edge.partitioning is not Partitioning.FORWARD:
-                    break
-                target = self.graph.nodes[edge.target_id]
-                if (
-                    target.is_source
-                    or target.node_id in fused
-                    or target.options.get("no_chain")
-                    or target.parallelism != current.parallelism
-                    or target.state_backend_factory is not None
-                    or len(self.graph.inputs_of(target.node_id)) != 1
-                ):
-                    break
-                group.append(target)
-                current = target
-            if len(group) > 1:
-                groups.append(group)
-                fused.update(member.node_id for member in group)
-        return groups
-
-    def _is_fused_edge(self, edge) -> bool:
-        """True when both endpoints live in the same fused chain — the hop
-        happens as a plain Python call, so no channel is built."""
-        source_group = self._chained_nodes.get(edge.source_id)
-        return source_group is not None and source_group is self._chained_nodes.get(edge.target_id)
-
-    def _node_cost(self, node: LogicalNode, operator: Operator) -> float:
-        if node.processing_cost is not None:
-            return node.processing_cost
-        if operator.processing_cost is not None:
-            return operator.processing_cost
-        return self.config.default_processing_cost
-
-    def _chain_operator_factory(
-        self, group: list[LogicalNode], name: str
-    ) -> Callable[[], ChainedOperator]:
-        def build() -> ChainedOperator:
-            operators = [member.new_operator() for member in group]
-            costs = [self._node_cost(member, op) for member, op in zip(group, operators)]
-            # The head's cost is carried by the task itself; members after it
-            # charge theirs per record entered via ctx.add_cost.
-            return ChainedOperator(operators, name=name, extra_costs=[0.0, *costs[1:]])
-
-        return build
-
-    def _make_task(self, group: list[LogicalNode], index: int) -> Task:
-        """Subtask ``index`` of ``group``: a source, a bare operator (a group
-        of one), or the group's operators fused into one chain."""
-        head = group[0]
-        chain_name = "->".join(member.name for member in group)
-        name = f"{chain_name}[{index}]"
-        metrics = self.metrics.for_task(name)
-        if head.is_source:
-            workload = head.options.get("workload")
-            if workload is None:
-                raise GraphError(f"source node {head.name!r} lacks options['workload']")
-            strategy: WatermarkStrategy = head.options.get("watermarks") or NoWatermarks()
-            return SourceTask(
-                self.kernel,
-                name,
-                workload=workload,
-                watermark_strategy=strategy.fresh(),
-                bounded=head.options.get("bounded", True),
-                heartbeat_interval=head.options.get("heartbeat_interval"),
-                metrics=metrics,
-                engine=self,
-                subtask_index=index,
-                parallelism=head.parallelism,
-                batch_records=self.config.columnar_batch_size,
-            )
-        if len(group) == 1:
-            operator_factory = head.new_operator
-        else:
-            operator_factory = self._chain_operator_factory(group, chain_name)
-        operator = operator_factory()
-        head_operator = operator.operators[0] if len(group) > 1 else operator
-        backend_factory = self.coordinator.backend_factory(
-            head.state_backend_factory or self.config.state_backend_factory
-        )
-        self._task_factories[name] = (operator_factory, backend_factory)
-        task = Task(
-            self.kernel,
-            name,
-            operator=operator,
-            state_backend=backend_factory(),
-            subtask_index=index,
-            parallelism=head.parallelism,
-            # Task prefers a bare operator's own cost over this one
-            processing_cost=self._node_cost(head, head_operator),
-            metrics=metrics,
-            engine=self,
-        )
-        checkpoints = self.config.checkpoints
-        task.inputs.aligned = checkpoints is None or checkpoints.mode is not CheckpointMode.UNALIGNED
-        return task
-
-    def _wire_edge(self, edge, edge_index: int) -> None:
-        spec = self.config.channel_for(edge.channel)
-        senders = self.node_tasks[edge.source_id]
-        receivers = self.node_tasks[edge.target_id]
-        gates = self.edge_gates.setdefault(edge_index, {})
-        for sender in senders:
-            if edge.partitioning is Partitioning.FORWARD:
-                targets = [receivers[sender.subtask_index]]
-            else:
-                targets = receivers
-            channels = [self.make_channel(spec, sender, receiver, edge.is_feedback) for receiver in targets]
-            gate = OutputGate(edge.partitioning, channels, self.config.max_parallelism)
-            sender.attach_output(gate)
-            gates[sender.name] = gate
-
-    def make_channel(self, spec, sender, receiver, is_feedback: bool = False) -> PhysicalChannel:
-        """Create and register one physical link (also used by dynamic
-        rewiring: rescaling and runtime-spawned operators)."""
-        channel_index = receiver.inputs.register(is_feedback)
-        channel = PhysicalChannel(
-            self.kernel,
-            spec,
-            receiver,
-            channel_index,
-            self.rng.fork(f"ch/{sender.name}->{receiver.name}"),
-            sender=sender,
-        )
-        self.obs.register_channel(channel)
-        return channel
 
     # ------------------------------------------------------------------
     # execution
@@ -416,24 +216,17 @@ class Engine:
             raise RuntimeStateError("engine already started")
         self._started = True
         with self._job_scope():
-            # the nodes fused into one task share it: start it with the head
-            order = [
-                node
-                for node in self.graph.topological_order()
-                if self._chained_nodes.get(node.node_id, [node])[0] is node
-            ]
-            for node in order:
-                if not node.is_source:
-                    for task in self.node_tasks[node.node_id]:
-                        task.start()
+            tasks = self.plan.tasks()
+            for task in tasks:
+                if not isinstance(task, SourceTask):
+                    task.start()
             if self.config.checkpoints is not None:
                 self._coordinator_timer = PeriodicTimer(
                     self.kernel, self.config.checkpoints.interval, self.trigger_checkpoint
                 )
-            for node in order:
-                if node.is_source:
-                    for task in self.node_tasks[node.node_id]:
-                        task.start()
+            for task in tasks:
+                if isinstance(task, SourceTask):
+                    task.start()
 
     def run(self, until: float | None = None, max_events: int | None = None) -> JobResult:
         """Start if needed and drive the kernel; returns a :class:`JobResult`."""
@@ -525,7 +318,7 @@ class Engine:
 
         def complete() -> None:
             if self.coordinator.persisted(record, self.kernel.now()):
-                for sink in self.sinks.values():
+                for sink in self.plan.sinks.values():
                     if isinstance(sink, TransactionalSink):
                         self._commit_sink(sink, record.checkpoint_id)
 
@@ -580,36 +373,6 @@ class Engine:
         if not finished:
             self.coordinator.abort()
 
-    def revive(
-        self, task: Task, snapshot: TaskSnapshot | None = None, fresh_backend: bool = False
-    ) -> None:
-        """Bring a dead task back as a new incarnation: a fresh operator (the
-        whole fused chain for a chained task) and a fresh state backend
-        unless the old one survives task failure (or ``fresh_backend``),
-        then ``snapshot`` loaded — None means empty state, and for a source
-        a rewind to offset zero."""
-        if isinstance(task, SourceTask):
-            task.reincarnate()
-        else:
-            operator_factory, backend_factory = self._task_factories[task.name]
-            keep = task.state_backend.survives_task_failure and not fresh_backend
-            backend = None if keep else backend_factory()
-            task.reincarnate(operator_factory(), backend)
-        task.restore_snapshot(snapshot)
-
-    def planned_tasks(self) -> list[Task]:
-        """Unique tasks currently in the physical plan, in topological order.
-        (With chaining, several logical nodes alias one task list; after a
-        scale-in, retired tasks linger in ``self.tasks`` but not here.)"""
-        seen: set[int] = set()
-        planned: list[Task] = []
-        for tasks in self.node_tasks.values():
-            for task in tasks:
-                if id(task) not in seen:
-                    seen.add(id(task))
-                    planned.append(task)
-        return planned
-
     @property
     def restore_pending(self) -> bool:
         """True while a scheduled restore has not yet brought its tasks back
@@ -631,7 +394,7 @@ class Engine:
     def _check_scope(self, scope: set[str]) -> None:
         """Refuse a replaying scope whose slice of a consistent cut is not
         consistent on its own."""
-        if self.txn_stores and not {t.name for t in self.planned_tasks()} <= scope:
+        if self.txn_stores and not {t.name for t in self.plan.tasks()} <= scope:
             # A shared transactional store couples every owner (and, through
             # committed effects already emitted downstream, the whole plan):
             # restoring a strict subset would fork the store's history.
@@ -639,32 +402,22 @@ class Engine:
                 "transactional state store couples failover regions — "
                 "escalate to global recovery"
             )
-        for channel in self.iter_physical_channels():
+        for channel in self.plan.channels():
             sender = channel.sender
-            if sender is not None and (sender.name in scope) != (channel.receiver.name in scope):
+            if (sender.name in scope) != (channel.receiver.name in scope):
                 raise RecoveryError(
                     f"recovery scope is not closed under the plan's channels "
                     f"({sender.name} -> {channel.receiver.name} crosses it) — "
                     "escalate to global recovery"
                 )
-        outside = self._transactional_sinks(set(self._task_sinks) - scope)
-        for key, sink in self._transactional_sinks(scope).items():
+        outside = self.plan.transactional_sinks(set(self.tasks) - scope)
+        for key, sink in self.plan.transactional_sinks(scope).items():
             if key in outside:
                 raise RecoveryError(
                     f"transactional sink {sink.name!r} spans the region "
                     "boundary; its uncommitted epochs cannot be discarded "
                     "regionally — escalate to global recovery"
                 )
-
-    def _transactional_sinks(self, task_names: set[str]) -> dict[int, TransactionalSink]:
-        """The transactional sinks the named tasks write, by identity."""
-        return {
-            id(sink): sink
-            for name, sinks in self._task_sinks.items()
-            if name in task_names
-            for sink in sinks
-            if isinstance(sink, TransactionalSink)
-        }
 
     def _stop(self, scope: set[str]) -> None:
         """The stop half of every restart and of fail_job: a new execution
@@ -677,9 +430,8 @@ class Engine:
         for name, task in self.tasks.items():
             if name in scope:
                 task.kill()
-        for channel in self.iter_physical_channels():
-            sender = channel.sender
-            if channel.receiver.name in scope or (sender is not None and sender.name in scope):
+        for channel in self.plan.channels():
+            if channel.receiver.name in scope or channel.sender.name in scope:
                 channel.reset()
 
     def _restart(self, scope: set[str], source: CheckpointRecord | str) -> float:
@@ -734,23 +486,23 @@ class Engine:
             for store in self.txn_stores.values():
                 store.reset()
         if replay:
-            for sink in self._transactional_sinks(scope).values():
+            for sink in self.plan.transactional_sinks(scope).values():
                 sink.on_recovery()
-        for channel in self.iter_physical_channels():
+        for channel in self.plan.channels():
             sender = channel.sender
-            if channel.receiver.name in scope and sender is not None and sender.name not in scope:
+            if channel.receiver.name in scope and sender.name not in scope:
                 if sender.finished and not sender.dead:
                     # Only an open (at-most-once) scope has such a link: the
                     # reset voided the upstream's in-flight end-of-input and
                     # it never resends it, so re-inject it for the receiver.
                     channel.send(Watermark(MAX_TIMESTAMP))
                     channel.send(EndOfStream(source_id=sender.name))
-        revived = [task for task in self.planned_tasks() if task.name in scope]
+        revived = [task for task in self.plan.tasks() if task.name in scope]
         for task in revived:
             if not replay and isinstance(task, SourceTask):
                 task.reincarnate()  # at-most-once: continue where it stopped
             else:
-                self.revive(task, record.snapshots.get(task.name) if record is not None else None)
+                self.plan.revive(task, record.snapshots.get(task.name) if record is not None else None)
         for task in revived:
             if isinstance(task, SourceTask):
                 task.restart_emission()
@@ -816,7 +568,7 @@ class Engine:
         never comes again."""
         if self.job_finished or self.job_failed:
             return
-        dead = {t.name for t in self.planned_tasks() if t.dead and not t.finished}
+        dead = {t.name for t in self.plan.tasks() if t.dead and not t.finished}
         if dead:
             self._restart(dead, NO_REPLAY)
 
@@ -839,24 +591,6 @@ class Engine:
         self._fire_finish_callbacks()
 
     # ------------------------------------------------------------------
-    def iter_physical_channels(self) -> list[PhysicalChannel]:
-        """Every physical link in the plan, in deterministic (edge, sender,
-        channel) order — chaos targeting and invariant probes walk this."""
-        seen: set[int] = set()
-        channels: list[PhysicalChannel] = []
-        for gates in self.edge_gates.values():
-            for gate in gates.values():
-                for channel in gate.channels:
-                    if id(channel) not in seen:
-                        seen.add(id(channel))
-                        channels.append(channel)
-        return channels
-
-    def tasks_of(self, node_name: str) -> list[Task]:
-        """All subtasks of a logical node, by name."""
-        node = self.graph.node_by_name(node_name)
-        return self.node_tasks[node.node_id]
-
     def now(self) -> float:
         """Current virtual time."""
         return self.kernel.now()
@@ -870,31 +604,6 @@ class Engine:
     def metrics_json(self, indent: int | None = None) -> str:
         """Canonical JSON serialization of :meth:`metrics_snapshot`."""
         return self.obs.registry.to_json(self.kernel.now(), indent)
-
-    def describe(self) -> str:
-        """Human-readable physical plan: nodes, parallelism, edges, channels."""
-        lines = [f"job {self.graph.name!r}"]
-        for node in self.graph.topological_order():
-            tasks = self.node_tasks.get(node.node_id, [])
-            kind = "source" if node.is_source else type(tasks[0].operator).__name__ if tasks else "?"
-            group = self._chained_nodes.get(node.node_id)
-            if group is not None and node is not group[0]:
-                lines.append(f"  {node.name} [fused into {group[0].name}]")
-            else:
-                lines.append(f"  {node.name} [{kind}] x{len(tasks)}")
-            for edge in self.graph.outputs_of(node.node_id):
-                target = self.graph.nodes[edge.target_id]
-                if self._is_fused_edge(edge):
-                    lines.append(f"    -> {target.name} [chained]")
-                    continue
-                spec = self.config.channel_for(edge.channel)
-                feedback = " (feedback)" if edge.is_feedback else ""
-                capacity = spec.capacity if spec.capacity is not None else "unbounded"
-                lines.append(
-                    f"    -> {target.name} [{edge.partitioning.value}] "
-                    f"latency={spec.latency:g}s capacity={capacity}{feedback}"
-                )
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"Engine({self.graph.name!r}, tasks={len(self.tasks)}, now={self.now():.3f})"

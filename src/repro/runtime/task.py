@@ -583,7 +583,6 @@ class Task:
         operator: Operator,
         state_backend: "KeyedStateBackend",
         subtask_index: int = 0,
-        parallelism: int = 1,
         processing_cost: float = 2e-5,
         metrics: TaskMetrics | None = None,
         engine: Any = None,
@@ -600,7 +599,6 @@ class Task:
         self._txn_gate = getattr(operator, "txn_gate", None)
         self.state_backend = state_backend
         self.subtask_index = subtask_index
-        self.parallelism = parallelism
         self.processing_cost = (
             operator.processing_cost if operator.processing_cost is not None else processing_cost
         )
@@ -664,10 +662,6 @@ class Task:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def attach_output(self, gate: OutputGate) -> None:
-        """Wire an output gate (one per outgoing logical edge)."""
-        self.output_gates.append(gate)
-
     def retire_input_channel(self, channel_index: int) -> None:
         """Detach an input channel (scale-in): it closes for good, so it
         stops gating watermarks, alignment and end-of-stream, also across a
@@ -1388,7 +1382,6 @@ class SourceTask(Task):
         metrics: TaskMetrics | None = None,
         engine: Any = None,
         subtask_index: int = 0,
-        parallelism: int = 1,
         batch_records: int | None = None,
     ) -> None:
         super().__init__(
@@ -1397,7 +1390,6 @@ class SourceTask(Task):
             operator=Operator(),
             state_backend=_NullBackend(),
             subtask_index=subtask_index,
-            parallelism=parallelism,
             processing_cost=0.0,
             metrics=metrics,
             engine=engine,

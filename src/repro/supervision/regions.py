@@ -45,7 +45,7 @@ def compute_failover_regions(engine: "Engine") -> list[FailoverRegion]:
     engine's canonical (edge, sender, channel) order, and regions are
     numbered by the plan position of their first member.
     """
-    tasks = engine.planned_tasks()
+    tasks = engine.plan.tasks()
     parent: dict[str, str] = {task.name: task.name for task in tasks}
 
     def find(name: str) -> str:
@@ -61,11 +61,8 @@ def compute_failover_regions(engine: "Engine") -> list[FailoverRegion]:
         if root_a != root_b:
             parent[root_b] = root_a
 
-    for channel in engine.iter_physical_channels():
-        if channel.sender is None:
-            continue
-        if channel.sender.name in parent and channel.receiver.name in parent:
-            union(channel.sender.name, channel.receiver.name)
+    for channel in engine.plan.channels():
+        union(channel.sender.name, channel.receiver.name)
 
     members: dict[str, list[str]] = {}
     for task in tasks:  # plan order → deterministic member order

@@ -188,7 +188,7 @@ class Supervisor:
         if scope == "standby":
             return [event.task_name]
         if scope in ("global", "job-failed"):
-            return [t.name for t in self.engine.planned_tasks()]
+            return [t.name for t in self.engine.plan.tasks()]
         names: list[str] = []
         for task_name in self._failed_names(event):
             region = region_of(self.regions, task_name)
@@ -214,13 +214,13 @@ class Supervisor:
                 report = standby.promote()
                 return "standby", report.resumed_at, 1
 
-        total = len(engine.planned_tasks())
+        total = len(engine.plan.tasks())
 
         # 2. No checkpointing configured: nothing to restore from.
         if engine.config.checkpoints is None:
             if engine.config.guarantee is GuaranteeLevel.AT_MOST_ONCE:
                 restarted = sum(
-                    1 for t in engine.planned_tasks() if t.dead and not t.finished
+                    1 for t in engine.plan.tasks() if t.dead and not t.finished
                 )
                 engine.recover_without_replay()
                 return "task", engine.kernel.now(), restarted

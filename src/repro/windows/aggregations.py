@@ -111,7 +111,7 @@ class PaneSlidingAggregator(SlidingAggregator):
         self._panes: dict[int, Any] = {}
 
     def _pane_index(self, timestamp: float) -> int:
-        return math.floor(timestamp / self.slide + 1e-9)
+        return math.floor(timestamp / self.slide)
 
     def insert(self, timestamp: float, value: Any) -> None:
         pane = self._pane_index(timestamp)

@@ -95,17 +95,19 @@ class TestOracleUnit:
                 """Fixed probe time."""
                 return 1.0
 
-        class FakeEngine:
-            tasks = {"map[0]": FakeTask()}
-            kernel = FakeKernel()
-
-            def iter_physical_channels(self):
+        class FakePlan:
+            def channels(self):
                 """No channels in the fake."""
                 return ()
 
-            def planned_tasks(self):
+            def tasks(self):
                 """All (one) tasks."""
-                return list(self.tasks.values())
+                return list(FakeEngine.tasks.values())
+
+        class FakeEngine:
+            tasks = {"map[0]": FakeTask()}
+            kernel = FakeKernel()
+            plan = FakePlan()
 
         engine = FakeEngine()
         oracle = MetricInvariantOracle()
@@ -121,14 +123,16 @@ class TestOracleUnit:
                 """Fixed probe time."""
                 return 1.0
 
+        class FakePlan:
+            def channels(self):
+                """No channels in the fake."""
+                return ()
+
         class FakeEngine:
             tasks = {}
             kernel = FakeKernel()
             obs = SimpleNamespace(registry=MetricRegistry("job"), profiler=Profiler())
-
-            def iter_physical_channels(self):
-                """No channels in the fake."""
-                return ()
+            plan = FakePlan()
 
         engine = FakeEngine()
         engine.obs.profiler.charge("map[0];process", 0.5)

@@ -122,19 +122,19 @@ def _channel(credits, capacity, backlog=0):
 
 def test_credit_oracle_flags_overflow_and_leak():
     oracle = CreditConservationOracle()
-    over = _engine(iter_physical_channels=lambda: [_channel(5, 4)])
+    over = _engine(plan=SimpleNamespace(channels=lambda: [_channel(5, 4)]))
     assert any("outside" in v.message for v in oracle.probe(over))
-    leak = _engine(iter_physical_channels=lambda: [_channel(-1, 4)])
+    leak = _engine(plan=SimpleNamespace(channels=lambda: [_channel(-1, 4)]))
     assert any("outside" in v.message for v in oracle.probe(leak))
-    idle_backlog = _engine(iter_physical_channels=lambda: [_channel(2, 4, backlog=3)])
+    idle_backlog = _engine(plan=SimpleNamespace(channels=lambda: [_channel(2, 4, backlog=3)]))
     assert any("backlog" in v.message for v in oracle.probe(idle_backlog))
-    clean = _engine(iter_physical_channels=lambda: [_channel(0, 4, backlog=3), _channel(4, 4)])
+    clean = _engine(plan=SimpleNamespace(channels=lambda: [_channel(0, 4, backlog=3), _channel(4, 4)]))
     assert not oracle.probe(clean)
 
 
 def test_credit_oracle_skips_unbounded_channels():
     oracle = CreditConservationOracle()
-    engine = _engine(iter_physical_channels=lambda: [_channel(None, None)])
+    engine = _engine(plan=SimpleNamespace(channels=lambda: [_channel(None, None)]))
     assert not oracle.probe(engine)
 
 

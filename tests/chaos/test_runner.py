@@ -46,7 +46,7 @@ def test_schedule_targets_adapt_to_chaining(chaos_seed):
     engine = runner.scenario.build(config).engine
     live_channels = {
         f"{ch.sender.name}->{ch.receiver.name}"
-        for ch in engine.iter_physical_channels()
+        for ch in engine.plan.channels()
         if ch.sender is not None
     }
     live_tasks = set(engine.tasks)

@@ -6,11 +6,13 @@ from repro.core.operators.basic import SinkOperator
 from repro.dynamic.topology import AdaptiveExpander, TopologyManager, collect_task_pressure
 from repro.io.sinks import CollectSink
 from repro.io.sources import SensorWorkload
-from repro.runtime.config import EngineConfig
+from repro.load.migration import Rescaler
+from repro.runtime.config import CheckpointConfig, EngineConfig
+from repro.supervision.regions import compute_failover_regions
 
 
-def build(count=1500, rate=3000.0, cost=None, key_skew=0.0, parallelism=2):
-    env = StreamExecutionEnvironment(EngineConfig())
+def build(count=1500, rate=3000.0, cost=None, key_skew=0.0, parallelism=2, config=None):
+    env = StreamExecutionEnvironment(config or EngineConfig())
     sink = CollectSink("out")
     (
         env.from_workload(
@@ -57,6 +59,51 @@ class TestTap:
             per_key[result.key] = max(per_key.get(result.key, 0), result.value)
         assert sum(per_key.values()) == 800
 
+    def test_tap_survives_a_global_recovery(self):
+        # The tap is in the plan: a global restart kills it with the rest,
+        # revives it from its operator factory, and the job still finishes.
+        env, sink = build(config=EngineConfig(checkpoints=CheckpointConfig(interval=0.05)))
+        engine = env.build()
+        manager = TopologyManager(engine)
+        tap_sink = CollectSink("tap")
+        engine.kernel.call_at(
+            0.1,
+            lambda: manager.attach_tap("count", lambda: SinkOperator(tap_sink, "tap"), tap_name="audit"),
+        )
+
+        def fail():
+            engine.kill_task("count[0]")
+            engine.recover_from_checkpoint()
+
+        engine.kernel.call_at(0.3, fail)
+        result = env.execute(until=30.0)
+        assert result.finished
+        tap = engine.tasks["audit[0]"]
+        assert tap.finished and not tap.dead
+        assert any("audit[0]" in region.task_names for region in compute_failover_regions(engine))
+        per_key = {}
+        for record in sink.results:
+            per_key[record.key] = max(per_key.get(record.key, 0), record.value)
+        assert sum(per_key.values()) == 1500
+
+    def test_scaled_out_subtasks_and_taps_are_observed(self):
+        env, _sink = build(config=EngineConfig(latency_marker_period=0.01))
+        engine = env.build()
+        engine.kernel.call_at(0.1, lambda: Rescaler(engine).rescale("count", 3))
+        engine.kernel.call_at(
+            0.1,
+            lambda: TopologyManager(engine).attach_tap(
+                "count", lambda: SinkOperator(CollectSink("tap"), "tap"), tap_name="audit"
+            ),
+        )
+        env.execute()
+        metrics = engine.metrics_snapshot()["metrics"]
+        for name, prefix in (("count[2]", "job/count/2"), ("audit[0]", "job/audit/0")):
+            records_in = engine.tasks[name].metrics.records_in
+            assert records_in > 0
+            assert metrics[f"{prefix}/records_in"] == records_in
+            assert metrics[f"{prefix}/latency_from_source"]["count"] > 0
+
 
 class TestAdaptiveExpansion:
     def test_hot_operator_grows_under_pressure(self):
@@ -68,7 +115,7 @@ class TestAdaptiveExpansion:
         expander.start()
         env.execute(until=60.0)
         assert expander.expansions, "expected at least one expansion"
-        assert len(engine.tasks_of("count")) > 1
+        assert len(engine.plan.subtasks("count")) > 1
         per_key = {}
         for result in sink.results:
             per_key[result.key] = max(per_key.get(result.key, 0), result.value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.datastream import StreamExecutionEnvironment
-from repro.core.keys import field_selector
+from repro.core.keys import DEFAULT_MAX_PARALLELISM, field_selector
 from repro.errors import LoadManagementError
 from repro.io.sinks import CollectSink
 from repro.io.sources import SensorWorkload
@@ -94,7 +94,7 @@ class TestActuationGates:
     def test_dead_task_blocks_actuation(self):
         engine = build_engine()
         controller = AutoscaleController(engine, ["count"])
-        engine.tasks_of("count")[0].dead = True
+        engine.plan.subtasks("count")[0].dead = True
         assert not controller._actionable("count", now=10.0)
 
     def test_warmup_suppresses_actuation_but_not_observation(self):
@@ -108,7 +108,7 @@ class TestActuationGates:
         engine.run(until=30.0)
         assert controller.rescales == 0
         assert not controller.reports
-        assert len(engine.tasks_of("count")) == 1
+        assert len(engine.plan.subtasks("count")) == 1
 
     def test_scale_down_needs_patience_ticks(self):
         engine = build_engine()
@@ -163,10 +163,10 @@ class TestHotGroupWinner:
         controller = AutoscaleController(
             engine, ["count"], min_window_records=100, hot_group_threshold=0.1,
         )
-        for task in engine.tasks_of("count"):
-            task.enable_keygroup_tracking(engine.config.max_parallelism)
+        for task in engine.plan.subtasks("count"):
+            task.enable_keygroup_tracking(DEFAULT_MAX_PARALLELISM)
         # Fake a tiny window: 10 records all in one group.
-        engine.tasks_of("count")[0]._keygroup_counts[5] = 10
+        engine.plan.subtasks("count")[0]._keygroup_counts[5] = 10
         controller._mitigate_skew("count", now=1.0)
         assert controller.hot_splits == 0
         assert not controller.actions

@@ -53,7 +53,7 @@ class TestConvergence:
         controller.start()
         env.execute(until=120.0)
         assert controller.reconfigurations >= 1
-        final = len(engine.tasks_of("count"))
+        final = len(engine.plan.subtasks("count"))
         assert 3 <= final <= 6, f"settled at {final}"
         # Convergence: few reconfigurations overall, and none in the last
         # stretch of the run (no hunting at steady state).

@@ -14,6 +14,7 @@ from repro.core.keys import field_selector
 from repro.io.sinks import CollectSink
 from repro.io.sources import RateFunction, SensorWorkload
 from repro.load.autoscaler import AutoscaleController
+from repro.load.migration import RescaleState
 from repro.runtime.config import EngineConfig
 
 
@@ -69,7 +70,7 @@ class TestStepConvergence:
         )
         # Settled: the operator's final parallelism can absorb the peak with
         # DS2 headroom, and the loop stopped moving well before the end.
-        final = len(engine.tasks_of("count"))
+        final = len(engine.plan.subtasks("count"))
         assert 3 <= final <= 6, f"settled at parallelism {final}"
         last_action = max(r.started_at for r in controller.reports)
         finished_at = max(t.metrics.finished_at or 0.0 for t in engine.tasks.values())
@@ -105,7 +106,7 @@ class TestSkewedConvergence:
             hot_group_threshold=0.35, min_window_records=50, warmup=2.0,
         )
         assert controller.hot_splits >= 1, "skewed load never triggered a hot-group split"
-        router = controller.rescaler.router_for("count")
+        router = RescaleState.of(engine).router("count")
         assert router.splits, "split was not installed on the router"
         # Bounded actuation: scale-ups plus splits stay a short sequence.
         assert controller.rescales + controller.hot_splits <= 5, (
@@ -128,13 +129,13 @@ class TestSkewedConvergence:
         if not controller.actions:
             return  # covered by the test above; nothing to measure here
         split = controller.actions[0]
-        router = controller.rescaler.router_for("count")
+        router = RescaleState.of(engine).router("count")
         fanout = router.split_fanout(split.key_group)
         assert fanout is not None and fanout >= 2
         # The hot group's records ended up on more than one subtask.
         holders = {
             index
-            for index, task in enumerate(engine.tasks_of("count"))
+            for index, task in enumerate(engine.plan.subtasks("count"))
             if task.keygroup_counts.get(split.key_group)
         }
         assert len(holders) >= 2, f"hot group still pinned to {holders}"

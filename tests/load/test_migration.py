@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.datastream import StreamExecutionEnvironment
-from repro.core.keys import field_selector, key_group_for, subtask_for_key
+from repro.core.keys import DEFAULT_MAX_PARALLELISM, field_selector, key_group_for, subtask_for_key
 from repro.errors import LoadManagementError
 from repro.io.sinks import CollectSink
 from repro.io.sources import CollectionWorkload, SensorWorkload
-from repro.load.migration import Rescaler
+from repro.load.migration import Rescaler, RescaleState
 from repro.runtime.config import CheckpointConfig, EngineConfig
 
 
@@ -49,13 +49,13 @@ class TestScaleOut:
 
     def test_keys_route_to_new_owners(self):
         engine, _sink, _report = self.run_with_rescale(4)
-        tasks = engine.tasks_of("count")
+        tasks = engine.plan.subtasks("count")
         assert len(tasks) == 4
         for task in tasks:
             backend = task.state_backend
             for descriptor in backend.descriptors():
                 for key in backend.keys(descriptor):
-                    owner = subtask_for_key(key, 4, engine.config.max_parallelism)
+                    owner = subtask_for_key(key, 4, DEFAULT_MAX_PARALLELISM)
                     assert owner == task.subtask_index
 
     def test_stop_restart_pauses_sources(self):
@@ -78,7 +78,7 @@ class TestScaleIn:
         for result in sink.results:
             per_key[result.key] = max(per_key.get(result.key, 0), result.value)
         assert sum(per_key.values()) == 2000
-        assert len(engine.tasks_of("count")) == 2
+        assert len(engine.plan.subtasks("count")) == 2
 
 
 class TestValidation:
@@ -111,7 +111,7 @@ class TestValidation:
         )
         engine = env.build()
         engine.run(until=0.03)
-        group = key_group_for("s32", engine.config.max_parallelism)
+        group = key_group_for("s32", DEFAULT_MAX_PARALLELISM)
         with pytest.raises(LoadManagementError, match="fused operator chain"):
             Rescaler(engine).split_key_group("count", group, 2)
         assert engine.run(until=30.0).finished
@@ -132,7 +132,7 @@ class TestValidation:
         engine = env.build()
         engine.run(until=0.1)
         rescaler = Rescaler(engine)
-        epoch = rescaler.router_for("count").epoch
+        epoch = RescaleState.of(engine).router("count").epoch
         engine.trigger_checkpoint()
         pending = engine.coordinator.pending
         assert pending is not None
@@ -140,8 +140,8 @@ class TestValidation:
         with pytest.raises(LoadManagementError, match="unknown rescale mode"):
             getattr(rescaler, verb)("count", *args, mode="bogus")
         assert engine.graph.node_by_name("count").parallelism == 2
-        assert len(engine.tasks_of("count")) == 2
-        assert rescaler.router_for("count").epoch == epoch
+        assert len(engine.plan.subtasks("count")) == 2
+        assert RescaleState.of(engine).router("count").epoch == epoch
         assert engine.coordinator.pending is pending
         assert rescaler.reports == []
 

@@ -26,7 +26,7 @@ from repro.core.datastream import StreamExecutionEnvironment
 from repro.core.keys import field_selector, key_group_for
 from repro.io.sinks import CollectSink
 from repro.io.sources import SensorWorkload
-from repro.load.migration import Rescaler
+from repro.load.migration import Rescaler, RescaleState
 from repro.load.routing import KeyRouter
 from repro.runtime.config import EngineConfig
 from repro.state.api import ValueStateDescriptor
@@ -172,8 +172,8 @@ class TestTimersFollowKeys:
 
         def rescale_and_audit():
             rescaler.rescale("holder", new_parallelism)
-            router = rescaler.router_for("holder")
-            for index, task in enumerate(engine.tasks_of("holder")):
+            router = RescaleState.of(engine).router("holder")
+            for index, task in enumerate(engine.plan.subtasks("holder")):
 
                 def audit(key, index=index):
                     # sees every pending keyed timer and takes none

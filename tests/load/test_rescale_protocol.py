@@ -79,7 +79,7 @@ class RescaleProtocol(RuleBasedStateMachine):
         for node, downstream in ((SRC, A), (A, B), (B, R)):
             for task in self.plan[node]:
                 self._connect(node, task, self.plan[downstream])
-        self.state = RescaleState(self.plan, MAXP)
+        self.state = RescaleState(self.plan.__getitem__, MAXP)
         # the model
         #: node → every task object it ever had, in creation order
         self.ever: dict[int, list[FakeTask]] = {node: list(tasks) for node, tasks in self.plan.items()}

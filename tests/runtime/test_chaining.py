@@ -116,7 +116,7 @@ class TestPlannerFusionRules:
     def test_describe_marks_fused_nodes(self):
         env, _ = pipeline_env(EngineConfig(chaining_enabled=True))
         engine = env.build()
-        text = engine.describe()
+        text = engine.plan.describe()
         assert "[fused into" in text
         assert "[chained]" in text
 

@@ -41,7 +41,7 @@ class TestPartitioning:
     def test_hash_routes_by_key_group(self):
         kernel = Kernel()
         tasks, channels = make_channels(kernel, 4)
-        gate = OutputGate(Partitioning.HASH, channels, max_parallelism=128)
+        gate = OutputGate(Partitioning.HASH, channels)
         for key in ["a", "b", "c", "d", "e"]:
             gate.emit(Record(value=key, key=key))
         kernel.run()
@@ -52,7 +52,7 @@ class TestPartitioning:
     def test_rebalance_round_robins(self):
         kernel = Kernel()
         tasks, channels = make_channels(kernel, 3)
-        gate = OutputGate(Partitioning.REBALANCE, channels, 128)
+        gate = OutputGate(Partitioning.REBALANCE, channels)
         for i in range(9):
             gate.emit(Record(value=i))
         kernel.run()
@@ -61,7 +61,7 @@ class TestPartitioning:
     def test_broadcast_reaches_everyone(self):
         kernel = Kernel()
         tasks, channels = make_channels(kernel, 3)
-        gate = OutputGate(Partitioning.BROADCAST, channels, 128)
+        gate = OutputGate(Partitioning.BROADCAST, channels)
         gate.emit(Record(value="x"))
         kernel.run()
         assert all(len(t.received) == 1 for t in tasks)
@@ -69,7 +69,7 @@ class TestPartitioning:
     def test_control_elements_broadcast_regardless_of_partitioning(self):
         kernel = Kernel()
         tasks, channels = make_channels(kernel, 3)
-        gate = OutputGate(Partitioning.HASH, channels, 128)
+        gate = OutputGate(Partitioning.HASH, channels)
         gate.emit(Watermark(5.0))
         kernel.run()
         assert all(len(t.received) == 1 for t in tasks)

@@ -26,7 +26,7 @@ def build_fan_in(timeout):
     engine = env.build()
     victim = next(
         ch
-        for ch in engine.iter_physical_channels()
+        for ch in engine.plan.channels()
         if ch.sender is not None and ch.sender.name == "left[0]"
     )
     hook = ChannelFaultHook(engine.kernel, lambda kind, detail: None)

@@ -19,6 +19,7 @@ import sys
 import pytest
 
 from repro.core.datastream import StreamExecutionEnvironment
+from repro.core.keys import DEFAULT_MAX_PARALLELISM
 from repro.core.operators.base import Operator
 from repro.core.operators.chain import ChainedOperator
 from repro.io import CollectSink, SensorWorkload
@@ -236,10 +237,10 @@ def test_the_same_rows_and_busy_time_traced_or_not():
 def test_attaching_a_part_rebuilds_the_body():
     env, _sink = _tenant_job()
     engine = env.build()
-    task = engine.tasks_of("count")[0]
+    task = engine.plan.subtasks("count")[0]
     task.start()
     plain = task.deliver.__code__
-    task.enable_keygroup_tracking(engine.config.max_parallelism)
+    task.enable_keygroup_tracking(DEFAULT_MAX_PARALLELISM)
     counting = task.deliver.__code__
     assert counting is not plain and "key_group_for" in counting.co_names
     assert "key_group_for" in task._complete.__code__.co_names
@@ -268,9 +269,9 @@ def _replace(task):
 TRIGGERS = {
     "start": lambda engine, task: task.start(),
     "attach_obs": lambda engine, task: task.attach_obs(engine.obs),
-    "enable_keygroup_tracking": lambda engine, task: task.enable_keygroup_tracking(engine.config.max_parallelism),
+    "enable_keygroup_tracking": lambda engine, task: task.enable_keygroup_tracking(DEFAULT_MAX_PARALLELISM),
     "rescale_state": lambda engine, task: setattr(task, "rescale_state", None),
-    "reincarnate": lambda engine, task: (task.kill(), task.reincarnate(engine._task_factories[task.name][0]())),
+    "reincarnate": lambda engine, task: (task.kill(), engine.plan.revive(task)),
 }
 
 
@@ -278,7 +279,7 @@ TRIGGERS = {
 def test_an_instance_replacement_survives_every_compile(trigger):
     env, sink = _tenant_job()
     engine = env.build()
-    task = engine.tasks_of("count")[0]
+    task = engine.plan.subtasks("count")[0]
     log, deliver, complete = _replace(task)
     built = dict(task._generated)
     TRIGGERS[trigger](engine, task)

@@ -192,7 +192,7 @@ class TestWhoKeepsTheEvent:
         finished_at = task.metrics.finished_at
         assert task.finished
         # a live-migration straggler reaches the owner after it finished
-        RescaleState.of(engine).gate(engine.graph.node_by_name("out").node_id)
+        RescaleState.of(engine).gate("out")
         fired = _completions(task)
         engine.kernel.call_at(1.0, task.enqueue_local, Record(4, key="k"))
         engine.kernel.run()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.datastream import StreamExecutionEnvironment
-from repro.core.keys import field_selector, subtask_for_key
+from repro.core.keys import DEFAULT_MAX_PARALLELISM, field_selector, subtask_for_key
 from repro.errors import CheckpointError
 from repro.fault.guarantees import audit_delivery
 from repro.io.sinks import CollectSink, TransactionalSink
@@ -34,11 +34,11 @@ class TestPartitioning:
         env, sink = keyed_count_env()
         engine = env.build()
         env.execute()
-        count_tasks = engine.tasks_of("count")
+        count_tasks = engine.plan.subtasks("count")
         # Each subtask only saw keys it owns.
         for task in count_tasks:
             for key in task.state_backend.keys(task.operator._descriptor):
-                assert subtask_for_key(key, 2, engine.config.max_parallelism) == task.subtask_index
+                assert subtask_for_key(key, 2, DEFAULT_MAX_PARALLELISM) == task.subtask_index
 
     def test_final_counts_sum_to_input(self):
         env, sink = keyed_count_env()

@@ -48,7 +48,6 @@ KNOBS = {
         "seed",
         "default_processing_cost",
         "default_channel_capacity",
-        "max_parallelism",
         "state_backend_factory",
         "checkpoints",
         "guarantee",
@@ -131,7 +130,7 @@ def test_readme_knob_rows_name_pinned_fields():
 
 def test_a_capacity_bounds_every_unspecified_channel():
     engine, sink = _run(EngineConfig(default_channel_capacity=2))
-    assert "capacity=2" in engine.describe()
+    assert "capacity=2" in engine.plan.describe()
     assert sink.values() == list(range(1, RECORDS + 1))
 
 

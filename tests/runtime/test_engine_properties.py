@@ -70,7 +70,7 @@ class TestDescribe:
             .sink(CollectSink("out"))
         )
         engine = env.build()
-        text = engine.describe()
+        text = engine.plan.describe()
         assert "sensors [source] x1" in text
         assert "count" in text and "x2" in text
         assert "[hash]" in text

@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.datastream import StreamExecutionEnvironment
 from repro.core.graph import ChannelSpec
-from repro.core.keys import field_selector
+from repro.core.keys import DEFAULT_MAX_PARALLELISM, field_selector
 from repro.fault.upstream import UpstreamBackup
 from repro.io import CollectSink, SensorWorkload
 from repro.load.migration import RescaleState, Rescaler
@@ -82,17 +82,17 @@ def case_rescale_reroute():
     rescaler = Rescaler(engine)
     engine.kernel.call_at(0.05, lambda: rescaler.rescale("count", 3))
     env.execute(until=30.0)
-    assert len(engine.tasks_of("count")) == 3
+    assert len(engine.plan.subtasks("count")) == 3
     return _observe(engine, sink)
 
 
 def case_keygroup_tracking():
     env, engine, sink = _job()
-    tasks = engine.tasks_of("count")
+    tasks = engine.plan.subtasks("count")
 
     def switch_on():
         for task in tasks:
-            task.enable_keygroup_tracking(engine.config.max_parallelism)
+            task.enable_keygroup_tracking(DEFAULT_MAX_PARALLELISM)
 
     engine.kernel.call_at(0.05, switch_on)
     env.execute(until=30.0)
@@ -121,7 +121,7 @@ def case_profiled():
 
 def case_suspend_resume():
     env, engine, sink = _job()
-    task = engine.tasks_of("count")[0]
+    task = engine.plan.subtasks("count")[0]
     engine.kernel.call_at(0.04, task.suspend)
     engine.kernel.call_at(0.06, task.resume_processing)
     env.execute(until=30.0)
@@ -210,7 +210,7 @@ def test_rescale_receivers_call_no_owner(monkeypatch):
     rescaler = Rescaler(engine)
     engine.kernel.call_at(0.05, lambda: rescaler.rescale("count", 3))
     env.execute(until=30.0)
-    members = {task.name for task in engine.tasks_of("count")}
+    members = {task.name for task in engine.plan.subtasks("count")}
     assert calls and set(calls) <= members
     assert engine.tasks["out[0]"].rescale_state is not None  # it still gates its finish
     assert _observe(engine, sink) == {

@@ -38,7 +38,7 @@ class TestWiring:
         env, _sink = keyed_count_env(incremental_config())
         engine = env.build()
         assert engine.coordinator.store is not None
-        for task in engine.tasks_of("count"):
+        for task in engine.plan.subtasks("count"):
             # the backend itself sits on the access path, not a wrapper
             assert isinstance(task.state_backend, InMemoryStateBackend)
             assert isinstance(task.state_backend.snapshotter, IncrementalSnapshotter)
@@ -50,7 +50,7 @@ class TestWiring:
         )
         engine = env.build()
         assert engine.coordinator.store is None
-        for task in engine.tasks_of("count"):
+        for task in engine.plan.subtasks("count"):
             assert task.state_backend.snapshotter is None
 
     def test_records_carry_deltas(self):
@@ -87,7 +87,7 @@ class TestChainBounds:
         env.execute()
         store = engine.coordinator.store
         assert store.links_pruned > 0
-        for task in engine.tasks_of("count"):
+        for task in engine.plan.subtasks("count"):
             # never more than one dead segment plus the live one
             assert store.chain_length(task.name) <= 2 * 2 + 1
 
@@ -162,7 +162,7 @@ class TestEquivalence:
         inc_record = inc_engine.latest_checkpoint()
         assert full_record.checkpoint_id == inc_record.checkpoint_id
         store = inc_engine.coordinator.store
-        for task in inc_engine.tasks_of("count"):
+        for task in inc_engine.plan.subtasks("count"):
             snapshot = inc_record.snapshots[task.name]
             target = InMemoryStateBackend()
             for descriptor in task.state_backend.descriptors():
@@ -226,7 +226,7 @@ class TestSurvivingBackendRestore:
             engine.recover_from_checkpoint()
 
         def probe():
-            backend = engine.tasks_of("proc")[0].state_backend
+            backend = engine.plan.subtasks("proc")[0].state_backend
             for key in ("a", "b", "c"):
                 probed[key] = backend.get(VALUE, key)
 

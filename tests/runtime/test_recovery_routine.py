@@ -98,7 +98,7 @@ class TestRescaleThenSupervisedFailure:
         # The supervisor's region predates the rescale and misses the new
         # subtasks: it is not closed under the current channels, so the
         # routine refuses it and the supervisor restores globally.
-        assert len(supervisor.regions[0]) == 6 and len(engine.planned_tasks()) == 8
+        assert len(supervisor.regions[0]) == 6 and len(engine.plan.tasks()) == 8
         assert engine.metrics.recovery.incidents[0].scope == "global"
 
 
@@ -245,5 +245,5 @@ def test_any_sequence_of_restarts_finishes_with_every_row(steps):
     engine.run(until=30.0)
     assert engine.job_finished
     assert not engine.restore_pending
-    assert not any(task.dead for task in engine.planned_tasks())
+    assert not any(task.dead for task in engine.plan.tasks())
     assert {r.value for r in sink.results} == {v * 2 for v in range(120)}

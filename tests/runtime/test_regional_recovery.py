@@ -117,7 +117,7 @@ class TestFailJob:
         assert result.failed and not engine.job_finished
         assert engine.failure_reason == "ops gave up"
         assert engine.metrics.recovery.job_failed_at == pytest.approx(0.03)
-        for task in engine.planned_tasks():
+        for task in engine.plan.tasks():
             assert task.dead or task.finished
 
     def test_fail_job_is_idempotent(self):

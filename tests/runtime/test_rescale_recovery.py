@@ -116,7 +116,7 @@ class TestRestoreAfterRescale:
         result = env.execute(until=30.0)
         assert result.finished
         assert_conserved(sink, 3000)
-        assert len(engine.tasks_of("count")) == 4
+        assert len(engine.plan.subtasks("count")) == 4
 
     def test_global_restore_reconciles_scale_in(self):
         # Kill after a scale-in: the snapshots of retired subtasks are
@@ -135,8 +135,8 @@ class TestRestoreAfterRescale:
         result = env.execute(until=30.0)
         assert result.finished
         assert_conserved(sink, 3000)
-        node_id = engine.graph.node_by_name("count").node_id
-        retired = engine.node_tasks[node_id][1:]
+        assert [t.name for t in engine.plan.subtasks("count")] == ["count[0]"]
+        retired = [engine.tasks["count[1]"], engine.tasks["count[2]"]]
         assert all(t.finished and not t.dead for t in retired)
 
     def test_restore_with_delta_chains_after_rescale(self):
@@ -166,7 +166,7 @@ class TestDrainBarrier:
         engine = env.build()
 
         def install():
-            for task in engine.tasks_of("count"):
+            for task in engine.plan.subtasks("count"):
                 task.rescale_state = GateUntil(engine, 1.0)
 
         engine.kernel.call_at(0.01, install)
@@ -174,7 +174,7 @@ class TestDrainBarrier:
         assert result.finished
         assert_conserved(sink, 500)
         finished_at = max(
-            t.metrics.finished_at or 0.0 for t in engine.tasks_of("count")
+            t.metrics.finished_at or 0.0 for t in engine.plan.subtasks("count")
         )
         assert finished_at >= 1.0, "EOS was not held until the group was ready"
 
@@ -183,7 +183,7 @@ class TestDrainBarrier:
         engine = env.build()
 
         def install():
-            for task in engine.tasks_of("count"):
+            for task in engine.plan.subtasks("count"):
                 task.rescale_state = GateUntil(engine, 0.0)
 
         engine.kernel.call_at(0.01, install)
@@ -191,13 +191,13 @@ class TestDrainBarrier:
         assert result.finished
         assert_conserved(sink, 500)
         finished_at = max(
-            t.metrics.finished_at or 0.0 for t in engine.tasks_of("count")
+            t.metrics.finished_at or 0.0 for t in engine.plan.subtasks("count")
         )
         assert finished_at < 1.0
 
     def test_quiescence_accounts_for_mailbox_and_alignment(self):
         engine = build()[0].build()
-        task = engine.tasks_of("count")[0]
+        task = engine.plan.subtasks("count")[0]
         # Fresh task: EOS not seen on its inputs yet.
         assert not task.drained
         task.finished = True
@@ -221,7 +221,7 @@ class TestChannelAccounting:
         result = env.execute(until=30.0)
         assert result.finished
         assert_conserved(sink, 3000)
-        for channel in engine.iter_physical_channels():
+        for channel in engine.plan.channels():
             assert channel.pending == 0, f"{channel} still has bytes in flight"
         for links in engine.rescale_state.retired.values():
             for channel in links:

@@ -31,7 +31,7 @@ class TestNestedHolds:
             SensorWorkload(count=2000, rate=4000.0, key_count=10, seed=1), name="src"
         ).key_by(field_selector("sensor")).map(lambda v: v, name="m").collect("out")
         engine = env.build()
-        task, kernel = engine.tasks_of("m")[0], engine.kernel
+        task, kernel = engine.plan.subtasks("m")[0], engine.kernel
         kernel.call_at(0.2, lambda: (task.suspend(), kernel.call_after(0.05, task.resume_processing)))
         kernel.call_at(0.21, lambda: task.stall(0.005))
         seen = _readings(engine, lambda: task.metrics.records_in, self.TIMES)
@@ -46,7 +46,7 @@ class TestNestedHolds:
             SensorWorkload(count=2000, rate=4000.0, key_count=10, seed=1), name="src"
         ).collect("out")
         engine = env.build()
-        source, kernel = engine.tasks_of("src")[0], engine.kernel
+        source, kernel = engine.plan.subtasks("src")[0], engine.kernel
         kernel.call_at(0.2, lambda: (source.suspend(), kernel.call_after(0.05, source.resume_processing)))
         kernel.call_at(0.21, lambda: (source.suspend(), kernel.call_after(0.005, source.resume_processing)))
         seen = _readings(engine, lambda: source.emitted, self.TIMES)
@@ -61,7 +61,7 @@ class TestNestedHolds:
             SensorWorkload(count=500, rate=4000.0, key_count=10, seed=1), name="src"
         ).map(lambda v: v, name="m").collect("out")
         engine = env.build()
-        task, kernel = engine.tasks_of("m")[0], engine.kernel
+        task, kernel = engine.plan.subtasks("m")[0], engine.kernel
         kernel.call_at(0.01, task.resume_processing)
         kernel.call_at(0.02, lambda: (task.suspend(), kernel.call_after(0.01, task.resume_processing)))
         env.execute()
@@ -80,7 +80,7 @@ def test_processing_timer_registry_holds_only_pending_timers():
         TumblingEventTimeWindows(0.1), trigger=EarlyFiringTrigger(0.01)
     ).count(name="win").collect("out")
     engine = env.build()
-    task = engine.tasks_of("win")[0]
+    task = engine.plan.subtasks("win")[0]
     counts = {"armed": 0, "fired": 0}
     arm, fire = task.register_processing_timer, task.operator.on_processing_timer
 

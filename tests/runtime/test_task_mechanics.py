@@ -171,7 +171,7 @@ class TestChannelFIFO:
             edge.channel = ChannelSpec(latency=1e-4, jitter=5e-4)  # jitter >> latency
         engine = env.build()
         # the jitter reaches every built link, so the FIFO clamp is exercised
-        assert [ch.spec.jitter for ch in engine.iter_physical_channels()] == [5e-4, 5e-4]
+        assert [ch.spec.jitter for ch in engine.plan.channels()] == [5e-4, 5e-4]
         env.execute()
         assert sink.values() == list(range(300))
 
@@ -301,7 +301,7 @@ class TestBlockedTime:
         channel = PhysicalChannel(
             kernel, ChannelSpec(latency=0.0, capacity=1), receiver, 0, SimRandom(0), sender=sender
         )
-        sender.attach_output(OutputGate(Partitioning.FORWARD, [channel], 128))
+        sender.output_gates.append(OutputGate(Partitioning.FORWARD, [channel]))
         for task in (sender, receiver):
             task.start()
         receiver.suspend()  # returns no credit until it resumes

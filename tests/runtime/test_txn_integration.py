@@ -76,7 +76,7 @@ class TestCleanRun:
         engine = env.build()
         # The transact task must run standalone: a fused ChainedOperator
         # would hide the txn_gate attribute from the barrier machinery.
-        for task in engine.tasks_of("txn"):
+        for task in engine.plan.subtasks("txn"):
             assert getattr(task.operator, "txn_gate", None) is store
         env.execute()
         assert store.committed == 10

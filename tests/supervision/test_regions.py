@@ -62,7 +62,7 @@ class TestForwardSlices:
         engine = forward_engine(parallelism=1)
         regions = compute_failover_regions(engine)
         assert len(regions) == 1
-        assert len(regions[0]) == len(engine.planned_tasks())
+        assert len(regions[0]) == len(engine.plan.tasks())
 
 
 class TestExchangesMerge:
@@ -70,7 +70,7 @@ class TestExchangesMerge:
         engine = shuffled_engine()
         regions = compute_failover_regions(engine)
         assert len(regions) == 1
-        assert len(regions[0]) == len(engine.planned_tasks())
+        assert len(regions[0]) == len(engine.plan.tasks())
 
 
 class TestClosure:
@@ -79,7 +79,7 @@ class TestClosure:
         # endpoints live in the same region.
         for engine in (forward_engine(parallelism=2), shuffled_engine()):
             regions = compute_failover_regions(engine)
-            for channel in engine.iter_physical_channels():
+            for channel in engine.plan.channels():
                 if channel.sender is None:
                     continue
                 sender_region = region_of(regions, channel.sender.name)
@@ -90,7 +90,7 @@ class TestClosure:
         engine = forward_engine(parallelism=2)
         regions = compute_failover_regions(engine)
         names = [name for region in regions for name in region.task_names]
-        assert sorted(names) == sorted(t.name for t in engine.planned_tasks())
+        assert sorted(names) == sorted(t.name for t in engine.plan.tasks())
         assert len(names) == len(set(names))
 
     def test_region_of_unknown_task_is_none(self):

@@ -166,7 +166,7 @@ class TestRetryLoop:
         env, store, sink = hot_key_job(400, deposit, max_retries=1)
         engine = env.build()
         env.execute()
-        dropped = sum(task.metrics.dropped for task in engine.tasks_of("txn"))
+        dropped = sum(task.metrics.dropped for task in engine.plan.subtasks("txn"))
         assert dropped > 0
         assert len(sink.results) + dropped == 400
         assert store.committed == len(sink.results)

@@ -52,6 +52,6 @@ def test_a_body_raising_after_a_lock_wait_releases_its_hold():
     assert store.committed == 39 and store.aborted == 1 and store.active_count == 0
     assert sorted(r.value for r in sink.results) == sorted(f"t{i}" for i in range(40) if i != 7)
     assert store.committed_items() == {"a": 61, "b": 139}
-    assert all(task.mailbox_size == 0 for task in engine.tasks_of("txn"))
+    assert all(task.mailbox_size == 0 for task in engine.plan.subtasks("txn"))
     assert engine.job_finished
 

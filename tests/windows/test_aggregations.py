@@ -1,7 +1,7 @@
 """Sliding aggregation algorithms: correctness equivalence and cost shape."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.windows.aggregations import (
@@ -28,6 +28,11 @@ event_lists = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(events=event_lists, op=st.sampled_from([SUM, COUNT, MAX, MIN]))
+# an event just below a pane boundary belongs to the pane it is in
+@example(
+    events=[(0.5, 1), (0.8333333333333333, 6), (1.1666666666666665, 10), (1.4999999999999998, -3)],
+    op=SUM,
+)
 def test_all_three_engines_agree(events, op):
     """Property: panes and two-stacks equal the naive refold for every
     associative operator and event sequence."""
